@@ -21,7 +21,9 @@
 // overhead and memory bandwidth only. BM_Gemm/BM_Gram sweep the dense
 // products behind the ALS solves (square references plus the tall-skinny
 // rows x rank shapes CP-ALS actually forms), each in scalar and simd
-// variants.
+// variants. BM_HausdorffUser times the social Hausdorff head per user
+// (SocialHausdorffLoss::ComputeForUser) on the gowalla preset, forward
+// only and forward+backward, under each kernel table.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -31,6 +33,8 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "core/hausdorff_loss.h"
+#include "core/spectral_init.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "data/tensor_builder.h"
@@ -245,6 +249,51 @@ void BM_Gram(benchmark::State& state) {
   SetSimdMode(SimdMode::kScalar);
 }
 
+// Args: {backward, simd}. Mean time per eligible user of the social
+// Hausdorff head on the gowalla preset (the trainer's default config: 160
+// candidates, up to 96 friend POIs, rank 10, month bins) at the spectral
+// warm start, with the distance cache on; backward = 1 also accumulates
+// the gradients.
+void BM_HausdorffUser(benchmark::State& state) {
+  const tcss::bench::World& world =
+      tcss::bench::GetWorld(SyntheticPreset::kGowallaLike);
+  const bool backward = state.range(0) != 0;
+  const int64_t simd = state.range(1);
+  static const TcssConfig* cfg = new TcssConfig();
+  static const SocialHausdorffLoss* loss =
+      new SocialHausdorffLoss(world.data, world.train, *cfg);
+  static const FactorModel* model =
+      new FactorModel(InitializeFactors(world.train, *cfg).MoveValue());
+  SelectSimd(simd);
+  std::vector<uint32_t> users;
+  for (uint32_t u = 0; u < world.train.dim_i(); ++u) {
+    if (!loss->candidate_pool(u).empty() && !loss->friend_pois(u).empty()) {
+      users.push_back(u);
+    }
+  }
+  FactorGrads grads(*model);
+  Stopwatch sw;
+  size_t calls = 0;
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (uint32_t u : users) {
+      sum += loss->ComputeForUser(*model, u, backward ? &grads : nullptr,
+                                  1.0);
+    }
+    benchmark::DoNotOptimize(sum);
+    calls += users.size();
+  }
+  state.counters["users"] = static_cast<double>(users.size());
+  if (calls > 0) {
+    tcss::bench::AppendBenchJson(
+        "kernel_hausdorff", "gowalla-like",
+        std::string(backward ? "user_fwd_bwd" : "user_fwd") + SimdTag(simd) +
+            "_s",
+        sw.ElapsedSeconds() / static_cast<double>(calls));
+  }
+  SetSimdMode(SimdMode::kScalar);
+}
+
 // Arg tuples: {rank, dataset} (dataset 0 = sparse gowalla-like with
 // short fibers, 1 = dense gmu5k-like with long fibers); CSF variants add
 // a trailing simd flag (0 = scalar table, 1 = native table).
@@ -279,6 +328,9 @@ BENCHMARK(BM_Gram)
     ->Args({2000, 10, 1})
     ->Args({2000, 32, 1})
     ->Args({20000, 32, 1});
+BENCHMARK(BM_HausdorffUser)
+    ->Args({0, 0})->Args({1, 0})->Args({0, 1})->Args({1, 1})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

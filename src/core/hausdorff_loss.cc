@@ -5,9 +5,10 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "core/whole_data_loss.h"
 #include "geo/haversine.h"
 #include "geo/location_entropy.h"
+#include "linalg/kernel_table.h"
+#include "obs/metrics.h"
 
 namespace tcss {
 namespace {
@@ -16,7 +17,80 @@ namespace {
 constexpr double kCapMargin = kHausdorffCapMargin;
 constexpr double kFloorF = kHausdorffSoftMinFloor;
 
+/// Per-thread working set of ComputeForUser, sized by Fit() and reused
+/// across calls: buffers only ever grow, so steady-state training does no
+/// heap allocation. Every buffer is written before it is read in a call.
+struct UserScratch {
+  std::vector<double> hu;       ///< h * U1[user], r
+  std::vector<double> p;        ///< visit probabilities, lanes
+  std::vector<double> dp_dy;    ///< lanes * K, HausdorffCell layout
+  std::vector<uint8_t> gate;    ///< lanes * K, 1 = prediction unclamped
+  std::vector<double> work;     ///< hausdorff_predict scratch, 4 (r + K)
+  std::vector<double> s_alpha;  ///< soft-min sums, nn
+  std::vector<double> s_pow;    ///< S^(1/alpha - 1), nn
+  std::vector<double> coef;     ///< e_b / nn, nn
+  std::vector<double> dl_dp;    ///< d(d_WH)/dp, lanes
+  std::vector<float> dist;      ///< on-the-fly distance block, ns * nn
+  std::vector<float> dmin;      ///< on-the-fly row minima, ns
+
+  void Fit(size_t lanes, size_t nn, size_t K, size_t r, bool geometry) {
+    Grow(&hu, r);
+    Grow(&p, lanes);
+    Grow(&dp_dy, lanes * K);
+    Grow(&gate, lanes * K);
+    Grow(&work, 4 * (r + K));
+    Grow(&s_alpha, nn);
+    Grow(&s_pow, nn);
+    Grow(&coef, nn);
+    Grow(&dl_dp, lanes);
+    if (geometry) {
+      Grow(&dist, lanes * nn);
+      Grow(&dmin, lanes);
+    }
+  }
+
+  template <typename T>
+  static void Grow(std::vector<T>* v, size_t n) {
+    if (v->size() < n) v->resize(n);
+  }
+};
+
+UserScratch& ThreadScratch() {
+  thread_local UserScratch scratch;
+  return scratch;
+}
+
 }  // namespace
+
+void HausdorffDistanceBlock(const Dataset& data,
+                            const std::vector<uint32_t>& s_set,
+                            const std::vector<uint32_t>& n_set, double d_max,
+                            float* dist, float* dmin) {
+  // Per friend POI: latitude in radians, its cosine, longitude in degrees.
+  thread_local std::vector<double> cols;
+  const size_t nn = n_set.size();
+  if (cols.size() < 3 * nn) cols.resize(3 * nn);
+  for (size_t b = 0; b < nn; ++b) {
+    const GeoPoint& q = data.poi(n_set[b]).location;
+    const double lat = DegToRad(q.lat);
+    cols[3 * b] = lat;
+    cols[3 * b + 1] = std::cos(lat);
+    cols[3 * b + 2] = q.lon;
+  }
+  for (size_t a = 0; a < s_set.size(); ++a) {
+    const GeoPoint& pj = data.poi(s_set[a]).location;
+    const double lat = DegToRad(pj.lat);
+    const double cos_lat = std::cos(lat);
+    double best = d_max;
+    for (size_t b = 0; b < nn; ++b) {
+      const double d = HaversineKmHoisted(lat, cos_lat, pj.lon, cols[3 * b],
+                                          cols[3 * b + 1], cols[3 * b + 2]);
+      dist[a * nn + b] = static_cast<float>(d);
+      best = std::min(best, d);
+    }
+    dmin[a] = static_cast<float>(best);
+  }
+}
 
 SocialHausdorffLoss::SocialHausdorffLoss(const Dataset& data,
                                          const SparseTensor& train,
@@ -114,24 +188,17 @@ SocialHausdorffLoss::SocialHausdorffLoss(const Dataset& data,
     dist_cache_.resize(I);
     dmin_cache_.resize(I);
     for (uint32_t i : eligible_) {
-      const auto& s_set = pool_[i];
-      const auto& n_set = friend_pois_[i];
-      auto& dist = dist_cache_[i];
-      auto& dmin = dmin_cache_[i];
-      dist.resize(s_set.size() * n_set.size());
-      dmin.resize(s_set.size());
-      for (size_t a = 0; a < s_set.size(); ++a) {
-        const GeoPoint& pj = data.poi(s_set[a]).location;
-        double best = d_max_;
-        for (size_t b = 0; b < n_set.size(); ++b) {
-          const double d = HaversineKm(pj, data.poi(n_set[b]).location);
-          dist[a * n_set.size() + b] = static_cast<float>(d);
-          best = std::min(best, d);
-        }
-        dmin[a] = static_cast<float>(best);
-      }
+      dist_cache_[i].resize(pool_[i].size() * friend_pois_[i].size());
+      dmin_cache_[i].resize(pool_[i].size());
+      HausdorffDistanceBlock(data, pool_[i], friend_pois_[i], d_max_,
+                             dist_cache_[i].data(), dmin_cache_[i].data());
     }
   }
+  obs::MetricRegistry* reg = obs::MetricRegistry::Global();
+  reg->GetGauge("train.hausdorff.dist_cache_on")->Set(use_cache_ ? 1.0 : 0.0);
+  reg->GetGauge("train.hausdorff.dist_cache_bytes")
+      ->Set(use_cache_ ? static_cast<double>(cache_floats * sizeof(float))
+                       : 0.0);
 }
 
 double SocialHausdorffLoss::ComputeForUser(const FactorModel& model,
@@ -143,68 +210,32 @@ double SocialHausdorffLoss::ComputeForUser(const FactorModel& model,
   const size_t ns = s_set.size();
   const size_t nn = n_set.size();
   const size_t K = train_->dim_k();
+  const size_t r = model.rank();
   const double alpha = config_.alpha;
+  const KernelTable& kernels = ActiveKernels();
+  UserScratch& w = ThreadScratch();
+  w.Fit(HausdorffLanes(ns), nn, K, r, !use_cache_);
 
-  // --- probabilities p_j and their per-bin partials ---------------------
-  std::vector<double> p(ns);
-  std::vector<double> y(ns * K);        // clamped predictions
-  std::vector<double> dp_dy(ns * K);    // dp_j / dy_{jk}
-  std::vector<uint8_t> gate(ns * K);    // 1 if clamp is in the interior
-  for (size_t a = 0; a < ns; ++a) {
-    const uint32_t j = s_set[a];
-    double prod = 1.0;
-    for (size_t k = 0; k < K; ++k) {
-      const double raw =
-          model.Predict(user, j, static_cast<uint32_t>(k));
-      double yc = raw;
-      uint8_t g = 1;
-      if (raw <= 0.0) {
-        yc = 0.0;
-        g = 0;
-      } else if (raw >= 1.0 - kCapMargin) {
-        yc = 1.0 - kCapMargin;
-        g = 0;
-      }
-      y[a * K + k] = yc;
-      gate[a * K + k] = g;
-      prod *= (1.0 - yc);
-    }
-    p[a] = 1.0 - prod;
-    // dp/dy_k = prod_{k' != k} (1 - y_{k'}); via prefix/suffix products.
-    // prefix[k] = prod_{k'<k} (1-y), suffix[k] = prod_{k'>k} (1-y).
-    double prefix = 1.0;
-    std::vector<double> suffix(K + 1, 1.0);
-    for (size_t k = K; k-- > 0;) {
-      suffix[k] = suffix[k + 1] * (1.0 - y[a * K + k]);
-    }
-    for (size_t k = 0; k < K; ++k) {
-      dp_dy[a * K + k] = prefix * suffix[k + 1];
-      prefix *= (1.0 - y[a * K + k]);
-    }
-  }
+  // --- probabilities p_a and their per-bin partials dp_a/dy_{a,k} --------
+  const double* u1 = model.u1.row(user);
+  for (size_t t = 0; t < r; ++t) w.hu[t] = model.h[t] * u1[t];
+  kernels.hausdorff_predict(w.hu.data(), model.u2.data(), s_set.data(), ns,
+                            model.u3.data(), K, r, 1.0 - kCapMargin,
+                            w.p.data(), w.dp_dy.data(), w.gate.data(),
+                            w.work.data());
+  const double* p = w.p.data();
 
   // --- geometry: d(j, j') and dmin_j -------------------------------------
   const float* dist = nullptr;
   const float* dmin = nullptr;
-  std::vector<float> dist_f, dmin_f;
   if (use_cache_) {
     dist = dist_cache_[user].data();
     dmin = dmin_cache_[user].data();
   } else {
-    dist_f.resize(ns * nn);
-    dmin_f.resize(ns);
-    for (size_t a = 0; a < ns; ++a) {
-      const GeoPoint& pj = data_->poi(s_set[a]).location;
-      double best = d_max_;
-      for (size_t b = 0; b < nn; ++b) {
-        const double d = HaversineKm(pj, data_->poi(n_set[b]).location);
-        dist_f[a * nn + b] = static_cast<float>(d);
-        best = std::min(best, d);
-      }
-      dmin_f[a] = static_cast<float>(best);
-    }
-    dist = dist_f.data();
-    dmin = dmin_f.data();
+    HausdorffDistanceBlock(*data_, s_set, n_set, d_max_, w.dist.data(),
+                           w.dmin.data());
+    dist = w.dist.data();
+    dmin = w.dmin.data();
   }
 
   // --- term 1 -------------------------------------------------------------
@@ -220,59 +251,41 @@ double SocialHausdorffLoss::ComputeForUser(const FactorModel& model,
   // --- term 2 -------------------------------------------------------------
   // f_{a,b} = p_a d(a,b) + (1 - p_a) d_max, clamped from below.
   // M_b = ((1/ns) sum_a f^alpha)^(1/alpha);  term2 = (1/nn) sum_b e_b M_b.
-  double term2 = 0.0;
-  std::vector<double> dl_dp(ns, 0.0);  // d(d_WH)/dp_a accumulated
   const double inv_ns = 1.0 / static_cast<double>(ns);
   const double inv_nn = 1.0 / static_cast<double>(nn);
   const bool harmonic = (alpha == -1.0);  // paper default; avoids pow()
+  kernels.hausdorff_softmin_value(p, dist, ns, nn, d_max_, kFloorF, alpha,
+                                  w.s_alpha.data());
+  double term2 = 0.0;
   for (size_t b = 0; b < nn; ++b) {
-    double s_alpha = 0.0;
-    for (size_t a = 0; a < ns; ++a) {
-      const double f = std::max(
-          p[a] * dist[a * nn + b] + (1.0 - p[a]) * d_max_, kFloorF);
-      s_alpha += harmonic ? 1.0 / f : std::pow(f, alpha);
-    }
-    s_alpha *= inv_ns;
+    const double s_alpha = w.s_alpha[b] * inv_ns;
     const double m =
         harmonic ? 1.0 / s_alpha : std::pow(s_alpha, 1.0 / alpha);
-    const double eb = e_[n_set[b]];
-    term2 += inv_nn * eb * m;
+    w.coef[b] = inv_nn * e_[n_set[b]];
+    term2 += w.coef[b] * m;
     if (grads != nullptr) {
       // dM/df_a = S^(1/alpha - 1) * f^(alpha-1) / ns
-      const double s_pow = harmonic
-                               ? 1.0 / (s_alpha * s_alpha)
-                               : std::pow(s_alpha, 1.0 / alpha - 1.0);
-      for (size_t a = 0; a < ns; ++a) {
-        const double f = std::max(
-            p[a] * dist[a * nn + b] + (1.0 - p[a]) * d_max_, kFloorF);
-        if (f <= kFloorF) continue;  // clamped: zero subgradient
-        const double f_pow =
-            harmonic ? 1.0 / (f * f) : std::pow(f, alpha - 1.0);
-        const double dm_df = s_pow * f_pow * inv_ns;
-        const double df_dp = dist[a * nn + b] - d_max_;
-        dl_dp[a] += inv_nn * eb * dm_df * df_dp;
-      }
+      w.s_pow[b] = harmonic ? 1.0 / (s_alpha * s_alpha)
+                            : std::pow(s_alpha, 1.0 / alpha - 1.0);
     }
   }
+  if (grads == nullptr) return term1 + term2;
 
-  if (grads != nullptr) {
-    // term1 gradient: dT1/dp_a = (e_a dmin_a - T1) / denom.
-    for (size_t a = 0; a < ns; ++a) {
-      dl_dp[a] += (e_[s_set[a]] * dmin[a] - term1) / denom;
-    }
-    // Chain through p -> y -> factors.
-    for (size_t a = 0; a < ns; ++a) {
-      if (dl_dp[a] == 0.0) continue;
-      const uint32_t j = s_set[a];
-      for (size_t k = 0; k < K; ++k) {
-        if (!gate[a * K + k]) continue;
-        const double g = grad_scale * dl_dp[a] * dp_dy[a * K + k];
-        if (g == 0.0) continue;
-        AccumulateEntryGrad(model, user, j, static_cast<uint32_t>(k), g,
-                            grads);
-      }
-    }
+  // --- d(d_WH)/dp, chained through p -> y -> factors ----------------------
+  double* dl_dp = w.dl_dp.data();
+  std::fill(dl_dp, dl_dp + HausdorffLanes(ns), 0.0);
+  kernels.hausdorff_softmin_grad(p, dist, ns, nn, d_max_, kFloorF, alpha,
+                                 w.s_pow.data(), w.coef.data(), inv_ns,
+                                 dl_dp);
+  // term1 gradient: dT1/dp_a = (e_a dmin_a - T1) / denom.
+  for (size_t a = 0; a < ns; ++a) {
+    dl_dp[a] += (e_[s_set[a]] * dmin[a] - term1) / denom;
   }
+  kernels.hausdorff_scatter(u1, model.u2.data(), model.u3.data(),
+                            model.h.data(), r, s_set.data(), ns, K, dl_dp,
+                            w.dp_dy.data(), w.gate.data(), grad_scale,
+                            grads->u1.row(user), grads->u2.data(),
+                            grads->u3.data(), grads->h.data());
   return term1 + term2;
 }
 

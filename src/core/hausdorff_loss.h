@@ -50,7 +50,9 @@ class SocialHausdorffLoss {
 
   /// Social Hausdorff distance of a single user (Eq 12); also accumulates
   /// grad_scale * d(d_WH)/d(params) into `grads` when non-null. Returns 0
-  /// for users with empty N(v_i) or S(v_i).
+  /// for users with empty N(v_i) or S(v_i). Runs on the KernelTable's
+  /// Hausdorff kernels (DESIGN.md §12.1); value and gradients are bitwise
+  /// those of proptest::ReferenceHausdorffUser under either table.
   double ComputeForUser(const FactorModel& model, uint32_t user,
                         FactorGrads* grads, double grad_scale) const;
 
@@ -100,11 +102,24 @@ class SocialHausdorffLoss {
   // Geometry cache: per-user |S| x |N| haversine distances (float) and the
   // row minima, computed once at construction - POI locations are static,
   // so recomputing them every epoch would dominate training time. Falls
-  // back to on-the-fly computation if the cache would exceed the budget.
+  // back to on-the-fly computation if the cache would exceed the budget;
+  // the gauges train.hausdorff.dist_cache_on and
+  // train.hausdorff.dist_cache_bytes (0 when off) report the side taken.
   bool use_cache_ = false;
   std::vector<std::vector<float>> dist_cache_;   ///< indexed by user
   std::vector<std::vector<float>> dmin_cache_;
 };
+
+/// The |S| x |N| distance block of one user: dist[a * |N| + b] =
+/// float(HaversineKm(S[a], N[b])) and dmin[a] = float(min(d_max,
+/// min_b HaversineKm(S[a], N[b]))), bit for bit. Each POI's latitude
+/// terms are computed once per call instead of once per pair. The one
+/// routine behind both sides of the distance-cache budget: the cache fill
+/// at construction and the on-the-fly path of ComputeForUser.
+void HausdorffDistanceBlock(const Dataset& data,
+                            const std::vector<uint32_t>& s_set,
+                            const std::vector<uint32_t>& n_set, double d_max,
+                            float* dist, float* dmin);
 
 }  // namespace tcss
 

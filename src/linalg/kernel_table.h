@@ -83,7 +83,65 @@ struct KernelTable {
                                   double w_neg, double* gu1, double* gu2,
                                   double* gu3, double* gh, size_t s_begin,
                                   size_t s_end);
+
+  // --- Social Hausdorff head, one user per call -------------------------
+  // (core/hausdorff_loss.cc). The user's candidate POIs S come as a list
+  // of u2 row indices `pois`; the friend POIs N only through the float
+  // distance block dist[a * nn + b]. Per-candidate arrays are padded to
+  // HausdorffLanes(ns) entries and per-cell arrays (dp_dy, gate) use the
+  // lane-grouped layout HausdorffCell(): four candidates side by side
+  // per time bin. Padding entries are scratch the caller ignores.
+
+  /// Prediction block: for candidate a and bin k,
+  ///   y = sum_t (hu[t] * u2[pois[a], t]) * u3[k, t]   (ascending t),
+  /// with hu = h * u1[user] — Predict()'s chain. y is clamped to [0, cap]
+  /// (gate 0 where clamped, else 1); p[a] = 1 - prod_k (1 - y) and
+  /// dp_dy = prod_{k' != k} (1 - y_k') as prefix * suffix products in
+  /// ascending / descending k. `work` holds 4 * (r + K) doubles.
+  void (*hausdorff_predict)(const double* hu, const double* u2,
+                            const uint32_t* pois, size_t ns,
+                            const double* u3, size_t K, size_t r, double cap,
+                            double* p, double* dp_dy, uint8_t* gate,
+                            double* work);
+
+  /// Soft-min value pass: s[b] = sum_a f^alpha in ascending a, for
+  ///   f = max(p[a] * dist[a * nn + b] + (1 - p[a]) * d_max, floor),
+  /// f^alpha being 1 / f when alpha == -1 and std::pow otherwise.
+  void (*hausdorff_softmin_value)(const double* p, const float* dist,
+                                  size_t ns, size_t nn, double d_max,
+                                  double floor, double alpha, double* s);
+
+  /// Soft-min gradient pass: dl_dp[a] += coef[b] * (s_pow[b] * f^(alpha-1)
+  /// * inv_ns) * (dist[a * nn + b] - d_max) in ascending b, skipping the
+  /// pairs with f <= floor; f^(alpha-1) is 1 / (f * f) when alpha == -1.
+  void (*hausdorff_softmin_grad)(const double* p, const float* dist,
+                                 size_t ns, size_t nn, double d_max,
+                                 double floor, double alpha,
+                                 const double* s_pow, const double* coef,
+                                 double inv_ns, double* dl_dp);
+
+  /// Factor scatter: for candidates a with dl_dp[a] != 0 and bins k with
+  /// gate 1, both ascending, g = grad_scale * dl_dp[a] * dp_dy; a nonzero
+  /// g adds AccumulateEntryGrad's update of cell (user, pois[a], k) into
+  /// gu1_row (the user's row), gu2, gu3 and gh.
+  void (*hausdorff_scatter)(const double* u1_row, const double* u2,
+                            const double* u3, const double* h, size_t r,
+                            const uint32_t* pois, size_t ns, size_t K,
+                            const double* dl_dp, const double* dp_dy,
+                            const uint8_t* gate, double grad_scale,
+                            double* gu1_row, double* gu2, double* gu3,
+                            double* gh);
 };
+
+/// Candidate count of the Hausdorff kernels rounded up to whole lane
+/// groups of four.
+inline size_t HausdorffLanes(size_t ns) { return (ns + 3) & ~size_t{3}; }
+
+/// Index of cell (candidate a, bin k) in the Hausdorff kernels' per-cell
+/// arrays of a user with K bins.
+inline size_t HausdorffCell(size_t a, size_t k, size_t K) {
+  return ((a >> 2) * K + k) * 4 + (a & 3);
+}
 
 /// The two concrete tables (kernels_scalar.cc / kernels_native.cc).
 const KernelTable& ScalarKernelTable();

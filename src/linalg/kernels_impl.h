@@ -26,6 +26,7 @@
 // two dedicated TUs; do not include it elsewhere.
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -1063,12 +1064,412 @@ double CsfRewrittenEntries(const CsfView& x, const double* u1,
   return loss;
 }
 
+// ---------------------------------------------------------------------------
+// Social Hausdorff head, one user per call. Each pass puts independent
+// chains side by side — four candidates per lane group in the prediction
+// block and the gradient pass, four friend POIs in the value pass, four
+// rank components in the scatter — so every chain keeps the scalar
+// reference's order (proptest::ReferenceHausdorffUser). The AVX2 bodies
+// apply the scalar mul/add/sub/div lane-wise and otherwise only convert
+// floats exactly or select whole lanes; _mm256_max_pd(floor, f) returns f
+// whenever f is NaN or not below the floor, exactly as std::max(f, floor).
+// ---------------------------------------------------------------------------
+
+void HausdorffPredict(const double* hu, const double* u2,
+                      const uint32_t* pois, size_t ns, const double* u3,
+                      size_t K, size_t r, double cap, double* p,
+                      double* dp_dy, uint8_t* gate, double* work) {
+  double* __restrict panel = work;       // r x 4: hu[t] * u2[pois[a], t]
+  double* __restrict om = work + 4 * r;  // K x 4: 1 - clamped y
+  for (size_t a0 = 0; a0 < ns; a0 += 4) {
+    const double* rows[4];
+    for (size_t l = 0; l < 4; ++l) {
+      // Padding lanes of a partial group repeat the last candidate.
+      rows[l] = u2 + size_t{pois[std::min(a0 + l, ns - 1)]} * r;
+    }
+    for (size_t t = 0; t < r; ++t) {
+      for (size_t l = 0; l < 4; ++l) panel[t * 4 + l] = hu[t] * rows[l][t];
+    }
+    double* __restrict dp = dp_dy + a0 * K;  // HausdorffCell(a0, 0, K)
+    uint8_t* __restrict gt = gate + a0 * K;
+#if defined(TCSS_KERNELS_USE_AVX2)
+    const __m256d zero = _mm256_setzero_pd();
+    const __m256d one = _mm256_set1_pd(1.0);
+    const __m256d capv = _mm256_set1_pd(cap);
+    // Raw predictions, staged in om: four bins per t sweep, so four
+    // independent chains hide the add latency.
+    size_t k = 0;
+    for (; k + 4 <= K; k += 4) {
+      const double* c = u3 + k * r;
+      __m256d y0 = zero, y1 = zero, y2 = zero, y3 = zero;
+      for (size_t t = 0; t < r; ++t) {
+        const __m256d v = _mm256_loadu_pd(panel + 4 * t);
+        y0 = _mm256_add_pd(y0, _mm256_mul_pd(v, _mm256_broadcast_sd(c + t)));
+        y1 = _mm256_add_pd(
+            y1, _mm256_mul_pd(v, _mm256_broadcast_sd(c + r + t)));
+        y2 = _mm256_add_pd(
+            y2, _mm256_mul_pd(v, _mm256_broadcast_sd(c + 2 * r + t)));
+        y3 = _mm256_add_pd(
+            y3, _mm256_mul_pd(v, _mm256_broadcast_sd(c + 3 * r + t)));
+      }
+      _mm256_storeu_pd(om + 4 * k, y0);
+      _mm256_storeu_pd(om + 4 * k + 4, y1);
+      _mm256_storeu_pd(om + 4 * k + 8, y2);
+      _mm256_storeu_pd(om + 4 * k + 12, y3);
+    }
+    for (; k < K; ++k) {
+      const double* c = u3 + k * r;
+      __m256d y = zero;
+      for (size_t t = 0; t < r; ++t) {
+        y = _mm256_add_pd(y, _mm256_mul_pd(_mm256_loadu_pd(panel + 4 * t),
+                                           _mm256_broadcast_sd(c + t)));
+      }
+      _mm256_storeu_pd(om + 4 * k, y);
+    }
+    for (k = 0; k < K; ++k) {
+      const __m256d y = _mm256_loadu_pd(om + 4 * k);
+      // NaN compares false on both sides: unclamped, gate 1.
+      const __m256d lo = _mm256_cmp_pd(y, zero, _CMP_LE_OQ);
+      const __m256d hi = _mm256_cmp_pd(y, capv, _CMP_GE_OQ);
+      const __m256d yc = _mm256_andnot_pd(lo, _mm256_blendv_pd(y, capv, hi));
+      _mm256_storeu_pd(om + 4 * k, _mm256_sub_pd(one, yc));
+      const int clamped = _mm256_movemask_pd(_mm256_or_pd(lo, hi));
+      for (size_t l = 0; l < 4; ++l) {
+        gt[4 * k + l] = static_cast<uint8_t>(((clamped >> l) & 1) ^ 1);
+      }
+    }
+    // dp holds suffix[k + 1] = prod_{k' > k} (1 - y) after this sweep.
+    __m256d suffix = one;
+    for (size_t k = K; k-- > 0;) {
+      _mm256_storeu_pd(dp + 4 * k, suffix);
+      suffix = _mm256_mul_pd(suffix, _mm256_loadu_pd(om + 4 * k));
+    }
+    __m256d prefix = one;
+    for (size_t k = 0; k < K; ++k) {
+      _mm256_storeu_pd(dp + 4 * k,
+                       _mm256_mul_pd(prefix, _mm256_loadu_pd(dp + 4 * k)));
+      prefix = _mm256_mul_pd(prefix, _mm256_loadu_pd(om + 4 * k));
+    }
+    _mm256_storeu_pd(p + a0, _mm256_sub_pd(one, prefix));
+#else
+    for (size_t k = 0; k < K; ++k) {
+      const double* c = u3 + k * r;
+      for (size_t l = 0; l < 4; ++l) {
+        double y = 0.0;
+        for (size_t t = 0; t < r; ++t) y += panel[t * 4 + l] * c[t];
+        uint8_t g = 1;
+        if (y <= 0.0) {
+          y = 0.0;
+          g = 0;
+        } else if (y >= cap) {
+          y = cap;
+          g = 0;
+        }
+        om[4 * k + l] = 1.0 - y;
+        gt[4 * k + l] = g;
+      }
+    }
+    for (size_t l = 0; l < 4; ++l) {
+      double suffix = 1.0;
+      for (size_t k = K; k-- > 0;) {
+        dp[4 * k + l] = suffix;
+        suffix = suffix * om[4 * k + l];
+      }
+      double prefix = 1.0;
+      for (size_t k = 0; k < K; ++k) {
+        dp[4 * k + l] = prefix * dp[4 * k + l];
+        prefix = prefix * om[4 * k + l];
+      }
+      p[a0 + l] = 1.0 - prefix;
+    }
+#endif
+  }
+}
+
+void HausdorffSoftminValue(const double* p, const float* dist, size_t ns,
+                           size_t nn, double d_max, double floor,
+                           double alpha, double* s) {
+  const bool harmonic = alpha == -1.0;
+  size_t b0 = 0;
+#if defined(TCSS_KERNELS_USE_AVX2)
+  if (harmonic) {
+    const __m256d one = _mm256_set1_pd(1.0);
+    const __m256d fl = _mm256_set1_pd(floor);
+    for (; b0 + 4 <= nn; b0 += 4) {
+      __m256d acc = _mm256_setzero_pd();
+      for (size_t a = 0; a < ns; ++a) {
+        const __m256d d = _mm256_cvtps_pd(_mm_loadu_ps(dist + a * nn + b0));
+        const __m256d q = _mm256_set1_pd((1.0 - p[a]) * d_max);
+        const __m256d f = _mm256_max_pd(
+            fl, _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(p[a]), d), q));
+        acc = _mm256_add_pd(acc, _mm256_div_pd(one, f));
+      }
+      _mm256_storeu_pd(s + b0, acc);
+    }
+  }
+#endif
+  for (size_t b = b0; b < nn; ++b) s[b] = 0.0;
+  for (size_t a = 0; a < ns; ++a) {
+    const float* row = dist + a * nn;
+    const double q = (1.0 - p[a]) * d_max;
+    for (size_t b = b0; b < nn; ++b) {
+      const double f = std::max(p[a] * row[b] + q, floor);
+      s[b] += harmonic ? 1.0 / f : std::pow(f, alpha);
+    }
+  }
+}
+
+void HausdorffSoftminGrad(const double* p, const float* dist, size_t ns,
+                          size_t nn, double d_max, double floor, double alpha,
+                          const double* s_pow, const double* coef,
+                          double inv_ns, double* dl_dp) {
+  const bool harmonic = alpha == -1.0;
+  size_t a0 = 0;
+#if defined(TCSS_KERNELS_USE_AVX2)
+  if (harmonic) {
+    const __m256d one = _mm256_set1_pd(1.0);
+    const __m256d fl = _mm256_set1_pd(floor);
+    const __m256d dmax = _mm256_set1_pd(d_max);
+    const __m256d inv = _mm256_set1_pd(inv_ns);
+    for (; a0 < ns; a0 += 4) {
+      const float* rows[4];
+      for (size_t l = 0; l < 4; ++l) {
+        rows[l] = dist + std::min(a0 + l, ns - 1) * nn;  // pad: repeat last
+      }
+      const __m256d pa = _mm256_loadu_pd(p + a0);
+      const __m256d qa = _mm256_mul_pd(_mm256_sub_pd(one, pa), dmax);
+      __m256d acc = _mm256_loadu_pd(dl_dp + a0);
+      // Adds pair (a0..a0+3, b)'s term, given its four distances; lanes
+      // whose f sits at the floor keep acc as it was, as the scalar skip.
+      auto step = [&](__m128 col, size_t b) {
+        const __m256d d = _mm256_cvtps_pd(col);
+        const __m256d f =
+            _mm256_max_pd(fl, _mm256_add_pd(_mm256_mul_pd(pa, d), qa));
+        const __m256d keep = _mm256_cmp_pd(f, fl, _CMP_NLE_UQ);
+        const __m256d f_pow = _mm256_div_pd(one, _mm256_mul_pd(f, f));
+        const __m256d dm_df = _mm256_mul_pd(
+            _mm256_mul_pd(_mm256_set1_pd(s_pow[b]), f_pow), inv);
+        const __m256d term =
+            _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(coef[b]), dm_df),
+                          _mm256_sub_pd(d, dmax));
+        acc = _mm256_blendv_pd(acc, _mm256_add_pd(acc, term), keep);
+      };
+      size_t b = 0;
+      for (; b + 4 <= nn; b += 4) {
+        __m128 c0 = _mm_loadu_ps(rows[0] + b);
+        __m128 c1 = _mm_loadu_ps(rows[1] + b);
+        __m128 c2 = _mm_loadu_ps(rows[2] + b);
+        __m128 c3 = _mm_loadu_ps(rows[3] + b);
+        _MM_TRANSPOSE4_PS(c0, c1, c2, c3);
+        step(c0, b);
+        step(c1, b + 1);
+        step(c2, b + 2);
+        step(c3, b + 3);
+      }
+      for (; b < nn; ++b) {
+        step(_mm_set_ps(rows[3][b], rows[2][b], rows[1][b], rows[0][b]), b);
+      }
+      _mm256_storeu_pd(dl_dp + a0, acc);
+    }
+  }
+#endif
+  for (size_t a = a0; a < ns; ++a) {
+    const float* row = dist + a * nn;
+    const double q = (1.0 - p[a]) * d_max;
+    double acc = dl_dp[a];
+    for (size_t b = 0; b < nn; ++b) {
+      const double f = std::max(p[a] * row[b] + q, floor);
+      if (f <= floor) continue;  // clamped: zero subgradient
+      const double f_pow =
+          harmonic ? 1.0 / (f * f) : std::pow(f, alpha - 1.0);
+      const double dm_df = s_pow[b] * f_pow * inv_ns;
+      acc += coef[b] * dm_df * (row[b] - d_max);
+    }
+    dl_dp[a] = acc;
+  }
+}
+
+#if defined(TCSS_KERNELS_USE_AVX2)
+/// Lane widths of the register-resident scatter: four (ymm), two (xmm)
+/// and one (scalar) doubles, each with the scalar ops applied lane-wise.
+struct Ymm {
+  using V = __m256d;
+  static V Load(const double* p) { return _mm256_loadu_pd(p); }
+  static void Store(double* p, V v) { _mm256_storeu_pd(p, v); }
+  static V Set1(double x) { return _mm256_set1_pd(x); }
+  static V Mul(V x, V y) { return _mm256_mul_pd(x, y); }
+  static V Add(V x, V y) { return _mm256_add_pd(x, y); }
+};
+struct Xmm {
+  using V = __m128d;
+  static V Load(const double* p) { return _mm_loadu_pd(p); }
+  static void Store(double* p, V v) { _mm_storeu_pd(p, v); }
+  static V Set1(double x) { return _mm_set1_pd(x); }
+  static V Mul(V x, V y) { return _mm_mul_pd(x, y); }
+  static V Add(V x, V y) { return _mm_add_pd(x, y); }
+};
+struct Sd {
+  using V = double;
+  static V Load(const double* p) { return *p; }
+  static void Store(double* p, V v) { *p = v; }
+  static V Set1(double x) { return x; }
+  static V Mul(V x, V y) { return x * y; }
+  static V Add(V x, V y) { return x + y; }
+};
+
+/// AccumulateEntryGrad's four updates with factor g on the lanes at
+/// offset t; the U1 and h gradient lanes arrive and leave in ga / gh.
+template <typename L>
+inline void ScatterLanes(double g, size_t t, const double* a, const double* h,
+                         const double* b, const double* c, double* gb,
+                         double* gc, typename L::V* ga, typename L::V* gh) {
+  const typename L::V gv = L::Set1(g);
+  const typename L::V av = L::Load(a + t);
+  const typename L::V bv = L::Load(b + t);
+  const typename L::V cv = L::Load(c + t);
+  const typename L::V gh_t = L::Mul(gv, L::Load(h + t));
+  const typename L::V gha = L::Mul(gh_t, av);
+  *ga = L::Add(*ga, L::Mul(L::Mul(gh_t, bv), cv));
+  L::Store(gb + t, L::Add(L::Load(gb + t), L::Mul(gha, cv)));
+  L::Store(gc + t, L::Add(L::Load(gc + t), L::Mul(gha, bv)));
+  *gh = L::Add(*gh, L::Mul(L::Mul(L::Mul(gv, av), bv), cv));
+}
+
+/// HausdorffScatter on one panel of `width` lanes, 4 * NF <= width <
+/// 4 * NF + 4, of rows with stride r (every pointer already offset to the
+/// panel): NF ymm chunks, then the width % 4 tail as an xmm pair and/or a
+/// scalar lane, so no access strays past a row. The user's U1 and h
+/// gradient lanes stay in named registers across all cells (GCC spills an
+/// array of them); a partial sum held in a register has the bits it
+/// would have in memory.
+template <size_t NF>
+void HausdorffScatterPanel(const double* u1_row, const double* u2,
+                           const double* u3, const double* h, size_t r,
+                           size_t width, const uint32_t* pois, size_t ns,
+                           size_t K, const double* dl_dp, const double* dp_dy,
+                           const uint8_t* gate, double grad_scale,
+                           double* gu1_row, double* gu2, double* gu3,
+                           double* gh) {
+  const size_t t2 = 4 * NF;     // the xmm pair, when width % 4 >= 2
+  const size_t t1 = width - 1;  // the scalar lane, when width is odd
+  const bool pair = (width - t2) >= 2;
+  const bool single = (width - t2) % 2 == 1;
+  auto ymm = [&](size_t c) {
+    return c < NF ? Ymm::Load(gu1_row + 4 * c) : _mm256_setzero_pd();
+  };
+  auto ymm_h = [&](size_t c) {
+    return c < NF ? Ymm::Load(gh + 4 * c) : _mm256_setzero_pd();
+  };
+  __m256d ga0 = ymm(0), ga1 = ymm(1), ga2 = ymm(2), ga3 = ymm(3);
+  __m256d gh0 = ymm_h(0), gh1 = ymm_h(1), gh2 = ymm_h(2), gh3 = ymm_h(3);
+  __m128d ga_x = pair ? Xmm::Load(gu1_row + t2) : _mm_setzero_pd();
+  __m128d gh_x = pair ? Xmm::Load(gh + t2) : _mm_setzero_pd();
+  double ga_s = single ? gu1_row[t1] : 0.0;
+  double gh_s = single ? gh[t1] : 0.0;
+  for (size_t s = 0; s < ns; ++s) {
+    if (dl_dp[s] == 0.0) continue;
+    const double scaled = grad_scale * dl_dp[s];
+    const double* b = u2 + size_t{pois[s]} * r;
+    double* gb = gu2 + size_t{pois[s]} * r;
+    for (size_t k = 0; k < K; ++k) {
+      const size_t cell = HausdorffCell(s, k, K);
+      if (!gate[cell]) continue;
+      const double g = scaled * dp_dy[cell];
+      if (g == 0.0) continue;
+      const double* c = u3 + k * r;
+      double* gc = gu3 + k * r;
+      if constexpr (NF > 0) {
+        ScatterLanes<Ymm>(g, 0, u1_row, h, b, c, gb, gc, &ga0, &gh0);
+      }
+      if constexpr (NF > 1) {
+        ScatterLanes<Ymm>(g, 4, u1_row, h, b, c, gb, gc, &ga1, &gh1);
+      }
+      if constexpr (NF > 2) {
+        ScatterLanes<Ymm>(g, 8, u1_row, h, b, c, gb, gc, &ga2, &gh2);
+      }
+      if constexpr (NF > 3) {
+        ScatterLanes<Ymm>(g, 12, u1_row, h, b, c, gb, gc, &ga3, &gh3);
+      }
+      if (pair) {
+        ScatterLanes<Xmm>(g, t2, u1_row, h, b, c, gb, gc, &ga_x, &gh_x);
+      }
+      if (single) {
+        ScatterLanes<Sd>(g, t1, u1_row, h, b, c, gb, gc, &ga_s, &gh_s);
+      }
+    }
+  }
+  const __m256d ga[4] = {ga0, ga1, ga2, ga3}, gh_acc[4] = {gh0, gh1, gh2, gh3};
+  for (size_t c = 0; c < NF; ++c) {
+    Ymm::Store(gu1_row + 4 * c, ga[c]);
+    Ymm::Store(gh + 4 * c, gh_acc[c]);
+  }
+  if (pair) {
+    Xmm::Store(gu1_row + t2, ga_x);
+    Xmm::Store(gh + t2, gh_x);
+  }
+  if (single) {
+    gu1_row[t1] = ga_s;
+    gh[t1] = gh_s;
+  }
+}
+#endif
+
+void HausdorffScatter(const double* u1_row, const double* u2,
+                      const double* u3, const double* h, size_t r,
+                      const uint32_t* pois, size_t ns, size_t K,
+                      const double* dl_dp, const double* dp_dy,
+                      const uint8_t* gate, double grad_scale,
+                      double* gu1_row, double* gu2, double* gu3, double* gh) {
+#if defined(TCSS_KERNELS_USE_AVX2)
+  // Panels of at most 16 lanes keep the accumulators within the sixteen
+  // ymm registers; the paper's rank 10 is one panel. Lanes are independent
+  // chains, so walking the cells once per panel keeps every chain's order.
+  static constexpr decltype(&HausdorffScatterPanel<0>) kPanel[] = {
+      HausdorffScatterPanel<0>, HausdorffScatterPanel<1>,
+      HausdorffScatterPanel<2>, HausdorffScatterPanel<3>,
+      HausdorffScatterPanel<4>};
+  for (size_t t0 = 0; t0 < r; t0 += 16) {
+    const size_t width = std::min<size_t>(16, r - t0);
+    kPanel[width / 4](u1_row + t0, u2 + t0, u3 + t0, h + t0, r, width, pois,
+                      ns, K, dl_dp, dp_dy, gate, grad_scale, gu1_row + t0,
+                      gu2 + t0, gu3 + t0, gh + t0);
+  }
+#else
+  const double* __restrict a = u1_row;
+  double* __restrict ga = gu1_row;
+  for (size_t s = 0; s < ns; ++s) {
+    if (dl_dp[s] == 0.0) continue;
+    const double scaled = grad_scale * dl_dp[s];
+    const double* __restrict b = u2 + size_t{pois[s]} * r;
+    double* __restrict gb = gu2 + size_t{pois[s]} * r;
+    for (size_t k = 0; k < K; ++k) {
+      const size_t cell = HausdorffCell(s, k, K);
+      if (!gate[cell]) continue;
+      const double g = scaled * dp_dy[cell];
+      if (g == 0.0) continue;
+      const double* __restrict c = u3 + k * r;
+      double* __restrict gc = gu3 + k * r;
+      // AccumulateEntryGrad's four row updates, term for term.
+      for (size_t t = 0; t < r; ++t) {
+        ga[t] += g * h[t] * b[t] * c[t];
+        gb[t] += g * h[t] * a[t] * c[t];
+        gc[t] += g * h[t] * a[t] * b[t];
+        gh[t] += g * a[t] * b[t] * c[t];
+      }
+    }
+  }
+#endif
+}
+
 }  // namespace
 
 const KernelTable kTable = {
-    TCSS_KERNEL_NAME,   GemmRows,       GemmTRows,
-    GramUpper,          CsfMttkrpMode0, CsfMttkrpMode1,
-    CsfMttkrpMode2,     CsfRewrittenEntries,
+    TCSS_KERNEL_NAME,      GemmRows,
+    GemmTRows,             GramUpper,
+    CsfMttkrpMode0,        CsfMttkrpMode1,
+    CsfMttkrpMode2,        CsfRewrittenEntries,
+    HausdorffPredict,      HausdorffSoftminValue,
+    HausdorffSoftminGrad,  HausdorffScatter,
 };
 
 }  // namespace TCSS_KERNEL_NS

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "core/whole_data_loss.h"
 #include "geo/haversine.h"
 #include "linalg/cholesky.h"
 
@@ -161,6 +162,146 @@ double OracleHausdorffUser(const SocialHausdorffLoss& loss,
     term2 += e[jp] * std::pow(mean, 1.0 / alpha);
   }
   term2 /= static_cast<double>(n_set.size());
+  return term1 + term2;
+}
+
+double ReferenceHausdorffUser(const SocialHausdorffLoss& loss,
+                              const Dataset& data, const FactorModel& model,
+                              uint32_t user, FactorGrads* grads,
+                              double grad_scale) {
+  const auto& s_set = loss.candidate_pool(user);
+  const auto& n_set = loss.friend_pois(user);
+  const std::vector<double>& e = loss.entropy_weights();
+  const double d_max = loss.d_max();
+  constexpr double kCapMargin = kHausdorffCapMargin;
+  constexpr double kFloorF = kHausdorffSoftMinFloor;
+  if (s_set.empty() || n_set.empty()) return 0.0;
+  const size_t ns = s_set.size();
+  const size_t nn = n_set.size();
+  const size_t K = model.u3.rows();
+  const double alpha = loss.config().alpha;
+
+  // --- probabilities p_j and their per-bin partials ---------------------
+  std::vector<double> p(ns);
+  std::vector<double> y(ns * K);        // clamped predictions
+  std::vector<double> dp_dy(ns * K);    // dp_j / dy_{jk}
+  std::vector<uint8_t> gate(ns * K);    // 1 if clamp is in the interior
+  for (size_t a = 0; a < ns; ++a) {
+    const uint32_t j = s_set[a];
+    double prod = 1.0;
+    for (size_t k = 0; k < K; ++k) {
+      const double raw =
+          model.Predict(user, j, static_cast<uint32_t>(k));
+      double yc = raw;
+      uint8_t g = 1;
+      if (raw <= 0.0) {
+        yc = 0.0;
+        g = 0;
+      } else if (raw >= 1.0 - kCapMargin) {
+        yc = 1.0 - kHausdorffCapMargin;
+        g = 0;
+      }
+      y[a * K + k] = yc;
+      gate[a * K + k] = g;
+      prod *= (1.0 - yc);
+    }
+    p[a] = 1.0 - prod;
+    // dp/dy_k = prod_{k' != k} (1 - y_{k'}); via prefix/suffix products.
+    // prefix[k] = prod_{k'<k} (1-y), suffix[k] = prod_{k'>k} (1-y).
+    double prefix = 1.0;
+    std::vector<double> suffix(K + 1, 1.0);
+    for (size_t k = K; k-- > 0;) {
+      suffix[k] = suffix[k + 1] * (1.0 - y[a * K + k]);
+    }
+    for (size_t k = 0; k < K; ++k) {
+      dp_dy[a * K + k] = prefix * suffix[k + 1];
+      prefix *= (1.0 - y[a * K + k]);
+    }
+  }
+
+  // --- geometry: d(j, j') and dmin_j -------------------------------------
+  // (The library may serve these floats from its construction-time
+  // cache; HausdorffDistanceBlock fills both sides with the same bits.)
+  std::vector<float> dist_f(ns * nn), dmin_f(ns);
+  for (size_t a = 0; a < ns; ++a) {
+    const GeoPoint& pj = data.poi(s_set[a]).location;
+    double best = d_max;
+    for (size_t b = 0; b < nn; ++b) {
+      const double d = HaversineKm(pj, data.poi(n_set[b]).location);
+      dist_f[a * nn + b] = static_cast<float>(d);
+      best = std::min(best, d);
+    }
+    dmin_f[a] = static_cast<float>(best);
+  }
+  const float* dist = dist_f.data();
+  const float* dmin = dmin_f.data();
+
+  // --- term 1 -------------------------------------------------------------
+  double a_sum = 0.0;
+  double w_sum = 0.0;
+  for (size_t a = 0; a < ns; ++a) {
+    a_sum += p[a];
+    w_sum += p[a] * e[s_set[a]] * dmin[a];
+  }
+  const double denom = a_sum + loss.config().epsilon;
+  const double term1 = w_sum / denom;
+
+  // --- term 2 -------------------------------------------------------------
+  // f_{a,b} = p_a d(a,b) + (1 - p_a) d_max, clamped from below.
+  // M_b = ((1/ns) sum_a f^alpha)^(1/alpha);  term2 = (1/nn) sum_b e_b M_b.
+  double term2 = 0.0;
+  std::vector<double> dl_dp(ns, 0.0);  // d(d_WH)/dp_a accumulated
+  const double inv_ns = 1.0 / static_cast<double>(ns);
+  const double inv_nn = 1.0 / static_cast<double>(nn);
+  const bool harmonic = (alpha == -1.0);  // paper default; avoids pow()
+  for (size_t b = 0; b < nn; ++b) {
+    double s_alpha = 0.0;
+    for (size_t a = 0; a < ns; ++a) {
+      const double f = std::max(
+          p[a] * dist[a * nn + b] + (1.0 - p[a]) * d_max, kFloorF);
+      s_alpha += harmonic ? 1.0 / f : std::pow(f, alpha);
+    }
+    s_alpha *= inv_ns;
+    const double m =
+        harmonic ? 1.0 / s_alpha : std::pow(s_alpha, 1.0 / alpha);
+    const double eb = e[n_set[b]];
+    term2 += inv_nn * eb * m;
+    if (grads != nullptr) {
+      // dM/df_a = S^(1/alpha - 1) * f^(alpha-1) / ns
+      const double s_pow = harmonic
+                               ? 1.0 / (s_alpha * s_alpha)
+                               : std::pow(s_alpha, 1.0 / alpha - 1.0);
+      for (size_t a = 0; a < ns; ++a) {
+        const double f = std::max(
+            p[a] * dist[a * nn + b] + (1.0 - p[a]) * d_max, kFloorF);
+        if (f <= kFloorF) continue;  // clamped: zero subgradient
+        const double f_pow =
+            harmonic ? 1.0 / (f * f) : std::pow(f, alpha - 1.0);
+        const double dm_df = s_pow * f_pow * inv_ns;
+        const double df_dp = dist[a * nn + b] - d_max;
+        dl_dp[a] += inv_nn * eb * dm_df * df_dp;
+      }
+    }
+  }
+
+  if (grads != nullptr) {
+    // term1 gradient: dT1/dp_a = (e_a dmin_a - T1) / denom.
+    for (size_t a = 0; a < ns; ++a) {
+      dl_dp[a] += (e[s_set[a]] * dmin[a] - term1) / denom;
+    }
+    // Chain through p -> y -> factors.
+    for (size_t a = 0; a < ns; ++a) {
+      if (dl_dp[a] == 0.0) continue;
+      const uint32_t j = s_set[a];
+      for (size_t k = 0; k < K; ++k) {
+        if (!gate[a * K + k]) continue;
+        const double g = grad_scale * dl_dp[a] * dp_dy[a * K + k];
+        if (g == 0.0) continue;
+        AccumulateEntryGrad(model, user, j, static_cast<uint32_t>(k), g,
+                            grads);
+      }
+    }
+  }
   return term1 + term2;
 }
 

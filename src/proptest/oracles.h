@@ -63,6 +63,17 @@ double OracleHausdorffUser(const SocialHausdorffLoss& loss,
                            const Dataset& data, const FactorModel& model,
                            uint32_t user);
 
+/// The scalar ComputeForUser that the blocked Hausdorff kernels replaced,
+/// kept verbatim (member reads turned into the loss's accessors, the
+/// distances always computed on the fly) as the bitwise reference:
+/// SocialHausdorffLoss::ComputeForUser must return the same value and
+/// accumulate the same gradient bytes into `grads` under either kernel
+/// table. One Predict call and one AccumulateEntryGrad call per cell.
+double ReferenceHausdorffUser(const SocialHausdorffLoss& loss,
+                              const Dataset& data, const FactorModel& model,
+                              uint32_t user, FactorGrads* grads,
+                              double grad_scale);
+
 // --- recommendation -------------------------------------------------------
 
 /// Full-sort top-k: scores every candidate, sorts by (score desc, poi

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "core/hausdorff_loss.h"
 #include "data/time_binning.h"
 #include "geo/haversine.h"
+#include "obs/metrics.h"
 
 namespace tcss {
 namespace {
@@ -261,6 +264,70 @@ TEST(SocialHausdorffTest, LambdaZeroShortCircuits) {
   g.Zero();
   EXPECT_DOUBLE_EQ(loss.ComputeWithGrads(m, 0.0, &g), 0.0);
   EXPECT_DOUBLE_EQ(g.u2.MaxAbs(), 0.0);
+}
+
+TEST(SocialHausdorffTest, DistanceBlockMatchesHaversineBitwise) {
+  // Clusters where the haversine terms are delicate: both sides of the
+  // antimeridian, a few metres from either pole, the equator, duplicate
+  // points (distance exactly 0) and antipodes.
+  Rng rng(7);
+  std::vector<Poi> pois;
+  const GeoPoint centres[] = {{0.0, 179.9995}, {0.0, -179.9995},
+                              {89.9999, 0.0},  {-89.9999, 120.0},
+                              {51.5, -0.1},    {-51.5, 179.9}};
+  for (const GeoPoint& c : centres) {
+    for (int n = 0; n < 6; ++n) {
+      const double lat = std::clamp(c.lat + rng.Uniform(-1e-4, 1e-4), -90.0,
+                                    90.0);
+      pois.push_back({{lat, c.lon + rng.Uniform(-1e-3, 1e-3)},
+                      PoiCategory::kFood});
+    }
+  }
+  pois.push_back(pois.front());  // a duplicate location
+  SocialGraph social(1);
+  ASSERT_TRUE(social.Finalize().ok());
+  const Dataset data(1, pois, std::move(social));
+  std::vector<uint32_t> all(pois.size());
+  for (uint32_t j = 0; j < all.size(); ++j) all[j] = j;
+  const std::vector<uint32_t> some = {0, 7, 13, 19, 25, 31, 36};
+  for (const auto& [s_set, n_set] :
+       {std::make_pair(all, all), std::make_pair(all, some),
+        std::make_pair(some, all), std::make_pair(some, some)}) {
+    for (double d_max : {20000.0, 0.5}) {  // 0.5 km caps the row minima
+      std::vector<float> dist(s_set.size() * n_set.size());
+      std::vector<float> dmin(s_set.size());
+      HausdorffDistanceBlock(data, s_set, n_set, d_max, dist.data(),
+                             dmin.data());
+      for (size_t a = 0; a < s_set.size(); ++a) {
+        double best = d_max;
+        for (size_t b = 0; b < n_set.size(); ++b) {
+          const double d = HaversineKm(data.poi(s_set[a]).location,
+                                       data.poi(n_set[b]).location);
+          const float want = static_cast<float>(d);
+          EXPECT_EQ(std::memcmp(&dist[a * n_set.size() + b], &want,
+                                sizeof(float)),
+                    0)
+              << "pair " << s_set[a] << "," << n_set[b];
+          best = std::min(best, d);
+        }
+        const float want_min = static_cast<float>(best);
+        EXPECT_EQ(std::memcmp(&dmin[a], &want_min, sizeof(float)), 0)
+            << "row " << s_set[a] << " d_max " << d_max;
+      }
+    }
+  }
+}
+
+TEST(SocialHausdorffTest, DistanceCacheGaugesReportTheCacheOnSide) {
+  Fixture f = Fixture::Make(/*user1_visits_far_poi=*/true);
+  SocialHausdorffLoss loss(f.data, f.train, SmallConfig());
+  // Both users are eligible: 4 candidates each, N sizes 2 and 1; the
+  // cache holds |S| (|N| + 1) floats per user.
+  const double bytes = (4.0 * 3.0 + 4.0 * 2.0) * sizeof(float);
+  obs::MetricRegistry* reg = obs::MetricRegistry::Global();
+  EXPECT_EQ(reg->GetGauge("train.hausdorff.dist_cache_on")->Value(), 1.0);
+  EXPECT_EQ(reg->GetGauge("train.hausdorff.dist_cache_bytes")->Value(),
+            bytes);
 }
 
 }  // namespace

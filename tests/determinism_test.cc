@@ -248,30 +248,34 @@ TEST(LossDeterminismTest, NegativeSamplingBitIdenticalAcrossThreadCounts) {
 TEST(LossDeterminismTest, HausdorffBatchGradsBitIdenticalAcrossThreadCounts) {
   ThreadGuard guard;
   World w = MakeWorld();
-  TcssConfig cfg;
-  cfg.hausdorff_pool = 64;
-  cfg.max_friend_pois = 32;
-  cfg.hausdorff_users_per_epoch = 48;
-  SocialHausdorffLoss loss(w.data, w.train, cfg);
-  ASSERT_GT(loss.num_eligible_users(), 0u);
-  Rng rng(13);
-  FactorModel model;
-  model.u1 = Matrix::GaussianRandom(w.train.dim_i(), cfg.rank, &rng, 0.1);
-  model.u2 = Matrix::GaussianRandom(w.train.dim_j(), cfg.rank, &rng, 0.1);
-  model.u3 = Matrix::GaussianRandom(w.train.dim_k(), cfg.rank, &rng, 0.1);
-  model.h.assign(cfg.rank, 1.0);
+  // Pool sizes off the kernels' four-candidate lane groups too.
+  for (size_t pool : {64, 63, 37, 6}) {
+    TcssConfig cfg;
+    cfg.hausdorff_pool = pool;
+    cfg.max_friend_pois = 32;
+    cfg.hausdorff_users_per_epoch = 48;
+    SocialHausdorffLoss loss(w.data, w.train, cfg);
+    ASSERT_GT(loss.num_eligible_users(), 0u);
+    Rng rng(13);
+    FactorModel model;
+    model.u1 = Matrix::GaussianRandom(w.train.dim_i(), cfg.rank, &rng, 0.1);
+    model.u2 = Matrix::GaussianRandom(w.train.dim_j(), cfg.rank, &rng, 0.1);
+    model.u3 = Matrix::GaussianRandom(w.train.dim_k(), cfg.rank, &rng, 0.1);
+    model.h.assign(cfg.rank, 1.0);
 
-  SetGlobalThreads(1);
-  loss.set_rotation(0);
-  FactorGrads ref(model);
-  const double ref_val = loss.ComputeWithGrads(model, cfg.lambda, &ref);
-  for (int threads : {2, 8}) {
-    SetGlobalThreads(threads);
-    loss.set_rotation(0);  // replay the same minibatch
-    FactorGrads got(model);
-    const double got_val = loss.ComputeWithGrads(model, cfg.lambda, &got);
-    EXPECT_EQ(ref_val, got_val) << threads << " threads";
-    EXPECT_TRUE(BitIdentical(ref, got)) << threads << " threads";
+    SetGlobalThreads(1);
+    loss.set_rotation(0);
+    FactorGrads ref(model);
+    const double ref_val = loss.ComputeWithGrads(model, cfg.lambda, &ref);
+    for (int threads : {2, 8}) {
+      SetGlobalThreads(threads);
+      loss.set_rotation(0);  // replay the same minibatch
+      FactorGrads got(model);
+      const double got_val = loss.ComputeWithGrads(model, cfg.lambda, &got);
+      EXPECT_EQ(ref_val, got_val) << "pool " << pool << " @" << threads;
+      EXPECT_TRUE(BitIdentical(ref, got)) << "pool " << pool << " @"
+                                          << threads;
+    }
   }
 }
 

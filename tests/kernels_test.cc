@@ -2,23 +2,32 @@
 // bitwise equivalence of the scalar and native kernel builds across
 // thread counts, the CSF kernels against COO and each other, the
 // bucketed COO modes-1/2 parallel path (serial == parallel bytes), the
-// mirrored Gram, and the CSF-backed RewrittenLoss (bound == unbound
-// bytes). tools/check.sh runs this suite in the plain stage under both
+// mirrored Gram, the CSF-backed RewrittenLoss (bound == unbound
+// bytes), and the social Hausdorff kernels (each table entry scalar ==
+// native, ComputeForUser == the scalar reference it replaced, both
+// bitwise). tools/check.sh runs this suite in the plain stage under both
 // TCSS_SIMD=off and TCSS_SIMD=native, and again under ASan/UBSan and
 // TSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
+#include "core/hausdorff_loss.h"
 #include "core/whole_data_loss.h"
+#include "data/time_binning.h"
 #include "linalg/kernel_table.h"
 #include "linalg/matrix.h"
 #include "linalg/simd.h"
+#include "proptest/oracles.h"
 #include "tensor/csf_tensor.h"
 #include "tensor/mttkrp.h"
 #include "tensor/sparse_kernels.h"
@@ -368,6 +377,312 @@ TEST(RewrittenCsfTest, GradsMatchCooEntryLoop) {
   for (size_t t = 0; t < m.h.size(); ++t) {
     EXPECT_NEAR(got.h[t], want.h[t],
                 1e-12 * std::max(1.0, std::fabs(want.h[t])));
+  }
+}
+
+// --------------------------------------------------------------------------
+// Social Hausdorff kernels: every KernelTable entry scalar == native, and
+// ComputeForUser == proptest::ReferenceHausdorffUser (the scalar body the
+// kernels replaced), value and all four gradient blocks, bit for bit.
+// --------------------------------------------------------------------------
+
+/// Byte equality: unlike ==, it tells -0.0 from +0.0 and NaN from NaN.
+template <typename T>
+bool SameBytes(const T* a, const T* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(T)) == 0;
+}
+
+bool SameBytes(const FactorGrads& a, const FactorGrads& b) {
+  return a.h.size() == b.h.size() &&
+         SameBytes(a.h.data(), b.h.data(), a.h.size()) &&
+         a.u1.size() == b.u1.size() &&
+         SameBytes(a.u1.data(), b.u1.data(), a.u1.size()) &&
+         a.u2.size() == b.u2.size() &&
+         SameBytes(a.u2.data(), b.u2.data(), a.u2.size()) &&
+         a.u3.size() == b.u3.size() &&
+         SameBytes(a.u3.data(), b.u3.data(), a.u3.size());
+}
+
+/// A small LBSN: 40 POIs around four cities, six users who are all
+/// friends, 30 check-ins each spread over the twelve month bins — enough
+/// distinct POIs that pools of 17 candidates and 17 friend (or own) POIs
+/// fill exactly.
+struct HausdorffWorld {
+  Dataset data;
+  SparseTensor train;
+};
+
+HausdorffWorld MakeHausdorffWorld(uint64_t seed) {
+  Rng rng(seed);
+  const size_t users = 6, pois = 40;
+  SocialGraph social(users);
+  for (uint32_t u = 0; u < users; ++u) {
+    for (uint32_t v = u + 1; v < users; ++v) {
+      EXPECT_TRUE(social.AddEdge(u, v).ok());
+    }
+  }
+  EXPECT_TRUE(social.Finalize().ok());
+  const GeoPoint cities[4] = {
+      {40.7, -74.0}, {51.5, -0.1}, {35.7, 139.7}, {-33.9, 151.2}};
+  std::vector<Poi> locations;
+  for (size_t j = 0; j < pois; ++j) {
+    const GeoPoint& c = cities[j % 4];
+    locations.push_back({{c.lat + rng.Uniform(-0.2, 0.2),
+                          c.lon + rng.Uniform(-0.2, 0.2)},
+                         PoiCategory::kFood});
+  }
+  HausdorffWorld w{Dataset(users, locations, std::move(social)),
+                   SparseTensor(users, pois, 12)};
+  for (uint32_t u = 0; u < users; ++u) {
+    for (int c = 0; c < 30; ++c) {
+      const uint32_t j = static_cast<uint32_t>(rng.UniformInt(pois));
+      const int month = 1 + static_cast<int>(rng.UniformInt(12));
+      EXPECT_TRUE(w.data.AddCheckIn(u, j, FromCivil(2011, month, 3)).ok());
+    }
+  }
+  for (const auto& c : w.data.checkins()) {
+    EXPECT_TRUE(w.train
+                    .Add(c.user, c.poi,
+                         TimeBin(c.timestamp, TimeGranularity::kMonthOfYear))
+                    .ok());
+  }
+  EXPECT_TRUE(w.train.Finalize().ok());
+  return w;
+}
+
+/// Gaussian factors wide enough that predictions clamp at 0 and at
+/// 1 - kHausdorffCapMargin as well as landing in between.
+FactorModel WideModel(const SparseTensor& x, size_t r, uint64_t seed) {
+  Rng rng(seed);
+  FactorModel m;
+  m.u1 = Matrix::GaussianRandom(x.dim_i(), r, &rng, 0.9);
+  m.u2 = Matrix::GaussianRandom(x.dim_j(), r, &rng, 0.9);
+  m.u3 = Matrix::GaussianRandom(x.dim_k(), r, &rng, 0.9);
+  m.h.resize(r);
+  for (double& h : m.h) h = rng.Uniform(0.5, 1.5);
+  return m;
+}
+
+/// Pins every prediction of (user, poi) above the cap, so p = 1 exactly
+/// and, with poi also in N(user), the pair (poi, poi) has f at the floor.
+void Saturate(FactorModel* m, uint32_t user, uint32_t poi) {
+  for (size_t t = 0; t < m->rank(); ++t) {
+    m->h[t] = 1.0;
+    m->u1(user, t) = 1.0;
+    m->u2(poi, t) = 2.0;
+  }
+  for (size_t k = 0; k < m->u3.rows(); ++k) {
+    for (size_t t = 0; t < m->rank(); ++t) m->u3(k, t) = 1.0;
+  }
+}
+
+FactorGrads NoisyGrads(const FactorModel& m, uint64_t seed) {
+  Rng rng(seed);
+  FactorGrads g(m);
+  g.u1 = Matrix::GaussianRandom(m.u1.rows(), m.u1.cols(), &rng, 0.1);
+  g.u2 = Matrix::GaussianRandom(m.u2.rows(), m.u2.cols(), &rng, 0.1);
+  g.u3 = Matrix::GaussianRandom(m.u3.rows(), m.u3.cols(), &rng, 0.1);
+  for (double& v : g.h) v = rng.Uniform(-0.1, 0.1);
+  return g;
+}
+
+TEST(HausdorffKernelTest, ComputeForUserMatchesScalarReferenceBitwise) {
+  KernelGuard guard;
+  const HausdorffWorld w = MakeHausdorffWorld(91);
+  const size_t sizes[] = {1, 3, 5, 17};
+  // Ranks 1..16 take the register-resident scatter (one to four lanes
+  // groups of r); 17 takes the generic one.
+  const size_t ranks[] = {1, 3, 4, 10, 13, 16, 17};
+  size_t cases = 0, users = 0, floored = 0;
+  size_t low = 0, high = 0, interior = 0;
+  for (size_t ns : sizes) {
+    for (size_t nn : sizes) {
+      for (int variant = 0; variant < 8; ++variant) {
+        TcssConfig cfg;
+        cfg.seed = 1000 + cases;
+        cfg.hausdorff_pool = ns;
+        cfg.max_friend_pois = nn;
+        cfg.alpha = (variant & 1) ? -0.5 : -1.0;
+        cfg.use_location_entropy = (variant & 2) != 0;
+        cfg.hausdorff =
+            (variant & 4) ? HausdorffMode::kSelf : HausdorffMode::kSocial;
+        const size_t r = ranks[cases % 7];
+        ++cases;
+        SocialHausdorffLoss loss(w.data, w.train, cfg);
+        FactorModel model = WideModel(w.train, r, cases);
+        // Saturate one POI of user 0 that is in both S and N.
+        for (uint32_t j : loss.friend_pois(0)) {
+          const auto& pool = loss.candidate_pool(0);
+          if (std::find(pool.begin(), pool.end(), j) != pool.end()) {
+            Saturate(&model, 0, j);
+            ++floored;
+            break;
+          }
+        }
+        for (uint32_t u = 0; u < w.data.num_users(); ++u) {
+          ASSERT_EQ(loss.candidate_pool(u).size(), ns);
+          ASSERT_EQ(loss.friend_pois(u).size(), nn) << "user " << u;
+          for (uint32_t j : loss.candidate_pool(u)) {
+            for (uint32_t k = 0; k < 12; ++k) {
+              const double y = model.Predict(u, j, k);
+              low += y <= 0.0;
+              high += y >= 1.0 - kHausdorffCapMargin;
+              interior += y > 0.0 && y < 1.0 - kHausdorffCapMargin;
+            }
+          }
+          const std::string what =
+              StrFormat("|S|=%zu |N|=%zu r=%zu alpha=%g entropy=%d self=%d "
+                        "user=%u",
+                        ns, nn, r, cfg.alpha, cfg.use_location_entropy ? 1 : 0,
+                        (variant & 4) ? 1 : 0, u);
+          const double want_value = proptest::ReferenceHausdorffUser(
+              loss, w.data, model, u, nullptr, 0.0);
+          const FactorGrads start = NoisyGrads(model, cases * 31 + u);
+          FactorGrads want = start;
+          const double want_with_grads = proptest::ReferenceHausdorffUser(
+              loss, w.data, model, u, &want, 0.7);
+          for (SimdMode mode : {SimdMode::kScalar, SimdMode::kNative}) {
+            SetSimdMode(mode);
+            const double got_value =
+                loss.ComputeForUser(model, u, nullptr, 0.0);
+            FactorGrads got = start;
+            const double got_with_grads =
+                loss.ComputeForUser(model, u, &got, 0.7);
+            EXPECT_TRUE(SameBytes(&got_value, &want_value, 1))
+                << what << " " << SimdModeName(mode) << ": " << got_value
+                << " vs " << want_value;
+            EXPECT_TRUE(SameBytes(&got_with_grads, &want_with_grads, 1))
+                << what << " " << SimdModeName(mode);
+            EXPECT_TRUE(SameBytes(got, want))
+                << what << " " << SimdModeName(mode);
+          }
+          ++users;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(users, cases * w.data.num_users());
+  // Vacuity guards: both clamps, the interior and the soft-min floor ran.
+  EXPECT_GT(low, 0u);
+  EXPECT_GT(high, 0u);
+  EXPECT_GT(interior, 0u);
+  EXPECT_GT(floored, cases / 2);
+}
+
+/// Random inputs for one call of each Hausdorff table entry.
+struct HausdorffKernelCase {
+  size_t ns, nn, K, r;
+  double alpha;
+  std::vector<double> hu, u1, u2, u3, h, s_pow, coef, dl_dp;
+  std::vector<uint32_t> pois;
+  std::vector<float> dist;
+};
+
+HausdorffKernelCase MakeKernelCase(uint64_t seed) {
+  Rng rng(seed);
+  HausdorffKernelCase c;
+  const size_t shapes[] = {1, 2, 3, 4, 5, 7, 16, 17, 33};
+  c.ns = shapes[rng.UniformInt(9)];
+  c.nn = shapes[rng.UniformInt(9)];
+  c.K = 1 + rng.UniformInt(13);
+  c.r = 1 + rng.UniformInt(20);
+  c.alpha = rng.Bernoulli(0.5) ? -1.0 : -0.5;
+  const size_t J = c.ns + 3;
+  auto fill = [&rng](std::vector<double>* v, size_t n, double lo, double hi) {
+    v->resize(n);
+    for (double& x : *v) x = rng.Uniform(lo, hi);
+  };
+  fill(&c.hu, c.r, -1.0, 1.5);
+  fill(&c.u1, c.r, -1.0, 1.0);
+  fill(&c.u2, J * c.r, -1.0, 1.0);
+  fill(&c.u3, c.K * c.r, -1.0, 1.0);
+  fill(&c.h, c.r, 0.5, 1.5);
+  fill(&c.s_pow, c.nn, 0.0, 1e-3);
+  fill(&c.coef, c.nn, 0.0, 0.1);
+  fill(&c.dl_dp, HausdorffLanes(c.ns), -1.0, 1.0);
+  for (size_t a = 0; a < c.ns; ++a) {
+    if (rng.Bernoulli(0.1)) c.dl_dp[a] = 0.0;  // skipped candidates
+  }
+  c.pois.resize(c.ns);
+  for (size_t a = 0; a < c.ns; ++a) c.pois[a] = static_cast<uint32_t>(a + 3);
+  c.dist.resize(c.ns * c.nn);
+  for (float& d : c.dist) d = rng.Bernoulli(0.1) ? 0.0f : rng.Uniform(0, 90);
+  if (rng.Bernoulli(0.3)) {
+    // Candidate 0 (p = 1 below) at distance 0 from every friend POI: all
+    // its pairs sit on the floor and its -0.0 must come back untouched.
+    std::fill(c.dist.begin(), c.dist.begin() + c.nn, 0.0f);
+    c.dl_dp[0] = -0.0;
+  }
+  return c;
+}
+
+/// Runs every Hausdorff entry of `kt` on `c` and returns the outputs
+/// concatenated as bytes (the padding lanes are the caller's scratch and
+/// are left out).
+std::string RunHausdorffKernels(const KernelTable& kt,
+                                const HausdorffKernelCase& c) {
+  const size_t lanes = HausdorffLanes(c.ns);
+  std::vector<double> p(lanes), dp_dy(lanes * c.K), work(4 * (c.r + c.K));
+  std::vector<uint8_t> gate(lanes * c.K);
+  kt.hausdorff_predict(c.hu.data(), c.u2.data(), c.pois.data(), c.ns,
+                       c.u3.data(), c.K, c.r, 1.0 - kHausdorffCapMargin,
+                       p.data(), dp_dy.data(), gate.data(), work.data());
+  // A saturated candidate (p = 1) puts pairs at distance 0 on the floor.
+  p[0] = 1.0;
+  std::vector<double> s(c.nn);
+  kt.hausdorff_softmin_value(p.data(), c.dist.data(), c.ns, c.nn, 100.0,
+                             kHausdorffSoftMinFloor, c.alpha, s.data());
+  std::vector<double> dl_dp = c.dl_dp;
+  kt.hausdorff_softmin_grad(p.data(), c.dist.data(), c.ns, c.nn, 100.0,
+                            kHausdorffSoftMinFloor, c.alpha, c.s_pow.data(),
+                            c.coef.data(), 1.0 / static_cast<double>(c.ns),
+                            dl_dp.data());
+  std::vector<double> gu1(c.r, 0.25), gu2(c.u2.size(), -0.5),
+      gu3(c.u3.size(), 0.125), gh(c.r, -0.0);
+  kt.hausdorff_scatter(c.u1.data(), c.u2.data(), c.u3.data(), c.h.data(),
+                       c.r, c.pois.data(), c.ns, c.K, c.dl_dp.data(),
+                       dp_dy.data(), gate.data(), 0.3, gu1.data(), gu2.data(),
+                       gu3.data(), gh.data());
+  std::string out;
+  auto append = [&out](const void* data, size_t bytes) {
+    out.append(static_cast<const char*>(data), bytes);
+  };
+  append(p.data(), c.ns * sizeof(double));
+  for (size_t a = 0; a < c.ns; ++a) {
+    for (size_t k = 0; k < c.K; ++k) {
+      append(&dp_dy[HausdorffCell(a, k, c.K)], sizeof(double));
+      append(&gate[HausdorffCell(a, k, c.K)], 1);
+    }
+  }
+  append(s.data(), s.size() * sizeof(double));
+  append(dl_dp.data(), c.ns * sizeof(double));
+  append(gu1.data(), gu1.size() * sizeof(double));
+  append(gu2.data(), gu2.size() * sizeof(double));
+  append(gu3.data(), gu3.size() * sizeof(double));
+  append(gh.data(), gh.size() * sizeof(double));
+  return out;
+}
+
+TEST(HausdorffKernelTest, TableEntriesBitIdenticalScalarVsNative) {
+  KernelGuard guard;
+  const size_t kCases = 64;
+  std::vector<HausdorffKernelCase> cases;
+  for (size_t i = 0; i < kCases; ++i) cases.push_back(MakeKernelCase(500 + i));
+  for (int threads : {1, 2, 8}) {
+    SetGlobalThreads(threads);
+    std::vector<uint8_t> same(kCases, 0);
+    ParallelFor(kCases, 1, [&](size_t begin, size_t end, size_t) {
+      for (size_t i = begin; i < end; ++i) {
+        same[i] = RunHausdorffKernels(ScalarKernelTable(), cases[i]) ==
+                  RunHausdorffKernels(NativeKernelTable(), cases[i]);
+      }
+    });
+    for (size_t i = 0; i < kCases; ++i) {
+      const HausdorffKernelCase& c = cases[i];
+      EXPECT_TRUE(same[i]) << "case " << i << ": ns=" << c.ns
+                           << " nn=" << c.nn << " K=" << c.K << " r=" << c.r
+                           << " alpha=" << c.alpha << " @" << threads;
+    }
   }
 }
 

@@ -78,7 +78,8 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 # labels run here: they are the suites that exercise concurrency
 # (ThreadPool, sharded losses, multi-threaded training, concurrent metric
 # recording, the multi-threaded kernel-equality properties, the sharded
-# CSF/MTTKRP kernels at 1/2/8 threads, the server's acceptor/reader/
+# CSF/MTTKRP kernels and the social Hausdorff kernels (per-thread scratch)
+# at 1/2/8 threads, the server's acceptor/reader/
 # dispatcher threads, the distributed coordinator/worker fleets, and the
 # streaming ingest path under reload storms); the rest of the suite is
 # single-threaded and already covered by stage 2.
