@@ -1,28 +1,37 @@
-// Candidate-generation benchmark for src/ann (DESIGN.md §13): exact
-// full-scan top-10 versus LSH candidates + exact re-rank at the default
-// table/probe settings, across a catalogue sweep. For each catalogue size
-// the bench reports per-query latency of both paths, the speedup, the
-// measured recall@10 of the re-ranked union against the full scan, the
-// mean union size, and the one-off index build time. The acceptance
-// criterion the committed BENCH_ann.json pins: at the largest catalogue
-// the ANN path beats the exact scan while recall@10 stays high.
+// Candidate-generation benchmark for src/ann (DESIGN.md §13), timed
+// through the path serving runs: RecommendService::BatchTopK on one
+// top-10 request, once with the ANN tier off (the exact scan, one gemm
+// column over the whole catalogue) and once with it on (LSH candidates +
+// exact re-rank, recall audits included) at the serve defaults, across a
+// catalogue sweep. For each catalogue size the bench reports the
+// per-request latency of both services, the speedup, the recall@10 of
+// the ANN answers against the ANN-off answers, the mean union size and
+// the one-off index build time (both read from the ANN service's own
+// ann.* histograms). The committed BENCH_ann.json shows where, if
+// anywhere, the ANN tier beats the exact path at high recall.
 //
 // Human-readable table on stdout; TCSS_BENCH_JSON appends machine rows
 // (bench "ann_lsh"). TCSS_BENCH_ANN_SCALE (default 1.0) scales the
 // catalogue sizes and query counts for quick smoke runs.
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "ann/lsh_index.h"
 #include "bench_common.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "core/factor_model.h"
-#include "linalg/matrix.h"
+#include "core/model_io.h"
+#include "data/dataset.h"
+#include "obs/metrics.h"
+#include "serve/model_watcher.h"
+#include "serve/recommend_service.h"
 
 namespace tcss {
 namespace {
@@ -71,132 +80,131 @@ FactorModel BenchModel(uint64_t seed, size_t num_pois) {
   return m;
 }
 
-// Composed query q_t = h_t * U1[i,t] * U3[k,t]; <q, U2[j]> == Predict.
-std::vector<double> ComposeQuery(const FactorModel& m, uint32_t user,
-                                 uint32_t bin) {
-  std::vector<double> q(kRank);
-  const double* a = m.u1.row(user);
-  const double* c = m.u3.row(bin);
-  for (size_t t = 0; t < kRank; ++t) q[t] = m.h[t] * a[t] * c[t];
-  return q;
-}
-
-// Exact top-k by full scan over the whole catalogue (what the serving
-// exact path pays per factor-scored request), (score desc, id asc).
-std::vector<uint32_t> FullScanTopK(const FactorModel& m,
-                                   const std::vector<double>& q) {
-  std::vector<std::pair<double, uint32_t>> heap;  // min-heap of top k
-  const auto worse = [](const std::pair<double, uint32_t>& a,
-                        const std::pair<double, uint32_t>& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  };
-  const size_t J = m.u2.rows();
-  for (size_t j = 0; j < J; ++j) {
-    const double* row = m.u2.row(j);
-    double s = 0.0;
-    for (size_t t = 0; t < kRank; ++t) s += q[t] * row[t];
-    const std::pair<double, uint32_t> cand{s, static_cast<uint32_t>(j)};
-    if (heap.size() < kTopK) {
-      heap.push_back(cand);
-      std::push_heap(heap.begin(), heap.end(), worse);
-    } else if (worse(cand, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), worse);
-      heap.back() = cand;
-      std::push_heap(heap.begin(), heap.end(), worse);
-    }
+// The serving dataset: the model's users, one check-in each, and POIs
+// scattered over the globe (the geo grid needs locations; no request
+// here is fenced).
+Dataset BenchDataset(uint64_t seed, size_t num_pois) {
+  Rng rng(seed);
+  std::vector<Poi> pois(num_pois);
+  for (Poi& p : pois) {
+    p.location = {rng.Uniform(-60.0, 60.0), rng.Uniform(-180.0, 180.0)};
   }
-  std::sort_heap(heap.begin(), heap.end(), worse);
-  std::vector<uint32_t> ids;
-  ids.reserve(heap.size());
-  for (const auto& [s, j] : heap) ids.push_back(j);
-  return ids;
-}
-
-// Exact re-rank of the candidate union — the ANN serving path.
-std::vector<uint32_t> RerankTopK(const FactorModel& m,
-                                 const std::vector<double>& q,
-                                 const std::vector<uint32_t>& cands) {
-  std::vector<std::pair<double, uint32_t>> scored;
-  scored.reserve(cands.size());
-  for (uint32_t j : cands) {
-    const double* row = m.u2.row(j);
-    double s = 0.0;
-    for (size_t t = 0; t < kRank; ++t) s += q[t] * row[t];
-    scored.emplace_back(s, j);
+  SocialGraph social(kUsers);
+  Status st = social.Finalize();
+  Dataset data(kUsers, std::move(pois), std::move(social));
+  for (uint32_t u = 0; u < kUsers && st.ok(); ++u) {
+    st = data.AddCheckIn(u, u, 1577836800);
   }
-  const size_t k = std::min(kTopK, scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
-                    [](const auto& a, const auto& b) {
-                      if (a.first != b.first) return a.first > b.first;
-                      return a.second < b.second;
-                    });
-  std::vector<uint32_t> ids;
-  ids.reserve(k);
-  for (size_t i = 0; i < k; ++i) ids.push_back(scored[i].second);
-  return ids;
+  if (!st.ok()) {
+    std::fprintf(stderr, "bench dataset: %s\n", st.ToString().c_str());
+    std::exit(1);
+  }
+  return data;
 }
 
-double Recall(const std::vector<uint32_t>& approx,
-              const std::vector<uint32_t>& exact) {
+double Recall(const std::vector<Recommendation>& approx,
+              const std::vector<Recommendation>& exact) {
   if (exact.empty()) return 1.0;
-  std::vector<uint32_t> sorted = approx;
-  std::sort(sorted.begin(), sorted.end());
+  std::vector<uint32_t> ids;
+  for (const auto& r : approx) ids.push_back(r.poi);
+  std::sort(ids.begin(), ids.end());
   size_t hit = 0;
-  for (uint32_t id : exact) {
-    if (std::binary_search(sorted.begin(), sorted.end(), id)) ++hit;
+  for (const auto& r : exact) {
+    if (std::binary_search(ids.begin(), ids.end(), r.poi)) ++hit;
   }
   return static_cast<double>(hit) / static_cast<double>(exact.size());
 }
 
+double HistogramMean(obs::MetricRegistry* metrics, const char* name) {
+  const obs::HistogramSnapshot h = metrics->GetHistogram(name)->Snapshot();
+  return h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0;
+}
+
+// One timed pass: every request as its own one-request BatchTopK.
+std::vector<RecommendService::Response> TimedPass(
+    RecommendService* service, const std::vector<ServeRequest>& reqs,
+    double* us_per_request) {
+  std::vector<RecommendService::Response> out;
+  out.reserve(reqs.size());
+  Stopwatch sw;
+  for (const ServeRequest& req : reqs) {
+    out.push_back(std::move(service->BatchTopK({req}).front()));
+  }
+  *us_per_request =
+      sw.ElapsedMillis() * 1000.0 / static_cast<double>(reqs.size());
+  return out;
+}
+
 void RunCatalog(size_t num_pois, size_t num_queries) {
   const std::string dataset = StrFormat("catalog%zu_r%zu", num_pois, kRank);
-  const FactorModel model = BenchModel(1234 + num_pois, num_pois);
+  const Dataset data = BenchDataset(99 + num_pois, num_pois);
+  const std::string model_path = StrFormat(
+      "/tmp/tcss_bench_ann_%d.model", static_cast<int>(getpid()));
+  if (!SaveFactorModel(BenchModel(1234 + num_pois, num_pois), model_path)
+           .ok()) {
+    std::fprintf(stderr, "cannot save the bench model to %s\n",
+                 model_path.c_str());
+    std::exit(1);
+  }
+  ModelWatcher::Options wopts;
+  wopts.num_users = kUsers;
+  wopts.num_pois = num_pois;
+  wopts.num_bins = kBins;
+  ModelWatcher watcher(model_path, wopts);
 
-  Stopwatch build_sw;
-  ann::LshConfig cfg;  // the defaults the serve flags default to
-  ann::LshIndex index(model, cfg);
-  const double build_ms = build_sw.ElapsedMillis();
+  // Two services over the one watched model, each with its own registry:
+  // the serve defaults with ANN off, and with ANN on.
+  obs::MetricRegistry exact_metrics;
+  obs::MetricRegistry ann_metrics;
+  RecommendService::Options exact_opts;
+  exact_opts.metrics = &exact_metrics;
+  RecommendService::Options ann_opts;
+  ann_opts.metrics = &ann_metrics;
+  ann_opts.ann.enabled = true;
+  RecommendService exact(&data, TimeGranularity::kMonthOfYear, &watcher,
+                         exact_opts);
+  RecommendService ann(&data, TimeGranularity::kMonthOfYear, &watcher,
+                       ann_opts);
+  if (!exact.Init().ok() || !ann.Init().ok() ||
+      watcher.current() == nullptr) {
+    std::fprintf(stderr, "service init failed for %s\n", dataset.c_str());
+    std::exit(1);
+  }
+  std::remove(model_path.c_str());
 
-  // Fixed query mix over (user, bin); one warm-up pass keeps the factor
-  // matrix hot for both timed passes alike.
-  std::vector<std::vector<double>> queries;
+  // Fixed query mix over (user, bin). One untimed pass per service warms
+  // the factors and builds the LSH index.
+  std::vector<ServeRequest> reqs(num_queries);
   Rng rng(42);
-  for (size_t i = 0; i < num_queries; ++i) {
-    queries.push_back(ComposeQuery(
-        model, static_cast<uint32_t>(rng.UniformInt(kUsers)),
-        static_cast<uint32_t>(rng.UniformInt(kBins))));
+  for (ServeRequest& req : reqs) {
+    req.user = static_cast<uint32_t>(rng.UniformInt(kUsers));
+    req.time_bin = static_cast<uint32_t>(rng.UniformInt(kBins));
+    req.k = kTopK;
   }
-  std::vector<std::vector<uint32_t>> exact(num_queries);
-  for (size_t i = 0; i < num_queries; ++i) {
-    exact[i] = FullScanTopK(model, queries[i]);
-  }
+  double warm_us = 0.0;
+  (void)TimedPass(&exact, reqs, &warm_us);
+  (void)TimedPass(&ann, reqs, &warm_us);
 
-  Stopwatch exact_sw;
-  for (size_t i = 0; i < num_queries; ++i) {
-    const auto ids = FullScanTopK(model, queries[i]);
-    if (ids != exact[i]) std::abort();  // keep the work observable
-  }
-  const double exact_us =
-      exact_sw.ElapsedMillis() * 1000.0 / static_cast<double>(num_queries);
-
+  double exact_us = 0.0;
+  double ann_us = 0.0;
+  const auto want = TimedPass(&exact, reqs, &exact_us);
+  const auto got = TimedPass(&ann, reqs, &ann_us);
   double recall_sum = 0.0;
-  double cand_sum = 0.0;
-  Stopwatch ann_sw;
-  for (size_t i = 0; i < num_queries; ++i) {
-    const auto cands = index.Candidates(queries[i].data(), kRank);
-    const auto ids = RerankTopK(model, queries[i], cands);
-    cand_sum += static_cast<double>(cands.size());
-    recall_sum += Recall(ids, exact[i]);
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    if (want[i].tier != ServeTier::kModel ||
+        got[i].tier != ServeTier::kModel) {
+      std::fprintf(stderr, "request %zu left the model tier\n", i);
+      std::exit(1);
+    }
+    recall_sum += Recall(got[i].recs, want[i].recs);
   }
-  const double ann_us =
-      ann_sw.ElapsedMillis() * 1000.0 / static_cast<double>(num_queries);
-  const double recall = recall_sum / static_cast<double>(num_queries);
-  const double cand_mean = cand_sum / static_cast<double>(num_queries);
+  const double recall = recall_sum / static_cast<double>(reqs.size());
+  const double cand_mean = HistogramMean(&ann_metrics, "ann.candidates");
+  const double build_ms = HistogramMean(&ann_metrics, "ann.rebuild_ms");
   const double speedup = ann_us > 0.0 ? exact_us / ann_us : 0.0;
 
   std::printf(
-      "%-18s exact %8.2f us   ann %8.2f us   speedup %5.2fx   "
+      "%-19s exact %8.2f us   ann %8.2f us   speedup %5.2fx   "
       "recall@10 %.4f   cands %7.1f   build %7.2f ms\n",
       dataset.c_str(), exact_us, ann_us, speedup, recall, cand_mean,
       build_ms);
@@ -216,10 +224,10 @@ int main() {
   const double scale = tcss::AnnScale();
   const size_t queries =
       std::max<size_t>(20, static_cast<size_t>(400 * scale));
-  std::printf("ANN candidate generation vs exact full scan (rank %zu, "
-              "%zu queries per catalogue)\n",
+  std::printf("RecommendService::BatchTopK, ANN off vs on (rank %zu, "
+              "%zu one-request batches per catalogue)\n",
               tcss::kRank, queries);
-  for (size_t pois : {2000, 10000, 50000}) {
+  for (size_t pois : {2000, 10000, 50000, 200000}) {
     const size_t scaled =
         std::max<size_t>(500, static_cast<size_t>(pois * scale));
     tcss::RunCatalog(scaled, queries);

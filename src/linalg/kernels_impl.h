@@ -426,7 +426,6 @@ inline __m256d FusedChunk(__m256d d, const double* b, const double* c0,
 void CsfMttkrpMode0R32(const CsfView& x, const double* fa, const double* fb,
                        double* out, size_t s_begin, size_t s_end) {
   alignas(32) double acc[32];
-  const size_t shard_f_end = x.slice_start[s_end];
   for (size_t s = s_begin; s < s_end; ++s) {
     double* dst = out + size_t{x.slice_id[s]} * 32;
     __m256d d0 = _mm256_loadu_pd(dst + 0);

@@ -14,44 +14,8 @@
 namespace tcss {
 namespace {
 
-/// Tier-0 adapter: scores through the hot-reloaded factors. Holds its own
-/// shared_ptr so the model stays alive for the whole query even if the
-/// watcher swaps mid-scoring.
-class FactorTier : public Recommender {
- public:
-  explicit FactorTier(std::shared_ptr<const FactorModel> m)
-      : model_(std::move(m)) {}
-  std::string name() const override { return "serve-model"; }
-  Status Fit(const TrainContext&) override { return Status::OK(); }
-  double Score(uint32_t i, uint32_t j, uint32_t k) const override {
-    return model_->Predict(i, j, k);
-  }
-
- private:
-  std::shared_ptr<const FactorModel> model_;
-};
-
-/// Tier-1 adapter: scores one folded-in user embedding against the fixed
-/// POI/time factors.
-class FoldInTier : public Recommender {
- public:
-  FoldInTier(std::shared_ptr<const FactorModel> m,
-             const std::vector<double>* user)
-      : model_(std::move(m)), user_(user) {}
-  std::string name() const override { return "serve-fold-in"; }
-  Status Fit(const TrainContext&) override { return Status::OK(); }
-  double Score(uint32_t, uint32_t j, uint32_t k) const override {
-    return FoldInScore(*model_, *user_, j, k);
-  }
-
- private:
-  std::shared_ptr<const FactorModel> model_;
-  const std::vector<double>* user_;
-};
-
-/// Batch adapter: reads one column of the precomputed J x B score matrix
-/// (one gemm scored the whole batch), so the top-k selection never
-/// re-touches the factors.
+/// Reads one column of the J x B score matrix one gemm computed for the
+/// whole batch, so the top-k selection never re-touches the factors.
 class ColumnScorer : public Recommender {
  public:
   ColumnScorer(const Matrix* scores, size_t col)
@@ -65,6 +29,27 @@ class ColumnScorer : public Recommender {
  private:
   const Matrix* scores_;
   size_t col_;
+};
+
+/// Scores POI j as ⟨U2[j], q⟩ for one composed query: the ascending-t
+/// chain MatMulT runs for a gemm column, so an ANN re-rank or a recall
+/// audit gives every POI the score the full scan would.
+class QueryScorer : public Recommender {
+ public:
+  QueryScorer(const Matrix* u2, const std::vector<double>* q)
+      : u2_(u2), q_(q) {}
+  std::string name() const override { return "serve-query"; }
+  Status Fit(const TrainContext&) override { return Status::OK(); }
+  double Score(uint32_t, uint32_t j, uint32_t) const override {
+    const double* row = u2_->row(j);
+    double s = 0.0;
+    for (size_t t = 0; t < q_->size(); ++t) s += row[t] * (*q_)[t];
+    return s;
+  }
+
+ private:
+  const Matrix* u2_;
+  const std::vector<double>* q_;
 };
 
 /// A request's geo fence is either absent or a finite positive radius
@@ -142,6 +127,11 @@ RecommendService::RecommendService(const Dataset* data,
                                    ModelWatcher* watcher, const Options& opts)
     : data_(data), granularity_(granularity), watcher_(watcher),
       opts_(opts),
+      own_fold_in_(opts.incremental == nullptr
+                       ? std::make_unique<IncrementalFoldIn>(opts.fold_in)
+                       : nullptr),
+      fold_in_(opts.incremental != nullptr ? opts.incremental
+                                           : own_fold_in_.get()),
       metrics_(opts.metrics != nullptr ? opts.metrics
                                        : obs::MetricRegistry::Global()) {
   for (int t = 0; t < kNumServeTiers; ++t) {
@@ -179,22 +169,18 @@ Status RecommendService::Init() {
   TCSS_RETURN_IF_ERROR(
       popularity_.Fit({data_, &train_, granularity_, /*seed=*/1}));
 
-  // Per-user distinct (poi, time) cells — the fold-in observations.
-  user_cells_.assign(data_->num_users(), {});
+  // Per-user distinct (poi, time) cells — the fold-in observations — seed
+  // the solver in tensor-entry order, the replay order of its differential
+  // contract with FoldInUser.
+  std::vector<std::vector<TensorCell>> cells(data_->num_users());
   for (const auto& e : train_.entries()) {
-    if (e.i < user_cells_.size()) {
-      user_cells_[e.i].push_back({e.i, e.j, e.k});
-    }
+    if (e.i < cells.size()) cells[e.i].push_back({e.i, e.j, e.k});
   }
-  // Streaming mode: the incremental solver starts from the same history
-  // the batch path would use, in the same (tensor-entry) order — the
-  // differential contract's replay order.
-  if (opts_.incremental != nullptr) {
-    for (uint32_t u = 0; u < user_cells_.size(); ++u) {
-      if (!user_cells_[u].empty()) {
-        opts_.incremental->Seed(u, user_cells_[u]);
-      }
-    }
+  has_history_.assign(cells.size(), false);
+  for (uint32_t u = 0; u < cells.size(); ++u) {
+    if (cells[u].empty()) continue;
+    has_history_[u] = true;
+    fold_in_->Seed(u, cells[u]);
   }
 
   // Geo fence index. The grid keeps a pointer into poi_locations_, which
@@ -212,18 +198,16 @@ void RecommendService::PollModel() {
 }
 
 ServeTier RecommendService::ChooseTier(
-    const ServeRequest& req,
-    const std::shared_ptr<const FactorModel>& model) const {
+    const ServeRequest& req, const std::shared_ptr<const FactorModel>& model,
+    const IncrementalFoldIn* streamed) const {
   if (model != nullptr && req.user < model->u1.rows()) {
     return ServeTier::kModel;
   }
-  if (model != nullptr && req.user < user_cells_.size() &&
-      (!user_cells_[req.user].empty() ||
-       (opts_.incremental != nullptr &&
-        opts_.incremental->HasObservations(req.user)))) {
-    // A user with no training history but streamed check-ins (the
-    // incremental branch) is servable by fold-in too — that is the whole
-    // point of the streaming tier.
+  if (model != nullptr && req.user < has_history_.size() &&
+      (has_history_[req.user] ||
+       (streamed != nullptr && streamed->HasObservations(req.user)))) {
+    // A user with no training history but streamed check-ins is servable
+    // by fold-in too — that is the whole point of the streaming tier.
     return ServeTier::kFoldIn;
   }
   return ServeTier::kPopularity;
@@ -231,8 +215,8 @@ ServeTier RecommendService::ChooseTier(
 
 ServeTier RecommendService::PlanTier(const ServeRequest& req) const {
   if (!initialized_) return ServeTier::kPopularity;
-  return ChooseTier(req,
-                    watcher_ != nullptr ? watcher_->current() : nullptr);
+  return ChooseTier(req, watcher_ != nullptr ? watcher_->current() : nullptr,
+                    /*streamed=*/nullptr);
 }
 
 double RecommendService::TierLatencyEwmaMs(ServeTier tier) const {
@@ -249,7 +233,6 @@ ServeTier RecommendService::ApplyDeadlineBudget(const ServeRequest& req,
       tier_ewma_valid_[static_cast<int>(tier)] &&
       tier_ewma_ms_[static_cast<int>(tier)] > req.deadline_ms) {
     tier = ServeTier::kPopularity;
-    ++deadline_degrades_;
     degrade_counter_->Add(1);
   }
   return tier;
@@ -257,39 +240,18 @@ ServeTier RecommendService::ApplyDeadlineBudget(const ServeRequest& req,
 
 const std::vector<double>* RecommendService::FoldInEmbedding(
     uint32_t user, const std::shared_ptr<const FactorModel>& model) {
-  if (opts_.incremental != nullptr) {
-    // Streaming mode: the incremental solver owns the cache. Binding the
-    // watcher's generation is what keys every piece of its derived state,
-    // so a reload invalidates here exactly like the map-clear below.
-    opts_.incremental->BindModel(model, watcher_->generation());
-    const uint64_t solves_before = opts_.incremental->stats().solves;
-    const std::vector<double>* emb = opts_.incremental->Embedding(user);
-    if (opts_.incremental->stats().solves != solves_before) {
-      ++fold_in_cache_misses_;
-      cache_miss_counter_->Add(1);
-    } else if (emb != nullptr) {
-      ++fold_in_cache_hits_;
-      cache_hit_counter_->Add(1);
-    }
-    return emb;
-  }
-  // Re-solve embeddings only when the model generation changed.
-  if (watcher_->generation() != fold_in_generation_) {
-    fold_in_cache_.clear();
-    fold_in_generation_ = watcher_->generation();
-  }
-  auto it = fold_in_cache_.find(user);
-  if (it == fold_in_cache_.end()) {
-    ++fold_in_cache_misses_;
+  // Binding the watcher's generation keys every piece of the solver's
+  // derived state, so a hot reload re-solves instead of serving an
+  // embedding solved against the old factors.
+  fold_in_->BindModel(model, watcher_->generation());
+  const uint64_t solves_before = fold_in_->stats().solves;
+  const std::vector<double>* emb = fold_in_->Embedding(user);
+  if (fold_in_->stats().solves != solves_before) {
     cache_miss_counter_->Add(1);
-    auto emb = FoldInUser(*model, user_cells_[user], opts_.fold_in);
-    if (!emb.ok()) return nullptr;  // singular solve: degrade further
-    it = fold_in_cache_.emplace(user, emb.MoveValue()).first;
-  } else {
-    ++fold_in_cache_hits_;
+  } else if (emb != nullptr) {
     cache_hit_counter_->Add(1);
   }
-  return &it->second;
+  return emb;
 }
 
 void RecommendService::EnsureAnnIndex(
@@ -302,14 +264,12 @@ void RecommendService::EnsureAnnIndex(
   ann_index_ = std::make_unique<ann::LshIndex>(*model, opts_.ann.lsh,
                                                metrics_);
   ann_model_ = model;
-  ++ann_rebuilds_;
   ann_rebuild_counter_->Add(1);
 }
 
 void RecommendService::PlanScore(
-    const ServeRequest& req, ServeTier tier,
-    const std::shared_ptr<const FactorModel>& model,
-    const std::vector<double>* fold_emb, ScorePlan* plan) {
+    const ServeRequest& req, const std::shared_ptr<const FactorModel>& model,
+    const std::vector<double>& q, ScorePlan* plan) {
   plan->topts.k = req.k;
   plan->topts.exclude_visited = req.exclude_visited;
 
@@ -330,7 +290,6 @@ void RecommendService::PlanScore(
         geo_grid_->WithinRadius(req.center, req.within_km);
     base = restricted ? IntersectSorted(base, fence) : std::move(fence);
     restricted = true;
-    ++geo_fenced_;
     geo_fenced_counter_->Add(1);
   }
   if (restricted && base.empty()) {
@@ -338,25 +297,13 @@ void RecommendService::PlanScore(
     return;
   }
 
-  const bool factor_tier =
-      tier == ServeTier::kModel || tier == ServeTier::kFoldIn;
-  if (opts_.ann.enabled && factor_tier && model != nullptr &&
-      (tier != ServeTier::kFoldIn || fold_emb != nullptr)) {
+  if (opts_.ann.enabled && !q.empty()) {
     EnsureAnnIndex(model);
-    if (ann_index_ != nullptr && ann_index_->rank() == model->rank()) {
+    if (ann_index_ != nullptr && ann_index_->rank() == q.size()) {
       // The hot-reload pairing invariant: the index in hand was built
       // from exactly the model this request scores through.
       TCSS_CHECK(ann_model_.get() == model.get());
-      const size_t r = model->rank();
-      const double* u1row = tier == ServeTier::kModel
-                                ? model->u1.row(req.user)
-                                : fold_emb->data();
-      const double* u3row = model->u3.row(req.time_bin);
-      std::vector<double> q(r);
-      for (size_t t = 0; t < r; ++t) {
-        q[t] = model->h[t] * u1row[t] * u3row[t];
-      }
-      std::vector<uint32_t> cands = ann_index_->Candidates(q.data(), r);
+      std::vector<uint32_t> cands = ann_index_->Candidates(q.data(), q.size());
       if (restricted) cands = IntersectSorted(cands, base);
       // Too few candidates and the re-rank could starve the answer; fall
       // back to the exact restriction. A fence smaller than the floor is
@@ -364,7 +311,6 @@ void RecommendService::PlanScore(
       size_t need = std::max(opts_.ann.lsh.min_candidates, req.k);
       if (restricted) need = std::min(need, base.size());
       if (!cands.empty() && cands.size() >= need) {
-        ++ann_served_;
         ann_served_counter_->Add(1);
         ann_candidates_hist_->Record(static_cast<double>(cands.size()));
         if (opts_.ann.audit_every > 0 &&
@@ -372,13 +318,11 @@ void RecommendService::PlanScore(
           plan->audit = true;
           plan->exact_topts = plan->topts;
           plan->exact_topts.candidates = base;
-          ++ann_audits_;
         }
         plan->ann = true;
         plan->topts.candidates = std::move(cands);
         return;
       }
-      ++ann_fallbacks_;
       ann_fallback_counter_->Add(1);
     }
   }
@@ -386,61 +330,7 @@ void RecommendService::PlanScore(
 }
 
 RecommendService::Response RecommendService::TopK(const ServeRequest& req) {
-  Response resp;
-  if (!initialized_ || req.time_bin >= num_bins_ || !ValidGeoFence(req)) {
-    // An out-of-range time bin would index past every tier's tables, and
-    // a malformed geo fence has no meaningful answer; an empty response
-    // is the only safe reply to either input.
-    ++invalid_requests_;
-    invalid_counter_->Add(1);
-    return resp;
-  }
-  Stopwatch sw;
-
-  std::shared_ptr<const FactorModel> model =
-      watcher_ != nullptr ? watcher_->current() : nullptr;
-  ServeTier tier = ApplyDeadlineBudget(req, ChooseTier(req, model));
-
-  const std::vector<double>* emb = nullptr;
-  if (tier == ServeTier::kFoldIn) {
-    emb = FoldInEmbedding(req.user, model);
-    if (emb == nullptr) tier = ServeTier::kPopularity;
-  }
-  ScorePlan plan;
-  PlanScore(req, tier, model, emb, &plan);
-
-  const size_t num_pois = data_->num_pois();
-  resp.tier = tier;
-  if (!plan.empty) {
-    if (tier == ServeTier::kModel) {
-      FactorTier scorer(model);
-      resp.recs = TopKRecommendations(scorer, req.user, req.time_bin,
-                                      num_pois, plan.topts, &train_);
-      if (plan.audit) {
-        ann_recall_hist_->Record(RecallAtK(
-            resp.recs, TopKRecommendations(scorer, req.user, req.time_bin,
-                                           num_pois, plan.exact_topts,
-                                           &train_)));
-      }
-    } else if (tier == ServeTier::kFoldIn) {
-      FoldInTier scorer(model, emb);
-      resp.recs = TopKRecommendations(scorer, req.user, req.time_bin,
-                                      num_pois, plan.topts, &train_);
-      if (plan.audit) {
-        ann_recall_hist_->Record(RecallAtK(
-            resp.recs, TopKRecommendations(scorer, req.user, req.time_bin,
-                                           num_pois, plan.exact_topts,
-                                           &train_)));
-      }
-    } else {
-      resp.recs = TopKRecommendations(popularity_, req.user, req.time_bin,
-                                      num_pois, plan.topts, &train_);
-    }
-  }
-
-  resp.latency_ms = sw.ElapsedMillis();
-  RecordLatency(resp.tier, resp.latency_ms);
-  return resp;
+  return BatchTopK({req}).front();
 }
 
 std::vector<RecommendService::Response> RecommendService::BatchTopK(
@@ -456,7 +346,8 @@ std::vector<RecommendService::Response> RecommendService::BatchTopK(
     bool valid = false;           ///< false: invalid request, empty answer
     bool factor_scored = false;   ///< participates in the batch gemm
     ServeTier tier = ServeTier::kPopularity;
-    const std::vector<double>* fold_emb = nullptr;
+    /// Composed query q_t = h_t * u_t * U3[k,t]; empty for popularity.
+    std::vector<double> q;
     size_t q_row = 0;   ///< row in the stacked query matrix
     ScorePlan sp;       ///< candidate set / ANN / audit decision
     double recall = -1.0;  ///< audit result, recorded serially in phase 4
@@ -464,52 +355,58 @@ std::vector<RecommendService::Response> RecommendService::BatchTopK(
   std::vector<Plan> plans(reqs.size());
 
   // Phase 1 — serial: validation, tier choice with deadline degradation,
-  // fold-in cache fills, candidate planning (geo fence, ANN candidate
-  // unions, index rebuilds). Every service-state mutation happens here,
-  // on the one serving thread.
+  // fold-in solves, query composition and candidate planning (geo fence,
+  // ANN candidate unions, index rebuilds). Every service-state mutation
+  // happens here, on the one serving thread.
   size_t num_factor = 0;
   for (size_t b = 0; b < reqs.size(); ++b) {
     const ServeRequest& req = reqs[b];
     if (!initialized_ || req.time_bin >= num_bins_ || !ValidGeoFence(req)) {
-      ++invalid_requests_;
+      // An out-of-range time bin would index past every tier's tables, and
+      // a malformed geo fence has no meaningful answer; an empty response
+      // is the only safe reply to either input.
       invalid_counter_->Add(1);
       continue;
     }
     Plan& plan = plans[b];
     plan.valid = true;
-    ServeTier tier = ApplyDeadlineBudget(req, ChooseTier(req, model));
-    if (tier == ServeTier::kFoldIn) {
-      plan.fold_emb = FoldInEmbedding(req.user, model);
-      if (plan.fold_emb == nullptr) tier = ServeTier::kPopularity;
+    plan.tier = ApplyDeadlineBudget(req, ChooseTier(req, model, fold_in_));
+    const double* u = nullptr;
+    if (plan.tier == ServeTier::kModel) {
+      u = model->u1.row(req.user);
+    } else if (plan.tier == ServeTier::kFoldIn) {
+      const std::vector<double>* emb = FoldInEmbedding(req.user, model);
+      if (emb != nullptr) {
+        u = emb->data();
+      } else {
+        plan.tier = ServeTier::kPopularity;  // no embedding: degrade
+      }
     }
-    plan.tier = tier;
-    PlanScore(req, tier, model, plan.fold_emb, &plan.sp);
-    // ANN requests skip the full-catalogue gemm: their candidate unions
-    // are re-ranked directly against the factors in phase 3.
-    if (!plan.sp.empty && !plan.sp.ann && tier != ServeTier::kPopularity) {
+    if (u != nullptr) {
+      const double* u3row = model->u3.row(req.time_bin);
+      plan.q.resize(model->rank());
+      for (size_t t = 0; t < plan.q.size(); ++t) {
+        plan.q[t] = model->h[t] * u[t] * u3row[t];
+      }
+    }
+    PlanScore(req, model, plan.q, &plan.sp);
+    // ANN requests skip the full-catalogue gemm: phase 3 re-ranks their
+    // candidate unions against the query directly.
+    if (!plan.q.empty() && !plan.sp.empty && !plan.sp.ann) {
       plan.factor_scored = true;
       plan.q_row = num_factor++;
     }
   }
 
-  // Phase 2 — one factor pass for the whole batch: stack the query
-  // vectors q_t = h_t * U1[i,t] * U3[k,t] (fold-in users substitute their
-  // solved embedding for the U1 row) and score them against every POI
-  // with a single gemm. MatMulT row-shards over the deterministic pool,
-  // so this is where the batch amortizes both factor loads and threads.
+  // Phase 2 — one factor pass for the whole batch: stack the full-scan
+  // queries and score them against every POI with a single serial gemm,
+  // which amortizes the U2 loads over the batch.
   Matrix scores;  // J x num_factor
   if (num_factor > 0) {
-    const size_t r = model->rank();
-    Matrix q(num_factor, r);
-    for (size_t b = 0; b < reqs.size(); ++b) {
-      if (!plans[b].factor_scored) continue;
-      const double* u1row = plans[b].tier == ServeTier::kModel
-                                ? model->u1.row(reqs[b].user)
-                                : plans[b].fold_emb->data();
-      const double* u3row = model->u3.row(reqs[b].time_bin);
-      double* dst = q.row(plans[b].q_row);
-      for (size_t t = 0; t < r; ++t) {
-        dst[t] = model->h[t] * u1row[t] * u3row[t];
+    Matrix q(num_factor, model->rank());
+    for (const Plan& plan : plans) {
+      if (plan.factor_scored) {
+        std::copy(plan.q.begin(), plan.q.end(), q.row(plan.q_row));
       }
     }
     scores = MatMulT(model->u2, q);
@@ -521,46 +418,29 @@ std::vector<RecommendService::Response> RecommendService::BatchTopK(
   const size_t num_pois = data_->num_pois();
   ParallelFor(reqs.size(), 1, [&](size_t begin, size_t end, size_t) {
     for (size_t b = begin; b < end; ++b) {
-      if (!plans[b].valid) continue;
-      out[b].tier = plans[b].tier;
-      const ScorePlan& sp = plans[b].sp;
-      if (sp.empty) continue;  // restriction matched nothing
-      if (plans[b].factor_scored) {
-        ColumnScorer scorer(&scores, plans[b].q_row);
-        out[b].recs =
-            TopKRecommendations(scorer, reqs[b].user, reqs[b].time_bin,
-                                num_pois, sp.topts, &train_);
-      } else if (sp.ann) {
-        // Candidate re-rank against the factors this batch's index was
-        // built from; audited requests also run the exact oracle here,
-        // into their own plan slot (recorded serially in phase 4).
-        if (plans[b].tier == ServeTier::kModel) {
-          FactorTier scorer(model);
-          out[b].recs =
-              TopKRecommendations(scorer, reqs[b].user, reqs[b].time_bin,
-                                  num_pois, sp.topts, &train_);
-          if (sp.audit) {
-            plans[b].recall = RecallAtK(
-                out[b].recs,
-                TopKRecommendations(scorer, reqs[b].user, reqs[b].time_bin,
-                                    num_pois, sp.exact_topts, &train_));
-          }
-        } else {
-          FoldInTier scorer(model, plans[b].fold_emb);
-          out[b].recs =
-              TopKRecommendations(scorer, reqs[b].user, reqs[b].time_bin,
-                                  num_pois, sp.topts, &train_);
-          if (sp.audit) {
-            plans[b].recall = RecallAtK(
-                out[b].recs,
-                TopKRecommendations(scorer, reqs[b].user, reqs[b].time_bin,
-                                    num_pois, sp.exact_topts, &train_));
-          }
+      Plan& plan = plans[b];
+      if (!plan.valid) continue;
+      out[b].tier = plan.tier;
+      if (plan.sp.empty) continue;  // restriction matched nothing
+      const auto rank = [&](const Recommender& scorer,
+                            const TopKOptions& topts) {
+        return TopKRecommendations(scorer, reqs[b].user, reqs[b].time_bin,
+                                   num_pois, topts, &train_);
+      };
+      if (plan.factor_scored) {
+        out[b].recs = rank(ColumnScorer(&scores, plan.q_row), plan.sp.topts);
+      } else if (plan.sp.ann) {
+        // ANN re-rank of the candidate union; an audited request also
+        // scans its exact restriction, into its own plan slot (recorded
+        // serially in phase 4).
+        const QueryScorer scorer(&model->u2, &plan.q);
+        out[b].recs = rank(scorer, plan.sp.topts);
+        if (plan.sp.audit) {
+          plan.recall =
+              RecallAtK(out[b].recs, rank(scorer, plan.sp.exact_topts));
         }
       } else {
-        out[b].recs =
-            TopKRecommendations(popularity_, reqs[b].user, reqs[b].time_bin,
-                                num_pois, sp.topts, &train_);
+        out[b].recs = rank(popularity_, plan.sp.topts);
       }
     }
   });
@@ -581,10 +461,9 @@ std::vector<RecommendService::Response> RecommendService::BatchTopK(
 
 void RecommendService::RecordLatency(ServeTier tier, double ms) {
   const int t = static_cast<int>(tier);
-  ++queries_by_tier_[t];
-  ++total_queries_;
   // The EWMA stays the deadline-budget predictor (recency-weighted); the
-  // histogram is the quantile source for Stats() and the JSON snapshot.
+  // histogram is the count and quantile source for Stats() and the JSON
+  // snapshot.
   if (tier_ewma_valid_[t]) {
     tier_ewma_ms_[t] = (1.0 - opts_.latency_ewma_alpha) * tier_ewma_ms_[t] +
                        opts_.latency_ewma_alpha * ms;
@@ -610,22 +489,20 @@ ServiceStats RecommendService::Stats() const {
     s.reload_successes = watcher_->reload_successes();
     s.reload_rejects = watcher_->reload_rejects();
   }
-  for (int t = 0; t < kNumServeTiers; ++t) {
-    s.queries_by_tier[t] = queries_by_tier_[t];
-  }
-  s.deadline_degrades = deadline_degrades_;
-  s.invalid_requests = invalid_requests_;
-  s.total_queries = total_queries_;
-  s.fold_in_cache_hits = fold_in_cache_hits_;
-  s.fold_in_cache_misses = fold_in_cache_misses_;
-  s.ann_served = ann_served_;
-  s.ann_fallbacks = ann_fallbacks_;
-  s.ann_rebuilds = ann_rebuilds_;
-  s.ann_audits = ann_audits_;
-  s.geo_fenced = geo_fenced_;
+  s.deadline_degrades = degrade_counter_->Value();
+  s.invalid_requests = invalid_counter_->Value();
+  s.total_queries = requests_counter_->Value();
+  s.fold_in_cache_hits = cache_hit_counter_->Value();
+  s.fold_in_cache_misses = cache_miss_counter_->Value();
+  s.ann_served = ann_served_counter_->Value();
+  s.ann_fallbacks = ann_fallback_counter_->Value();
+  s.ann_rebuilds = ann_rebuild_counter_->Value();
+  s.ann_audits = ann_recall_hist_->Snapshot().count;
+  s.geo_fenced = geo_fenced_counter_->Value();
   obs::HistogramSnapshot all;
   for (int t = 0; t < kNumServeTiers; ++t) {
     const obs::HistogramSnapshot snap = tier_latency_[t]->Snapshot();
+    s.queries_by_tier[t] = snap.count;
     if (snap.count > 0) {
       s.tier_p50_ms[t] = snap.Quantile(0.50);
       s.tier_p95_ms[t] = snap.Quantile(0.95);

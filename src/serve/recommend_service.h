@@ -4,12 +4,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ann/lsh_index.h"
 #include "baselines/popularity.h"
-#include "core/fold_in.h"
 #include "core/incremental_fold_in.h"
 #include "core/recommend.h"
 #include "data/dataset.h"
@@ -25,11 +23,13 @@ namespace tcss {
 /// Aggregate serving statistics, exposed for health endpoints and dumped
 /// to stderr by `tcss serve`.
 ///
-/// Latency quantiles are read from the per-tier obs::Histogram metrics
-/// (serve.latency_ms.<tier>); the overall p50/p95/p99 come from the merged
-/// tier histograms. With the default process-global registry the
-/// histograms aggregate across every service instance in the process —
-/// pass Options::metrics for per-service isolation.
+/// Every count and quantile is read from the service's metric registry:
+/// the serve.* / ann.* counters, and the per-tier obs::Histogram metrics
+/// (serve.latency_ms.<tier>), whose sample counts are queries_by_tier and
+/// whose merge gives the overall p50/p95/p99. On the default
+/// process-global registry they therefore sum across every service in the
+/// process — pass Options::metrics for per-service numbers — and while the
+/// obs kill switch is off they stay frozen.
 struct ServiceStats {
   ServeHealth health = ServeHealth::kFallback;
   uint64_t reload_successes = 0;
@@ -43,7 +43,7 @@ struct ServiceStats {
   uint64_t ann_served = 0;     ///< answered from an LSH candidate union
   uint64_t ann_fallbacks = 0;  ///< candidate union too small → exact path
   uint64_t ann_rebuilds = 0;   ///< index rebuilds (one per model generation)
-  uint64_t ann_audits = 0;     ///< requests double-scored by the oracle
+  uint64_t ann_audits = 0;     ///< requests also scored by the exact scan
   uint64_t geo_fenced = 0;     ///< requests with a within_km restriction
   double p50_ms = 0.0;  ///< across all tiers
   double p95_ms = 0.0;
@@ -82,24 +82,26 @@ struct ServiceStats {
 class RecommendService {
  public:
   struct Options {
+    /// Weights of the service's own fold-in solver (unused when
+    /// `incremental` is set: that solver carries its own).
     FoldInOptions fold_in;
-    /// Streaming mode (DESIGN.md §14): when set, the fold-in tier runs
-    /// through this incremental, generation-keyed solver instead of the
-    /// batch FoldInUser path — appended check-ins become O(r²) rank-1
-    /// updates and a hot reload invalidates exactly the derived state.
-    /// Init() seeds it with the train tensor's per-user cells so the two
-    /// paths agree on history. Not owned; must outlive the service, and
-    /// is touched only from the serving thread (the owner — typically a
-    /// StreamingEngine — appends through that same thread).
+    /// Streaming mode (DESIGN.md §14): the fold-in tier runs through this
+    /// shared solver, so check-ins its owner — typically a StreamingEngine
+    /// — appends are served on the user's next query. Null: the service
+    /// builds its own IncrementalFoldIn from `fold_in`. Either way Init()
+    /// seeds the solver with the train tensor's per-user cells. Not owned;
+    /// must outlive the service, and is touched only from the serving
+    /// thread (the owner appends through that same thread).
     IncrementalFoldIn* incremental = nullptr;
     /// EWMA smoothing for per-tier latency estimates (0 < a <= 1). The
     /// EWMA is the deadline-budget predictor: it tracks *recent* latency,
     /// which the cumulative histograms cannot, so degradation reacts to a
     /// latency regression instead of averaging it away.
     double latency_ewma_alpha = 0.2;
-    /// Metric registry for latency histograms and serve counters; null
-    /// means the process-global registry (metrics then aggregate across
-    /// all services in the process).
+    /// Metric registry for latency histograms and serve counters, and the
+    /// source of every Stats() count (frozen while the obs kill switch is
+    /// off); null means the process-global registry, where Stats() sums
+    /// across all services in the process.
     obs::MetricRegistry* metrics = nullptr;
     /// The ANN candidate-generation tier (DESIGN.md §13). When enabled,
     /// factor-scored requests rank only the LSH candidate union instead
@@ -135,26 +137,30 @@ class RecommendService {
     double latency_ms = 0.0;
   };
 
-  /// Answers one query. Never fails: untrusted fields degrade (bad user →
-  /// popularity) or yield an empty list (bad time bin), and a missing or
-  /// stale model falls down the chain.
+  /// Answers one query: a one-request BatchTopK, bitwise equal to that
+  /// request's answer inside any batch. Never fails: untrusted fields
+  /// degrade (bad user → popularity) or yield an empty list (bad time
+  /// bin), and a missing or stale model falls down the chain.
   Response TopK(const ServeRequest& req);
 
   /// Answers many queries in one model pass. Responses land at the index
-  /// of their request. Tier choice, deadline degradation and fold-in cache
-  /// fills run serially; then every factor-scored request contributes one
-  /// query vector q_t = h_t * U1[i,t] * U3[k,t] to a stacked matrix that a
-  /// single gemm (U2 · Qᵀ, row-sharded on the deterministic thread pool)
-  /// scores against the whole catalogue, and the per-request top-k
-  /// selections run shard-parallel into disjoint slots. Scores can differ
-  /// from the one-at-a-time path in the last ulp (different product
-  /// association), never in ranking semantics.
+  /// of their request. Tier choice, deadline degradation, fold-in solves
+  /// and candidate planning run serially, composing one query vector
+  /// q_t = h_t * u_t * U3[k,t] per factor-scored request (u is the U1 row
+  /// or the fold-in embedding). The full-catalogue requests' queries are
+  /// stacked and scored by one serial gemm (MatMulT: U2 · Qᵀ); ANN
+  /// re-ranks and recall audits score ⟨U2[j], q⟩ with the same ascending-t
+  /// chain, so every path ranks with bitwise-equal scores. The per-request
+  /// top-k selections run shard-parallel into disjoint slots.
   std::vector<Response> BatchTopK(const std::vector<ServeRequest>& reqs);
 
   /// Predicts which tier would answer `req` right now, without running it.
   /// Thread-safe (reads only immutable post-Init state and the watcher's
   /// mutex-guarded model pointer) — the server's admission control calls
-  /// this from connection threads while the dispatcher is mid-batch.
+  /// this from connection threads while the dispatcher is mid-batch. A
+  /// user whose only history is streamed check-ins plans as popularity,
+  /// since only the dispatcher may read the fold-in solver; the
+  /// dispatcher answers that user from fold-in.
   ServeTier PlanTier(const ServeRequest& req) const;
 
   /// Recent latency EWMA of a tier in milliseconds (0 before the first
@@ -185,23 +191,30 @@ class RecommendService {
     TopKOptions exact_topts;
   };
 
+  /// The tier that answers `req` under `model`. With `streamed` null it
+  /// reads only immutable post-Init state (PlanTier); the dispatcher
+  /// passes the fold-in solver so a user with only streamed check-ins
+  /// folds in too.
   ServeTier ChooseTier(const ServeRequest& req,
-                       const std::shared_ptr<const FactorModel>& model) const;
+                       const std::shared_ptr<const FactorModel>& model,
+                       const IncrementalFoldIn* streamed) const;
   /// Applies the deadline-budget EWMA check to a chosen tier; may degrade
   /// to popularity (counting the degrade).
   ServeTier ApplyDeadlineBudget(const ServeRequest& req, ServeTier tier);
-  /// Returns the fold-in embedding for `user` (solving and caching it on
-  /// miss), or null when the solve fails. Must run on the serving thread.
+  /// Returns the fold-in embedding for `user` solved against `model`
+  /// (cached by the solver until the user or the generation changes), or
+  /// null when the solve fails. Must run on the serving thread.
   const std::vector<double>* FoldInEmbedding(
       uint32_t user, const std::shared_ptr<const FactorModel>& model);
   /// Resolves a request's candidate set: explicit candidates ∩ geo fence,
-  /// then the ANN union (intersected with that restriction) when the tier
-  /// is factor-scored, the index is live and the union is large enough —
+  /// then the ANN union (intersected with that restriction) when the
+  /// request has a composed query `q` (factor-scored tiers; empty for
+  /// popularity), the index is live and the union is large enough —
   /// otherwise the exact restriction, counting the fallback. Mutates
   /// service counters: serving thread only.
-  void PlanScore(const ServeRequest& req, ServeTier tier,
+  void PlanScore(const ServeRequest& req,
                  const std::shared_ptr<const FactorModel>& model,
-                 const std::vector<double>* fold_emb, ScorePlan* plan);
+                 const std::vector<double>& q, ScorePlan* plan);
   /// Rebuilds the LSH index when `model` is a generation the index was
   /// not built from. Pointer identity keys the pair: after this call
   /// ann_model_ == model, so a request scoring through `model` can never
@@ -218,13 +231,14 @@ class RecommendService {
   size_t num_bins_ = 0;
   SparseTensor train_;  ///< full-data check-in tensor (visited-POI filter)
   Popularity popularity_;
-  /// Per-user distinct (poi, time) cells, the fold-in observations.
-  std::vector<std::vector<TensorCell>> user_cells_;
+  /// Per dataset user: has training check-ins (the fold-in observations
+  /// Init seeds). Immutable after Init, so PlanTier may read it.
+  std::vector<bool> has_history_;
 
-  /// Fold-in embeddings are valid only for the model generation they were
-  /// solved against.
-  uint64_t fold_in_generation_ = 0;
-  std::unordered_map<uint32_t, std::vector<double>> fold_in_cache_;
+  /// The one fold-in solver: Options::incremental, or own_fold_in_ when
+  /// that is null. Serving thread only.
+  std::unique_ptr<IncrementalFoldIn> own_fold_in_;
+  IncrementalFoldIn* fold_in_;
 
   /// Geo fence support: the POI coordinates (the grid stores a pointer
   /// into this vector, so it must live as long as the grid) and the cell
@@ -241,23 +255,11 @@ class RecommendService {
   std::unique_ptr<ann::LshIndex> ann_index_;
   uint64_t ann_tick_ = 0;  ///< ANN-served request counter driving audits
 
-  uint64_t queries_by_tier_[kNumServeTiers] = {0, 0, 0};
-  uint64_t deadline_degrades_ = 0;
-  uint64_t invalid_requests_ = 0;
-  uint64_t total_queries_ = 0;
-  uint64_t fold_in_cache_hits_ = 0;
-  uint64_t fold_in_cache_misses_ = 0;
-  uint64_t ann_served_ = 0;
-  uint64_t ann_fallbacks_ = 0;
-  uint64_t ann_rebuilds_ = 0;
-  uint64_t ann_audits_ = 0;
-  uint64_t geo_fenced_ = 0;
   double tier_ewma_ms_[kNumServeTiers] = {0.0, 0.0, 0.0};
   bool tier_ewma_valid_[kNumServeTiers] = {false, false, false};
 
-  /// Telemetry handles, resolved once in the constructor. Histograms are
-  /// the source of the Stats() quantiles (they replaced the raw latency
-  /// ring); counters mirror the per-service fields into the registry.
+  /// Telemetry handles, resolved once in the constructor; Stats() reads
+  /// every count and quantile back from them.
   obs::MetricRegistry* metrics_;
   obs::Histogram* tier_latency_[kNumServeTiers] = {nullptr, nullptr, nullptr};
   obs::Counter* requests_counter_ = nullptr;

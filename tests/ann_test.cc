@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -67,6 +66,15 @@ std::vector<double> ComposeQuery(const FactorModel& m, uint32_t user,
   const double* c = m.u3.row(bin);
   for (size_t t = 0; t < m.rank(); ++t) q[t] = m.h[t] * a[t] * c[t];
   return q;
+}
+
+// POI j's score as one column of the serving gemm (MatMulT) computes it:
+// <U2[j], q> accumulated in ascending t.
+double GemmScore(const FactorModel& m, const std::vector<double>& q,
+                 uint32_t j) {
+  double s = 0.0;
+  for (size_t t = 0; t < q.size(); ++t) s += m.u2(j, t) * q[t];
+  return s;
 }
 
 // Full-sort exact top-k POI ids, (score desc, id asc) — the recall
@@ -436,9 +444,12 @@ TEST_F(AnnServeTest, TinyCatalogFallsBackToExactPath) {
 // On a large catalogue the union serves, every ANN answer is audited
 // (audit_every=1), the recall proxy lands in the registry, and the
 // ANN-tier histograms the --metrics-out dump exports are all present.
+// Both paths score a POI exactly as the batch gemm column does, so an
+// ANN re-rank and the exact path agree bit for bit on every POI.
 TEST_F(AnnServeTest, LargeCatalogServesFromUnionAndAudits) {
   const std::string path = TempPath("ann_large_model.tcss");
-  ASSERT_TRUE(SaveFactorModel(RandomModel(31, 6, 1200, 12, 8), path).ok());
+  const FactorModel model = RandomModel(31, 6, 1200, 12, 8);
+  ASSERT_TRUE(SaveFactorModel(model, path).ok());
   Start(GeoDataset(31, 6, 1200), path, AnnOptions(64, 1));
 
   obs::MetricRegistry exact_metrics;
@@ -458,8 +469,25 @@ TEST_F(AnnServeTest, LargeCatalogServesFromUnionAndAudits) {
       EXPECT_EQ(got.tier, ServeTier::kModel);
       // The differential never-empty guarantee: exact answered, so the
       // ANN tier must too (by union or by fallback, never empty-handed).
-      EXPECT_FALSE(exact.TopK(req).recs.empty());
+      const auto want = exact.TopK(req);
+      EXPECT_FALSE(want.recs.empty());
       EXPECT_FALSE(got.recs.empty());
+
+      const std::vector<double> q = ComposeQuery(model, user, bin);
+      for (const auto& rec : want.recs) {
+        EXPECT_EQ(rec.score, GemmScore(model, q, rec.poi));
+      }
+      // The exact path restricted to the ANN answer's POIs returns them
+      // in the same order with the same scores.
+      ServeRequest same = req;
+      for (const auto& rec : got.recs) same.candidates.push_back(rec.poi);
+      const auto rescored = exact.TopK(same);
+      ASSERT_EQ(rescored.recs.size(), got.recs.size());
+      for (size_t i = 0; i < got.recs.size(); ++i) {
+        EXPECT_EQ(rescored.recs[i].poi, got.recs[i].poi);
+        EXPECT_EQ(rescored.recs[i].score, got.recs[i].score)
+            << "user " << user << " bin " << bin << " poi " << got.recs[i].poi;
+      }
     }
   }
 
@@ -604,10 +632,9 @@ TEST_F(AnnServeTest, BatchMatchesSingleAcrossHeterogeneousOptions) {
     for (size_t j = 0; j < single.recs.size(); ++j) {
       EXPECT_EQ(batch[i].recs[j].poi, single.recs[j].poi)
           << "request " << i << " slot " << j;
-      // The batch gemm may associate products differently: same ranking,
-      // scores equal to a relative ulp-scale tolerance.
-      EXPECT_NEAR(batch[i].recs[j].score, single.recs[j].score,
-                  1e-9 * (1.0 + std::abs(single.recs[j].score)))
+      // TopK is a one-request batch: every path scores with the same
+      // arithmetic, so the scores match bit for bit.
+      EXPECT_EQ(batch[i].recs[j].score, single.recs[j].score)
           << "request " << i << " slot " << j;
     }
   }

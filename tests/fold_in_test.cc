@@ -15,6 +15,7 @@
 #include "data/synthetic.h"
 #include "data/tensor_builder.h"
 #include "eval/ranking_protocol.h"
+#include "obs/metrics.h"
 #include "serve/model_watcher.h"
 #include "serve/recommend_service.h"
 
@@ -154,13 +155,13 @@ TEST(FoldInTest, FoldedEmbeddingApproximatesTrainedEmbedding) {
 
 // Regression for the generation-cache staleness bug class: a fold-in
 // embedding solved against model generation N must never be served after
-// a hot reload to generation N+1 — the cache (classic map or incremental
-// solver) has to re-solve against the new factors. Asserted end to end
-// through RecommendService: fill the cache on model A, swap the watched
-// file to a different model B, poll, and require the served scores to
-// match the batch fold-in oracle evaluated on B (a stale cache would
-// reproduce A's scores instead).
-void CheckFoldInCacheInvalidatesOnReload(bool incremental) {
+// a hot reload to generation N+1 — the solver (the service's own, or one
+// shared with a streaming engine) has to re-solve against the new
+// factors. Asserted end to end through RecommendService: fill the cache
+// on model A, swap the watched file to a different model B, poll, and
+// require the served scores to match the batch fold-in oracle evaluated
+// on B (a stale cache would reproduce A's scores instead).
+void CheckFoldInCacheInvalidatesOnReload(bool shared_solver) {
   Trained t = TrainSmall();
   // Most active user with index >= 1, so a u1 prefix of `user` rows puts
   // that user on the fold-in tier while staying a valid model shape.
@@ -189,8 +190,8 @@ void CheckFoldInCacheInvalidatesOnReload(bool incremental) {
   }
 
   const std::string path = ::testing::TempDir() + "/" +
-                           (incremental ? "gen_stale_inc.model"
-                                        : "gen_stale_classic.model");
+                           (shared_solver ? "gen_stale_shared.model"
+                                          : "gen_stale_owned.model");
   ASSERT_TRUE(SaveFactorModel(a, path).ok());
 
   ModelWatcher::Options wopts;
@@ -199,9 +200,11 @@ void CheckFoldInCacheInvalidatesOnReload(bool incremental) {
   wopts.num_bins = NumBins(TimeGranularity::kMonthOfYear);
   ModelWatcher watcher(path, wopts);
 
-  IncrementalFoldIn inc;
+  IncrementalFoldIn shared;
+  obs::MetricRegistry metrics;  // Stats() counts this service alone
   RecommendService::Options sopts;
-  if (incremental) sopts.incremental = &inc;
+  sopts.metrics = &metrics;
+  if (shared_solver) sopts.incremental = &shared;
   RecommendService svc(&t.data, TimeGranularity::kMonthOfYear, &watcher,
                        sopts);
   ASSERT_TRUE(svc.Init().ok());
@@ -252,12 +255,12 @@ void CheckFoldInCacheInvalidatesOnReload(bool incremental) {
   }
 }
 
-TEST(FoldInTest, CacheInvalidatesOnReloadClassic) {
-  CheckFoldInCacheInvalidatesOnReload(/*incremental=*/false);
+TEST(FoldInTest, CacheInvalidatesOnReloadServiceOwnedSolver) {
+  CheckFoldInCacheInvalidatesOnReload(/*shared_solver=*/false);
 }
 
-TEST(FoldInTest, CacheInvalidatesOnReloadIncremental) {
-  CheckFoldInCacheInvalidatesOnReload(/*incremental=*/true);
+TEST(FoldInTest, CacheInvalidatesOnReloadEngineSharedSolver) {
+  CheckFoldInCacheInvalidatesOnReload(/*shared_solver=*/true);
 }
 
 TEST(FoldInTest, RejectsBadInput) {

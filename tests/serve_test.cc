@@ -15,6 +15,7 @@
 #include "common/strings.h"
 #include "core/model_io.h"
 #include "data/dataset.h"
+#include "obs/metrics.h"
 #include "serve/model_watcher.h"
 #include "serve/recommend_service.h"
 #include "serve/request.h"
@@ -157,12 +158,16 @@ class ServeTest : public ::testing::Test {
     wopts.num_pois = data_.num_pois();
     wopts.num_bins = 12;
     watcher_ = std::make_unique<ModelWatcher>(path, wopts);
+    // Stats() reads the registry: each test counts only its own service.
+    RecommendService::Options sopts;
+    sopts.metrics = &metrics_;
     service_ = std::make_unique<RecommendService>(
-        &data_, TimeGranularity::kMonthOfYear, watcher_.get());
+        &data_, TimeGranularity::kMonthOfYear, watcher_.get(), sopts);
     ASSERT_TRUE(service_->Init().ok());
   }
 
   Dataset data_;
+  obs::MetricRegistry metrics_;
   std::unique_ptr<ModelWatcher> watcher_;
   std::unique_ptr<RecommendService> service_;
 };
@@ -434,9 +439,10 @@ TEST_F(ServeTest, ExcludeVisitedAndCandidatesAreHonored) {
 
 // The batch path must apply each entry's own options — k, exclusion,
 // candidate list, geo fence — not the first entry's. Heterogeneous batch
-// answers equal the one-at-a-time answers entry for entry. (A Gaussian
-// model makes the ordering non-trivial; ConstantModel would hide an
-// option mix-up behind ties.)
+// answers equal the one-at-a-time answers entry for entry, scores
+// included bit for bit: TopK is a one-request batch. (A Gaussian model
+// makes the ordering non-trivial; ConstantModel would hide an option
+// mix-up behind ties.)
 TEST_F(ServeTest, BatchHonorsPerRequestOptions) {
   const std::string path = TempPath("batch_options_model.tcss");
   FactorModel m;
@@ -474,6 +480,8 @@ TEST_F(ServeTest, BatchHonorsPerRequestOptions) {
     ASSERT_EQ(batch[i].recs.size(), single.recs.size()) << "request " << i;
     for (size_t j = 0; j < single.recs.size(); ++j) {
       EXPECT_EQ(batch[i].recs[j].poi, single.recs[j].poi)
+          << "request " << i << " slot " << j;
+      EXPECT_EQ(batch[i].recs[j].score, single.recs[j].score)
           << "request " << i << " slot " << j;
     }
   }

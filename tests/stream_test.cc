@@ -11,6 +11,8 @@
 //   * refiner kill-and-resume: a refinement stopped after one epoch and
 //     resumed from its checkpoint lands on byte-identical factors to an
 //     uninterrupted run;
+//   * admission planning (PlanTier) never reads the fold-in solver the
+//     dispatcher's ingest writes — TSan-checked by tools/check.sh;
 //   * ingest-during-reload-storm: a server answering mixed topk/ingest
 //     traffic while the model file is swapped underneath it (including
 //     torn writes) keeps the response ledger balanced and acknowledges
@@ -459,6 +461,86 @@ TEST(StreamEngineTest, RefinePublishesThroughTheWatcher) {
   auto live = watcher.current();
   ASSERT_NE(live, nullptr);
   EXPECT_EQ(live->rank(), 4u);
+}
+
+// --- admission planning vs the dispatcher's ingest ----------------------
+
+// Server reader threads call PlanTier while the dispatcher ingests
+// check-ins into the fold-in solver, so PlanTier may read only immutable
+// post-Init state: a user whose only history is streamed plans as
+// popularity, while the dispatcher's own tier choice still folds them in.
+// A PlanTier that reads the solver's user map races with the ingest
+// thread's inserts, which the TSan stage of tools/check.sh reports.
+TEST(StreamServeTest, PlanTierNeverReadsTheFoldInSolver) {
+  constexpr uint32_t kUsers = 64;
+  constexpr uint32_t kTrained = 4;  // the model's rows; the rest fold in
+  constexpr uint32_t kPois = 8;
+  std::vector<Poi> pois(kPois);
+  for (uint32_t j = 0; j < kPois; ++j) {
+    pois[j] = {{30.0 + j, -80.0 + j}, PoiCategory::kFood};
+  }
+  SocialGraph social(kUsers);
+  ASSERT_TRUE(social.Finalize().ok());
+  Dataset data(kUsers, std::move(pois), std::move(social));
+  const int64_t jan = 1577836800;
+  for (uint32_t u = 0; u < kTrained; ++u) {
+    ASSERT_TRUE(data.AddCheckIn(u, u, jan).ok());
+  }
+
+  const std::string path = TempPath("plan_tier_ingest.model");
+  ASSERT_TRUE(
+      SaveFactorModel(RandomModel(kTrained, kPois, 12, 4, 91), path).ok());
+  ModelWatcher::Options wopts;
+  wopts.num_users = kUsers;
+  wopts.num_pois = kPois;
+  wopts.num_bins = 12;
+  ModelWatcher watcher(path, wopts);
+  StreamingEngine engine(data, &watcher, StreamingEngine::Options());
+  RecommendService::Options sopts;
+  sopts.incremental = engine.fold_in();
+  RecommendService service(&data, TimeGranularity::kMonthOfYear, &watcher,
+                           sopts);
+  ASSERT_TRUE(service.Init().ok());
+  ASSERT_NE(watcher.current(), nullptr);
+
+  // Relaxed atomics only: they add no happens-before edge that could hide
+  // the race from TSan.
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> passes{0};
+  std::atomic<uint64_t> non_popularity{0};
+  std::thread planner([&] {
+    ServeRequest req;
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (uint32_t u = kTrained; u < kUsers; ++u) {
+        req.user = u;
+        if (service.PlanTier(req) != ServeTier::kPopularity) {
+          non_popularity.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      passes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  while (passes.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+  ServeRequest ingest;
+  ingest.verb = ServeVerb::kIngest;
+  ingest.timestamp = jan;
+  for (uint32_t round = 0; round < 4; ++round) {
+    for (uint32_t u = kTrained; u < kUsers; ++u) {
+      ingest.user = u;
+      ingest.poi = (u + round) % kPois;
+      EXPECT_TRUE(engine.Ingest(ingest).ok());
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  planner.join();
+  EXPECT_EQ(non_popularity.load(), 0u);
+
+  ServeRequest req;
+  req.user = kUsers - 1;
+  EXPECT_EQ(service.PlanTier(req), ServeTier::kPopularity);
+  EXPECT_EQ(service.TopK(req).tier, ServeTier::kFoldIn);
 }
 
 // --- ingest during a reload storm (server soak) --------------------------
