@@ -131,7 +131,19 @@ struct KernelTable {
                             const uint8_t* gate, double grad_scale,
                             double* gu1_row, double* gu2, double* gu3,
                             double* gh);
+
+  /// Exact top-k scan (serve/recommend_service.cc): f32 scores of
+  /// `groups` lane groups of a POI panel, kPanelLanes POIs side by side
+  /// per t, against the query q (length r):
+  ///   out[g * kPanelLanes + l] = sum_t panel[(g * r + t) * kPanelLanes + l]
+  ///                                    * q[t],
+  /// each lane a multiply-then-add chain in ascending t from 0.
+  void (*panel_scores)(const float* panel, size_t groups, const float* q,
+                       size_t r, float* out);
 };
+
+/// POIs per lane group of the panel_scores kernel.
+inline constexpr size_t kPanelLanes = 8;
 
 /// Candidate count of the Hausdorff kernels rounded up to whole lane
 /// groups of four.

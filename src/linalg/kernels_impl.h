@@ -1460,6 +1460,45 @@ void HausdorffScatter(const double* u1_row, const double* u2,
 #endif
 }
 
+// ---------------------------------------------------------------------------
+// Exact top-k scan: one f32 chain per lane, a multiply then an add per t in
+// ascending order. The AVX2 body applies those two roundings lane-wise and
+// runs eight lane groups at once so their add latencies overlap; each
+// lane's chain is unchanged.
+// ---------------------------------------------------------------------------
+
+void PanelScores(const float* panel, size_t groups, const float* q, size_t r,
+                 float* out) {
+  constexpr size_t L = kPanelLanes;
+  size_t g = 0;
+#if defined(TCSS_KERNELS_USE_AVX2)
+  static_assert(L == 8, "one ymm register per lane group");
+  constexpr size_t G = 8;  // lane groups in flight
+  for (; g + G <= groups; g += G) {
+    const float* p = panel + g * r * L;
+    __m256 s[G];
+    for (size_t i = 0; i < G; ++i) s[i] = _mm256_setzero_ps();
+    for (size_t t = 0; t < r; ++t) {
+      const __m256 qt = _mm256_set1_ps(q[t]);
+      for (size_t i = 0; i < G; ++i) {
+        s[i] = _mm256_add_ps(
+            s[i], _mm256_mul_ps(_mm256_loadu_ps(p + (i * r + t) * L), qt));
+      }
+    }
+    for (size_t i = 0; i < G; ++i) _mm256_storeu_ps(out + (g + i) * L, s[i]);
+  }
+#endif
+  for (; g < groups; ++g) {
+    const float* p = panel + g * r * L;
+    float s[L] = {};
+    for (size_t t = 0; t < r; ++t) {
+      TCSS_SIMD_LOOP
+      for (size_t l = 0; l < L; ++l) s[l] = s[l] + p[t * L + l] * q[t];
+    }
+    for (size_t l = 0; l < L; ++l) out[g * L + l] = s[l];
+  }
+}
+
 }  // namespace
 
 const KernelTable kTable = {
@@ -1469,6 +1508,7 @@ const KernelTable kTable = {
     CsfMttkrpMode2,        CsfRewrittenEntries,
     HausdorffPredict,      HausdorffSoftminValue,
     HausdorffSoftminGrad,  HausdorffScatter,
+    PanelScores,
 };
 
 }  // namespace TCSS_KERNEL_NS

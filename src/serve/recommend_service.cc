@@ -1,39 +1,25 @@
 #include "serve/recommend_service.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <functional>
 #include <iterator>
+#include <limits>
+#include <numeric>
 #include <utility>
 
-#include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "data/tensor_builder.h"
+#include "linalg/kernel_table.h"
 
 namespace tcss {
 namespace {
 
-/// Reads one column of the J x B score matrix one gemm computed for the
-/// whole batch, so the top-k selection never re-touches the factors.
-class ColumnScorer : public Recommender {
- public:
-  ColumnScorer(const Matrix* scores, size_t col)
-      : scores_(scores), col_(col) {}
-  std::string name() const override { return "serve-batch"; }
-  Status Fit(const TrainContext&) override { return Status::OK(); }
-  double Score(uint32_t, uint32_t j, uint32_t) const override {
-    return (*scores_)(j, col_);
-  }
-
- private:
-  const Matrix* scores_;
-  size_t col_;
-};
-
-/// Scores POI j as ⟨U2[j], q⟩ for one composed query: the ascending-t
-/// chain MatMulT runs for a gemm column, so an ANN re-rank or a recall
-/// audit gives every POI the score the full scan would.
+/// Scores POI j as ⟨U2[j], q⟩ for one composed query in f64, the
+/// ascending-t chain every factor-scored answer is ranked by.
 class QueryScorer : public Recommender {
  public:
   QueryScorer(const Matrix* u2, const std::vector<double>* q)
@@ -69,19 +55,31 @@ std::vector<uint32_t> IntersectSorted(const std::vector<uint32_t>& a,
   return out;
 }
 
-/// Fraction of the exact oracle's top-k the approximate list recovered.
-double RecallAtK(const std::vector<Recommendation>& approx,
-                 const std::vector<Recommendation>& exact) {
-  if (exact.empty()) return 1.0;
-  std::vector<uint32_t> ids;
-  ids.reserve(approx.size());
-  for (const auto& a : approx) ids.push_back(a.poi);
-  std::sort(ids.begin(), ids.end());
-  size_t hit = 0;
-  for (const auto& e : exact) {
-    if (std::binary_search(ids.begin(), ids.end(), e.poi)) ++hit;
+/// The elements of `a` not in `b`, both sorted.
+std::vector<uint32_t> Difference(const std::vector<uint32_t>& a,
+                                 const std::vector<uint32_t>& b) {
+  std::vector<uint32_t> out;
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                      std::back_inserter(out));
+  return out;
+}
+
+/// Unit roundoffs of f32 and f64, and the absolute slack that covers f32
+/// underflow (DESIGN.md §13).
+constexpr double kU32 = 0x1p-24;
+constexpr double kU64 = 0x1p-53;
+constexpr double kUnderflow = 0x1p-147;
+/// Lane groups scored per panel_scores call: a 2 KB block of scores.
+constexpr size_t kScanBlock = 64;
+
+/// The least float not below x, so a float f passes f >= x exactly when
+/// it passes f >= CeilToFloat(x).
+float CeilToFloat(double x) {
+  float c = static_cast<float>(x);
+  if (static_cast<double>(c) < x) {
+    c = std::nextafter(c, std::numeric_limits<float>::infinity());
   }
-  return static_cast<double>(hit) / static_cast<double>(exact.size());
+  return c;
 }
 
 }  // namespace
@@ -103,15 +101,9 @@ std::string ServiceStats::ToString() const {
       static_cast<unsigned long long>(fold_in_cache_hits),
       static_cast<unsigned long long>(fold_in_cache_misses), p50_ms, p95_ms,
       p99_ms);
-  if (ann_served + ann_fallbacks + ann_rebuilds + geo_fenced > 0) {
-    s += StrFormat(
-        " ann_served=%llu ann_fallbacks=%llu ann_rebuilds=%llu "
-        "ann_audits=%llu geo_fenced=%llu",
-        static_cast<unsigned long long>(ann_served),
-        static_cast<unsigned long long>(ann_fallbacks),
-        static_cast<unsigned long long>(ann_rebuilds),
-        static_cast<unsigned long long>(ann_audits),
-        static_cast<unsigned long long>(geo_fenced));
+  if (geo_fenced > 0) {
+    s += StrFormat(" geo_fenced=%llu",
+                   static_cast<unsigned long long>(geo_fenced));
   }
   for (int t = 0; t < kNumServeTiers; ++t) {
     if (queries_by_tier[t] == 0) continue;
@@ -144,12 +136,10 @@ RecommendService::RecommendService(const Dataset* data,
   degrade_counter_ = metrics_->GetCounter("serve.deadline_degrades");
   cache_hit_counter_ = metrics_->GetCounter("serve.fold_in.cache_hits");
   cache_miss_counter_ = metrics_->GetCounter("serve.fold_in.cache_misses");
-  ann_candidates_hist_ = metrics_->GetHistogram("ann.candidates");
-  ann_recall_hist_ = metrics_->GetHistogram("ann.recall_proxy");
-  ann_served_counter_ = metrics_->GetCounter("ann.served");
-  ann_fallback_counter_ = metrics_->GetCounter("ann.fallbacks");
-  ann_rebuild_counter_ = metrics_->GetCounter("ann.rebuilds");
   geo_fenced_counter_ = metrics_->GetCounter("serve.geo_fenced");
+  short_list_hist_ = metrics_->GetHistogram("serve.scan.short_list");
+  panel_build_hist_ = metrics_->GetHistogram("serve.scan.panel_build_ms");
+  panel_bytes_gauge_ = metrics_->GetGauge("serve.scan.panel_bytes");
 }
 
 Status RecommendService::Init() {
@@ -164,23 +154,24 @@ Status RecommendService::Init() {
 
   auto train = BuildCheckinTensor(*data_, granularity_);
   if (!train.ok()) return train.status();
-  train_ = train.MoveValue();
-
   TCSS_RETURN_IF_ERROR(
-      popularity_.Fit({data_, &train_, granularity_, /*seed=*/1}));
+      popularity_.Fit({data_, &train.value(), granularity_, /*seed=*/1}));
 
   // Per-user distinct (poi, time) cells — the fold-in observations — seed
   // the solver in tensor-entry order, the replay order of its differential
-  // contract with FoldInUser.
+  // contract with FoldInUser. Their POIs are the user's visited set.
   std::vector<std::vector<TensorCell>> cells(data_->num_users());
-  for (const auto& e : train_.entries()) {
+  for (const auto& e : train.value().entries()) {
     if (e.i < cells.size()) cells[e.i].push_back({e.i, e.j, e.k});
   }
-  has_history_.assign(cells.size(), false);
+  visited_.assign(cells.size(), {});
   for (uint32_t u = 0; u < cells.size(); ++u) {
     if (cells[u].empty()) continue;
-    has_history_[u] = true;
     fold_in_->Seed(u, cells[u]);
+    std::vector<uint32_t>& pois = visited_[u];
+    for (const TensorCell& c : cells[u]) pois.push_back(c.j);
+    std::sort(pois.begin(), pois.end());
+    pois.erase(std::unique(pois.begin(), pois.end()), pois.end());
   }
 
   // Geo fence index. The grid keeps a pointer into poi_locations_, which
@@ -203,8 +194,8 @@ ServeTier RecommendService::ChooseTier(
   if (model != nullptr && req.user < model->u1.rows()) {
     return ServeTier::kModel;
   }
-  if (model != nullptr && req.user < has_history_.size() &&
-      (has_history_[req.user] ||
+  if (model != nullptr && req.user < visited_.size() &&
+      (!visited_[req.user].empty() ||
        (streamed != nullptr && streamed->HasObservations(req.user)))) {
     // A user with no training history but streamed check-ins is servable
     // by fold-in too — that is the whole point of the streaming tier.
@@ -254,79 +245,148 @@ const std::vector<double>* RecommendService::FoldInEmbedding(
   return emb;
 }
 
-void RecommendService::EnsureAnnIndex(
+void RecommendService::EnsurePanel(
     const std::shared_ptr<const FactorModel>& model) {
-  if (!opts_.ann.enabled || model == nullptr) return;
-  if (ann_model_.get() == model.get() && ann_index_ != nullptr) return;
-  // A generation the index was not built from: rebuild before any
-  // candidate query. Both members swap together on this (the serving)
-  // thread, so no request ever pairs an old index with a new model.
-  ann_index_ = std::make_unique<ann::LshIndex>(*model, opts_.ann.lsh,
-                                               metrics_);
-  ann_model_ = model;
-  ann_rebuild_counter_->Add(1);
+  if (panel_.model == model) return;
+  Stopwatch sw;
+  const Matrix& u2 = model->u2;
+  const size_t num_pois = u2.rows();
+  const size_t r = u2.cols();
+  const size_t groups = (num_pois + kPanelLanes - 1) / kPanelLanes;
+  panel_.lanes.assign(groups * r * kPanelLanes, 0.0f);
+  // Per-group largest squared row norm and f32 finiteness; max and AND
+  // are exact, so the result does not depend on the decomposition.
+  std::vector<double> norm2(groups, 0.0);
+  std::vector<uint8_t> finite(groups, 1);
+  ParallelFor(groups, 512, [&](size_t begin, size_t end, size_t) {
+    for (size_t g = begin; g < end; ++g) {
+      float* lanes = panel_.lanes.data() + g * r * kPanelLanes;
+      for (size_t l = 0; l < kPanelLanes; ++l) {
+        const size_t j = g * kPanelLanes + l;
+        if (j >= num_pois) break;
+        const double* row = u2.row(j);
+        double ss = 0.0;
+        for (size_t t = 0; t < r; ++t) {
+          const float v = static_cast<float>(row[t]);
+          lanes[t * kPanelLanes + l] = v;
+          if (!std::isfinite(v)) finite[g] = 0;
+          ss += row[t] * row[t];
+        }
+        norm2[g] = std::max(norm2[g], ss);
+      }
+    }
+  });
+  panel_.max_row_norm =
+      std::sqrt(*std::max_element(norm2.begin(), norm2.end()));
+  panel_.representable =
+      std::find(finite.begin(), finite.end(), 0) == finite.end();
+  panel_.model = model;
+  panel_bytes_gauge_->Set(
+      static_cast<double>(panel_.lanes.size() * sizeof(float)));
+  panel_build_hist_->Record(sw.ElapsedMillis());
 }
 
-void RecommendService::PlanScore(
-    const ServeRequest& req, const std::shared_ptr<const FactorModel>& model,
-    const std::vector<double>& q, ScorePlan* plan) {
-  plan->topts.k = req.k;
-  plan->topts.exclude_visited = req.exclude_visited;
+bool RecommendService::ShortList(const KernelTable& kernels,
+                                 const std::vector<double>& q, size_t k,
+                                 const std::vector<uint32_t>& visited,
+                                 std::vector<uint32_t>* out) const {
+  if (!panel_.representable) return false;
+  // E bounds |f32 panel score − f64 chain score| for every POI (DESIGN.md
+  // §13): both differ from the exact dot product by at most a γ_r
+  // multiple of Σ|U2[j,t] q_t| ≤ M‖q‖₂, plus the two f32 conversions and
+  // an underflow term; 1 + 2^-16 absorbs the rounding of E, M, ‖q‖₂ and
+  // τ − 2E themselves.
+  const size_t r = q.size();
+  std::vector<float> q32(r);
+  double qq = 0.0;
+  for (size_t t = 0; t < r; ++t) {
+    q32[t] = static_cast<float>(q[t]);
+    qq += q[t] * q[t];
+  }
+  const double qn = std::sqrt(qq);
+  const double m = panel_.max_row_norm;
+  const double rr = static_cast<double>(r);
+  const double g32 = rr * kU32 / (1.0 - rr * kU32);
+  const double g64 = rr * kU64 / (1.0 - rr * kU64);
+  const double e =
+      ((g32 * (1.0 + kU32) * (1.0 + kU32) + 2.0 * kU32 + kU32 * kU32 + g64) *
+           m * qn +
+       kUnderflow * rr * (1.0 + m + qn)) *
+      (1.0 + 0x1p-16);
+  // A query beyond f32 range, or one whose f32 chain could overflow: no
+  // bound, scan in f64. Written so a NaN fails too.
+  if (!(std::isfinite(e) && qn <= FLT_MAX / 2 && m * qn <= FLT_MAX / 4)) {
+    return false;
+  }
+  const double two_e = 2.0 * e;
 
-  // The exact restriction: explicit candidates ∩ geo fence. An empty
-  // TopKOptions candidate list means "the whole catalogue", so a
-  // restriction that matched nothing must short-circuit to an empty
-  // answer instead of being passed through.
+  const size_t num_pois = panel_.model->u2.rows();
+  const size_t groups = (num_pois + kPanelLanes - 1) / kPanelLanes;
+  k = std::min(k, num_pois);  // k comes from outside; it may be huge
+  std::vector<float> best;  // min-heap of the k best eligible f32 scores
+  best.reserve(k);
+  std::vector<std::pair<uint32_t, float>> kept;
+  float cut = -std::numeric_limits<float>::infinity();  // τ − 2E
+  auto next_visited = visited.begin();
+  float scores[kScanBlock * kPanelLanes];
+  for (size_t g0 = 0; g0 < groups; g0 += kScanBlock) {
+    const size_t ng = std::min(kScanBlock, groups - g0);
+    kernels.panel_scores(panel_.lanes.data() + g0 * r * kPanelLanes, ng,
+                         q32.data(), r, scores);
+    const size_t j0 = g0 * kPanelLanes;
+    const size_t j_end = std::min(num_pois, j0 + ng * kPanelLanes);
+    for (size_t j = j0; j < j_end; ++j) {
+      const float f = scores[j - j0];
+      if (f < cut) continue;
+      // Visited POIs leave before they can raise τ, so a user who visited
+      // the best POIs still gets k answers.
+      while (next_visited != visited.end() && *next_visited < j) {
+        ++next_visited;
+      }
+      if (next_visited != visited.end() && *next_visited == j) continue;
+      kept.emplace_back(static_cast<uint32_t>(j), f);
+      if (best.size() < k) {
+        best.push_back(f);
+        std::push_heap(best.begin(), best.end(), std::greater<float>());
+      } else if (f > best.front()) {
+        std::pop_heap(best.begin(), best.end(), std::greater<float>());
+        best.back() = f;
+        std::push_heap(best.begin(), best.end(), std::greater<float>());
+      } else {
+        continue;
+      }
+      if (best.size() == k) {
+        cut = CeilToFloat(static_cast<double>(best.front()) - two_e);
+      }
+    }
+  }
+  out->clear();
+  for (const auto& [j, f] : kept) {
+    if (f >= cut) out->push_back(j);
+  }
+  return true;
+}
+
+bool RecommendService::PlanScore(
+    const ServeRequest& req, const std::shared_ptr<const FactorModel>& model,
+    const std::vector<double>& q, std::vector<uint32_t>* cands) {
   bool restricted = false;
-  std::vector<uint32_t> base;
   if (!req.candidates.empty()) {
-    base = req.candidates;
-    std::sort(base.begin(), base.end());
-    base.erase(std::unique(base.begin(), base.end()), base.end());
+    *cands = req.candidates;
+    std::sort(cands->begin(), cands->end());
+    cands->erase(std::unique(cands->begin(), cands->end()), cands->end());
     restricted = true;
   }
   if (req.within_km > 0.0 && geo_grid_ != nullptr) {
     std::vector<uint32_t> fence =
         geo_grid_->WithinRadius(req.center, req.within_km);
-    base = restricted ? IntersectSorted(base, fence) : std::move(fence);
+    *cands = restricted ? IntersectSorted(*cands, fence) : std::move(fence);
     restricted = true;
     geo_fenced_counter_->Add(1);
   }
-  if (restricted && base.empty()) {
-    plan->empty = true;
-    return;
-  }
-
-  if (opts_.ann.enabled && !q.empty()) {
-    EnsureAnnIndex(model);
-    if (ann_index_ != nullptr && ann_index_->rank() == q.size()) {
-      // The hot-reload pairing invariant: the index in hand was built
-      // from exactly the model this request scores through.
-      TCSS_CHECK(ann_model_.get() == model.get());
-      std::vector<uint32_t> cands = ann_index_->Candidates(q.data(), q.size());
-      if (restricted) cands = IntersectSorted(cands, base);
-      // Too few candidates and the re-rank could starve the answer; fall
-      // back to the exact restriction. A fence smaller than the floor is
-      // fine — the union can never exceed the fence.
-      size_t need = std::max(opts_.ann.lsh.min_candidates, req.k);
-      if (restricted) need = std::min(need, base.size());
-      if (!cands.empty() && cands.size() >= need) {
-        ann_served_counter_->Add(1);
-        ann_candidates_hist_->Record(static_cast<double>(cands.size()));
-        if (opts_.ann.audit_every > 0 &&
-            ++ann_tick_ % opts_.ann.audit_every == 0) {
-          plan->audit = true;
-          plan->exact_topts = plan->topts;
-          plan->exact_topts.candidates = base;
-        }
-        plan->ann = true;
-        plan->topts.candidates = std::move(cands);
-        return;
-      }
-      ann_fallback_counter_->Add(1);
-    }
-  }
-  if (restricted) plan->topts.candidates = std::move(base);
+  // An unrestricted factor-scored request scans the panel of its model.
+  if (!q.empty() && !restricted) EnsurePanel(model);
+  return restricted;
 }
 
 RecommendService::Response RecommendService::TopK(const ServeRequest& req) {
@@ -343,22 +403,21 @@ std::vector<RecommendService::Response> RecommendService::BatchTopK(
       watcher_ != nullptr ? watcher_->current() : nullptr;
 
   struct Plan {
-    bool valid = false;           ///< false: invalid request, empty answer
-    bool factor_scored = false;   ///< participates in the batch gemm
+    bool valid = false;  ///< false: invalid request, empty answer
     ServeTier tier = ServeTier::kPopularity;
     /// Composed query q_t = h_t * u_t * U3[k,t]; empty for popularity.
     std::vector<double> q;
-    size_t q_row = 0;   ///< row in the stacked query matrix
-    ScorePlan sp;       ///< candidate set / ANN / audit decision
-    double recall = -1.0;  ///< audit result, recorded serially in phase 4
+    bool restricted = false;      ///< has candidates and/or a geo fence
+    std::vector<uint32_t> cands;  ///< the restriction, sorted and unique
+    bool scanned = false;   ///< ranked the panel scan's short list
+    size_t short_list = 0;  ///< its length, recorded serially in phase 3
   };
   std::vector<Plan> plans(reqs.size());
 
   // Phase 1 — serial: validation, tier choice with deadline degradation,
-  // fold-in solves, query composition and candidate planning (geo fence,
-  // ANN candidate unions, index rebuilds). Every service-state mutation
-  // happens here, on the one serving thread.
-  size_t num_factor = 0;
+  // fold-in solves, query composition, restrictions (candidates, geo
+  // fence) and the panel a scan reads, rebuilt once per model generation.
+  // Every service-state mutation happens here, on the one serving thread.
   for (size_t b = 0; b < reqs.size(); ++b) {
     const ServeRequest& req = reqs[b];
     if (!initialized_ || req.time_bin >= num_bins_ || !ValidGeoFence(req)) {
@@ -389,72 +448,72 @@ std::vector<RecommendService::Response> RecommendService::BatchTopK(
         plan.q[t] = model->h[t] * u[t] * u3row[t];
       }
     }
-    PlanScore(req, model, plan.q, &plan.sp);
-    // ANN requests skip the full-catalogue gemm: phase 3 re-ranks their
-    // candidate unions against the query directly.
-    if (!plan.q.empty() && !plan.sp.empty && !plan.sp.ann) {
-      plan.factor_scored = true;
-      plan.q_row = num_factor++;
-    }
+    plan.restricted = PlanScore(req, model, plan.q, &plan.cands);
   }
 
-  // Phase 2 — one factor pass for the whole batch: stack the full-scan
-  // queries and score them against every POI with a single serial gemm,
-  // which amortizes the U2 loads over the batch.
-  Matrix scores;  // J x num_factor
-  if (num_factor > 0) {
-    Matrix q(num_factor, model->rank());
-    for (const Plan& plan : plans) {
-      if (plan.factor_scored) {
-        std::copy(plan.q.begin(), plan.q.end(), q.row(plan.q_row));
-      }
-    }
-    scores = MatMulT(model->u2, q);
-  }
-
-  // Phase 3 — parallel top-k selection into disjoint slots. The shard
-  // decomposition depends only on the batch size, never the worker
-  // count, so a batch's answers are worker-count-invariant.
+  // Phase 2 — parallel scoring and top-k selection into disjoint slots.
+  // Each request ranks the POIs it may answer with (its restriction, the
+  // scan's short list, or the whole catalogue) minus its visited POIs;
+  // every factor-scored answer is ranked by the f64 ascending-t chain.
+  // The shard decomposition depends only on the batch size, never the
+  // worker count, so a batch's answers are worker-count-invariant.
   const size_t num_pois = data_->num_pois();
+  const KernelTable& kernels = ActiveKernels();
+  const Matrix* u2 = model != nullptr ? &model->u2 : nullptr;
+  const std::vector<uint32_t> none;
   ParallelFor(reqs.size(), 1, [&](size_t begin, size_t end, size_t) {
     for (size_t b = begin; b < end; ++b) {
       Plan& plan = plans[b];
+      const ServeRequest& req = reqs[b];
       if (!plan.valid) continue;
       out[b].tier = plan.tier;
-      if (plan.sp.empty) continue;  // restriction matched nothing
-      const auto rank = [&](const Recommender& scorer,
-                            const TopKOptions& topts) {
-        return TopKRecommendations(scorer, reqs[b].user, reqs[b].time_bin,
-                                   num_pois, topts, &train_);
-      };
-      if (plan.factor_scored) {
-        out[b].recs = rank(ColumnScorer(&scores, plan.q_row), plan.sp.topts);
-      } else if (plan.sp.ann) {
-        // ANN re-rank of the candidate union; an audited request also
-        // scans its exact restriction, into its own plan slot (recorded
-        // serially in phase 4).
-        const QueryScorer scorer(&model->u2, &plan.q);
-        out[b].recs = rank(scorer, plan.sp.topts);
-        if (plan.sp.audit) {
-          plan.recall =
-              RecallAtK(out[b].recs, rank(scorer, plan.sp.exact_topts));
-        }
+      if (req.k == 0) continue;
+      const std::vector<uint32_t>& visited =
+          req.exclude_visited && req.user < visited_.size()
+              ? visited_[req.user]
+              : none;
+      // The POIs this request may answer with, minus its visited ones:
+      // its restriction, the scan's short list, or the whole catalogue.
+      std::vector<uint32_t> pool;
+      bool whole = false;
+      if (plan.restricted) {
+        pool = Difference(plan.cands, visited);
+      } else if (!plan.q.empty() &&
+                 ShortList(kernels, plan.q, req.k, visited, &pool)) {
+        plan.scanned = true;
+        plan.short_list = pool.size();
+      } else if (!visited.empty()) {
+        std::vector<uint32_t> all(num_pois);
+        std::iota(all.begin(), all.end(), 0u);
+        pool = Difference(all, visited);
       } else {
-        out[b].recs = rank(popularity_, plan.sp.topts);
+        whole = true;
       }
+      // An empty candidate list would mean the whole catalogue.
+      if (pool.empty() && !whole) continue;
+      TopKOptions topts;
+      topts.k = req.k;
+      topts.candidates = std::move(pool);
+      const QueryScorer query(u2, &plan.q);
+      out[b].recs = TopKRecommendations(
+          plan.q.empty() ? static_cast<const Recommender&>(popularity_)
+                         : query,
+          req.user, req.time_bin, num_pois, topts);
     }
   });
 
-  // Phase 4 — serial: latency accounting and audit recalls. Each request
-  // is charged the whole batch pass — that is the latency its caller
-  // observed, and what the admission EWMA must predict for the next
-  // arrival.
+  // Phase 3 — serial: latency accounting and short-list lengths. Each
+  // request is charged the whole batch pass — that is the latency its
+  // caller observed, and what the admission EWMA must predict for the
+  // next arrival.
   const double ms = sw.ElapsedMillis();
   for (size_t b = 0; b < reqs.size(); ++b) {
     if (!plans[b].valid) continue;
     out[b].latency_ms = ms;
     RecordLatency(plans[b].tier, ms);
-    if (plans[b].recall >= 0.0) ann_recall_hist_->Record(plans[b].recall);
+    if (plans[b].scanned) {
+      short_list_hist_->Record(static_cast<double>(plans[b].short_list));
+    }
   }
   return out;
 }
@@ -494,10 +553,6 @@ ServiceStats RecommendService::Stats() const {
   s.total_queries = requests_counter_->Value();
   s.fold_in_cache_hits = cache_hit_counter_->Value();
   s.fold_in_cache_misses = cache_miss_counter_->Value();
-  s.ann_served = ann_served_counter_->Value();
-  s.ann_fallbacks = ann_fallback_counter_->Value();
-  s.ann_rebuilds = ann_rebuild_counter_->Value();
-  s.ann_audits = ann_recall_hist_->Snapshot().count;
   s.geo_fenced = geo_fenced_counter_->Value();
   obs::HistogramSnapshot all;
   for (int t = 0; t < kNumServeTiers; ++t) {

@@ -6,17 +6,16 @@
 #include <string>
 #include <vector>
 
-#include "ann/lsh_index.h"
 #include "baselines/popularity.h"
 #include "core/incremental_fold_in.h"
 #include "core/recommend.h"
 #include "data/dataset.h"
 #include "data/time_binning.h"
 #include "geo/spatial_grid.h"
+#include "linalg/kernel_table.h"
 #include "obs/metrics.h"
 #include "serve/model_watcher.h"
 #include "serve/request.h"
-#include "tensor/sparse_tensor.h"
 
 namespace tcss {
 
@@ -24,7 +23,7 @@ namespace tcss {
 /// to stderr by `tcss serve`.
 ///
 /// Every count and quantile is read from the service's metric registry:
-/// the serve.* / ann.* counters, and the per-tier obs::Histogram metrics
+/// the serve.* counters, and the per-tier obs::Histogram metrics
 /// (serve.latency_ms.<tier>), whose sample counts are queries_by_tier and
 /// whose merge gives the overall p50/p95/p99. On the default
 /// process-global registry they therefore sum across every service in the
@@ -40,10 +39,6 @@ struct ServiceStats {
   uint64_t total_queries = 0;
   uint64_t fold_in_cache_hits = 0;
   uint64_t fold_in_cache_misses = 0;
-  uint64_t ann_served = 0;     ///< answered from an LSH candidate union
-  uint64_t ann_fallbacks = 0;  ///< candidate union too small → exact path
-  uint64_t ann_rebuilds = 0;   ///< index rebuilds (one per model generation)
-  uint64_t ann_audits = 0;     ///< requests also scored by the exact scan
   uint64_t geo_fenced = 0;     ///< requests with a within_km restriction
   double p50_ms = 0.0;  ///< across all tiers
   double p95_ms = 0.0;
@@ -72,13 +67,12 @@ struct ServiceStats {
 /// A per-request deadline budget can force the cheap popularity tier when
 /// the chosen tier's recent latency (EWMA) would blow the budget.
 ///
-/// With Options::ann enabled, the factor-scored tiers gain a candidate-
-/// generation stage: the request ranks only the LSH candidate union
-/// (re-ranked by the exact scorer) instead of the whole catalogue, with a
-/// per-request fallback to the exact path when the union is too small. A
-/// geo fence (ServeRequest::within_km) restricts any tier — including
-/// ANN, by intersection — to the POIs inside the fence, resolved through
-/// the spatial grid without touching the full catalogue.
+/// The factor-scored tiers rank exactly: an f32 scan of the whole
+/// catalogue keeps a short list that provably holds the f64 top k, which
+/// the f64 chain then ranks (DESIGN.md §13). A geo fence
+/// (ServeRequest::within_km) restricts any tier to the POIs inside the
+/// fence, resolved through the spatial grid without touching the full
+/// catalogue.
 class RecommendService {
  public:
   struct Options {
@@ -103,19 +97,6 @@ class RecommendService {
     /// off); null means the process-global registry, where Stats() sums
     /// across all services in the process.
     obs::MetricRegistry* metrics = nullptr;
-    /// The ANN candidate-generation tier (DESIGN.md §13). When enabled,
-    /// factor-scored requests rank only the LSH candidate union instead
-    /// of the whole catalogue, falling back to the exact path per request
-    /// when the union is smaller than lsh.min_candidates.
-    struct AnnOptions {
-      bool enabled = false;
-      ann::LshConfig lsh;
-      /// Every Nth ANN-served request is also scored by the exact oracle
-      /// and the top-k overlap recorded into ann.recall_proxy; 0 disables
-      /// auditing.
-      uint64_t audit_every = 64;
-    };
-    AnnOptions ann;
   };
 
   /// `data` must outlive the service. `watcher` may be null (pure
@@ -143,15 +124,15 @@ class RecommendService {
   /// bin), and a missing or stale model falls down the chain.
   Response TopK(const ServeRequest& req);
 
-  /// Answers many queries in one model pass. Responses land at the index
-  /// of their request. Tier choice, deadline degradation, fold-in solves
-  /// and candidate planning run serially, composing one query vector
+  /// Answers many queries in one pass. Responses land at the index of
+  /// their request. Tier choice, deadline degradation, fold-in solves and
+  /// restrictions run serially, composing one query vector
   /// q_t = h_t * u_t * U3[k,t] per factor-scored request (u is the U1 row
-  /// or the fold-in embedding). The full-catalogue requests' queries are
-  /// stacked and scored by one serial gemm (MatMulT: U2 · Qᵀ); ANN
-  /// re-ranks and recall audits score ⟨U2[j], q⟩ with the same ascending-t
-  /// chain, so every path ranks with bitwise-equal scores. The per-request
-  /// top-k selections run shard-parallel into disjoint slots.
+  /// or the fold-in embedding). Scoring and top-k selection then run
+  /// shard-parallel, one request per shard, into disjoint slots: an
+  /// unrestricted factor-scored request scans the f32 panel for its short
+  /// list, and every factor-scored answer is ranked by ⟨U2[j], q⟩ in f64,
+  /// ascending t.
   std::vector<Response> BatchTopK(const std::vector<ServeRequest>& reqs);
 
   /// Predicts which tier would answer `req` right now, without running it.
@@ -176,19 +157,17 @@ class RecommendService {
   ServiceStats Stats() const;
 
  private:
-  /// How one request's candidate set is scored: the options handed to
-  /// TopKRecommendations, whether they carry an ANN candidate union, and
-  /// whether this request is an audit (also scored by the exact oracle,
-  /// whose options are `exact_topts`).
-  struct ScorePlan {
-    TopKOptions topts;
-    /// The request's restriction (candidates ∩ geo fence) matched no POI:
-    /// answer empty without scoring (an empty TopKOptions candidate list
-    /// would mean "the whole catalogue").
-    bool empty = false;
-    bool ann = false;
-    bool audit = false;
-    TopKOptions exact_topts;
+  /// The exact scan's f32 image of one model generation's U2 (DESIGN.md
+  /// §13). Keyed by model pointer identity; holding the shared_ptr keeps a
+  /// later generation from reusing the address.
+  struct ScanPanel {
+    std::shared_ptr<const FactorModel> model;
+    /// U2 in lane groups of kPanelLanes POIs: entry (j, t) sits at
+    /// ((j / kPanelLanes) * r + t) * kPanelLanes + j % kPanelLanes; the
+    /// padding lanes of the last group are zero.
+    std::vector<float> lanes;
+    double max_row_norm = 0.0;   ///< max_j ‖U2[j]‖₂, in f64
+    bool representable = false;  ///< every U2 entry is finite in f32
   };
 
   /// The tier that answers `req` under `model`. With `streamed` null it
@@ -206,20 +185,29 @@ class RecommendService {
   /// null when the solve fails. Must run on the serving thread.
   const std::vector<double>* FoldInEmbedding(
       uint32_t user, const std::shared_ptr<const FactorModel>& model);
-  /// Resolves a request's candidate set: explicit candidates ∩ geo fence,
-  /// then the ANN union (intersected with that restriction) when the
-  /// request has a composed query `q` (factor-scored tiers; empty for
-  /// popularity), the index is live and the union is large enough —
-  /// otherwise the exact restriction, counting the fallback. Mutates
-  /// service counters: serving thread only.
-  void PlanScore(const ServeRequest& req,
+  /// Whether `req` restricts its candidates (explicit candidates and/or a
+  /// geo fence), with the restriction — their intersection, sorted and
+  /// unique, empty when it matches nothing — in `cands`. For an
+  /// unrestricted request with a composed query `q`, makes sure panel_
+  /// holds `model`. Mutates service state: serving thread only.
+  bool PlanScore(const ServeRequest& req,
                  const std::shared_ptr<const FactorModel>& model,
-                 const std::vector<double>& q, ScorePlan* plan);
-  /// Rebuilds the LSH index when `model` is a generation the index was
-  /// not built from. Pointer identity keys the pair: after this call
-  /// ann_model_ == model, so a request scoring through `model` can never
-  /// consult an index built from another generation. Serving thread only.
-  void EnsureAnnIndex(const std::shared_ptr<const FactorModel>& model);
+                 const std::vector<double>& q, std::vector<uint32_t>* cands);
+  /// Rebuilds panel_ when `model` is a generation it was not built from.
+  /// Pointer identity keys the pair: after this call panel_.model ==
+  /// model, so a request scanning through `model` never reads a panel
+  /// built from another generation. Serving thread only.
+  void EnsurePanel(const std::shared_ptr<const FactorModel>& model);
+  /// The exact scan of composed query `q` over panel_: every POI outside
+  /// `visited` (sorted) whose f32 score is at least τ − 2E, τ being the
+  /// running k-th best such score and E the bound on |f32 − f64 score|,
+  /// ascending. That short list holds every POI the f64 chain ranks in
+  /// the top k, ties included. False when the panel cannot bound this
+  /// query's error: the caller ranks in f64 alone. Needs k >= 1;
+  /// read-only, so BatchTopK's parallel phase runs it from many threads.
+  bool ShortList(const KernelTable& kernels, const std::vector<double>& q,
+                 size_t k, const std::vector<uint32_t>& visited,
+                 std::vector<uint32_t>* out) const;
   void RecordLatency(ServeTier tier, double ms);
 
   const Dataset* data_;
@@ -229,11 +217,12 @@ class RecommendService {
 
   bool initialized_ = false;
   size_t num_bins_ = 0;
-  SparseTensor train_;  ///< full-data check-in tensor (visited-POI filter)
   Popularity popularity_;
-  /// Per dataset user: has training check-ins (the fold-in observations
-  /// Init seeds). Immutable after Init, so PlanTier may read it.
-  std::vector<bool> has_history_;
+  /// Per dataset user: the POIs of their training check-ins, sorted and
+  /// unique. Every tier's exclude_visited filter; non-empty exactly for
+  /// the users Init seeds fold-in observations for. Immutable after Init,
+  /// so PlanTier may read it.
+  std::vector<std::vector<uint32_t>> visited_;
 
   /// The one fold-in solver: Options::incremental, or own_fold_in_ when
   /// that is null. Serving thread only.
@@ -246,14 +235,7 @@ class RecommendService {
   std::vector<GeoPoint> poi_locations_;
   std::unique_ptr<SpatialGrid> geo_grid_;
 
-  /// The ANN tier's (model, index) pair. The two members always change
-  /// together on the serving thread, keyed by model pointer identity —
-  /// the hot-reload atomicity guarantee: a request holding `model` either
-  /// finds ann_model_ == model (index built from exactly that object) or
-  /// triggers a rebuild from it before any candidate query.
-  std::shared_ptr<const FactorModel> ann_model_;
-  std::unique_ptr<ann::LshIndex> ann_index_;
-  uint64_t ann_tick_ = 0;  ///< ANN-served request counter driving audits
+  ScanPanel panel_;
 
   double tier_ewma_ms_[kNumServeTiers] = {0.0, 0.0, 0.0};
   bool tier_ewma_valid_[kNumServeTiers] = {false, false, false};
@@ -267,12 +249,10 @@ class RecommendService {
   obs::Counter* degrade_counter_ = nullptr;
   obs::Counter* cache_hit_counter_ = nullptr;
   obs::Counter* cache_miss_counter_ = nullptr;
-  obs::Histogram* ann_candidates_hist_ = nullptr;
-  obs::Histogram* ann_recall_hist_ = nullptr;
-  obs::Counter* ann_served_counter_ = nullptr;
-  obs::Counter* ann_fallback_counter_ = nullptr;
-  obs::Counter* ann_rebuild_counter_ = nullptr;
   obs::Counter* geo_fenced_counter_ = nullptr;
+  obs::Histogram* short_list_hist_ = nullptr;
+  obs::Histogram* panel_build_hist_ = nullptr;
+  obs::Gauge* panel_bytes_gauge_ = nullptr;
 };
 
 }  // namespace tcss

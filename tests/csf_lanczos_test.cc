@@ -1,13 +1,15 @@
-// Tests for the CSF tensor format and the Lanczos eigensolver - the two
-// performance-oriented alternatives to the COO MTTKRP and subspace
-// iteration.
+// Tests for the CSF tensor format (against the COO MTTKRP) and for the
+// PSD-shifted Gram operator that spectral initialization runs subspace
+// iteration over, checked against JacobiEigen on the materialized matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "linalg/jacobi_eigen.h"
-#include "linalg/lanczos.h"
+#include "linalg/subspace_iteration.h"
 #include "tensor/csf_tensor.h"
 #include "tensor/gram_operator.h"
 #include "tensor/mttkrp.h"
@@ -74,52 +76,37 @@ TEST(CsfTensorTest, EmptyTensor) {
   EXPECT_DOUBLE_EQ(out.MaxAbs(), 0.0);
 }
 
-Matrix RandomPsd(size_t n, Rng* rng) {
-  Matrix b = Matrix::GaussianRandom(n, n, rng);
-  return MatMulT(b, b);
+// The dense matrix of a symmetric operator: column c is A e_c.
+Matrix Materialize(const LinearOperator& op) {
+  const size_t n = op.Dim();
+  Matrix a(n, n);
+  std::vector<double> e(n, 0.0);
+  std::vector<double> col(n);
+  for (size_t c = 0; c < n; ++c) {
+    e[c] = 1.0;
+    op.Apply(e, &col);
+    e[c] = 0.0;
+    for (size_t i = 0; i < n; ++i) a(i, c) = col[i];
+  }
+  return a;
 }
 
-TEST(LanczosTest, MatchesJacobiOnPsdMatrix) {
-  Rng rng(5);
-  Matrix a = RandomPsd(40, &rng);
-  DenseOperator op(&a);
-  auto lanczos = LanczosEigen(op, 6);
-  ASSERT_TRUE(lanczos.ok()) << lanczos.status().ToString();
-  auto full = JacobiEigen(a);
-  ASSERT_TRUE(full.ok());
-  for (size_t t = 0; t < 6; ++t) {
-    EXPECT_NEAR(lanczos.value().values[t], full.value().values[t],
-                1e-6 * full.value().values[0]);
-  }
-  // Eigenvector residuals ||A v - lambda v|| are small.
-  for (size_t t = 0; t < 6; ++t) {
-    auto v = lanczos.value().vectors.Column(t);
-    auto av = MatVec(a, v);
-    double res = 0.0;
-    for (size_t i = 0; i < v.size(); ++i) {
-      const double d = av[i] - lanczos.value().values[t] * v[i];
-      res += d * d;
-    }
-    EXPECT_LT(std::sqrt(res), 1e-5 * full.value().values[0]);
-  }
-}
-
-TEST(LanczosTest, AgreesWithSubspaceIterationOnShiftedGramOperator) {
+TEST(GramEigenTest, SubspaceIterationAgreesWithJacobiOnShiftedGramOperator) {
   // The zero-diagonal Gram is indefinite; subspace (power) iteration
-  // finds the largest-magnitude eigenvalues, while Lanczos finds the
-  // algebraically largest. After a PSD shift the two semantics coincide
+  // finds the largest-magnitude eigenvalues, while the algebraically
+  // largest are wanted. After a PSD shift the two semantics coincide
   // (this is exactly how spectral initialization uses the operator).
   SparseTensor x = RandomTensor(25, 20, 8, 300, 7, true);
   ModeGramOperator op(x, 0, /*zero_diagonal=*/true);
   double sigma = 0.0;
   for (double d : op.Diagonal()) sigma = std::max(sigma, d);
   ShiftedOperator shifted(&op, sigma);
-  auto lanczos = LanczosEigen(shifted, 5);
+  auto full = JacobiEigen(Materialize(shifted));
   auto subspace = SubspaceEigen(shifted, 5);
-  ASSERT_TRUE(lanczos.ok());
+  ASSERT_TRUE(full.ok());
   ASSERT_TRUE(subspace.ok());
   for (size_t t = 0; t < 5; ++t) {
-    EXPECT_NEAR(lanczos.value().values[t], subspace.value().values[t],
+    EXPECT_NEAR(full.value().values[t], subspace.value().values[t],
                 1e-5 * std::max(1.0, std::fabs(subspace.value().values[0])));
   }
 }
@@ -130,52 +117,14 @@ TEST(ShiftedOperatorTest, ShiftsSpectrumNotVectors) {
   Matrix a = MatMulT(b, b);
   DenseOperator base(&a);
   ShiftedOperator shifted(&base, 3.5);
-  auto top_base = LanczosEigen(base, 3);
-  auto top_shift = LanczosEigen(shifted, 3);
+  auto top_base = JacobiEigen(Materialize(base));
+  auto top_shift = JacobiEigen(Materialize(shifted));
   ASSERT_TRUE(top_base.ok());
   ASSERT_TRUE(top_shift.ok());
-  for (size_t t = 0; t < 3; ++t) {
+  for (size_t t = 0; t < 15; ++t) {
     EXPECT_NEAR(top_shift.value().values[t],
                 top_base.value().values[t] + 3.5, 1e-6);
   }
-}
-
-TEST(LanczosTest, FullDimensionKrylov) {
-  Rng rng(9);
-  Matrix a = RandomPsd(12, &rng);
-  DenseOperator op(&a);
-  LanczosOptions opts;
-  opts.krylov_dim = 12;
-  auto lanczos = LanczosEigen(op, 12, opts);
-  ASSERT_TRUE(lanczos.ok());
-  auto full = JacobiEigen(a);
-  ASSERT_TRUE(full.ok());
-  for (size_t t = 0; t < 12; ++t) {
-    EXPECT_NEAR(lanczos.value().values[t], full.value().values[t], 1e-6);
-  }
-}
-
-TEST(LanczosTest, RejectsBadRank) {
-  Rng rng(11);
-  Matrix a = RandomPsd(5, &rng);
-  DenseOperator op(&a);
-  EXPECT_FALSE(LanczosEigen(op, 0).ok());
-  EXPECT_FALSE(LanczosEigen(op, 6).ok());
-}
-
-TEST(LanczosTest, HandlesLowRankOperator) {
-  // Rank-2 PSD matrix: Lanczos hits an invariant subspace early and must
-  // recover via restart.
-  Rng rng(13);
-  Matrix b = Matrix::GaussianRandom(20, 2, &rng);
-  Matrix a = MatMulT(b, b);
-  DenseOperator op(&a);
-  auto lanczos = LanczosEigen(op, 4);
-  ASSERT_TRUE(lanczos.ok());
-  EXPECT_GT(lanczos.value().values[0], 0.0);
-  EXPECT_GT(lanczos.value().values[1], 0.0);
-  EXPECT_NEAR(lanczos.value().values[2], 0.0, 1e-8);
-  EXPECT_NEAR(lanczos.value().values[3], 0.0, 1e-8);
 }
 
 }  // namespace

@@ -3,9 +3,10 @@
 // thread counts, the CSF kernels against COO and each other, the
 // bucketed COO modes-1/2 parallel path (serial == parallel bytes), the
 // mirrored Gram, the CSF-backed RewrittenLoss (bound == unbound
-// bytes), and the social Hausdorff kernels (each table entry scalar ==
+// bytes), the social Hausdorff kernels (each table entry scalar ==
 // native, ComputeForUser == the scalar reference it replaced, both
-// bitwise). tools/check.sh runs this suite in the plain stage under both
+// bitwise), and the exact top-k scan's f32 panel kernel (scalar ==
+// native, bitwise). tools/check.sh runs this suite in the plain stage under both
 // TCSS_SIMD=off and TCSS_SIMD=native, and again under ASan/UBSan and
 // TSan.
 #include <gtest/gtest.h>
@@ -684,6 +685,63 @@ TEST(HausdorffKernelTest, TableEntriesBitIdenticalScalarVsNative) {
                            << " alpha=" << c.alpha << " @" << threads;
     }
   }
+}
+
+// The exact top-k scan's f32 panel kernel: scalar and native scores are
+// bitwise equal for every shape (lane-group counts around the AVX2 body's
+// eight-group stride, ranks 1..40), inside ParallelFor at 1/2/8 threads.
+TEST(PanelKernelTest, PanelScoresBitIdenticalScalarVsNative) {
+  KernelGuard guard;
+  struct PanelCase {
+    size_t groups = 0;
+    size_t r = 0;
+    std::vector<float> panel;
+    std::vector<float> q;
+  };
+  const size_t kCases = 48;
+  std::vector<PanelCase> cases(kCases);
+  Rng rng(4242);
+  for (size_t i = 0; i < kCases; ++i) {
+    PanelCase& c = cases[i];
+    c.groups = i < 20 ? i : 1 + rng.UniformInt(70);
+    c.r = 1 + rng.UniformInt(40);
+    c.panel.resize(c.groups * c.r * kPanelLanes);
+    c.q.resize(c.r);
+    for (float& v : c.panel) v = static_cast<float>(rng.Gaussian());
+    for (float& v : c.q) v = static_cast<float>(rng.Gaussian() * 3.0);
+    if (i % 7 == 3 && !c.panel.empty()) c.panel[0] = 1e-40f;  // subnormal
+  }
+  const auto scores = [](const KernelTable& kt, const PanelCase& c) {
+    std::vector<float> out(c.groups * kPanelLanes, -1.0f);
+    kt.panel_scores(c.panel.data(), c.groups, c.q.data(), c.r, out.data());
+    return out;
+  };
+  for (int threads : {1, 2, 8}) {
+    SetGlobalThreads(threads);
+    std::vector<uint8_t> same(kCases, 0);
+    ParallelFor(kCases, 1, [&](size_t begin, size_t end, size_t) {
+      for (size_t i = begin; i < end; ++i) {
+        const std::vector<float> a = scores(ScalarKernelTable(), cases[i]);
+        const std::vector<float> b = scores(NativeKernelTable(), cases[i]);
+        same[i] = a.size() == b.size() &&
+                  (a.empty() || std::memcmp(a.data(), b.data(),
+                                            a.size() * sizeof(float)) == 0);
+      }
+    });
+    for (size_t i = 0; i < kCases; ++i) {
+      EXPECT_TRUE(same[i]) << "case " << i << ": groups=" << cases[i].groups
+                           << " r=" << cases[i].r << " @" << threads;
+    }
+  }
+  // Spot-check the contract itself on one lane: a mul-then-add chain in
+  // ascending t from zero.
+  const PanelCase& c = cases[5];
+  const std::vector<float> got = scores(ActiveKernels(), c);
+  float want = 0.0f;
+  for (size_t t = 0; t < c.r; ++t) {
+    want = want + c.panel[(2 * c.r + t) * kPanelLanes + 3] * c.q[t];
+  }
+  EXPECT_EQ(std::memcmp(&got[2 * kPanelLanes + 3], &want, sizeof(float)), 0);
 }
 
 }  // namespace

@@ -3,12 +3,11 @@
 #
 #   1. Plain build: run the serving-layer, server chaos, randomized-
 #      corruption, parallel-determinism, observability, property-based
-#      differential-oracle, kernel-dispatch, distributed-training, ANN
-#      candidate-generation, and streaming-ingestion suites (ctest labels
-#      "serve", "server", "fuzz", "determinism", "obs", "proptest",
-#      "kernels", "dist", "ann", and "stream") in the production
-#      configuration — the exact binaries that
-#      ship. The kernels label
+#      differential-oracle (the exact top-k scan's included), kernel-
+#      dispatch, distributed-training, and streaming-ingestion suites
+#      (ctest labels "serve", "server", "fuzz", "determinism", "obs",
+#      "proptest", "kernels", "dist", and "stream") in the production
+#      configuration — the exact binaries that ship. The kernels label
 #      runs twice more: once with TCSS_SIMD=off and once with
 #      TCSS_SIMD=native, so both sides of the dispatch seam are the
 #      startup-selected table (the suite's own guard test fails if the
@@ -22,21 +21,20 @@
 #      drives the thread pool, the sharded losses, and multi-threaded
 #      training end to end; obs hammers the sharded metric registry from
 #      many threads; proptest re-runs the differential-oracle properties,
-#      whose kernel equalities execute at 1/2/8 threads; the server
+#      whose kernel equalities execute at 1/2/8 threads, and the exact
+#      scan suite, which rebuilds the scan panel on the serving thread
+#      while a writer thread storms the model file; the server
 #      chaos harness replays its storms — with TCSS_SERVER_SOAK=10000 so
 #      the mixed-traffic soak pushes >=10k requests through the full
-#      acceptor/reader/dispatcher thread web under TSan; and the dist
+#      acceptor/reader/dispatcher thread web under TSan; the dist
 #      suite runs coordinator + worker fleets (acceptor, per-session
 #      readers, heartbeat threads, kill/partition recovery) in one
-#      process, where TSan sees every cross-thread edge; the ann suite
-#      rebuilds LSH indexes on the dispatcher thread while reload storms
-#      and client floods run (rebuild-while-serving); and the stream
+#      process, where TSan sees every cross-thread edge; and the stream
 #      suite drives its differential gate at 1/2/8 threads plus the
 #      ingest-during-reload-storm soak (dispatcher ingesting while a
 #      writer thread swaps and tears the model file). Any data race in
 #      the parallel engine, the telemetry, the serving front-end, the
-#      distributed engine, the ANN tier, or the streaming engine fails
-#      here.
+#      distributed engine, or the streaming engine fails here.
 #
 #   tools/check.sh [asan-build-dir] [tsan-build-dir]
 #                  (defaults: build-asan, build-tsan; the plain stage
@@ -53,7 +51,7 @@ TSAN_DIR="${2:-build-tsan}"
 # --- Stage 1: plain build, resilience + determinism suites ---------------
 cmake -B build -S .
 cmake --build build -j
-ctest --test-dir build --output-on-failure -L "serve|server|fuzz|determinism|obs|proptest|kernels|dist|ann|stream"
+ctest --test-dir build --output-on-failure -L "serve|server|fuzz|determinism|obs|proptest|kernels|dist|stream"
 
 # Kernel-dispatch suite under both env-forced SIMD modes. The unlabeled
 # run above already covers the default (auto) resolution; these two pin
@@ -74,10 +72,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 
 # --- Stage 3: TSan build, concurrency suites -----------------------------
 # TSan is mutually exclusive with ASan, hence the separate tree. Only the
-# determinism, obs, proptest, kernels, server, dist, ann, and stream
-# labels run here: they are the suites that exercise concurrency
+# determinism, obs, proptest, kernels, server, dist, and stream labels
+# run here: they are the suites that exercise concurrency
 # (ThreadPool, sharded losses, multi-threaded training, concurrent metric
-# recording, the multi-threaded kernel-equality properties, the sharded
+# recording, the multi-threaded kernel-equality properties, the scan
+# panel rebuilt under a reload storm, the sharded
 # CSF/MTTKRP kernels and the social Hausdorff kernels (per-thread scratch)
 # at 1/2/8 threads, the server's acceptor/reader/
 # dispatcher threads, the distributed coordinator/worker fleets, and the
@@ -91,6 +90,6 @@ cmake --build "$TSAN_DIR" -j
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 # The chaos soak gates this stage at >=10k requests (see tests/CMakeLists).
 export TCSS_SERVER_SOAK=10000
-ctest --test-dir "$TSAN_DIR" --output-on-failure -L "determinism|obs|proptest|kernels|server|dist|ann|stream"
+ctest --test-dir "$TSAN_DIR" --output-on-failure -L "determinism|obs|proptest|kernels|server|dist|stream"
 
 echo "sanitizer check passed"

@@ -16,7 +16,6 @@
 //                  [--granularity G] [--poll-every N] [--metrics-out FILE]
 //                  [--workers N] [--queue N] [--max-batch N] [--max-conns N]
 //                  [--deadline-ms X] [--write-timeout-ms N]
-//                  [--ann-tables N] [--ann-probes N] [--ann-min-candidates N]
 //
 // `generate` writes an LBSN as CSV (pois.csv / checkins.csv / friends.csv);
 // `train` fits TCSS on an 80/20 split of the check-ins and saves the
@@ -140,7 +139,6 @@ int Usage() {
       "[--granularity G] [--poll-every N] [--metrics-out FILE] "
       "[--workers N] [--queue N] [--max-batch N] [--max-conns N] "
       "[--deadline-ms X] [--write-timeout-ms N] "
-      "[--ann-tables N] [--ann-probes N] [--ann-min-candidates N] "
       "[--ingest [--rollover-every N] [--refine-every N] "
       "[--refine-budget N]]\n"
       "common flags: [--lenient] [--max-bad-rows N]\n"
@@ -658,19 +656,6 @@ int Serve(const Args& args) {
   wopts.num_bins = NumBins(g);
   ModelWatcher watcher(model_path, wopts);
   RecommendService::Options svc_opts;
-  // ANN candidate generation (DESIGN.md §13): --ann-tables > 0 enables
-  // the LSH tier; probes and the exact-fallback floor tune the
-  // recall/latency trade-off per deployment.
-  const long ann_tables = args.GetI("ann-tables", 0);
-  if (ann_tables > 0) {
-    svc_opts.ann.enabled = true;
-    svc_opts.ann.lsh.tables = static_cast<size_t>(ann_tables);
-    svc_opts.ann.lsh.probes = static_cast<size_t>(
-        args.GetI("ann-probes", static_cast<long>(svc_opts.ann.lsh.probes)));
-    svc_opts.ann.lsh.min_candidates = static_cast<size_t>(args.GetI(
-        "ann-min-candidates",
-        static_cast<long>(svc_opts.ann.lsh.min_candidates)));
-  }
   // Streaming ingestion (--ingest, DESIGN.md §14): the engine owns the
   // delta buffer, the incremental fold-in tier the service delegates to,
   // and the periodic rollover/refinement publishers. The refinement config
