@@ -23,7 +23,13 @@
 // rows x rank shapes CP-ALS actually forms), each in scalar and simd
 // variants. BM_HausdorffUser times the social Hausdorff head per user
 // (SocialHausdorffLoss::ComputeForUser) on the gowalla preset, forward
-// only and forward+backward, under each kernel table.
+// only and forward+backward, under each kernel table. BM_GramBlockApply
+// and BM_SubspaceEigen time spectral init's eigensolve at the catalog
+// workload's shape (6000 users x 10000 POIs): one block Gram apply of the
+// r + 4 = 14 iteration vectors, and a whole SubspaceEigen of one mode as
+// InitializeFactors runs it; BM_Gemm's 10- and 14-column rows and
+// BM_GemmT are the tall-skinny products of the L2 head and of subspace
+// iteration (A q W and q^T A q).
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -38,8 +44,11 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "data/tensor_builder.h"
+#include "linalg/linear_operator.h"
 #include "linalg/simd.h"
+#include "linalg/subspace_iteration.h"
 #include "tensor/csf_tensor.h"
+#include "tensor/gram_operator.h"
 #include "tensor/mttkrp.h"
 #include "tensor/sparse_kernels.h"
 
@@ -223,6 +232,35 @@ void BM_Gemm(benchmark::State& state) {
   SetSimdMode(SimdMode::kScalar);
 }
 
+// The transposed product a^T b of two tall (rows x k) and (rows x n)
+// blocks: the Rayleigh-Ritz q^T A q of subspace iteration. Args: {rows, k,
+// n, simd}.
+void BM_GemmT(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(1));
+  const size_t n = static_cast<size_t>(state.range(2));
+  const int64_t simd = state.range(3);
+  SelectSimd(simd);
+  Rng rng(7);
+  const Matrix a = Matrix::GaussianRandom(rows, k, &rng);
+  const Matrix b = Matrix::GaussianRandom(rows, n, &rng);
+  Stopwatch sw;
+  size_t iters = 0;
+  for (auto _ : state) {
+    Matrix out = MatTMul(a, b);
+    benchmark::DoNotOptimize(out.data());
+    ++iters;
+  }
+  if (iters > 0) {
+    tcss::bench::AppendBenchJson(
+        "kernel_gemm", "dense",
+        "gemmt_rows" + std::to_string(rows) + "_k" + std::to_string(k) +
+            "_n" + std::to_string(n) + SimdTag(simd) + "_s",
+        sw.ElapsedSeconds() / static_cast<double>(iters));
+  }
+  SetSimdMode(SimdMode::kScalar);
+}
+
 // Tall-skinny Gram sweep (a^T a for rows x rank factors): the per-mode
 // normal-equation matrix CP-ALS forms every sweep. Args: {rows, r, simd}.
 void BM_Gram(benchmark::State& state) {
@@ -294,6 +332,90 @@ void BM_HausdorffUser(benchmark::State& state) {
   SetSimdMode(SimdMode::kScalar);
 }
 
+// The catalog workload's train tensor: the gowalla-like generator at 6000
+// users x 10000 POIs, 300k check-ins in 20 cities, month bins, 80% split.
+const SparseTensor& CatalogTensor() {
+  static const SparseTensor* tensor = [] {
+    SyntheticConfig cfg = PresetConfig(SyntheticPreset::kGowallaLike, 1.0);
+    cfg.num_users = 6000;
+    cfg.num_pois = 10000;
+    cfg.num_checkins = 300000;
+    cfg.num_cities = 20;
+    auto data = GenerateSyntheticLbsn(cfg);
+    auto split = SplitCheckins(data.value(), 0.8, 1);
+    auto t = BuildCheckinTensor(data.value(), split.train,
+                                TimeGranularity::kMonthOfYear);
+    return new SparseTensor(t.MoveValue());
+  }();
+  return *tensor;
+}
+
+// Args: {mode, simd}. One block apply of the zero-diagonal mode Gram to
+// the n x 14 iterate of spectral init's subspace iteration (rank 10 plus
+// four guard vectors).
+void BM_GramBlockApply(benchmark::State& state) {
+  const int mode = static_cast<int>(state.range(0));
+  const int64_t simd = state.range(1);
+  const ModeGramOperator gram(CatalogTensor(), mode, /*zero_diagonal=*/true);
+  SelectSimd(simd);
+  Rng rng(7);
+  const Matrix x = Matrix::GaussianRandom(gram.Dim(), 14, &rng);
+  Matrix y(gram.Dim(), 14);
+  Stopwatch sw;
+  size_t iters = 0;
+  for (auto _ : state) {
+    gram.Apply(x, &y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+    ++iters;
+  }
+  if (iters > 0) {
+    tcss::bench::AppendBenchJson(
+        "kernel_spectral", "catalog",
+        "gram_apply_b14_mode" + std::to_string(mode) + SimdTag(simd) + "_s",
+        sw.ElapsedSeconds() / static_cast<double>(iters));
+  }
+  SetSimdMode(SimdMode::kScalar);
+}
+
+// Args: {mode, simd}. One mode's eigensolve exactly as InitializeFactors
+// runs it (default config: rank 10, shift by the largest Gram diagonal,
+// the same seed); rows record the whole solve and its time per
+// iteration.
+void BM_SubspaceEigen(benchmark::State& state) {
+  const int mode = static_cast<int>(state.range(0));
+  const int64_t simd = state.range(1);
+  const SparseTensor& tensor = CatalogTensor();
+  const TcssConfig cfg;
+  const ModeGramOperator gram(tensor, mode, /*zero_diagonal=*/true);
+  double sigma = 0.0;
+  for (double d : gram.Diagonal()) sigma = std::max(sigma, d);
+  const ShiftedOperator shifted(&gram, sigma);
+  SubspaceIterationOptions opts;
+  opts.seed = cfg.seed + static_cast<uint64_t>(mode) * 7920;
+  SelectSimd(simd);
+  Stopwatch sw;
+  size_t iters = 0;
+  int eigen_iterations = 0;
+  for (auto _ : state) {
+    auto eig = SubspaceEigen(shifted, cfg.rank, opts);
+    benchmark::DoNotOptimize(eig.value().values.data());
+    eigen_iterations = eig.value().iterations;
+    ++iters;
+  }
+  state.counters["iterations"] = eigen_iterations;
+  if (iters > 0) {
+    const double per_solve = sw.ElapsedSeconds() / static_cast<double>(iters);
+    const std::string tag = "_mode" + std::to_string(mode) + SimdTag(simd);
+    tcss::bench::AppendBenchJson("kernel_spectral", "catalog",
+                                 "subspace_eigen" + tag + "_s", per_solve);
+    tcss::bench::AppendBenchJson(
+        "kernel_spectral", "catalog", "subspace_eigen_per_iter" + tag + "_s",
+        per_solve / std::max(1, eigen_iterations));
+  }
+  SetSimdMode(SimdMode::kScalar);
+}
+
 // Arg tuples: {rank, dataset} (dataset 0 = sparse gowalla-like with
 // short fibers, 1 = dense gmu5k-like with long fibers); CSF variants add
 // a trailing simd flag (0 = scalar table, 1 = native table).
@@ -320,7 +442,16 @@ BENCHMARK(BM_Gemm)
     ->Args({256, 256, 256, 1})
     ->Args({512, 512, 512, 1})
     ->Args({4096, 32, 32, 1})
-    ->Args({4096, 32, 512, 1});
+    ->Args({4096, 32, 512, 1})
+    ->Args({10000, 10, 10, 0})
+    ->Args({10000, 14, 14, 0})
+    ->Args({10000, 10, 10, 1})
+    ->Args({10000, 14, 14, 1});
+BENCHMARK(BM_GemmT)
+    ->Args({10000, 10, 10, 0})
+    ->Args({10000, 14, 14, 0})
+    ->Args({10000, 10, 10, 1})
+    ->Args({10000, 14, 14, 1});
 BENCHMARK(BM_Gram)
     ->Args({2000, 10, 0})
     ->Args({2000, 32, 0})
@@ -330,6 +461,12 @@ BENCHMARK(BM_Gram)
     ->Args({20000, 32, 1});
 BENCHMARK(BM_HausdorffUser)
     ->Args({0, 0})->Args({1, 0})->Args({0, 1})->Args({1, 1})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GramBlockApply)
+    ->Args({0, 0})->Args({1, 0})->Args({0, 1})->Args({1, 1})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SubspaceEigen)
+    ->Args({0, 1})->Args({1, 1})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -26,9 +26,10 @@ void AlignSigns(Matrix* u) {
 
 // Top-r eigenvectors of the (zero-diagonal) Gram of the mode-n unfolding.
 // If r exceeds the mode dimension, the leading dim columns come from the
-// eigensolver and the rest are filled with small random values.
+// eigensolver and the rest are filled with small random values. The
+// eigensolver's iteration count and convergence go to `stats`.
 Result<Matrix> SpectralFactor(const SparseTensor& train, int mode, size_t r,
-                              uint64_t seed) {
+                              uint64_t seed, SpectralInitStats* stats) {
   const size_t dim = train.dim(mode);
   const size_t r_eff = std::min(r, dim);
   ModeGramOperator gram(train, mode, /*zero_diagonal=*/true);
@@ -44,6 +45,8 @@ Result<Matrix> SpectralFactor(const SparseTensor& train, int mode, size_t r,
   opts.seed = seed + static_cast<uint64_t>(mode) * 7919;
   auto eig = SubspaceEigen(shifted, r_eff, opts);
   if (!eig.ok()) return eig.status();
+  stats->iterations[mode] = eig.value().iterations;
+  stats->converged[mode] = eig.value().converged;
   Matrix u(dim, r);
   const Matrix& vecs = eig.value().vectors;
   for (size_t i = 0; i < dim; ++i)
@@ -69,7 +72,8 @@ Result<Matrix> SpectralFactor(const SparseTensor& train, int mode, size_t r,
 }  // namespace
 
 Result<FactorModel> InitializeFactors(const SparseTensor& train,
-                                      const TcssConfig& config) {
+                                      const TcssConfig& config,
+                                      SpectralInitStats* stats) {
   if (!train.finalized()) {
     return Status::FailedPrecondition("InitializeFactors: tensor not final");
   }
@@ -79,11 +83,13 @@ Result<FactorModel> InitializeFactors(const SparseTensor& train,
 
   switch (config.init) {
     case InitMethod::kSpectral: {
-      auto u1 = SpectralFactor(train, 0, r, config.seed);
+      SpectralInitStats local;
+      if (stats == nullptr) stats = &local;
+      auto u1 = SpectralFactor(train, 0, r, config.seed, stats);
       if (!u1.ok()) return u1.status();
-      auto u2 = SpectralFactor(train, 1, r, config.seed + 1);
+      auto u2 = SpectralFactor(train, 1, r, config.seed + 1, stats);
       if (!u2.ok()) return u2.status();
-      auto u3 = SpectralFactor(train, 2, r, config.seed + 2);
+      auto u3 = SpectralFactor(train, 2, r, config.seed + 2, stats);
       if (!u3.ok()) return u3.status();
       m.u1 = u1.MoveValue();
       m.u2 = u2.MoveValue();

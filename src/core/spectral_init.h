@@ -22,8 +22,16 @@ namespace tcss {
 ///    other schemes, as in Table II).
 ///
 /// h is initialized to all-ones (making the model start as plain CP).
+///
+/// For kSpectral, `stats` (when non-null) receives what each mode's
+/// eigensolve reported; the other strategies leave it untouched.
+struct SpectralInitStats {
+  int iterations[3] = {0, 0, 0};  ///< subspace iterations per mode
+  bool converged[3] = {false, false, false};
+};
 Result<FactorModel> InitializeFactors(const SparseTensor& train,
-                                      const TcssConfig& config);
+                                      const TcssConfig& config,
+                                      SpectralInitStats* stats = nullptr);
 
 }  // namespace tcss
 

@@ -27,6 +27,8 @@ struct TrainMetrics {
   obs::Histogram* hausdorff_ms;
   obs::Histogram* apply_ms;
   obs::Histogram* checkpoint_ms;
+  obs::Histogram* init_ms;
+  obs::Counter* unconverged_modes;
   obs::Gauge* loss_total;
   obs::Gauge* lr;
 
@@ -41,6 +43,8 @@ struct TrainMetrics {
             reg->GetHistogram("train.stage.hausdorff_ms"),
             reg->GetHistogram("train.stage.apply_ms"),
             reg->GetHistogram("train.stage.checkpoint_ms"),
+            reg->GetHistogram("train.stage.init_ms"),
+            reg->GetCounter("train.init.unconverged_modes"),
             reg->GetGauge("train.loss_total"),
             reg->GetGauge("train.lr")};
   }
@@ -180,6 +184,7 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
   int start_epoch = 0;        // epochs already completed
   double lr_scale = 1.0;      // divergence-backoff multiplier
 
+  const TrainMetrics metrics = TrainMetrics::Resolve();
   std::unique_ptr<AdamState> adam;
   bool resumed = false;
   if (options.resume) {
@@ -229,9 +234,17 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
       }
       model = warm;
     } else {
-      auto init = InitializeFactors(*train_, config_);
+      Stopwatch init_sw;
+      SpectralInitStats init_stats;
+      auto init = InitializeFactors(*train_, config_, &init_stats);
       if (!init.ok()) return init.status();
       model = init.MoveValue();
+      metrics.init_ms->Record(init_sw.ElapsedSeconds() * 1e3);
+      if (config_.init == InitMethod::kSpectral) {
+        for (bool converged : init_stats.converged) {
+          if (!converged) metrics.unconverged_modes->Add(1);
+        }
+      }
     }
     adam = std::make_unique<AdamState>(model);
   }
@@ -258,7 +271,6 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
   int rollbacks = 0;
   double best_monitored = std::numeric_limits<double>::infinity();
   int plateau_streak = 0;
-  const TrainMetrics metrics = TrainMetrics::Resolve();
 
   for (int epoch = start_epoch + 1; epoch <= config_.epochs; ++epoch) {
     Stopwatch sw;

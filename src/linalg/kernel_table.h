@@ -84,6 +84,17 @@ struct KernelTable {
                                   double* gu3, double* gh, size_t s_begin,
                                   size_t s_end);
 
+  /// Block Gram apply of ModeGramOperator (tensor/gram_operator.cc):
+  /// for each of `groups` column groups, g spanning nonzeros
+  /// [start[g], start[g + 1]),
+  ///   s = sum_t val[t] * x[row[t], :]   (ascending t, from 0.0),
+  ///   y[row[t], :] += val[t] * s        (ascending t),
+  /// with x and y n x b row-major and the b columns side by side as
+  /// lanes. Each column's chains are the single-vector operator's.
+  void (*gram_block_apply)(const uint32_t* row, const double* val,
+                           const size_t* start, size_t groups,
+                           const double* x, size_t b, double* y);
+
   // --- Social Hausdorff head, one user per call -------------------------
   // (core/hausdorff_loss.cc). The user's candidate POIs S come as a list
   // of u2 row indices `pois`; the friend POIs N only through the float

@@ -78,6 +78,81 @@ inline __m256d AddVBC(__m256d d, __m256d v, const double* b, const double* c,
 inline __m256d AddVC(__m256d s, __m256d v, const double* c, size_t t) {
   return _mm256_add_pd(s, _mm256_mul_pd(v, _mm256_loadu_pd(c + t)));
 }
+
+/// Mask of the first `lanes` (1-4) doubles of a vector: the partial last
+/// vector of a row narrower than a whole number of vectors. Masked loads
+/// and stores touch nothing past the row, so operands read in place
+/// (unpacked) never spill into the next row or off the end of an array.
+inline __m256i TailMask(size_t lanes) {
+  return _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(lanes)),
+      _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+/// Lanes in the last vector of a `w`-wide row (w >= 1).
+inline size_t TailLanes(size_t w) { return ((w - 1) & 3) + 1; }
+
+/// GemmTile1 (R = 1) / GemmTile2 (R = 2) for a tile narrower than kJc:
+/// NV vectors per output row, the last one holding the lanes in `tail`.
+/// Each lane takes the full-width body's chain: a multiply then an add
+/// per k, in ascending k.
+template <int R, int NV>
+inline void GemmTileNarrow(const double* a0, const double* a1, size_t stride,
+                           const double* bp, size_t bstride, double* o0,
+                           double* o1, size_t kc, size_t kc_end,
+                           __m256i tail) {
+  double* o[2] = {o0, o1};
+  const double* pa[2] = {a0 + kc * stride, a1 + kc * stride};
+  __m256d acc[R][NV];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v + 1 < NV; ++v) acc[r][v] = _mm256_loadu_pd(o[r] + 4 * v);
+    acc[r][NV - 1] = _mm256_maskload_pd(o[r] + 4 * (NV - 1), tail);
+  }
+  for (size_t k = kc; k < kc_end; ++k) {
+    const double* brow = bp + (k - kc) * bstride;
+    __m256d bv[NV];
+    for (int v = 0; v + 1 < NV; ++v) bv[v] = _mm256_loadu_pd(brow + 4 * v);
+    bv[NV - 1] = _mm256_maskload_pd(brow + 4 * (NV - 1), tail);
+    for (int r = 0; r < R; ++r) {
+      const __m256d av = _mm256_broadcast_sd(pa[r]);
+      pa[r] += stride;
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = _mm256_add_pd(acc[r][v], _mm256_mul_pd(av, bv[v]));
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v + 1 < NV; ++v) _mm256_storeu_pd(o[r] + 4 * v, acc[r][v]);
+    _mm256_maskstore_pd(o[r] + 4 * (NV - 1), tail, acc[r][NV - 1]);
+  }
+}
+
+/// GemmTileNarrow for a runtime width jw in [1, kJc).
+template <int R>
+inline void GemmTileNarrowAny(const double* a0, const double* a1,
+                              size_t stride, const double* bp, size_t bstride,
+                              double* o0, double* o1, size_t kc, size_t kc_end,
+                              size_t jw) {
+  const __m256i tail = TailMask(TailLanes(jw));
+  switch ((jw + 3) / 4) {
+    case 1:
+      GemmTileNarrow<R, 1>(a0, a1, stride, bp, bstride, o0, o1, kc, kc_end,
+                           tail);
+      break;
+    case 2:
+      GemmTileNarrow<R, 2>(a0, a1, stride, bp, bstride, o0, o1, kc, kc_end,
+                           tail);
+      break;
+    case 3:
+      GemmTileNarrow<R, 3>(a0, a1, stride, bp, bstride, o0, o1, kc, kc_end,
+                           tail);
+      break;
+    default:
+      GemmTileNarrow<R, 4>(a0, a1, stride, bp, bstride, o0, o1, kc, kc_end,
+                           tail);
+      break;
+  }
+}
 #endif
 
 /// Packs the (kc_end - kc) x jw sub-panel of b at column j0 into `bp`
@@ -95,17 +170,22 @@ inline void PackBPanel(const double* b, size_t n, size_t kc, size_t kc_end,
   }
 }
 
-/// One (2 x kJc) output tile accumulated over [kc, kc_end). `stride` is
-/// the distance a_row advances per k (1 for gemm's row-major a; a_cols
-/// for the transposed products, where consecutive k are consecutive rows
-/// of a). `bp` is the packed b panel (kJc row stride, row 0 = k of kc).
-/// Contributions are sequential adds in ascending k — the same chain as
-/// a naive dot product.
+/// One (2 x jw) output tile, jw <= kJc, accumulated over [kc, kc_end).
+/// `stride` is the distance a_row advances per k (1 for gemm's row-major
+/// a; a_cols for the transposed products, where consecutive k are
+/// consecutive rows of a). `bp` is the b panel (bstride row stride, row
+/// 0 = k of kc). Contributions are sequential adds in ascending k — the
+/// same chain as a naive dot product.
 inline void GemmTile2(const double* __restrict a0, const double* __restrict a1,
                       size_t stride, const double* __restrict bp,
                       size_t bstride, double* __restrict o0,
-                      double* __restrict o1, size_t kc, size_t kc_end) {
+                      double* __restrict o1, size_t kc, size_t kc_end,
+                      size_t jw) {
 #if defined(TCSS_KERNELS_USE_AVX2)
+  if (jw < kJc) {
+    GemmTileNarrowAny<2>(a0, a1, stride, bp, bstride, o0, o1, kc, kc_end, jw);
+    return;
+  }
   __m256d acc00 = _mm256_loadu_pd(o0 + 0);
   __m256d acc01 = _mm256_loadu_pd(o0 + 4);
   __m256d acc02 = _mm256_loadu_pd(o0 + 8);
@@ -209,7 +289,7 @@ inline void GemmTile2(const double* __restrict a0, const double* __restrict a1,
   _mm256_storeu_pd(o1 + 12, acc13);
 #else
   double acc0[kJc], acc1[kJc];
-  for (size_t t = 0; t < kJc; ++t) {
+  for (size_t t = 0; t < jw; ++t) {
     acc0[t] = o0[t];
     acc1[t] = o1[t];
   }
@@ -222,12 +302,12 @@ inline void GemmTile2(const double* __restrict a0, const double* __restrict a1,
     pa1 += stride;
     const double* __restrict brow = bp + (k - kc) * bstride;
     TCSS_SIMD_LOOP
-    for (size_t t = 0; t < kJc; ++t) {
+    for (size_t t = 0; t < jw; ++t) {
       acc0[t] += av0 * brow[t];
       acc1[t] += av1 * brow[t];
     }
   }
-  for (size_t t = 0; t < kJc; ++t) {
+  for (size_t t = 0; t < jw; ++t) {
     o0[t] = acc0[t];
     o1[t] = acc1[t];
   }
@@ -290,6 +370,8 @@ inline void GemmTile1(const double* __restrict a0, size_t stride,
     _mm256_storeu_pd(o0 + 12, acc3);
     return;
   }
+  GemmTileNarrowAny<1>(a0, a0, stride, bp, bstride, o0, o0, kc, kc_end, jw);
+  return;
 #endif
   double acc0[kJc];
   for (size_t t = 0; t < jw; ++t) acc0[t] = o0[t];
@@ -331,11 +413,9 @@ void GemmRows(const double* a, const double* b, double* out, size_t i_begin,
       const size_t jw = n - j0 < kJc ? n - j0 : kJc;
       const double* bp = &bp_all[jt * kKc * kJc];
       size_t i = i_begin;
-      if (jw == kJc) {
-        for (; i + 2 <= i_end; i += 2) {
-          GemmTile2(a + i * kk, a + (i + 1) * kk, 1, bp, kJc,
-                    out + i * n + j0, out + (i + 1) * n + j0, kc, kc_end);
-        }
+      for (; i + 2 <= i_end; i += 2) {
+        GemmTile2(a + i * kk, a + (i + 1) * kk, 1, bp, kJc, out + i * n + j0,
+                  out + (i + 1) * n + j0, kc, kc_end, jw);
       }
       for (; i < i_end; ++i) {
         GemmTile1(a + i * kk, 1, bp, kJc, out + i * n + j0, kc, kc_end, jw);
@@ -349,30 +429,36 @@ void GemmTRows(const double* a, const double* b, double* out, size_t i_begin,
   // Same kc -> j0 -> i order as GemmRows; here a is walked down columns
   // (stride a_cols), so the a block re-read per j0 tile is a strided
   // stream, but it is still kKc * b_cols doubles per tile — far less
-  // than re-streaming the whole packed panel per column pair.
+  // than re-streaming the whole packed panel per column pair. A b at
+  // most one tile wide is read in place, like GramUpper's operand: its
+  // rows sit <= 128 bytes apart, so nothing aliases in L1, and the
+  // tall-skinny products (subspace iteration's q^T A q) skip a copy of
+  // all of b per output-row shard.
+  const bool packed = b_cols > kJc;
   const size_t ntiles = (b_cols + kJc - 1) / kJc;
-  std::vector<double> bp_all(ntiles * kKc * kJc);
+  std::vector<double> bp_all(packed ? ntiles * kKc * kJc : 0);
   for (size_t kc = 0; kc < rows; kc += kKc) {
     const size_t kc_end = kc + kKc < rows ? kc + kKc : rows;
-    for (size_t jt = 0; jt < ntiles; ++jt) {
-      const size_t j0 = jt * kJc;
-      const size_t jw = b_cols - j0 < kJc ? b_cols - j0 : kJc;
-      PackBPanel(b, b_cols, kc, kc_end, j0, jw, &bp_all[jt * kKc * kJc]);
+    if (packed) {
+      for (size_t jt = 0; jt < ntiles; ++jt) {
+        const size_t j0 = jt * kJc;
+        const size_t jw = b_cols - j0 < kJc ? b_cols - j0 : kJc;
+        PackBPanel(b, b_cols, kc, kc_end, j0, jw, &bp_all[jt * kKc * kJc]);
+      }
     }
     for (size_t jt = 0; jt < ntiles; ++jt) {
       const size_t j0 = jt * kJc;
       const size_t jw = b_cols - j0 < kJc ? b_cols - j0 : kJc;
-      const double* bp = &bp_all[jt * kKc * kJc];
+      const double* bp = packed ? &bp_all[jt * kKc * kJc] : b + kc * b_cols;
+      const size_t bstride = packed ? kJc : b_cols;
       size_t i = i_begin;
-      if (jw == kJc) {
-        for (; i + 2 <= i_end; i += 2) {
-          GemmTile2(a + i, a + i + 1, a_cols, bp, kJc,
-                    out + i * b_cols + j0, out + (i + 1) * b_cols + j0, kc,
-                    kc_end);
-        }
+      for (; i + 2 <= i_end; i += 2) {
+        GemmTile2(a + i, a + i + 1, a_cols, bp, bstride,
+                  out + i * b_cols + j0, out + (i + 1) * b_cols + j0, kc,
+                  kc_end, jw);
       }
       for (; i < i_end; ++i) {
-        GemmTile1(a + i, a_cols, bp, kJc, out + i * b_cols + j0, kc,
+        GemmTile1(a + i, a_cols, bp, bstride, out + i * b_cols + j0, kc,
                   kc_end, jw);
       }
     }
@@ -393,6 +479,117 @@ void GramUpper(const double* a, double* out, size_t i_begin, size_t i_end,
         GemmTile1(a + i, cols, a + kc * cols + j0, cols,
                   out + i * cols + j0, kc, kc_end, jw);
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Block Gram apply: one pass over the column groups serves all b columns
+// of the block. The lanes are block columns, so SIMD never enters a chain.
+// The single-vector operator skipped a group whose s was zero; adding the
+// zero product val * s instead leaves y bitwise unchanged: s == 0 means
+// every val in the group is finite, so val * s is +-0, and y, which starts
+// at +0.0 and only ever has values added to it, is never -0.0.
+// ---------------------------------------------------------------------------
+
+#if defined(TCSS_KERNELS_USE_AVX2)
+/// One group over the W block columns at j0: W / 4 full vectors, then a
+/// 2-lane and a 1-lane remainder as W % 4 needs. Plain (unmasked) stores:
+/// a row of y that the next groups update again can forward from them.
+template <int W>
+inline void GramGroupLanes(const uint32_t* row, const double* val, size_t tb,
+                           size_t te, const double* x, size_t b, double* y,
+                           size_t j0) {
+  constexpr int NV = W / 4;
+  constexpr bool k2 = (W & 2) != 0;
+  constexpr bool k1 = (W & 1) != 0;
+  constexpr int o2 = 4 * NV;
+  constexpr int o1 = o2 + (k2 ? 2 : 0);
+  __m256d s[NV > 0 ? NV : 1];
+  __m128d s2 = _mm_setzero_pd();
+  double s1 = 0.0;
+  for (int v = 0; v < NV; ++v) s[v] = _mm256_setzero_pd();
+  for (size_t t = tb; t < te; ++t) {
+    const double vs = val[t];
+    const __m256d vt = _mm256_set1_pd(vs);
+    const double* xr = x + size_t{row[t]} * b + j0;
+    for (int v = 0; v < NV; ++v) {
+      s[v] = _mm256_add_pd(s[v],
+                           _mm256_mul_pd(vt, _mm256_loadu_pd(xr + 4 * v)));
+    }
+    if (k2) {
+      s2 = _mm_add_pd(s2, _mm_mul_pd(_mm256_castpd256_pd128(vt),
+                                     _mm_loadu_pd(xr + o2)));
+    }
+    if (k1) s1 += vs * xr[o1];
+  }
+  for (size_t t = tb; t < te; ++t) {
+    const double vs = val[t];
+    const __m256d vt = _mm256_set1_pd(vs);
+    double* yr = y + size_t{row[t]} * b + j0;
+    for (int v = 0; v < NV; ++v) {
+      _mm256_storeu_pd(yr + 4 * v, _mm256_add_pd(_mm256_loadu_pd(yr + 4 * v),
+                                                 _mm256_mul_pd(vt, s[v])));
+    }
+    if (k2) {
+      _mm_storeu_pd(yr + o2,
+                    _mm_add_pd(_mm_loadu_pd(yr + o2),
+                               _mm_mul_pd(_mm256_castpd256_pd128(vt), s2)));
+    }
+    if (k1) yr[o1] += vs * s1;
+  }
+}
+
+/// GramGroupLanes for a runtime width w in [1, kJc].
+inline void GramGroupAny(const uint32_t* row, const double* val, size_t tb,
+                         size_t te, const double* x, size_t b, double* y,
+                         size_t j0, size_t w) {
+  switch (w) {
+#define TCSS_GRAM_CASE(W) \
+  case W:                 \
+    GramGroupLanes<W>(row, val, tb, te, x, b, y, j0); \
+    break;
+    TCSS_GRAM_CASE(1) TCSS_GRAM_CASE(2) TCSS_GRAM_CASE(3) TCSS_GRAM_CASE(4)
+    TCSS_GRAM_CASE(5) TCSS_GRAM_CASE(6) TCSS_GRAM_CASE(7) TCSS_GRAM_CASE(8)
+    TCSS_GRAM_CASE(9) TCSS_GRAM_CASE(10) TCSS_GRAM_CASE(11)
+    TCSS_GRAM_CASE(12) TCSS_GRAM_CASE(13) TCSS_GRAM_CASE(14)
+    TCSS_GRAM_CASE(15) TCSS_GRAM_CASE(16)
+#undef TCSS_GRAM_CASE
+    default:
+      break;
+  }
+}
+#endif
+
+void GramBlockApply(const uint32_t* row, const double* val,
+                    const size_t* start, size_t groups, const double* x,
+                    size_t b, double* y) {
+  if (b == 0) return;
+  // Block columns go in kJc-wide chunks; all but the last are full.
+  const size_t last_j0 = (b - 1) / kJc * kJc;
+  const size_t last_w = b - last_j0;
+  for (size_t g = 0; g < groups; ++g) {
+    const size_t tb = start[g];
+    const size_t te = start[g + 1];
+    for (size_t j0 = 0; j0 <= last_j0; j0 += kJc) {
+      const size_t w = j0 < last_j0 ? kJc : last_w;
+#if defined(TCSS_KERNELS_USE_AVX2)
+      GramGroupAny(row, val, tb, te, x, b, y, j0, w);
+#else
+      double s[kJc] = {};
+      for (size_t t = tb; t < te; ++t) {
+        const double v = val[t];
+        const double* __restrict xr = x + size_t{row[t]} * b + j0;
+        TCSS_SIMD_LOOP
+        for (size_t c = 0; c < w; ++c) s[c] += v * xr[c];
+      }
+      for (size_t t = tb; t < te; ++t) {
+        const double v = val[t];
+        double* __restrict yr = y + size_t{row[t]} * b + j0;
+        TCSS_SIMD_LOOP
+        for (size_t c = 0; c < w; ++c) yr[c] += v * s[c];
+      }
+#endif
     }
   }
 }
@@ -1506,9 +1703,9 @@ const KernelTable kTable = {
     GemmTRows,             GramUpper,
     CsfMttkrpMode0,        CsfMttkrpMode1,
     CsfMttkrpMode2,        CsfRewrittenEntries,
-    HausdorffPredict,      HausdorffSoftminValue,
-    HausdorffSoftminGrad,  HausdorffScatter,
-    PanelScores,
+    GramBlockApply,        HausdorffPredict,
+    HausdorffSoftminValue, HausdorffSoftminGrad,
+    HausdorffScatter,      PanelScores,
 };
 
 }  // namespace TCSS_KERNEL_NS

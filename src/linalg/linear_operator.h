@@ -2,13 +2,15 @@
 #define TCSS_LINALG_LINEAR_OPERATOR_H_
 
 #include <cstddef>
-#include <vector>
+
+#include "linalg/matrix.h"
 
 namespace tcss {
 
-/// Abstract symmetric linear operator y = A x on R^n. Lets iterative
-/// eigensolvers work on implicitly-represented matrices (e.g. Gram matrices
-/// of sparse tensor unfoldings) without ever materializing them.
+/// Abstract symmetric linear operator Y = A X on R^n, applied to a block
+/// of vectors at once. Lets iterative eigensolvers work on implicitly-
+/// represented matrices (e.g. Gram matrices of sparse tensor unfoldings)
+/// without ever materializing them. A single vector is an n x 1 block.
 class LinearOperator {
  public:
   virtual ~LinearOperator() = default;
@@ -16,12 +18,14 @@ class LinearOperator {
   /// Dimension n of the (square, symmetric) operator.
   virtual size_t Dim() const = 0;
 
-  /// Computes y = A x. `y` is pre-sized to Dim() and must be overwritten.
-  virtual void Apply(const std::vector<double>& x,
-                     std::vector<double>* y) const = 0;
+  /// Computes Y = A X for an n x b row-major block X. `y` is pre-sized to
+  /// n x b and must be overwritten. Column c of Y is bitwise what the
+  /// operator gives for column c of X alone: implementations share the
+  /// pass over their data between columns, never the arithmetic.
+  virtual void Apply(const Matrix& x, Matrix* y) const = 0;
 };
 
-/// y = (A + sigma I) x. Shifting an indefinite symmetric operator by
+/// Y = (A + sigma I) X. Shifting an indefinite symmetric operator by
 /// sigma >= -lambda_min makes it PSD, so power-type eigensolvers (which
 /// converge to the largest-magnitude eigenvalues) return the
 /// *algebraically* largest eigenpairs of A; eigenvectors are unchanged
@@ -32,10 +36,11 @@ class ShiftedOperator : public LinearOperator {
       : base_(base), sigma_(sigma) {}
 
   size_t Dim() const override { return base_->Dim(); }
-  void Apply(const std::vector<double>& x,
-             std::vector<double>* y) const override {
+  void Apply(const Matrix& x, Matrix* y) const override {
     base_->Apply(x, y);
-    for (size_t i = 0; i < x.size(); ++i) (*y)[i] += sigma_ * x[i];
+    const double* xd = x.data();
+    double* yd = y->data();
+    for (size_t i = 0; i < x.size(); ++i) yd[i] += sigma_ * xd[i];
   }
   double sigma() const { return sigma_; }
 
@@ -48,14 +53,16 @@ class ShiftedOperator : public LinearOperator {
 class DenseOperator : public LinearOperator {
  public:
   /// Keeps a pointer to `a`; the matrix must outlive the operator.
-  explicit DenseOperator(const class Matrix* a) : a_(a) {}
+  explicit DenseOperator(const Matrix* a) : a_(a) {}
 
-  size_t Dim() const override;
-  void Apply(const std::vector<double>& x,
-             std::vector<double>* y) const override;
+  size_t Dim() const override { return a_->rows(); }
+  /// Y = MatMul(A, X): each element a plain ascending-j dot product.
+  void Apply(const Matrix& x, Matrix* y) const override {
+    *y = MatMul(*a_, x);
+  }
 
  private:
-  const class Matrix* a_;
+  const Matrix* a_;
 };
 
 }  // namespace tcss

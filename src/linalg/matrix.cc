@@ -141,10 +141,12 @@ Matrix MatTMul(const Matrix& a, const Matrix& b) {
   Matrix out(a.cols(), b.cols());
   // out(i,j) = sum_k a(k,i) b(k,j): i indexes output rows, so sharding
   // over i is exact; k runs in ascending order for every element in all
-  // kernel builds, matching a k-outer serial loop bit for bit.
+  // kernel builds, matching a k-outer serial loop bit for bit. Shards
+  // hold whole pairs of output rows: every shard streams all of b, and the
+  // kernel's two-row tile reads each b row once for both of its rows.
   const KernelTable& kern = ActiveKernels();
   if (a.rows() * a.cols() * b.cols() >= kParallelFlopThreshold) {
-    ParallelFor(a.cols(), RowGrain(a.cols()),
+    ParallelFor(a.cols(), (RowGrain(a.cols()) + 1) / 2 * 2,
                 [&](size_t begin, size_t end, size_t) {
                   kern.gemmt_rows(a.data(), b.data(), out.data(), begin, end,
                                   a.rows(), a.cols(), b.cols());

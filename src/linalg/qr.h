@@ -10,7 +10,8 @@ namespace tcss {
 /// modified Gram-Schmidt with one re-orthogonalization pass. Columns that
 /// become numerically zero (rank deficiency) are replaced by random
 /// directions re-orthogonalized against the rest, so the result always has
-/// orthonormal columns. `rng` may be null if the input is full-rank.
+/// orthonormal columns. `rng` may be null if the input is full-rank. On
+/// error the contents of `a` are unspecified.
 Status Orthonormalize(Matrix* a, Rng* rng = nullptr);
 
 /// Thin QR decomposition a = q * r with q (m x n) orthonormal columns and

@@ -9,19 +9,6 @@
 
 namespace tcss {
 
-size_t DenseOperator::Dim() const { return a_->rows(); }
-
-void DenseOperator::Apply(const std::vector<double>& x,
-                          std::vector<double>* y) const {
-  const Matrix& a = *a_;
-  for (size_t i = 0; i < a.rows(); ++i) {
-    const double* row = a.row(i);
-    double s = 0.0;
-    for (size_t j = 0; j < a.cols(); ++j) s += row[j] * x[j];
-    (*y)[i] = s;
-  }
-}
-
 Result<EigenPairs> SubspaceEigen(const LinearOperator& op, size_t r,
                                  const SubspaceIterationOptions& opts) {
   const size_t n = op.Dim();
@@ -38,18 +25,13 @@ Result<EigenPairs> SubspaceEigen(const LinearOperator& op, size_t r,
   if (!st.ok()) return st;
 
   std::vector<double> ritz_prev(block, 0.0);
-  std::vector<double> x(n), y(n);
   Matrix aq(n, block);
-  int iter = 0;
+  int iterations = 0;
   bool converged = false;
 
-  for (iter = 1; iter <= opts.max_iterations; ++iter) {
-    // aq = A * q, column by column through the operator interface.
-    for (size_t j = 0; j < block; ++j) {
-      for (size_t i = 0; i < n; ++i) x[i] = q(i, j);
-      op.Apply(x, &y);
-      for (size_t i = 0; i < n; ++i) aq(i, j) = y[i];
-    }
+  while (!converged && iterations < opts.max_iterations) {
+    ++iterations;
+    op.Apply(q, &aq);
     // Rayleigh-Ritz: T = q^T (A q), small block x block symmetric problem.
     Matrix t = MatTMul(q, aq);
     auto eig = JacobiEigen(t);
@@ -71,18 +53,12 @@ Result<EigenPairs> SubspaceEigen(const LinearOperator& op, size_t r,
       max_val = std::max(max_val, std::fabs(dec.values[j]));
       ritz_prev[j] = dec.values[j];
     }
-    if (iter > 2 && max_change <= opts.tol * std::max(max_val, 1e-30)) {
-      converged = true;
-      break;
-    }
+    converged =
+        iterations > 2 && max_change <= opts.tol * std::max(max_val, 1e-30);
   }
 
-  // Final Rayleigh-Ritz on the converged basis for clean output pairs.
-  for (size_t j = 0; j < block; ++j) {
-    for (size_t i = 0; i < n; ++i) x[i] = q(i, j);
-    op.Apply(x, &y);
-    for (size_t i = 0; i < n; ++i) aq(i, j) = y[i];
-  }
+  // Final Rayleigh-Ritz on the last basis for clean output pairs.
+  op.Apply(q, &aq);
   Matrix t = MatTMul(q, aq);
   auto eig = JacobiEigen(t);
   if (!eig.ok()) return eig.status();
@@ -90,15 +66,12 @@ Result<EigenPairs> SubspaceEigen(const LinearOperator& op, size_t r,
   Matrix ritz = MatMul(q, dec.vectors);
 
   EigenPairs out;
-  out.iterations = iter;
+  out.iterations = iterations;
+  out.converged = converged;
   out.values.assign(dec.values.begin(), dec.values.begin() + r);
   out.vectors.Resize(n, r);
   for (size_t i = 0; i < n; ++i)
     for (size_t j = 0; j < r; ++j) out.vectors(i, j) = ritz(i, j);
-  if (!converged) {
-    // Not an error for our use cases: spectral *initialization* tolerates
-    // approximate eigenvectors. The caller can inspect `iterations`.
-  }
   return out;
 }
 

@@ -26,6 +26,10 @@ struct EigenPairs {
   std::vector<double> values;  ///< r values, non-increasing.
   Matrix vectors;              ///< Dim() x r, orthonormal columns.
   int iterations = 0;          ///< iterations actually performed.
+  /// Whether the Ritz values met `tol` within max_iterations. Not an
+  /// error when false: spectral initialization tolerates approximate
+  /// eigenvectors, and callers count it.
+  bool converged = false;
 };
 
 /// Top-r eigenpairs of a symmetric operator by block power iteration

@@ -11,34 +11,39 @@ namespace tcss {
 namespace {
 
 // Gram operator (A^T A or A A^T, whichever is smaller) of an implicit
-// matrix.
+// matrix, applied one block column at a time through the vector products.
 class ImplicitGram : public LinearOperator {
  public:
   ImplicitGram(const MatVecOperator* op, bool use_cols)
-      : op_(op), use_cols_(use_cols),
-        tmp_(use_cols ? op->Rows() : op->Cols()) {}
+      : op_(op), use_cols_(use_cols) {}
 
   size_t Dim() const override {
     return use_cols_ ? op_->Cols() : op_->Rows();
   }
 
-  void Apply(const std::vector<double>& x,
-             std::vector<double>* y) const override {
-    if (use_cols_) {
-      // y = A^T (A x)
-      op_->Apply(x, &tmp_);
-      op_->ApplyTranspose(tmp_, y);
-    } else {
-      // y = A (A^T x)
-      op_->ApplyTranspose(x, &tmp_);
-      op_->Apply(tmp_, y);
+  void Apply(const Matrix& x, Matrix* y) const override {
+    const size_t n = Dim();
+    y->Resize(n, x.cols());
+    std::vector<double> in(n), tmp(use_cols_ ? op_->Rows() : op_->Cols()),
+        out(n);
+    for (size_t c = 0; c < x.cols(); ++c) {
+      for (size_t i = 0; i < n; ++i) in[i] = x(i, c);
+      if (use_cols_) {
+        // y = A^T (A x)
+        op_->Apply(in, &tmp);
+        op_->ApplyTranspose(tmp, &out);
+      } else {
+        // y = A (A^T x)
+        op_->ApplyTranspose(in, &tmp);
+        op_->Apply(tmp, &out);
+      }
+      for (size_t i = 0; i < n; ++i) (*y)(i, c) = out[i];
     }
   }
 
  private:
   const MatVecOperator* op_;
   bool use_cols_;
-  mutable std::vector<double> tmp_;
 };
 
 // Wraps a dense matrix in the MatVecOperator interface.

@@ -165,6 +165,74 @@ double OracleHausdorffUser(const SocialHausdorffLoss& loss,
   return term1 + term2;
 }
 
+std::vector<double> ReferenceGramApply(const ModeGramOperator& op,
+                                       const std::vector<double>& x) {
+  const std::vector<uint32_t>& row = op.GroupRows();
+  const std::vector<double>& val = op.GroupValues();
+  const std::vector<size_t>& col_start = op.GroupStarts();
+  TCSS_CHECK(x.size() == op.Dim());
+  std::vector<double> y(op.Dim(), 0.0);
+  for (size_t g = 0; g + 1 < col_start.size(); ++g) {
+    const size_t b = col_start[g];
+    const size_t e = col_start[g + 1];
+    double s = 0.0;
+    for (size_t t = b; t < e; ++t) s += val[t] * x[row[t]];
+    if (s == 0.0) continue;
+    for (size_t t = b; t < e; ++t) y[row[t]] += val[t] * s;
+  }
+  if (op.zero_diagonal()) {
+    for (size_t i = 0; i < op.Dim(); ++i) y[i] -= op.Diagonal()[i] * x[i];
+  }
+  return y;
+}
+
+namespace {
+
+double ColDot(const Matrix& a, size_t p, size_t q) {
+  double s = 0.0;
+  for (size_t i = 0; i < a.rows(); ++i) s += a(i, p) * a(i, q);
+  return s;
+}
+
+void ColAxpy(Matrix* a, size_t dst, size_t src, double alpha) {
+  for (size_t i = 0; i < a->rows(); ++i) (*a)(i, dst) += alpha * (*a)(i, src);
+}
+
+}  // namespace
+
+Status ReferenceOrthonormalize(Matrix* a, Rng* rng) {
+  const size_t m = a->rows();
+  const size_t n = a->cols();
+  if (m < n) return Status::InvalidArgument("rows < cols");
+  constexpr double kRankTol = 1e-12;
+  for (size_t j = 0; j < n; ++j) {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t p = 0; p < j; ++p) {
+        double proj = ColDot(*a, p, j);
+        if (proj != 0.0) ColAxpy(a, j, p, -proj);
+      }
+    }
+    double norm = std::sqrt(ColDot(*a, j, j));
+    int retries = 0;
+    while (norm < kRankTol) {
+      if (rng == nullptr || ++retries > 8) {
+        return Status::FailedPrecondition("rank deficient");
+      }
+      for (size_t i = 0; i < m; ++i) (*a)(i, j) = rng->Gaussian();
+      for (int pass = 0; pass < 2; ++pass) {
+        for (size_t p = 0; p < j; ++p) {
+          double proj = ColDot(*a, p, j);
+          if (proj != 0.0) ColAxpy(a, j, p, -proj);
+        }
+      }
+      norm = std::sqrt(ColDot(*a, j, j));
+    }
+    const double inv = 1.0 / norm;
+    for (size_t i = 0; i < m; ++i) (*a)(i, j) *= inv;
+  }
+  return Status::OK();
+}
+
 double ReferenceHausdorffUser(const SocialHausdorffLoss& loss,
                               const Dataset& data, const FactorModel& model,
                               uint32_t user, FactorGrads* grads,

@@ -12,6 +12,7 @@
 #include "data/dataset.h"
 #include "eval/recommender.h"
 #include "linalg/matrix.h"
+#include "tensor/gram_operator.h"
 #include "tensor/sparse_tensor.h"
 
 namespace tcss {
@@ -51,6 +52,23 @@ Matrix OracleGram(const Matrix& a);
 /// X[i,j,k] * A(., t) * B(., t). O(I*J*K*r).
 Matrix OracleMttkrp(const SparseTensor& x, const Matrix factors[3],
                     int mode);
+
+// --- spectral initialization (Eq 4) --------------------------------------
+
+/// The single-vector ModeGramOperator::Apply that the block kernel
+/// replaced, kept verbatim as the bitwise reference: y = A (A^T x) in one
+/// pass over the operator's column groups, skipping a group whose sum s
+/// is zero, then the zero-diagonal term. Column c of the block Apply
+/// must equal this applied to column c of the block, under either kernel
+/// table.
+std::vector<double> ReferenceGramApply(const ModeGramOperator& op,
+                                       const std::vector<double>& x);
+
+/// The left-looking modified Gram-Schmidt that Orthonormalize replaced,
+/// kept verbatim as the bitwise reference: it walks columns in place
+/// with a row stride, and draws the same rng values on its rank-
+/// deficiency retry.
+Status ReferenceOrthonormalize(Matrix* a, Rng* rng);
 
 // --- social Hausdorff head (Eq 12) ----------------------------------------
 

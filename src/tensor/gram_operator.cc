@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/logging.h"
+#include "linalg/kernel_table.h"
 #include "tensor/matricization.h"
 
 namespace tcss {
@@ -41,23 +42,22 @@ ModeGramOperator::ModeGramOperator(const SparseTensor& x, int mode,
   col_start_.push_back(n);
 }
 
-void ModeGramOperator::Apply(const std::vector<double>& x,
-                             std::vector<double>* y) const {
-  TCSS_CHECK(x.size() == dim_);
-  y->assign(dim_, 0.0);
+void ModeGramOperator::Apply(const Matrix& x, Matrix* y) const {
+  TCSS_CHECK(x.rows() == dim_);
+  const size_t b = x.cols();
+  y->Resize(dim_, b);
   // For each unfolding column c with nonzeros {(row_t, val_t)}:
-  //   s_c = sum_t val_t * x[row_t]   (this is (A^T x)_c)
-  //   y[row_t] += val_t * s_c        (accumulating A (A^T x))
-  for (size_t g = 0; g + 1 < col_start_.size(); ++g) {
-    const size_t b = col_start_[g];
-    const size_t e = col_start_[g + 1];
-    double s = 0.0;
-    for (size_t t = b; t < e; ++t) s += val_[t] * x[row_[t]];
-    if (s == 0.0) continue;
-    for (size_t t = b; t < e; ++t) (*y)[row_[t]] += val_[t] * s;
-  }
+  //   s_c = sum_t val_t * X[row_t, :]   (this is (A^T X)_c)
+  //   Y[row_t, :] += val_t * s_c        (accumulating A (A^T X))
+  ActiveKernels().gram_block_apply(row_.data(), val_.data(),
+                                   col_start_.data(), col_start_.size() - 1,
+                                   x.data(), b, y->data());
   if (zero_diagonal_) {
-    for (size_t i = 0; i < dim_; ++i) (*y)[i] -= diag_[i] * x[i];
+    for (size_t i = 0; i < dim_; ++i) {
+      const double* xr = x.row(i);
+      double* yr = y->row(i);
+      for (size_t c = 0; c < b; ++c) yr[c] -= diag_[i] * xr[c];
+    }
   }
 }
 

@@ -15,19 +15,28 @@ namespace tcss {
 /// each Apply is O(nnz).
 ///
 /// Construction groups the nonzeros by unfolding column; Apply computes
-///   y = A (A^T x)        [then subtracts diag(G) ⊙ x if zero_diagonal]
-/// by one pass over the column groups.
+///   Y = A (A^T X)        [then subtracts diag(G) ⊙ X if zero_diagonal]
+/// for all columns of the block X in one pass over the column groups
+/// (KernelTable::gram_block_apply).
 class ModeGramOperator : public LinearOperator {
  public:
   /// `x` must be finalized and must outlive the operator.
   ModeGramOperator(const SparseTensor& x, int mode, bool zero_diagonal);
 
   size_t Dim() const override { return dim_; }
-  void Apply(const std::vector<double>& x,
-             std::vector<double>* y) const override;
+  void Apply(const Matrix& x, Matrix* y) const override;
 
   /// diag(A A^T), exposed for tests.
   const std::vector<double>& Diagonal() const { return diag_; }
+
+  /// The column groups, exposed for the single-vector reference
+  /// (proptest::ReferenceGramApply): nonzero t has unfolding row
+  /// GroupRows()[t] and value GroupValues()[t], and group g spans
+  /// [GroupStarts()[g], GroupStarts()[g + 1]).
+  const std::vector<uint32_t>& GroupRows() const { return row_; }
+  const std::vector<double>& GroupValues() const { return val_; }
+  const std::vector<size_t>& GroupStarts() const { return col_start_; }
+  bool zero_diagonal() const { return zero_diagonal_; }
 
  private:
   size_t dim_;

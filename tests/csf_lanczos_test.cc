@@ -76,18 +76,10 @@ TEST(CsfTensorTest, EmptyTensor) {
   EXPECT_DOUBLE_EQ(out.MaxAbs(), 0.0);
 }
 
-// The dense matrix of a symmetric operator: column c is A e_c.
+// The dense matrix of a symmetric operator: A I.
 Matrix Materialize(const LinearOperator& op) {
-  const size_t n = op.Dim();
-  Matrix a(n, n);
-  std::vector<double> e(n, 0.0);
-  std::vector<double> col(n);
-  for (size_t c = 0; c < n; ++c) {
-    e[c] = 1.0;
-    op.Apply(e, &col);
-    e[c] = 0.0;
-    for (size_t i = 0; i < n; ++i) a(i, c) = col[i];
-  }
+  Matrix a(op.Dim(), op.Dim());
+  op.Apply(Matrix::Identity(op.Dim()), &a);
   return a;
 }
 

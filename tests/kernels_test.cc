@@ -5,10 +5,12 @@
 // mirrored Gram, the CSF-backed RewrittenLoss (bound == unbound
 // bytes), the social Hausdorff kernels (each table entry scalar ==
 // native, ComputeForUser == the scalar reference it replaced, both
-// bitwise), and the exact top-k scan's f32 panel kernel (scalar ==
-// native, bitwise). tools/check.sh runs this suite in the plain stage under both
-// TCSS_SIMD=off and TCSS_SIMD=native, and again under ASan/UBSan and
-// TSan.
+// bitwise), the exact top-k scan's f32 panel kernel (scalar == native,
+// bitwise), and spectral init (each column of the block Gram apply ==
+// the single-vector reference, and InitializeFactors bytes invariant to
+// the table and the thread count). tools/check.sh runs this suite in the
+// plain stage under both TCSS_SIMD=off and TCSS_SIMD=native, and again
+// under ASan/UBSan and TSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,13 +25,18 @@
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/hausdorff_loss.h"
+#include "core/spectral_init.h"
 #include "core/whole_data_loss.h"
+#include "data/split.h"
+#include "data/synthetic.h"
+#include "data/tensor_builder.h"
 #include "data/time_binning.h"
 #include "linalg/kernel_table.h"
 #include "linalg/matrix.h"
 #include "linalg/simd.h"
 #include "proptest/oracles.h"
 #include "tensor/csf_tensor.h"
+#include "tensor/gram_operator.h"
 #include "tensor/mttkrp.h"
 #include "tensor/sparse_kernels.h"
 #include "tensor/sparse_tensor.h"
@@ -140,8 +147,14 @@ TEST(KernelEquivalenceTest, DenseKernelsBitIdenticalScalarVsNative) {
   KernelGuard guard;
   Rng rng(41);
   // Shapes straddle kKc = 64 tiling and the 4-way k-block remainders.
+  // The tall-skinny ones (many rows, 1-17 columns) are subspace
+  // iteration's q^T A q and A q W and the L2 head's rank-r products:
+  // every width below, at and just past one 16-column tile, so the
+  // masked partial-width tiles meet a tall input.
   const size_t shapes[][3] = {
-      {1, 1, 1}, {3, 5, 7}, {64, 64, 64}, {65, 67, 33}, {200, 130, 17}};
+      {1, 1, 1},      {3, 5, 7},      {64, 64, 64},   {65, 67, 33},
+      {200, 130, 17}, {1000, 14, 14}, {777, 10, 10},  {513, 13, 1},
+      {640, 15, 17},  {301, 17, 13},  {1200, 1, 14},  {901, 14, 15}};
   for (const auto& s : shapes) {
     const Matrix a = Matrix::GaussianRandom(s[0], s[1], &rng);
     const Matrix b = Matrix::GaussianRandom(s[1], s[2], &rng);
@@ -742,6 +755,105 @@ TEST(PanelKernelTest, PanelScoresBitIdenticalScalarVsNative) {
     want = want + c.panel[(2 * c.r + t) * kPanelLanes + 3] * c.q[t];
   }
   EXPECT_EQ(std::memcmp(&got[2 * kPanelLanes + 3], &want, sizeof(float)), 0);
+}
+
+// --------------------------------------------------------------------------
+// Block Gram apply (spectral init): each column of ModeGramOperator's block
+// Apply is bitwise the single-vector operator it replaced, under both
+// kernel tables and at 1/2/8 threads.
+// --------------------------------------------------------------------------
+
+// Tensor with untouched rows in every mode (indices drawn from a prefix of
+// each dimension), singleton column groups, longer groups, and negative
+// values.
+SparseTensor GramTensor(uint64_t seed) {
+  Rng rng(seed);
+  SparseTensor x(23, 19, 7);
+  for (size_t e = 0; e < 160; ++e) {
+    const double v = rng.Uniform(0.1, 2.0) * (rng.Bernoulli(0.2) ? -1 : 1);
+    (void)x.Add(static_cast<uint32_t>(rng.UniformInt(20)),
+                static_cast<uint32_t>(rng.UniformInt(16)),
+                static_cast<uint32_t>(rng.UniformInt(6)), v);
+  }
+  EXPECT_TRUE(x.Finalize(false).ok());
+  return x;
+}
+
+TEST(GramBlockApplyTest, ColumnsMatchSingleVectorReferenceBitwise) {
+  KernelGuard guard;
+  const SparseTensor x = GramTensor(77);
+  Rng rng(78);
+  for (int mode = 0; mode < 3; ++mode) {
+    for (bool zero_diag : {true, false}) {
+      const ModeGramOperator op(x, mode, zero_diag);
+      const size_t n = op.Dim();
+      for (size_t b : {1, 3, 4, 14, 17, 37}) {
+        Matrix block = Matrix::GaussianRandom(n, b, &rng);
+        // An all-zero column (every group's s is zero) and, when there
+        // is room, a column of -0.0.
+        for (size_t i = 0; i < n; ++i) block(i, b / 2) = 0.0;
+        if (b > 2) {
+          for (size_t i = 0; i < n; ++i) block(i, b - 1) = -0.0;
+        }
+        std::vector<std::vector<double>> want(b);
+        for (size_t c = 0; c < b; ++c) {
+          want[c] = proptest::ReferenceGramApply(op, block.Column(c));
+        }
+        for (SimdMode simd : {SimdMode::kScalar, SimdMode::kNative}) {
+          SetSimdMode(simd);
+          for (int threads : {1, 2, 8}) {
+            SetGlobalThreads(threads);
+            Matrix got(n, b);
+            op.Apply(block, &got);
+            for (size_t c = 0; c < b; ++c) {
+              const std::vector<double> col = got.Column(c);
+              EXPECT_EQ(std::memcmp(col.data(), want[c].data(),
+                                    n * sizeof(double)),
+                        0)
+                  << "mode " << mode << " zero_diag " << zero_diag << " b "
+                  << b << " column " << c << " " << SimdModeName(simd)
+                  << " @" << threads;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Spectral init end to end: the factors are the same bytes under either
+// kernel table and at any thread count.
+TEST(SpectralInitTest, FactorsBitIdenticalAcrossSimdAndThreads) {
+  KernelGuard guard;
+  SyntheticConfig sc =
+      PresetConfig(SyntheticPreset::kGowallaLike, /*scale=*/0.3);
+  auto data = GenerateSyntheticLbsn(sc);
+  ASSERT_TRUE(data.ok());
+  const TrainTestSplit split = SplitCheckins(data.value(), 0.8, 5);
+  auto tensor = BuildCheckinTensor(data.value(), split.train,
+                                   TimeGranularity::kMonthOfYear);
+  ASSERT_TRUE(tensor.ok());
+  TcssConfig cfg;
+  FactorModel want;
+  bool first = true;
+  for (SimdMode simd : {SimdMode::kScalar, SimdMode::kNative}) {
+    SetSimdMode(simd);
+    for (int threads : {1, 2, 8}) {
+      SetGlobalThreads(threads);
+      auto got = InitializeFactors(tensor.value(), cfg);
+      ASSERT_TRUE(got.ok());
+      if (first) {
+        want = got.MoveValue();
+        first = false;
+        continue;
+      }
+      EXPECT_TRUE(BitIdentical(got.value().u1, want.u1) &&
+                  BitIdentical(got.value().u2, want.u2) &&
+                  BitIdentical(got.value().u3, want.u3) &&
+                  got.value().h == want.h)
+          << SimdModeName(simd) << " @" << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -153,6 +153,36 @@ TEST(SubspaceIterationTest, MatchesJacobiOnPsdMatrix) {
   }
 }
 
+TEST(SubspaceIterationTest, ReportsIterationsPerformedAndConvergence) {
+  // A converging solve stops at the iteration whose Ritz values met tol.
+  Rng rng(10);
+  Matrix b = Matrix::GaussianRandom(30, 30, &rng);
+  Matrix a = MatMulT(b, b);
+  DenseOperator op(&a);
+  auto fast = SubspaceEigen(op, 5);
+  ASSERT_TRUE(fast.ok());
+  EXPECT_TRUE(fast.value().converged);
+  EXPECT_EQ(fast.value().iterations, 82);
+
+  // Eigenvalues 1, 0.999, ...: the gap past the block is tiny, so the
+  // cap is reached. The count is the iterations run, not the cap + 1.
+  Matrix d(40, 40);
+  for (size_t i = 0; i < 40; ++i) {
+    d(i, i) = 1.0 - 0.001 * static_cast<double>(i);
+  }
+  DenseOperator slow(&d);
+  SubspaceIterationOptions opts;
+  opts.max_iterations = 5;
+  auto capped = SubspaceEigen(slow, 5, opts);
+  ASSERT_TRUE(capped.ok());
+  EXPECT_EQ(capped.value().iterations, 5);
+  EXPECT_FALSE(capped.value().converged);
+  auto defaults = SubspaceEigen(slow, 5);
+  ASSERT_TRUE(defaults.ok());
+  EXPECT_EQ(defaults.value().iterations, 300);
+  EXPECT_FALSE(defaults.value().converged);
+}
+
 TEST(SubspaceIterationTest, RejectsBadRank) {
   Matrix a = Matrix::Identity(4);
   DenseOperator op(&a);

@@ -31,6 +31,7 @@
 #include "core/recommend.h"
 #include "core/whole_data_loss.h"
 #include "linalg/matrix.h"
+#include "linalg/qr.h"
 #include "proptest/generators.h"
 #include "proptest/oracles.h"
 #include "linalg/simd.h"
@@ -268,12 +269,20 @@ struct KernelCase {
 KernelCase MakeKernelCase(uint64_t seed, uint32_t size) {
   Rng rng(seed);
   KernelCase c;
-  const size_t m = 1 + rng.UniformInt(size);
-  const size_t p = 1 + rng.UniformInt(size);
-  const size_t n = 1 + rng.UniformInt(size);
+  // Half the cases are tall-skinny: many rows against the narrow widths
+  // of subspace iteration (r + 4 = 14 at the default rank) and the L2
+  // head (r = 10), below, at and past one 16-column tile.
+  const bool tall = rng.Bernoulli(0.5);
+  const size_t widths[] = {1, 10, 13, 14, 15, 17};
+  auto width = [&]() -> size_t {
+    return tall ? widths[rng.UniformInt(6)] : 1 + rng.UniformInt(size);
+  };
+  const size_t m = 1 + rng.UniformInt(tall ? 16 * size : size);
+  const size_t p = width();
+  const size_t n = width();
   c.a = Matrix::GaussianRandom(m, p, &rng);
   c.b = Matrix::GaussianRandom(p, n, &rng);
-  c.c = Matrix::GaussianRandom(m, 1 + rng.UniformInt(size), &rng);
+  c.c = Matrix::GaussianRandom(m, width(), &rng);
   // Dense-ish tensor so nnz * r crosses the parallel-MTTKRP threshold at
   // full budget while small budgets still exercise the serial path.
   const size_t dim_i = 1 + rng.UniformInt(size);
@@ -356,6 +365,95 @@ TEST(DifferentialKernels, GemmGramMttkrpMatchOraclesAtManyThreads) {
   PropReport report = Prop::Check<KernelCase>(
       "kernels-vs-triple-loop", 24, gen, pred, opts);
   EXPECT_TRUE(report.ok) << report.message;
+}
+
+// ---------------------------------------------------------------------------
+// Orthonormalize (subspace iteration's QR step) vs the strided left-looking
+// Gram-Schmidt it replaced: same bytes, same status, same rng draws.
+// ---------------------------------------------------------------------------
+
+struct OrthoCase {
+  Matrix a;
+  uint64_t rng_seed = 0;
+};
+
+OrthoCase MakeOrthoCase(uint64_t seed, uint32_t size) {
+  Rng rng(seed);
+  OrthoCase c;
+  const size_t m = 1 + rng.UniformInt(8 * size);
+  const size_t n = 1 + rng.UniformInt(std::min<size_t>(m, 20));
+  c.a = Matrix::GaussianRandom(m, n, &rng);
+  // Rank deficiency takes the rng retry: a zero column, or a copy of an
+  // earlier column that projects to rounding noise.
+  if (n > 1 && rng.Bernoulli(0.4)) {
+    const size_t j = 1 + rng.UniformInt(n - 1);
+    const size_t src = rng.UniformInt(j);
+    const bool zero = rng.Bernoulli(0.5);
+    for (size_t i = 0; i < m; ++i) c.a(i, j) = zero ? 0.0 : c.a(i, src);
+  }
+  c.rng_seed = rng.Next();
+  return c;
+}
+
+bool SameOrthonormalize(const Matrix& a, uint64_t rng_seed,
+                        std::string* msg) {
+  Matrix got = a;
+  Matrix want = a;
+  Rng got_rng(rng_seed);
+  Rng want_rng(rng_seed);
+  const Status got_st = Orthonormalize(&got, &got_rng);
+  const Status want_st = proptest::ReferenceOrthonormalize(&want, &want_rng);
+  if (got_st.ok() != want_st.ok()) {
+    *msg = "status differs: " + got_st.ToString() + " vs " +
+           want_st.ToString();
+    return false;
+  }
+  if (got_st.ok() && !std::equal(got.data(), got.data() + got.size(),
+                                 want.data())) {
+    *msg = StrFormat("%zux%zu: bytes differ from the reference", a.rows(),
+                     a.cols());
+    return false;
+  }
+  if (got_rng.Next() != want_rng.Next()) {
+    *msg = "rng draws differ";
+    return false;
+  }
+  return true;
+}
+
+TEST(DifferentialQr, OrthonormalizeMatchesStridedReferenceBitwise) {
+  auto gen = [](uint64_t seed, uint32_t size) {
+    return MakeOrthoCase(seed, size);
+  };
+  auto pred = [](const OrthoCase& c, std::string* msg) {
+    return SameOrthonormalize(c.a, c.rng_seed, msg);
+  };
+  PropOptions opts;
+  opts.max_size = 64;
+  PropReport report =
+      Prop::Check<OrthoCase>("orthonormalize-vs-strided", 48, gen, pred, opts);
+  EXPECT_TRUE(report.ok) << report.message;
+}
+
+TEST(DifferentialQr, RankDeficientInputTakesTheSameRetry) {
+  Rng rng(12);
+  Matrix a = Matrix::GaussianRandom(40, 6, &rng);
+  for (size_t i = 0; i < 40; ++i) {
+    a(i, 2) = 0.0;          // dead column
+    a(i, 4) = a(i, 1);      // dependent column
+  }
+  std::string msg;
+  EXPECT_TRUE(SameOrthonormalize(a, 99, &msg)) << msg;
+  // The retry really ran: it drew from the rng.
+  Matrix q = a;
+  Rng used(99);
+  ASSERT_TRUE(Orthonormalize(&q, &used).ok());
+  EXPECT_NE(used.Next(), Rng(99).Next());
+  // Without an rng the same input fails in both.
+  Matrix b = a;
+  Matrix c = a;
+  EXPECT_FALSE(Orthonormalize(&b, nullptr).ok());
+  EXPECT_FALSE(proptest::ReferenceOrthonormalize(&c, nullptr).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include "data/synthetic.h"
 #include "data/tensor_builder.h"
 #include "linalg/vector_ops.h"
+#include "obs/metrics.h"
 
 namespace tcss {
 namespace {
@@ -428,6 +429,42 @@ TEST(GracefulStopTest, NullStopAndNeverTrippedFlagChangeNothing) {
   ASSERT_TRUE(with.ok());
   ASSERT_TRUE(without.ok());
   EXPECT_EQ(MaxAbsDiff(with.value().u1, without.value().u1), 0.0);
+}
+
+// Spectral init is a timed trainer stage: one train.stage.init_ms sample
+// per Train() that initializes, and train.init.unconverged_modes counts the
+// modes whose eigensolve stopped at its iteration cap.
+TEST(InitStageTest, SpectralInitRecordsStageTimeAndUnconvergedModes) {
+  World w = MakeWorld();
+  TcssConfig cfg;
+  cfg.epochs = 1;
+  SpectralInitStats stats;
+  auto init = InitializeFactors(w.train, cfg, &stats);
+  ASSERT_TRUE(init.ok());
+  uint64_t unconverged = 0;
+  for (int mode = 0; mode < 3; ++mode) {
+    EXPECT_GT(stats.iterations[mode], 0) << "mode " << mode;
+    EXPECT_LE(stats.iterations[mode], 300) << "mode " << mode;
+    EXPECT_EQ(stats.converged[mode], stats.iterations[mode] < 300)
+        << "mode " << mode;
+    if (!stats.converged[mode]) ++unconverged;
+  }
+
+  obs::MetricRegistry* reg = obs::MetricRegistry::Global();
+  obs::Histogram* init_ms = reg->GetHistogram("train.stage.init_ms");
+  obs::Counter* modes = reg->GetCounter("train.init.unconverged_modes");
+  const uint64_t samples_before = init_ms->Snapshot().count;
+  const uint64_t modes_before = modes->Value();
+  TcssTrainer trainer(w.data, w.train, cfg);
+  ASSERT_TRUE(trainer.Train().ok());
+  EXPECT_EQ(init_ms->Snapshot().count, samples_before + 1);
+  EXPECT_EQ(modes->Value(), modes_before + unconverged);
+
+  // A warm start skips init, and with it the stage.
+  TrainOptions options;
+  options.warm_start = &init.value();
+  ASSERT_TRUE(trainer.Train(options, nullptr).ok());
+  EXPECT_EQ(init_ms->Snapshot().count, samples_before + 1);
 }
 
 }  // namespace

@@ -49,8 +49,10 @@ BUILD_DIR="${1:-build-asan}"
 TSAN_DIR="${2:-build-tsan}"
 
 # --- Stage 1: plain build, resilience + determinism suites ---------------
+# Every build gets an explicit job count: a bare -j is an unbounded make -j
+# under CMake's Makefile generator.
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -L "serve|server|fuzz|determinism|obs|proptest|kernels|dist|stream"
 
 # Kernel-dispatch suite under both env-forced SIMD modes. The unlabeled
@@ -63,7 +65,7 @@ TCSS_SIMD=native ctest --test-dir build --output-on-failure -L "kernels"
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DTCSS_SANITIZE="address;undefined"
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # halt_on_error so UBSan findings fail the test instead of just logging.
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
@@ -85,7 +87,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DTCSS_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j
+cmake --build "$TSAN_DIR" -j "$(nproc)"
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 # The chaos soak gates this stage at >=10k requests (see tests/CMakeLists).
