@@ -1,44 +1,29 @@
-// Kernel micro-benchmark: MTTKRP on COO vs CSF vs CSF+SIMD, plus the
-// dense gemm/Gram micro-kernels behind the ALS solves — the trajectory
-// behind BENCH_kernels.json.
+// Kernel micro-benchmark: CP-ALS's MTTKRP, plus the dense gemm/Gram
+// micro-kernels, the social Hausdorff head and spectral init's
+// eigensolve — the trajectory behind BENCH_kernels.json.
 //
-// History: the first measurement on month-binned presets found fibers
-// averaging only ~3 nonzeros (K = 12 caps them), so plain COO won and
-// the library kept COO in the hot path. The register-blocked kernel
-// rewrite changed that verdict: CSF's fiber factoring (one rank-r
-// accumulator per fiber, ~1/2 the flops) combined with the vectorized
-// kernel build now beats the COO entry loop well past the 4x mark, and
-// CSF via SparseKernels IS the training hot path (trainer, RewrittenLoss,
-// CP-ALS). The coo series here measures the retained COO fallback
-// (MttkrpCoo) for continuity with the committed baselines; csf uses the
-// scalar kernel table, csf_simd the native (TCSS_SIMD=native) build.
-// All three are bit-identical across thread counts; scalar and native
-// are bit-identical to each other (see tests/kernels_test.cc).
-//
-// The thread-scaling sweep (BM_MttkrpCooThreads) tracks the speedup of
-// the deterministic parallel path at 1/2/4/8 threads; the output is
-// bit-identical at every thread count, so this measures scheduling
-// overhead and memory bandwidth only. BM_Gemm/BM_Gram sweep the dense
-// products behind the ALS solves (square references plus the tall-skinny
-// rows x rank shapes CP-ALS actually forms), each in scalar and simd
-// variants. BM_HausdorffUser times the social Hausdorff head per user
-// (SocialHausdorffLoss::ComputeForUser) on the gowalla preset, forward
-// only and forward+backward, under each kernel table. BM_GramBlockApply
-// and BM_SubspaceEigen time spectral init's eigensolve at the catalog
-// workload's shape (6000 users x 10000 POIs): one block Gram apply of the
-// r + 4 = 14 iteration vectors, and a whole SubspaceEigen of one mode as
-// InitializeFactors runs it; BM_Gemm's 10- and 14-column rows and
-// BM_GemmT are the tall-skinny products of the L2 head and of subspace
-// iteration (A q W and q^T A q).
+// BM_Mttkrp times tcss::Mttkrp, the one plain CSF loop that serves CP-ALS
+// (the Table I baseline; TCSS training never forms an MTTKRP), for each
+// mode at ranks 10 and 32 on the gowalla-like tensor. It is compiled with
+// the default flags and is not a KernelTable entry, so it has no simd
+// variant. BM_Gemm/BM_Gram sweep the dense products (square references
+// plus the tall-skinny rows x rank shapes CP-ALS forms), each in scalar
+// and simd variants. BM_HausdorffUser times the social Hausdorff head per
+// user (SocialHausdorffLoss::ComputeForUser) on the gowalla preset,
+// forward only and forward+backward, under each kernel table.
+// BM_GramBlockApply and BM_SubspaceEigen time spectral init's eigensolve
+// at the catalog workload's shape (6000 users x 10000 POIs): one block
+// Gram apply of the r + 4 = 14 iteration vectors, and a whole
+// SubspaceEigen of one mode as InitializeFactors runs it; BM_Gemm's 10-
+// and 14-column rows and BM_GemmT are the tall-skinny products of the L2
+// head and of subspace iteration (A q W and q^T A q).
 #include <benchmark/benchmark.h>
 
-#include <map>
 #include <string>
 
 #include "bench_common.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "core/hausdorff_loss.h"
 #include "core/spectral_init.h"
 #include "data/split.h"
@@ -50,15 +35,10 @@
 #include "tensor/csf_tensor.h"
 #include "tensor/gram_operator.h"
 #include "tensor/mttkrp.h"
-#include "tensor/sparse_kernels.h"
 
 namespace {
 
 using namespace tcss;
-
-const char* TensorName(int which) {
-  return which == 0 ? "gowalla-like" : "gmu5k-like";
-}
 
 // Selects the kernel build for one benchmark run. simd=1 asks for the
 // native build; if it is unavailable (not compiled in / CPU too old) the
@@ -74,128 +54,46 @@ void SelectSimd(int64_t simd) {
 
 const char* SimdTag(int64_t simd) { return simd != 0 ? "_simd" : ""; }
 
-// Emits one TCSS_BENCH_JSON record with mean seconds/iteration; the
-// google-benchmark tables stay the human-readable output.
-void EmitKernelJson(const std::string& metric, int which, double total_s,
-                    size_t iters) {
-  if (iters == 0) return;
-  tcss::bench::AppendBenchJson("kernel_mttkrp", TensorName(which), metric,
-                               total_s / static_cast<double>(iters));
+// The gowalla-like preset's train tensor at scale 1.0, month bins.
+const SparseTensor& CheckinTensor() {
+  static const SparseTensor* tensor = [] {
+    auto data = GenerateSyntheticLbsn(
+        PresetConfig(SyntheticPreset::kGowallaLike, 1.0));
+    auto split = SplitCheckins(data.value(), 0.8, 42);
+    auto t = BuildCheckinTensor(data.value(), split.train,
+                                TimeGranularity::kMonthOfYear);
+    return new SparseTensor(t.MoveValue());
+  }();
+  return *tensor;
 }
 
-const SparseTensor& CheckinTensor(int which) {
-  static std::map<int, SparseTensor>* tensors = new std::map<int, SparseTensor>();
-  auto it = tensors->find(which);
-  if (it != tensors->end()) return it->second;
-  auto preset = which == 0 ? SyntheticPreset::kGowallaLike
-                           : SyntheticPreset::kGmu5kLike;
-  auto data = GenerateSyntheticLbsn(PresetConfig(preset, 1.0));
-  auto split = SplitCheckins(data.value(), 0.8, 42);
-  auto t = BuildCheckinTensor(data.value(), split.train,
-                              TimeGranularity::kMonthOfYear);
-  return tensors->emplace(which, t.MoveValue()).first->second;
-}
-
-void BM_MttkrpCoo(benchmark::State& state) {
-  const SparseTensor& x = CheckinTensor(static_cast<int>(state.range(1)));
-  const size_t r = static_cast<size_t>(state.range(0));
-  SetSimdMode(SimdMode::kScalar);  // COO loop bypasses the kernel table;
+// Args: {mode, rank}. CP-ALS's MTTKRP on a prebuilt CSF tree.
+void BM_Mttkrp(benchmark::State& state) {
+  const CsfTensor csf(CheckinTensor());
+  const int mode = static_cast<int>(state.range(0));
+  const size_t r = static_cast<size_t>(state.range(1));
+  SetSimdMode(SimdMode::kScalar);  // the loop bypasses the kernel table;
                                    // keep the emitted simd tag honest
   Rng rng(1);
-  Matrix factors[3] = {Matrix(x.dim_i(), r),
-                       Matrix::GaussianRandom(x.dim_j(), r, &rng),
-                       Matrix::GaussianRandom(x.dim_k(), r, &rng)};
+  Matrix factors[3] = {Matrix::GaussianRandom(csf.dim_i(), r, &rng),
+                       Matrix::GaussianRandom(csf.dim_j(), r, &rng),
+                       Matrix::GaussianRandom(csf.dim_k(), r, &rng)};
   Stopwatch sw;
   size_t iters = 0;
   for (auto _ : state) {
-    Matrix out = MttkrpCoo(x, factors, 0);
-    benchmark::DoNotOptimize(out.data());
-    ++iters;
-  }
-  state.counters["nnz"] = static_cast<double>(x.nnz());
-  EmitKernelJson("coo_r" + std::to_string(r) + "_s",
-                 static_cast<int>(state.range(1)), sw.ElapsedSeconds(),
-                 iters);
-}
-
-// Args: {rank, dataset, simd}. Measures the dispatched CSF mode-0 MTTKRP
-// (the hot-path kernel) on a prebuilt tree.
-void BM_MttkrpCsf(benchmark::State& state) {
-  const SparseTensor& x = CheckinTensor(static_cast<int>(state.range(1)));
-  const CsfTensor csf(x);
-  const size_t r = static_cast<size_t>(state.range(0));
-  const int64_t simd = state.range(2);
-  SelectSimd(simd);
-  Rng rng(1);
-  Matrix factors[3] = {Matrix(x.dim_i(), r),
-                       Matrix::GaussianRandom(x.dim_j(), r, &rng),
-                       Matrix::GaussianRandom(x.dim_k(), r, &rng)};
-  Stopwatch sw;
-  size_t iters = 0;
-  for (auto _ : state) {
-    Matrix out = SparseKernels::Mttkrp(csf, factors, 0);
+    Matrix out = Mttkrp(csf, factors, mode);
     benchmark::DoNotOptimize(out.data());
     ++iters;
   }
   state.counters["fibers"] = static_cast<double>(csf.num_fibers());
   state.counters["nnz"] = static_cast<double>(csf.nnz());
-  EmitKernelJson("csf" + std::string(SimdTag(simd)) + "_r" +
-                     std::to_string(r) + "_s",
-                 static_cast<int>(state.range(1)), sw.ElapsedSeconds(),
-                 iters);
-  SetSimdMode(SimdMode::kScalar);
-}
-
-// Args: {mode, simd}. Per-mode CSF series at rank 32 on the gowalla-like
-// tensor: modes 1/2 run off the same mode-0-rooted tree.
-void BM_MttkrpCsfMode(benchmark::State& state) {
-  const SparseTensor& x = CheckinTensor(0);
-  const CsfTensor csf(x);
-  const size_t r = 32;
-  const int mode = static_cast<int>(state.range(0));
-  const int64_t simd = state.range(1);
-  SelectSimd(simd);
-  Rng rng(1);
-  Matrix factors[3] = {Matrix::GaussianRandom(x.dim_i(), r, &rng),
-                       Matrix::GaussianRandom(x.dim_j(), r, &rng),
-                       Matrix::GaussianRandom(x.dim_k(), r, &rng)};
-  Stopwatch sw;
-  size_t iters = 0;
-  for (auto _ : state) {
-    Matrix out = SparseKernels::Mttkrp(csf, factors, mode);
-    benchmark::DoNotOptimize(out.data());
-    ++iters;
+  if (iters > 0) {
+    tcss::bench::AppendBenchJson(
+        "kernel_mttkrp", "gowalla-like",
+        "mttkrp_mode" + std::to_string(mode) + "_r" + std::to_string(r) +
+            "_s",
+        sw.ElapsedSeconds() / static_cast<double>(iters));
   }
-  EmitKernelJson("csf" + std::string(SimdTag(simd)) + "_mode" +
-                     std::to_string(mode) + "_r32_s",
-                 /*which=*/0, sw.ElapsedSeconds(), iters);
-  SetSimdMode(SimdMode::kScalar);
-}
-
-// Thread-scaling sweep over the parallel COO path: rank 32 on the
-// gowalla-like tensor, num_threads in {1, 2, 4, 8}. UseRealTime because
-// the work happens on pool workers, not the timing thread.
-void BM_MttkrpCooThreads(benchmark::State& state) {
-  const SparseTensor& x = CheckinTensor(0);
-  const size_t r = 32;
-  SetSimdMode(SimdMode::kScalar);
-  Rng rng(1);
-  Matrix factors[3] = {Matrix(x.dim_i(), r),
-                       Matrix::GaussianRandom(x.dim_j(), r, &rng),
-                       Matrix::GaussianRandom(x.dim_k(), r, &rng)};
-  SetGlobalThreads(static_cast<int>(state.range(0)));
-  Stopwatch sw;
-  size_t iters = 0;
-  for (auto _ : state) {
-    Matrix out = MttkrpCoo(x, factors, 0);
-    benchmark::DoNotOptimize(out.data());
-    ++iters;
-  }
-  state.counters["nnz"] = static_cast<double>(x.nnz());
-  state.counters["threads"] = static_cast<double>(state.range(0));
-  EmitKernelJson("coo_r32_t" + std::to_string(state.range(0)) + "_s",
-                 /*which=*/0, sw.ElapsedSeconds(), iters);
-  SetGlobalThreads(1);
 }
 
 // Dense gemm sweep over the shapes the CP-ALS solve path actually hits:
@@ -416,22 +314,9 @@ void BM_SubspaceEigen(benchmark::State& state) {
   SetSimdMode(SimdMode::kScalar);
 }
 
-// Arg tuples: {rank, dataset} (dataset 0 = sparse gowalla-like with
-// short fibers, 1 = dense gmu5k-like with long fibers); CSF variants add
-// a trailing simd flag (0 = scalar table, 1 = native table).
-BENCHMARK(BM_MttkrpCoo)
-    ->Args({4, 0})->Args({10, 0})->Args({32, 0})
-    ->Args({4, 1})->Args({10, 1})->Args({32, 1});
-BENCHMARK(BM_MttkrpCsf)
-    ->Args({4, 0, 0})->Args({10, 0, 0})->Args({32, 0, 0})
-    ->Args({4, 1, 0})->Args({10, 1, 0})->Args({32, 1, 0})
-    ->Args({4, 0, 1})->Args({10, 0, 1})->Args({32, 0, 1})
-    ->Args({4, 1, 1})->Args({10, 1, 1})->Args({32, 1, 1});
-BENCHMARK(BM_MttkrpCsfMode)
-    ->Args({0, 0})->Args({1, 0})->Args({2, 0})
-    ->Args({0, 1})->Args({1, 1})->Args({2, 1});
-BENCHMARK(BM_MttkrpCooThreads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_Mttkrp)
+    ->Args({0, 10})->Args({1, 10})->Args({2, 10})
+    ->Args({0, 32})->Args({1, 32})->Args({2, 32});
 BENCHMARK(BM_Gemm)
     ->Args({128, 128, 128, 0})
     ->Args({256, 256, 256, 0})

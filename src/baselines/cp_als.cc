@@ -4,7 +4,6 @@
 #include "linalg/cholesky.h"
 #include "tensor/csf_tensor.h"
 #include "tensor/mttkrp.h"
-#include "tensor/sparse_kernels.h"
 
 namespace tcss {
 
@@ -13,16 +12,17 @@ Status CpAls::Fit(const TrainContext& ctx) {
     return Status::InvalidArgument("CpAls: null train tensor");
   }
   const SparseTensor& x = *ctx.train;
+  if (!x.finalized()) {
+    return Status::InvalidArgument("CpAls: train tensor not finalized");
+  }
   const size_t r = opts_.rank;
   Rng rng(opts_.seed ^ ctx.seed);
   factors_[0] = Matrix::GaussianRandom(x.dim_i(), r, &rng, 0.1);
   factors_[1] = Matrix::GaussianRandom(x.dim_j(), r, &rng, 0.1);
   factors_[2] = Matrix::GaussianRandom(x.dim_k(), r, &rng, 0.1);
 
-  // One CSF build serves every MTTKRP of every sweep (finalized tensors
-  // only; unfinalized fall back to the COO entry loop).
-  CsfTensor csf;
-  if (x.finalized()) csf = CsfTensor(x);
+  // One CSF build serves every MTTKRP of every sweep.
+  const CsfTensor csf(x);
 
   for (int sweep = 0; sweep < opts_.sweeps; ++sweep) {
     for (int mode = 0; mode < 3; ++mode) {
@@ -30,8 +30,7 @@ Status CpAls::Fit(const TrainContext& ctx) {
       const Matrix& f1 = factors_[(mode + 1) % 3];
       const Matrix& f2 = factors_[(mode + 2) % 3];
       Matrix gram = Hadamard(Gram(f1), Gram(f2));
-      Matrix rhs = x.finalized() ? SparseKernels::Mttkrp(csf, factors_, mode)
-                                 : MttkrpCoo(x, factors_, mode);  // dim x r
+      Matrix rhs = Mttkrp(csf, factors_, mode);  // dim x r
       // Solve gram * a_row = rhs_row for every row (shared factorization).
       auto solved = CholeskySolveMulti(gram, rhs.Transposed(), opts_.ridge);
       if (!solved.ok()) return solved.status();

@@ -175,6 +175,9 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
                                        const EpochCallback& callback) {
   const std::string problem = config_.Validate();
   if (!problem.empty()) return Status::InvalidArgument(problem);
+  if (!train_->finalized()) {
+    return Status::InvalidArgument("TcssTrainer: train tensor not finalized");
+  }
   if (options.resume && options.checkpoints == nullptr) {
     return Status::InvalidArgument("resume requested without checkpoints");
   }

@@ -159,7 +159,8 @@ class TcssTrainer {
   Result<FactorModel> Train(const EpochCallback& callback = nullptr);
 
   /// Full-control variant: checkpoint/resume, divergence guards with
-  /// rollback + LR backoff, optional early stopping.
+  /// rollback + LR backoff, optional early stopping. Both variants return
+  /// InvalidArgument for an unfinalized train tensor.
   Result<FactorModel> Train(const TrainOptions& options,
                             const EpochCallback& callback);
 

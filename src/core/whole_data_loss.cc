@@ -125,39 +125,18 @@ double RewrittenLoss::Run(const FactorModel& model, const SparseTensor& train,
 
   // --- positive part: sum over observed entries -------------------------
   // (w+ - w-) yhat^2 - 2 w+ X yhat  [+ w+ X^2 constant for exactness]
-  // Dispatched CSF entry loop (tensor/sparse_kernels.h); bound tensors
-  // reuse the precomputed tree, unbound finalized tensors build one per
-  // call (same structure, same bytes). Unfinalized tensors keep the COO
-  // loop below.
-  double loss;
-  if (train.finalized()) {
-    auto run_csf = [&](const CsfTensor& csf) {
-      return SparseKernels::RewrittenEntryLoss(
-          csf, model.u1, model.u2, model.u3, model.h, w_pos_, w_neg_,
-          grads != nullptr ? &grads->u1 : nullptr,
-          grads != nullptr ? &grads->u2 : nullptr,
-          grads != nullptr ? &grads->u3 : nullptr,
-          grads != nullptr ? &grads->h : nullptr);
-    };
-    if (bound_ == &train) {
-      loss = run_csf(csf_);
-    } else {
-      loss = run_csf(CsfTensor(train));
-    }
-  } else {
-    loss = ShardedEntryLoop(
-        model, train, grads,
-        [&](const TensorEntry& e, double* local, FactorGrads* g) {
-          const double y = model.Predict(e.i, e.j, e.k);
-          *local += (w_pos_ - w_neg_) * y * y - 2.0 * w_pos_ * e.value * y +
-                    w_pos_ * e.value * e.value;
-          if (g != nullptr) {
-            const double gv =
-                2.0 * (w_pos_ - w_neg_) * y - 2.0 * w_pos_ * e.value;
-            AccumulateEntryGrad(model, e.i, e.j, e.k, gv, g);
-          }
-        });
-  }
+  // Dispatched CSF entry loop (tensor/sparse_kernels.h); the bound tensor
+  // reuses the precomputed tree, any other finalized tensor builds one
+  // per call (same structure, same bytes).
+  auto run_csf = [&](const CsfTensor& csf) {
+    return SparseKernels::RewrittenEntryLoss(
+        csf, model.u1, model.u2, model.u3, model.h, w_pos_, w_neg_,
+        grads != nullptr ? &grads->u1 : nullptr,
+        grads != nullptr ? &grads->u2 : nullptr,
+        grads != nullptr ? &grads->u3 : nullptr,
+        grads != nullptr ? &grads->h : nullptr);
+  };
+  double loss = bound_ == &train ? run_csf(csf_) : run_csf(CsfTensor(train));
 
   // --- whole-data part: w- * sum_{all cells} yhat^2 ---------------------
   // T = sum_{r1,r2} h_r1 h_r2 G1_{r1r2} G2_{r1r2} G3_{r1r2}

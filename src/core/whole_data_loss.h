@@ -53,7 +53,8 @@ class WholeDataLoss {
   static std::unique_ptr<WholeDataLoss> Create(const TcssConfig& config);
 };
 
-/// Eq 15.
+/// Eq 15. Its entry loop walks the CSF tree of `train`, which must be
+/// finalized.
 class RewrittenLoss : public WholeDataLoss {
  public:
   RewrittenLoss(double w_pos, double w_neg) : w_pos_(w_pos), w_neg_(w_neg) {}

@@ -23,12 +23,14 @@ struct CsfView {
   const double* val = nullptr;
 };
 
-/// The dispatchable micro-kernels of the training hot path. Two tables
-/// exist — scalar reference and native/vectorized — built from the SAME
-/// kernel bodies (kernels_impl.h) in two translation units with
-/// different flags. Every kernel keeps each output element's floating-
-/// point accumulation chain in a fixed (ascending) order, so the tables
-/// are interchangeable bit for bit; tests/kernels_test.cc enforces it.
+/// The dispatchable micro-kernels: the dense products, the L2 head's
+/// entry loop, spectral init's block Gram apply, the social Hausdorff
+/// head and serving's top-k scan. Two tables exist — scalar reference
+/// and native/vectorized — built from the SAME kernel bodies
+/// (kernels_impl.h) in two translation units with different flags.
+/// Every kernel keeps each output element's floating-point accumulation
+/// chain in a fixed (ascending) order, so the tables are interchangeable
+/// bit for bit; tests/kernels_test.cc enforces it.
 ///
 /// Matrix arguments are row-major with a row stride equal to the
 /// logical column count (the only layout tcss::Matrix produces).
@@ -54,21 +56,6 @@ struct KernelTable {
   /// is bitwise-faithful.
   void (*gram_upper)(const double* a, double* out, size_t i_begin,
                      size_t i_end, size_t rows, size_t cols);
-
-  /// CSF MTTKRP, one function per mode, over slices [s_begin, s_end).
-  /// Mode 0: out[i,:] += sum_f (u2[j_f,:] * sum_e v_e u3[k_e,:]).
-  /// Mode 1: out[j_f,:] += u1[i,:] * sum_e v_e u3[k_e,:].
-  /// Mode 2: out[k_e,:] += v_e * (u1[i,:] * u2[j_f,:]).
-  /// fa/fb are the two factor matrices read (u2,u3 / u1,u3 / u1,u2).
-  void (*csf_mttkrp_mode0)(const CsfView& x, const double* fa,
-                           const double* fb, size_t r, double* out,
-                           size_t s_begin, size_t s_end);
-  void (*csf_mttkrp_mode1)(const CsfView& x, const double* fa,
-                           const double* fb, size_t r, double* out,
-                           size_t s_begin, size_t s_end);
-  void (*csf_mttkrp_mode2)(const CsfView& x, const double* fa,
-                           const double* fb, size_t r, double* out,
-                           size_t s_begin, size_t s_end);
 
   /// Observed-entry loop of the rewritten loss (Eq 15 positive part)
   /// over slices [s_begin, s_end): returns

@@ -16,11 +16,8 @@
 // the output in local accumulators across a whole k tile, so each output
 // element is loaded/stored twice per kKc multiply-adds instead of once
 // per iteration, and the b panel streamed per pass stays cache-resident
-// across output rows. The CSF kernels jam four nonzeros (and runs of up
-// to four singleton fibers) into one pass over the rank so the
-// accumulator row is touched once per four contributions. Neither
-// changes any chain's order: contributions stay sequential statements in
-// ascending k / entry order.
+// across output rows. This moves data and never changes any chain's
+// order: contributions stay sequential statements in ascending k.
 //
 // This header intentionally has no include guard semantics beyond the
 // two dedicated TUs; do not include it elsewhere.
@@ -65,20 +62,6 @@ constexpr size_t kKc = 64;
 constexpr size_t kJc = 16;
 
 #if defined(TCSS_KERNELS_USE_AVX2)
-/// d + (v * b[t..t+3]) * c[t..t+3], lane-wise: exactly the scalar
-/// `d += v * b[t] * c[t]` (left-associated) on each lane.
-inline __m256d AddVBC(__m256d d, __m256d v, const double* b, const double* c,
-                      size_t t) {
-  return _mm256_add_pd(
-      d, _mm256_mul_pd(_mm256_mul_pd(v, _mm256_loadu_pd(b + t)),
-                       _mm256_loadu_pd(c + t)));
-}
-
-/// s + v * c[t..t+3], lane-wise: the scalar `s += v * c[t]`.
-inline __m256d AddVC(__m256d s, __m256d v, const double* c, size_t t) {
-  return _mm256_add_pd(s, _mm256_mul_pd(v, _mm256_loadu_pd(c + t)));
-}
-
 /// Mask of the first `lanes` (1-4) doubles of a vector: the partial last
 /// vector of a row narrower than a whole number of vectors. Masked loads
 /// and stores touch nothing past the row, so operands read in place
@@ -594,613 +577,6 @@ void GramBlockApply(const uint32_t* row, const double* val,
   }
 }
 
-#if defined(TCSS_KERNELS_USE_AVX2)
-/// One 4-lane chunk of the fused short-fiber update at offset t:
-/// sum = v0*c0[t]; sum += v1*c1[t]; ... ; d += sum * b[t] — exactly the
-/// generic fused body's chain per lane. LEN selects how many (v, c)
-/// terms are real; unused ones are dead code.
-template <int LEN>
-inline __m256d FusedChunk(__m256d d, const double* b, const double* c0,
-                          const double* c1, const double* c2, const double* c3,
-                          __m256d w0, __m256d w1, __m256d w2, __m256d w3,
-                          size_t t) {
-  __m256d sum = _mm256_mul_pd(w0, _mm256_loadu_pd(c0 + t));
-  if (LEN > 1) sum = AddVC(sum, w1, c1, t);
-  if (LEN > 2) sum = AddVC(sum, w2, c2, t);
-  if (LEN > 3) sum = AddVC(sum, w3, c3, t);
-  return _mm256_add_pd(d, _mm256_mul_pd(sum, _mm256_loadu_pd(b + t)));
-}
-
-/// Mode-0 MTTKRP specialized for rank 32: the destination row (one row
-/// per slice) lives in eight ymm registers across the slice's whole
-/// fiber list instead of round-tripping through memory per fiber —
-/// slices average tens of fibers on check-in data, so that is the
-/// dominant saving. Every per-element chain is the generic path's chain
-/// verbatim (same products, same add order); holding a double in a
-/// register instead of storing and reloading it cannot change its bits,
-/// so the scalar TU (which always takes the generic path) still matches
-/// bit for bit.
-void CsfMttkrpMode0R32(const CsfView& x, const double* fa, const double* fb,
-                       double* out, size_t s_begin, size_t s_end) {
-  alignas(32) double acc[32];
-  for (size_t s = s_begin; s < s_end; ++s) {
-    double* dst = out + size_t{x.slice_id[s]} * 32;
-    __m256d d0 = _mm256_loadu_pd(dst + 0);
-    __m256d d1 = _mm256_loadu_pd(dst + 4);
-    __m256d d2 = _mm256_loadu_pd(dst + 8);
-    __m256d d3 = _mm256_loadu_pd(dst + 12);
-    __m256d d4 = _mm256_loadu_pd(dst + 16);
-    __m256d d5 = _mm256_loadu_pd(dst + 20);
-    __m256d d6 = _mm256_loadu_pd(dst + 24);
-    __m256d d7 = _mm256_loadu_pd(dst + 28);
-    const size_t f_end = x.slice_start[s + 1];
-    for (size_t f = x.slice_start[s]; f < f_end; ++f) {
-      const size_t begin = x.fiber_start[f];
-      const size_t len = x.fiber_start[f + 1] - begin;
-      const double* __restrict b = fa + size_t{x.fiber_id[f]} * 32;
-      if (len == 1) {
-        // Chain is the generic singleton body: d += (v*b[t])*c[t].
-        const __m256d w0 = _mm256_set1_pd(x.val[begin]);
-        const double* __restrict c0 = fb + size_t{x.kk[begin]} * 32;
-        d0 = AddVBC(d0, w0, b, c0, 0);
-        d1 = AddVBC(d1, w0, b, c0, 4);
-        d2 = AddVBC(d2, w0, b, c0, 8);
-        d3 = AddVBC(d3, w0, b, c0, 12);
-        d4 = AddVBC(d4, w0, b, c0, 16);
-        d5 = AddVBC(d5, w0, b, c0, 20);
-        d6 = AddVBC(d6, w0, b, c0, 24);
-        d7 = AddVBC(d7, w0, b, c0, 28);
-      } else if (len <= 4) {
-        const double* c0 = fb + size_t{x.kk[begin]} * 32;
-        const double* c1 = fb + size_t{x.kk[begin + 1]} * 32;
-        const double* c2 = c0;
-        const double* c3 = c0;
-        const __m256d w0 = _mm256_set1_pd(x.val[begin]);
-        const __m256d w1 = _mm256_set1_pd(x.val[begin + 1]);
-        __m256d w2 = w0;
-        __m256d w3 = w0;
-        if (len > 2) {
-          c2 = fb + size_t{x.kk[begin + 2]} * 32;
-          w2 = _mm256_set1_pd(x.val[begin + 2]);
-        }
-        if (len > 3) {
-          c3 = fb + size_t{x.kk[begin + 3]} * 32;
-          w3 = _mm256_set1_pd(x.val[begin + 3]);
-        }
-#define TCSS_M0_FUSED_ALL(LEN)                                      \
-  d0 = FusedChunk<LEN>(d0, b, c0, c1, c2, c3, w0, w1, w2, w3, 0);   \
-  d1 = FusedChunk<LEN>(d1, b, c0, c1, c2, c3, w0, w1, w2, w3, 4);   \
-  d2 = FusedChunk<LEN>(d2, b, c0, c1, c2, c3, w0, w1, w2, w3, 8);   \
-  d3 = FusedChunk<LEN>(d3, b, c0, c1, c2, c3, w0, w1, w2, w3, 12);  \
-  d4 = FusedChunk<LEN>(d4, b, c0, c1, c2, c3, w0, w1, w2, w3, 16);  \
-  d5 = FusedChunk<LEN>(d5, b, c0, c1, c2, c3, w0, w1, w2, w3, 20);  \
-  d6 = FusedChunk<LEN>(d6, b, c0, c1, c2, c3, w0, w1, w2, w3, 24);  \
-  d7 = FusedChunk<LEN>(d7, b, c0, c1, c2, c3, w0, w1, w2, w3, 28)
-        if (len == 2) {
-          TCSS_M0_FUSED_ALL(2);
-        } else if (len == 3) {
-          TCSS_M0_FUSED_ALL(3);
-        } else {
-          TCSS_M0_FUSED_ALL(4);
-        }
-#undef TCSS_M0_FUSED_ALL
-      } else {
-        // Long fiber: accumulate v*c into acc exactly like the generic
-        // acc path (zero, 4-jam in entry order, remainder), then fold
-        // acc*b into the register-resident row — the same
-        // dst[t] += acc[t] * b[t] statement, dst just never left ymm.
-        const size_t end = begin + len;
-        const __m256d z = _mm256_setzero_pd();
-        _mm256_store_pd(acc + 0, z);
-        _mm256_store_pd(acc + 4, z);
-        _mm256_store_pd(acc + 8, z);
-        _mm256_store_pd(acc + 12, z);
-        _mm256_store_pd(acc + 16, z);
-        _mm256_store_pd(acc + 20, z);
-        _mm256_store_pd(acc + 24, z);
-        _mm256_store_pd(acc + 28, z);
-        size_t e = begin;
-        for (; e + 4 <= end; e += 4) {
-          const __m256d w0 = _mm256_set1_pd(x.val[e]);
-          const __m256d w1 = _mm256_set1_pd(x.val[e + 1]);
-          const __m256d w2 = _mm256_set1_pd(x.val[e + 2]);
-          const __m256d w3 = _mm256_set1_pd(x.val[e + 3]);
-          const double* __restrict c0 = fb + size_t{x.kk[e]} * 32;
-          const double* __restrict c1 = fb + size_t{x.kk[e + 1]} * 32;
-          const double* __restrict c2 = fb + size_t{x.kk[e + 2]} * 32;
-          const double* __restrict c3 = fb + size_t{x.kk[e + 3]} * 32;
-          for (size_t t = 0; t < 32; t += 4) {
-            __m256d s_acc = _mm256_load_pd(acc + t);
-            s_acc = AddVC(s_acc, w0, c0, t);
-            s_acc = AddVC(s_acc, w1, c1, t);
-            s_acc = AddVC(s_acc, w2, c2, t);
-            s_acc = AddVC(s_acc, w3, c3, t);
-            _mm256_store_pd(acc + t, s_acc);
-          }
-        }
-        for (; e < end; ++e) {
-          const __m256d w = _mm256_set1_pd(x.val[e]);
-          const double* __restrict c = fb + size_t{x.kk[e]} * 32;
-          for (size_t t = 0; t < 32; t += 4) {
-            _mm256_store_pd(acc + t, AddVC(_mm256_load_pd(acc + t), w, c, t));
-          }
-        }
-        d0 = _mm256_add_pd(
-            d0, _mm256_mul_pd(_mm256_load_pd(acc + 0), _mm256_loadu_pd(b)));
-        d1 = _mm256_add_pd(d1, _mm256_mul_pd(_mm256_load_pd(acc + 4),
-                                             _mm256_loadu_pd(b + 4)));
-        d2 = _mm256_add_pd(d2, _mm256_mul_pd(_mm256_load_pd(acc + 8),
-                                             _mm256_loadu_pd(b + 8)));
-        d3 = _mm256_add_pd(d3, _mm256_mul_pd(_mm256_load_pd(acc + 12),
-                                             _mm256_loadu_pd(b + 12)));
-        d4 = _mm256_add_pd(d4, _mm256_mul_pd(_mm256_load_pd(acc + 16),
-                                             _mm256_loadu_pd(b + 16)));
-        d5 = _mm256_add_pd(d5, _mm256_mul_pd(_mm256_load_pd(acc + 20),
-                                             _mm256_loadu_pd(b + 20)));
-        d6 = _mm256_add_pd(d6, _mm256_mul_pd(_mm256_load_pd(acc + 24),
-                                             _mm256_loadu_pd(b + 24)));
-        d7 = _mm256_add_pd(d7, _mm256_mul_pd(_mm256_load_pd(acc + 28),
-                                             _mm256_loadu_pd(b + 28)));
-      }
-    }
-    _mm256_storeu_pd(dst + 0, d0);
-    _mm256_storeu_pd(dst + 4, d1);
-    _mm256_storeu_pd(dst + 8, d2);
-    _mm256_storeu_pd(dst + 12, d3);
-    _mm256_storeu_pd(dst + 16, d4);
-    _mm256_storeu_pd(dst + 20, d5);
-    _mm256_storeu_pd(dst + 24, d6);
-    _mm256_storeu_pd(dst + 28, d7);
-  }
-}
-#endif  // TCSS_KERNELS_USE_AVX2
-
-void CsfMttkrpMode0(const CsfView& x, const double* fa, const double* fb,
-                    size_t r, double* out, size_t s_begin, size_t s_end) {
-  // Check-in fibers are short (a user revisits a POI in few time bins),
-  // so per-fiber and per-nonzero loop overhead dominates. Two jams cut
-  // the accumulator-row traffic 4x without touching any chain's order —
-  // jammed contributions are *sequential statements* in original entry /
-  // fiber order, not a reduction tree:
-  //  * runs of up to 4 consecutive singleton fibers fuse into one pass
-  //    over dst;
-  //  * within a long fiber, 4 nonzeros at a time fuse into one pass
-  //    over acc.
-#if defined(TCSS_KERNELS_USE_AVX2)
-  if (r == 32) {
-    CsfMttkrpMode0R32(x, fa, fb, out, s_begin, s_end);
-    return;
-  }
-#endif
-  std::vector<double> acc_buf(r);
-  double* __restrict acc = acc_buf.data();
-  const size_t shard_f_end = x.slice_start[s_end];
-  for (size_t s = s_begin; s < s_end; ++s) {
-    double* __restrict dst = out + size_t{x.slice_id[s]} * r;
-    const size_t f_end = x.slice_start[s + 1];
-    size_t f = x.slice_start[s];
-    while (f < f_end) {
-      // The b rows (fa) are the one access with no locality — fiber ids
-      // stride through a factor matrix much bigger than L1/L2. Pull the
-      // row a few fibers ahead while this fiber computes; prefetch is
-      // architecturally invisible, so the bitwise contract is untouched.
-      if (f + 4 < shard_f_end) {
-        const char* nb = reinterpret_cast<const char*>(
-            fa + size_t{x.fiber_id[f + 4]} * r);
-        __builtin_prefetch(nb);
-        __builtin_prefetch(nb + 64);
-        __builtin_prefetch(nb + 128);
-        __builtin_prefetch(nb + 192);
-      }
-      const size_t begin = x.fiber_start[f];
-      size_t end = x.fiber_start[f + 1];
-      if (end - begin == 1) {
-        // Count the run of singleton fibers starting at f (capped at 4).
-        size_t run = 1;
-        while (run < 4 && f + run < f_end &&
-               x.fiber_start[f + run + 1] - x.fiber_start[f + run] == 1) {
-          ++run;
-        }
-        const double* __restrict b0 = fa + size_t{x.fiber_id[f]} * r;
-        const double* __restrict c0 = fb + size_t{x.kk[begin]} * r;
-        const double v0 = x.val[begin];
-        if (run == 4) {
-          const double* __restrict b1 = fa + size_t{x.fiber_id[f + 1]} * r;
-          const double* __restrict b2 = fa + size_t{x.fiber_id[f + 2]} * r;
-          const double* __restrict b3 = fa + size_t{x.fiber_id[f + 3]} * r;
-          const double* __restrict c1 = fb + size_t{x.kk[begin + 1]} * r;
-          const double* __restrict c2 = fb + size_t{x.kk[begin + 2]} * r;
-          const double* __restrict c3 = fb + size_t{x.kk[begin + 3]} * r;
-          const double v1 = x.val[begin + 1];
-          const double v2 = x.val[begin + 2];
-          const double v3 = x.val[begin + 3];
-#if defined(TCSS_KERNELS_USE_AVX2)
-          // The chunked intrinsic paths below (and in every other body)
-          // skip the vectorizer's runtime prologue/epilogue, which costs
-          // real time when fibers average a handful of nonzeros. Each
-          // AddVBC/AddVC lane is the scalar statement verbatim.
-          if ((r & 3) == 0) {
-            const __m256d w0 = _mm256_set1_pd(v0);
-            const __m256d w1 = _mm256_set1_pd(v1);
-            const __m256d w2 = _mm256_set1_pd(v2);
-            const __m256d w3 = _mm256_set1_pd(v3);
-            for (size_t t = 0; t < r; t += 4) {
-              __m256d d = _mm256_loadu_pd(dst + t);
-              d = AddVBC(d, w0, b0, c0, t);
-              d = AddVBC(d, w1, b1, c1, t);
-              d = AddVBC(d, w2, b2, c2, t);
-              d = AddVBC(d, w3, b3, c3, t);
-              _mm256_storeu_pd(dst + t, d);
-            }
-          } else
-#endif
-          {
-            TCSS_SIMD_LOOP
-            for (size_t t = 0; t < r; ++t) {
-              double d = dst[t];
-              d += v0 * b0[t] * c0[t];
-              d += v1 * b1[t] * c1[t];
-              d += v2 * b2[t] * c2[t];
-              d += v3 * b3[t] * c3[t];
-              dst[t] = d;
-            }
-          }
-        } else if (run == 2) {
-          const double* __restrict b1 = fa + size_t{x.fiber_id[f + 1]} * r;
-          const double* __restrict c1 = fb + size_t{x.kk[begin + 1]} * r;
-          const double v1 = x.val[begin + 1];
-#if defined(TCSS_KERNELS_USE_AVX2)
-          if ((r & 3) == 0) {
-            const __m256d w0 = _mm256_set1_pd(v0);
-            const __m256d w1 = _mm256_set1_pd(v1);
-            for (size_t t = 0; t < r; t += 4) {
-              __m256d d = _mm256_loadu_pd(dst + t);
-              d = AddVBC(d, w0, b0, c0, t);
-              d = AddVBC(d, w1, b1, c1, t);
-              _mm256_storeu_pd(dst + t, d);
-            }
-          } else
-#endif
-          {
-            TCSS_SIMD_LOOP
-            for (size_t t = 0; t < r; ++t) {
-              double d = dst[t];
-              d += v0 * b0[t] * c0[t];
-              d += v1 * b1[t] * c1[t];
-              dst[t] = d;
-            }
-          }
-        } else if (run == 3) {
-          const double* __restrict b1 = fa + size_t{x.fiber_id[f + 1]} * r;
-          const double* __restrict b2 = fa + size_t{x.fiber_id[f + 2]} * r;
-          const double* __restrict c1 = fb + size_t{x.kk[begin + 1]} * r;
-          const double* __restrict c2 = fb + size_t{x.kk[begin + 2]} * r;
-          const double v1 = x.val[begin + 1];
-          const double v2 = x.val[begin + 2];
-#if defined(TCSS_KERNELS_USE_AVX2)
-          if ((r & 3) == 0) {
-            const __m256d w0 = _mm256_set1_pd(v0);
-            const __m256d w1 = _mm256_set1_pd(v1);
-            const __m256d w2 = _mm256_set1_pd(v2);
-            for (size_t t = 0; t < r; t += 4) {
-              __m256d d = _mm256_loadu_pd(dst + t);
-              d = AddVBC(d, w0, b0, c0, t);
-              d = AddVBC(d, w1, b1, c1, t);
-              d = AddVBC(d, w2, b2, c2, t);
-              _mm256_storeu_pd(dst + t, d);
-            }
-          } else
-#endif
-          {
-            TCSS_SIMD_LOOP
-            for (size_t t = 0; t < r; ++t) {
-              double d = dst[t];
-              d += v0 * b0[t] * c0[t];
-              d += v1 * b1[t] * c1[t];
-              d += v2 * b2[t] * c2[t];
-              dst[t] = d;
-            }
-          }
-        } else {
-#if defined(TCSS_KERNELS_USE_AVX2)
-          if ((r & 3) == 0) {
-            const __m256d w0 = _mm256_set1_pd(v0);
-            for (size_t t = 0; t < r; t += 4) {
-              _mm256_storeu_pd(
-                  dst + t, AddVBC(_mm256_loadu_pd(dst + t), w0, b0, c0, t));
-            }
-          } else
-#endif
-          {
-            TCSS_SIMD_LOOP
-            for (size_t t = 0; t < r; ++t) dst[t] += v0 * b0[t] * c0[t];
-          }
-        }
-        f += run;
-        continue;
-      }
-      const double* __restrict b = fa + size_t{x.fiber_id[f]} * r;
-      if (end - begin <= 4) {
-        // Fibers of 2-4 nonzeros fused into one pass over dst. The
-        // per-element chain is the acc path's chain with the leading
-        // "0.0 + x" folded away, which rounds identically (0 + x == x
-        // exactly for every finite/NaN x except the sign of -0.0, which
-        // no downstream consumer distinguishes).
-        const double* __restrict c0 = fb + size_t{x.kk[begin]} * r;
-        const double* __restrict c1 = fb + size_t{x.kk[begin + 1]} * r;
-        const double v0 = x.val[begin];
-        const double v1 = x.val[begin + 1];
-        if (end - begin == 2) {
-#if defined(TCSS_KERNELS_USE_AVX2)
-          if ((r & 3) == 0) {
-            const __m256d w0 = _mm256_set1_pd(v0);
-            const __m256d w1 = _mm256_set1_pd(v1);
-            for (size_t t = 0; t < r; t += 4) {
-              __m256d sum = _mm256_mul_pd(w0, _mm256_loadu_pd(c0 + t));
-              sum = AddVC(sum, w1, c1, t);
-              _mm256_storeu_pd(
-                  dst + t,
-                  _mm256_add_pd(_mm256_loadu_pd(dst + t),
-                                _mm256_mul_pd(sum, _mm256_loadu_pd(b + t))));
-            }
-          } else
-#endif
-          {
-            TCSS_SIMD_LOOP
-            for (size_t t = 0; t < r; ++t) {
-              double sum = v0 * c0[t];
-              sum += v1 * c1[t];
-              dst[t] += sum * b[t];
-            }
-          }
-        } else if (end - begin == 3) {
-          const double* __restrict c2 = fb + size_t{x.kk[begin + 2]} * r;
-          const double v2 = x.val[begin + 2];
-#if defined(TCSS_KERNELS_USE_AVX2)
-          if ((r & 3) == 0) {
-            const __m256d w0 = _mm256_set1_pd(v0);
-            const __m256d w1 = _mm256_set1_pd(v1);
-            const __m256d w2 = _mm256_set1_pd(v2);
-            for (size_t t = 0; t < r; t += 4) {
-              __m256d sum = _mm256_mul_pd(w0, _mm256_loadu_pd(c0 + t));
-              sum = AddVC(sum, w1, c1, t);
-              sum = AddVC(sum, w2, c2, t);
-              _mm256_storeu_pd(
-                  dst + t,
-                  _mm256_add_pd(_mm256_loadu_pd(dst + t),
-                                _mm256_mul_pd(sum, _mm256_loadu_pd(b + t))));
-            }
-          } else
-#endif
-          {
-            TCSS_SIMD_LOOP
-            for (size_t t = 0; t < r; ++t) {
-              double sum = v0 * c0[t];
-              sum += v1 * c1[t];
-              sum += v2 * c2[t];
-              dst[t] += sum * b[t];
-            }
-          }
-        } else {
-          const double* __restrict c2 = fb + size_t{x.kk[begin + 2]} * r;
-          const double* __restrict c3 = fb + size_t{x.kk[begin + 3]} * r;
-          const double v2 = x.val[begin + 2];
-          const double v3 = x.val[begin + 3];
-#if defined(TCSS_KERNELS_USE_AVX2)
-          if ((r & 3) == 0) {
-            const __m256d w0 = _mm256_set1_pd(v0);
-            const __m256d w1 = _mm256_set1_pd(v1);
-            const __m256d w2 = _mm256_set1_pd(v2);
-            const __m256d w3 = _mm256_set1_pd(v3);
-            for (size_t t = 0; t < r; t += 4) {
-              __m256d sum = _mm256_mul_pd(w0, _mm256_loadu_pd(c0 + t));
-              sum = AddVC(sum, w1, c1, t);
-              sum = AddVC(sum, w2, c2, t);
-              sum = AddVC(sum, w3, c3, t);
-              _mm256_storeu_pd(
-                  dst + t,
-                  _mm256_add_pd(_mm256_loadu_pd(dst + t),
-                                _mm256_mul_pd(sum, _mm256_loadu_pd(b + t))));
-            }
-          } else
-#endif
-          {
-            TCSS_SIMD_LOOP
-            for (size_t t = 0; t < r; ++t) {
-              double sum = v0 * c0[t];
-              sum += v1 * c1[t];
-              sum += v2 * c2[t];
-              sum += v3 * c3[t];
-              dst[t] += sum * b[t];
-            }
-          }
-        }
-        ++f;
-        continue;
-      }
-      for (size_t t = 0; t < r; ++t) acc[t] = 0.0;
-      size_t e = begin;
-      for (; e + 4 <= end; e += 4) {
-        const double v0 = x.val[e], v1 = x.val[e + 1];
-        const double v2 = x.val[e + 2], v3 = x.val[e + 3];
-        const double* __restrict c0 = fb + size_t{x.kk[e]} * r;
-        const double* __restrict c1 = fb + size_t{x.kk[e + 1]} * r;
-        const double* __restrict c2 = fb + size_t{x.kk[e + 2]} * r;
-        const double* __restrict c3 = fb + size_t{x.kk[e + 3]} * r;
-#if defined(TCSS_KERNELS_USE_AVX2)
-        if ((r & 3) == 0) {
-          const __m256d w0 = _mm256_set1_pd(v0);
-          const __m256d w1 = _mm256_set1_pd(v1);
-          const __m256d w2 = _mm256_set1_pd(v2);
-          const __m256d w3 = _mm256_set1_pd(v3);
-          for (size_t t = 0; t < r; t += 4) {
-            __m256d s_acc = _mm256_loadu_pd(acc + t);
-            s_acc = AddVC(s_acc, w0, c0, t);
-            s_acc = AddVC(s_acc, w1, c1, t);
-            s_acc = AddVC(s_acc, w2, c2, t);
-            s_acc = AddVC(s_acc, w3, c3, t);
-            _mm256_storeu_pd(acc + t, s_acc);
-          }
-        } else
-#endif
-        {
-          TCSS_SIMD_LOOP
-          for (size_t t = 0; t < r; ++t) {
-            double s_acc = acc[t];
-            s_acc += v0 * c0[t];
-            s_acc += v1 * c1[t];
-            s_acc += v2 * c2[t];
-            s_acc += v3 * c3[t];
-            acc[t] = s_acc;
-          }
-        }
-      }
-      for (; e < end; ++e) {
-        const double v = x.val[e];
-        const double* __restrict c = fb + size_t{x.kk[e]} * r;
-#if defined(TCSS_KERNELS_USE_AVX2)
-        if ((r & 3) == 0) {
-          const __m256d w = _mm256_set1_pd(v);
-          for (size_t t = 0; t < r; t += 4) {
-            _mm256_storeu_pd(acc + t, AddVC(_mm256_loadu_pd(acc + t), w, c, t));
-          }
-        } else
-#endif
-        {
-          TCSS_SIMD_LOOP
-          for (size_t t = 0; t < r; ++t) acc[t] += v * c[t];
-        }
-      }
-#if defined(TCSS_KERNELS_USE_AVX2)
-      if ((r & 3) == 0) {
-        for (size_t t = 0; t < r; t += 4) {
-          _mm256_storeu_pd(
-              dst + t,
-              _mm256_add_pd(_mm256_loadu_pd(dst + t),
-                            _mm256_mul_pd(_mm256_loadu_pd(acc + t),
-                                          _mm256_loadu_pd(b + t))));
-        }
-      } else
-#endif
-      {
-        TCSS_SIMD_LOOP
-        for (size_t t = 0; t < r; ++t) dst[t] += acc[t] * b[t];
-      }
-      ++f;
-    }
-  }
-}
-
-void CsfMttkrpMode1(const CsfView& x, const double* fa, const double* fb,
-                    size_t r, double* out, size_t s_begin, size_t s_end) {
-  // fa = U1 (slices), fb = U3; scatter into out rows indexed by fiber j.
-  std::vector<double> acc_buf(r);
-  double* __restrict acc = acc_buf.data();
-  for (size_t s = s_begin; s < s_end; ++s) {
-    const double* __restrict a = fa + size_t{x.slice_id[s]} * r;
-    for (size_t f = x.slice_start[s]; f < x.slice_start[s + 1]; ++f) {
-      const size_t begin = x.fiber_start[f];
-      const size_t end = x.fiber_start[f + 1];
-      double* __restrict dst = out + size_t{x.fiber_id[f]} * r;
-      if (end - begin == 1) {
-        const double v = x.val[begin];
-        const double* __restrict c = fb + size_t{x.kk[begin]} * r;
-        TCSS_SIMD_LOOP
-        for (size_t t = 0; t < r; ++t) dst[t] += v * a[t] * c[t];
-        continue;
-      }
-      if (end - begin <= 4) {
-        // Same 2-4-nonzero fusion as mode 0 (see the comment there).
-        const double* __restrict c0 = fb + size_t{x.kk[begin]} * r;
-        const double* __restrict c1 = fb + size_t{x.kk[begin + 1]} * r;
-        const double v0 = x.val[begin];
-        const double v1 = x.val[begin + 1];
-        if (end - begin == 2) {
-          TCSS_SIMD_LOOP
-          for (size_t t = 0; t < r; ++t) {
-            double sum = v0 * c0[t];
-            sum += v1 * c1[t];
-            dst[t] += sum * a[t];
-          }
-        } else if (end - begin == 3) {
-          const double* __restrict c2 = fb + size_t{x.kk[begin + 2]} * r;
-          const double v2 = x.val[begin + 2];
-          TCSS_SIMD_LOOP
-          for (size_t t = 0; t < r; ++t) {
-            double sum = v0 * c0[t];
-            sum += v1 * c1[t];
-            sum += v2 * c2[t];
-            dst[t] += sum * a[t];
-          }
-        } else {
-          const double* __restrict c2 = fb + size_t{x.kk[begin + 2]} * r;
-          const double* __restrict c3 = fb + size_t{x.kk[begin + 3]} * r;
-          const double v2 = x.val[begin + 2];
-          const double v3 = x.val[begin + 3];
-          TCSS_SIMD_LOOP
-          for (size_t t = 0; t < r; ++t) {
-            double sum = v0 * c0[t];
-            sum += v1 * c1[t];
-            sum += v2 * c2[t];
-            sum += v3 * c3[t];
-            dst[t] += sum * a[t];
-          }
-        }
-        continue;
-      }
-      for (size_t t = 0; t < r; ++t) acc[t] = 0.0;
-      size_t e = begin;
-      for (; e + 4 <= end; e += 4) {
-        const double v0 = x.val[e], v1 = x.val[e + 1];
-        const double v2 = x.val[e + 2], v3 = x.val[e + 3];
-        const double* __restrict c0 = fb + size_t{x.kk[e]} * r;
-        const double* __restrict c1 = fb + size_t{x.kk[e + 1]} * r;
-        const double* __restrict c2 = fb + size_t{x.kk[e + 2]} * r;
-        const double* __restrict c3 = fb + size_t{x.kk[e + 3]} * r;
-        TCSS_SIMD_LOOP
-        for (size_t t = 0; t < r; ++t) {
-          double s_acc = acc[t];
-          s_acc += v0 * c0[t];
-          s_acc += v1 * c1[t];
-          s_acc += v2 * c2[t];
-          s_acc += v3 * c3[t];
-          acc[t] = s_acc;
-        }
-      }
-      for (; e < end; ++e) {
-        const double v = x.val[e];
-        const double* __restrict c = fb + size_t{x.kk[e]} * r;
-        TCSS_SIMD_LOOP
-        for (size_t t = 0; t < r; ++t) acc[t] += v * c[t];
-      }
-      TCSS_SIMD_LOOP
-      for (size_t t = 0; t < r; ++t) dst[t] += acc[t] * a[t];
-    }
-  }
-}
-
-void CsfMttkrpMode2(const CsfView& x, const double* fa, const double* fb,
-                    size_t r, double* out, size_t s_begin, size_t s_end) {
-  // fa = U1 (slices), fb = U2 (fibers); the per-fiber product
-  // w = u1[i,:] * u2[j,:] is reused across the fiber's nonzeros.
-  std::vector<double> w_buf(r);
-  double* __restrict w = w_buf.data();
-  for (size_t s = s_begin; s < s_end; ++s) {
-    const double* __restrict a = fa + size_t{x.slice_id[s]} * r;
-    for (size_t f = x.slice_start[s]; f < x.slice_start[s + 1]; ++f) {
-      const double* __restrict b = fb + size_t{x.fiber_id[f]} * r;
-      TCSS_SIMD_LOOP
-      for (size_t t = 0; t < r; ++t) w[t] = a[t] * b[t];
-      for (size_t e = x.fiber_start[f]; e < x.fiber_start[f + 1]; ++e) {
-        const double v = x.val[e];
-        double* __restrict dst = out + size_t{x.kk[e]} * r;
-        TCSS_SIMD_LOOP
-        for (size_t t = 0; t < r; ++t) dst[t] += v * w[t];
-      }
-    }
-  }
-}
-
 double CsfRewrittenEntries(const CsfView& x, const double* u1,
                            const double* u2, const double* u3,
                            const double* h, size_t r, double w_pos,
@@ -1701,11 +1077,10 @@ void PanelScores(const float* panel, size_t groups, const float* q, size_t r,
 const KernelTable kTable = {
     TCSS_KERNEL_NAME,      GemmRows,
     GemmTRows,             GramUpper,
-    CsfMttkrpMode0,        CsfMttkrpMode1,
-    CsfMttkrpMode2,        CsfRewrittenEntries,
-    GramBlockApply,        HausdorffPredict,
-    HausdorffSoftminValue, HausdorffSoftminGrad,
-    HausdorffScatter,      PanelScores,
+    CsfRewrittenEntries,   GramBlockApply,
+    HausdorffPredict,      HausdorffSoftminValue,
+    HausdorffSoftminGrad,  HausdorffScatter,
+    PanelScores,
 };
 
 }  // namespace TCSS_KERNEL_NS

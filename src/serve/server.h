@@ -31,7 +31,8 @@ struct ServerOptions {
   /// Bounded request queue between connection readers and the dispatcher.
   /// A full queue sheds (backpressure) — it never grows.
   size_t queue_capacity = 256;
-  /// Requests scored per batch pass (one gemm scores the whole batch).
+  /// Requests per BatchTopK pass (scored shard-parallel, one request per
+  /// shard).
   size_t max_batch = 32;
   /// Concurrent connections; over the limit, accepts are answered with a
   /// shed frame and closed.

@@ -29,39 +29,6 @@ CsfTensor::CsfTensor(const SparseTensor& coo)
   fiber_start_.push_back(kk_.size());
 }
 
-Matrix CsfTensor::MttkrpMode0(const Matrix& u2, const Matrix& u3) const {
-  TCSS_CHECK(u2.rows() == dim_j_ && u3.rows() == dim_k_);
-  TCSS_CHECK(u2.cols() == u3.cols());
-  const size_t r = u2.cols();
-  Matrix out(dim_i_, r);
-  std::vector<double> acc(r);
-  for (size_t s = 0; s + 1 < slice_start_.size(); ++s) {
-    double* dst = out.row(slice_id_[s]);
-    for (size_t f = slice_start_[s]; f < slice_start_[s + 1]; ++f) {
-      const size_t begin = fiber_start_[f];
-      const size_t end = fiber_start_[f + 1];
-      const double* b = u2.row(fiber_id_[f]);
-      if (end - begin == 1) {
-        // Singleton fiber: fuse directly, skipping the accumulator.
-        const double v = val_[begin];
-        const double* c = u3.row(kk_[begin]);
-        for (size_t a = 0; a < r; ++a) dst[a] += v * b[a] * c[a];
-        continue;
-      }
-      // acc = sum_k v * U3[k, :]   (inner accumulation over the fiber)
-      std::fill(acc.begin(), acc.end(), 0.0);
-      for (size_t t = begin; t < end; ++t) {
-        const double v = val_[t];
-        const double* c = u3.row(kk_[t]);
-        for (size_t a = 0; a < r; ++a) acc[a] += v * c[a];
-      }
-      // dst += acc ⊙ U2[j, :]      (one combine per fiber)
-      for (size_t a = 0; a < r; ++a) dst[a] += acc[a] * b[a];
-    }
-  }
-  return out;
-}
-
 double CsfTensor::SquaredSum() const {
   double s = 0.0;
   for (double v : val_) s += v * v;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "linalg/kernel_table.h"
-#include "linalg/matrix.h"
 #include "tensor/sparse_tensor.h"
 
 namespace tcss {
@@ -16,16 +15,12 @@ namespace tcss {
 ///   level 1: distinct (i, j) pairs (fibers), delimited per slice
 ///   level 2: (k, value) nonzeros, delimited per fiber
 ///
-/// Compared to COO, the mode-0 MTTKRP over CSF reuses the per-fiber
-/// partial product U2[j] across the fiber's nonzeros, turning
-///   out[i] += v * (U2[j] ⊙ U3[k])   per nonzero
-/// into one fused multiply per nonzero plus one rank-r combine per fiber -
-/// fewer flops and much better locality on check-in data, where a user
-/// visits the same POI in many time bins. See bench_kernel_mttkrp.
-/// The single mode-0-rooted tree serves all three MTTKRP modes (see
-/// SparseKernels in tensor/sparse_kernels.h): mode 1 scatters the fiber
-/// accumulator times U1[i] into out[j], mode 2 reuses the per-fiber
-/// product U1[i] ⊙ U2[j] across the fiber's nonzeros.
+/// Walking the tree lets a kernel hoist per-slice and per-fiber factor
+/// rows out of the nonzero loop: on check-in data a user visits the same
+/// POI in several time bins. Two kernels walk it: the observed-entry loop
+/// of the rewritten loss (SparseKernels in tensor/sparse_kernels.h) and
+/// CP-ALS's MTTKRP (tensor/mttkrp.h), which serves all three modes from
+/// this one mode-0-rooted tree.
 class CsfTensor {
  public:
   CsfTensor() : dim_i_(0), dim_j_(0), dim_k_(0) {}
@@ -40,16 +35,11 @@ class CsfTensor {
   size_t num_slices() const { return slice_id_.size(); }
   size_t num_fibers() const { return fiber_id_.size(); }
 
-  /// Mode-0 MTTKRP: out[i, :] = sum_{(i,j,k)} v * (u2[j, :] ⊙ u3[k, :]).
-  /// Equivalent to Mttkrp(coo, {.., u2, u3}, 0) but fiber-factored.
-  Matrix MttkrpMode0(const Matrix& u2, const Matrix& u3) const;
-
   /// Sum of squared values.
   double SquaredSum() const;
 
-  /// Raw pointer view consumed by the dispatched micro-kernels
-  /// (linalg/kernel_table.h). Valid while this object is alive and
-  /// unmodified.
+  /// Raw pointer view consumed by the tree-walking kernels. Valid while
+  /// this object is alive and unmodified.
   CsfView view() const {
     CsfView v;
     v.slice_id = slice_id_.data();

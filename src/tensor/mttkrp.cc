@@ -5,105 +5,102 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "tensor/csf_tensor.h"
-#include "tensor/sparse_kernels.h"
 
 namespace tcss {
 
 namespace {
 
-/// Minimum nnz * rank before going parallel; the serial and parallel paths
-/// add the same values in the same order per output element, so the
-/// threshold cannot change results.
+/// Below nnz * r multiply-adds, fork/join overhead dominates and the
+/// serial loop runs. The choice depends on the tensor and the rank, never
+/// on the thread count.
 constexpr size_t kParallelWorkThreshold = 1u << 14;
 
-/// Target shard count; the decomposition below depends only on the tensor,
-/// never on the thread count.
+/// Target shard count for the slice decomposition. The grain is a pure
+/// function of the slice count, never of the thread count.
 constexpr size_t kTargetShards = 16;
+
+/// Adds the contributions of slices [s_begin, s_end) to `out`.
+void AddSlices(const CsfView& x, const Matrix factors[3], int mode,
+               size_t s_begin, size_t s_end, Matrix* out) {
+  const size_t r = out->cols();
+  std::vector<double> acc(r);
+  for (size_t s = s_begin; s < s_end; ++s) {
+    const uint32_t i = x.slice_id[s];
+    for (size_t f = x.slice_start[s]; f < x.slice_start[s + 1]; ++f) {
+      const uint32_t j = x.fiber_id[f];
+      const size_t begin = x.fiber_start[f];
+      const size_t end = x.fiber_start[f + 1];
+      if (mode == 2) {
+        const double* a = factors[0].row(i);
+        const double* b = factors[1].row(j);
+        for (size_t e = begin; e < end; ++e) {
+          const double v = x.val[e];
+          double* dst = out->row(x.kk[e]);
+          for (size_t t = 0; t < r; ++t) dst[t] += v * (a[t] * b[t]);
+        }
+        continue;
+      }
+      double* dst = out->row(mode == 0 ? i : j);
+      const double* xr = mode == 0 ? factors[1].row(j) : factors[0].row(i);
+      if (end - begin == 1) {
+        const double v = x.val[begin];
+        const double* c = factors[2].row(x.kk[begin]);
+        for (size_t t = 0; t < r; ++t) dst[t] += v * xr[t] * c[t];
+        continue;
+      }
+      std::fill(acc.begin(), acc.end(), 0.0);
+      for (size_t e = begin; e < end; ++e) {
+        const double v = x.val[e];
+        const double* c = factors[2].row(x.kk[e]);
+        for (size_t t = 0; t < r; ++t) acc[t] += v * c[t];
+      }
+      for (size_t t = 0; t < r; ++t) dst[t] += acc[t] * xr[t];
+    }
+  }
+}
 
 }  // namespace
 
-Matrix Mttkrp(const SparseTensor& x, const Matrix factors[3], int mode) {
-  if (x.finalized()) {
-    return SparseKernels::Mttkrp(CsfTensor(x), factors, mode);
-  }
-  return MttkrpCoo(x, factors, mode);
-}
-
-Matrix MttkrpCoo(const SparseTensor& x, const Matrix factors[3], int mode) {
+Matrix Mttkrp(const CsfTensor& x, const Matrix factors[3], int mode) {
   TCSS_CHECK(mode >= 0 && mode <= 2);
+  const size_t dims[3] = {x.dim_i(), x.dim_j(), x.dim_k()};
   const size_t r = factors[(mode + 1) % 3].cols();
-  TCSS_CHECK(factors[(mode + 2) % 3].cols() == r);
-  Matrix out(x.dim(mode), r);
-  const std::vector<TensorEntry>& entries = x.entries();
-  const size_t nnz = entries.size();
-  const Matrix& fa = factors[(mode + 1) % 3];
-  const Matrix& fb = factors[(mode + 2) % 3];
-
-  auto accumulate = [&](const TensorEntry& e) {
-    const uint32_t idx[3] = {e.i, e.j, e.k};
-    const double* a = fa.row(idx[(mode + 1) % 3]);
-    const double* b = fb.row(idx[(mode + 2) % 3]);
-    double* dst = out.row(idx[mode]);
-    const double v = e.value;
-    for (size_t t = 0; t < r; ++t) dst[t] += v * a[t] * b[t];
-  };
-
-  if (nnz * r < kParallelWorkThreshold || GlobalThreads() == 1) {
-    for (const TensorEntry& e : entries) accumulate(e);
+  for (int m = 0; m < 3; ++m) {
+    if (m == mode) continue;
+    TCSS_CHECK(factors[m].rows() == dims[m] && factors[m].cols() == r);
+  }
+  Matrix out(dims[mode], r);
+  const CsfView v = x.view();
+  if (x.nnz() * r < kParallelWorkThreshold) {
+    AddSlices(v, factors, mode, 0, v.num_slices, &out);
     return out;
   }
 
-  if (mode == 0 && x.finalized()) {
-    // Entries are sorted by (i, j, k), so contiguous entry ranges whose
-    // boundaries are snapped forward to the next row start write disjoint
-    // output rows. Snapping is monotone, so bounds stay ordered even when
-    // one row spans several grains (that just yields empty shards).
-    const size_t grain = std::max<size_t>(1, (nnz + kTargetShards - 1) /
-                                                 kTargetShards);
-    const size_t shards = (nnz + grain - 1) / grain;
-    std::vector<size_t> bounds(shards + 1, nnz);
-    bounds[0] = 0;
-    for (size_t s = 1; s < shards; ++s) {
-      size_t p = s * grain;
-      while (p < nnz && entries[p].i == entries[p - 1].i) ++p;
-      bounds[s] = std::max(bounds[s - 1], p);
-    }
-    ParallelFor(shards, 1, [&](size_t s, size_t, size_t) {
-      for (size_t e = bounds[s]; e < bounds[s + 1]; ++e)
-        accumulate(entries[e]);
+  const size_t grain = std::max<size_t>(
+      1, (v.num_slices + kTargetShards - 1) / kTargetShards);
+  if (mode == 0) {
+    // Slices are distinct i values: shards write disjoint out rows, so
+    // any decomposition is bit-identical to the serial loop.
+    ParallelFor(v.num_slices, grain, [&](size_t begin, size_t end, size_t) {
+      AddSlices(v, factors, mode, begin, end, &out);
     });
     return out;
   }
 
-  // Modes 1/2 (and unfinalized mode 0): shard over output rows. Entries
-  // are pre-bucketed by output-row shard with a counting pass + stable
-  // scatter, so each shard touches exactly its own entries — O(nnz)
-  // total instead of the old O(shards * nnz) scan-and-discard. The
-  // scatter walks entries in ascending index, so within a shard (and
-  // hence per output row) contributions keep original entry order and
-  // results stay bitwise-identical to the serial loop. The bucketing is
-  // a pure function of the tensor (shard = row / grain mirrors the
-  // ParallelFor decomposition), never of the thread count.
-  const size_t rows = out.rows();
-  const size_t grain =
-      std::max<size_t>(1, (rows + kTargetShards - 1) / kTargetShards);
-  const size_t shards = ParallelForShards(rows, grain);
-  std::vector<size_t> slot(shards + 1, 0);
-  auto shard_of = [&](const TensorEntry& e) {
-    const uint32_t idx[3] = {e.i, e.j, e.k};
-    return size_t{idx[mode]} / grain;
-  };
-  for (const TensorEntry& e : entries) ++slot[shard_of(e) + 1];
-  for (size_t s = 0; s < shards; ++s) slot[s + 1] += slot[s];
-  std::vector<size_t> order(nnz);
-  {
-    std::vector<size_t> cursor(slot.begin(), slot.end() - 1);
-    for (size_t e = 0; e < nnz; ++e) order[cursor[shard_of(entries[e])]++] = e;
+  // Modes 1/2 scatter into rows shared across slices, so each shard adds
+  // into its own buffer and the buffers merge in ascending shard order.
+  // The decomposition depends only on the tensor, so this path runs even
+  // at one thread and the bytes never depend on the thread count.
+  const size_t shards = ParallelForShards(v.num_slices, grain);
+  if (shards <= 1) {
+    AddSlices(v, factors, mode, 0, v.num_slices, &out);
+    return out;
   }
-  ParallelFor(rows, grain, [&](size_t, size_t, size_t s) {
-    for (size_t p = slot[s]; p < slot[s + 1]; ++p) accumulate(entries[order[p]]);
+  std::vector<Matrix> shard_out(shards, Matrix(dims[mode], r));
+  ParallelFor(v.num_slices, grain, [&](size_t begin, size_t end, size_t s) {
+    AddSlices(v, factors, mode, begin, end, &shard_out[s]);
   });
+  for (const Matrix& part : shard_out) out.Add(part);
   return out;
 }
 

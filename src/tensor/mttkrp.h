@@ -2,12 +2,12 @@
 #define TCSS_TENSOR_MTTKRP_H_
 
 #include "linalg/matrix.h"
-#include "tensor/sparse_tensor.h"
+#include "tensor/csf_tensor.h"
 
 namespace tcss {
 
 /// Sparse MTTKRP (matricized tensor times Khatri-Rao product), the core
-/// kernel of CP-ALS. For mode 0 it computes
+/// kernel of CP-ALS and its only caller. For mode 0 it computes
 ///   M[i, :] = sum_{(i,j,k) in nnz} X[i,j,k] * (B[j, :] ⊙ C[k, :])
 /// where B and C are the factor matrices of the other two modes (J x r and
 /// K x r). Analogous contractions for modes 1 and 2. O(nnz * r).
@@ -15,16 +15,14 @@ namespace tcss {
 /// `factors` are the three factor matrices {U1 (I x r), U2 (J x r),
 /// U3 (K x r)}; the factor for `mode` itself is not read.
 ///
-/// Finalized tensors route through the CSF path (SparseKernels over a
-/// CsfTensor built per call — amortize with SparseKernels::Mttkrp and a
-/// long-lived CsfTensor in loops); unfinalized tensors fall back to the
-/// COO entry loop. Both are bit-identical across thread counts and match
-/// the dense oracle to <= 1e-12 relative.
-Matrix Mttkrp(const SparseTensor& x, const Matrix factors[3], int mode);
-
-/// The COO entry-loop implementation (any tensor, finalized or not).
-/// Kept callable for differential tests and the coo bench series.
-Matrix MttkrpCoo(const SparseTensor& x, const Matrix factors[3], int mode);
+/// One plain loop walks the mode-0-rooted CSF tree for every mode: a
+/// singleton fiber adds v·x[t]·c[t], a longer fiber adds
+/// (Σ_e v_e·c_e[t])·x[t], with c = U3[k] and x = U2[j] for mode 0 or
+/// U1[i] for mode 1; mode 2 adds v·(U1[i][t]·U2[j][t]) into row k. Build
+/// the CsfTensor once and reuse it across calls. The result is
+/// bit-identical at any thread count and matches the dense oracle
+/// (proptest::OracleMttkrp) to <= 1e-12 relative.
+Matrix Mttkrp(const CsfTensor& x, const Matrix factors[3], int mode);
 
 }  // namespace tcss
 

@@ -10,89 +10,10 @@ namespace tcss {
 
 namespace {
 
-/// Same work threshold as the COO Mttkrp: below nnz * r multiply-adds,
-/// fork/join overhead dominates and the serial path runs.
-constexpr size_t kParallelWorkThreshold = 1u << 14;
-
-/// Target shard count for slice decompositions. The grain is a pure
-/// function of the slice count, never the thread count.
+/// Upper bound on the shard count of the entry loop.
 constexpr size_t kTargetShards = 16;
 
-size_t SliceGrain(size_t num_slices) {
-  return std::max<size_t>(1,
-                          (num_slices + kTargetShards - 1) / kTargetShards);
-}
-
-using CsfModeKernel = void (*)(const CsfView&, const double*, const double*,
-                               size_t, double*, size_t, size_t);
-
-CsfModeKernel ModeKernel(const KernelTable& kern, int mode) {
-  switch (mode) {
-    case 0:
-      return kern.csf_mttkrp_mode0;
-    case 1:
-      return kern.csf_mttkrp_mode1;
-    default:
-      return kern.csf_mttkrp_mode2;
-  }
-}
-
 }  // namespace
-
-Matrix SparseKernels::Mttkrp(const CsfTensor& x, const Matrix factors[3],
-                             int mode) {
-  TCSS_CHECK(mode >= 0 && mode <= 2);
-  const size_t r = factors[(mode + 1) % 3].cols();
-  TCSS_CHECK(factors[(mode + 2) % 3].cols() == r);
-  const size_t dims[3] = {x.dim_i(), x.dim_j(), x.dim_k()};
-  Matrix out(dims[mode], r);
-  const CsfView v = x.view();
-  const KernelTable& kern = ActiveKernels();
-  const CsfModeKernel fn = ModeKernel(kern, mode);
-  // The kernels read the two factors in tree order: slices (U1) and the
-  // lower levels, so fa/fb are (U2, U3) for mode 0 and (U1, U3) / (U1, U2)
-  // for modes 1 / 2.
-  const double* fa =
-      (mode == 0 ? factors[1] : factors[0]).data();
-  const double* fb = (mode == 2 ? factors[1] : factors[2]).data();
-
-  if (x.nnz() * r < kParallelWorkThreshold) {
-    fn(v, fa, fb, r, out.data(), 0, v.num_slices);
-    return out;
-  }
-
-  const size_t grain = SliceGrain(v.num_slices);
-  if (mode == 0) {
-    // Slice rows are distinct i values: shards write disjoint out rows,
-    // so any decomposition is bit-identical to the serial loop.
-    if (GlobalThreads() == 1) {
-      fn(v, fa, fb, r, out.data(), 0, v.num_slices);
-      return out;
-    }
-    ParallelFor(v.num_slices, grain, [&](size_t begin, size_t end, size_t) {
-      fn(v, fa, fb, r, out.data(), begin, end);
-    });
-    return out;
-  }
-
-  // Modes 1/2 scatter into rows shared across slices, so each shard
-  // accumulates into its own buffer and the buffers merge in ascending
-  // shard order. The decomposition and the merge chain depend only on
-  // the tensor, so results are bit-identical at any thread count (this
-  // path runs even at 1 thread — taking the serial shortcut instead
-  // would change the summation chain with the thread count).
-  const size_t shards = ParallelForShards(v.num_slices, grain);
-  if (shards <= 1) {
-    fn(v, fa, fb, r, out.data(), 0, v.num_slices);
-    return out;
-  }
-  std::vector<Matrix> shard_out(shards, Matrix(dims[mode], r));
-  ParallelFor(v.num_slices, grain, [&](size_t begin, size_t end, size_t s) {
-    fn(v, fa, fb, r, shard_out[s].data(), begin, end);
-  });
-  for (size_t s = 0; s < shards; ++s) out.Add(shard_out[s]);
-  return out;
-}
 
 double SparseKernels::RewrittenEntryLoss(const CsfTensor& x, const Matrix& u1,
                                          const Matrix& u2, const Matrix& u3,

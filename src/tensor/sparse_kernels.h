@@ -8,14 +8,14 @@
 
 namespace tcss {
 
-/// Dispatch seam between the algorithm layer (trainer, losses, CP-ALS)
-/// and the CSF micro-kernels (linalg/kernel_table.h). Callers hold a
-/// CsfTensor (built once per tensor) and get:
+/// Dispatch seam between the L2 head (RewrittenLoss) and its CSF
+/// micro-kernel (linalg/kernel_table.h). Callers hold a CsfTensor (built
+/// once per tensor) and get:
 ///
 ///  * the kernel build selected by TCSS_SIMD (scalar reference or the
 ///    vectorized native build — bitwise-interchangeable);
-///  * deterministic parallelism: every shard decomposition below is a
-///    pure function of the tensor shape, never the thread count, and
+///  * deterministic parallelism: the shard decomposition is a pure
+///    function of the tensor shape, never the thread count, and
 ///    per-shard accumulators merge in ascending shard order, so results
 ///    are bit-identical at 1/2/8/... threads.
 ///
@@ -23,14 +23,6 @@ namespace tcss {
 /// layer stays below core in the dependency order.
 class SparseKernels {
  public:
-  /// MTTKRP over the mode-0-rooted CSF tree, any mode. Same contract as
-  /// Mttkrp(coo, factors, mode): `factors` are {U1, U2, U3} and the
-  /// `mode` factor itself is not read. Matches the COO result to
-  /// <= 1e-12 relative (per-row accumulation order differs: CSF factors
-  /// each fiber's contribution through a rank-r accumulator).
-  static Matrix Mttkrp(const CsfTensor& x, const Matrix factors[3],
-                       int mode);
-
   /// Observed-entry part of the rewritten loss (Eq 15): returns
   ///   sum_{(i,j,k) in nnz} (w+ - w-) y^2 - 2 w+ X y + w+ X^2
   /// with y = sum_t h_t u1[i,t] u2[j,t] u3[k,t], and when gu1 is

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "baselines/cp_als.h"
 #include "baselines/lfbca.h"
@@ -9,6 +11,7 @@
 #include "baselines/registry.h"
 #include "baselines/tucker_hooi.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "data/tensor_builder.h"
@@ -105,6 +108,42 @@ TEST(CpAlsTest, RecoversTrueLowRankTensor) {
     norm += e.value * e.value;
   }
   EXPECT_LT(std::sqrt(err / norm), 1e-4);
+}
+
+// Every MTTKRP, Gram and Cholesky solve of CP-ALS is thread-count
+// invariant, so the fitted scores are too, byte for byte.
+TEST(CpAlsTest, FitIsBitIdenticalAcrossThreadCounts) {
+  const World& w = SharedWorld();
+  // Large enough for the sharded MTTKRP path.
+  ASSERT_GE(w.train.nnz() * CpAls::Options().rank, size_t{1} << 14);
+  auto scores_at = [&](int threads) {
+    SetGlobalThreads(threads);
+    CpAls model;
+    EXPECT_TRUE(model.Fit({&w.data, &w.train}).ok());
+    std::vector<double> scores;
+    for (uint32_t i = 0; i < w.train.dim_i(); ++i)
+      for (uint32_t j = 0; j < w.train.dim_j(); ++j)
+        for (uint32_t k = 0; k < w.train.dim_k(); ++k)
+          scores.push_back(model.Score(i, j, k));
+    return scores;
+  };
+  const std::vector<double> serial = scores_at(1);
+  for (int threads : {2, 8}) {
+    const std::vector<double> got = scores_at(threads);
+    ASSERT_EQ(got.size(), serial.size());
+    EXPECT_EQ(std::memcmp(got.data(), serial.data(),
+                          serial.size() * sizeof(double)),
+              0)
+        << threads << " threads";
+  }
+  SetGlobalThreads(1);
+}
+
+TEST(CpAlsTest, FitRejectsUnfinalizedTensor) {
+  SparseTensor x(3, 3, 3);
+  ASSERT_TRUE(x.Add(0, 1, 2, 1.0).ok());
+  CpAls model;
+  EXPECT_EQ(model.Fit({nullptr, &x}).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(TuckerHooiTest, FactorsAreOrthonormalAndFitIsReasonable) {

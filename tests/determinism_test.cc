@@ -179,12 +179,13 @@ TEST(KernelDeterminismTest, MttkrpParallelMatchesSerialExactlyAllModes) {
       Matrix::GaussianRandom(w.train.dim_i(), r, &rng),
       Matrix::GaussianRandom(w.train.dim_j(), r, &rng),
       Matrix::GaussianRandom(w.train.dim_k(), r, &rng)};
+  const CsfTensor csf(w.train);
   for (int mode = 0; mode < 3; ++mode) {
     SetGlobalThreads(1);
-    const Matrix serial = Mttkrp(w.train, factors, mode);
+    const Matrix serial = Mttkrp(csf, factors, mode);
     for (int threads : {2, 8}) {
       SetGlobalThreads(threads);
-      EXPECT_TRUE(BitIdentical(serial, Mttkrp(w.train, factors, mode)))
+      EXPECT_TRUE(BitIdentical(serial, Mttkrp(csf, factors, mode)))
           << "mode " << mode << ", " << threads << " threads";
     }
   }

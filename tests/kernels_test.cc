@@ -1,9 +1,8 @@
 // Kernel-dispatch suite (label "kernels"): the TCSS_SIMD dispatch seam,
 // bitwise equivalence of the scalar and native kernel builds across
-// thread counts, the CSF kernels against COO and each other, the
-// bucketed COO modes-1/2 parallel path (serial == parallel bytes), the
-// mirrored Gram, the CSF-backed RewrittenLoss (bound == unbound
-// bytes), the social Hausdorff kernels (each table entry scalar ==
+// thread counts, the CSF MTTKRP across thread counts, the mirrored Gram,
+// the CSF-backed RewrittenLoss (bound == unbound bytes), the social
+// Hausdorff kernels (each table entry scalar ==
 // native, ComputeForUser == the scalar reference it replaced, both
 // bitwise), the exact top-k scan's f32 panel kernel (scalar == native,
 // bitwise), and spectral init (each column of the block Gram apply ==
@@ -176,32 +175,6 @@ TEST(KernelEquivalenceTest, DenseKernelsBitIdenticalScalarVsNative) {
   }
 }
 
-TEST(KernelEquivalenceTest, CsfMttkrpBitIdenticalScalarVsNativePerMode) {
-  KernelGuard guard;
-  const SparseTensor x = RandomTensor(40, 30, 12, 2000, 7);
-  const CsfTensor csf(x);
-  Rng rng(8);
-  // Rank 9 exercises the vector remainders, rank 8 the 4-wide chunked
-  // bodies, and rank 32 the register-resident mode-0 specialization.
-  for (size_t r : {size_t{9}, size_t{8}, size_t{32}}) {
-    Matrix factors[3] = {Matrix::GaussianRandom(40, r, &rng),
-                         Matrix::GaussianRandom(30, r, &rng),
-                         Matrix::GaussianRandom(12, r, &rng)};
-    for (int mode = 0; mode < 3; ++mode) {
-      for (int threads : {1, 2, 8}) {
-        SetGlobalThreads(threads);
-        SetSimdMode(SimdMode::kScalar);
-        const Matrix want = SparseKernels::Mttkrp(csf, factors, mode);
-        SetSimdMode(SimdMode::kNative);
-        EXPECT_TRUE(
-            BitIdentical(want, SparseKernels::Mttkrp(csf, factors, mode)))
-            << "rank " << r << " mode " << mode << " @" << threads
-            << " threads";
-      }
-    }
-  }
-}
-
 TEST(KernelEquivalenceTest, RewrittenLossBitIdenticalScalarVsNative) {
   KernelGuard guard;
   const SparseTensor x = RandomTensor(25, 20, 8, 1500, 21);
@@ -221,27 +194,8 @@ TEST(KernelEquivalenceTest, RewrittenLossBitIdenticalScalarVsNative) {
 }
 
 // --------------------------------------------------------------------------
-// CSF vs COO differential, and thread-count invariance of both
+// CSF MTTKRP: thread-count invariance
 // --------------------------------------------------------------------------
-
-TEST(CsfKernelsTest, MttkrpMatchesCooPerMode) {
-  KernelGuard guard;
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    const SparseTensor x = RandomTensor(30, 25, 10, 400 << seed, seed);
-    const CsfTensor csf(x);
-    Rng rng(seed + 100);
-    const size_t r = 5;
-    Matrix factors[3] = {Matrix::GaussianRandom(30, r, &rng),
-                         Matrix::GaussianRandom(25, r, &rng),
-                         Matrix::GaussianRandom(10, r, &rng)};
-    for (int mode = 0; mode < 3; ++mode) {
-      const Matrix coo = MttkrpCoo(x, factors, mode);
-      const Matrix got = SparseKernels::Mttkrp(csf, factors, mode);
-      EXPECT_LE(RelMaxDiff(got, coo), 1e-12)
-          << "mode " << mode << " seed " << seed;
-    }
-  }
-}
 
 TEST(CsfKernelsTest, MttkrpThreadCountInvariantPerMode) {
   KernelGuard guard;
@@ -254,49 +208,11 @@ TEST(CsfKernelsTest, MttkrpThreadCountInvariantPerMode) {
                        Matrix::GaussianRandom(12, r, &rng)};
   for (int mode = 0; mode < 3; ++mode) {
     SetGlobalThreads(1);
-    const Matrix serial = SparseKernels::Mttkrp(csf, factors, mode);
+    const Matrix serial = Mttkrp(csf, factors, mode);
     for (int threads : {2, 8}) {
       SetGlobalThreads(threads);
-      EXPECT_TRUE(
-          BitIdentical(serial, SparseKernels::Mttkrp(csf, factors, mode)))
+      EXPECT_TRUE(BitIdentical(serial, Mttkrp(csf, factors, mode)))
           << "mode " << mode << " @" << threads;
-    }
-  }
-}
-
-// --------------------------------------------------------------------------
-// Satellite regression: the bucketed COO modes-1/2 parallel path returns
-// the serial loop's exact bytes (the pre-bucketing preserves per-row
-// entry order).
-// --------------------------------------------------------------------------
-
-TEST(MttkrpCooBucketTest, SerialEqualsParallelBytesAllModes) {
-  KernelGuard guard;
-  for (const bool finalized : {true, false}) {
-    Rng rng(17);
-    SparseTensor x(60, 45, 12);
-    for (size_t e = 0; e < 9000; ++e) {
-      (void)x.Add(static_cast<uint32_t>(rng.UniformInt(60)),
-                  static_cast<uint32_t>(rng.UniformInt(45)),
-                  static_cast<uint32_t>(rng.UniformInt(12)),
-                  rng.Uniform(0.1, 2.0));
-    }
-    if (finalized) {
-      ASSERT_TRUE(x.Finalize(false).ok());
-    }
-    const size_t r = 8;  // nnz * r is far past the parallel threshold
-    Matrix factors[3] = {Matrix::GaussianRandom(60, r, &rng),
-                         Matrix::GaussianRandom(45, r, &rng),
-                         Matrix::GaussianRandom(12, r, &rng)};
-    for (int mode = 0; mode < 3; ++mode) {
-      SetGlobalThreads(1);
-      const Matrix serial = MttkrpCoo(x, factors, mode);
-      for (int threads : {2, 8}) {
-        SetGlobalThreads(threads);
-        EXPECT_TRUE(BitIdentical(serial, MttkrpCoo(x, factors, mode)))
-            << "mode " << mode << " @" << threads
-            << (finalized ? " finalized" : " unfinalized");
-      }
     }
   }
 }

@@ -38,7 +38,6 @@
 #include "proptest/prop.h"
 #include "tensor/csf_tensor.h"
 #include "tensor/mttkrp.h"
-#include "tensor/sparse_kernels.h"
 
 namespace tcss {
 namespace {
@@ -308,7 +307,7 @@ KernelCase MakeKernelCase(uint64_t seed, uint32_t size) {
 // gemm / Gram accumulate every output element in ascending-k order on both
 // the optimized (i-k-j, zero-skipping, row-sharded) and the oracle
 // (i-j-k dot product) path, so they must match exactly — at any thread
-// count. MTTKRP contracts in a different order (sparse entry loop vs dense
+// count. MTTKRP contracts in a different order (CSF tree walk vs dense
 // grid), so it gets a tight tolerance against the oracle plus exact
 // equality across thread counts.
 TEST(DifferentialKernels, GemmGramMttkrpMatchOraclesAtManyThreads) {
@@ -325,6 +324,7 @@ TEST(DifferentialKernels, GemmGramMttkrpMatchOraclesAtManyThreads) {
       want_mttkrp[mode] = OracleMttkrp(c.x, c.factors, mode);
     }
     Matrix serial_mttkrp[3];
+    const CsfTensor csf(c.x);
     for (int threads : {1, 2, 8}) {
       SetGlobalThreads(threads);
       if (MaxAbsDiff(MatMul(c.a, c.b), want_mm) != 0.0) {
@@ -340,7 +340,7 @@ TEST(DifferentialKernels, GemmGramMttkrpMatchOraclesAtManyThreads) {
         return false;
       }
       for (int mode = 0; mode < 3; ++mode) {
-        const Matrix got = Mttkrp(c.x, c.factors, mode);
+        const Matrix got = Mttkrp(csf, c.factors, mode);
         const double err = RelMaxDiff(got, want_mttkrp[mode]);
         if (err > 1e-12) {
           *msg = StrFormat("Mttkrp mode %d vs oracle err %.3e at %d "
@@ -548,25 +548,22 @@ TEST(CsfProperties, StructureInvariantsHoldOnAdversarialTensors) {
   EXPECT_TRUE(report.ok) << report.message;
 }
 
-// All three CSF MTTKRP modes against both the COO entry loop and the
-// dense triple-loop oracle, on the same adversarial tensor family.
-TEST(CsfProperties, MttkrpAllModesMatchCooAndDenseOracle) {
+// All three CSF MTTKRP modes against the dense triple-loop oracle, on the
+// same adversarial tensor family.
+TEST(CsfProperties, MttkrpAllModesMatchDenseOracle) {
   auto gen = [](uint64_t seed, uint32_t size) {
     return MakeCsfCase(seed, size);
   };
   auto pred = [](const CsfCase& c, std::string* msg) {
     const CsfTensor csf(c.x);
     for (int mode = 0; mode < 3; ++mode) {
-      const Matrix got = SparseKernels::Mttkrp(csf, c.factors, mode);
-      const Matrix coo = MttkrpCoo(c.x, c.factors, mode);
+      const Matrix got = Mttkrp(csf, c.factors, mode);
       const Matrix want = OracleMttkrp(c.x, c.factors, mode);
-      const double err_coo = RelMaxDiff(got, coo);
-      const double err_dense = RelMaxDiff(got, want);
-      if (err_coo > 1e-12 || err_dense > 1e-12) {
-        *msg = StrFormat(
-            "CSF mode %d: vs COO %.3e, vs dense %.3e (nnz=%zu, %zux%zux%zu)",
-            mode, err_coo, err_dense, c.x.nnz(), c.x.dim(0), c.x.dim(1),
-            c.x.dim(2));
+      const double err = RelMaxDiff(got, want);
+      if (err > 1e-12) {
+        *msg = StrFormat("CSF mode %d vs dense %.3e (nnz=%zu, %zux%zux%zu)",
+                         mode, err, c.x.nnz(), c.x.dim(0), c.x.dim(1),
+                         c.x.dim(2));
         return false;
       }
     }
@@ -575,12 +572,12 @@ TEST(CsfProperties, MttkrpAllModesMatchCooAndDenseOracle) {
   PropOptions opts;
   opts.max_size = 32;
   PropReport report = Prop::Check<CsfCase>(
-      "csf-mttkrp-vs-coo-vs-dense", 48, gen, pred, opts);
+      "csf-mttkrp-vs-dense", 48, gen, pred, opts);
   EXPECT_TRUE(report.ok) << report.message;
 }
 
 // The scalar and native kernel builds must return the same bytes for
-// every dispatched kernel, at 1/2/8 threads (the vectorized build only
+// the dense products, at 1/2/8 threads (the vectorized build only
 // vectorizes across independent output elements, never within a
 // per-element reduction chain — DESIGN.md §12).
 TEST(CsfProperties, SimdOffVsNativeBitIdenticalAtManyThreads) {
@@ -595,17 +592,12 @@ TEST(CsfProperties, SimdOffVsNativeBitIdenticalAtManyThreads) {
   };
   auto pred = [](const KernelCase& c, std::string* msg) {
     SimdGuard guard;
-    const CsfTensor csf(c.x);
     for (int threads : {1, 2, 8}) {
       SetGlobalThreads(threads);
       SetSimdMode(SimdMode::kScalar);
       const Matrix mm = MatMul(c.a, c.b);
       const Matrix mtm = MatTMul(c.a, c.c);
       const Matrix gram = Gram(c.a);
-      Matrix mttkrp[3];
-      for (int mode = 0; mode < 3; ++mode) {
-        mttkrp[mode] = SparseKernels::Mttkrp(csf, c.factors, mode);
-      }
       SetSimdMode(SimdMode::kNative);
       if (MaxAbsDiff(MatMul(c.a, c.b), mm) != 0.0 ||
           MaxAbsDiff(MatTMul(c.a, c.c), mtm) != 0.0 ||
@@ -613,14 +605,6 @@ TEST(CsfProperties, SimdOffVsNativeBitIdenticalAtManyThreads) {
         *msg = StrFormat("dense kernel scalar != native at %d threads",
                          threads);
         return false;
-      }
-      for (int mode = 0; mode < 3; ++mode) {
-        if (MaxAbsDiff(SparseKernels::Mttkrp(csf, c.factors, mode),
-                       mttkrp[mode]) != 0.0) {
-          *msg = StrFormat("CSF mode %d scalar != native at %d threads",
-                           mode, threads);
-          return false;
-        }
       }
     }
     return true;

@@ -467,5 +467,24 @@ TEST(InitStageTest, SpectralInitRecordsStageTimeAndUnconvergedModes) {
   EXPECT_EQ(init_ms->Snapshot().count, samples_before + 1);
 }
 
+// Train refuses an unfinalized tensor, also on a warm start, which skips
+// spectral init's own check.
+TEST(UnfinalizedTensorTest, TrainReturnsInvalidArgument) {
+  World w = MakeWorld();
+  SparseTensor raw(w.train.dim_i(), w.train.dim_j(), w.train.dim_k());
+  for (const TensorEntry& e : w.train.entries()) {
+    ASSERT_TRUE(raw.Add(e.i, e.j, e.k, e.value).ok());
+  }
+  TcssConfig cfg;
+  cfg.init = InitMethod::kRandom;
+  TcssTrainer trainer(w.data, raw, cfg);
+  EXPECT_EQ(trainer.Train().status().code(), StatusCode::kInvalidArgument);
+  const FactorModel warm = InitializeFactors(w.train, cfg).MoveValue();
+  TrainOptions options;
+  options.warm_start = &warm;
+  EXPECT_EQ(trainer.Train(options, nullptr).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace tcss

@@ -2,9 +2,10 @@
 # CI check, three stages:
 #
 #   1. Plain build: run the serving-layer, server chaos, randomized-
-#      corruption, parallel-determinism, observability, property-based
-#      differential-oracle (the exact top-k scan's included), kernel-
-#      dispatch, distributed-training, and streaming-ingestion suites
+#      corruption and CLI-argument, parallel-determinism, observability,
+#      property-based differential-oracle (the exact top-k scan's
+#      included), kernel-dispatch, distributed-training, and
+#      streaming-ingestion suites
 #      (ctest labels "serve", "server", "fuzz", "determinism", "obs",
 #      "proptest", "kernels", "dist", and "stream") in the production
 #      configuration — the exact binaries that ship. The kernels label
@@ -49,17 +50,21 @@ BUILD_DIR="${1:-build-asan}"
 TSAN_DIR="${2:-build-tsan}"
 
 # --- Stage 1: plain build, resilience + determinism suites ---------------
-# Every build gets an explicit job count: a bare -j is an unbounded make -j
-# under CMake's Makefile generator.
+# Every build and every ctest gets an explicit job count: a bare -j is an
+# unbounded make -j under CMake's Makefile generator, and a bare ctest -j
+# runs one test at a time (or swallows the next flag as its count).
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
-ctest --test-dir build --output-on-failure -L "serve|server|fuzz|determinism|obs|proptest|kernels|dist|stream"
+ctest --test-dir build --output-on-failure -j "$(nproc)" \
+  -L "serve|server|fuzz|determinism|obs|proptest|kernels|dist|stream"
 
 # Kernel-dispatch suite under both env-forced SIMD modes. The unlabeled
 # run above already covers the default (auto) resolution; these two pin
 # each side of the seam explicitly.
-TCSS_SIMD=off ctest --test-dir build --output-on-failure -L "kernels"
-TCSS_SIMD=native ctest --test-dir build --output-on-failure -L "kernels"
+TCSS_SIMD=off ctest --test-dir build --output-on-failure -j "$(nproc)" \
+  -L "kernels"
+TCSS_SIMD=native ctest --test-dir build --output-on-failure -j "$(nproc)" \
+  -L "kernels"
 
 # --- Stage 2: ASan/UBSan build, full suite -------------------------------
 cmake -B "$BUILD_DIR" -S . \
@@ -70,7 +75,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # halt_on_error so UBSan findings fail the test instead of just logging.
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 export ASAN_OPTIONS="detect_leaks=1"
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # --- Stage 3: TSan build, concurrency suites -----------------------------
 # TSan is mutually exclusive with ASan, hence the separate tree. Only the
@@ -78,12 +83,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 # run here: they are the suites that exercise concurrency
 # (ThreadPool, sharded losses, multi-threaded training, concurrent metric
 # recording, the multi-threaded kernel-equality properties, the scan
-# panel rebuilt under a reload storm, the sharded
-# CSF/MTTKRP kernels and the social Hausdorff kernels (per-thread scratch)
-# at 1/2/8 threads, the server's acceptor/reader/
-# dispatcher threads, the distributed coordinator/worker fleets, and the
-# streaming ingest path under reload storms); the rest of the suite is
-# single-threaded and already covered by stage 2.
+# panel rebuilt under a reload storm, the sharded L2-head entry loop and
+# the social Hausdorff kernels (per-thread scratch) at 1/2/8 threads, the
+# server's acceptor/reader/dispatcher threads, the distributed
+# coordinator/worker fleets, and the streaming ingest path under reload
+# storms); the rest of the suite is single-threaded and already covered
+# by stage 2.
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DTCSS_SANITIZE=thread
@@ -92,6 +97,7 @@ cmake --build "$TSAN_DIR" -j "$(nproc)"
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 # The chaos soak gates this stage at >=10k requests (see tests/CMakeLists).
 export TCSS_SERVER_SOAK=10000
-ctest --test-dir "$TSAN_DIR" --output-on-failure -L "determinism|obs|proptest|kernels|server|dist|stream"
+ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
+  -L "determinism|obs|proptest|kernels|server|dist|stream"
 
 echo "sanitizer check passed"

@@ -109,6 +109,21 @@ struct Args {
     const char* v = Get(key);
     return v != nullptr ? std::atol(v) : dflt;
   }
+  /// Reads a non-negative integer flag (`dflt` when absent) with the exact
+  /// ParseInt64; anything else prints a message and returns false.
+  bool GetCount(const std::string& key, int64_t dflt, int64_t* out) const {
+    const char* v = Get(key);
+    if (v == nullptr) {
+      *out = dflt;
+      return true;
+    }
+    if (!ParseInt64(v, out) || *out < 0) {
+      std::fprintf(stderr, "--%s: expected a non-negative integer, got '%s'\n",
+                   key.c_str(), v);
+      return false;
+    }
+    return true;
+  }
 };
 
 int Usage() {
@@ -530,29 +545,40 @@ int Evaluate(const Args& args) {
 }
 
 int Recommend(const Args& args) {
+  const TimeGranularity g = ParseGranularity(args.Get("granularity"));
+  if (args.Get("user") == nullptr) return Usage();
+  int64_t user_arg = 0, time_arg = 0, k_arg = 0;
+  if (!args.GetCount("user", 0, &user_arg) ||
+      !args.GetCount("time", 0, &time_arg) ||
+      !args.GetCount("k", 10, &k_arg)) {
+    return 2;
+  }
+  if (time_arg >= static_cast<int64_t>(NumBins(g))) {
+    std::fprintf(stderr, "--time %lld out of range: %s bins are 0..%zu\n",
+                 static_cast<long long>(time_arg), GranularityName(g),
+                 NumBins(g) - 1);
+    return 2;
+  }
   auto data = LoadData(args);
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
     return 1;
   }
-  const TimeGranularity g = ParseGranularity(args.Get("granularity"));
   auto model = LoadModel(args, data.value(), g);
   if (!model.ok()) {
     std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
     return 1;
   }
-  const char* user_s = args.Get("user");
-  if (user_s == nullptr) return Usage();
-  const uint32_t user = static_cast<uint32_t>(std::atol(user_s));
-  if (user >= data.value().num_users()) {
-    std::fprintf(stderr, "user %u out of range\n", user);
+  if (user_arg >= static_cast<int64_t>(data.value().num_users())) {
+    std::fprintf(stderr, "user %lld out of range\n",
+                 static_cast<long long>(user_arg));
     return 1;
   }
-  const uint32_t time_bin = static_cast<uint32_t>(
-      args.GetI("time", 0) % static_cast<long>(NumBins(g)));
+  const uint32_t user = static_cast<uint32_t>(user_arg);
+  const uint32_t time_bin = static_cast<uint32_t>(time_arg);
 
   TopKOptions opts;
-  opts.k = static_cast<size_t>(args.GetI("k", 10));
+  opts.k = static_cast<size_t>(k_arg);
   opts.exclude_visited = args.new_only;
   TrainTestSplit split = SplitCheckins(data.value(), 0.8, 42);
   auto train = BuildCheckinTensor(data.value(), split.train, g);
