@@ -2,10 +2,13 @@
 // (src/dist/, DESIGN.md §11). Phase 1 sweeps world sizes W = 1/2/4 over
 // the same streamed tensor — every worker generates exactly its row
 // slice with GenerateStreamedSlice — and reports wall time and
-// epochs/sec per fleet. Phase 2 re-runs W = 2 with shard checkpoints,
-// SIGKILL-simulates rank 1 mid-run, and measures the recovery latency:
-// the gap between the kill and the first epoch the resumed fleet
-// completes (heartbeat detection + world reassembly + checkpoint replay).
+// epochs/sec per fleet. Phase 2 trains the same tensor and config with
+// the single-process TcssTrainer at 1/2/4 threads, generation inside the
+// clock as in the fleets: the engine must beat it to earn its place.
+// Phase 3 re-runs W = 2 with shard checkpoints, SIGKILL-simulates rank 1
+// mid-run, and measures the recovery latency: the gap between the kill
+// and the first epoch the resumed fleet completes (heartbeat detection +
+// world reassembly + checkpoint replay).
 //
 // Human-readable table on stdout; TCSS_BENCH_JSON appends machine rows
 // (bench "dist_train"). TCSS_BENCH_SCALE (default 1.0) scales the user
@@ -15,6 +18,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +27,7 @@
 #include "common/env.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
+#include "core/trainer.h"
 #include "data/synthetic.h"
 #include "dist/coordinator.h"
 #include "dist/partition.h"
@@ -158,6 +163,30 @@ FleetResult RunFleet(int num_workers, bool kill_rank1,
   return out;
 }
 
+/// TcssTrainer on the whole tensor at `threads` compute threads, timed
+/// like a fleet: generating the tensor is inside the clock.
+FleetResult RunTrainer(int threads) {
+  Stopwatch clock;
+  const StreamedTensorConfig tcfg = TensorConfig();
+  TcssConfig cfg = TrainConfig();
+  cfg.num_threads = threads;
+  FleetResult out;
+  auto tensor = GenerateStreamedSlice(tcfg, 0, tcfg.num_users);
+  if (tensor.ok()) {
+    const Dataset no_side_info;  // lambda = 0: the trainer never reads it
+    TcssTrainer trainer(no_side_info, tensor.value(), cfg);
+    auto model = trainer.Train();
+    out.ok = model.ok();
+    if (!model.ok()) {
+      std::fprintf(stderr, "trainer (%d threads): %s\n", threads,
+                   model.status().ToString().c_str());
+    }
+  }
+  out.wall_s = clock.ElapsedSeconds();
+  out.epochs = out.ok ? cfg.epochs : 0;
+  return out;
+}
+
 }  // namespace
 }  // namespace tcss
 
@@ -178,11 +207,13 @@ int main() {
   std::printf("%-6s %10s %12s %8s\n", "world", "wall_s", "epochs_per_s",
               "epochs");
   double w1_wall = 0.0;
+  std::map<int, double> fleet_wall;
   for (const int w : {1, 2, 4}) {
     FleetResult r = RunFleet(w, /*kill_rank1=*/false, /*ckpt_dir=*/"");
     all_ok = all_ok && r.ok;
     const double eps = r.wall_s > 0.0 ? r.epochs / r.wall_s : 0.0;
     if (w == 1) w1_wall = r.wall_s;
+    fleet_wall[w] = r.wall_s;
     std::printf("%-6d %10.2f %12.2f %8d%s\n", w, r.wall_s, eps, r.epochs,
                 r.ok ? "" : "  FAILED");
     bench::AppendBenchJson("dist_train", dataset,
@@ -196,7 +227,23 @@ int main() {
     }
   }
 
-  // Phase 2: W=2 with shard checkpoints; SIGKILL rank 1 at epoch 8.
+  // Phase 2: the single-process trainer on the same work. w<T>_vs_trainer
+  // > 1 means a W = T fleet beats TcssTrainer at T threads.
+  std::printf("%-8s %10s %12s %8s\n", "threads", "wall_s", "fleet_speedup",
+              "epochs");
+  for (const int t : {1, 2, 4}) {
+    FleetResult r = RunTrainer(t);
+    all_ok = all_ok && r.ok;
+    const double vs = fleet_wall[t] > 0.0 ? r.wall_s / fleet_wall[t] : 0.0;
+    std::printf("%-8d %10.2f %12.2f %8d%s\n", t, r.wall_s, vs, r.epochs,
+                r.ok ? "" : "  FAILED");
+    bench::AppendBenchJson("dist_train", dataset,
+                           StrFormat("trainer_t%d_wall_s", t), r.wall_s);
+    bench::AppendBenchJson("dist_train", dataset,
+                           StrFormat("w%d_vs_trainer", t), vs);
+  }
+
+  // Phase 3: W=2 with shard checkpoints; SIGKILL rank 1 at epoch 8.
   const std::string ckpt_dir =
       StrFormat("/tmp/tcssbd-%d-ckpt", getpid());
   std::filesystem::remove_all(ckpt_dir);

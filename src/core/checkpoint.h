@@ -2,6 +2,7 @@
 #define TCSS_CORE_CHECKPOINT_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/env.h"
@@ -10,11 +11,18 @@
 
 namespace tcss {
 
-/// Everything needed to continue a TcssTrainer run bit-identically from
-/// the end of some epoch: the model, the Adam moments + step counter, the
+/// Everything needed to continue a training run bit-identically from the
+/// end of some epoch: the model, the Adam moments + step counter, the
 /// epoch number, the Hausdorff minibatch cursor, the negative-sampling
-/// call counter, and the divergence-guard learning-rate scale.
+/// call counter, and the divergence-guard learning-rate scale. It is also
+/// the live state of every run — TcssTrainer's and each DistWorker's — so
+/// a snapshot is a Save() of it and a rollback is an assignment.
 struct TrainerCheckpoint {
+  TrainerCheckpoint() = default;
+  /// The state before epoch 1: `start` with zeroed Adam moments.
+  explicit TrainerCheckpoint(FactorModel start)
+      : model(std::move(start)), adam_m(model), adam_v(model) {}
+
   FactorModel model;
   FactorGrads adam_m;
   FactorGrads adam_v;

@@ -71,52 +71,71 @@ Result<Matrix> SpectralFactor(const SparseTensor& train, int mode, size_t r,
 
 }  // namespace
 
+Result<FactorModel> InitializeFactorRows(const TcssConfig& config,
+                                         size_t dim_i, size_t dim_j,
+                                         size_t dim_k, size_t begin,
+                                         size_t end) {
+  if (config.init == InitMethod::kSpectral) {
+    return Status::InvalidArgument(
+        "spectral init needs the whole tensor; use random or one-hot");
+  }
+  if (begin > end || end > dim_i) {
+    return Status::InvalidArgument("InitializeFactorRows: bad row range");
+  }
+  const size_t r = config.rank;
+  FactorModel m;
+  m.h.assign(r, 1.0);
+  m.u1.Resize(end - begin, r);
+  if (config.init == InitMethod::kRandom) {
+    // One Gaussian stream, row-major over U1, then U2, then U3. Every U1
+    // row is drawn (the stream is sequential); only [begin, end) is kept.
+    Rng rng(config.seed);
+    for (size_t i = 0; i < dim_i; ++i) {
+      for (size_t t = 0; t < r; ++t) {
+        const double x = rng.Gaussian(0.0, 0.1);
+        if (i >= begin && i < end) m.u1(i - begin, t) = x;
+      }
+    }
+    m.u2 = Matrix::GaussianRandom(dim_j, r, &rng, 0.1);
+    m.u3 = Matrix::GaussianRandom(dim_k, r, &rng, 0.1);
+    return m;
+  }
+  m.u2.Resize(dim_j, r);
+  m.u3.Resize(dim_k, r);
+  // The cyclic pattern follows the global row index.
+  auto cyclic = [r](Matrix* u, size_t first) {
+    for (size_t i = 0; i < u->rows(); ++i) (*u)(i, (first + i) % r) = 0.3;
+  };
+  cyclic(&m.u1, begin);
+  cyclic(&m.u2, 0);
+  cyclic(&m.u3, 0);
+  return m;
+}
+
 Result<FactorModel> InitializeFactors(const SparseTensor& train,
                                       const TcssConfig& config,
                                       SpectralInitStats* stats) {
   if (!train.finalized()) {
     return Status::FailedPrecondition("InitializeFactors: tensor not final");
   }
-  const size_t r = config.rank;
-  FactorModel m;
-  m.h.assign(r, 1.0);
-
-  switch (config.init) {
-    case InitMethod::kSpectral: {
-      SpectralInitStats local;
-      if (stats == nullptr) stats = &local;
-      auto u1 = SpectralFactor(train, 0, r, config.seed, stats);
-      if (!u1.ok()) return u1.status();
-      auto u2 = SpectralFactor(train, 1, r, config.seed + 1, stats);
-      if (!u2.ok()) return u2.status();
-      auto u3 = SpectralFactor(train, 2, r, config.seed + 2, stats);
-      if (!u3.ok()) return u3.status();
-      m.u1 = u1.MoveValue();
-      m.u2 = u2.MoveValue();
-      m.u3 = u3.MoveValue();
-      break;
-    }
-    case InitMethod::kRandom: {
-      Rng rng(config.seed);
-      m.u1 = Matrix::GaussianRandom(train.dim_i(), r, &rng, 0.1);
-      m.u2 = Matrix::GaussianRandom(train.dim_j(), r, &rng, 0.1);
-      m.u3 = Matrix::GaussianRandom(train.dim_k(), r, &rng, 0.1);
-      break;
-    }
-    case InitMethod::kOneHot: {
-      m.u1.Resize(train.dim_i(), r);
-      m.u2.Resize(train.dim_j(), r);
-      m.u3.Resize(train.dim_k(), r);
-      auto cyclic = [r](Matrix* u) {
-        for (size_t i = 0; i < u->rows(); ++i) (*u)(i, i % r) = 0.3;
-      };
-      cyclic(&m.u1);
-      cyclic(&m.u2);
-      cyclic(&m.u3);
-      break;
-    }
+  if (config.init != InitMethod::kSpectral) {
+    return InitializeFactorRows(config, train.dim_i(), train.dim_j(),
+                                train.dim_k(), 0, train.dim_i());
   }
-
+  const size_t r = config.rank;
+  SpectralInitStats local;
+  if (stats == nullptr) stats = &local;
+  auto u1 = SpectralFactor(train, 0, r, config.seed, stats);
+  if (!u1.ok()) return u1.status();
+  auto u2 = SpectralFactor(train, 1, r, config.seed + 1, stats);
+  if (!u2.ok()) return u2.status();
+  auto u3 = SpectralFactor(train, 2, r, config.seed + 2, stats);
+  if (!u3.ok()) return u3.status();
+  FactorModel m;
+  m.u1 = u1.MoveValue();
+  m.u2 = u2.MoveValue();
+  m.u3 = u3.MoveValue();
+  m.h.assign(r, 1.0);
   // Note: no magnitude rescaling is applied. The spectral factors keep
   // the eigenvector scale (entries ~ 1/sqrt(n)); Adam's per-coordinate
   // step sizes grow them quickly, and experiments showed that forcing the

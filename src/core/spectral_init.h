@@ -33,6 +33,18 @@ Result<FactorModel> InitializeFactors(const SparseTensor& train,
                                       const TcssConfig& config,
                                       SpectralInitStats* stats = nullptr);
 
+/// The kRandom / kOneHot init of user rows [begin, end) of a dim_i x dim_j
+/// x dim_k tensor: U1 holds those rows, byte for byte what
+/// InitializeFactors gives them, and U2, U3 and h are whole. Random init
+/// still draws every U1 row (one sequential stream) but stores only its
+/// own. [0, dim_i) is InitializeFactors' random and one-hot path; a
+/// distributed worker initializes its row block with it. InvalidArgument
+/// for kSpectral, which needs the whole tensor, or a bad range.
+Result<FactorModel> InitializeFactorRows(const TcssConfig& config,
+                                         size_t dim_i, size_t dim_j,
+                                         size_t dim_k, size_t begin,
+                                         size_t end);
+
 }  // namespace tcss
 
 #endif  // TCSS_CORE_SPECTRAL_INIT_H_

@@ -50,6 +50,28 @@ struct TrainMetrics {
   }
 };
 
+/// Adam hyperparameters.
+constexpr double kAdamBeta1 = 0.9;
+constexpr double kAdamBeta2 = 0.999;
+constexpr double kAdamEps = 1e-8;
+
+/// One Adam update over a contiguous parameter block, with bias-correction
+/// factors bc1 = 1 - beta1^t and bc2 = 1 - beta2^t of the step applied.
+void AdamUpdateBlock(double* value, const double* grad, double* m, double* v,
+                     size_t n, double lr, double weight_decay, double bc1,
+                     double bc2) {
+  const double b1 = kAdamBeta1, b2 = kAdamBeta2, eps = kAdamEps;
+  for (size_t idx = 0; idx < n; ++idx) {
+    const double gi = grad[idx];
+    m[idx] = b1 * m[idx] + (1.0 - b1) * gi;
+    v[idx] = b2 * v[idx] + (1.0 - b2) * gi * gi;
+    const double mhat = m[idx] / bc1;
+    const double vhat = v[idx] / bc2;
+    value[idx] -= lr * (mhat / (std::sqrt(vhat) + eps) +
+                        weight_decay * value[idx]);
+  }
+}
+
 /// Max-abs entry over all gradient blocks; +inf if any entry is NaN/Inf,
 /// so a single comparison catches both explosion and corruption.
 double GradMaxAbs(const FactorGrads& g) {
@@ -72,24 +94,36 @@ double MaxAbsOrInf(const double* p, size_t n) {
   return m;
 }
 
-void AdamBiasCorrection(int64_t t, double* bc1, double* bc2) {
-  *bc1 = 1.0 - std::pow(kAdamBeta1, static_cast<double>(t));
-  *bc2 = 1.0 - std::pow(kAdamBeta2, static_cast<double>(t));
+void AdamStep(const FactorGrads& grads, double lr, double weight_decay,
+              TrainerCheckpoint* state) {
+  const double t = static_cast<double>(++state->adam_t);
+  const double bc1 = 1.0 - std::pow(kAdamBeta1, t);
+  const double bc2 = 1.0 - std::pow(kAdamBeta2, t);
+  FactorModel& x = state->model;
+  FactorGrads& m = state->adam_m;
+  FactorGrads& v = state->adam_v;
+  AdamUpdateBlock(x.u1.data(), grads.u1.data(), m.u1.data(), v.u1.data(),
+                  x.u1.size(), lr, weight_decay, bc1, bc2);
+  AdamUpdateBlock(x.u2.data(), grads.u2.data(), m.u2.data(), v.u2.data(),
+                  x.u2.size(), lr, weight_decay, bc1, bc2);
+  AdamUpdateBlock(x.u3.data(), grads.u3.data(), m.u3.data(), v.u3.data(),
+                  x.u3.size(), lr, weight_decay, bc1, bc2);
+  AdamUpdateBlock(x.h.data(), grads.h.data(), m.h.data(), v.h.data(),
+                  x.h.size(), lr, weight_decay, bc1, bc2);
 }
 
-void AdamUpdateBlock(double* value, const double* grad, double* m, double* v,
-                     size_t n, double lr, double weight_decay, double bc1,
-                     double bc2) {
-  const double b1 = kAdamBeta1, b2 = kAdamBeta2, eps = kAdamEps;
-  for (size_t idx = 0; idx < n; ++idx) {
-    const double gi = grad[idx];
-    m[idx] = b1 * m[idx] + (1.0 - b1) * gi;
-    v[idx] = b2 * v[idx] + (1.0 - b2) * gi * gi;
-    const double mhat = m[idx] / bc1;
-    const double vhat = v[idx] / bc2;
-    value[idx] -= lr * (mhat / (std::sqrt(vhat) + eps) +
-                        weight_decay * value[idx]);
-  }
+bool DivergenceGuard::Diverged(const EpochStats& stats) const {
+  return !std::isfinite(stats.TotalLoss()) ||
+         !std::isfinite(stats.grad_norm) ||
+         (grad_norm_limit > 0.0 && stats.grad_norm > grad_norm_limit);
+}
+
+Status DivergenceGuard::Exhausted(const EpochStats& stats) const {
+  return Status::NotConverged(StrFormat(
+      "divergence at epoch %d (loss=%g, grad_norm=%g): %d rollback "
+      "retries with LR backoff %g exhausted; lower the learning rate",
+      stats.epoch, stats.TotalLoss(), stats.grad_norm, stats.rollbacks,
+      lr_backoff));
 }
 
 double ScheduledLearningRate(const TcssConfig& config, int epoch) {
@@ -129,7 +163,7 @@ double AddTemporalSmoothnessGrad(const Matrix& u3, double weight,
 
 TcssTrainer::TcssTrainer(const Dataset& data, const SparseTensor& train,
                          const TcssConfig& config)
-    : data_(&data), train_(&train), config_(config) {
+    : train_(&train), config_(config) {
   l2_ = WholeDataLoss::Create(config_);
   l2_->BindTensor(*train_);
   const bool wants_l1 = config_.lambda > 0.0 &&
@@ -139,32 +173,6 @@ TcssTrainer::TcssTrainer(const Dataset& data, const SparseTensor& train,
     hausdorff_ =
         std::make_unique<SocialHausdorffLoss>(data, train, config_);
   }
-}
-
-void TcssTrainer::AdamStep(FactorModel* model, const FactorGrads& grads,
-                           AdamState* state, double lr) const {
-  ++state->t;
-  double bc1 = 0.0, bc2 = 0.0;
-  AdamBiasCorrection(state->t, &bc1, &bc2);
-  const double wd = config_.weight_decay;
-  AdamUpdateBlock(model->u1.data(), grads.u1.data(), state->m.u1.data(),
-                  state->v.u1.data(), model->u1.size(), lr, wd, bc1, bc2);
-  AdamUpdateBlock(model->u2.data(), grads.u2.data(), state->m.u2.data(),
-                  state->v.u2.data(), model->u2.size(), lr, wd, bc1, bc2);
-  AdamUpdateBlock(model->u3.data(), grads.u3.data(), state->m.u3.data(),
-                  state->v.u3.data(), model->u3.size(), lr, wd, bc1, bc2);
-  AdamUpdateBlock(model->h.data(), grads.h.data(), state->m.h.data(),
-                  state->v.h.data(), model->h.size(), lr, wd, bc1, bc2);
-}
-
-double TcssTrainer::AddTemporalSmoothness(const FactorModel& model,
-                                          double weight,
-                                          FactorGrads* grads) const {
-  return AddTemporalSmoothnessGrad(model.u3, weight, &grads->u3);
-}
-
-double TcssTrainer::ScheduledLr(int epoch) const {
-  return ScheduledLearningRate(config_, epoch);
 }
 
 Result<FactorModel> TcssTrainer::Train(const EpochCallback& callback) {
@@ -183,38 +191,17 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
   }
   SetGlobalThreads(config_.num_threads);
 
-  FactorModel model;
-  int start_epoch = 0;        // epochs already completed
-  double lr_scale = 1.0;      // divergence-backoff multiplier
-
   const TrainMetrics metrics = TrainMetrics::Resolve();
-  std::unique_ptr<AdamState> adam;
+  // The live state of the run: a snapshot saves it, a rollback restores it.
+  TrainerCheckpoint state;
   bool resumed = false;
   if (options.resume) {
     auto loaded = options.checkpoints->LoadLatest();
     if (loaded.ok()) {
-      TrainerCheckpoint ckpt = loaded.MoveValue();
-      if (ckpt.model.u1.rows() != train_->dim_i() ||
-          ckpt.model.u2.rows() != train_->dim_j() ||
-          ckpt.model.u3.rows() != train_->dim_k() ||
-          ckpt.model.rank() != config_.rank) {
-        return Status::InvalidArgument(
-            "checkpoint shape does not match the training tensor/config");
-      }
-      model = std::move(ckpt.model);
-      adam = std::make_unique<AdamState>(model);
-      adam->m = std::move(ckpt.adam_m);
-      adam->v = std::move(ckpt.adam_v);
-      adam->t = ckpt.adam_t;
-      start_epoch = ckpt.epoch;
-      lr_scale = ckpt.lr_scale;
-      if (hausdorff_ != nullptr) {
-        hausdorff_->set_rotation(ckpt.hausdorff_rotation);
-      }
-      l2_->set_sampler_state(ckpt.sampler_state);
+      state = loaded.MoveValue();
       resumed = true;
       TCSS_LOG(Info) << "resuming training from checkpoint at epoch "
-                     << start_epoch;
+                     << state.epoch;
     } else if (loaded.status().code() != StatusCode::kNotFound) {
       return loaded.status();
     } else if (options.require_checkpoint) {
@@ -224,67 +211,58 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
           "': " + loaded.status().message());
     }
   }
-  if (!resumed) {
-    if (options.warm_start != nullptr) {
-      const FactorModel& warm = *options.warm_start;
-      if (warm.u1.rows() != train_->dim_i() ||
-          warm.u2.rows() != train_->dim_j() ||
-          warm.u3.rows() != train_->dim_k() ||
-          warm.rank() != config_.rank) {
-        return Status::InvalidArgument(
-            "warm-start model shape does not match the training "
-            "tensor/config");
-      }
-      model = warm;
-    } else {
-      Stopwatch init_sw;
-      SpectralInitStats init_stats;
-      auto init = InitializeFactors(*train_, config_, &init_stats);
-      if (!init.ok()) return init.status();
-      model = init.MoveValue();
-      metrics.init_ms->Record(init_sw.ElapsedSeconds() * 1e3);
-      if (config_.init == InitMethod::kSpectral) {
-        for (bool converged : init_stats.converged) {
-          if (!converged) metrics.unconverged_modes->Add(1);
-        }
+  if (!resumed && options.warm_start != nullptr) {
+    state = TrainerCheckpoint(*options.warm_start);
+  } else if (!resumed) {
+    Stopwatch init_sw;
+    SpectralInitStats init_stats;
+    auto init = InitializeFactors(*train_, config_, &init_stats);
+    if (!init.ok()) return init.status();
+    state = TrainerCheckpoint(init.MoveValue());
+    metrics.init_ms->Record(init_sw.ElapsedSeconds() * 1e3);
+    if (config_.init == InitMethod::kSpectral) {
+      for (bool converged : init_stats.converged) {
+        if (!converged) metrics.unconverged_modes->Add(1);
       }
     }
-    adam = std::make_unique<AdamState>(model);
+  }
+  if (state.model.u1.rows() != train_->dim_i() ||
+      state.model.u2.rows() != train_->dim_j() ||
+      state.model.u3.rows() != train_->dim_k() ||
+      state.model.rank() != config_.rank) {
+    return Status::InvalidArgument(
+        std::string(resumed ? "checkpoint" : "warm-start model") +
+        " shape does not match the training tensor/config");
   }
 
-  FactorGrads grads(model);
+  // The losses' cursors (Hausdorff minibatch rotation, negative-sampling
+  // call counter) follow the state wherever it is loaded or rolled back.
+  auto restore_cursors = [&] {
+    if (hausdorff_ != nullptr) {
+      hausdorff_->set_rotation(state.hausdorff_rotation);
+    }
+    l2_->set_sampler_state(state.sampler_state);
+  };
+  restore_cursors();
 
+  FactorGrads grads(state.model);
   // Last state whose *forward* loss was verified finite. Rolling back here
   // and shrinking the LR changes the trajectory that diverged; rolling
   // back a single step would recompute the identical non-finite loss.
-  TrainerCheckpoint last_good;
-  auto record_last_good = [&](int completed_epochs) {
-    last_good.model = model;
-    last_good.adam_m = adam->m;
-    last_good.adam_v = adam->v;
-    last_good.adam_t = adam->t;
-    last_good.epoch = completed_epochs;
-    last_good.hausdorff_rotation =
-        hausdorff_ != nullptr ? hausdorff_->rotation() : 0;
-    last_good.sampler_state = l2_->sampler_state();
-    last_good.lr_scale = lr_scale;
-  };
-  record_last_good(start_epoch);
-
+  TrainerCheckpoint last_good = state;
+  const DivergenceGuard& guard = options.divergence;
   int rollbacks = 0;
   double best_monitored = std::numeric_limits<double>::infinity();
   int plateau_streak = 0;
 
-  for (int epoch = start_epoch + 1; epoch <= config_.epochs; ++epoch) {
+  for (int epoch = state.epoch + 1; epoch <= config_.epochs; ++epoch) {
     Stopwatch sw;
     Stopwatch stage;
     grads.Zero();
     EpochStats stats;
     stats.epoch = epoch;
-    const size_t rotation_before =
-        hausdorff_ != nullptr ? hausdorff_->rotation() : 0;
-    const uint64_t sampler_before = l2_->sampler_state();
-    stats.loss_l2 = l2_->ComputeWithGrads(model, *train_, &grads);
+    stats.rollbacks = rollbacks;
+    stats.loss_l2 = l2_->ComputeWithGrads(state.model, *train_, &grads);
     stats.seconds_loss = stage.ElapsedSeconds();
     metrics.loss_ms->Record(stats.seconds_loss * 1e3);
     if (hausdorff_ != nullptr) {
@@ -295,80 +273,50 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
       stage.Restart();
       stats.loss_l1 =
           config_.lambda *
-          hausdorff_->ComputeWithGrads(model, config_.lambda, &grads);
+          hausdorff_->ComputeWithGrads(state.model, config_.lambda, &grads);
       stats.seconds_hausdorff = stage.ElapsedSeconds();
       metrics.hausdorff_ms->Record(stats.seconds_hausdorff * 1e3);
     }
     if (config_.temporal_smoothness > 0.0) {
-      stats.loss_ts =
-          AddTemporalSmoothness(model, config_.temporal_smoothness, &grads);
+      stats.loss_ts = AddTemporalSmoothnessGrad(
+          state.model.u3, config_.temporal_smoothness, &grads.u3);
     }
     stats.grad_norm = GradMaxAbs(grads);
 
-    const bool diverged =
-        !std::isfinite(stats.TotalLoss()) ||
-        !std::isfinite(stats.grad_norm) ||
-        (options.grad_norm_limit > 0.0 &&
-         stats.grad_norm > options.grad_norm_limit);
-    if (diverged) {
-      if (rollbacks >= options.max_divergence_retries) {
-        return Status::NotConverged(StrFormat(
-            "divergence at epoch %d (loss=%g, grad_norm=%g): %d rollback "
-            "retries with LR backoff %g exhausted; lower the learning rate",
-            epoch, stats.TotalLoss(), stats.grad_norm, rollbacks,
-            options.lr_backoff));
-      }
+    if (guard.Diverged(stats)) {
+      if (rollbacks >= guard.max_retries) return guard.Exhausted(stats);
       ++rollbacks;
       metrics.rollbacks->Add(1);
-      lr_scale *= options.lr_backoff;  // compounds across retries
+      last_good.lr_scale *= guard.lr_backoff;  // compounds across retries
       TCSS_LOG(Warning) << "divergence at epoch " << epoch
                         << " (loss=" << stats.TotalLoss()
                         << ", grad_norm=" << stats.grad_norm
                         << "); rolling back to epoch " << last_good.epoch
-                        << " with lr_scale " << lr_scale;
-      model = last_good.model;
-      adam->m = last_good.adam_m;
-      adam->v = last_good.adam_v;
-      adam->t = last_good.adam_t;
-      if (hausdorff_ != nullptr) {
-        hausdorff_->set_rotation(last_good.hausdorff_rotation);
-      }
-      l2_->set_sampler_state(last_good.sampler_state);
-      epoch = last_good.epoch;  // loop increment restarts at epoch + 1
+                        << " with lr_scale " << last_good.lr_scale;
+      state = last_good;
+      restore_cursors();
+      epoch = state.epoch;  // loop increment restarts at epoch + 1
       continue;
     }
 
     // The forward pass from the pre-step state was finite, so that state
-    // is a safe rollback target (capture it before the step mutates it).
-    last_good.model = model;
-    last_good.adam_m = adam->m;
-    last_good.adam_v = adam->v;
-    last_good.adam_t = adam->t;
-    last_good.epoch = epoch - 1;
-    last_good.hausdorff_rotation = rotation_before;
-    last_good.sampler_state = sampler_before;
-    last_good.lr_scale = lr_scale;
+    // is a safe rollback target. Its cursors are still the ones this
+    // epoch's loss calls started from.
+    last_good = state;
 
-    stats.lr = ScheduledLr(epoch) * lr_scale;
-    stats.rollbacks = rollbacks;
+    stats.lr = ScheduledLearningRate(config_, epoch) * state.lr_scale;
     stage.Restart();
-    AdamStep(&model, grads, adam.get(), stats.lr);
+    AdamStep(grads, stats.lr, config_.weight_decay, &state);
+    state.epoch = epoch;
+    state.hausdorff_rotation =
+        hausdorff_ != nullptr ? hausdorff_->rotation() : 0;
+    state.sampler_state = l2_->sampler_state();
     stats.seconds_apply = stage.ElapsedSeconds();
     metrics.apply_ms->Record(stats.seconds_apply * 1e3);
 
     auto save_checkpoint = [&]() -> Status {
       Stopwatch ckpt_sw;
-      TrainerCheckpoint ckpt;
-      ckpt.model = model;
-      ckpt.adam_m = adam->m;
-      ckpt.adam_v = adam->v;
-      ckpt.adam_t = adam->t;
-      ckpt.epoch = epoch;
-      ckpt.hausdorff_rotation =
-          hausdorff_ != nullptr ? hausdorff_->rotation() : 0;
-      ckpt.sampler_state = l2_->sampler_state();
-      ckpt.lr_scale = lr_scale;
-      Status saved = options.checkpoints->Save(ckpt);
+      Status saved = options.checkpoints->Save(state);
       stats.seconds_checkpoint = ckpt_sw.ElapsedSeconds();
       metrics.checkpoint_ms->Record(stats.seconds_checkpoint * 1e3);
       metrics.checkpoints->Add(1);
@@ -387,7 +335,7 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
     metrics.epochs->Add(1);
     metrics.loss_total->Set(stats.TotalLoss());
     metrics.lr->Set(stats.lr);
-    if (callback) callback(stats, model);
+    if (callback) callback(stats, state.model);
 
     if (options.stop != nullptr &&
         options.stop->load(std::memory_order_relaxed)) {
@@ -404,7 +352,7 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
 
     if (options.plateau_patience > 0) {
       const double monitored = options.validation_metric
-                                   ? options.validation_metric(model)
+                                   ? options.validation_metric(state.model)
                                    : stats.TotalLoss();
       if (monitored < best_monitored - options.plateau_min_delta) {
         best_monitored = monitored;
@@ -424,7 +372,7 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
       }
     }
   }
-  return model;
+  return std::move(state.model);
 }
 
 Result<double> TcssTrainer::TimeOneLossEpoch(LossMode mode) {

@@ -43,30 +43,15 @@ struct EpochStats {
 using EpochCallback =
     std::function<void(const EpochStats&, const FactorModel&)>;
 
-// Shared training arithmetic ---------------------------------------------
+// One training machine ---------------------------------------------------
 //
-// The distributed engine (src/dist) re-implements the trainer's epoch loop
-// across processes and must produce bit-identical floating-point
-// trajectories. Every piece of per-element arithmetic therefore lives in
-// these free functions, used verbatim by both TcssTrainer and DistWorker/
-// DistCoordinator: same functions, same IEEE operation order, same bytes.
-
-/// Adam hyperparameters shared by every trainer in the repo.
-inline constexpr double kAdamBeta1 = 0.9;
-inline constexpr double kAdamBeta2 = 0.999;
-inline constexpr double kAdamEps = 1e-8;
-
-/// Bias-correction factors 1 - beta^t for step counter `t` (post-increment
-/// value, i.e. the step being applied).
-void AdamBiasCorrection(int64_t t, double* bc1, double* bc2);
-
-/// One Adam update over a contiguous parameter block. Elementwise: applying
-/// it to disjoint row blocks of a matrix (with the matching gradient and
-/// moment blocks) produces exactly the same bytes as one call over the
-/// whole matrix — the property that makes user-mode sharding exact.
-void AdamUpdateBlock(double* value, const double* grad, double* m, double* v,
-                     size_t n, double lr, double weight_decay, double bc1,
-                     double bc2);
+// TcssTrainer and the sharded engine (src/dist) run the same epoch: a
+// TrainerCheckpoint is the live state of every run (what a snapshot saves
+// and a rollback restores), AdamStep advances it, DivergenceGuard judges
+// each forward pass, and InitializeFactors / InitializeFactorRows start it.
+// The engine adds only the worker's row-block gradient and the
+// coordinator's fixed-order reduce, so a one-worker fleet trains the
+// trainer's exact bytes.
 
 /// Learning rate of `epoch` under the step schedule (before any divergence
 /// backoff): lr * step^2 after 85% of the epochs, lr * step after 60%.
@@ -82,6 +67,33 @@ double AddTemporalSmoothnessGrad(const Matrix& u3, double weight,
 /// Max-abs entry of a block; +inf if any entry is NaN/Inf, so a single
 /// comparison catches both explosion and corruption.
 double MaxAbsOrInf(const double* p, size_t n);
+
+/// One Adam step of every factor of `state` (model, moments, step counter)
+/// on `grads`. Elementwise: stepping disjoint row blocks with their own
+/// gradient rows gives exactly the bytes of one whole-matrix step — the
+/// property that makes user-mode sharding exact.
+void AdamStep(const FactorGrads& grads, double lr, double weight_decay,
+              TrainerCheckpoint* state);
+
+/// Divergence guard of a training run. An epoch whose forward pass has a
+/// non-finite loss or gradient (or a max-abs gradient entry above
+/// `grad_norm_limit`) is not stepped on: the run rolls back to the last
+/// verified-good state and multiplies its learning-rate scale by
+/// `lr_backoff`. After `max_retries` rollbacks it aborts with Exhausted().
+struct DivergenceGuard {
+  int max_retries = 3;
+  double lr_backoff = 0.5;
+  /// Extra explosion guard on the max-abs gradient entry; 0 disables it
+  /// (non-finite values are always caught).
+  double grad_norm_limit = 0.0;
+
+  /// True when `stats` (loss terms and grad_norm of a forward pass) must
+  /// not be stepped on.
+  bool Diverged(const EpochStats& stats) const;
+  /// The NotConverged status of a run that diverged at `stats.epoch` with
+  /// `stats.rollbacks` retries spent.
+  Status Exhausted(const EpochStats& stats) const;
+};
 
 /// Resilience knobs of TcssTrainer::Train. Defaults preserve the classic
 /// behavior (no checkpoints, no early stop) except that non-finite
@@ -107,16 +119,9 @@ struct TrainOptions {
   /// diagnostic rather than silently retraining from scratch.
   bool require_checkpoint = false;
 
-  /// Divergence guard: on a non-finite loss/gradient (or grad_norm above
-  /// `grad_norm_limit`), roll back to the last verified-good state and
-  /// multiply the learning rate by `lr_backoff`. After
-  /// `max_divergence_retries` rollbacks the run aborts with
-  /// Status::NotConverged.
-  int max_divergence_retries = 3;
-  double lr_backoff = 0.5;
-  /// Extra explosion guard on the max-abs gradient entry; 0 disables it
-  /// (non-finite values are always caught).
-  double grad_norm_limit = 0.0;
+  /// Rollback + LR backoff on a diverged epoch; NotConverged once its
+  /// retries are spent.
+  DivergenceGuard divergence;
 
   /// Early stopping: stop once the monitored value fails to improve by
   /// more than `plateau_min_delta` for `plateau_patience` consecutive
@@ -170,30 +175,7 @@ class TcssTrainer {
 
   const SocialHausdorffLoss* hausdorff() const { return hausdorff_.get(); }
 
-  /// Adds the cyclic temporal-smoothness gradient (extension; see
-  /// TcssConfig::temporal_smoothness) and returns the penalty value.
-  /// Public for direct testing; Train() calls it when the config weight
-  /// is positive.
-  double AddTemporalSmoothness(const FactorModel& model, double weight,
-                               FactorGrads* grads) const;
-
  private:
-  /// Adam moments shaped like the model.
-  struct AdamState {
-    FactorGrads m;
-    FactorGrads v;
-    int64_t t = 0;
-    explicit AdamState(const FactorModel& model) : m(model), v(model) {}
-  };
-
-  void AdamStep(FactorModel* model, const FactorGrads& grads,
-                AdamState* state, double lr) const;
-
-  /// Learning rate of `epoch` under the step schedule (before any
-  /// divergence backoff).
-  double ScheduledLr(int epoch) const;
-
-  const Dataset* data_;
   const SparseTensor* train_;
   TcssConfig config_;
   std::unique_ptr<WholeDataLoss> l2_;

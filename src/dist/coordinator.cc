@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 
 #include "common/logging.h"
@@ -273,7 +272,6 @@ Status DistCoordinator::WaitForWorld() {
       break;
     }
   }
-  epoch_ = start_epoch_;
   last_good_epoch_ = start_epoch_;
   lr_scale_known_ = false;  // re-adopted from the workers' next kGrad echo
   TCSS_LOG(Info) << "coordinator: world of " << world
@@ -286,8 +284,7 @@ Status DistCoordinator::RunEpochs() {
   const int world = opts_.num_workers;
   const size_t r = config_.rank;
   if (start_epoch_ >= config_.epochs) {
-    finished_ = true;  // resumed past the end: straight to the gather
-    return Status::OK();
+    return Status::OK();  // resumed past the end: straight to the gather
   }
 
   std::vector<DistMsg> pending(world);
@@ -383,13 +380,16 @@ Status DistCoordinator::RunEpochs() {
     // summation order every run (and every resume) of the same world size
     // reproduces bit-for-bit. At W=1 this is the identity, which is what
     // makes the single-worker engine a bitwise oracle of TcssTrainer.
-    double loss_l2 = pending[0].loss;
+    EpochStats es;
+    es.epoch = epoch;
+    es.rollbacks = stats_.rollbacks;
+    es.loss_l2 = pending[0].loss;
     std::vector<double> u2g = pending[0].u2;
     std::vector<double> hg = pending[0].h;
     Matrix u3g(dim_k_, r);
     std::copy(pending[0].u3.begin(), pending[0].u3.end(), u3g.data());
     for (int w = 1; w < world; ++w) {
-      loss_l2 += pending[w].loss;
+      es.loss_l2 += pending[w].loss;
       for (size_t i = 0; i < u2g.size(); ++i) u2g[i] += pending[w].u2[i];
       for (size_t i = 0; i < u3g.size(); ++i) {
         u3g.data()[i] += pending[w].u3[i];
@@ -422,43 +422,35 @@ Status DistCoordinator::RunEpochs() {
                     pending[0].lr_scale, lr_scale_, epoch));
     }
 
-    double loss_ts = 0.0;
     if (config_.temporal_smoothness > 0.0) {
       // U3 is replicated and verified identical, so the coupling term the
       // row-decomposition cannot shard is evaluated centrally on it.
       Matrix u3_rep(dim_k_, r);
       std::copy(pending[0].u3_replica.begin(), pending[0].u3_replica.end(),
                 u3_rep.data());
-      loss_ts =
+      es.loss_ts =
           AddTemporalSmoothnessGrad(u3_rep, config_.temporal_smoothness, &u3g);
     }
 
-    double grad_norm = pending[0].grad_maxabs;
-    for (int w = 1; w < world; ++w) {
-      grad_norm = std::max(grad_norm, pending[w].grad_maxabs);
+    es.grad_norm = std::max({MaxAbsOrInf(u2g.data(), u2g.size()),
+                             MaxAbsOrInf(u3g.data(), u3g.size()),
+                             MaxAbsOrInf(hg.data(), hg.size())});
+    for (const DistMsg& g : pending) {
+      es.grad_norm = std::max(es.grad_norm, g.grad_maxabs);  // U1 blocks
     }
-    grad_norm = std::max(grad_norm, MaxAbsOrInf(u2g.data(), u2g.size()));
-    grad_norm = std::max(grad_norm, MaxAbsOrInf(u3g.data(), u3g.size()));
-    grad_norm = std::max(grad_norm, MaxAbsOrInf(hg.data(), hg.size()));
 
-    const double total_loss = loss_l2 + loss_ts;
-    const bool diverged =
-        !std::isfinite(total_loss) || !std::isfinite(grad_norm) ||
-        (opts_.grad_norm_limit > 0.0 && grad_norm > opts_.grad_norm_limit);
-    if (diverged) {
-      if (stats_.rollbacks >= opts_.max_divergence_retries) {
-        const std::string why = StrFormat(
-            "divergence at epoch %d (loss=%g, grad_norm=%g): %d rollback "
-            "retries with LR backoff %g exhausted; lower the learning rate",
-            epoch, total_loss, grad_norm, stats_.rollbacks, opts_.lr_backoff);
-        BroadcastAbort(why);
-        return Status::NotConverged(why);
+    const DivergenceGuard& guard = opts_.divergence;
+    if (guard.Diverged(es)) {
+      if (stats_.rollbacks >= guard.max_retries) {
+        Status exhausted = guard.Exhausted(es);
+        BroadcastAbort(exhausted.message());
+        return exhausted;
       }
       ++stats_.rollbacks;
-      lr_scale_ *= opts_.lr_backoff;
+      lr_scale_ *= guard.lr_backoff;  // compounds across retries
       TCSS_LOG(Warning) << "coordinator: divergence at epoch " << epoch
-                        << " (loss=" << total_loss
-                        << ", grad_norm=" << grad_norm
+                        << " (loss=" << es.TotalLoss()
+                        << ", grad_norm=" << es.grad_norm
                         << "); rolling back to epoch " << last_good_epoch_
                         << " with lr_scale " << lr_scale_;
       DistMsg rollback;
@@ -510,22 +502,12 @@ Status DistCoordinator::RunEpochs() {
       }
     }
     ++stats_.epochs;
-    epoch_ = epoch;
     if (opts_.epoch_callback) {
-      EpochStats es;
-      es.epoch = epoch;
-      es.loss_l2 = loss_l2;
-      es.loss_ts = loss_ts;
-      es.grad_norm = grad_norm;
       es.lr = lr;
-      es.rollbacks = stats_.rollbacks;
       es.seconds = static_cast<double>(NowMs() - epoch_start) * 1e-3;
       opts_.epoch_callback(es);
     }
-    if (last) {
-      finished_ = true;
-      return Status::OK();
-    }
+    if (last) return Status::OK();
     ++epoch;
   }
 }
@@ -694,7 +676,6 @@ Result<FactorModel> DistCoordinator::Run() {
       continue;
     }
 
-    finished_ = false;
     st = RunEpochs();
     if (!st.ok()) {
       Teardown(true, st.message());

@@ -37,10 +37,9 @@ struct DistCoordinatorOptions {
   /// Transport; null = Env::Default(). Tests inject FaultInjectionEnv.
   Env* env = nullptr;
 
-  /// Divergence guard, mirroring TrainOptions exactly.
-  int max_divergence_retries = 3;
-  double lr_backoff = 0.5;
-  double grad_norm_limit = 0.0;
+  /// The trainer's divergence guard (TrainOptions::divergence), judged on
+  /// the reduced loss and gradients.
+  DivergenceGuard divergence;
 
   /// Snapshot period for worker shard checkpoints, in epochs (<= 0
   /// disables periodic snapshots; the final epoch always snapshots when
@@ -167,11 +166,9 @@ class DistCoordinator {
   /// rank -> shard-checkpoint epochs from the newest kHello.
   std::vector<std::vector<int32_t>> rank_ckpts_;
   int start_epoch_ = 0;
-  int epoch_ = 0;
   int last_good_epoch_ = 0;
   double lr_scale_ = 1.0;
   bool lr_scale_known_ = false;  ///< false until the first kGrad echo
-  bool finished_ = false;        ///< last-epoch step broadcast
   bool need_world_ = false;      ///< a recovery invalidated the world
   bool torn_down_ = false;
   DistCoordinatorStats stats_;

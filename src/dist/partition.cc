@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "common/rng.h"
-
 namespace tcss {
 namespace {
 
@@ -78,61 +76,6 @@ bool ValidateDistConfig(const TcssConfig& config, int num_workers,
     return false;
   }
   return true;
-}
-
-Result<FactorModel> InitializeFactorsSlice(const TcssConfig& config,
-                                           size_t dim_i, size_t dim_j,
-                                           size_t dim_k,
-                                           const RowPartition& part,
-                                           int rank) {
-  if (part.rows != dim_i) {
-    return Status::InvalidArgument("partition does not cover dim_i");
-  }
-  if (rank < 0 || rank >= part.world) {
-    return Status::InvalidArgument("rank outside partition world");
-  }
-  const size_t begin = part.Begin(rank);
-  const size_t end = part.End(rank);
-  const size_t r = config.rank;
-  FactorModel m;
-  m.h.assign(r, 1.0);
-
-  switch (config.init) {
-    case InitMethod::kRandom: {
-      // Replays InitializeFactors' exact draw sequence — Rng(seed), U1
-      // row-major, then U2, then U3 — storing only the owned U1 rows.
-      // Every draw must happen (the Gaussian stream is stateful), so this
-      // costs O(I*r) time but only O((end-begin)*r) memory.
-      Rng rng(config.seed);
-      m.u1.Resize(end - begin, r);
-      for (size_t i = 0; i < dim_i; ++i) {
-        if (i >= begin && i < end) {
-          double* row = m.u1.row(i - begin);
-          for (size_t t = 0; t < r; ++t) row[t] = rng.Gaussian(0.0, 0.1);
-        } else {
-          for (size_t t = 0; t < r; ++t) (void)rng.Gaussian(0.0, 0.1);
-        }
-      }
-      m.u2 = Matrix::GaussianRandom(dim_j, r, &rng, 0.1);
-      m.u3 = Matrix::GaussianRandom(dim_k, r, &rng, 0.1);
-      break;
-    }
-    case InitMethod::kOneHot: {
-      m.u1.Resize(end - begin, r);
-      m.u2.Resize(dim_j, r);
-      m.u3.Resize(dim_k, r);
-      // The cyclic pattern depends on the *global* row index, so the
-      // slice matches the corresponding rows of the full init.
-      for (size_t i = begin; i < end; ++i) m.u1(i - begin, i % r) = 0.3;
-      for (size_t j = 0; j < dim_j; ++j) m.u2(j, j % r) = 0.3;
-      for (size_t k = 0; k < dim_k; ++k) m.u3(k, k % r) = 0.3;
-      break;
-    }
-    case InitMethod::kSpectral:
-      return Status::InvalidArgument(
-          "spectral init cannot be sliced; use random or one-hot");
-  }
-  return m;
 }
 
 uint64_t DistFingerprint(const TcssConfig& config, size_t dim_i, size_t dim_j,

@@ -5,7 +5,6 @@
 #include <cstddef>
 
 #include "common/status.h"
-#include "core/factor_model.h"
 #include "core/tcss_config.h"
 #include "tensor/sparse_tensor.h"
 
@@ -52,19 +51,6 @@ Result<SparseTensor> SliceTensorRows(const SparseTensor& full, size_t begin,
 /// which are reproducible from dims + seed alone).
 bool ValidateDistConfig(const TcssConfig& config, int num_workers,
                         std::string* problem);
-
-/// The factor initialization of worker `rank`: U1 holds rows
-/// [part.Begin(rank), part.End(rank)) of the full-model init, U2/U3/h are
-/// the full replicas — bit-identical to slicing InitializeFactors' output,
-/// without materializing the I x r user factor. Requires kRandom or
-/// kOneHot (enforced by ValidateDistConfig for num_workers > 1; a
-/// single-worker engine passes its full tensor to InitializeFactors
-/// instead, so W == 1 supports every init method).
-Result<FactorModel> InitializeFactorsSlice(const TcssConfig& config,
-                                           size_t dim_i, size_t dim_j,
-                                           size_t dim_k,
-                                           const RowPartition& part,
-                                           int rank);
 
 /// Order-insensitive digest of everything that must agree between the
 /// coordinator and every worker for the run to make sense: tensor dims,

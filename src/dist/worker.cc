@@ -177,20 +177,16 @@ Status DistWorker::StartAt(int epoch) {
   if (epoch == 0) {
     // Cold start. A single-worker engine owns the whole tensor, so every
     // init method (including spectral) works and the model is the byte-
-    // for-byte InitializeFactors output; multi-worker slices replay the
-    // seeded stream via InitializeFactorsSlice.
+    // for-byte InitializeFactors output; a multi-worker rank initializes
+    // its own row block.
     Result<FactorModel> init =
         opts_.num_workers == 1
             ? InitializeFactors(tensor_, config_)
-            : InitializeFactorsSlice(config_, dim_i_, dim_j_, dim_k_, part_,
-                                     opts_.rank);
+            : InitializeFactorRows(config_, dim_i_, dim_j_, dim_k_,
+                                   part_.Begin(opts_.rank),
+                                   part_.End(opts_.rank));
     if (!init.ok()) return init.status();
-    model_ = init.MoveValue();
-    adam_m_ = FactorGrads(model_);
-    adam_v_ = FactorGrads(model_);
-    adam_t_ = 0;
-    lr_scale_ = 1.0;
-    epoch_ = 0;
+    state_ = TrainerCheckpoint(init.MoveValue());
   } else {
     if (ckpts_ == nullptr) {
       return Status::FailedPrecondition(
@@ -199,50 +195,29 @@ Status DistWorker::StartAt(int epoch) {
     }
     auto loaded = ckpts_->LoadEpoch(epoch);
     if (!loaded.ok()) return loaded.status();
-    TrainerCheckpoint ckpt = loaded.MoveValue();
-    if (ckpt.model.u1.rows() != part_.Count(opts_.rank) ||
-        ckpt.model.u2.rows() != dim_j_ || ckpt.model.u3.rows() != dim_k_ ||
-        ckpt.model.rank() != config_.rank || ckpt.epoch != epoch) {
+    const FactorModel& m = loaded.value().model;
+    if (m.u1.rows() != part_.Count(opts_.rank) || m.u2.rows() != dim_j_ ||
+        m.u3.rows() != dim_k_ || m.rank() != config_.rank ||
+        loaded.value().epoch != epoch) {
       return Status::IOError("shard checkpoint shape/epoch mismatch");
     }
-    model_ = std::move(ckpt.model);
-    adam_m_ = std::move(ckpt.adam_m);
-    adam_v_ = std::move(ckpt.adam_v);
-    adam_t_ = ckpt.adam_t;
-    lr_scale_ = ckpt.lr_scale;
-    epoch_ = epoch;
+    state_ = loaded.MoveValue();
     ++stats_.reloads;
   }
-  grads_ = FactorGrads(model_);
-  CaptureLastGood();
+  grads_ = FactorGrads(state_.model);
+  last_good_ = state_;
   return Status::OK();
-}
-
-void DistWorker::CaptureLastGood() {
-  good_model_ = model_;
-  good_m_ = adam_m_;
-  good_v_ = adam_v_;
-  good_t_ = adam_t_;
-  good_epoch_ = epoch_;
-}
-
-void DistWorker::RestoreLastGood() {
-  model_ = good_model_;
-  adam_m_ = good_m_;
-  adam_v_ = good_v_;
-  adam_t_ = good_t_;
-  epoch_ = good_epoch_;
 }
 
 Result<DistWorker::SessionOutcome> DistWorker::ComputeAndSendGrad(
     Conn* conn) {
   if (Dead()) return SessionOutcome::kDead;
-  const int next_epoch = epoch_ + 1;
+  const int next_epoch = state_.epoch + 1;
   if (opts_.stall_ms > 0 && opts_.stall_before_epoch == next_epoch) {
     InterruptibleSleep(opts_.stall_ms, opts_.abrupt_stop);
   }
   grads_.Zero();
-  const double loss = l2_->ComputeWithGrads(model_, tensor_, &grads_);
+  const double loss = l2_->ComputeWithGrads(state_.model, tensor_, &grads_);
   ++stats_.epochs_computed;
   if (Dead()) return SessionOutcome::kDead;  // killed mid-epoch
 
@@ -252,11 +227,11 @@ Result<DistWorker::SessionOutcome> DistWorker::ComputeAndSendGrad(
   g.epoch = next_epoch;
   g.loss = loss;
   g.grad_maxabs = MaxAbsOrInf(grads_.u1.data(), grads_.u1.size());
-  g.lr_scale = lr_scale_;
+  g.lr_scale = state_.lr_scale;
   g.u2 = Flat(grads_.u2);
   g.u3 = Flat(grads_.u3);
   g.h = grads_.h;
-  g.u3_replica = Flat(model_.u3);
+  g.u3_replica = Flat(state_.model.u3);
   Status sent;
   {
     std::lock_guard<std::mutex> lock(write_mu_);
@@ -267,50 +242,32 @@ Result<DistWorker::SessionOutcome> DistWorker::ComputeAndSendGrad(
 }
 
 Status DistWorker::ApplyStep(const DistMsg& msg) {
-  if (msg.u2.size() != model_.u2.size() ||
-      msg.u3.size() != model_.u3.size() || msg.h.size() != model_.h.size()) {
+  if (msg.u2.size() != grads_.u2.size() ||
+      msg.u3.size() != grads_.u3.size() || msg.h.size() != grads_.h.size()) {
     return Status::Internal("reduced gradient shape mismatch");
   }
-  ++adam_t_;
-  double bc1 = 0.0, bc2 = 0.0;
-  AdamBiasCorrection(adam_t_, &bc1, &bc2);
-  const double wd = config_.weight_decay;
-  // Local U1 block steps on the local gradients (they *are* the exact
-  // global rows); the replicated factors step on the coordinator's
-  // reduced gradients, identical bytes on every worker — which keeps the
-  // replicas in bitwise lockstep without ever re-broadcasting them.
-  AdamUpdateBlock(model_.u1.data(), grads_.u1.data(), adam_m_.u1.data(),
-                  adam_v_.u1.data(), model_.u1.size(), msg.lr, wd, bc1, bc2);
-  AdamUpdateBlock(model_.u2.data(), msg.u2.data(), adam_m_.u2.data(),
-                  adam_v_.u2.data(), model_.u2.size(), msg.lr, wd, bc1, bc2);
-  AdamUpdateBlock(model_.u3.data(), msg.u3.data(), adam_m_.u3.data(),
-                  adam_v_.u3.data(), model_.u3.size(), msg.lr, wd, bc1, bc2);
-  AdamUpdateBlock(model_.h.data(), msg.h.data(), adam_m_.h.data(),
-                  adam_v_.h.data(), model_.h.size(), msg.lr, wd, bc1, bc2);
+  // The local U1 block steps on its local gradient (those rows *are* the
+  // global rows); the replicated factors step on the coordinator's reduced
+  // gradients, identical bytes on every worker — which keeps the replicas
+  // in bitwise lockstep without ever re-broadcasting them.
+  std::copy(msg.u2.begin(), msg.u2.end(), grads_.u2.data());
+  std::copy(msg.u3.begin(), msg.u3.end(), grads_.u3.data());
+  grads_.h = msg.h;
+  AdamStep(grads_, msg.lr, config_.weight_decay, &state_);
+  state_.epoch = msg.epoch;
   ++stats_.steps_applied;
   return Status::OK();
-}
-
-Status DistWorker::SaveShardCheckpoint() {
-  TrainerCheckpoint ckpt;
-  ckpt.model = model_;
-  ckpt.adam_m = adam_m_;
-  ckpt.adam_v = adam_v_;
-  ckpt.adam_t = adam_t_;
-  ckpt.epoch = epoch_;
-  ckpt.lr_scale = lr_scale_;
-  return ckpts_->Save(ckpt);
 }
 
 Status DistWorker::SendFinal(Conn* conn) {
   DistMsg fin;
   fin.type = DistMsgType::kFinal;
   fin.gen = gen_.load(std::memory_order_relaxed);
-  fin.epoch = epoch_;
-  fin.u1 = Flat(model_.u1);
-  fin.u2 = Flat(model_.u2);
-  fin.u3 = Flat(model_.u3);
-  fin.h = model_.h;
+  fin.epoch = state_.epoch;
+  fin.u1 = Flat(state_.model.u1);
+  fin.u2 = Flat(state_.model.u2);
+  fin.u3 = Flat(state_.model.u3);
+  fin.h = state_.model.h;
   std::lock_guard<std::mutex> lock(write_mu_);
   return SendDistMsg(conn, fin, opts_.write_timeout_ms);
 }
@@ -357,7 +314,7 @@ Result<DistWorker::SessionOutcome> DistWorker::SessionLoop(Conn* conn) {
           if (!SendHello(conn).ok()) return SessionOutcome::kLost;
           break;
         }
-        if (epoch_ >= config_.epochs) {
+        if (state_.epoch >= config_.epochs) {
           // Resumed at (or past) the final epoch: nothing to compute.
           Status sent = SendFinal(conn);
           if (!sent.ok()) return SessionOutcome::kLost;
@@ -373,29 +330,28 @@ Result<DistWorker::SessionOutcome> DistWorker::SessionLoop(Conn* conn) {
       case DistMsgType::kReduced: {
         if (msg.gen != gen_.load(std::memory_order_relaxed)) break;  // stale
         if (msg.action == kActionRollback) {
-          RestoreLastGood();
-          lr_scale_ = msg.lr_scale;
+          // The coordinator owns the backoff; its lr_scale is the new one.
+          last_good_.lr_scale = msg.lr_scale;
+          state_ = last_good_;
           ++stats_.rollbacks;
         } else {
-          if (msg.epoch != epoch_ + 1) {
+          if (msg.epoch != state_.epoch + 1) {
             return Status::Internal(
                 "coordinator stepped epoch " + std::to_string(msg.epoch) +
-                " but worker completed " + std::to_string(epoch_));
+                " but worker completed " + std::to_string(state_.epoch));
           }
           // The forward pass of this epoch was verified finite by the
           // coordinator; the pre-step state is the new rollback target
-          // (mirrors TcssTrainer's capture point exactly).
-          CaptureLastGood();
-          lr_scale_ = msg.lr_scale;
+          // (TcssTrainer's capture point).
+          last_good_ = state_;
           TCSS_RETURN_IF_ERROR(ApplyStep(msg));
-          epoch_ = msg.epoch;
           if ((msg.flags & kFlagCheckpoint) != 0 && ckpts_ != nullptr) {
-            TCSS_RETURN_IF_ERROR(SaveShardCheckpoint());
+            TCSS_RETURN_IF_ERROR(ckpts_->Save(state_));
             ++stats_.checkpoints;
             DistMsg ack;
             ack.type = DistMsgType::kCkptAck;
             ack.gen = gen_.load(std::memory_order_relaxed);
-            ack.epoch = epoch_;
+            ack.epoch = state_.epoch;
             std::lock_guard<std::mutex> lock(write_mu_);
             if (!SendDistMsg(conn, ack, opts_.write_timeout_ms).ok()) {
               return SessionOutcome::kLost;

@@ -80,8 +80,9 @@ struct DistWorkerStats {
 /// One worker of the coordinator/worker training engine: owns the
 /// contiguous U1 row block of its rank plus the matching tensor slice,
 /// replicates U2/U3/h, and advances them in lockstep with every other
-/// worker by applying the coordinator's reduced gradients with the exact
-/// trainer arithmetic (AdamUpdateBlock et al.). See DESIGN.md §11.
+/// worker by applying the coordinator's reduced gradients with the
+/// trainer's own machinery (TrainerCheckpoint state, AdamStep). See
+/// DESIGN.md §11.
 class DistWorker {
  public:
   /// `local` is this rank's tensor slice — row-remapped, i.e. its dim_i
@@ -111,9 +112,6 @@ class DistWorker {
   Status StartAt(int epoch);
   Result<SessionOutcome> ComputeAndSendGrad(Conn* conn);
   Status ApplyStep(const DistMsg& msg);
-  void CaptureLastGood();
-  void RestoreLastGood();
-  Status SaveShardCheckpoint();
   Status SendFinal(Conn* conn);
 
   TcssConfig config_;
@@ -127,20 +125,14 @@ class DistWorker {
   std::unique_ptr<WholeDataLoss> l2_;
   std::unique_ptr<CheckpointManager> ckpts_;
 
-  FactorModel model_;
+  /// The live state of this rank (U1 block, replicas, Adam moments,
+  /// epoch, lr_scale): what a shard checkpoint saves. `last_good_` is the
+  /// pre-step state of the last epoch whose forward loss the coordinator
+  /// verified finite — the rollback target, as in TcssTrainer.
+  TrainerCheckpoint state_;
+  TrainerCheckpoint last_good_;
   FactorGrads grads_;
-  FactorGrads adam_m_, adam_v_;
-  int64_t adam_t_ = 0;
-  int epoch_ = 0;
-  double lr_scale_ = 1.0;
   std::atomic<uint32_t> gen_{0};
-
-  /// Pre-step state of the last epoch whose forward loss the coordinator
-  /// verified finite — the rollback target, mirroring TcssTrainer.
-  FactorModel good_model_;
-  FactorGrads good_m_, good_v_;
-  int64_t good_t_ = 0;
-  int good_epoch_ = 0;
 
   /// Shard-checkpoint epochs that failed to load this run; excluded from
   /// kHello so repeated recovery converges instead of retrying a corrupt

@@ -55,6 +55,15 @@ Server::~Server() {
 
 Status Server::Start() {
   if (started_) return Status::InvalidArgument("server already started");
+  // A zero batch would dispatch empty batches forever (nothing answered,
+  // Stop() never returns); a non-positive tick or a negative write
+  // timeout turns the bounded waits into spins or unbounded blocks.
+  if (opts_.max_batch == 0 || opts_.idle_tick_ms <= 0 ||
+      opts_.write_timeout_ms < 0) {
+    return Status::InvalidArgument(
+        "server options need max_batch >= 1, idle_tick_ms >= 1 and "
+        "write_timeout_ms >= 0");
+  }
   if (opts_.num_workers > 0) SetGlobalThreads(opts_.num_workers);
 
   shed_counter_ = metrics_->GetCounter("serve.shed");

@@ -32,15 +32,17 @@ struct ServerOptions {
   /// A full queue sheds (backpressure) — it never grows.
   size_t queue_capacity = 256;
   /// Requests per BatchTopK pass (scored shard-parallel, one request per
-  /// shard).
+  /// shard); at least 1.
   size_t max_batch = 32;
   /// Concurrent connections; over the limit, accepts are answered with a
   /// shed frame and closed.
   size_t max_connections = 64;
-  /// Granularity at which blocked reads/accepts re-check the stop flag.
+  /// Granularity at which blocked reads/accepts re-check the stop flag;
+  /// at least 1.
   int idle_tick_ms = 20;
   /// Slow-client guard: a response write that cannot progress within this
-  /// budget drops the connection instead of stalling the dispatcher.
+  /// budget drops the connection instead of stalling the dispatcher; at
+  /// least 0.
   int write_timeout_ms = 2000;
   /// Deadline applied to requests that do not carry their own
   /// (deadline_ms=0 on the wire); 0 = no implicit deadline.
@@ -132,6 +134,7 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds the socket and spawns the acceptor + dispatcher.
+  /// InvalidArgument for options outside their documented ranges.
   Status Start();
 
   /// Initiates drain; returns immediately. Safe from any thread.

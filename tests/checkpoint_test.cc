@@ -345,8 +345,13 @@ TEST(ResumeTest, KillAndResumeIsBitIdentical) {
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(mgr.ListEpochs(), (std::vector<int>{5, 10, 12}));
   }
-  ASSERT_TRUE(
-      Env::Default()->DeleteFile(copts.dir + "/ckpt-000012.tckp").ok());
+  // Keep the deleted snapshot's bytes: the resumed run must rewrite every
+  // one of them (model, Adam moments and step, epoch, Hausdorff rotation,
+  // sampler counter, lr_scale).
+  const std::string final_ckpt = copts.dir + "/ckpt-000012.tckp";
+  auto final_bytes = Env::Default()->ReadFileToString(final_ckpt);
+  ASSERT_TRUE(final_bytes.ok());
+  ASSERT_TRUE(Env::Default()->DeleteFile(final_ckpt).ok());
 
   // Resume in a fresh trainer: must pick up at epoch 11 and land on
   // exactly the same floats as the uninterrupted run.
@@ -371,6 +376,14 @@ TEST(ResumeTest, KillAndResumeIsBitIdentical) {
       EXPECT_EQ(resumed.h[t], reference.h[t]) << "h[" << t << "]";
     }
   }
+  auto rewritten = Env::Default()->ReadFileToString(final_ckpt);
+  ASSERT_TRUE(rewritten.ok());
+  EXPECT_EQ(rewritten.value(), final_bytes.value())
+      << "the resumed run saved a different final state";
+  auto final_state = ParseCheckpoint(rewritten.value());
+  ASSERT_TRUE(final_state.ok());
+  EXPECT_NE(final_state.value().hausdorff_rotation, 0u)
+      << "lambda > 0 must leave a non-zero minibatch rotation to compare";
 }
 
 TEST(ResumeTest, ResumeWithEmptyDirColdStarts) {
@@ -453,8 +466,9 @@ TEST(DivergenceGuardTest, RollbackWithStrongBackoffRecovers) {
 
   TcssTrainer trainer(w.data, w.train, cfg);
   TrainOptions topts;
-  topts.max_divergence_retries = 2;
-  topts.lr_backoff = 1e-81;  // one backoff lands at a sane LR of 0.1
+  topts.divergence.max_retries = 2;
+  // One backoff lands at a sane LR of 0.1.
+  topts.divergence.lr_backoff = 1e-81;
   int max_rollbacks = 0;
   double last_lr = 0.0;
   auto result = trainer.Train(
@@ -476,8 +490,8 @@ TEST(DivergenceGuardTest, GradNormLimitTriggersGuard) {
   cfg.lambda = 0.0;
   TcssTrainer trainer(w.data, w.train, cfg);
   TrainOptions topts;
-  topts.grad_norm_limit = 1e-12;  // impossible to satisfy
-  topts.max_divergence_retries = 1;
+  topts.divergence.grad_norm_limit = 1e-12;  // impossible to satisfy
+  topts.divergence.max_retries = 1;
   auto result = trainer.Train(topts, nullptr);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotConverged);

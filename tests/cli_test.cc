@@ -1,22 +1,30 @@
 // Argument checks of the tcss CLI (label "fuzz"): fork/execs the built
 // binary (TCSS_CLI_PATH) on a tiny generated preset and a one-epoch model.
-// A malformed or out-of-range `recommend` argument must exit with status
-// 2 and a message, not read past a factor matrix.
+// A malformed or out-of-range `recommend` argument, and a negative or
+// non-integer value of any integer flag, must exit with status 2 and a
+// message — not read past a factor matrix or wrap through a size_t cast.
+// Options the server cannot run with must end `serve` at once; the ctest
+// TIMEOUT fails this suite instead of stalling it if one ever hangs again.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 namespace {
 
 // Exit status of the CLI run with `args`, or -signal if a signal ended it.
-int RunCli(std::vector<std::string> args) {
+// A run still alive after `timeout_s` is SIGKILLed (and reads -SIGKILL),
+// so a hanging command fails its test instead of outliving it.
+int RunCli(std::vector<std::string> args, double timeout_s = 60.0) {
   args.insert(args.begin(), TCSS_CLI_PATH);
   std::vector<char*> argv;
   for (std::string& a : args) argv.push_back(a.data());
@@ -27,23 +35,55 @@ int RunCli(std::vector<std::string> args) {
     execv(argv[0], argv.data());
     _exit(127);
   }
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(timeout_s);
   int status = 0;
-  waitpid(pid, &status, 0);
+  while (waitpid(pid, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      kill(pid, SIGKILL);
+      waitpid(pid, &status, 0);
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   return WIFSIGNALED(status) ? -WTERMSIG(status) : WEXITSTATUS(status);
 }
 
-TEST(CliRecommendTest, BadArgumentsExitWithStatus2) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "tcss_cli_test").string();
-  const std::string model = dir + "/m.txt";
-  std::filesystem::remove_all(dir);
-  ASSERT_EQ(RunCli({"generate", "--scale", "0.1", "--out", dir}), 0);
-  ASSERT_EQ(RunCli({"train", "--data", dir, "--model", model, "--epochs",
-                    "1", "--num-threads", "1"}),
-            0);
+// A generated preset plus a one-epoch model, shared by every test.
+class CliTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    dir_ = (std::filesystem::temp_directory_path() / "tcss_cli_test")
+               .string();
+    model_ = dir_ + "/m.txt";
+    std::filesystem::remove_all(dir_);
+    ASSERT_EQ(RunCli({"generate", "--scale", "0.1", "--out", dir_}), 0);
+    ASSERT_EQ(RunCli({"train", "--data", dir_, "--model", model_,
+                      "--epochs", "1", "--num-threads", "1"}),
+              0);
+  }
+  static void TearDownTestSuite() { std::filesystem::remove_all(dir_); }
+
+  // `serve --listen` on a short socket path (sun_path caps at ~100 bytes).
+  static std::vector<std::string> ServeArgs(const std::string& flag,
+                                            const std::string& value) {
+    return {"serve",    "--data", dir_,
+            "--model",  model_,   "--listen",
+            "/tmp/tcss-cli-" + std::to_string(getpid()) + ".sock",
+            flag,       value};
+  }
+
+  static std::string dir_;
+  static std::string model_;
+};
+
+std::string CliTest::dir_;
+std::string CliTest::model_;
+
+TEST_F(CliTest, RecommendBadArgumentsExitWithStatus2) {
   // A later --user overrides the first one.
-  auto recommend = [&](const std::string& flag, const std::string& value) {
-    return RunCli({"recommend", "--data", dir, "--model", model, "--user",
+  auto recommend = [](const std::string& flag, const std::string& value) {
+    return RunCli({"recommend", "--data", dir_, "--model", model_, "--user",
                    "0", flag, value});
   };
   EXPECT_EQ(recommend("--time", "0"), 0);
@@ -54,7 +94,22 @@ TEST(CliRecommendTest, BadArgumentsExitWithStatus2) {
   for (const auto& [flag, value] : bad) {
     EXPECT_EQ(recommend(flag, value), 2) << flag << " " << value;
   }
-  std::filesystem::remove_all(dir);
+}
+
+TEST_F(CliTest, IntegerFlagsRejectNegativeAndNonIntegerValues) {
+  // `--rank -1` used to reach a size_t cast and abort on a length_error.
+  EXPECT_EQ(RunCli({"train", "--data", dir_, "--model", dir_ + "/r.txt",
+                    "--rank", "-1"}),
+            2);
+  EXPECT_EQ(RunCli(ServeArgs("--max-batch", "-1")), 2);
+  EXPECT_EQ(RunCli(ServeArgs("--queue", "x")), 2);
+}
+
+TEST_F(CliTest, ServeWithZeroMaxBatchExitsInsteadOfHanging) {
+  // A zero batch used to take no request off the queue, forever.
+  const int code = RunCli(ServeArgs("--max-batch", "0"), 20.0);
+  EXPECT_NE(code, 0);
+  EXPECT_NE(code, -SIGKILL) << "serve --max-batch 0 hung";
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/checkpoint.h"
@@ -423,7 +424,13 @@ TEST(TrainingDeterminismTest, NegativeSamplingKillAndResumeIsBitIdentical) {
     topts.checkpoints = &mgr;
     ASSERT_TRUE(trainer.Train(topts, nullptr).ok());
   }
-  ASSERT_TRUE(std::filesystem::remove(dir + "/ckpt-000008.tckp"));
+  // The resumed run must rewrite the deleted snapshot byte for byte —
+  // model, Adam state, epoch, sampler counter and lr_scale, not only the
+  // factors it returns.
+  const std::string final_ckpt = dir + "/ckpt-000008.tckp";
+  auto final_bytes = Env::Default()->ReadFileToString(final_ckpt);
+  ASSERT_TRUE(final_bytes.ok());
+  ASSERT_TRUE(std::filesystem::remove(final_ckpt));
   {
     TcssTrainer trainer(w.data, w.train, cfg);
     TrainOptions topts;
@@ -438,6 +445,12 @@ TEST(TrainingDeterminismTest, NegativeSamplingKillAndResumeIsBitIdentical) {
     EXPECT_EQ(first_epoch, 5);
     EXPECT_EQ(reference, SerializeFactorModel(result.value()));
   }
+  auto rewritten = Env::Default()->ReadFileToString(final_ckpt);
+  ASSERT_TRUE(rewritten.ok());
+  EXPECT_EQ(rewritten.value(), final_bytes.value());
+  auto final_state = ParseCheckpoint(rewritten.value());
+  ASSERT_TRUE(final_state.ok());
+  EXPECT_GT(final_state.value().sampler_state, 0u);
 }
 
 }  // namespace

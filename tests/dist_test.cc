@@ -237,7 +237,7 @@ DistRun RunDist(const TcssConfig& cfg, const SparseTensor& full,
 }
 
 // ------------------------------------------------------------------------
-// RowPartition / SliceTensorRows / InitializeFactorsSlice
+// RowPartition / SliceTensorRows / InitializeFactorRows
 // ------------------------------------------------------------------------
 
 TEST(RowPartitionTest, CoversRowsContiguouslyWithBalancedBlocks) {
@@ -311,7 +311,7 @@ TEST(ValidateDistConfigTest, EnforcesDecomposability) {
   EXPECT_TRUE(ValidateDistConfig(spectral, 1, &why)) << why;
 }
 
-TEST(InitializeFactorsSliceTest, MatchesFullInitBitwise) {
+TEST(InitializeFactorRowsTest, MatchesFullInitBitwise) {
   const size_t I = 25, J = 9, K = 5;
   for (InitMethod init : {InitMethod::kRandom, InitMethod::kOneHot}) {
     TcssConfig cfg = DistConfig();
@@ -324,7 +324,8 @@ TEST(InitializeFactorsSliceTest, MatchesFullInitBitwise) {
     ASSERT_TRUE(full.ok());
     const RowPartition part(I, 3);
     for (int r = 0; r < 3; ++r) {
-      auto sliced = InitializeFactorsSlice(cfg, I, J, K, part, r);
+      auto sliced =
+          InitializeFactorRows(cfg, I, J, K, part.Begin(r), part.End(r));
       ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
       EXPECT_EQ(sliced.value().u1.rows(), part.Count(r));
       for (size_t i = 0; i < part.Count(r); ++i) {
@@ -339,6 +340,10 @@ TEST(InitializeFactorsSliceTest, MatchesFullInitBitwise) {
       EXPECT_EQ(sliced.value().h, full.value().h);
     }
   }
+  TcssConfig spectral = DistConfig();
+  spectral.init = InitMethod::kSpectral;
+  EXPECT_FALSE(InitializeFactorRows(spectral, I, J, K, 0, I).ok());
+  EXPECT_FALSE(InitializeFactorRows(DistConfig(), I, J, K, 5, I + 1).ok());
 }
 
 TEST(DistFingerprintTest, SeparatesIncompatibleRuns) {
@@ -919,7 +924,57 @@ TEST(DistChaosTest, DivergenceGuardMatchesTrainerAtOneWorker) {
   ASSERT_FALSE(ref.ok());
   EXPECT_FALSE(run.coordinator_status.ok());
   EXPECT_EQ(run.coordinator_status.code(), ref.status().code());
-  EXPECT_EQ(run.cstats.rollbacks, 3);  // max_divergence_retries
+  EXPECT_EQ(run.coordinator_status.message(), ref.status().message());
+  EXPECT_EQ(run.cstats.rollbacks, 3);  // DivergenceGuard::max_retries
+}
+
+TEST(DistChaosTest, DivergenceRollbackRecoversLikeTheTrainer) {
+  // An absurd learning rate diverges at epoch 2; one backoff of 1e-81
+  // lands at a sane LR of 0.1, so the run recovers after exactly one
+  // rollback — through every worker's rollback target, which restores the
+  // same state TcssTrainer's does.
+  TcssConfig cfg = DistConfig(8);
+  cfg.learning_rate = 1e80;
+  DivergenceGuard guard;
+  guard.max_retries = 2;
+  guard.lr_backoff = 1e-81;
+
+  TcssTrainer trainer(SmallWorld().data, SmallWorld().train, cfg);
+  TrainOptions topts;
+  topts.divergence = guard;
+  auto ref = trainer.Train(topts, nullptr);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+
+  auto run_at = [&](int workers) {
+    DistRunSpec spec;
+    spec.num_workers = workers;
+    spec.tweak_coordinator = [&guard](DistCoordinatorOptions* o) {
+      o->divergence = guard;
+    };
+    DistRun run = RunDist(cfg, SmallWorld().train, spec);
+    EXPECT_TRUE(run.ok()) << run.coordinator_status.ToString();
+    EXPECT_EQ(run.cstats.rollbacks, 1) << "W=" << workers;
+    for (int r = 0; r < workers; ++r) {
+      EXPECT_EQ(run.wstats[r].rollbacks, 1) << "W=" << workers << " rank "
+                                            << r;
+    }
+    return run;
+  };
+
+  DistRun one = run_at(1);
+  EXPECT_TRUE(BitIdentical(one.model, ref.value()))
+      << "W=1 rollback recovery deviates from TcssTrainer";
+
+  DistRun a = run_at(2);
+  DistRun b = run_at(2);
+  EXPECT_TRUE(BitIdentical(a.model, b.model));
+  ASSERT_EQ(a.model.u1.rows(), ref.value().u1.rows());
+  EXPECT_LE(MaxAbsDiff(a.model.u1, ref.value().u1), 1e-12);
+  EXPECT_LE(MaxAbsDiff(a.model.u2, ref.value().u2), 1e-12);
+  EXPECT_LE(MaxAbsDiff(a.model.u3, ref.value().u3), 1e-12);
+  for (size_t t = 0; t < a.model.h.size(); ++t) {
+    EXPECT_LE(std::abs(a.model.h[t] - ref.value().h[t]), 1e-12);
+  }
 }
 
 TEST(DistChaosTest, FingerprintMismatchAbortsTheImpostor) {

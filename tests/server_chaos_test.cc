@@ -245,6 +245,32 @@ TEST(ServerChaosTest, RoundTripAcrossTiers) {
   ExpectServerLedgerBalanced(w->server->stats());
 }
 
+TEST(ServerChaosTest, StartRejectsOptionsThatCannotServe) {
+  // max_batch = 0 used to dispatch empty batches forever: no request was
+  // ever answered and Stop() never returned. A non-positive idle tick or
+  // a negative write timeout breaks the bounded waits the same way.
+  Dataset data = TinyDataset();
+  const std::string model_path = TempPath("badopts.model");
+  ASSERT_TRUE(SaveFactorModel(ConstantModel(3, 5, 12, 1.0), model_path).ok());
+  ModelWatcher::Options wopts;
+  wopts.num_users = data.num_users();
+  wopts.num_pois = data.num_pois();
+  wopts.num_bins = 12;
+  ModelWatcher watcher(model_path, wopts);
+  RecommendService service(&data, TimeGranularity::kMonthOfYear, &watcher,
+                           RecommendService::Options());
+  ASSERT_TRUE(service.Init().ok());
+  for (int bad = 0; bad < 3; ++bad) {
+    ServerOptions opts;
+    if (bad == 0) opts.max_batch = 0;
+    if (bad == 1) opts.idle_tick_ms = 0;
+    if (bad == 2) opts.write_timeout_ms = -1;
+    Server server(&service, TempPath("badopts.sock"), opts);
+    EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument)
+        << "case " << bad;
+  }
+}
+
 TEST(ServerChaosTest, UnparseablePayloadGetsErrorResponseStreamSurvives) {
   auto w = StartWorld("badpayload", ServerOptions{});
   std::vector<Frame> reqs = {

@@ -103,9 +103,8 @@ TEST(TemporalSmoothnessTest, PenaltyValueIsReportedInEpochStats) {
   {
     FactorGrads scratch(before);
     scratch.Zero();
-    recomputed =
-        trainer.AddTemporalSmoothness(before, cfg.temporal_smoothness,
-                                      &scratch);
+    recomputed = AddTemporalSmoothnessGrad(
+        before.u3, cfg.temporal_smoothness, &scratch.u3);
   }
   double epoch2 = -1.0;
   TcssTrainer trainer2(w.data, w.train, cfg);
@@ -118,12 +117,9 @@ TEST(TemporalSmoothnessTest, PenaltyValueIsReportedInEpochStats) {
 }
 
 TEST(TemporalSmoothnessTest, GradientMatchesNumerical) {
-  // Directly validate AddTemporalSmoothness's analytic gradient against a
-  // numerical derivative of the penalty.
+  // Directly validate AddTemporalSmoothnessGrad's analytic gradient
+  // against a numerical derivative of the penalty.
   World w = MakeWorld();
-  TcssConfig cfg;
-  cfg.temporal_smoothness = 2.0;
-  TcssTrainer trainer(w.data, w.train, cfg);
 
   Rng rng(5);
   FactorModel m;
@@ -134,7 +130,7 @@ TEST(TemporalSmoothnessTest, GradientMatchesNumerical) {
 
   FactorGrads g(m);
   g.Zero();
-  const double base_loss = trainer.AddTemporalSmoothness(m, 2.0, &g);
+  const double base_loss = AddTemporalSmoothnessGrad(m.u3, 2.0, &g.u3);
   EXPECT_GT(base_loss, 0.0);
   const double eps = 1e-6;
   for (size_t k = 0; k < m.u3.rows(); ++k) {
@@ -142,10 +138,9 @@ TEST(TemporalSmoothnessTest, GradientMatchesNumerical) {
       const double orig = m.u3(k, t);
       FactorGrads dummy(m);
       m.u3(k, t) = orig + eps;
-      const double up = trainer.AddTemporalSmoothness(m, 2.0, &dummy);
+      const double up = AddTemporalSmoothnessGrad(m.u3, 2.0, &dummy.u3);
       m.u3(k, t) = orig - eps;
-      const double down =
-          trainer.AddTemporalSmoothness(m, 2.0, &dummy);
+      const double down = AddTemporalSmoothnessGrad(m.u3, 2.0, &dummy.u3);
       m.u3(k, t) = orig;
       EXPECT_NEAR(g.u3(k, t), (up - down) / (2 * eps), 1e-5);
     }

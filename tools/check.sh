@@ -13,7 +13,11 @@
 #      TCSS_SIMD=native, so both sides of the dispatch seam are the
 #      startup-selected table (the suite's own guard test fails if the
 #      dispatcher silently falls back to scalar on a machine where the
-#      vectorized build is compiled in and supported).
+#      vectorized build is compiled in and supported). Last, the
+#      repository benchmark's smoke test (perfbench/smoke_test.py) builds
+#      perfbench and runs every BENCHMARK.json workload at tiny scale, so
+#      a change that breaks the benchmark's build or its output checks
+#      fails here.
 #   2. Sanitizer build: configure with AddressSanitizer + UBSan and run
 #      the FULL test suite (which again includes the labeled suites)
 #      under the instrumented binaries.
@@ -65,6 +69,10 @@ TCSS_SIMD=off ctest --test-dir build --output-on-failure -j "$(nproc)" \
   -L "kernels"
 TCSS_SIMD=native ctest --test-dir build --output-on-failure -j "$(nproc)" \
   -L "kernels"
+
+# The repository benchmark builds its own tree (.bench_build) from the
+# same sources and checks its workloads' answers.
+python3 perfbench/smoke_test.py
 
 # --- Stage 2: ASan/UBSan build, full suite -------------------------------
 cmake -B "$BUILD_DIR" -S . \

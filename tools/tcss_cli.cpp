@@ -46,10 +46,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "common/env.h"
 #include "common/strings.h"
@@ -96,6 +98,7 @@ struct Args {
   bool resume = false;
   bool lenient = false;
   bool ingest = false;
+  size_t max_bad_rows = CsvLoadOptions{}.max_bad_rows;
 
   const char* Get(const std::string& key, const char* dflt = nullptr) const {
     auto it = flags.find(key);
@@ -105,23 +108,24 @@ struct Args {
     const char* v = Get(key);
     return v != nullptr ? std::atof(v) : dflt;
   }
-  long GetI(const std::string& key, long dflt) const {
+  /// Reads every integer flag: a non-negative integer that fits in T,
+  /// parsed with the exact ParseInt64, into *out (left as is when the flag
+  /// is absent). Anything else prints a message and returns false; the
+  /// command then exits 2.
+  template <typename T>
+  bool GetCount(const std::string& key, T* out) const {
+    static_assert(std::is_integral_v<T>);
     const char* v = Get(key);
-    return v != nullptr ? std::atol(v) : dflt;
-  }
-  /// Reads a non-negative integer flag (`dflt` when absent) with the exact
-  /// ParseInt64; anything else prints a message and returns false.
-  bool GetCount(const std::string& key, int64_t dflt, int64_t* out) const {
-    const char* v = Get(key);
-    if (v == nullptr) {
-      *out = dflt;
-      return true;
-    }
-    if (!ParseInt64(v, out) || *out < 0) {
+    if (v == nullptr) return true;
+    int64_t parsed = 0;
+    if (!ParseInt64(v, &parsed) || parsed < 0 ||
+        static_cast<uint64_t>(parsed) >
+            static_cast<uint64_t>(std::numeric_limits<T>::max())) {
       std::fprintf(stderr, "--%s: expected a non-negative integer, got '%s'\n",
                    key.c_str(), v);
       return false;
     }
+    *out = static_cast<T>(parsed);
     return true;
   }
 };
@@ -198,7 +202,7 @@ int Generate(const Args& args) {
     return 2;
   }
   SyntheticConfig cfg = PresetConfig(preset, args.GetD("scale", 1.0));
-  cfg.seed = static_cast<uint64_t>(args.GetI("seed", cfg.seed));
+  if (!args.GetCount("seed", &cfg.seed)) return 2;
   auto data = GenerateSyntheticLbsn(cfg);
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
@@ -219,8 +223,7 @@ Result<Dataset> LoadData(const Args& args) {
   if (dir == nullptr) return Status::InvalidArgument("--data is required");
   CsvLoadOptions opts;
   opts.mode = args.lenient ? CsvLoadMode::kLenient : CsvLoadMode::kStrict;
-  opts.max_bad_rows = static_cast<size_t>(
-      args.GetI("max-bad-rows", static_cast<long>(opts.max_bad_rows)));
+  opts.max_bad_rows = args.max_bad_rows;
   LoadReport report;
   auto data = LoadDatasetCsv(dir, opts, &report);
   if (data.ok() && report.bad_rows() > 0) {
@@ -243,14 +246,18 @@ Result<Dataset> LoadData(const Args& args) {
 int DistTrain(const Args& args) {
   const char* coord_socket = args.Get("dist-coordinator");
   const char* worker_socket = args.Get("dist-worker");
-  const int num_workers = static_cast<int>(args.GetI("dist-workers", 1));
-
+  int num_workers = 1;
   TcssConfig cfg;
-  cfg.epochs = static_cast<int>(args.GetI("epochs", 40));
-  cfg.rank = static_cast<size_t>(args.GetI("rank", 8));
-  cfg.num_threads =
-      static_cast<int>(args.GetI("num-threads", cfg.num_threads));
-  cfg.seed = static_cast<uint64_t>(args.GetI("seed", 13));
+  cfg.epochs = 40;
+  cfg.rank = 8;
+  cfg.seed = 13;
+  if (!args.GetCount("dist-workers", &num_workers) ||
+      !args.GetCount("epochs", &cfg.epochs) ||
+      !args.GetCount("rank", &cfg.rank) ||
+      !args.GetCount("num-threads", &cfg.num_threads) ||
+      !args.GetCount("seed", &cfg.seed)) {
+    return 2;
+  }
   cfg.learning_rate = args.GetD("lr", cfg.learning_rate);
   cfg.temporal_smoothness =
       args.GetD("temporal-smoothness", cfg.temporal_smoothness);
@@ -267,13 +274,12 @@ int DistTrain(const Args& args) {
   SparseTensor full;
   size_t dim_i = 0, dim_j = 0, dim_k = 0;
   if (streamed) {
-    scfg.num_users = static_cast<size_t>(args.GetI("streamed-users", 0));
-    scfg.num_pois = static_cast<size_t>(
-        args.GetI("streamed-pois", static_cast<long>(scfg.num_pois)));
-    scfg.num_bins = static_cast<size_t>(
-        args.GetI("streamed-bins", static_cast<long>(scfg.num_bins)));
-    scfg.seed = static_cast<uint64_t>(
-        args.GetI("streamed-seed", static_cast<long>(scfg.seed)));
+    if (!args.GetCount("streamed-users", &scfg.num_users) ||
+        !args.GetCount("streamed-pois", &scfg.num_pois) ||
+        !args.GetCount("streamed-bins", &scfg.num_bins) ||
+        !args.GetCount("streamed-seed", &scfg.seed)) {
+      return 2;
+    }
     scfg.mean_checkins =
         args.GetD("streamed-mean-checkins", scfg.mean_checkins);
     dim_i = scfg.num_users;
@@ -309,11 +315,12 @@ int DistTrain(const Args& args) {
     DistCoordinatorOptions opts;
     opts.num_workers = num_workers;
     opts.socket_path = coord_socket;
-    opts.checkpoint_every = static_cast<int>(args.GetI("checkpoint-every", 25));
-    opts.heartbeat_timeout_ms =
-        static_cast<int>(args.GetI("heartbeat-timeout-ms", 3000));
-    opts.world_timeout_ms =
-        static_cast<int>(args.GetI("world-timeout-ms", 60000));
+    opts.checkpoint_every = 25;
+    if (!args.GetCount("checkpoint-every", &opts.checkpoint_every) ||
+        !args.GetCount("heartbeat-timeout-ms", &opts.heartbeat_timeout_ms) ||
+        !args.GetCount("world-timeout-ms", &opts.world_timeout_ms)) {
+      return 2;
+    }
     opts.stop = &g_stop;
     opts.epoch_callback = [&cfg](const EpochStats& s) {
       if (s.epoch % std::max(1, cfg.epochs / 5) == 0) {
@@ -349,9 +356,10 @@ int DistTrain(const Args& args) {
   }
 
   // Worker process.
-  const int rank = static_cast<int>(args.GetI("dist-rank", 0));
+  int rank = 0;
+  if (!args.GetCount("dist-rank", &rank)) return 2;
   const RowPartition part(dim_i, num_workers);
-  if (rank < 0 || rank >= num_workers) {
+  if (rank >= num_workers) {
     std::fprintf(stderr, "--dist-rank %d outside [0, %d)\n", rank,
                  num_workers);
     return 2;
@@ -370,8 +378,7 @@ int DistTrain(const Args& args) {
   wopts.socket_path = worker_socket;
   const char* ckpt_dir = args.Get("checkpoint-dir");
   if (ckpt_dir != nullptr) wopts.checkpoint_dir = ckpt_dir;
-  wopts.checkpoint_retain =
-      static_cast<int>(args.GetI("checkpoint-retain", 3));
+  if (!args.GetCount("checkpoint-retain", &wopts.checkpoint_retain)) return 2;
   DistWorker worker(cfg, dim_i, dim_j, dim_k, slice.MoveValue(), wopts);
   std::printf("worker %d/%d connecting to %s (%zu local users)\n", rank,
               num_workers, worker_socket, part.Count(rank));
@@ -396,6 +403,19 @@ int Train(const Args& args) {
   }
   const char* model_path = args.Get("model");
   if (model_path == nullptr) return Usage();
+  TcssConfig cfg;
+  CheckpointOptions copts;
+  copts.every = 25;
+  int64_t metrics_every = 25;
+  if (!args.GetCount("epochs", &cfg.epochs) ||
+      !args.GetCount("rank", &cfg.rank) ||
+      !args.GetCount("num-threads", &cfg.num_threads) ||
+      !args.GetCount("checkpoint-every", &copts.every) ||
+      !args.GetCount("checkpoint-retain", &copts.retain) ||
+      !args.GetCount("metrics-every", &metrics_every)) {
+    return 2;
+  }
+  cfg.lambda = args.GetD("lambda", cfg.lambda);
   auto data = LoadData(args);
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
@@ -408,12 +428,6 @@ int Train(const Args& args) {
     std::fprintf(stderr, "%s\n", train.status().ToString().c_str());
     return 1;
   }
-  TcssConfig cfg;
-  cfg.epochs = static_cast<int>(args.GetI("epochs", cfg.epochs));
-  cfg.rank = static_cast<size_t>(args.GetI("rank", cfg.rank));
-  cfg.lambda = args.GetD("lambda", cfg.lambda);
-  cfg.num_threads =
-      static_cast<int>(args.GetI("num-threads", cfg.num_threads));
 
   const char* ckpt_dir = args.Get("checkpoint-dir");
   if (args.resume && ckpt_dir == nullptr) {
@@ -422,10 +436,7 @@ int Train(const Args& args) {
   }
   std::unique_ptr<CheckpointManager> checkpoints;
   if (ckpt_dir != nullptr) {
-    CheckpointOptions copts;
     copts.dir = ckpt_dir;
-    copts.every = static_cast<int>(args.GetI("checkpoint-every", 25));
-    copts.retain = static_cast<int>(args.GetI("checkpoint-retain", 3));
     checkpoints = std::make_unique<CheckpointManager>(copts);
     Status cst = checkpoints->Init();
     if (!cst.ok()) {
@@ -443,7 +454,7 @@ int Train(const Args& args) {
   topts.stop = &g_stop;
 
   const char* metrics_out = args.Get("metrics-out");
-  const long metrics_every = std::max(1L, args.GetI("metrics-every", 25));
+  metrics_every = std::max<int64_t>(1, metrics_every);
 
   TcssModel model(cfg);
   std::printf("training %s on %s ...\n", cfg.Summary().c_str(),
@@ -547,10 +558,10 @@ int Evaluate(const Args& args) {
 int Recommend(const Args& args) {
   const TimeGranularity g = ParseGranularity(args.Get("granularity"));
   if (args.Get("user") == nullptr) return Usage();
-  int64_t user_arg = 0, time_arg = 0, k_arg = 0;
-  if (!args.GetCount("user", 0, &user_arg) ||
-      !args.GetCount("time", 0, &time_arg) ||
-      !args.GetCount("k", 10, &k_arg)) {
+  int64_t user_arg = 0, time_arg = 0, k_arg = 10;
+  if (!args.GetCount("user", &user_arg) ||
+      !args.GetCount("time", &time_arg) ||
+      !args.GetCount("k", &k_arg)) {
     return 2;
   }
   if (time_arg >= static_cast<int64_t>(NumBins(g))) {
@@ -613,11 +624,10 @@ int Recommend(const Args& args) {
 // metrics and exits 0. Overload never crashes it: the queue is bounded,
 // admission control sheds predicted deadline misses, slow clients hit
 // write timeouts.
-int ServeListen(const Args& args, RecommendService* service,
+int ServeListen(ServerOptions sopts, RecommendService* service,
                 StreamingEngine* engine, const char* listen,
-                const char* metrics_out, long poll_every) {
+                const char* metrics_out) {
   InstallStopHandlers();
-  ServerOptions sopts;
   if (engine != nullptr) {
     // Ingest frames run on the dispatcher thread (the sole mutator of
     // serving state), interleaved with query batches.
@@ -625,14 +635,6 @@ int ServeListen(const Args& args, RecommendService* service,
       return engine->Ingest(req);
     };
   }
-  sopts.num_workers = static_cast<int>(args.GetI("workers", 0));
-  sopts.queue_capacity = static_cast<size_t>(args.GetI("queue", 256));
-  sopts.max_batch = static_cast<size_t>(args.GetI("max-batch", 32));
-  sopts.max_connections = static_cast<size_t>(args.GetI("max-conns", 64));
-  sopts.default_deadline_ms = args.GetD("deadline-ms", 0.0);
-  sopts.write_timeout_ms =
-      static_cast<int>(args.GetI("write-timeout-ms", 2000));
-  sopts.poll_every_batches = static_cast<int>(poll_every);
   Server server(service, listen, sopts);
   Status st = server.Start();
   if (!st.ok()) {
@@ -667,13 +669,32 @@ int Serve(const Args& args) {
       (requests_path == nullptr && listen == nullptr)) {
     return Usage();
   }
+  int poll_every = 0;
+  ServerOptions sopts;
+  StreamingEngine::Options eopts;
+  TcssConfig rcfg;
+  rcfg.epochs = 3;
+  if (!args.GetCount("poll-every", &poll_every) ||
+      !args.GetCount("workers", &sopts.num_workers) ||
+      !args.GetCount("queue", &sopts.queue_capacity) ||
+      !args.GetCount("max-batch", &sopts.max_batch) ||
+      !args.GetCount("max-conns", &sopts.max_connections) ||
+      !args.GetCount("write-timeout-ms", &sopts.write_timeout_ms) ||
+      !args.GetCount("rollover-every", &eopts.rollover_every) ||
+      !args.GetCount("refine-every", &eopts.refine_every) ||
+      !args.GetCount("refine-budget", &rcfg.epochs) ||
+      !args.GetCount("rank", &rcfg.rank) ||
+      !args.GetCount("num-threads", &rcfg.num_threads)) {
+    return 2;
+  }
+  sopts.default_deadline_ms = args.GetD("deadline-ms", 0.0);
+  sopts.poll_every_batches = poll_every;
   auto data = LoadData(args);
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
     return 1;
   }
   const TimeGranularity g = ParseGranularity(args.Get("granularity"));
-  const long poll_every = args.GetI("poll-every", 0);
   const char* metrics_out = args.Get("metrics-out");
 
   ModelWatcher::Options wopts;
@@ -688,18 +709,9 @@ int Serve(const Args& args) {
   // mirrors the train command's flags; --refine-budget is its epoch count.
   std::unique_ptr<StreamingEngine> engine;
   if (args.ingest) {
-    StreamingEngine::Options eopts;
     eopts.granularity = g;
     eopts.model_path = model_path;
-    eopts.rollover_every =
-        static_cast<uint64_t>(args.GetI("rollover-every", 0));
-    eopts.refine_every = static_cast<uint64_t>(args.GetI("refine-every", 0));
-    TcssConfig rcfg;
-    rcfg.epochs = static_cast<int>(args.GetI("refine-budget", 3));
-    rcfg.rank = static_cast<size_t>(args.GetI("rank", rcfg.rank));
     rcfg.lambda = args.GetD("lambda", rcfg.lambda);
-    rcfg.num_threads =
-        static_cast<int>(args.GetI("num-threads", rcfg.num_threads));
     eopts.refiner.config = rcfg;
     eopts.refiner.stop = &g_stop;
     engine = std::make_unique<StreamingEngine>(data.value(), &watcher,
@@ -719,8 +731,7 @@ int Serve(const Args& args) {
   }
 
   if (listen != nullptr) {
-    return ServeListen(args, &service, engine.get(), listen, metrics_out,
-                       poll_every);
+    return ServeListen(sopts, &service, engine.get(), listen, metrics_out);
   }
 
   std::ifstream in(requests_path);
@@ -811,6 +822,7 @@ int main(int argc, char** argv) {
       return Usage();
     }
   }
+  if (!args.GetCount("max-bad-rows", &args.max_bad_rows)) return 2;
   if (args.command == "generate") return Generate(args);
   if (args.command == "train") return Train(args);
   if (args.command == "evaluate") return Evaluate(args);
