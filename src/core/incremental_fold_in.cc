@@ -25,7 +25,6 @@ void IncrementalFoldIn::BindModel(std::shared_ptr<const FactorModel> model,
   model_ = std::move(model);
   generation_ = generation;
   base_valid_ = false;
-  ++stats_.generation_binds;
   // Derived per-user state is invalidated lazily: each UserState carries
   // the generation its sums were built against, and CatchUp rebuilds when
   // it does not match. Observation lists are untouched.
@@ -46,7 +45,6 @@ void IncrementalFoldIn::Seed(uint32_t user,
 
 void IncrementalFoldIn::Invalidate(uint32_t user) {
   users_.erase(user);
-  ++stats_.invalidations;
 }
 
 size_t IncrementalFoldIn::RetireBin(uint32_t bin) {
@@ -125,10 +123,7 @@ const std::vector<double>* IncrementalFoldIn::Embedding(uint32_t user) {
   if (it == users_.end() || it->second.cells.empty()) return nullptr;
   UserState& s = it->second;
   if (!CatchUp(&s)) return nullptr;  // observation outside the model
-  if (s.solved && s.solved_at == s.cells.size()) {
-    ++stats_.cache_hits;
-    return &s.embedding;
-  }
+  if (s.solved && s.solved_at == s.cells.size()) return &s.embedding;
 
   if (!base_valid_) {
     // Whole-grid negative-weight Gram term, shared by every user of this

@@ -100,9 +100,6 @@ class IncrementalFoldIn {
   struct Stats {
     uint64_t solves = 0;            ///< Cholesky solves performed
     uint64_t rank_one_updates = 0;  ///< observation folds into user sums
-    uint64_t cache_hits = 0;        ///< Embedding served without a solve
-    uint64_t generation_binds = 0;  ///< BindModel calls that invalidated
-    uint64_t invalidations = 0;     ///< explicit Invalidate calls
   };
   const Stats& stats() const { return stats_; }
 

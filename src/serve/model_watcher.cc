@@ -26,9 +26,16 @@ std::shared_ptr<const FactorModel> ModelWatcher::current() const {
   return current_;
 }
 
+uint64_t ModelWatcher::reload_successes() const {
+  return reload_success_counter_->Value();
+}
+
+uint64_t ModelWatcher::reload_rejects() const {
+  return reload_reject_counter_->Value();
+}
+
 ModelWatcher::PollResult ModelWatcher::Reject(uint32_t crc, size_t size,
                                               Status why) {
-  ++rejects_;
   reload_reject_counter_->Add(1);
   has_rejected_ = true;
   rejected_crc_ = crc;
@@ -57,7 +64,6 @@ ModelWatcher::PollResult ModelWatcher::Poll() {
   auto read = env_->ReadFileToString(path_);
   if (!read.ok()) {
     // A failed read has no bytes to fingerprint; count it every time.
-    ++rejects_;
     reload_reject_counter_->Add(1);
     stale_ = true;
     last_error_ = read.status();
@@ -96,7 +102,6 @@ ModelWatcher::PollResult ModelWatcher::Poll() {
   live_size_ = bytes.size();
   has_rejected_ = false;
   stale_ = false;
-  ++successes_;
   reload_success_counter_->Add(1);
   ++generation_;
   last_error_ = Status::OK();

@@ -20,8 +20,8 @@ namespace tcss {
 /// shape against the serving dataset — and only then publishes the new
 /// model by swapping a shared_ptr under a mutex. In-flight queries hold
 /// their own shared_ptr copy, so a swap never invalidates a query that is
-/// mid-scoring, and a corrupt or half-written file is rejected, counted,
-/// and the previous model stays live.
+/// mid-scoring, and a corrupt or half-written file is rejected, counted
+/// (serve.reload.rejects), and the previous model stays live.
 ///
 /// State machine (drives ServeHealth):
 ///
@@ -39,8 +39,8 @@ class ModelWatcher {
     size_t num_users = 0;  ///< serving dataset shape, for validation
     size_t num_pois = 0;
     size_t num_bins = 0;
-    /// Registry for the serve.reload.* counters; null means the
-    /// process-global registry.
+    /// Registry for the serve.reload.* counters, the only record of the
+    /// reload counts; null means the process-global registry.
     obs::MetricRegistry* metrics = nullptr;
   };
 
@@ -65,8 +65,11 @@ class ModelWatcher {
   /// embeddings) invalidate themselves.
   uint64_t generation() const { return generation_; }
 
-  uint64_t reload_successes() const { return successes_; }
-  uint64_t reload_rejects() const { return rejects_; }
+  /// serve.reload.successes and serve.reload.rejects of the watcher's
+  /// registry: they sum over every watcher sharing it, and the obs kill
+  /// switch freezes them.
+  uint64_t reload_successes() const;
+  uint64_t reload_rejects() const;
 
   /// Status of the most recent rejected/missing poll; OK after a success.
   const Status& last_error() const { return last_error_; }
@@ -80,13 +83,11 @@ class ModelWatcher {
   Env* env_;
   const size_t num_users_, num_pois_, num_bins_;
 
-  mutable std::mutex mu_;  ///< guards current_ only; stats are single-writer
+  mutable std::mutex mu_;  ///< guards current_; the rest is single-writer
   std::shared_ptr<const FactorModel> current_;
 
   bool stale_ = false;
   uint64_t generation_ = 0;
-  uint64_t successes_ = 0;
-  uint64_t rejects_ = 0;
   Status last_error_;
 
   // Content fingerprints to make polls idempotent.
@@ -97,10 +98,9 @@ class ModelWatcher {
   uint32_t rejected_crc_ = 0;
   size_t rejected_size_ = 0;
 
-  // Registry mirrors of the per-watcher stats (a repeated poll over the
-  // same outcome counts once, like the fields above — except kMissing and
-  // kUnchanged, which count every poll: they describe poll traffic, not
-  // distinct reload attempts).
+  // Reload counts (a repeated poll over the same bad bytes counts once —
+  // except kMissing and kUnchanged, which count every poll: they describe
+  // poll traffic, not distinct reload attempts).
   obs::Counter* reload_success_counter_;
   obs::Counter* reload_reject_counter_;
   obs::Counter* reload_unchanged_counter_;

@@ -211,8 +211,7 @@ ServeTier RecommendService::PlanTier(const ServeRequest& req) const {
 }
 
 double RecommendService::TierLatencyEwmaMs(ServeTier tier) const {
-  const int t = static_cast<int>(tier);
-  return tier_ewma_valid_[t] ? tier_ewma_ms_[t] : 0.0;
+  return tier_ewma_ms_[static_cast<int>(tier)].load(std::memory_order_relaxed);
 }
 
 ServeTier RecommendService::ApplyDeadlineBudget(const ServeRequest& req,
@@ -222,7 +221,7 @@ ServeTier RecommendService::ApplyDeadlineBudget(const ServeRequest& req,
   // predictably blowing the deadline.
   if (req.deadline_ms > 0.0 && tier != ServeTier::kPopularity &&
       tier_ewma_valid_[static_cast<int>(tier)] &&
-      tier_ewma_ms_[static_cast<int>(tier)] > req.deadline_ms) {
+      TierLatencyEwmaMs(tier) > req.deadline_ms) {
     tier = ServeTier::kPopularity;
     degrade_counter_->Add(1);
   }
@@ -523,13 +522,13 @@ void RecommendService::RecordLatency(ServeTier tier, double ms) {
   // The EWMA stays the deadline-budget predictor (recency-weighted); the
   // histogram is the count and quantile source for Stats() and the JSON
   // snapshot.
+  double ewma = ms;
   if (tier_ewma_valid_[t]) {
-    tier_ewma_ms_[t] = (1.0 - opts_.latency_ewma_alpha) * tier_ewma_ms_[t] +
-                       opts_.latency_ewma_alpha * ms;
-  } else {
-    tier_ewma_ms_[t] = ms;
-    tier_ewma_valid_[t] = true;
+    ewma = (1.0 - kLatencyEwmaAlpha) * TierLatencyEwmaMs(tier) +
+           kLatencyEwmaAlpha * ms;
   }
+  tier_ewma_ms_[t].store(ewma, std::memory_order_relaxed);
+  tier_ewma_valid_[t] = true;
   tier_latency_[t]->Record(ms);
   requests_counter_->Add(1);
 }

@@ -1,6 +1,7 @@
 #ifndef TCSS_SERVE_RECOMMEND_SERVICE_H_
 #define TCSS_SERVE_RECOMMEND_SERVICE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -19,16 +20,21 @@
 
 namespace tcss {
 
+/// EWMA smoothing of the serving latency predictors: the service's
+/// per-tier latency and the server's batch latency and batch fill.
+inline constexpr double kLatencyEwmaAlpha = 0.2;
+
 /// Aggregate serving statistics, exposed for health endpoints and dumped
 /// to stderr by `tcss serve`.
 ///
 /// Every count and quantile is read from the service's metric registry:
 /// the serve.* counters, and the per-tier obs::Histogram metrics
 /// (serve.latency_ms.<tier>), whose sample counts are queries_by_tier and
-/// whose merge gives the overall p50/p95/p99. On the default
-/// process-global registry they therefore sum across every service in the
-/// process — pass Options::metrics for per-service numbers — and while the
-/// obs kill switch is off they stay frozen.
+/// whose merge gives the overall p50/p95/p99; the reload counts come from
+/// the watcher's registry. On the default process-global registry they
+/// therefore sum across every service in the process — pass
+/// Options::metrics for per-service numbers — and while the obs kill
+/// switch is off they stay frozen.
 struct ServiceStats {
   ServeHealth health = ServeHealth::kFallback;
   uint64_t reload_successes = 0;
@@ -87,11 +93,6 @@ class RecommendService {
     /// must outlive the service, and is touched only from the serving
     /// thread (the owner appends through that same thread).
     IncrementalFoldIn* incremental = nullptr;
-    /// EWMA smoothing for per-tier latency estimates (0 < a <= 1). The
-    /// EWMA is the deadline-budget predictor: it tracks *recent* latency,
-    /// which the cumulative histograms cannot, so degradation reacts to a
-    /// latency regression instead of averaging it away.
-    double latency_ewma_alpha = 0.2;
     /// Metric registry for latency histograms and serve counters, and the
     /// source of every Stats() count (frozen while the obs kill switch is
     /// off); null means the process-global registry, where Stats() sums
@@ -145,9 +146,12 @@ class RecommendService {
   ServeTier PlanTier(const ServeRequest& req) const;
 
   /// Recent latency EWMA of a tier in milliseconds (0 before the first
-  /// sample). Single-writer like TopK itself: only the serving thread may
-  /// call this; the server republishes the values atomically for its
-  /// admission-control threads.
+  /// sample), smoothed by kLatencyEwmaAlpha. It is the one latency
+  /// predictor of both the deadline budget and the server's admission
+  /// control: it tracks *recent* latency, which the cumulative histograms
+  /// cannot, so degradation reacts to a regression instead of averaging
+  /// it away. Thread-safe: the serving thread writes it, admission reads
+  /// it from connection threads.
   double TierLatencyEwmaMs(ServeTier tier) const;
 
   /// Triggers one hot-reload check on the watcher (no-op without one).
@@ -237,7 +241,10 @@ class RecommendService {
 
   ScanPanel panel_;
 
-  double tier_ewma_ms_[kNumServeTiers] = {0.0, 0.0, 0.0};
+  /// Per-tier latency EWMA: written by the serving thread only, read by
+  /// TierLatencyEwmaMs from any thread. The valid flags (serving thread
+  /// only) mark a tier's first sample, which seeds its EWMA.
+  std::atomic<double> tier_ewma_ms_[kNumServeTiers] = {};
   bool tier_ewma_valid_[kNumServeTiers] = {false, false, false};
 
   /// Telemetry handles, resolved once in the constructor; Stats() reads

@@ -47,7 +47,23 @@ Server::Server(RecommendService* service, std::string listen_path,
       opts_(opts),
       env_(opts.env != nullptr ? opts.env : Env::Default()),
       metrics_(opts.metrics != nullptr ? opts.metrics
-                                       : obs::MetricRegistry::Global()) {}
+                                       : obs::MetricRegistry::Global()) {
+  for (int r = 0; r < kNumShedReasons; ++r) {
+    shed_counters_[r] = metrics_->GetCounter(
+        StrFormat("serve.shed.%s", ShedReasonName(static_cast<ShedReason>(r))));
+  }
+  connections_counter_ = metrics_->GetCounter("serve.connections");
+  frames_counter_ = metrics_->GetCounter("serve.frames.received");
+  bad_frames_counter_ = metrics_->GetCounter("serve.frames.bad");
+  ok_counter_ = metrics_->GetCounter("serve.responses.ok");
+  ingested_counter_ = metrics_->GetCounter("serve.responses.ingested");
+  error_counter_ = metrics_->GetCounter("serve.responses.error");
+  write_failures_counter_ = metrics_->GetCounter("serve.write_failures");
+  queue_depth_gauge_ = metrics_->GetGauge("serve.queue_depth");
+  batch_size_hist_ = metrics_->GetHistogram("serve.batch_size");
+  batch_ms_hist_ = metrics_->GetHistogram("serve.batch_ms");
+  queue_wait_ms_hist_ = metrics_->GetHistogram("serve.queue_wait_ms");
+}
 
 Server::~Server() {
   if (started_ && !joined_) Stop();
@@ -65,26 +81,6 @@ Status Server::Start() {
         "write_timeout_ms >= 0");
   }
   if (opts_.num_workers > 0) SetGlobalThreads(opts_.num_workers);
-
-  shed_counter_ = metrics_->GetCounter("serve.shed");
-  for (int r = 0; r < kNumShedReasons; ++r) {
-    shed_reason_counters_[r] = metrics_->GetCounter(
-        StrFormat("serve.shed.%s", ShedReasonName(static_cast<ShedReason>(r))));
-  }
-  connections_counter_ = metrics_->GetCounter("serve.connections");
-  bad_frames_counter_ = metrics_->GetCounter("serve.frames.bad");
-  queue_depth_gauge_ = metrics_->GetGauge("serve.queue_depth");
-  batch_size_hist_ = metrics_->GetHistogram("serve.batch_size");
-  batch_ms_hist_ = metrics_->GetHistogram("serve.batch_ms");
-  queue_wait_ms_hist_ = metrics_->GetHistogram("serve.queue_wait_ms");
-
-  // Seed the admission predictors from the service's EWMAs (warm restarts:
-  // a server built over an already-exercised service predicts immediately).
-  for (int t = 0; t < kNumServeTiers; ++t) {
-    tier_predict_ms_[t].store(
-        service_->TierLatencyEwmaMs(static_cast<ServeTier>(t)),
-        std::memory_order_relaxed);
-  }
 
   auto listener = env_->NewListener(listen_path_);
   if (!listener.ok()) return listener.status();
@@ -131,16 +127,21 @@ Status Server::Stop() {
 
 ServerStats Server::stats() const {
   ServerStats s;
-  s.connections_accepted = connections_accepted_.load();
-  s.connections_rejected = connections_rejected_.load();
-  s.frames_received = frames_received_.load();
-  s.bad_frames = bad_frames_.load();
-  s.responses_ok = responses_ok_.load();
-  s.responses_ingested = responses_ingested_.load();
-  s.responses_error = responses_error_.load();
-  for (int r = 0; r < kNumShedReasons; ++r) s.sheds[r] = sheds_[r].load();
-  s.batches = batches_.load();
-  s.write_failures = write_failures_.load();
+  for (int r = 0; r < kNumShedReasons; ++r) {
+    s.sheds[r] = shed_counters_[r]->Value();
+  }
+  // A rejected connection is counted as a connection before it is shed,
+  // so reading the sheds first keeps the difference from underflowing.
+  s.connections_rejected = s.sheds[static_cast<int>(ShedReason::kOverloaded)];
+  s.connections_accepted =
+      connections_counter_->Value() - s.connections_rejected;
+  s.frames_received = frames_counter_->Value();
+  s.bad_frames = bad_frames_counter_->Value();
+  s.responses_ok = ok_counter_->Value();
+  s.responses_ingested = ingested_counter_->Value();
+  s.responses_error = error_counter_->Value();
+  s.batches = batch_size_hist_->Snapshot().count;
+  s.write_failures = write_failures_counter_->Value();
   return s;
 }
 
@@ -162,10 +163,7 @@ void Server::AcceptorLoop() {
     if (active >= opts_.max_connections) {
       // Over the connection limit: answer with one explicit shed frame so
       // the client knows it was load, not a crash, then close.
-      connections_rejected_.fetch_add(1);
-      shed_counter_->Increment();
-      shed_reason_counters_[static_cast<int>(ShedReason::kOverloaded)]
-          ->Increment();
+      shed_counters_[static_cast<int>(ShedReason::kOverloaded)]->Increment();
       WireResponse resp;
       resp.kind = WireResponse::Kind::kShed;
       resp.shed = ShedReason::kOverloaded;
@@ -176,7 +174,6 @@ void Server::AcceptorLoop() {
       conn->Close();
       continue;
     }
-    connections_accepted_.fetch_add(1);
     auto session = std::make_shared<Session>();
     session->conn = std::move(conn);
     {
@@ -197,7 +194,6 @@ void Server::ReaderLoop(const std::shared_ptr<Session>& session) {
     if (!ev.ok()) {
       // Malformed frame or transport fault: the stream cannot be
       // resynchronized. Answer once so a live client learns why, close.
-      bad_frames_.fetch_add(1);
       bad_frames_counter_->Increment();
       WireResponse resp;
       resp.kind = WireResponse::Kind::kError;
@@ -206,14 +202,14 @@ void Server::ReaderLoop(const std::shared_ptr<Session>& session) {
       break;
     }
     if (ev.value() != FrameReader::Event::kFrame) break;  // EOF or stop
-    frames_received_.fetch_add(1);
+    frames_counter_->Increment();
     auto req = ParseRequestLine(frame.payload);
     if (!req.ok()) {
       WireResponse resp;
       resp.kind = WireResponse::Kind::kError;
       resp.message = req.status().message();
       WriteResponse(session.get(), frame.id, resp);
-      responses_error_.fetch_add(1);
+      error_counter_->Increment();
       continue;  // frame was well-formed; the stream is still in sync
     }
     Admit(session, frame.id, req.value());
@@ -248,9 +244,7 @@ bool Server::Admit(const std::shared_ptr<Session>& session, uint64_t frame_id,
     const double depth =
         static_cast<double>(queue_depth_.load(std::memory_order_relaxed));
     const ServeTier tier = service_->PlanTier(admitted);
-    const double service_ms =
-        tier_predict_ms_[static_cast<int>(tier)].load(
-            std::memory_order_relaxed);
+    const double service_ms = service_->TierLatencyEwmaMs(tier);
     const double predicted = depth / fill * batch_ms +
                              (service_ms > 0.0 ? service_ms : batch_ms);
     if (predicted > admitted.deadline_ms) {
@@ -341,16 +335,16 @@ void Server::DispatcherLoop() {
           if (seq.ok()) {
             resp.kind = WireResponse::Kind::kIngested;
             resp.seq = seq.value();
-            responses_ingested_.fetch_add(1);
+            ingested_counter_->Increment();
           } else {
             resp.kind = WireResponse::Kind::kError;
             resp.message = seq.status().message();
-            responses_error_.fetch_add(1);
+            error_counter_->Increment();
           }
         } else {
           resp.kind = WireResponse::Kind::kError;
           resp.message = "ingest not enabled on this server";
-          responses_error_.fetch_add(1);
+          error_counter_->Increment();
         }
         WriteResponse(p.session.get(), p.frame_id, resp);
         p.session->inflight.fetch_sub(1, std::memory_order_acq_rel);
@@ -380,12 +374,12 @@ void Server::DispatcherLoop() {
       std::vector<RecommendService::Response> resps =
           service_->BatchTopK(reqs);
       const double batch_ms = batch_clock.ElapsedMillis();
-      batches_.fetch_add(1);
       batch_size_hist_->Record(static_cast<double>(reqs.size()));
       batch_ms_hist_->Record(batch_ms);
 
-      // Publish the admission predictors for the connection threads.
-      const double a = opts_.ewma_alpha;
+      // Publish the admission predictors for the connection threads (the
+      // service has already updated its per-tier latency EWMAs).
+      const double a = kLatencyEwmaAlpha;
       const double old_ms = batch_ms_ewma_.load(std::memory_order_relaxed);
       batch_ms_ewma_.store(old_ms == 0.0 ? batch_ms
                                          : (1 - a) * old_ms + a * batch_ms,
@@ -395,11 +389,6 @@ void Server::DispatcherLoop() {
       batch_fill_ewma_.store(
           (1 - a) * old_fill + a * static_cast<double>(reqs.size()),
           std::memory_order_relaxed);
-      for (int t = 0; t < kNumServeTiers; ++t) {
-        tier_predict_ms_[t].store(
-            service_->TierLatencyEwmaMs(static_cast<ServeTier>(t)),
-            std::memory_order_relaxed);
-      }
 
       for (size_t b = 0; b < live.size(); ++b) {
         Pending& p = batch[live[b]];
@@ -409,7 +398,7 @@ void Server::DispatcherLoop() {
         resp.latency_ms = resps[b].latency_ms;
         resp.recs = std::move(resps[b].recs);
         WriteResponse(p.session.get(), p.frame_id, resp);
-        responses_ok_.fetch_add(1);
+        ok_counter_->Increment();
         p.session->inflight.fetch_sub(1, std::memory_order_acq_rel);
         p.session.reset();
       }
@@ -420,7 +409,7 @@ void Server::DispatcherLoop() {
 void Server::WriteResponse(Session* session, uint64_t frame_id,
                            const WireResponse& resp) {
   if (session->dead.load(std::memory_order_relaxed)) {
-    write_failures_.fetch_add(1);
+    write_failures_counter_->Increment();
     return;
   }
   const std::string frame =
@@ -431,14 +420,12 @@ void Server::WriteResponse(Session* session, uint64_t frame_id,
     // Slow or vanished client. Mark the session dead so the dispatcher
     // never stalls on it again; the reader will see EOF/error and exit.
     session->dead.store(true, std::memory_order_relaxed);
-    write_failures_.fetch_add(1);
+    write_failures_counter_->Increment();
   }
 }
 
 void Server::Shed(Session* session, uint64_t frame_id, ShedReason reason) {
-  sheds_[static_cast<int>(reason)].fetch_add(1);
-  shed_counter_->Increment();
-  shed_reason_counters_[static_cast<int>(reason)]->Increment();
+  shed_counters_[static_cast<int>(reason)]->Increment();
   WireResponse resp;
   resp.kind = WireResponse::Kind::kShed;
   resp.shed = reason;

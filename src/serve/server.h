@@ -50,9 +50,6 @@ struct ServerOptions {
   /// Hot-reload poll cadence: check the model file every N batches
   /// (0 = only the initial Init() poll).
   int poll_every_batches = 0;
-  /// EWMA smoothing for the admission predictors (batch latency, batch
-  /// fill); mirrors RecommendService::Options::latency_ewma_alpha.
-  double ewma_alpha = 0.2;
   /// Streaming ingest handler for the `ingest` wire/text verb. Invoked on
   /// the dispatcher thread only — the same single-mutator discipline as
   /// BatchTopK, so the handler may touch serving state (the incremental
@@ -64,30 +61,38 @@ struct ServerOptions {
   /// Transport + filesystem source; null = Env::Default().
   /// FaultInjectionEnv here puts faults on the wire.
   Env* env = nullptr;
-  /// Registry for serve.shed / serve.queue_depth / serve.batch_size et
-  /// al.; null = the process-global registry.
+  /// Registry for every serve.* count, gauge and histogram of the
+  /// server, and the source of stats(); null = the process-global
+  /// registry.
   obs::MetricRegistry* metrics = nullptr;
 };
 
-/// Counters published by the server; all monotonically increasing, safe
-/// to read while the server runs. The serving invariant in numbers:
-/// frames_received == responses_ok + responses_ingested + responses_error
-/// + shed_total() once the server has drained.
+/// The server's counts, read from its metric registry (field: metric).
+/// The serving invariant in numbers: frames_received == responses_ok +
+/// responses_ingested + responses_error + shed_total() once the server
+/// has drained. On the process-global registry the counts sum over every
+/// server in the process, and the obs kill switch freezes them.
 struct ServerStats {
+  /// serve.connections minus serve.shed.overloaded.
   uint64_t connections_accepted = 0;
-  uint64_t connections_rejected = 0;  ///< over max_connections
-  uint64_t frames_received = 0;       ///< accepted (well-formed) requests
-  uint64_t bad_frames = 0;            ///< torn/garbage/CRC-failed streams
-  uint64_t responses_ok = 0;          ///< result or degraded result
-  uint64_t responses_ingested = 0;    ///< acknowledged ingest verbs
-  uint64_t responses_error = 0;       ///< e.g. unparseable request payload
-  uint64_t sheds[kNumShedReasons] = {0, 0, 0, 0, 0};
-  uint64_t batches = 0;               ///< batch passes dispatched
-  uint64_t write_failures = 0;        ///< response writes to dead clients
+  /// Over max_connections: serve.shed.overloaded.
+  uint64_t connections_rejected = 0;
+  uint64_t frames_received = 0;     ///< serve.frames.received (well-formed)
+  uint64_t bad_frames = 0;          ///< serve.frames.bad (torn/garbage/CRC)
+  uint64_t responses_ok = 0;        ///< serve.responses.ok (incl. degraded)
+  uint64_t responses_ingested = 0;  ///< serve.responses.ingested
+  uint64_t responses_error = 0;     ///< serve.responses.error
+  uint64_t sheds[kNumShedReasons] = {0, 0, 0, 0, 0};  ///< serve.shed.<reason>
+  uint64_t batches = 0;             ///< serve.batch_size sample count
+  uint64_t write_failures = 0;      ///< serve.write_failures (dead clients)
 
+  /// Sheds that answered a frame: every reason but kOverloaded, whose
+  /// sheds answer connections at accept.
   uint64_t shed_total() const {
     uint64_t s = 0;
-    for (int r = 0; r < kNumShedReasons; ++r) s += sheds[r];
+    for (int r = 0; r < kNumShedReasons; ++r) {
+      if (r != static_cast<int>(ShedReason::kOverloaded)) s += sheds[r];
+    }
     return s;
   }
 
@@ -109,13 +114,13 @@ struct ServerStats {
 ///               + tier_ewma(planned tier)               (service time)
 ///
 /// where batch_ms/batch_fill are EWMAs the dispatcher publishes after
-/// every batch and tier_ewma comes from the service's per-tier latency
-/// EWMA. A request predicted to miss its deadline is shed immediately
-/// with an explicit response — rejecting in microseconds what would
-/// otherwise time out in milliseconds. Requests whose deadline expires
-/// while queued are shed at dequeue; survivors carry their *remaining*
-/// budget into the service, whose EWMA check can still degrade them to a
-/// cheaper tier mid-flight.
+/// every batch and tier_ewma is the service's own per-tier latency EWMA
+/// (RecommendService::TierLatencyEwmaMs). A request predicted to miss its
+/// deadline is shed immediately with an explicit response — rejecting in
+/// microseconds what would otherwise time out in milliseconds. Requests
+/// whose deadline expires while queued are shed at dequeue; survivors
+/// carry their *remaining* budget into the service, whose EWMA check can
+/// still degrade them to a cheaper tier mid-flight.
 ///
 /// Graceful drain: RequestStop() (async-signal-safe to trigger via a
 /// flag; see `tcss serve --listen`) stops the acceptor, lets readers
@@ -220,25 +225,17 @@ class Server {
   std::atomic<size_t> queue_depth_{0};
   std::atomic<double> batch_ms_ewma_{0.0};
   std::atomic<double> batch_fill_ewma_{1.0};
-  std::atomic<double> tier_predict_ms_[kNumServeTiers] = {};
 
-  // Stats (atomics — read concurrently by tests/CLI).
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_rejected_{0};
-  std::atomic<uint64_t> frames_received_{0};
-  std::atomic<uint64_t> bad_frames_{0};
-  std::atomic<uint64_t> responses_ok_{0};
-  std::atomic<uint64_t> responses_ingested_{0};
-  std::atomic<uint64_t> responses_error_{0};
-  std::atomic<uint64_t> sheds_[kNumShedReasons] = {};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> write_failures_{0};
-
-  // Telemetry handles (serve.* metrics), resolved once in Start().
-  obs::Counter* shed_counter_ = nullptr;
-  obs::Counter* shed_reason_counters_[kNumShedReasons] = {};
+  // Telemetry handles (serve.* metrics), resolved once in the
+  // constructor; stats() reads every count back from them.
+  obs::Counter* shed_counters_[kNumShedReasons] = {};
   obs::Counter* connections_counter_ = nullptr;
+  obs::Counter* frames_counter_ = nullptr;
   obs::Counter* bad_frames_counter_ = nullptr;
+  obs::Counter* ok_counter_ = nullptr;
+  obs::Counter* ingested_counter_ = nullptr;
+  obs::Counter* error_counter_ = nullptr;
+  obs::Counter* write_failures_counter_ = nullptr;
   obs::Gauge* queue_depth_gauge_ = nullptr;
   obs::Histogram* batch_size_hist_ = nullptr;
   obs::Histogram* batch_ms_hist_ = nullptr;

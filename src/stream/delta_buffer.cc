@@ -14,17 +14,14 @@ Result<uint64_t> DeltaBuffer::Append(uint32_t user, uint32_t poi,
                                      int64_t timestamp) {
   std::lock_guard<std::mutex> lock(mu_);
   if (user >= num_users_) {
-    ++rejected_;
     return Status::OutOfRange(
         StrFormat("ingest user %u >= %zu", user, num_users_));
   }
   if (poi >= num_pois_) {
-    ++rejected_;
     return Status::OutOfRange(
         StrFormat("ingest poi %u >= %zu", poi, num_pois_));
   }
   if (timestamp < kMinCheckinTimestamp || timestamp > kMaxCheckinTimestamp) {
-    ++rejected_;
     return Status::OutOfRange("ingest timestamp outside calendar range");
   }
   events_.push_back({user, poi, timestamp});
@@ -55,11 +52,6 @@ size_t DeltaBuffer::size() const {
 uint64_t DeltaBuffer::accepted() const {
   std::lock_guard<std::mutex> lock(mu_);
   return accepted_;
-}
-
-uint64_t DeltaBuffer::rejected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rejected_;
 }
 
 }  // namespace tcss

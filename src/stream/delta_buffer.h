@@ -29,8 +29,8 @@ class DeltaBuffer {
 
   /// Appends one validated check-in; returns its accept sequence number.
   /// OutOfRange for ids beyond the serving dataset or timestamps outside
-  /// [kMinCheckinTimestamp, kMaxCheckinTimestamp] (rejects are counted,
-  /// never stored).
+  /// [kMinCheckinTimestamp, kMaxCheckinTimestamp] (rejects are never
+  /// stored; the StreamingEngine counts them as stream.rejected).
   Result<uint64_t> Append(uint32_t user, uint32_t poi, int64_t timestamp);
 
   /// Copy of the buffered events, in accept order.
@@ -43,7 +43,6 @@ class DeltaBuffer {
 
   size_t size() const;
   uint64_t accepted() const;  ///< total appends that validated (== last seq)
-  uint64_t rejected() const;
 
  private:
   const size_t num_users_;
@@ -51,7 +50,6 @@ class DeltaBuffer {
   mutable std::mutex mu_;
   std::vector<CheckInEvent> events_;
   uint64_t accepted_ = 0;
-  uint64_t rejected_ = 0;
 };
 
 }  // namespace tcss

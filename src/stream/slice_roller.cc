@@ -22,7 +22,6 @@ SliceRoller::Rolled SliceRoller::Roll(const FactorModel& base) {
     }
   }
   if (num_bins_ > 0) next_ = static_cast<uint32_t>((next_ + 1) % num_bins_);
-  ++rollovers_;
   return out;
 }
 

@@ -37,12 +37,10 @@ class SliceRoller {
 
   /// The bin the next Roll() will retire.
   uint32_t next_retired() const { return next_; }
-  uint64_t rollovers() const { return rollovers_; }
 
  private:
-  const size_t num_bins_;
+  size_t num_bins_;
   uint32_t next_ = 0;
-  uint64_t rollovers_ = 0;
 };
 
 }  // namespace tcss

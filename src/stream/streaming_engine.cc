@@ -2,11 +2,26 @@
 
 #include <cmath>
 
+#include "common/logging.h"
 #include "common/stopwatch.h"
 #include "core/model_io.h"
+#include "core/trainer.h"
 #include "data/tensor_builder.h"
 
 namespace tcss {
+namespace {
+
+/// A periodic publish that fails does not fail the ingest that triggered
+/// it: the check-in is already stored and folded, so it is acknowledged,
+/// and the publish runs again at the next trigger.
+void LogUnpublished(const char* what, uint64_t seq, const Status& st) {
+  if (st.ok()) return;
+  TCSS_LOG(Warning) << what << " due at ingest " << seq
+                    << " not published, retried at the next trigger: "
+                    << st.ToString();
+}
+
+}  // namespace
 
 StreamingEngine::StreamingEngine(const Dataset& data, ModelWatcher* watcher,
                                  const Options& opts)
@@ -17,7 +32,6 @@ StreamingEngine::StreamingEngine(const Dataset& data, ModelWatcher* watcher,
       delta_(data.num_users(), data.num_pois()),
       fold_in_(opts.fold_in),
       roller_(NumBins(opts.granularity)),
-      refiner_(opts.refiner),
       base_poi_counts_(data.num_pois(), 0),
       delta_poi_counts_(data.num_pois(), 0) {
   for (const CheckInEvent& e : data.checkins()) {
@@ -49,7 +63,6 @@ Result<uint64_t> StreamingEngine::Ingest(const ServeRequest& req) {
   ingested_counter_->Add(1);
   if (fold_in_.Append(req.user, req.poi,
                       TimeBin(req.timestamp, opts_.granularity))) {
-    ++folded_;
     folded_counter_->Add(1);
   }
   ++delta_poi_counts_[req.poi];
@@ -59,10 +72,10 @@ Result<uint64_t> StreamingEngine::Ingest(const ServeRequest& req) {
   // than per event (and at every publish point below).
   if ((accepted & 0xFF) == 0) UpdateDriftGauge();
   if (opts_.rollover_every > 0 && accepted % opts_.rollover_every == 0) {
-    TCSS_RETURN_IF_ERROR(Rollover());
+    LogUnpublished("rollover", accepted, Rollover());
   }
   if (opts_.refine_every > 0 && accepted % opts_.refine_every == 0) {
-    TCSS_RETURN_IF_ERROR(Refine());
+    LogUnpublished("refine", accepted, Refine());
   }
   return accepted;
 }
@@ -75,8 +88,10 @@ Status StreamingEngine::Rollover() {
   if (live == nullptr) {
     return Status::FailedPrecondition("rollover needs a live model");
   }
-  SliceRoller::Rolled rolled = roller_.Roll(*live);
+  SliceRoller next = roller_;
+  SliceRoller::Rolled rolled = next.Roll(*live);
   TCSS_RETURN_IF_ERROR(SaveFactorModel(rolled.model, opts_.model_path, env_));
+  roller_ = next;
   delta_.DropBin(rolled.retired_bin, opts_.granularity);
   fold_in_.RetireBin(rolled.retired_bin);
   // Rebuild the delta histogram from the surviving events (DropBin removed
@@ -103,12 +118,24 @@ Status StreamingEngine::Refine() {
   merged.insert(merged.end(), delta.begin(), delta.end());
   auto tensor = BuildCheckinTensor(*data_, merged, opts_.granularity);
   TCSS_RETURN_IF_ERROR(tensor.status());
+  const SparseTensor& full = tensor.value();
+  TrainOptions train;
+  train.checkpoints = opts_.refiner.checkpoints;
+  train.resume = opts_.refiner.resume;
+  train.stop = opts_.refiner.stop;
+  // The trainer refuses a warm start of the wrong shape; refine such a
+  // live model from a cold start instead.
   std::shared_ptr<const FactorModel> live = watcher_->current();
-  auto refined = refiner_.Refine(*data_, tensor.value(), live.get());
+  if (live != nullptr && live->rank() == opts_.refiner.config.rank &&
+      live->u1.rows() == full.dim_i() && live->u2.rows() == full.dim_j() &&
+      live->u3.rows() == full.dim_k()) {
+    train.warm_start = live.get();
+  }
+  auto refined =
+      TcssTrainer(*data_, full, opts_.refiner.config).Train(train, nullptr);
   TCSS_RETURN_IF_ERROR(refined.status());
   TCSS_RETURN_IF_ERROR(SaveFactorModel(refined.value(), opts_.model_path, env_));
   watcher_->Poll();
-  ++refinements_;
   refine_counter_->Add(1);
   refine_ms_hist_->Record(timer.ElapsedMillis());
   UpdateDriftGauge();
@@ -132,11 +159,11 @@ void StreamingEngine::UpdateDriftGauge() { drift_gauge_->Set(DriftScore()); }
 
 StreamingEngine::Stats StreamingEngine::stats() const {
   Stats s;
-  s.accepted = delta_.accepted();
-  s.rejected = delta_.rejected();
-  s.folded = folded_;
-  s.rollovers = roller_.rollovers();
-  s.refinements = refinements_;
+  s.accepted = ingested_counter_->Value();
+  s.rejected = rejected_counter_->Value();
+  s.folded = folded_counter_->Value();
+  s.rollovers = rollover_counter_->Value();
+  s.refinements = refine_counter_->Value();
   return s;
 }
 

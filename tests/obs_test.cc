@@ -1,7 +1,7 @@
 // Observability subsystem tests (ctest label "obs"): the sharded metric
-// registry, histogram bucket/quantile edge cases, trace timers, the global
-// kill switch, and the JSON snapshot exporter through the Env layer. The
-// concurrent tests double as the TSan workload for tools/check.sh stage 3.
+// registry, histogram bucket/quantile edge cases, the global kill switch,
+// and the JSON snapshot exporter through the Env layer. The concurrent
+// tests double as the TSan workload for tools/check.sh stage 3.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include "common/env.h"
 #include "common/fault_env.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace tcss {
 namespace {
@@ -232,30 +231,6 @@ TEST(HistogramTest, ConcurrentRecordAndSnapshot) {
   for (auto& w : writers) w.join();
   EXPECT_EQ(h.Snapshot().count,
             static_cast<uint64_t>(kWriters) * kPerWriter);
-}
-
-// ---------------------------------------------------------------------------
-// Trace timers
-
-TEST(ScopedTimerTest, RecordsOneSampleOnDestruction) {
-  MetricRegistry reg;
-  Histogram* h = reg.GetHistogram("timer.hist");
-  {
-    obs::ScopedTimer timer(h);
-  }
-  HistogramSnapshot snap = h->Snapshot();
-  EXPECT_EQ(snap.count, 1u);
-  EXPECT_GE(snap.max, 0.0);
-}
-
-TEST(ScopedTimerTest, StopIsIdempotentAndNullHistogramIsInert) {
-  MetricRegistry reg;
-  Histogram* h = reg.GetHistogram("timer.idempotent");
-  obs::ScopedTimer timer(h);
-  timer.StopAndRecordMs();
-  timer.StopAndRecordMs();  // second stop must not double-record
-  EXPECT_EQ(h->Snapshot().count, 1u);
-  obs::ScopedTimer inert(nullptr);  // must not crash on destruction
 }
 
 // ---------------------------------------------------------------------------

@@ -21,12 +21,12 @@
 #include "core/fold_in.h"
 #include "core/incremental_fold_in.h"
 #include "core/model_io.h"
+#include "core/trainer.h"
 #include "data/synthetic.h"
 #include "data/tensor_builder.h"
 #include "data/time_binning.h"
 #include "eval/chronological.h"
 #include "stream/delta_buffer.h"
-#include "stream/refiner.h"
 #include "core/hausdorff_loss.h"
 #include "core/recommend.h"
 #include "core/whole_data_loss.h"
@@ -1365,12 +1365,13 @@ TEST(StreamProperties, OneBatchVsManyBatchesIsByteIdentical) {
       *msg = "merged tensor build failed";
       return false;
     }
-    RefinerOptions ropts;
-    ropts.config.rank = 3;
-    ropts.config.epochs = 2;
-    BackgroundRefiner ra(ropts), rb(ropts);
-    auto ma = ra.Refine(data.value(), ta.value(), nullptr);
-    auto mb = rb.Refine(data.value(), tb.value(), nullptr);
+    // The refinement StreamingEngine::Refine runs: a bounded TcssTrainer
+    // pass over the merged tensor.
+    TcssConfig rcfg;
+    rcfg.rank = 3;
+    rcfg.epochs = 2;
+    auto ma = TcssTrainer(data.value(), ta.value(), rcfg).Train();
+    auto mb = TcssTrainer(data.value(), tb.value(), rcfg).Train();
     if (!ma.ok() || !mb.ok()) {
       *msg = "refinement failed";
       return false;

@@ -146,6 +146,7 @@ class ScanServeTest : public ::testing::Test {
     wopts.num_users = data_->num_users();
     wopts.num_pois = data_->num_pois();
     wopts.num_bins = kBins;
+    wopts.metrics = &metrics_;
     watcher_ = std::make_unique<ModelWatcher>(path, wopts);
     service_ = std::make_unique<RecommendService>(
         data_.get(), kGranularity, watcher_.get(), opts);

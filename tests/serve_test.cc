@@ -157,8 +157,10 @@ class ServeTest : public ::testing::Test {
     wopts.num_users = data_.num_users();
     wopts.num_pois = data_.num_pois();
     wopts.num_bins = 12;
+    // Stats() and the reload counts read the registry: each test counts
+    // only its own watcher and service.
+    wopts.metrics = &metrics_;
     watcher_ = std::make_unique<ModelWatcher>(path, wopts);
-    // Stats() reads the registry: each test counts only its own service.
     RecommendService::Options sopts;
     sopts.metrics = &metrics_;
     service_ = std::make_unique<RecommendService>(

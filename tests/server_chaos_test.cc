@@ -7,7 +7,9 @@
 // injected through FaultInjectionEnv, hot reloads mid-storm, graceful
 // drain under load, and a deadline property at 1/2/8 workers. The soak
 // scenario scales with TCSS_SERVER_SOAK (tools/check.sh sets 10000 for
-// the TSan stage).
+// the TSan stage). Each world counts into its own metric registry, which
+// is the server's only ledger: after every drain each ServerStats field
+// must equal the counter it names.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -74,8 +76,10 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-// Everything a server scenario needs, torn down in order.
+// Everything a server scenario needs, torn down in order. The registry
+// outlives the objects that count into it.
 struct World {
+  obs::MetricRegistry metrics;
   Dataset data;
   std::string model_path;
   std::string socket_path;
@@ -88,11 +92,11 @@ struct World {
 };
 
 // Builds a live world: saved constant model, watcher, Init()ed service,
-// started server. `env` faults the wire when it is a FaultInjectionEnv.
-std::unique_ptr<World> StartWorld(
-    const std::string& tag, const ServerOptions& base_opts,
-    Env* env = nullptr,
-    const RecommendService::Options& svc_opts = RecommendService::Options()) {
+// started server, all counting into the world's registry. `env` faults the
+// wire when it is a FaultInjectionEnv.
+std::unique_ptr<World> StartWorld(const std::string& tag,
+                                  const ServerOptions& base_opts,
+                                  Env* env = nullptr) {
   auto w = std::make_unique<World>();
   w->data = TinyDataset();
   w->model_path = TempPath(tag + ".model");
@@ -104,12 +108,16 @@ std::unique_ptr<World> StartWorld(
   wopts.num_users = w->data.num_users();
   wopts.num_pois = w->data.num_pois();
   wopts.num_bins = 12;
+  wopts.metrics = &w->metrics;
   w->watcher = std::make_unique<ModelWatcher>(w->model_path, wopts);
+  RecommendService::Options svc_opts;
+  svc_opts.metrics = &w->metrics;
   w->service = std::make_unique<RecommendService>(
       &w->data, TimeGranularity::kMonthOfYear, w->watcher.get(), svc_opts);
   EXPECT_TRUE(w->service->Init().ok());
   ServerOptions opts = base_opts;
   opts.env = w->server_env;
+  opts.metrics = &w->metrics;
   w->server = std::make_unique<Server>(w->service.get(), w->socket_path,
                                        opts);
   EXPECT_TRUE(w->server->Start().ok());
@@ -217,12 +225,38 @@ void ExpectAllAnswered(const ClientOutcome& out,
   }
 }
 
-// Server-side ledger: accepted == answered, exactly.
-void ExpectServerLedgerBalanced(const ServerStats& s) {
-  EXPECT_EQ(s.frames_received,
-            s.responses_ok + s.responses_error + s.shed_total() -
-                s.sheds[static_cast<int>(ShedReason::kOverloaded)])
-      << s.ToString();  // overload sheds answer *connections*, not frames
+// One ledger: every ServerStats field is the registry count it names.
+void ExpectStatsReadTheRegistry(const ServerStats& s,
+                                obs::MetricRegistry* m) {
+  auto count = [m](const std::string& name) {
+    return m->GetCounter(name)->Value();
+  };
+  const uint64_t overloaded = count("serve.shed.overloaded");
+  EXPECT_EQ(s.connections_rejected, overloaded);
+  EXPECT_EQ(s.sheds[static_cast<int>(ShedReason::kOverloaded)], overloaded);
+  EXPECT_EQ(s.connections_accepted, count("serve.connections") - overloaded);
+  EXPECT_EQ(s.frames_received, count("serve.frames.received"));
+  EXPECT_EQ(s.bad_frames, count("serve.frames.bad"));
+  EXPECT_EQ(s.responses_ok, count("serve.responses.ok"));
+  EXPECT_EQ(s.responses_ingested, count("serve.responses.ingested"));
+  EXPECT_EQ(s.responses_error, count("serve.responses.error"));
+  for (int r = 0; r < kNumShedReasons; ++r) {
+    EXPECT_EQ(s.sheds[r], count(std::string("serve.shed.") +
+                                ShedReasonName(static_cast<ShedReason>(r))));
+  }
+  EXPECT_EQ(s.batches, m->GetHistogram("serve.batch_size")->Snapshot().count);
+  EXPECT_EQ(s.write_failures, count("serve.write_failures"));
+}
+
+// Server-side ledger of a drained world: accepted == answered, exactly
+// (overload sheds answer *connections*, not frames, so shed_total()
+// leaves them out), read from the world's registry.
+void ExpectServerLedgerBalanced(World* w) {
+  const ServerStats s = w->server->stats();
+  EXPECT_EQ(s.frames_received, s.responses_ok + s.responses_ingested +
+                                   s.responses_error + s.shed_total())
+      << s.ToString();
+  ExpectStatsReadTheRegistry(s, &w->metrics);
 }
 
 // --- scenarios ---------------------------------------------------------
@@ -242,7 +276,7 @@ TEST(ServerChaosTest, RoundTripAcrossTiers) {
   EXPECT_EQ(out.responses.at(2).tier, ServeTier::kFoldIn);
   EXPECT_EQ(out.responses.at(3).tier, ServeTier::kPopularity);
   EXPECT_TRUE(w->server->Stop().ok());
-  ExpectServerLedgerBalanced(w->server->stats());
+  ExpectServerLedgerBalanced(w.get());
 }
 
 TEST(ServerChaosTest, StartRejectsOptionsThatCannotServe) {
@@ -284,9 +318,8 @@ TEST(ServerChaosTest, UnparseablePayloadGetsErrorResponseStreamSurvives) {
   EXPECT_EQ(out.responses.at(2).kind, WireResponse::Kind::kError);
   EXPECT_EQ(out.responses.at(3).kind, WireResponse::Kind::kOk);
   EXPECT_TRUE(w->server->Stop().ok());
-  const ServerStats s = w->server->stats();
-  EXPECT_EQ(s.responses_error, 1u);
-  ExpectServerLedgerBalanced(s);
+  EXPECT_EQ(w->server->stats().responses_error, 1u);
+  ExpectServerLedgerBalanced(w.get());
 }
 
 // Garbage, torn, truncated and bit-flipped frames: the server answers at
@@ -353,7 +386,7 @@ TEST(ServerChaosTest, MalformedFramesNeverKillTheServer) {
   ExpectAllAnswered(out, reqs);
   EXPECT_TRUE(w->server->Stop().ok());
   EXPECT_GE(w->server->stats().bad_frames, attacks.size() - 1);
-  ExpectServerLedgerBalanced(w->server->stats());
+  ExpectServerLedgerBalanced(w.get());
 }
 
 // A frame whose header is intact but whose CRC is corrupt gets an error
@@ -461,7 +494,7 @@ TEST(ServerChaosTest, OverloadStormShedsExplicitlyNeverSilently) {
   const ServerStats s = w->server->stats();
   EXPECT_EQ(s.frames_received, static_cast<uint64_t>(kClients) * kPerClient);
   EXPECT_EQ(s.responses_ok, oks);
-  ExpectServerLedgerBalanced(s);
+  ExpectServerLedgerBalanced(w.get());
 }
 
 // Hot reload mid-storm: the model file is rewritten while clients hammer
@@ -471,10 +504,7 @@ TEST(ServerChaosTest, OverloadStormShedsExplicitlyNeverSilently) {
 TEST(ServerChaosTest, HotReloadMidStorm) {
   ServerOptions opts;
   opts.poll_every_batches = 1;
-  obs::MetricRegistry metrics;
-  RecommendService::Options svc;
-  svc.metrics = &metrics;
-  auto w = StartWorld("reload", opts, nullptr, svc);
+  auto w = StartWorld("reload", opts);
 
   std::atomic<bool> storm_done{false};
   std::thread reloader([&] {
@@ -502,10 +532,10 @@ TEST(ServerChaosTest, HotReloadMidStorm) {
   storm_done.store(true);
   reloader.join();
   EXPECT_TRUE(w->server->Stop().ok());
-  ExpectServerLedgerBalanced(w->server->stats());
+  ExpectServerLedgerBalanced(w.get());
   EXPECT_EQ(w->service->health(), ServeHealth::kHealthy);
   const uint64_t builds =
-      metrics.GetHistogram("serve.scan.panel_build_ms")->Snapshot().count;
+      w->metrics.GetHistogram("serve.scan.panel_build_ms")->Snapshot().count;
   EXPECT_GE(builds, 2u) << "no mid-traffic panel rebuild happened";
   EXPECT_LE(builds, w->service->Stats().reload_successes);
 }
@@ -545,8 +575,8 @@ TEST(ServerChaosTest, GracefulDrainUnderLoad) {
   // the readers exited were never *accepted* (no frame read), so they get
   // no response; requests the server read must all be answered. The
   // server-side ledger is the exact invariant.
+  ExpectServerLedgerBalanced(w.get());
   const ServerStats s = w->server->stats();
-  ExpectServerLedgerBalanced(s);
   size_t answered = 0;
   for (int cidx = 0; cidx < kClients; ++cidx) {
     EXPECT_EQ(outs[cidx].duplicates, 0u);
@@ -554,8 +584,7 @@ TEST(ServerChaosTest, GracefulDrainUnderLoad) {
     answered += outs[cidx].responses.size();
   }
   EXPECT_EQ(answered, static_cast<size_t>(s.responses_ok) +
-                          s.responses_error + s.shed_total() -
-                          s.sheds[static_cast<int>(ShedReason::kOverloaded)]);
+                          s.responses_error + s.shed_total());
 }
 
 // Deadline property at 1/2/8 workers: a request carrying budget B is
@@ -584,7 +613,7 @@ TEST(ServerChaosTest, DeadlinePropertyAcrossWorkerCounts) {
                   resp.kind == WireResponse::Kind::kShed);
     }
     EXPECT_TRUE(w->server->Stop().ok());
-    ExpectServerLedgerBalanced(w->server->stats());
+    ExpectServerLedgerBalanced(w.get());
   }
 }
 
@@ -640,7 +669,7 @@ TEST(ServerChaosTest, WireFaultScheduleSweep) {
     ExpectAllAnswered(ok, again);
 
     EXPECT_TRUE(w->server->Stop().ok());
-    ExpectServerLedgerBalanced(w->server->stats());
+    ExpectServerLedgerBalanced(w.get());
   }
 }
 
@@ -680,11 +709,12 @@ TEST(ServerChaosTest, DroppedAcceptsAndSplitReadsAreSurvived) {
   EXPECT_GT(fenv.conn_reads_attempted(), static_cast<int>(reqs.size()) * 4);
 
   EXPECT_TRUE(w->server->Stop().ok());
-  ExpectServerLedgerBalanced(w->server->stats());
+  ExpectServerLedgerBalanced(w.get());
 }
 
 // Connection-limit overload: with max_connections=1 a second concurrent
-// connection is answered with one explicit overloaded-shed frame.
+// connection is answered with one explicit overloaded-shed frame, counted
+// once, as serve.shed.overloaded — which is also connections_rejected.
 TEST(ServerChaosTest, ConnectionLimitShedsExplicitly) {
   ServerOptions opts;
   opts.max_connections = 1;
@@ -724,6 +754,8 @@ TEST(ServerChaosTest, ConnectionLimitShedsExplicitly) {
   EXPECT_TRUE(saw_overload_shed);
   first.value()->Close();
   EXPECT_TRUE(w->server->Stop().ok());
+  EXPECT_GE(w->server->stats().connections_rejected, 1u);
+  ExpectServerLedgerBalanced(w.get());
 }
 
 // Soak: sustained mixed traffic (deadlines, fold-in users, bad users)
@@ -768,7 +800,8 @@ TEST(ServerChaosTest, SoakMixedTraffic) {
   const ServerStats s = w->server->stats();
   EXPECT_EQ(s.frames_received,
             static_cast<uint64_t>(per_client) * kClients);
-  ExpectServerLedgerBalanced(s);
+  EXPECT_EQ(s.connections_accepted, static_cast<uint64_t>(kClients));
+  ExpectServerLedgerBalanced(w.get());
 }
 
 }  // namespace

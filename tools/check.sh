@@ -1,13 +1,10 @@
 #!/usr/bin/env bash
 # CI check, three stages:
 #
-#   1. Plain build: run the serving-layer, server chaos, randomized-
-#      corruption and CLI-argument, parallel-determinism, observability,
-#      property-based differential-oracle (the exact top-k scan's
-#      included), kernel-dispatch, distributed-training, and
-#      streaming-ingestion suites
-#      (ctest labels "serve", "server", "fuzz", "determinism", "obs",
-#      "proptest", "kernels", "dist", and "stream") in the production
+#   1. Plain build: run the FULL test suite, labeled and unlabeled suites
+#      alike (trainer, checkpoint, model I/O, Hausdorff head, integration
+#      and the rest beside the serving, chaos, fuzz, determinism, obs,
+#      proptest, kernels, dist and stream labels), in the production
 #      configuration — the exact binaries that ship. The kernels label
 #      runs twice more: once with TCSS_SIMD=off and once with
 #      TCSS_SIMD=native, so both sides of the dispatch seam are the
@@ -31,7 +28,9 @@
 #      while a writer thread storms the model file; the server
 #      chaos harness replays its storms — with TCSS_SERVER_SOAK=10000 so
 #      the mixed-traffic soak pushes >=10k requests through the full
-#      acceptor/reader/dispatcher thread web under TSan; the dist
+#      acceptor/reader/dispatcher thread web under TSan, its deadline
+#      requests making reader threads' admission read the service's
+#      per-tier latency EWMA while the dispatcher writes it; the dist
 #      suite runs coordinator + worker fleets (acceptor, per-session
 #      readers, heartbeat threads, kill/partition recovery) in one
 #      process, where TSan sees every cross-thread edge; and the stream
@@ -53,18 +52,17 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 TSAN_DIR="${2:-build-tsan}"
 
-# --- Stage 1: plain build, resilience + determinism suites ---------------
+# --- Stage 1: plain build, full suite ------------------------------------
 # Every build and every ctest gets an explicit job count: a bare -j is an
 # unbounded make -j under CMake's Makefile generator, and a bare ctest -j
 # runs one test at a time (or swallows the next flag as its count).
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
-ctest --test-dir build --output-on-failure -j "$(nproc)" \
-  -L "serve|server|fuzz|determinism|obs|proptest|kernels|dist|stream"
+ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-# Kernel-dispatch suite under both env-forced SIMD modes. The unlabeled
-# run above already covers the default (auto) resolution; these two pin
-# each side of the seam explicitly.
+# Kernel-dispatch suite under both env-forced SIMD modes. The full run
+# above already covers the default (auto) resolution; these two pin each
+# side of the seam explicitly.
 TCSS_SIMD=off ctest --test-dir build --output-on-failure -j "$(nproc)" \
   -L "kernels"
 TCSS_SIMD=native ctest --test-dir build --output-on-failure -j "$(nproc)" \
