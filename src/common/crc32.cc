@@ -1,12 +1,7 @@
 #include "common/crc32.h"
 
-#include "common/strings.h"
-#include "common/text_io.h"
-
 namespace tcss {
 namespace {
-
-constexpr const char kCrcKeyword[] = "CRC32";
 
 struct Crc32Table {
   uint32_t t[256];
@@ -31,34 +26,6 @@ uint32_t Crc32(const void* data, size_t n, uint32_t crc) {
     crc = table.t[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
-}
-
-void AppendCrcFooter(std::string* buf) {
-  buf->append(StrFormat("%s %08x\n", kCrcKeyword, Crc32(*buf)));
-}
-
-Status ValidateCrcFooter(std::string_view text, std::string_view* payload) {
-  // The payload formats (hex-float token streams) never contain the
-  // keyword, so the last occurrence is the footer.
-  const size_t footer = text.rfind(kCrcKeyword);
-  if (footer == std::string_view::npos || footer == 0) {
-    return Status::IOError("missing CRC footer");
-  }
-  TextScanner tail(text.substr(footer));
-  uint32_t stored = 0;
-  if (!tail.Expect(kCrcKeyword) || !tail.NextHex32(&stored) ||
-      !tail.AtEnd()) {
-    return Status::IOError("malformed CRC footer");
-  }
-  const std::string_view body = text.substr(0, footer);
-  const uint32_t actual = Crc32(body);
-  if (actual != stored) {
-    return Status::IOError(
-        StrFormat("CRC mismatch (stored %08x, computed %08x)", stored,
-                  actual));
-  }
-  *payload = body;
-  return Status::OK();
 }
 
 }  // namespace tcss

@@ -3,33 +3,19 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
-
-#include "common/status.h"
 
 namespace tcss {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the checksum used
-/// by zip/png. Guards checkpoint and model files against torn writes and
-/// bit rot; not a cryptographic integrity check.
+/// by zip/png. Guards model files, checkpoints and wire frames against
+/// torn writes and bit rot (common/codec.h); not a cryptographic integrity
+/// check.
 uint32_t Crc32(const void* data, size_t n, uint32_t crc = 0);
 
 inline uint32_t Crc32(std::string_view s, uint32_t crc = 0) {
   return Crc32(s.data(), s.size(), crc);
 }
-
-/// Appends the standard integrity footer "CRC32 <8 lowercase hex>\n",
-/// with the checksum taken over everything currently in `buf`. Used by the
-/// TCSSv2 model format and the TCKPv1 checkpoint format.
-void AppendCrcFooter(std::string* buf);
-
-/// Validates a file that ends in an AppendCrcFooter footer: the last line
-/// must be well-formed and its checksum must match the preceding bytes.
-/// On success `*payload` receives the footer-free prefix. Any truncation
-/// or corruption of such a file — anywhere, including mid-token — fails
-/// here before any parsing happens.
-Status ValidateCrcFooter(std::string_view text, std::string_view* payload);
 
 }  // namespace tcss
 

@@ -2,45 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
-#include "common/crc32.h"
+#include "common/codec.h"
 #include "common/strings.h"
-#include "common/text_io.h"
 #include "core/model_io.h"
 
 namespace tcss {
 namespace {
 
-constexpr const char kMagic[] = "TCKPv1";
+constexpr std::string_view kMagic("TCKPv2\0\0", 8);
 constexpr const char kFilePrefix[] = "ckpt-";
 constexpr const char kFileSuffix[] = ".tckp";
-
-// Appends one Adam-moment section: h vector then the three matrices, all
-// shapes implied by the model header.
-void AppendMoments(const char* label, const FactorGrads& g,
-                   std::string* out) {
-  out->append(label);
-  out->push_back('\n');
-  AppendVectorText(g.h, out);
-  AppendMatrixText(g.u1, out);
-  AppendMatrixText(g.u2, out);
-  AppendMatrixText(g.u3, out);
-}
-
-Status ScanMoments(TextScanner* scanner, const char* label,
-                   const FactorModel& shape, FactorGrads* g) {
-  if (!scanner->Expect(label)) {
-    return Status::IOError(std::string("missing section ") + label);
-  }
-  TCSS_RETURN_IF_ERROR(ScanVector(scanner, shape.h.size(), &g->h));
-  TCSS_RETURN_IF_ERROR(
-      ScanMatrix(scanner, shape.u1.rows(), shape.u1.cols(), &g->u1));
-  TCSS_RETURN_IF_ERROR(
-      ScanMatrix(scanner, shape.u2.rows(), shape.u2.cols(), &g->u2));
-  TCSS_RETURN_IF_ERROR(
-      ScanMatrix(scanner, shape.u3.rows(), shape.u3.cols(), &g->u3));
-  return Status::OK();
-}
 
 // Leading decimal run of `*s`, consumed; false when there is none or the
 // value is absurd.
@@ -93,76 +66,54 @@ int EpochFromName(const std::string& name, int shard, int num_shards) {
 }  // namespace
 
 std::string SerializeCheckpoint(const TrainerCheckpoint& ckpt) {
-  std::string out;
-  out.append(StrFormat("%s\n", kMagic));
-  out.append(StrFormat("epoch %d\n", ckpt.epoch));
-  out.append(StrFormat("adam_t %lld\n",
-                       static_cast<long long>(ckpt.adam_t)));
-  out.append(StrFormat("rotation %zu\n", ckpt.hausdorff_rotation));
-  out.append(StrFormat("lr_scale %a\n", ckpt.lr_scale));
-  out.append(StrFormat("sampler %llu\n",
-                       static_cast<unsigned long long>(ckpt.sampler_state)));
-  out.append(SerializeFactorModel(ckpt.model));
-  AppendMoments("adam_m", ckpt.adam_m, &out);
-  AppendMoments("adam_v", ckpt.adam_v, &out);
-  AppendCrcFooter(&out);
+  std::string out(kMagic);
+  PutU64(static_cast<uint64_t>(ckpt.epoch), &out);
+  PutU64(static_cast<uint64_t>(ckpt.adam_t), &out);
+  PutU64(ckpt.hausdorff_rotation, &out);
+  PutF64(ckpt.lr_scale, &out);
+  PutU64(ckpt.sampler_state, &out);
+  PutModelDims(ckpt.model, &out);
+  PutFactorBlocks(ckpt.model, &out);
+  PutFactorBlocks(ckpt.adam_m, &out);
+  PutFactorBlocks(ckpt.adam_v, &out);
+  PutCrc32Trailer(&out);
   return out;
 }
 
-Result<TrainerCheckpoint> ParseCheckpoint(std::string_view text) {
-  // Integrity first: any truncation or corruption anywhere in the file —
-  // including mid-token — fails the CRC before parsing starts.
-  std::string_view payload;
-  TCSS_RETURN_IF_ERROR(ValidateCrcFooter(text, &payload));
-
-  TextScanner scanner(payload);
-  if (!scanner.Expect(kMagic)) return Status::IOError("bad checkpoint magic");
+Result<TrainerCheckpoint> ParseCheckpoint(std::string_view bytes) {
+  // Integrity first: any truncation or corruption anywhere in the file
+  // fails the CRC before a single field is trusted.
+  ByteCursor in;
+  TCSS_RETURN_IF_ERROR(OpenSignedBytes(bytes, kMagic, &in));
   TrainerCheckpoint ckpt;
-  int64_t epoch64 = 0;
-  if (!scanner.Expect("epoch") || !scanner.NextInt64(&epoch64) ||
-      epoch64 < 0 || epoch64 > 100'000'000) {
-    return Status::IOError("bad epoch field");
+  uint64_t epoch = 0, adam_t = 0, rotation = 0;
+  if (!in.TakeU64(&epoch) || !in.TakeU64(&adam_t) ||
+      !in.TakeU64(&rotation) || !in.TakeF64(&ckpt.lr_scale) ||
+      !in.TakeU64(&ckpt.sampler_state)) {
+    return Status::IOError("truncated checkpoint header");
   }
-  ckpt.epoch = static_cast<int>(epoch64);
-  if (!scanner.Expect("adam_t") || !scanner.NextInt64(&ckpt.adam_t) ||
-      ckpt.adam_t < 0) {
+  if (epoch > 100'000'000) return Status::IOError("bad epoch field");
+  if (adam_t > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
     return Status::IOError("bad adam_t field");
   }
-  if (!scanner.Expect("rotation") ||
-      !scanner.NextSize(&ckpt.hausdorff_rotation)) {
-    return Status::IOError("bad rotation field");
-  }
-  if (!scanner.Expect("lr_scale") || !scanner.NextDouble(&ckpt.lr_scale) ||
-      !std::isfinite(ckpt.lr_scale) || ckpt.lr_scale <= 0.0) {
+  if (!std::isfinite(ckpt.lr_scale) || ckpt.lr_scale <= 0.0) {
     return Status::IOError("bad lr_scale field");
   }
-  // Optional field (added after the format shipped): files written before
-  // the negative-sampling state was checkpointed simply lack it.
-  if (scanner.PeekToken() == "sampler") {
-    scanner.NextToken();
-    size_t sampler = 0;
-    if (!scanner.NextSize(&sampler)) {
-      return Status::IOError("bad sampler field");
-    }
-    ckpt.sampler_state = sampler;
-  }
-  auto model = ParseFactorModel(&scanner);
-  if (!model.ok()) return model.status();
-  ckpt.model = model.MoveValue();
-  TCSS_RETURN_IF_ERROR(
-      ScanMoments(&scanner, "adam_m", ckpt.model, &ckpt.adam_m));
-  TCSS_RETURN_IF_ERROR(
-      ScanMoments(&scanner, "adam_v", ckpt.model, &ckpt.adam_v));
-  if (!scanner.AtEnd()) {
-    return Status::IOError("trailing garbage in checkpoint");
-  }
+  ckpt.epoch = static_cast<int>(epoch);
+  ckpt.adam_t = static_cast<int64_t>(adam_t);
+  ckpt.hausdorff_rotation = rotation;
+  ModelDims dims;
+  TCSS_RETURN_IF_ERROR(TakeModelDims(&in, &dims));
+  TCSS_RETURN_IF_ERROR(ExpectRemaining(in, 3 * dims.BlockBytes()));
+  TCSS_RETURN_IF_ERROR(TakeFactorBlocks(&in, dims, &ckpt.model));
+  TCSS_RETURN_IF_ERROR(TakeFactorBlocks(&in, dims, &ckpt.adam_m));
+  TCSS_RETURN_IF_ERROR(TakeFactorBlocks(&in, dims, &ckpt.adam_v));
   return ckpt;
 }
 
 CheckpointManager::CheckpointManager(CheckpointOptions options)
     : options_(std::move(options)) {
   if (options_.env == nullptr) options_.env = Env::Default();
-  if (options_.every < 1) options_.every = 1;
   if (options_.retain < 1) options_.retain = 1;
   if (options_.num_shards < 1) options_.num_shards = 1;
   if (options_.shard < 0 || options_.shard >= options_.num_shards) {

@@ -31,22 +31,23 @@ struct TrainerCheckpoint {
   size_t hausdorff_rotation = 0;
   double lr_scale = 1.0;         ///< divergence-backoff multiplier
   /// WholeDataLoss::sampler_state() — the NegativeSamplingLoss call
-  /// counter (0 for deterministic loss modes). Serialized as an optional
-  /// trailing "sampler" field so pre-existing TCKPv1 files still parse
-  /// (they default to 0).
+  /// counter (0 for deterministic loss modes).
   uint64_t sampler_state = 0;
 };
 
-/// In-memory (de)serialization of the TCKPv1 checkpoint format: a text
-/// token stream (hex floats, exact double round-trip) ending in a CRC32
-/// footer over every preceding byte. See DESIGN.md "Crash safety".
+/// In-memory (de)serialization of the binary TCKPv2 checkpoint format:
+/// an 8-byte magic, epoch, adam_t, rotation, lr_scale and sampler state,
+/// the model dims, then the model, adam_m and adam_v blocks as raw
+/// little-endian doubles, then a CRC-32 of every preceding byte. The
+/// parse checks the CRC, the magic, the header bounds, the exact byte
+/// count and finiteness, in that order (DESIGN.md §5).
 std::string SerializeCheckpoint(const TrainerCheckpoint& ckpt);
-Result<TrainerCheckpoint> ParseCheckpoint(std::string_view text);
+Result<TrainerCheckpoint> ParseCheckpoint(std::string_view bytes);
 
 /// Options for CheckpointManager.
 struct CheckpointOptions {
   std::string dir;      ///< directory holding ckpt-<epoch>.tckp files
-  int every = 10;       ///< snapshot period in epochs (>= 1)
+  int every = 10;       ///< snapshot period in epochs; 0 = final only
   int retain = 3;       ///< keep the newest N checkpoints (>= 1)
   Env* env = nullptr;   ///< defaults to Env::Default()
 
@@ -67,7 +68,7 @@ struct CheckpointOptions {
 ///    onto the final name — a crash at any instant leaves either the old
 ///    set of checkpoints or the old set plus the complete new file, never
 ///    a torn one under the real name.
-///  * Every file carries a CRC32 footer; LoadLatest() walks the directory
+///  * Every file carries a CRC-32 trailer; LoadLatest() walks the directory
 ///    newest-first and returns the first checkpoint that passes both the
 ///    CRC and the structural parse, so stray corruption degrades to "resume
 ///    from one snapshot earlier" instead of a crash or silent garbage.
@@ -81,7 +82,9 @@ class CheckpointManager {
   /// Creates the checkpoint directory. Call once before Save().
   Status Init();
 
-  /// True when the epoch loop should snapshot after `epoch` completes.
+  /// True when the epoch loop should take a periodic snapshot after
+  /// `epoch` completes. Never with `every` = 0; the final, stop and
+  /// plateau snapshots are the trainer's to take regardless.
   bool ShouldSnapshot(int epoch) const {
     return options_.every > 0 && epoch % options_.every == 0;
   }

@@ -2,124 +2,91 @@
 
 #include <cmath>
 
-#include "common/crc32.h"
 #include "common/strings.h"
 
 namespace tcss {
 namespace {
 
-constexpr const char kMagicV1[] = "TCSSv1";
-constexpr const char kMagicV2[] = "TCSSv2";
-
-/// Dims + h + U1..U3, shared by both format versions.
-std::string SerializeBody(const FactorModel& model) {
-  std::string out;
-  out.append(StrFormat("%zu %zu %zu %zu\n", model.u1.rows(),
-                       model.u2.rows(), model.u3.rows(), model.rank()));
-  AppendVectorText(model.h, &out);
-  AppendMatrixText(model.u1, &out);
-  AppendMatrixText(model.u2, &out);
-  AppendMatrixText(model.u3, &out);
-  return out;
-}
-
-Result<FactorModel> ParseBody(TextScanner* scanner) {
-  size_t I, J, K, r;
-  if (!scanner->NextSize(&I) || !scanner->NextSize(&J) ||
-      !scanner->NextSize(&K) || !scanner->NextSize(&r)) {
-    return Status::IOError("bad header");
-  }
-  if (r == 0 || I == 0 || J == 0 || K == 0 || r > kMaxModelRank ||
-      I > kMaxModelDim || J > kMaxModelDim || K > kMaxModelDim) {
-    return Status::IOError("implausible dimensions");
-  }
-  FactorModel model;
-  TCSS_RETURN_IF_ERROR(ScanVector(scanner, r, &model.h));
-  TCSS_RETURN_IF_ERROR(ScanMatrix(scanner, I, r, &model.u1));
-  TCSS_RETURN_IF_ERROR(ScanMatrix(scanner, J, r, &model.u2));
-  TCSS_RETURN_IF_ERROR(ScanMatrix(scanner, K, r, &model.u3));
-  return model;
-}
+constexpr std::string_view kMagic("TCSSv3\0\0", 8);
 
 }  // namespace
 
-void AppendMatrixText(const Matrix& m, std::string* out) {
-  for (size_t i = 0; i < m.rows(); ++i) {
-    for (size_t j = 0; j < m.cols(); ++j) {
-      // Hex float round-trips doubles exactly.
-      out->append(StrFormat("%a%c", m(i, j), j + 1 == m.cols() ? '\n' : ' '));
-    }
-  }
+void PutModelDims(const FactorModel& model, std::string* out) {
+  PutU64(model.u1.rows(), out);
+  PutU64(model.u2.rows(), out);
+  PutU64(model.u3.rows(), out);
+  PutU64(model.rank(), out);
 }
 
-void AppendVectorText(const std::vector<double>& v, std::string* out) {
-  for (size_t t = 0; t < v.size(); ++t) {
-    out->append(StrFormat("%a%c", v[t], t + 1 == v.size() ? '\n' : ' '));
+Status TakeModelDims(ByteCursor* in, ModelDims* dims) {
+  if (!in->TakeU64(&dims->users) || !in->TakeU64(&dims->pois) ||
+      !in->TakeU64(&dims->bins) || !in->TakeU64(&dims->rank)) {
+    return Status::IOError("truncated header");
   }
-}
-
-Status ScanMatrix(TextScanner* scanner, size_t rows, size_t cols, Matrix* m) {
-  m->Resize(rows, cols);
-  for (size_t i = 0; i < rows; ++i) {
-    for (size_t j = 0; j < cols; ++j) {
-      double v;
-      if (!scanner->NextDouble(&v)) {
-        return Status::IOError("truncated or malformed matrix data");
-      }
-      if (!std::isfinite(v)) {
-        return Status::IOError("non-finite matrix entry");
-      }
-      (*m)(i, j) = v;
-    }
+  if (dims->users == 0 || dims->pois == 0 || dims->bins == 0 ||
+      dims->rank == 0 || dims->users > kMaxModelDim ||
+      dims->pois > kMaxModelDim || dims->bins > kMaxModelDim ||
+      dims->rank > kMaxModelRank) {
+    return Status::IOError("implausible dimensions");
   }
   return Status::OK();
 }
 
-Status ScanVector(TextScanner* scanner, size_t n, std::vector<double>* v) {
-  v->resize(n);
-  for (size_t t = 0; t < n; ++t) {
-    if (!scanner->NextDouble(&(*v)[t])) {
-      return Status::IOError("truncated or malformed vector data");
-    }
-    if (!std::isfinite((*v)[t])) {
-      return Status::IOError("non-finite vector entry");
+Status ExpectRemaining(const ByteCursor& in, uint64_t want) {
+  const uint64_t have = in.remaining();
+  if (have < want) {
+    return Status::IOError(StrFormat(
+        "truncated factor data (%llu of %llu bytes)",
+        static_cast<unsigned long long>(have),
+        static_cast<unsigned long long>(want)));
+  }
+  if (have > want) {
+    return Status::IOError(StrFormat(
+        "%llu trailing bytes after factors",
+        static_cast<unsigned long long>(have - want)));
+  }
+  return Status::OK();
+}
+
+Status TakeFiniteF64s(ByteCursor* in, double* out, size_t n) {
+  if (!in->TakeF64s(out, n)) {
+    return Status::IOError("truncated factor data");
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(out[i])) {
+      return Status::IOError("non-finite factor entry");
     }
   }
   return Status::OK();
 }
 
 std::string SerializeFactorModel(const FactorModel& model) {
-  return std::string(kMagicV1) + "\n" + SerializeBody(model);
-}
-
-Result<FactorModel> ParseFactorModel(TextScanner* scanner) {
-  if (!scanner->Expect(kMagicV1)) return Status::IOError("bad magic");
-  return ParseBody(scanner);
+  std::string out;
+  out.reserve(kMagic.size() + 32 +
+              8 * (model.h.size() + model.u1.size() + model.u2.size() +
+                   model.u3.size()) +
+              4);
+  out.append(kMagic);
+  PutModelDims(model, &out);
+  PutFactorBlocks(model, &out);
+  PutCrc32Trailer(&out);
+  return out;
 }
 
 Status SaveFactorModel(const FactorModel& model, const std::string& path,
                        Env* env) {
   if (env == nullptr) env = Env::Default();
-  std::string contents = std::string(kMagicV2) + "\n" + SerializeBody(model);
-  AppendCrcFooter(&contents);
-  return AtomicWriteFile(env, path, contents);
+  return AtomicWriteFile(env, path, SerializeFactorModel(model));
 }
 
-Result<FactorModel> ParseFactorModelBytes(std::string_view text) {
-  const bool v2 = text.rfind(kMagicV2, 0) == 0;
-  std::string_view payload = text;
-  if (v2) {
-    TCSS_RETURN_IF_ERROR(ValidateCrcFooter(text, &payload));
-  }
-  TextScanner scanner(payload);
-  if (!scanner.Expect(v2 ? kMagicV2 : kMagicV1)) {
-    return Status::IOError("bad magic");
-  }
-  auto model = ParseBody(&scanner);
-  if (!model.ok()) return model.status();
-  if (!scanner.AtEnd()) {
-    return Status::IOError("trailing garbage after factors");
-  }
+Result<FactorModel> ParseFactorModelBytes(std::string_view bytes) {
+  ByteCursor in;
+  TCSS_RETURN_IF_ERROR(OpenSignedBytes(bytes, kMagic, &in));
+  ModelDims dims;
+  TCSS_RETURN_IF_ERROR(TakeModelDims(&in, &dims));
+  TCSS_RETURN_IF_ERROR(ExpectRemaining(in, dims.BlockBytes()));
+  FactorModel model;
+  TCSS_RETURN_IF_ERROR(TakeFactorBlocks(&in, dims, &model));
   return model;
 }
 

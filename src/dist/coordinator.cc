@@ -97,12 +97,12 @@ void DistCoordinator::AcceptorLoop() {
 }
 
 void DistCoordinator::ReaderLoop(Session* session) {
-  DistMsgReader reader;
+  FrameReader reader(kMaxDistPayload);
   for (;;) {
     DistMsg msg;
-    auto event = reader.Next(session->conn.get(), &msg, /*deadline_ms=*/-1,
-                             &session->stop, /*tick_ms=*/50);
-    if (!event.ok() || event.value() == DistReadEvent::kEof) {
+    auto event = ReadDistMsg(&reader, session->conn.get(), &msg,
+                             /*deadline_ms=*/-1, &session->stop);
+    if (!event.ok() || event.value() == FrameReader::Event::kEof) {
       if (!session->stop.load(std::memory_order_relaxed)) {
         Event down;
         down.kind = Event::Kind::kDown;
@@ -112,8 +112,8 @@ void DistCoordinator::ReaderLoop(Session* session) {
       }
       return;
     }
-    if (event.value() == DistReadEvent::kStopped) return;
-    if (event.value() != DistReadEvent::kMsg) continue;
+    if (event.value() == FrameReader::Event::kStopped) return;
+    if (event.value() != FrameReader::Event::kFrame) continue;
     session->last_rx_ms.store(NowMs(), std::memory_order_relaxed);
     if (msg.type == DistMsgType::kHeartbeat) continue;  // liveness only
     Event ev;

@@ -1,139 +1,6 @@
 #include "dist/wire.h"
 
-#include <chrono>
-#include <cstring>
-
-#include "serve/frontend.h"
-
 namespace tcss {
-namespace {
-
-void PutU8(uint8_t v, std::string* out) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutI32(int32_t v, std::string* out) {
-  PutU32(static_cast<uint32_t>(v), out);
-}
-
-// Raw IEEE-754 bits: the value that arrives is the value that was sent,
-// exactly — the foundation of the cross-process determinism contract.
-void PutF64(double v, std::string* out) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits, out);
-}
-
-void PutF64Array(const std::vector<double>& v, std::string* out) {
-  PutU32(static_cast<uint32_t>(v.size()), out);
-  for (double x : v) PutF64(x, out);
-}
-
-void PutI32Array(const std::vector<int32_t>& v, std::string* out) {
-  PutU32(static_cast<uint32_t>(v.size()), out);
-  for (int32_t x : v) PutI32(x, out);
-}
-
-/// Bounds-checked sequential reader over a payload.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  bool TakeU8(uint8_t* out) {
-    if (data_.size() < 1) return false;
-    *out = static_cast<uint8_t>(data_[0]);
-    data_.remove_prefix(1);
-    return true;
-  }
-
-  bool TakeU32(uint32_t* out) {
-    if (data_.size() < 4) return false;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[i])) << (8 * i);
-    }
-    data_.remove_prefix(4);
-    *out = v;
-    return true;
-  }
-
-  bool TakeU64(uint64_t* out) {
-    if (data_.size() < 8) return false;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[i])) << (8 * i);
-    }
-    data_.remove_prefix(8);
-    *out = v;
-    return true;
-  }
-
-  bool TakeI32(int32_t* out) {
-    uint32_t v = 0;
-    if (!TakeU32(&v)) return false;
-    *out = static_cast<int32_t>(v);
-    return true;
-  }
-
-  bool TakeF64(double* out) {
-    uint64_t bits = 0;
-    if (!TakeU64(&bits)) return false;
-    std::memcpy(out, &bits, sizeof(*out));
-    return true;
-  }
-
-  // The count is validated against the bytes actually present before any
-  // allocation: a flipped length byte cannot balloon memory.
-  bool TakeF64Array(std::vector<double>* out) {
-    uint32_t count = 0;
-    if (!TakeU32(&count)) return false;
-    if (static_cast<size_t>(count) * 8 > data_.size()) return false;
-    out->resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      if (!TakeF64(&(*out)[i])) return false;
-    }
-    return true;
-  }
-
-  bool TakeI32Array(std::vector<int32_t>* out) {
-    uint32_t count = 0;
-    if (!TakeU32(&count)) return false;
-    if (static_cast<size_t>(count) * 4 > data_.size()) return false;
-    out->resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      if (!TakeI32(&(*out)[i])) return false;
-    }
-    return true;
-  }
-
-  bool TakeString(std::string* out) {
-    uint32_t len = 0;
-    if (!TakeU32(&len)) return false;
-    if (static_cast<size_t>(len) > data_.size()) return false;
-    out->assign(data_.data(), len);
-    data_.remove_prefix(len);
-    return true;
-  }
-
-  bool AtEnd() const { return data_.empty(); }
-
- private:
-  std::string_view data_;
-};
-
-}  // namespace
 
 const char* DistMsgTypeName(DistMsgType t) {
   switch (t) {
@@ -199,18 +66,15 @@ std::string EncodeDistMsg(const DistMsg& msg) {
       PutF64Array(msg.u3, &out);
       PutF64Array(msg.h, &out);
       break;
-    case DistMsgType::kAbort: {
-      uint32_t len = static_cast<uint32_t>(msg.text.size());
-      PutU32(len, &out);
-      out.append(msg.text);
+    case DistMsgType::kAbort:
+      PutString(msg.text, &out);
       break;
-    }
   }
   return out;
 }
 
 Result<DistMsg> ParseDistMsg(std::string_view payload) {
-  Cursor cur(payload);
+  ByteCursor cur(payload);
   uint8_t type_byte = 0;
   DistMsg msg;
   if (!cur.TakeU8(&type_byte) || !cur.TakeU32(&msg.gen)) {
@@ -279,54 +143,19 @@ Status SendDistMsg(Conn* conn, const DistMsg& msg, int timeout_ms) {
   return conn->Write(EncodeFrame(kDistMagic, frame), timeout_ms);
 }
 
-Result<DistReadEvent> DistMsgReader::Next(Conn* conn, DistMsg* out,
-                                          int deadline_ms,
-                                          const std::atomic<bool>* stop,
-                                          int tick_ms) {
-  const auto start = std::chrono::steady_clock::now();
-  for (;;) {
-    if (!buf_.empty()) {
-      Frame frame;
-      size_t consumed = 0;
-      auto decoded =
-          DecodeFrame(kDistMagic, buf_, &frame, &consumed, kMaxDistPayload);
-      if (!decoded.ok()) return decoded.status();
-      if (decoded.value()) {
-        buf_.erase(0, consumed);
-        auto msg = ParseDistMsg(frame.payload);
-        if (!msg.ok()) return msg.status();
-        *out = msg.MoveValue();
-        return DistReadEvent::kMsg;
-      }
-    }
-    if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
-      return DistReadEvent::kStopped;
-    }
-    if (deadline_ms >= 0) {
-      const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-      if (elapsed >= deadline_ms) return DistReadEvent::kTimeout;
-    }
-    char chunk[16384];
-    size_t n = 0;
-    auto event = conn->Read(chunk, sizeof(chunk), &n, tick_ms);
-    if (!event.ok()) return event.status();
-    switch (event.value()) {
-      case IoEvent::kData:
-        buf_.append(chunk, n);
-        break;
-      case IoEvent::kEof:
-        if (!buf_.empty()) {
-          // EOF splitting a frame: the peer died mid-send. Distinct from
-          // a clean close so callers can tell a crash from a goodbye.
-          return Status::IOError("connection closed inside a dist frame");
-        }
-        return DistReadEvent::kEof;
-      case IoEvent::kTimeout:
-        break;  // tick: re-check stop/deadline
-    }
+Result<FrameReader::Event> ReadDistMsg(FrameReader* reader, Conn* conn,
+                                       DistMsg* out, int deadline_ms,
+                                       const std::atomic<bool>* stop) {
+  Frame frame;
+  auto event = reader->Next(conn, kDistMagic, &frame, stop, /*tick_ms=*/50,
+                            deadline_ms);
+  if (!event.ok() || event.value() != FrameReader::Event::kFrame) {
+    return event;
   }
+  auto msg = ParseDistMsg(frame.payload);
+  if (!msg.ok()) return msg.status();
+  *out = msg.MoveValue();
+  return event;
 }
 
 }  // namespace tcss

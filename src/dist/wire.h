@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/env.h"
 #include "common/status.h"
 
@@ -14,14 +15,14 @@ namespace tcss {
 
 /// Wire protocol of the distributed training engine (src/dist).
 ///
-/// Transport framing is the serving front-end's length-prefixed CRC32
-/// codec (EncodeFrame/DecodeFrame from serve/frontend.h) under its own
-/// magic, so every control and gradient message inherits the same
-/// integrity guarantees the request path already proved under fuzzing: a
-/// bit flip anywhere past the magic fails the CRC, an absurd length is
-/// rejected before allocation, and a truncated frame can never parse.
+/// Transport framing is the shared length-prefixed CRC32 frame codec
+/// (common/codec.h) under its own magic, so every control and gradient
+/// message inherits the same integrity guarantees the serving request
+/// path proved under fuzzing: a bit flip anywhere past the magic fails the
+/// CRC, an absurd length is rejected before allocation, and a truncated
+/// frame can never parse.
 ///
-/// The payload is binary, little-endian:
+/// The payload is binary, little-endian, written with the same codec:
 ///
 ///   [u8 type] [u32 gen] [type-specific fields]
 ///
@@ -139,32 +140,14 @@ Result<DistMsg> ParseDistMsg(std::string_view payload);
 /// heartbeat thread and the main loop must serialize calls themselves.
 Status SendDistMsg(Conn* conn, const DistMsg& msg, int timeout_ms);
 
-/// Outcome of one DistMsgReader::Next call that did not hard-fail.
-enum class DistReadEvent {
-  kMsg,      ///< *out holds a parsed message
-  kEof,      ///< peer closed between frames
-  kTimeout,  ///< deadline expired with no complete frame
-  kStopped,  ///< *stop became true
-};
-
-/// Incremental, deadline-bounded message reader over a Conn. Buffers
-/// partial frames across reads (split reads reassemble), decodes + parses
-/// complete ones. A malformed frame or payload is a hard error: the
-/// stream cannot be resynchronized, the connection must be dropped.
-class DistMsgReader {
- public:
-  /// Blocks until a message arrives, the peer closes, `deadline_ms`
-  /// expires (negative = no deadline), or `*stop` becomes true (checked
-  /// every `tick_ms`; stop may be null).
-  Result<DistReadEvent> Next(Conn* conn, DistMsg* out, int deadline_ms,
-                             const std::atomic<bool>* stop,
-                             int tick_ms = 50);
-
-  size_t buffered() const { return buf_.size(); }
-
- private:
-  std::string buf_;
-};
+/// Reads the next message through `reader` (constructed with
+/// kMaxDistPayload): on kFrame, `*out` holds the parsed message. Waits as
+/// FrameReader::Next does, ticking every 50 ms; a frame whose payload
+/// does not parse is an error, like a malformed frame — the stream
+/// cannot be resynchronized and the connection must be dropped.
+Result<FrameReader::Event> ReadDistMsg(FrameReader* reader, Conn* conn,
+                                       DistMsg* out, int deadline_ms,
+                                       const std::atomic<bool>* stop);
 
 }  // namespace tcss
 

@@ -274,26 +274,26 @@ Status DistWorker::SendFinal(Conn* conn) {
 
 Result<DistWorker::SessionOutcome> DistWorker::SessionLoop(Conn* conn) {
   if (!SendHello(conn).ok()) return SessionOutcome::kLost;
-  DistMsgReader reader;
+  FrameReader reader(kMaxDistPayload);
   for (;;) {
     DistMsg msg;
-    auto event = reader.Next(conn, &msg, opts_.coordinator_timeout_ms,
-                             opts_.abrupt_stop);
+    auto event = ReadDistMsg(&reader, conn, &msg,
+                             opts_.coordinator_timeout_ms, opts_.abrupt_stop);
     if (!event.ok()) {
       TCSS_LOG(Warning) << "worker " << opts_.rank
                         << ": connection error: " << event.status().message();
       return SessionOutcome::kLost;
     }
     switch (event.value()) {
-      case DistReadEvent::kStopped:
+      case FrameReader::Event::kStopped:
         return SessionOutcome::kDead;
-      case DistReadEvent::kEof:
+      case FrameReader::Event::kEof:
         return SessionOutcome::kLost;
-      case DistReadEvent::kTimeout:
+      case FrameReader::Event::kTimeout:
         TCSS_LOG(Warning) << "worker " << opts_.rank
                           << ": coordinator silent past timeout";
         return SessionOutcome::kLost;
-      case DistReadEvent::kMsg:
+      case FrameReader::Event::kFrame:
         break;
     }
 

@@ -30,7 +30,7 @@ struct DistWorkerOptions {
   /// FaultInjectionEnv here to break the wire on a deterministic schedule.
   Env* env = nullptr;
 
-  /// Directory for this rank's TCKPv1 checkpoint shards
+  /// Directory for this rank's TCKPv2 checkpoint shards
   /// (ckpt-<epoch>-s<rank>of<W>.tckp); "" disables durable shards, which
   /// degrades recovery to a cold restart from epoch 0.
   std::string checkpoint_dir;

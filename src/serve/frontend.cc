@@ -1,138 +1,11 @@
 #include "serve/frontend.h"
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 
-#include "common/crc32.h"
 #include "common/strings.h"
 
 namespace tcss {
-namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  char b[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
-               static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
-  out->append(b, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t GetU32(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
-
-uint64_t GetU64(const char* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         static_cast<uint64_t>(GetU32(p + 4)) << 32;
-}
-
-/// CRC over id || payload, the integrity span of a frame.
-uint32_t FrameCrc(uint64_t id, std::string_view payload) {
-  char idb[8];
-  for (int i = 0; i < 8; ++i) {
-    idb[i] = static_cast<char>(id >> (8 * i));
-  }
-  uint32_t crc = Crc32(idb, sizeof(idb));
-  return Crc32(payload.data(), payload.size(), crc);
-}
-
-}  // namespace
-
-std::string EncodeFrame(uint32_t magic, const Frame& frame) {
-  std::string out;
-  out.reserve(kFrameHeaderSize + frame.payload.size() + kFrameTrailerSize);
-  PutU32(&out, magic);
-  PutU64(&out, frame.id);
-  PutU32(&out, static_cast<uint32_t>(frame.payload.size()));
-  out += frame.payload;
-  PutU32(&out, FrameCrc(frame.id, frame.payload));
-  return out;
-}
-
-Result<bool> DecodeFrame(uint32_t magic, std::string_view buf, Frame* out,
-                         size_t* consumed, size_t max_payload) {
-  *consumed = 0;
-  if (buf.size() < 4) {
-    // Even a partial magic must match, so garbage is rejected at the
-    // first byte instead of after a timeout.
-    for (size_t i = 0; i < buf.size(); ++i) {
-      if (static_cast<unsigned char>(buf[i]) !=
-          static_cast<unsigned char>(magic >> (8 * i))) {
-        return Status::InvalidArgument("bad frame magic");
-      }
-    }
-    return false;
-  }
-  if (GetU32(buf.data()) != magic) {
-    return Status::InvalidArgument("bad frame magic");
-  }
-  if (buf.size() < kFrameHeaderSize) return false;
-  const uint64_t id = GetU64(buf.data() + 4);
-  const uint32_t len = GetU32(buf.data() + 12);
-  // The 16-byte header validated; surface its id even when the rest of
-  // the frame is bad (absurd length, CRC mismatch), so the error response
-  // can echo the request that triggered it and a pipelined client can
-  // correlate the failure.
-  out->id = id;
-  if (len > max_payload) {
-    return Status::InvalidArgument(
-        StrFormat("frame payload length %u exceeds cap %zu",
-                  static_cast<unsigned>(len), max_payload));
-  }
-  const size_t total = kFrameHeaderSize + len + kFrameTrailerSize;
-  if (buf.size() < total) return false;
-  const std::string_view payload = buf.substr(kFrameHeaderSize, len);
-  const uint32_t want = GetU32(buf.data() + kFrameHeaderSize + len);
-  if (want != FrameCrc(id, payload)) {
-    return Status::InvalidArgument("frame CRC mismatch");
-  }
-  out->payload.assign(payload);
-  *consumed = total;
-  return true;
-}
-
-Result<FrameReader::Event> FrameReader::Next(Conn* conn, uint32_t magic,
-                                             Frame* out,
-                                             const std::atomic<bool>* stop,
-                                             int tick_ms) {
-  for (;;) {
-    if (!buf_.empty()) {
-      size_t consumed = 0;
-      auto got = DecodeFrame(magic, buf_, out, &consumed);
-      if (!got.ok()) return got.status();
-      if (got.value()) {
-        buf_.erase(0, consumed);
-        return Event::kFrame;
-      }
-    }
-    if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
-      return Event::kStopped;
-    }
-    char chunk[4096];
-    size_t n = 0;
-    auto ev = conn->Read(chunk, sizeof(chunk), &n, tick_ms);
-    if (!ev.ok()) return ev.status();
-    switch (ev.value()) {
-      case IoEvent::kData:
-        buf_.append(chunk, n);
-        break;
-      case IoEvent::kEof:
-        if (!buf_.empty()) {
-          return Status::InvalidArgument("connection closed mid-frame");
-        }
-        return Event::kEof;
-      case IoEvent::kTimeout:
-        break;  // idle tick: loop re-checks the stop flag
-    }
-  }
-}
 
 const char* ShedReasonName(ShedReason r) {
   switch (r) {

@@ -1,13 +1,12 @@
 #ifndef TCSS_SERVE_FRONTEND_H_
 #define TCSS_SERVE_FRONTEND_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/env.h"
+#include "common/codec.h"
 #include "common/status.h"
 #include "core/recommend.h"
 #include "serve/request.h"
@@ -16,38 +15,21 @@ namespace tcss {
 
 /// Wire protocol of the serving front-end (`tcss serve --listen`).
 ///
-/// Every message is one length-prefixed, CRC-checked frame:
-///
-///   magic      4 bytes   "TQRQ" (request) / "TQRS" (response)
-///   id         8 bytes   little-endian u64, chosen by the client and
-///                        echoed verbatim in the response; lets pipelined
-///                        clients correlate out-of-order completions
-///   len        4 bytes   little-endian u32 payload length
-///   payload    len bytes
-///   crc        4 bytes   little-endian CRC-32 over id||payload
+/// Every message is one frame of the shared codec (common/codec.h, which
+/// this header re-exports: Frame, EncodeFrame, DecodeFrame, FrameReader,
+/// kMaxFramePayload) under the magic "TQRQ" (request) or "TQRS"
+/// (response). The client chooses each request's frame id and the
+/// server echoes it verbatim in the response, so pipelined clients can
+/// correlate out-of-order completions.
 ///
 /// The payload is text: requests use the ParseRequestLine grammar
 /// ("topk <user> <time_bin> [k=N] [new] [deadline_ms=X] [cand=...]
 /// [within_km=KM,LAT,LON]"), responses the WireResponse grammar
-/// below. The CRC covers the id too, so a bit flip anywhere past the
-/// magic is detected; a flipped magic or an absurd length is rejected
-/// before any allocation. A byte stream that produced a malformed frame
-/// cannot be resynchronized, so the server answers once with an error
-/// frame and closes the connection.
+/// below. A byte stream that produced a malformed frame cannot be
+/// resynchronized, so the server answers once with an error frame and
+/// closes the connection.
 inline constexpr uint32_t kRequestMagic = 0x51525154u;   // "TQRQ" LE
 inline constexpr uint32_t kResponseMagic = 0x53525154u;  // "TQRS" LE
-inline constexpr size_t kFrameHeaderSize = 16;           // magic+id+len
-inline constexpr size_t kFrameTrailerSize = 4;           // crc
-inline constexpr size_t kMaxFramePayload = 1u << 20;
-
-/// One decoded frame (either direction).
-struct Frame {
-  uint64_t id = 0;
-  std::string payload;
-};
-
-/// Serializes a frame under the given magic.
-std::string EncodeFrame(uint32_t magic, const Frame& frame);
 
 inline std::string EncodeRequestFrame(const Frame& f) {
   return EncodeFrame(kRequestMagic, f);
@@ -55,40 +37,6 @@ inline std::string EncodeRequestFrame(const Frame& f) {
 inline std::string EncodeResponseFrame(const Frame& f) {
   return EncodeFrame(kResponseMagic, f);
 }
-
-/// Attempts to decode one frame from the front of `buf`.
-///   ok(true)   — a full frame was decoded; `*consumed` bytes were used
-///                (any remainder is the start of the next frame).
-///   ok(false)  — `buf` is a consistent prefix; read more bytes.
-///   error      — malformed: wrong magic, length beyond `max_payload`,
-///                or CRC mismatch. The stream cannot be resynchronized.
-///                When the 16-byte header itself validated (only the
-///                length/payload/CRC were bad), `out->id` carries the
-///                header's id so an error response can echo it.
-Result<bool> DecodeFrame(uint32_t magic, std::string_view buf, Frame* out,
-                         size_t* consumed,
-                         size_t max_payload = kMaxFramePayload);
-
-/// Incremental frame reader over a Conn. Buffers partial frames across
-/// reads, so pipelined clients (many frames per segment) and slow clients
-/// (one frame over many segments) both decode correctly.
-class FrameReader {
- public:
-  enum class Event { kFrame, kEof, kStopped };
-
-  /// Blocks until one full frame arrives (ok(kFrame)), the peer closes
-  /// cleanly between frames (kEof), or `*stop` becomes true (kStopped,
-  /// checked every `tick_ms`). Errors: malformed frame, EOF inside a
-  /// frame (truncated), or a transport failure.
-  Result<Event> Next(Conn* conn, uint32_t magic, Frame* out,
-                     const std::atomic<bool>* stop, int tick_ms);
-
-  /// Bytes buffered beyond the last returned frame.
-  size_t buffered() const { return buf_.size(); }
-
- private:
-  std::string buf_;
-};
 
 /// Why the server refused to answer a request with a result.
 enum class ShedReason {

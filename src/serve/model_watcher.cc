@@ -1,8 +1,9 @@
 #include "serve/model_watcher.h"
 
+#include <functional>
+#include <string_view>
 #include <utility>
 
-#include "common/crc32.h"
 #include "core/model_io.h"
 
 namespace tcss {
@@ -34,11 +35,11 @@ uint64_t ModelWatcher::reload_rejects() const {
   return reload_reject_counter_->Value();
 }
 
-ModelWatcher::PollResult ModelWatcher::Reject(uint32_t crc, size_t size,
+ModelWatcher::PollResult ModelWatcher::Reject(size_t hash, size_t size,
                                               Status why) {
   reload_reject_counter_->Add(1);
   has_rejected_ = true;
-  rejected_crc_ = crc;
+  rejected_hash_ = hash;
   rejected_size_ = size;
   stale_ = true;
   last_error_ = std::move(why);
@@ -70,26 +71,26 @@ ModelWatcher::PollResult ModelWatcher::Poll() {
     return PollResult::kRejected;
   }
   const std::string& bytes = read.value();
-  const uint32_t crc = Crc32(bytes);
+  const size_t hash = std::hash<std::string_view>{}(bytes);
 
-  if (has_live_ && crc == live_crc_ && bytes.size() == live_size_) {
+  if (has_live_ && hash == live_hash_ && bytes.size() == live_size_) {
     stale_ = false;
     reload_unchanged_counter_->Add(1);
     return PollResult::kUnchanged;
   }
-  if (has_rejected_ && crc == rejected_crc_ &&
+  if (has_rejected_ && hash == rejected_hash_ &&
       bytes.size() == rejected_size_) {
     return PollResult::kRejected;  // same bad bytes; already counted
   }
 
   auto model = ParseFactorModelBytes(bytes);
   if (!model.ok()) {
-    return Reject(crc, bytes.size(), model.status());
+    return Reject(hash, bytes.size(), model.status());
   }
   Status shape =
       ValidateModelShape(model.value(), num_users_, num_pois_, num_bins_);
   if (!shape.ok()) {
-    return Reject(crc, bytes.size(), std::move(shape));
+    return Reject(hash, bytes.size(), std::move(shape));
   }
 
   auto fresh = std::make_shared<const FactorModel>(model.MoveValue());
@@ -98,7 +99,7 @@ ModelWatcher::PollResult ModelWatcher::Poll() {
     current_ = std::move(fresh);
   }
   has_live_ = true;
-  live_crc_ = crc;
+  live_hash_ = hash;
   live_size_ = bytes.size();
   has_rejected_ = false;
   stale_ = false;

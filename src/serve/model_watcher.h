@@ -16,12 +16,13 @@ namespace tcss {
 ///
 /// Every Poll() reads the file through the Env abstraction (so
 /// FaultInjectionEnv can fail or tear the read), fully validates the bytes
-/// *off the serving path* — CRC footer, structural bounds, finite entries,
-/// shape against the serving dataset — and only then publishes the new
-/// model by swapping a shared_ptr under a mutex. In-flight queries hold
-/// their own shared_ptr copy, so a swap never invalidates a query that is
-/// mid-scoring, and a corrupt or half-written file is rejected, counted
-/// (serve.reload.rejects), and the previous model stays live.
+/// *off the serving path* — CRC trailer, magic, structural bounds, exact
+/// size, finite entries, shape against the serving dataset — and only
+/// then publishes the new model by swapping a shared_ptr under a mutex.
+/// In-flight queries hold their own shared_ptr copy, so a swap never
+/// invalidates a query that is mid-scoring, and a corrupt or half-written
+/// file is rejected, counted (serve.reload.rejects), and the previous
+/// model stays live.
 ///
 /// State machine (drives ServeHealth):
 ///
@@ -46,7 +47,7 @@ class ModelWatcher {
 
   ModelWatcher(std::string path, const Options& opts);
 
-  /// One reload check. Cheap when the bytes are unchanged (CRC + size
+  /// One reload check. Cheap when the bytes are unchanged (hash + size
   /// compare against the live or last-rejected content); a repeated poll
   /// over the same bad file neither re-validates nor re-counts it.
   enum class PollResult { kUnchanged, kReloaded, kRejected, kMissing };
@@ -77,7 +78,7 @@ class ModelWatcher {
   const std::string& path() const { return path_; }
 
  private:
-  PollResult Reject(uint32_t crc, size_t size, Status why);
+  PollResult Reject(size_t hash, size_t size, Status why);
 
   const std::string path_;
   Env* env_;
@@ -90,12 +91,14 @@ class ModelWatcher {
   uint64_t generation_ = 0;
   Status last_error_;
 
-  // Content fingerprints to make polls idempotent.
+  // Content fingerprints (hash + size) to make polls idempotent. Not a
+  // CRC-32 of the file: a valid TCSSv3 file ends in the CRC of the bytes
+  // before it, and the CRC-32 of every such file is the same constant.
   bool has_live_ = false;
-  uint32_t live_crc_ = 0;
+  size_t live_hash_ = 0;
   size_t live_size_ = 0;
   bool has_rejected_ = false;
-  uint32_t rejected_crc_ = 0;
+  size_t rejected_hash_ = 0;
   size_t rejected_size_ = 0;
 
   // Reload counts (a repeated poll over the same bad bytes counts once —

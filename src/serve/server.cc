@@ -72,13 +72,15 @@ Server::~Server() {
 Status Server::Start() {
   if (started_) return Status::InvalidArgument("server already started");
   // A zero batch would dispatch empty batches forever (nothing answered,
-  // Stop() never returns); a non-positive tick or a negative write
-  // timeout turns the bounded waits into spins or unbounded blocks.
-  if (opts_.max_batch == 0 || opts_.idle_tick_ms <= 0 ||
+  // Stop() never returns); a zero queue sheds every request and a zero
+  // connection limit every connection; a non-positive tick or a negative
+  // write timeout turns the bounded waits into spins or unbounded blocks.
+  if (opts_.max_batch == 0 || opts_.queue_capacity == 0 ||
+      opts_.max_connections == 0 || opts_.idle_tick_ms <= 0 ||
       opts_.write_timeout_ms < 0) {
     return Status::InvalidArgument(
-        "server options need max_batch >= 1, idle_tick_ms >= 1 and "
-        "write_timeout_ms >= 0");
+        "server options need max_batch >= 1, queue_capacity >= 1, "
+        "max_connections >= 1, idle_tick_ms >= 1 and write_timeout_ms >= 0");
   }
   if (opts_.num_workers > 0) SetGlobalThreads(opts_.num_workers);
 

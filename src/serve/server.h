@@ -29,13 +29,13 @@ struct ServerOptions {
   /// ThreadPool); 0 keeps the pool as-is.
   int num_workers = 0;
   /// Bounded request queue between connection readers and the dispatcher.
-  /// A full queue sheds (backpressure) — it never grows.
+  /// A full queue sheds (backpressure) — it never grows. At least 1.
   size_t queue_capacity = 256;
   /// Requests per BatchTopK pass (scored shard-parallel, one request per
   /// shard); at least 1.
   size_t max_batch = 32;
   /// Concurrent connections; over the limit, accepts are answered with a
-  /// shed frame and closed.
+  /// shed frame and closed. At least 1.
   size_t max_connections = 64;
   /// Granularity at which blocked reads/accepts re-check the stop flag;
   /// at least 1.

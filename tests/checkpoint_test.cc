@@ -1,16 +1,17 @@
-// Tests of the training resilience layer: TCKPv1 checkpoint format,
+// Tests of the training resilience layer: TCKPv2 checkpoint format,
 // CheckpointManager retention + crash-safe saves, kill-and-resume
 // bit-identity, fault-injection atomicity, divergence guards with LR
 // backoff, and plateau early stopping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
-#include "common/crc32.h"
 #include "common/env.h"
 #include "common/fault_env.h"
 #include "common/rng.h"
@@ -118,41 +119,60 @@ TEST(CheckpointFormatTest, SerializeParseRoundTripIsExact) {
   EXPECT_TRUE(SameCheckpoint(ckpt, parsed.value()));
 }
 
-TEST(CheckpointFormatTest, FileWithoutSamplerFieldStillParses) {
-  // Checkpoints written before the negative-sampling state was persisted
-  // lack the "sampler" line; they must parse with sampler_state == 0.
-  TrainerCheckpoint ckpt = MakeCheckpoint(9, 4);
-  std::string text = SerializeCheckpoint(ckpt);
-  std::string_view payload;
-  ASSERT_TRUE(ValidateCrcFooter(text, &payload).ok());
-  std::string old_format(payload);
-  const size_t pos = old_format.find("sampler ");
-  ASSERT_NE(pos, std::string::npos);
-  const size_t eol = old_format.find('\n', pos);
-  ASSERT_NE(eol, std::string::npos);
-  old_format.erase(pos, eol - pos + 1);
-  AppendCrcFooter(&old_format);
-
-  auto parsed = ParseCheckpoint(old_format);
+TEST(CheckpointFormatTest, RoundTripIsBitwiseForSpecialValues) {
+  TrainerCheckpoint ckpt = MakeCheckpoint(6, 8);
+  const double specials[] = {-0.0, std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             DBL_MAX, -DBL_MAX, 0.0};
+  size_t s = 0;
+  for (Matrix* f : {&ckpt.model.u1, &ckpt.adam_m.u2, &ckpt.adam_v.u3}) {
+    for (size_t i = 0; i < f->size(); ++i) {
+      f->data()[i] = specials[s++ % std::size(specials)];
+    }
+  }
+  ckpt.model.h[0] = -0.0;
+  ckpt.lr_scale = std::numeric_limits<double>::denorm_min();
+  const std::string bytes = SerializeCheckpoint(ckpt);
+  auto parsed = ParseCheckpoint(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().sampler_state, 0u);
-  ckpt.sampler_state = 0;
   EXPECT_TRUE(SameCheckpoint(ckpt, parsed.value()));
+  // Equal doubles are not enough (-0.0 == 0.0): the bytes must be too.
+  EXPECT_EQ(SerializeCheckpoint(parsed.value()), bytes);
+  EXPECT_TRUE(std::signbit(parsed.value().model.h[0]));
 }
 
 TEST(CheckpointFormatTest, EveryTruncationIsRejected) {
-  const std::string text = SerializeCheckpoint(MakeCheckpoint(3, 7));
-  for (size_t n = 0; n + 1 < text.size(); n += 3) {
-    auto parsed = ParseCheckpoint(text.substr(0, n));
+  const std::string bytes = SerializeCheckpoint(MakeCheckpoint(3, 7));
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    auto parsed = ParseCheckpoint(bytes.substr(0, n));
     EXPECT_FALSE(parsed.ok()) << "prefix of " << n << " bytes parsed";
   }
 }
 
-TEST(CheckpointFormatTest, BitCorruptionIsRejected) {
-  std::string text = SerializeCheckpoint(MakeCheckpoint(3, 7));
-  text[text.size() / 3] ^= 0x10;
+TEST(CheckpointFormatTest, EveryFlippedByteIsRejected) {
+  const std::string bytes = SerializeCheckpoint(MakeCheckpoint(3, 7));
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    std::string bad = bytes;
+    bad[pos] = static_cast<char>(bad[pos] ^ 0x10);
+    EXPECT_FALSE(ParseCheckpoint(bad).ok()) << "flip at " << pos << " parsed";
+  }
+}
+
+TEST(CheckpointFormatTest, TextCheckpointFromBeforeTCKPv2IsRejected) {
+  // Byte for byte what SerializeCheckpoint wrote before the binary
+  // format: a TCKPv1 hex-float file with its text CRC footer.
+  std::string text =
+      "TCKPv1\nepoch 4\nadam_t 4\nrotation 0\nlr_scale 0x1p+0\nsampler 0\n"
+      "TCSSv1\n2 3 2 1\n0x1p+1\n0x1p-1\n-0x1p+0\n0x1p+0\n0x1p+1\n0x1p-2\n"
+      "0x1.8p+0\n-0x1.8p-1\nadam_m\n";
+  for (int i = 0; i < 8; ++i) text += "0x0p+0\n";
+  text += "adam_v\n";
+  for (int i = 0; i < 8; ++i) text += "0x0p+0\n";
+  text += "CRC32 80bf89e4\n";
   auto parsed = ParseCheckpoint(text);
   ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("bad magic"), std::string::npos)
+      << parsed.status().ToString();
 }
 
 TEST(CheckpointManagerTest, SaveLoadLatestAndRetention) {
@@ -243,6 +263,31 @@ TEST(CheckpointManagerTest, SaveIsAtomicUnderEveryFailurePoint) {
       EXPECT_TRUE(is_new) << "crash at op " << k;
     }
   }
+}
+
+TEST(CheckpointManagerTest, EveryZeroWritesOnlyTheFinalSnapshot) {
+  // 0 means "no periodic snapshots" here as on the distributed
+  // coordinator; the manager used to clamp it to 1, a file every epoch.
+  World w = MakeWorld();
+  TcssConfig cfg;
+  cfg.epochs = 5;
+  cfg.hausdorff = HausdorffMode::kNone;
+  cfg.lambda = 0.0;
+  CheckpointOptions copts;
+  copts.dir = ScratchDir("every_zero");
+  copts.every = 0;
+  copts.retain = 10;
+  CheckpointManager mgr(copts);
+  ASSERT_TRUE(mgr.Init().ok());
+  TcssTrainer trainer(w.data, w.train, cfg);
+  TrainOptions topts;
+  topts.checkpoints = &mgr;
+  ASSERT_TRUE(trainer.Train(topts, nullptr).ok());
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(copts.dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"ckpt-000005.tckp"}));
 }
 
 // Shard-aware naming (CheckpointOptions::shard/num_shards): every worker

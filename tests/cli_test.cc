@@ -112,4 +112,12 @@ TEST_F(CliTest, ServeWithZeroMaxBatchExitsInsteadOfHanging) {
   EXPECT_NE(code, -SIGKILL) << "serve --max-batch 0 hung";
 }
 
+TEST_F(CliTest, ServeWithZeroQueueOrConnectionLimitExits) {
+  // Either limit at 0 shed every request (or connection) while the
+  // server ran on; Server::Start refuses both.
+  for (const char* flag : {"--queue", "--max-conns"}) {
+    EXPECT_EQ(RunCli(ServeArgs(flag, "0"), 20.0), 1) << flag;
+  }
+}
+
 }  // namespace

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/codec.h"
 #include "common/crc32.h"
 #include "common/env.h"
 #include "common/fault_env.h"
@@ -14,7 +20,6 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
-#include "common/text_io.h"
 
 namespace tcss {
 namespace {
@@ -256,98 +261,103 @@ TEST(Crc32Test, IsIncremental) {
   EXPECT_EQ(inc, whole);
 }
 
-TEST(Crc32Test, FooterRoundTrips) {
-  std::string buf = "payload line 1\npayload line 2\n";
-  const std::string original = buf;
-  AppendCrcFooter(&buf);
-  std::string_view payload;
-  ASSERT_TRUE(ValidateCrcFooter(buf, &payload).ok());
-  EXPECT_EQ(payload, original);
+TEST(CodecTest, WritersAreLittleEndianAndCursorReadsThemBack) {
+  std::string b;
+  PutU8(0xab, &b);
+  PutU32(0x01020304u, &b);
+  PutU64(0x0102030405060708ull, &b);
+  PutI32(-2, &b);
+  EXPECT_EQ(b, std::string("\xab\x04\x03\x02\x01"
+                           "\x08\x07\x06\x05\x04\x03\x02\x01"
+                           "\xfe\xff\xff\xff",
+                           17));
+  ByteCursor cur(b);
+  uint8_t u8 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  int32_t i32 = 0;
+  ASSERT_TRUE(cur.TakeU8(&u8) && cur.TakeU32(&u32) && cur.TakeU64(&u64) &&
+              cur.TakeI32(&i32));
+  EXPECT_EQ(u8, 0xab);
+  EXPECT_EQ(u32, 0x01020304u);
+  EXPECT_EQ(u64, 0x0102030405060708ull);
+  EXPECT_EQ(i32, -2);
+  EXPECT_TRUE(cur.AtEnd());
+  EXPECT_FALSE(cur.TakeU8(&u8));  // never reads past the end
 }
 
-TEST(Crc32Test, FooterCatchesCorruptionAndTruncation) {
-  std::string buf = "some payload\n";
-  AppendCrcFooter(&buf);
-  std::string_view payload;
-  // Flip a payload bit.
-  std::string bad = buf;
-  bad[2] ^= 0x01;
-  EXPECT_FALSE(ValidateCrcFooter(bad, &payload).ok());
-  // Flip a footer digit.
-  bad = buf;
-  bad[bad.size() - 2] = bad[bad.size() - 2] == '0' ? '1' : '0';
-  EXPECT_FALSE(ValidateCrcFooter(bad, &payload).ok());
-  // Every strict prefix fails — except dropping only the final newline,
-  // which leaves the checksum and payload complete (harmless).
-  for (size_t n = 0; n + 1 < buf.size(); ++n) {
-    EXPECT_FALSE(ValidateCrcFooter(buf.substr(0, n), &payload).ok())
+TEST(CodecTest, DoublesRoundTripBitwise) {
+  const std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.5, std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), DBL_MAX, -DBL_MAX,
+      std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  std::string b;
+  PutF64Array(values, &b);
+  PutF64s(values.data(), values.size(), &b);
+  ByteCursor cur(b);
+  std::vector<double> counted;
+  std::vector<double> raw(values.size());
+  ASSERT_TRUE(cur.TakeF64Array(&counted));
+  ASSERT_TRUE(cur.TakeF64s(raw.data(), raw.size()));
+  EXPECT_TRUE(cur.AtEnd());
+  ASSERT_EQ(counted.size(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&counted[i], &values[i], 8), 0) << i;
+    EXPECT_EQ(std::memcmp(&raw[i], &values[i], 8), 0) << i;
+  }
+}
+
+TEST(CodecTest, CountsBeyondTheBufferAreRejectedBeforeAllocation) {
+  std::string b;
+  PutU32(0xffffffffu, &b);  // claims 4G doubles / ints / bytes
+  b.append(16, '\0');
+  std::vector<double> d;
+  std::vector<int32_t> i;
+  std::string s;
+  EXPECT_FALSE(ByteCursor(b).TakeF64Array(&d));
+  EXPECT_FALSE(ByteCursor(b).TakeI32Array(&i));
+  EXPECT_FALSE(ByteCursor(b).TakeString(&s));
+  EXPECT_TRUE(d.empty());
+  EXPECT_TRUE(i.empty());
+  double out[3];
+  EXPECT_FALSE(ByteCursor(b).TakeF64s(out, 3));
+}
+
+TEST(CodecTest, SignedBytesRoundTrip) {
+  std::string file = "MAGC";
+  PutU64(42, &file);
+  PutCrc32Trailer(&file);
+  ByteCursor body;
+  ASSERT_TRUE(OpenSignedBytes(file, "MAGC", &body).ok());
+  uint64_t v = 0;
+  ASSERT_TRUE(body.TakeU64(&v));
+  EXPECT_EQ(v, 42u);
+  EXPECT_TRUE(body.AtEnd());
+}
+
+TEST(CodecTest, SignedBytesCatchEveryFlipAndTruncation) {
+  std::string file = "MAGC";
+  PutString("some payload", &file);
+  PutCrc32Trailer(&file);
+  ByteCursor body;
+  for (size_t pos = 0; pos < file.size(); ++pos) {
+    std::string bad = file;
+    bad[pos] = static_cast<char>(bad[pos] ^ 0x01);
+    EXPECT_FALSE(OpenSignedBytes(bad, "MAGC", &body).ok()) << pos;
+  }
+  for (size_t n = 0; n < file.size(); ++n) {
+    EXPECT_FALSE(OpenSignedBytes(file.substr(0, n), "MAGC", &body).ok())
         << "prefix of " << n << " bytes validated";
   }
-  // No footer at all.
-  EXPECT_FALSE(ValidateCrcFooter("no footer here\n", &payload).ok());
-}
-
-TEST(TextScannerTest, TokenizesAndParses) {
-  TextScanner s("hdr 12 -7 0x1.8p+1 deadbeef  \n");
-  EXPECT_TRUE(s.Expect("hdr"));
-  size_t n = 0;
-  EXPECT_TRUE(s.NextSize(&n));
-  EXPECT_EQ(n, 12u);
-  int64_t i = 0;
-  EXPECT_TRUE(s.NextInt64(&i));
-  EXPECT_EQ(i, -7);
-  double d = 0;
-  EXPECT_TRUE(s.NextDouble(&d));
-  EXPECT_DOUBLE_EQ(d, 3.0);
-  uint32_t h = 0;
-  EXPECT_TRUE(s.NextHex32(&h));
-  EXPECT_EQ(h, 0xDEADBEEFu);
-  EXPECT_TRUE(s.AtEnd());
-}
-
-TEST(TextScannerTest, RejectsMalformedTokens) {
-  {
-    TextScanner s("xyz");
-    size_t n;
-    EXPECT_FALSE(s.NextSize(&n));
-  }
-  {
-    TextScanner s("-3");
-    size_t n;
-    EXPECT_FALSE(s.NextSize(&n));
-  }
-  {
-    TextScanner s("1.5oops");
-    double d;
-    EXPECT_FALSE(s.NextDouble(&d));
-  }
-  {
-    TextScanner s("DEADBEEF");  // uppercase: not what the writer emits
-    uint32_t h;
-    EXPECT_FALSE(s.NextHex32(&h));
-  }
-  {
-    TextScanner s("abc");  // too short for hex32
-    uint32_t h;
-    EXPECT_FALSE(s.NextHex32(&h));
-  }
-  {
-    TextScanner s("");
-    EXPECT_TRUE(s.AtEnd());
-    EXPECT_FALSE(s.Expect("x"));
-  }
-}
-
-TEST(TextScannerTest, ParsesNonFiniteDoubles) {
-  // The scanner accepts them; format loaders reject them afterwards.
-  TextScanner s("nan inf -inf");
-  double d = 0;
-  EXPECT_TRUE(s.NextDouble(&d));
-  EXPECT_TRUE(std::isnan(d));
-  EXPECT_TRUE(s.NextDouble(&d));
-  EXPECT_TRUE(std::isinf(d));
-  EXPECT_TRUE(s.NextDouble(&d));
-  EXPECT_TRUE(std::isinf(d));
+  // A file of another format fails on its magic, CRC or not.
+  const Status other = OpenSignedBytes("TEXT format\nCRC32 00000000\n",
+                                       "MAGC", &body);
+  EXPECT_NE(other.message().find("magic"), std::string::npos)
+      << other.ToString();
+  const Status resigned = OpenSignedBytes(file, "MAGD", &body);
+  EXPECT_NE(resigned.message().find("magic"), std::string::npos)
+      << resigned.ToString();
 }
 
 TEST(EnvTest, WriteListReadDelete) {

@@ -529,6 +529,64 @@ TEST(DistWireTest, EveryMessageTypeRoundTripsExactly) {
   }
 }
 
+// Hex of a byte string, for comparing against golden encodings.
+std::string Hex(std::string_view bytes) {
+  std::string out;
+  for (unsigned char c : bytes) out += StrFormat("%02x", c);
+  return out;
+}
+
+// EncodeDistMsg bytes of RepresentativeMessages(), one per type, taken
+// from the build before the byte codec moved to common/codec.h: sharing
+// the codec must not move a byte of the wire.
+TEST(DistWireTest, EncodingMatchesGoldenBytes) {
+  const char* const golden[] = {
+      // hello
+      "010300000001000000040000000df0fecaefbeadde03000000050000000a0000"
+      "000f000000",
+      // start
+      "02070000000f000000",
+      // grad
+      "0307000000100000000000000000d05e40000000000000e03f000000000000d0"
+      "3f03000000000000000000f03f00000000000000c00000000000000c40020000"
+      "00000000000000000000000000000000800100000059f3f8c21f6ea501020000"
+      "0000000000000010400000000000001440",
+      // reduced
+      "0407000000100000000003000000000000b03f000000000000d03f0100000000"
+      "00000000000040010000000000000000000840010000000000000000001040",
+      // heartbeat
+      "0509000000",
+      // ckpt-ack
+      "060900000014000000",
+      // final
+      "07090000002800000004000000000000000000f83f0000000000000440000000"
+      "0000000c40000000000000124001000000000000000000f03f01000000000000"
+      "0000000040010000000000000000000840",
+      // shutdown
+      "0809000000",
+      // report
+      "090a000000",
+      // abort
+      "0a0a0000001400000066696e6765727072696e74206d69736d61746368",
+  };
+  const std::vector<DistMsg> msgs = RepresentativeMessages();
+  ASSERT_EQ(msgs.size(), std::size(golden));
+  for (size_t i = 0; i < msgs.size(); ++i) {
+    EXPECT_EQ(Hex(EncodeDistMsg(msgs[i])), golden[i])
+        << DistMsgTypeName(msgs[i].type);
+  }
+  // And one framed message, CRC trailer included.
+  Frame frame;
+  frame.id = msgs[2].gen;
+  frame.payload = EncodeDistMsg(msgs[2]);
+  EXPECT_EQ(Hex(EncodeFrame(kDistMagic, frame)),
+            "5451444d0700000000000000710000000307000000100000000000000000d05e"
+            "40000000000000e03f000000000000d03f03000000000000000000f03f000000"
+            "00000000c00000000000000c4002000000000000000000000000000000000000"
+            "800100000059f3f8c21f6ea50102000000000000000000104000000000000014"
+            "401c804c0e");
+}
+
 TEST(DistWireTest, StrictParseRejectsMalformedPayloads) {
   EXPECT_FALSE(ParseDistMsg("").ok());
   EXPECT_FALSE(ParseDistMsg(std::string(1, '\x63')).ok());  // unknown type
@@ -571,12 +629,13 @@ TEST(DistWireTest, ReaderReassemblesSplitReadsOverRealSocket) {
   });
   auto server_conn = listener.value()->Accept(2000);
   ASSERT_TRUE(server_conn.ok());
-  DistMsgReader reader;
+  FrameReader reader(kMaxDistPayload);
   for (const DistMsg& want : RepresentativeMessages()) {
     DistMsg got;
-    auto ev = reader.Next(server_conn.value().get(), &got, 5000, nullptr);
+    auto ev = ReadDistMsg(&reader, server_conn.value().get(), &got, 5000,
+                          nullptr);
     ASSERT_TRUE(ev.ok()) << ev.status().ToString();
-    ASSERT_EQ(ev.value(), DistReadEvent::kMsg);
+    ASSERT_EQ(ev.value(), FrameReader::Event::kFrame);
     ExpectSameMsg(want, got);
   }
   client.join();

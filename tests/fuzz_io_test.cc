@@ -1,6 +1,6 @@
 // Randomized corruption harness for every untrusted-input loader: the CSV
-// dataset loader (strict and lenient), the TCSSv2 model parser, the
-// TCKPv1 checkpoint parser, and the serving wire format (frame decoder +
+// dataset loader (strict and lenient), the TCSSv3 model parser, the
+// TCKPv2 checkpoint parser, and the serving wire format (frame decoder +
 // response-payload grammar). A deterministic Rng mutates, splices and
 // truncates known-good bytes; every loader must hand back a Status (ok or
 // not), never crash, never hang and never return half-validated data.
@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/codec.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "core/checkpoint.h"
@@ -63,7 +64,7 @@ FactorModel SmallModel() {
   return m;
 }
 
-// Serialized TCSSv2 bytes (with CRC footer) for SmallModel().
+// Saved TCSSv3 bytes (with CRC trailer) for SmallModel().
 std::string GoodModelBytes() {
   const std::string path = ::testing::TempDir() + "/fuzz_good_model.txt";
   EXPECT_TRUE(SaveFactorModel(SmallModel(), path).ok());
@@ -203,57 +204,94 @@ TEST_F(CsvFuzz, TruncatedCsvFilesNeverCrashLoaders) {
 
 // --- Model / checkpoint parser fuzz ------------------------------------
 
-TEST(ModelFuzz, MutatedModelBytesNeverCrashParser) {
+// Mutates the signed part of a model or checkpoint file, then re-signs
+// the mutant with a fresh CRC trailer: the integrity check passes, so the
+// header-bounds, exact-size and finite checks behind it face the damage.
+std::string MutateAndResign(const std::string& good, Rng* rng) {
+  std::string bad = Mutate(good.substr(0, good.size() - 4), rng);
+  PutCrc32Trailer(&bad);
+  return bad;
+}
+
+// The signed formats are canonical (fixed-width fields, an exact size,
+// no padding), so a mutant that parses must re-serialize to itself: it is
+// a well-formed file, not a half-validated one.
+TEST(ModelFuzz, ResignedMutantsAreRejectedOrCanonical) {
   const std::string good = GoodModelBytes();
   ASSERT_FALSE(good.empty());
   ASSERT_TRUE(ParseFactorModelBytes(good).ok());
   Rng rng(0xfacade);
-  for (int iter = 0; iter < 400; ++iter) {
-    const std::string bad = Mutate(good, &rng);
+  int rejected = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    const std::string bad = MutateAndResign(good, &rng);
     auto r = ParseFactorModelBytes(bad);
     if (r.ok()) {
-      // Astronomically unlikely (the CRC footer must still match), but if
-      // it parses it must be a structurally sound model.
-      EXPECT_GT(r.value().rank(), 0u);
+      EXPECT_EQ(SerializeFactorModel(r.value()), bad) << "iteration " << iter;
+    } else {
+      ++rejected;
     }
   }
-}
-
-// True when the bytes lost by cutting `good` at `n` are pure whitespace:
-// such a prefix is semantically the complete file and may legally parse.
-bool TailIsWhitespace(const std::string& good, size_t n) {
-  return good.find_last_not_of(" \t\r\n") < n;
+  EXPECT_GT(rejected, 1000);  // most mutants break the structure
 }
 
 TEST(ModelFuzz, EveryModelPrefixIsRejected) {
   const std::string good = GoodModelBytes();
   ASSERT_FALSE(good.empty());
   for (size_t n = 0; n < good.size(); ++n) {
-    if (TailIsWhitespace(good, n)) continue;
     auto r = ParseFactorModelBytes(good.substr(0, n));
     EXPECT_FALSE(r.ok()) << "prefix of length " << n << " parsed";
   }
 }
 
-TEST(CheckpointFuzz, MutatedCheckpointBytesNeverCrashParser) {
+// A hostile all-ones word re-signed over every header position (dims
+// included) is rejected by the bounds or the exact-size check before any
+// allocation; ASan/UBSan in tools/check.sh would catch a huge resize.
+TEST(ModelFuzz, ResignedHostileHeaderWordsAreRejected) {
+  const std::string good = GoodModelBytes();
+  const std::string body = good.substr(0, good.size() - 4);
+  for (size_t pos = 8; pos + 8 <= 40; ++pos) {
+    std::string bad = body;
+    bad.replace(pos, 8, 8, '\xff');
+    PutCrc32Trailer(&bad);
+    EXPECT_FALSE(ParseFactorModelBytes(bad).ok()) << "word at " << pos;
+  }
+}
+
+TEST(CheckpointFuzz, ResignedMutantsAreRejectedOrCanonical) {
   const std::string good = GoodCheckpointBytes();
   ASSERT_TRUE(ParseCheckpoint(good).ok());
   Rng rng(0xdecade);
-  for (int iter = 0; iter < 400; ++iter) {
-    const std::string bad = Mutate(good, &rng);
+  int rejected = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    const std::string bad = MutateAndResign(good, &rng);
     auto r = ParseCheckpoint(bad);
     if (r.ok()) {
-      EXPECT_GT(r.value().model.rank(), 0u);
+      EXPECT_EQ(SerializeCheckpoint(r.value()), bad) << "iteration " << iter;
+    } else {
+      ++rejected;
     }
   }
+  EXPECT_GT(rejected, 1000);
 }
 
 TEST(CheckpointFuzz, EveryCheckpointPrefixIsRejected) {
   const std::string good = GoodCheckpointBytes();
   for (size_t n = 0; n < good.size(); ++n) {
-    if (TailIsWhitespace(good, n)) continue;
     auto r = ParseCheckpoint(good.substr(0, n));
     EXPECT_FALSE(r.ok()) << "prefix of length " << n << " parsed";
+  }
+}
+
+TEST(CheckpointFuzz, ResignedHostileHeaderWordsAreRejected) {
+  const std::string good = GoodCheckpointBytes();
+  const std::string body = good.substr(0, good.size() - 4);
+  // Header: magic, epoch, adam_t, rotation, lr_scale, sampler, I J K r.
+  // Rotation and the sampler counter accept any value; the rest may not.
+  for (size_t field : {1u, 2u, 4u, 6u, 7u, 8u, 9u}) {
+    std::string bad = body;
+    bad.replace(8 * field, 8, 8, '\xff');
+    PutCrc32Trailer(&bad);
+    EXPECT_FALSE(ParseCheckpoint(bad).ok()) << "field " << field;
   }
 }
 

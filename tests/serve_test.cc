@@ -9,6 +9,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/crc32.h"
 #include "common/env.h"
 #include "common/fault_env.h"
 #include "common/rng.h"
@@ -263,6 +264,26 @@ TEST_F(ServeTest, WrongShapeModelIsRejected) {
   ASSERT_TRUE(SaveFactorModel(ConstantModel(4, 6, 12, 2.0), path).ok());
   service_->PollModel();
   EXPECT_EQ(watcher_->reload_rejects(), 1u);
+  EXPECT_DOUBLE_EQ(watcher_->current()->Predict(0, 0, 0), 1.0);
+  EXPECT_EQ(service_->health(), ServeHealth::kDegraded);
+}
+
+TEST_F(ServeTest, TextModelFromBeforeTCSSv3KeepsLastGoodServing) {
+  const std::string path = TempPath("text_model.tcss");
+  ASSERT_TRUE(SaveFactorModel(ConstantModel(4, 5, 12, 1.0), path).ok());
+  Start(path);
+  // ConstantModel(4, 5, 12, 2.0) as the retired hex-float TCSSv2 writer
+  // laid it out, text CRC footer included: the right shape, in a format
+  // that no longer loads.
+  std::string text = "TCSSv2\n4 5 12 2\n0x1p+0 0x1p+0\n";
+  for (int row = 0; row < 4 + 5 + 12; ++row) text += "0x1p+0 0x1p+0\n";
+  text += StrFormat("CRC32 %08x\n", Crc32(text));
+  ASSERT_TRUE(WriteRaw(path, text).ok());
+  service_->PollModel();
+  EXPECT_EQ(watcher_->reload_rejects(), 1u);
+  EXPECT_NE(watcher_->last_error().message().find("bad magic"),
+            std::string::npos)
+      << watcher_->last_error().ToString();
   EXPECT_DOUBLE_EQ(watcher_->current()->Predict(0, 0, 0), 1.0);
   EXPECT_EQ(service_->health(), ServeHealth::kDegraded);
 }

@@ -282,7 +282,8 @@ TEST(ServerChaosTest, RoundTripAcrossTiers) {
 TEST(ServerChaosTest, StartRejectsOptionsThatCannotServe) {
   // max_batch = 0 used to dispatch empty batches forever: no request was
   // ever answered and Stop() never returned. A non-positive idle tick or
-  // a negative write timeout breaks the bounded waits the same way.
+  // a negative write timeout breaks the bounded waits the same way, and a
+  // zero queue or connection limit sheds every request or connection.
   Dataset data = TinyDataset();
   const std::string model_path = TempPath("badopts.model");
   ASSERT_TRUE(SaveFactorModel(ConstantModel(3, 5, 12, 1.0), model_path).ok());
@@ -294,11 +295,13 @@ TEST(ServerChaosTest, StartRejectsOptionsThatCannotServe) {
   RecommendService service(&data, TimeGranularity::kMonthOfYear, &watcher,
                            RecommendService::Options());
   ASSERT_TRUE(service.Init().ok());
-  for (int bad = 0; bad < 3; ++bad) {
+  for (int bad = 0; bad < 5; ++bad) {
     ServerOptions opts;
     if (bad == 0) opts.max_batch = 0;
     if (bad == 1) opts.idle_tick_ms = 0;
     if (bad == 2) opts.write_timeout_ms = -1;
+    if (bad == 3) opts.queue_capacity = 0;
+    if (bad == 4) opts.max_connections = 0;
     Server server(&service, TempPath("badopts.sock"), opts);
     EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument)
         << "case " << bad;
