@@ -1,6 +1,7 @@
 #ifndef TCSS_COMMON_THREAD_POOL_H_
 #define TCSS_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -22,10 +23,11 @@ namespace tcss {
 /// Determinism contract: the pool guarantees each shard runs exactly once,
 /// but NOT in which order or on which thread. Callers obtain bit-identical
 /// results at any thread count by (a) writing shard-disjoint outputs
-/// (row-partitioned matrices), or (b) accumulating into per-shard buffers
-/// that the caller merges in ascending shard order after Run returns —
-/// and by deriving the shard decomposition from the problem size only,
-/// never from the thread count. See DESIGN.md "Deterministic parallelism".
+/// (row-partitioned matrices), or (b) reducing shared outputs through
+/// ParallelReduce, which merges per-shard buffers in ascending shard
+/// order — and by deriving the shard decomposition from the problem size
+/// only, never from the thread count. See DESIGN.md "Deterministic
+/// parallelism".
 class ThreadPool {
  public:
   /// Spawns `num_threads - 1` workers (the caller of Run is the last
@@ -99,6 +101,55 @@ size_t ParallelForShards(size_t n, size_t grain);
 /// depend on nesting depth either.
 void ParallelFor(size_t n, size_t grain,
                  const std::function<void(size_t, size_t, size_t)>& fn);
+
+/// Shard cap of the ParallelReduce decompositions: enough shards to keep
+/// a few threads busy, few enough that the per-shard buffers stay cheap.
+inline constexpr size_t kMaxReduceShards = 16;
+
+/// Grain that cuts [0, n) into at most kMaxReduceShards shards of at
+/// least `min_grain` items each. A pure function of (n, min_grain).
+inline size_t ReduceGrain(size_t n, size_t min_grain) {
+  return std::max(min_grain,
+                  (n + kMaxReduceShards - 1) / kMaxReduceShards);
+}
+
+/// The one place that allocates and merges per-shard buffers. Splits
+/// [0, n) as ParallelFor(n, grain) does; body(begin, end, shard, buf)
+/// handles one shard, accumulating into *buf (null when `out` is: value
+/// only) and returning the shard's value.
+///
+///  * One shard runs straight into `out` and its value is returned as is,
+///    unless `buffer_one_shard` (a merge that needs the total, such as a
+///    rescale, must see it before anything reaches `out`).
+///  * Otherwise each shard accumulates into its own buffer from
+///    make_buffer(), zeroed and freed within this call. Once every shard
+///    has run, the values are summed from Value{} and merge(total, part,
+///    out) folds each buffer into `out`, both in ascending shard order.
+///    An empty range returns Value{} and leaves `out` alone.
+///
+/// Every rounding decision depends on (n, grain) only, so the result is
+/// bit-identical at any thread count.
+template <typename Buffer, typename MakeBuffer, typename Body, typename Merge>
+auto ParallelReduce(size_t n, size_t grain, Buffer* out,
+                    const MakeBuffer& make_buffer, const Body& body,
+                    const Merge& merge, bool buffer_one_shard = false) {
+  using Value = decltype(body(size_t{0}, size_t{0}, size_t{0}, out));
+  const size_t shards = ParallelForShards(n, grain);
+  if (shards == 1 && !buffer_one_shard) return body(0, n, 0, out);
+  std::vector<Buffer> parts;
+  if (out != nullptr) {
+    parts.reserve(shards);
+    for (size_t s = 0; s < shards; ++s) parts.push_back(make_buffer());
+  }
+  std::vector<Value> values(shards);
+  ParallelFor(n, grain, [&](size_t begin, size_t end, size_t s) {
+    values[s] = body(begin, end, s, out != nullptr ? &parts[s] : nullptr);
+  });
+  Value total{};
+  for (const Value& v : values) total += v;
+  for (const Buffer& part : parts) merge(total, part, out);
+  return total;
+}
 
 }  // namespace tcss
 

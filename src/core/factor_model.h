@@ -51,10 +51,10 @@ struct FactorGrads {
     std::fill(h.begin(), h.end(), 0.0);
   }
 
-  /// this += alpha * other (shapes must match). The ordered reduce of
-  /// per-shard gradient buffers: merging in ascending shard order makes
-  /// parallel accumulation bit-identical at any thread count (DESIGN.md,
-  /// "Deterministic parallelism").
+  /// this += alpha * other (shapes must match). The merge step that
+  /// ParallelReduce (common/thread_pool.h) applies to per-shard gradient
+  /// buffers in ascending shard order (DESIGN.md, "Deterministic
+  /// parallelism").
   void Add(const FactorGrads& other, double alpha = 1.0) {
     u1.Add(other.u1, alpha);
     u2.Add(other.u2, alpha);

@@ -299,38 +299,20 @@ double SocialHausdorffLoss::ComputeWithGrads(const FactorModel& model,
       static_cast<double>(eligible_.size()) / static_cast<double>(batch);
   const double grad_scale = lambda * extrapolate;
   // Per-user work is independent (ComputeForUser only reads caches), so
-  // shard the batch with per-shard loss/grad buffers reduced in ascending
-  // shard order; the decomposition depends only on the batch size, so the
-  // result is bit-identical at any thread count.
-  const size_t grain = std::max<size_t>(1, (batch + 15) / 16);
-  const size_t shards = ParallelForShards(batch, grain);
-  double sum = 0.0;
-  if (shards == 1) {
-    for (size_t t = 0; t < batch; ++t) {
-      const uint32_t user = eligible_[(rotation_ + t) % eligible_.size()];
-      sum += ComputeForUser(model, user, grads, grad_scale);
-    }
-  } else {
-    std::vector<double> shard_sum(shards, 0.0);
-    std::vector<FactorGrads> shard_grads;
-    if (grads != nullptr) {
-      shard_grads.reserve(shards);
-      for (size_t s = 0; s < shards; ++s) shard_grads.emplace_back(model);
-    }
-    ParallelFor(batch, grain, [&](size_t begin, size_t end, size_t s) {
-      FactorGrads* g = grads != nullptr ? &shard_grads[s] : nullptr;
-      double local = 0.0;
-      for (size_t t = begin; t < end; ++t) {
-        const uint32_t user = eligible_[(rotation_ + t) % eligible_.size()];
-        local += ComputeForUser(model, user, g, grad_scale);
-      }
-      shard_sum[s] = local;
-    });
-    for (size_t s = 0; s < shards; ++s) sum += shard_sum[s];
-    if (grads != nullptr) {
-      for (size_t s = 0; s < shards; ++s) grads->Add(shard_grads[s]);
-    }
-  }
+  // the batch shards through ParallelReduce; the decomposition depends
+  // only on the batch size.
+  const double sum = ParallelReduce(
+      batch, ReduceGrain(batch, 1), grads,
+      [&] { return FactorGrads(model); },
+      [&](size_t begin, size_t end, size_t, FactorGrads* g) {
+        double local = 0.0;
+        for (size_t t = begin; t < end; ++t) {
+          const uint32_t user = eligible_[(rotation_ + t) % eligible_.size()];
+          local += ComputeForUser(model, user, g, grad_scale);
+        }
+        return local;
+      },
+      [](double, const FactorGrads& part, FactorGrads* g) { g->Add(part); });
   rotation_ = (rotation_ + batch) % eligible_.size();
   return sum * extrapolate;
 }

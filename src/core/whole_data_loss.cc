@@ -6,19 +6,11 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "tensor/sparse_kernels.h"
+#include "linalg/kernel_table.h"
 
 namespace tcss {
 
 namespace {
-
-/// Shard grain for observed-entry loops: at most ~16 shards, at least
-/// 1024 entries each. Pure function of nnz — the per-shard accumulator
-/// layout (and hence every rounding decision) is independent of the
-/// thread count.
-size_t EntryGrain(size_t n) {
-  return std::max<size_t>(1024, (n + 15) / 16);
-}
 
 /// SplitMix64-style finalizer deriving an independent RNG stream for
 /// (seed, call, shard). Counter-based: no mutable generator state crosses
@@ -34,40 +26,46 @@ uint64_t MixStream(uint64_t seed, uint64_t call, uint64_t shard) {
   return z;
 }
 
-/// Runs fn(entry, &loss, grads_or_null) over all observed entries, sharded
-/// with per-shard loss and gradient buffers that are reduced in ascending
-/// shard order — bit-identical at any thread count.
-template <typename EntryFn>
-double ShardedEntryLoop(const FactorModel& model, const SparseTensor& train,
-                        FactorGrads* grads, EntryFn&& fn) {
-  const std::vector<TensorEntry>& entries = train.entries();
-  const size_t n = entries.size();
-  if (n == 0) return 0.0;
-  const size_t grain = EntryGrain(n);
-  const size_t shards = ParallelForShards(n, grain);
-  if (shards == 1) {
-    double loss = 0.0;
-    for (const TensorEntry& e : entries) fn(e, &loss, grads);
-    return loss;
-  }
-  std::vector<double> shard_loss(shards, 0.0);
-  std::vector<FactorGrads> shard_grads;
-  if (grads != nullptr) {
-    shard_grads.reserve(shards);
-    for (size_t s = 0; s < shards; ++s) shard_grads.emplace_back(model);
-  }
-  ParallelFor(n, grain, [&](size_t begin, size_t end, size_t s) {
-    FactorGrads* g = grads != nullptr ? &shard_grads[s] : nullptr;
-    double local = 0.0;
-    for (size_t e = begin; e < end; ++e) fn(entries[e], &local, g);
-    shard_loss[s] = local;
-  });
-  double loss = 0.0;
-  for (size_t s = 0; s < shards; ++s) loss += shard_loss[s];
-  if (grads != nullptr) {
-    for (size_t s = 0; s < shards; ++s) grads->Add(shard_grads[s]);
-  }
-  return loss;
+/// Observed-entry part of Eq 15 over the CSF tree `x`:
+///   sum_{(i,j,k) in nnz} (w+ - w-) y^2 - 2 w+ X y + w+ X^2
+/// with y = sum_t h_t u1[i,t] u2[j,t] u3[k,t], accumulating its gradients
+/// into `grads` when non-null. Shards hold >= ~1024 entries, at most
+/// kMaxReduceShards of them, cut on slice boundaries: a pure function of
+/// (nnz, num_slices). dL/dU1 rows are slice rows, disjoint across shards,
+/// so every shard writes grads->u1 in place; only U2, U3 and h go through
+/// shard buffers.
+double RewrittenEntryLoss(const CsfTensor& x, const FactorModel& model,
+                          double w_pos, double w_neg, FactorGrads* grads) {
+  const size_t r = model.rank();
+  const CsfView v = x.view();
+  const KernelTable& kern = ActiveKernels();
+  const size_t target =
+      std::clamp<size_t>(x.nnz() / 1024, 1, kMaxReduceShards);
+  const size_t grain =
+      std::max<size_t>(1, (v.num_slices + target - 1) / target);
+  return ParallelReduce(
+      v.num_slices, grain, grads,
+      [&] {
+        FactorGrads part;
+        part.u2 = Matrix(model.u2.rows(), r);
+        part.u3 = Matrix(model.u3.rows(), r);
+        part.h.assign(r, 0.0);
+        return part;
+      },
+      [&](size_t begin, size_t end, size_t, FactorGrads* g) {
+        return kern.csf_rewritten_entries(
+            v, model.u1.data(), model.u2.data(), model.u3.data(),
+            model.h.data(), r, w_pos, w_neg,
+            g != nullptr ? grads->u1.data() : nullptr,
+            g != nullptr ? g->u2.data() : nullptr,
+            g != nullptr ? g->u3.data() : nullptr,
+            g != nullptr ? g->h.data() : nullptr, begin, end);
+      },
+      [](double, const FactorGrads& part, FactorGrads* g) {
+        g->u2.Add(part.u2);
+        g->u3.Add(part.u3);
+        for (size_t t = 0; t < part.h.size(); ++t) g->h[t] += part.h[t];
+      });
 }
 
 }  // namespace
@@ -119,24 +117,19 @@ void RewrittenLoss::BindTensor(const SparseTensor& train) {
   }
 }
 
-double RewrittenLoss::Run(const FactorModel& model, const SparseTensor& train,
-                          FactorGrads* grads) {
+double RewrittenLoss::ComputeWithGrads(const FactorModel& model,
+                                       const SparseTensor& train,
+                                       FactorGrads* grads) {
   const size_t r = model.rank();
 
   // --- positive part: sum over observed entries -------------------------
   // (w+ - w-) yhat^2 - 2 w+ X yhat  [+ w+ X^2 constant for exactness]
-  // Dispatched CSF entry loop (tensor/sparse_kernels.h); the bound tensor
-  // reuses the precomputed tree, any other finalized tensor builds one
-  // per call (same structure, same bytes).
-  auto run_csf = [&](const CsfTensor& csf) {
-    return SparseKernels::RewrittenEntryLoss(
-        csf, model.u1, model.u2, model.u3, model.h, w_pos_, w_neg_,
-        grads != nullptr ? &grads->u1 : nullptr,
-        grads != nullptr ? &grads->u2 : nullptr,
-        grads != nullptr ? &grads->u3 : nullptr,
-        grads != nullptr ? &grads->h : nullptr);
-  };
-  double loss = bound_ == &train ? run_csf(csf_) : run_csf(CsfTensor(train));
+  // The bound tensor reuses the precomputed CSF tree, any other finalized
+  // tensor builds one per call (same structure, same bytes).
+  double loss = bound_ == &train
+                    ? RewrittenEntryLoss(csf_, model, w_pos_, w_neg_, grads)
+                    : RewrittenEntryLoss(CsfTensor(train), model, w_pos_,
+                                         w_neg_, grads);
 
   // --- whole-data part: w- * sum_{all cells} yhat^2 ---------------------
   // T = sum_{r1,r2} h_r1 h_r2 G1_{r1r2} G2_{r1r2} G3_{r1r2}
@@ -175,23 +168,13 @@ double RewrittenLoss::Run(const FactorModel& model, const SparseTensor& train,
   return loss;
 }
 
-double RewrittenLoss::ComputeWithGrads(const FactorModel& model,
-                                       const SparseTensor& train,
-                                       FactorGrads* grads) {
-  return Run(model, train, grads);
-}
-
-double RewrittenLoss::Compute(const FactorModel& model,
-                              const SparseTensor& train) {
-  return Run(model, train, nullptr);
-}
-
 // ---------------------------------------------------------------------------
 // NaiveLoss (Eq 14)
 // ---------------------------------------------------------------------------
 
-double NaiveLoss::Run(const FactorModel& model, const SparseTensor& train,
-                      FactorGrads* grads) {
+double NaiveLoss::ComputeWithGrads(const FactorModel& model,
+                                   const SparseTensor& train,
+                                   FactorGrads* grads) {
   const size_t I = train.dim_i();
   const size_t J = train.dim_j();
   const size_t K = train.dim_k();
@@ -223,34 +206,31 @@ double NaiveLoss::Run(const FactorModel& model, const SparseTensor& train,
   return loss;
 }
 
-double NaiveLoss::ComputeWithGrads(const FactorModel& model,
-                                   const SparseTensor& train,
-                                   FactorGrads* grads) {
-  return Run(model, train, grads);
-}
-
-double NaiveLoss::Compute(const FactorModel& model,
-                          const SparseTensor& train) {
-  return Run(model, train, nullptr);
-}
-
 // ---------------------------------------------------------------------------
 // NegativeSamplingLoss
 // ---------------------------------------------------------------------------
 
-double NegativeSamplingLoss::Run(const FactorModel& model,
-                                 const SparseTensor& train,
-                                 FactorGrads* grads) {
-  double loss = ShardedEntryLoop(
-      model, train, grads,
-      [&](const TensorEntry& e, double* local, FactorGrads* g) {
-        const double y = model.Predict(e.i, e.j, e.k);
-        const double d = y - e.value;
-        *local += w_pos_ * d * d;
-        if (g != nullptr) {
-          AccumulateEntryGrad(model, e.i, e.j, e.k, 2.0 * w_pos_ * d, g);
+double NegativeSamplingLoss::ComputeWithGrads(const FactorModel& model,
+                                              const SparseTensor& train,
+                                              FactorGrads* grads) {
+  const std::vector<TensorEntry>& entries = train.entries();
+  double loss = ParallelReduce(
+      entries.size(), ReduceGrain(entries.size(), 1024), grads,
+      [&] { return FactorGrads(model); },
+      [&](size_t begin, size_t end, size_t, FactorGrads* g) {
+        double local = 0.0;
+        for (size_t n = begin; n < end; ++n) {
+          const TensorEntry& e = entries[n];
+          const double y = model.Predict(e.i, e.j, e.k);
+          const double d = y - e.value;
+          local += w_pos_ * d * d;
+          if (g != nullptr) {
+            AccumulateEntryGrad(model, e.i, e.j, e.k, 2.0 * w_pos_ * d, g);
+          }
         }
-      });
+        return local;
+      },
+      [](double, const FactorGrads& part, FactorGrads* g) { g->Add(part); });
   // One sampled negative per positive (He et al. ratio 1:1), uniformly
   // over the unlabeled cells via rejection. Each shard draws its quota
   // from its own counter-derived stream, so the sample set is a pure
@@ -261,78 +241,61 @@ double NegativeSamplingLoss::Run(const FactorModel& model,
   const size_t K = train.dim_k();
   const size_t want = train.nnz();
   const uint64_t call = calls_++;
-  if (want == 0) return loss;
-  const size_t grain = std::max<size_t>(256, (want + 15) / 16);
-  const size_t shards = ParallelForShards(want, grain);
-  std::vector<double> shard_loss(shards, 0.0);
-  std::vector<size_t> shard_drawn(shards, 0);
-  std::vector<FactorGrads> shard_grads;
-  if (grads != nullptr) {
-    // Negatives always go through per-shard buffers (even when shards==1
-    // would allow direct accumulation) so an under-draw rescale can be
-    // applied uniformly at merge time.
-    shard_grads.reserve(shards);
-    for (size_t s = 0; s < shards; ++s) shard_grads.emplace_back(model);
-  }
-  ParallelFor(want, grain, [&](size_t begin, size_t end, size_t s) {
-    Rng rng(MixStream(seed_, call, s));
-    FactorGrads* g = grads != nullptr ? &shard_grads[s] : nullptr;
-    const size_t quota = end - begin;
-    size_t drawn = 0;
-    size_t guard = 0;
-    double local = 0.0;
-    while (drawn < quota && guard < quota * 50 + 100) {
-      ++guard;
-      const uint32_t i = static_cast<uint32_t>(rng.UniformInt(I));
-      const uint32_t j = static_cast<uint32_t>(rng.UniformInt(J));
-      const uint32_t k = static_cast<uint32_t>(rng.UniformInt(K));
-      if (train.Contains(i, j, k)) continue;
-      ++drawn;
-      const double y = model.Predict(i, j, k);
-      local += w_neg_ * y * y;
-      if (g != nullptr) {
-        AccumulateEntryGrad(model, i, j, k, 2.0 * w_neg_ * y, g);
-      }
-    }
-    shard_loss[s] = local;
-    shard_drawn[s] = drawn;
-  });
-  size_t drawn = 0;
-  double neg_loss = 0.0;
-  for (size_t s = 0; s < shards; ++s) {
-    drawn += shard_drawn[s];
-    neg_loss += shard_loss[s];
-  }
   // Under-draw (rejection guard exhausted on a near-dense tensor): the
   // drawn negatives are still uniform over unlabeled cells, so rescale by
   // want/drawn to keep the w- term an unbiased estimate of the intended
   // `want`-sample sum instead of silently shrinking it.
-  double scale = 1.0;
-  if (drawn < want) {
-    if (drawn > 0) {
-      scale = static_cast<double>(want) / static_cast<double>(drawn);
+  auto scale_for = [want](size_t drawn) {
+    return drawn < want && drawn > 0
+               ? static_cast<double>(want) / static_cast<double>(drawn)
+               : 1.0;
+  };
+  struct Draws {
+    double loss = 0.0;
+    size_t drawn = 0;
+    Draws& operator+=(const Draws& o) {
+      loss += o.loss;
+      drawn += o.drawn;
+      return *this;
     }
-    TCSS_LOG(Warning) << "negative sampling under-drew " << drawn << "/"
+  };
+  // Negatives go through shard buffers even as one shard: the rescale
+  // needs every shard's draw count before anything reaches `grads`.
+  const Draws neg = ParallelReduce(
+      want, ReduceGrain(want, 256), grads,
+      [&] { return FactorGrads(model); },
+      [&](size_t begin, size_t end, size_t s, FactorGrads* g) {
+        Rng rng(MixStream(seed_, call, s));
+        const size_t quota = end - begin;
+        size_t guard = 0;
+        Draws local;
+        while (local.drawn < quota && guard < quota * 50 + 100) {
+          ++guard;
+          const uint32_t i = static_cast<uint32_t>(rng.UniformInt(I));
+          const uint32_t j = static_cast<uint32_t>(rng.UniformInt(J));
+          const uint32_t k = static_cast<uint32_t>(rng.UniformInt(K));
+          if (train.Contains(i, j, k)) continue;
+          ++local.drawn;
+          const double y = model.Predict(i, j, k);
+          local.loss += w_neg_ * y * y;
+          if (g != nullptr) {
+            AccumulateEntryGrad(model, i, j, k, 2.0 * w_neg_ * y, g);
+          }
+        }
+        return local;
+      },
+      [&](const Draws& total, const FactorGrads& part, FactorGrads* g) {
+        g->Add(part, scale_for(total.drawn));
+      },
+      /*buffer_one_shard=*/true);
+  const double scale = scale_for(neg.drawn);
+  if (neg.drawn < want) {
+    TCSS_LOG(Warning) << "negative sampling under-drew " << neg.drawn << "/"
                       << want << " negatives (tensor too dense for the "
                       << "rejection guard); rescaling the w- term by "
                       << scale;
   }
-  loss += scale * neg_loss;
-  if (grads != nullptr) {
-    for (size_t s = 0; s < shards; ++s) grads->Add(shard_grads[s], scale);
-  }
-  return loss;
-}
-
-double NegativeSamplingLoss::ComputeWithGrads(const FactorModel& model,
-                                              const SparseTensor& train,
-                                              FactorGrads* grads) {
-  return Run(model, train, grads);
-}
-
-double NegativeSamplingLoss::Compute(const FactorModel& model,
-                                     const SparseTensor& train) {
-  return Run(model, train, nullptr);
+  return loss + scale * neg.loss;
 }
 
 }  // namespace tcss

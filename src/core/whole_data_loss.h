@@ -26,17 +26,19 @@ class WholeDataLoss {
   virtual ~WholeDataLoss() = default;
   virtual const char* name() const = 0;
 
-  /// Computes L2 and *accumulates* dL2/dparams into `grads`.
+  /// Computes L2 and *accumulates* dL2/dparams into `grads`; a null
+  /// `grads` means value only (no gradient work).
   virtual double ComputeWithGrads(const FactorModel& model,
                                   const SparseTensor& train,
                                   FactorGrads* grads) = 0;
 
-  /// Loss value only (no gradient work).
-  virtual double Compute(const FactorModel& model,
-                         const SparseTensor& train) = 0;
+  /// Loss value only: ComputeWithGrads without gradients.
+  double Compute(const FactorModel& model, const SparseTensor& train) {
+    return ComputeWithGrads(model, train, nullptr);
+  }
 
   /// Precomputes tensor-derived structures (the CSF tree for
-  /// RewrittenLoss) for the tensor the next Compute*/ComputeWithGrads
+  /// RewrittenLoss) for the tensor the next Compute/ComputeWithGrads
   /// calls will pass. Purely an optimization: unbound calls build the
   /// same structure per call and return the same bytes. The binding is
   /// keyed on the tensor's address — rebind if it moves or changes.
@@ -61,12 +63,9 @@ class RewrittenLoss : public WholeDataLoss {
   const char* name() const override { return "rewritten"; }
   double ComputeWithGrads(const FactorModel& model, const SparseTensor& train,
                           FactorGrads* grads) override;
-  double Compute(const FactorModel& model, const SparseTensor& train) override;
   void BindTensor(const SparseTensor& train) override;
 
  private:
-  double Run(const FactorModel& model, const SparseTensor& train,
-             FactorGrads* grads);
   double w_pos_, w_neg_;
   CsfTensor csf_;                        ///< bound CSF tree (may be empty)
   const SparseTensor* bound_ = nullptr;  ///< tensor csf_ was built from
@@ -79,11 +78,8 @@ class NaiveLoss : public WholeDataLoss {
   const char* name() const override { return "naive"; }
   double ComputeWithGrads(const FactorModel& model, const SparseTensor& train,
                           FactorGrads* grads) override;
-  double Compute(const FactorModel& model, const SparseTensor& train) override;
 
  private:
-  double Run(const FactorModel& model, const SparseTensor& train,
-             FactorGrads* grads);
   double w_pos_, w_neg_;
 };
 
@@ -102,14 +98,11 @@ class NegativeSamplingLoss : public WholeDataLoss {
   const char* name() const override { return "negative-sampling"; }
   double ComputeWithGrads(const FactorModel& model, const SparseTensor& train,
                           FactorGrads* grads) override;
-  double Compute(const FactorModel& model, const SparseTensor& train) override;
 
   uint64_t sampler_state() const override { return calls_; }
   void set_sampler_state(uint64_t state) override { calls_ = state; }
 
  private:
-  double Run(const FactorModel& model, const SparseTensor& train,
-             FactorGrads* grads);
   double w_pos_, w_neg_;
   uint64_t seed_;
   uint64_t calls_ = 0;  ///< number of completed sampling passes

@@ -62,8 +62,8 @@ struct KernelTable {
   ///   sum (w+ - w-) y^2 - 2 w+ x y + w+ x^2,  y = sum_t h_t a_t b_t c_t
   /// and, when gu1 != nullptr, accumulates dL/dU1 into gu1 (global,
   /// slice rows are disjoint across shards), dL/dU2, dL/dU3, dL/dh into
-  /// gu2/gu3/gh (shard-local buffers merged by the caller). All g*
-  /// must be null or non-null together.
+  /// gu2/gu3/gh (shard buffers, merged by RewrittenLoss through
+  /// ParallelReduce). All g* must be null or non-null together.
   double (*csf_rewritten_entries)(const CsfView& x, const double* u1,
                                   const double* u2, const double* u3,
                                   const double* h, size_t r, double w_pos,

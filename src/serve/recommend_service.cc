@@ -206,24 +206,23 @@ ServeTier RecommendService::ChooseTier(
 
 ServeTier RecommendService::PlanTier(const ServeRequest& req) const {
   if (!initialized_) return ServeTier::kPopularity;
-  return ChooseTier(req, watcher_ != nullptr ? watcher_->current() : nullptr,
-                    /*streamed=*/nullptr);
+  return BudgetTier(
+      req, ChooseTier(req, watcher_ != nullptr ? watcher_->current() : nullptr,
+                      /*streamed=*/nullptr));
 }
 
 double RecommendService::TierLatencyEwmaMs(ServeTier tier) const {
   return tier_ewma_ms_[static_cast<int>(tier)].load(std::memory_order_relaxed);
 }
 
-ServeTier RecommendService::ApplyDeadlineBudget(const ServeRequest& req,
-                                                ServeTier tier) {
-  // Deadline budget: if this tier's recent latency already exceeds the
-  // budget, answer from the cheap non-personalized tier instead of
-  // predictably blowing the deadline.
+ServeTier RecommendService::BudgetTier(const ServeRequest& req,
+                                       ServeTier tier) const {
+  // If this tier's recent latency already exceeds the budget, answer from
+  // the cheap non-personalized tier instead of predictably blowing the
+  // deadline. An unsampled tier reads 0 and never degrades.
   if (req.deadline_ms > 0.0 && tier != ServeTier::kPopularity &&
-      tier_ewma_valid_[static_cast<int>(tier)] &&
       TierLatencyEwmaMs(tier) > req.deadline_ms) {
-    tier = ServeTier::kPopularity;
-    degrade_counter_->Add(1);
+    return ServeTier::kPopularity;
   }
   return tier;
 }
@@ -412,11 +411,15 @@ std::vector<RecommendService::Response> RecommendService::BatchTopK(
     size_t short_list = 0;  ///< its length, recorded serially in phase 3
   };
   std::vector<Plan> plans(reqs.size());
+  // Tiers the deadline budget skipped in this batch (decayed in phase 3).
+  bool skipped[kNumServeTiers] = {};
 
   // Phase 1 — serial: validation, tier choice with deadline degradation,
   // fold-in solves, query composition, restrictions (candidates, geo
   // fence) and the panel a scan reads, rebuilt once per model generation.
-  // Every service-state mutation happens here, on the one serving thread.
+  // Every service-state mutation happens here, on the one serving thread;
+  // the latency EWMAs change only in phase 3, so every request of a batch
+  // is budgeted against the EWMAs from before it.
   for (size_t b = 0; b < reqs.size(); ++b) {
     const ServeRequest& req = reqs[b];
     if (!initialized_ || req.time_bin >= num_bins_ || !ValidGeoFence(req)) {
@@ -428,7 +431,12 @@ std::vector<RecommendService::Response> RecommendService::BatchTopK(
     }
     Plan& plan = plans[b];
     plan.valid = true;
-    plan.tier = ApplyDeadlineBudget(req, ChooseTier(req, model, fold_in_));
+    const ServeTier chosen = ChooseTier(req, model, fold_in_);
+    plan.tier = BudgetTier(req, chosen);
+    if (plan.tier != chosen) {
+      skipped[static_cast<int>(chosen)] = true;
+      degrade_counter_->Add(1);
+    }
     const double* u = nullptr;
     if (plan.tier == ServeTier::kModel) {
       u = model->u1.row(req.user);
@@ -506,13 +514,26 @@ std::vector<RecommendService::Response> RecommendService::BatchTopK(
   // caller observed, and what the admission EWMA must predict for the
   // next arrival.
   const double ms = sw.ElapsedMillis();
+  bool answered[kNumServeTiers] = {};
   for (size_t b = 0; b < reqs.size(); ++b) {
     if (!plans[b].valid) continue;
     out[b].latency_ms = ms;
     RecordLatency(plans[b].tier, ms);
+    answered[static_cast<int>(plans[b].tier)] = true;
     if (plans[b].scanned) {
       short_list_hist_->Record(static_cast<double>(plans[b].short_list));
     }
+  }
+  // A skipped tier that answered nothing in this batch was not measured,
+  // and without a sample one slow batch would lock every deadline request
+  // out of it for good: decay its EWMA once, as one zero-latency sample
+  // would, so it is measured again after a few such batches.
+  for (int t = 0; t < kNumServeTiers; ++t) {
+    if (!skipped[t] || answered[t]) continue;
+    tier_ewma_ms_[t].store(
+        (1.0 - kLatencyEwmaAlpha) *
+            tier_ewma_ms_[t].load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
   }
   return out;
 }

@@ -136,13 +136,15 @@ class RecommendService {
   /// ascending t.
   std::vector<Response> BatchTopK(const std::vector<ServeRequest>& reqs);
 
-  /// Predicts which tier would answer `req` right now, without running it.
-  /// Thread-safe (reads only immutable post-Init state and the watcher's
-  /// mutex-guarded model pointer) — the server's admission control calls
-  /// this from connection threads while the dispatcher is mid-batch. A
-  /// user whose only history is streamed check-ins plans as popularity,
-  /// since only the dispatcher may read the fold-in solver; the
-  /// dispatcher answers that user from fold-in.
+  /// Predicts which tier would answer `req` right now, without running it,
+  /// deadline budget included: a tier whose latency EWMA exceeds the
+  /// request's deadline plans as popularity, as the dispatcher would
+  /// degrade it. Thread-safe (reads immutable post-Init state, the
+  /// watcher's mutex-guarded model pointer and the atomic EWMAs) — the
+  /// server's admission control calls this from connection threads while
+  /// the dispatcher is mid-batch. A user whose only history is streamed
+  /// check-ins plans as popularity, since only the dispatcher may read the
+  /// fold-in solver; the dispatcher answers that user from fold-in.
   ServeTier PlanTier(const ServeRequest& req) const;
 
   /// Recent latency EWMA of a tier in milliseconds (0 before the first
@@ -181,9 +183,10 @@ class RecommendService {
   ServeTier ChooseTier(const ServeRequest& req,
                        const std::shared_ptr<const FactorModel>& model,
                        const IncrementalFoldIn* streamed) const;
-  /// Applies the deadline-budget EWMA check to a chosen tier; may degrade
-  /// to popularity (counting the degrade).
-  ServeTier ApplyDeadlineBudget(const ServeRequest& req, ServeTier tier);
+  /// The deadline budget: popularity when `tier`'s latency EWMA already
+  /// exceeds the request's deadline, `tier` otherwise. The one rule of
+  /// both PlanTier and the dispatcher.
+  ServeTier BudgetTier(const ServeRequest& req, ServeTier tier) const;
   /// Returns the fold-in embedding for `user` solved against `model`
   /// (cached by the solver until the user or the generation changes), or
   /// null when the solve fails. Must run on the serving thread.
@@ -243,7 +246,10 @@ class RecommendService {
 
   /// Per-tier latency EWMA: written by the serving thread only, read by
   /// TierLatencyEwmaMs from any thread. The valid flags (serving thread
-  /// only) mark a tier's first sample, which seeds its EWMA.
+  /// only) mark a tier's first sample, which seeds its EWMA. A batch in
+  /// which the deadline budget skipped a tier that answered nothing
+  /// decays that tier once, as one zero-latency sample would, so it is
+  /// measured again after a few such batches instead of never again.
   std::atomic<double> tier_ewma_ms_[kNumServeTiers] = {};
   bool tier_ewma_valid_[kNumServeTiers] = {false, false, false};
 

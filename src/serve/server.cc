@@ -238,17 +238,17 @@ bool Server::Admit(const std::shared_ptr<Session>& session, uint64_t frame_id,
   if (admitted.deadline_ms > 0.0) {
     // Predict completion time as queue wait (queued requests over the
     // recent batch fill, times the recent batch latency) plus the planned
-    // tier's recent service time. Predicted misses are shed now — in
-    // microseconds — instead of timing out in the queue.
+    // tier's recent service time, 0 for a tier that has never answered as
+    // in the service's own deadline budget. Predicted misses are shed now
+    // — in microseconds — instead of timing out in the queue.
     const double batch_ms = batch_ms_ewma_.load(std::memory_order_relaxed);
     const double fill = std::max(
         1.0, batch_fill_ewma_.load(std::memory_order_relaxed));
     const double depth =
         static_cast<double>(queue_depth_.load(std::memory_order_relaxed));
     const ServeTier tier = service_->PlanTier(admitted);
-    const double service_ms = service_->TierLatencyEwmaMs(tier);
-    const double predicted = depth / fill * batch_ms +
-                             (service_ms > 0.0 ? service_ms : batch_ms);
+    const double predicted =
+        depth / fill * batch_ms + service_->TierLatencyEwmaMs(tier);
     if (predicted > admitted.deadline_ms) {
       Shed(session.get(), frame_id, ShedReason::kDeadline);
       return false;

@@ -115,12 +115,15 @@ struct ServerStats {
 ///
 /// where batch_ms/batch_fill are EWMAs the dispatcher publishes after
 /// every batch and tier_ewma is the service's own per-tier latency EWMA
-/// (RecommendService::TierLatencyEwmaMs). A request predicted to miss its
-/// deadline is shed immediately with an explicit response — rejecting in
-/// microseconds what would otherwise time out in milliseconds. Requests
-/// whose deadline expires while queued are shed at dequeue; survivors
-/// carry their *remaining* budget into the service, whose EWMA check can
-/// still degrade them to a cheaper tier mid-flight.
+/// (RecommendService::TierLatencyEwmaMs) of the tier PlanTier predicts —
+/// deadline budget included, so a request the dispatcher would degrade is
+/// predicted at the cheap tier's latency, and a tier that has never
+/// answered predicts 0, as the budget reads it. A request predicted to
+/// miss its deadline is shed immediately with an explicit response —
+/// rejecting in microseconds what would otherwise time out in
+/// milliseconds. Requests whose deadline expires while queued are shed at
+/// dequeue; survivors carry their *remaining* budget into the service,
+/// whose EWMA check can still degrade them to a cheaper tier mid-flight.
 ///
 /// Graceful drain: RequestStop() (async-signal-safe to trigger via a
 /// flag; see `tcss serve --listen`) stops the acceptor, lets readers

@@ -18,9 +18,10 @@ namespace tcss {
 /// Walking the tree lets a kernel hoist per-slice and per-fiber factor
 /// rows out of the nonzero loop: on check-in data a user visits the same
 /// POI in several time bins. Two kernels walk it: the observed-entry loop
-/// of the rewritten loss (SparseKernels in tensor/sparse_kernels.h) and
-/// CP-ALS's MTTKRP (tensor/mttkrp.h), which serves all three modes from
-/// this one mode-0-rooted tree.
+/// of the rewritten loss (KernelTable::csf_rewritten_entries, run by
+/// RewrittenLoss in core/whole_data_loss.cc) and CP-ALS's MTTKRP
+/// (tensor/mttkrp.h), which serves all three modes from this one
+/// mode-0-rooted tree.
 class CsfTensor {
  public:
   CsfTensor() : dim_i_(0), dim_j_(0), dim_k_(0) {}

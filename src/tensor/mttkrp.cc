@@ -15,10 +15,6 @@ namespace {
 /// on the thread count.
 constexpr size_t kParallelWorkThreshold = 1u << 14;
 
-/// Target shard count for the slice decomposition. The grain is a pure
-/// function of the slice count, never of the thread count.
-constexpr size_t kTargetShards = 16;
-
 /// Adds the contributions of slices [s_begin, s_end) to `out`.
 void AddSlices(const CsfView& x, const Matrix factors[3], int mode,
                size_t s_begin, size_t s_end, Matrix* out) {
@@ -76,8 +72,7 @@ Matrix Mttkrp(const CsfTensor& x, const Matrix factors[3], int mode) {
     return out;
   }
 
-  const size_t grain = std::max<size_t>(
-      1, (v.num_slices + kTargetShards - 1) / kTargetShards);
+  const size_t grain = ReduceGrain(v.num_slices, 1);
   if (mode == 0) {
     // Slices are distinct i values: shards write disjoint out rows, so
     // any decomposition is bit-identical to the serial loop.
@@ -87,20 +82,17 @@ Matrix Mttkrp(const CsfTensor& x, const Matrix factors[3], int mode) {
     return out;
   }
 
-  // Modes 1/2 scatter into rows shared across slices, so each shard adds
-  // into its own buffer and the buffers merge in ascending shard order.
-  // The decomposition depends only on the tensor, so this path runs even
-  // at one thread and the bytes never depend on the thread count.
-  const size_t shards = ParallelForShards(v.num_slices, grain);
-  if (shards <= 1) {
-    AddSlices(v, factors, mode, 0, v.num_slices, &out);
-    return out;
-  }
-  std::vector<Matrix> shard_out(shards, Matrix(dims[mode], r));
-  ParallelFor(v.num_slices, grain, [&](size_t begin, size_t end, size_t s) {
-    AddSlices(v, factors, mode, begin, end, &shard_out[s]);
-  });
-  for (const Matrix& part : shard_out) out.Add(part);
+  // Modes 1/2 scatter into rows shared across slices, so the shards go
+  // through ParallelReduce, which has no value to sum here. The
+  // decomposition depends only on the tensor, so the bytes never depend
+  // on the thread count.
+  ParallelReduce(
+      v.num_slices, grain, &out, [&] { return Matrix(dims[mode], r); },
+      [&](size_t begin, size_t end, size_t, Matrix* dst) {
+        AddSlices(v, factors, mode, begin, end, dst);
+        return 0;
+      },
+      [](int, const Matrix& part, Matrix* dst) { dst->Add(part); });
   return out;
 }
 

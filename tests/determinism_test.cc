@@ -23,6 +23,8 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "data/tensor_builder.h"
+#include "linalg/kernel_table.h"
+#include "tensor/csf_tensor.h"
 #include "tensor/mttkrp.h"
 
 namespace tcss {
@@ -55,6 +57,45 @@ bool BitIdentical(const Matrix& a, const Matrix& b) {
 bool BitIdentical(const FactorGrads& a, const FactorGrads& b) {
   return a.h == b.h && BitIdentical(a.u1, b.u1) && BitIdentical(a.u2, b.u2) &&
          BitIdentical(a.u3, b.u3);
+}
+
+/// Binary tensor of `nnz` random cells (duplicates coalesce, so a few
+/// fewer survive).
+SparseTensor RandomTensor(size_t I, size_t J, size_t K, size_t nnz,
+                          uint64_t seed) {
+  Rng rng(seed);
+  SparseTensor x(I, J, K);
+  for (size_t e = 0; e < nnz; ++e) {
+    (void)x.Add(static_cast<uint32_t>(rng.UniformInt(I)),
+                static_cast<uint32_t>(rng.UniformInt(J)),
+                static_cast<uint32_t>(rng.UniformInt(K)));
+  }
+  EXPECT_TRUE(x.Finalize().ok());
+  return x;
+}
+
+FactorModel RandomModel(const SparseTensor& x, size_t r, uint64_t seed) {
+  Rng rng(seed);
+  FactorModel model;
+  model.u1 = Matrix::GaussianRandom(x.dim_i(), r, &rng, 0.1);
+  model.u2 = Matrix::GaussianRandom(x.dim_j(), r, &rng, 0.1);
+  model.u3 = Matrix::GaussianRandom(x.dim_k(), r, &rng, 0.1);
+  model.h.assign(r, 1.0);
+  return model;
+}
+
+/// Non-zero gradients to accumulate into, as the trainer's buffer holds
+/// when the Hausdorff head runs after L2. Only a buffer that starts
+/// non-zero tells a one-shard call written straight into it from one
+/// that goes through a zeroed shard buffer first.
+FactorGrads Prefilled(const FactorModel& model, uint64_t seed) {
+  Rng rng(seed);
+  FactorGrads g(model);
+  for (Matrix* m : {&g.u1, &g.u2, &g.u3}) {
+    for (size_t i = 0; i < m->size(); ++i) m->data()[i] = rng.Gaussian();
+  }
+  for (double& v : g.h) v = rng.Gaussian();
+  return g;
 }
 
 /// RAII: restore the global pool to 1 thread when a test ends.
@@ -172,22 +213,31 @@ TEST(KernelDeterminismTest, GramParallelMatchesSerialExactly) {
 
 TEST(KernelDeterminismTest, MttkrpParallelMatchesSerialExactlyAllModes) {
   ThreadGuard guard;
-  World w = MakeWorld();
+  const World w = MakeWorld();
   ASSERT_GT(w.train.nnz(), 1000u);  // large enough to cross the threshold
   const size_t r = 16;
-  Rng rng(9);
-  Matrix factors[3] = {
-      Matrix::GaussianRandom(w.train.dim_i(), r, &rng),
-      Matrix::GaussianRandom(w.train.dim_j(), r, &rng),
-      Matrix::GaussianRandom(w.train.dim_k(), r, &rng)};
-  const CsfTensor csf(w.train);
-  for (int mode = 0; mode < 3; ++mode) {
-    SetGlobalThreads(1);
-    const Matrix serial = Mttkrp(csf, factors, mode);
-    for (int threads : {2, 8}) {
-      SetGlobalThreads(threads);
-      EXPECT_TRUE(BitIdentical(serial, Mttkrp(csf, factors, mode)))
-          << "mode " << mode << ", " << threads << " threads";
+  // Modes 1/2 reduce ReduceGrain(slices, 1) shards: one slice makes one
+  // shard, two make two, 256 make the 16-shard cap; each stays above the
+  // serial threshold of nnz * r = 2^14.
+  const SparseTensor one_slice = RandomTensor(1, 300, 40, 2000, 21);
+  const SparseTensor two_slices = RandomTensor(2, 300, 40, 2000, 22);
+  const SparseTensor cap = RandomTensor(256, 40, 12, 3000, 23);
+  for (const SparseTensor* x : {&w.train, &one_slice, &two_slices, &cap}) {
+    ASSERT_GE(x->nnz() * r, 1u << 14);
+    Rng rng(9);
+    Matrix factors[3] = {Matrix::GaussianRandom(x->dim_i(), r, &rng),
+                         Matrix::GaussianRandom(x->dim_j(), r, &rng),
+                         Matrix::GaussianRandom(x->dim_k(), r, &rng)};
+    const CsfTensor csf(*x);
+    for (int mode = 0; mode < 3; ++mode) {
+      SetGlobalThreads(1);
+      const Matrix serial = Mttkrp(csf, factors, mode);
+      for (int threads : {2, 8}) {
+        SetGlobalThreads(threads);
+        EXPECT_TRUE(BitIdentical(serial, Mttkrp(csf, factors, mode)))
+            << x->dim_i() << " slices, mode " << mode << ", " << threads
+            << " threads";
+      }
     }
   }
 }
@@ -198,85 +248,152 @@ TEST(KernelDeterminismTest, MttkrpParallelMatchesSerialExactlyAllModes) {
 
 TEST(LossDeterminismTest, RewrittenLossBitIdenticalAcrossThreadCounts) {
   ThreadGuard guard;
-  World w = MakeWorld();
+  const World w = MakeWorld();
   TcssConfig cfg;
   RewrittenLoss loss(cfg.w_pos, cfg.w_neg);
-  Rng rng(11);
-  FactorModel model;
-  model.u1 = Matrix::GaussianRandom(w.train.dim_i(), cfg.rank, &rng, 0.1);
-  model.u2 = Matrix::GaussianRandom(w.train.dim_j(), cfg.rank, &rng, 0.1);
-  model.u3 = Matrix::GaussianRandom(w.train.dim_k(), cfg.rank, &rng, 0.1);
-  model.h.assign(cfg.rank, 1.0);
-
-  SetGlobalThreads(1);
-  FactorGrads ref(model);
-  const double ref_loss = loss.ComputeWithGrads(model, w.train, &ref);
-  for (int threads : {2, 8}) {
-    SetGlobalThreads(threads);
-    FactorGrads got(model);
-    const double got_loss = loss.ComputeWithGrads(model, w.train, &got);
-    EXPECT_EQ(ref_loss, got_loss) << threads << " threads";
-    EXPECT_TRUE(BitIdentical(ref, got)) << threads << " threads";
+  // The CSF entry loop cuts min(nnz / 1024, 16) shards (at least one):
+  // nnz < 2048 runs one shard straight into the gradients, [2048, 3072)
+  // two, and >= 16384 the cap.
+  const SparseTensor one = RandomTensor(40, 30, 12, 1500, 31);
+  const SparseTensor two = RandomTensor(60, 50, 12, 2600, 32);
+  const SparseTensor cap = RandomTensor(400, 300, 12, 40000, 33);
+  ASSERT_LT(one.nnz(), 2048u);
+  ASSERT_GE(two.nnz(), 2048u);
+  ASSERT_LT(two.nnz(), 3072u);
+  ASSERT_GE(cap.nnz(), 16384u);
+  for (const SparseTensor* x : {&w.train, &one, &two, &cap}) {
+    const FactorModel model = RandomModel(*x, cfg.rank, 11);
+    SetGlobalThreads(1);
+    FactorGrads ref = Prefilled(model, 12);
+    const double ref_loss = loss.ComputeWithGrads(model, *x, &ref);
+    for (int threads : {2, 8}) {
+      SetGlobalThreads(threads);
+      FactorGrads got = Prefilled(model, 12);
+      const double got_loss = loss.ComputeWithGrads(model, *x, &got);
+      EXPECT_EQ(ref_loss, got_loss) << x->nnz() << " nnz @" << threads;
+      EXPECT_TRUE(BitIdentical(ref, got)) << x->nnz() << " nnz @" << threads;
+    }
+    if (x != &one) continue;
+    // One shard is the direct path: the kernel over every slice, straight
+    // into the pre-filled gradients, then the Gram part (all that a call
+    // on an empty tensor of the same shape adds).
+    FactorGrads direct = Prefilled(model, 12);
+    const CsfTensor csf(*x);
+    const CsfView v = csf.view();
+    double direct_loss = ActiveKernels().csf_rewritten_entries(
+        v, model.u1.data(), model.u2.data(), model.u3.data(),
+        model.h.data(), cfg.rank, cfg.w_pos, cfg.w_neg, direct.u1.data(),
+        direct.u2.data(), direct.u3.data(), direct.h.data(), 0,
+        v.num_slices);
+    SparseTensor empty(x->dim_i(), x->dim_j(), x->dim_k());
+    ASSERT_TRUE(empty.Finalize().ok());
+    direct_loss += loss.ComputeWithGrads(model, empty, &direct);
+    EXPECT_EQ(ref_loss, direct_loss);
+    EXPECT_TRUE(BitIdentical(ref, direct));
   }
 }
 
 TEST(LossDeterminismTest, NegativeSamplingBitIdenticalAcrossThreadCounts) {
   ThreadGuard guard;
-  World w = MakeWorld();
+  const World w = MakeWorld();
   TcssConfig cfg;
-  Rng rng(12);
-  FactorModel model;
-  model.u1 = Matrix::GaussianRandom(w.train.dim_i(), cfg.rank, &rng, 0.1);
-  model.u2 = Matrix::GaussianRandom(w.train.dim_j(), cfg.rank, &rng, 0.1);
-  model.u3 = Matrix::GaussianRandom(w.train.dim_k(), cfg.rank, &rng, 0.1);
-  model.h.assign(cfg.rank, 1.0);
-
-  SetGlobalThreads(1);
-  NegativeSamplingLoss ref_loss(cfg.w_pos, cfg.w_neg, 99);
-  FactorGrads ref(model);
-  const double ref_val = ref_loss.ComputeWithGrads(model, w.train, &ref);
-  for (int threads : {2, 8}) {
-    SetGlobalThreads(threads);
-    // Fresh loss object: same seed, same call counter (0) -> the sampled
-    // negatives must be the same cells regardless of the thread count.
-    NegativeSamplingLoss loss(cfg.w_pos, cfg.w_neg, 99);
-    FactorGrads got(model);
-    const double got_val = loss.ComputeWithGrads(model, w.train, &got);
-    EXPECT_EQ(ref_val, got_val) << threads << " threads";
-    EXPECT_TRUE(BitIdentical(ref, got)) << threads << " threads";
+  // Positives cut shards of >= 1024 entries, negatives of >= 256, both at
+  // most 16: `tiny` is one shard each, `neg2` one positive and two
+  // negative shards, `pos2` two positive shards, `cap` 16 of each.
+  const SparseTensor tiny = RandomTensor(9, 8, 5, 150, 41);
+  const SparseTensor neg2 = RandomTensor(20, 15, 6, 400, 42);
+  const SparseTensor pos2 = RandomTensor(40, 30, 12, 1500, 43);
+  const SparseTensor cap = RandomTensor(400, 300, 12, 40000, 44);
+  ASSERT_LE(tiny.nnz(), 256u);
+  ASSERT_GT(neg2.nnz(), 256u);
+  ASSERT_LE(neg2.nnz(), 512u);
+  ASSERT_GT(pos2.nnz(), 1024u);
+  ASSERT_LE(pos2.nnz(), 2048u);
+  ASSERT_GE(cap.nnz(), 16384u);
+  for (const SparseTensor* x : {&w.train, &tiny, &neg2, &pos2, &cap}) {
+    const FactorModel model = RandomModel(*x, cfg.rank, 12);
+    SetGlobalThreads(1);
+    NegativeSamplingLoss ref_loss(cfg.w_pos, cfg.w_neg, 99);
+    FactorGrads ref = Prefilled(model, 13);
+    const double ref_val = ref_loss.ComputeWithGrads(model, *x, &ref);
+    for (int threads : {2, 8}) {
+      SetGlobalThreads(threads);
+      // Fresh loss object: same seed, same call counter (0) -> the sampled
+      // negatives must be the same cells regardless of the thread count.
+      NegativeSamplingLoss loss(cfg.w_pos, cfg.w_neg, 99);
+      FactorGrads got = Prefilled(model, 13);
+      const double got_val = loss.ComputeWithGrads(model, *x, &got);
+      EXPECT_EQ(ref_val, got_val) << x->nnz() << " nnz @" << threads;
+      EXPECT_TRUE(BitIdentical(ref, got)) << x->nnz() << " nnz @" << threads;
+    }
+    if (x != &tiny) continue;
+    // One positive shard is the direct path: every positive accumulates
+    // straight into the pre-filled gradients, in entry order. The one
+    // negative shard still goes through a buffer (the under-draw rescale
+    // needs the total first); a twin with w+ = 0 draws the same cells and
+    // leaves exactly that buffer in zeroed gradients.
+    SetGlobalThreads(1);
+    FactorGrads direct = Prefilled(model, 13);
+    double pos = 0.0;
+    for (const TensorEntry& e : x->entries()) {
+      const double d = model.Predict(e.i, e.j, e.k) - e.value;
+      pos += cfg.w_pos * d * d;
+      AccumulateEntryGrad(model, e.i, e.j, e.k, 2.0 * cfg.w_pos * d, &direct);
+    }
+    NegativeSamplingLoss twin(0.0, cfg.w_neg, 99);
+    FactorGrads negatives(model);
+    const double neg = twin.ComputeWithGrads(model, *x, &negatives);
+    direct.Add(negatives);
+    EXPECT_EQ(ref_val, pos + neg) << x->nnz() << " nnz";
+    EXPECT_TRUE(BitIdentical(ref, direct)) << x->nnz() << " nnz";
   }
 }
 
 TEST(LossDeterminismTest, HausdorffBatchGradsBitIdenticalAcrossThreadCounts) {
   ThreadGuard guard;
   World w = MakeWorld();
-  // Pool sizes off the kernels' four-candidate lane groups too.
+  // Pool sizes off the kernels' four-candidate lane groups too. The batch
+  // cuts ReduceGrain(batch, 1) shards: 1 user is one shard, written
+  // straight into the gradients, 2 users two shards, 48 the 16-shard cap.
   for (size_t pool : {64, 63, 37, 6}) {
-    TcssConfig cfg;
-    cfg.hausdorff_pool = pool;
-    cfg.max_friend_pois = 32;
-    cfg.hausdorff_users_per_epoch = 48;
-    SocialHausdorffLoss loss(w.data, w.train, cfg);
-    ASSERT_GT(loss.num_eligible_users(), 0u);
-    Rng rng(13);
-    FactorModel model;
-    model.u1 = Matrix::GaussianRandom(w.train.dim_i(), cfg.rank, &rng, 0.1);
-    model.u2 = Matrix::GaussianRandom(w.train.dim_j(), cfg.rank, &rng, 0.1);
-    model.u3 = Matrix::GaussianRandom(w.train.dim_k(), cfg.rank, &rng, 0.1);
-    model.h.assign(cfg.rank, 1.0);
+    for (size_t batch : {1, 2, 48}) {
+      TcssConfig cfg;
+      cfg.hausdorff_pool = pool;
+      cfg.max_friend_pois = 32;
+      cfg.hausdorff_users_per_epoch = batch;
+      SocialHausdorffLoss loss(w.data, w.train, cfg);
+      ASSERT_GT(loss.num_eligible_users(), batch);
+      const FactorModel model = RandomModel(w.train, cfg.rank, 13);
 
-    SetGlobalThreads(1);
-    loss.set_rotation(0);
-    FactorGrads ref(model);
-    const double ref_val = loss.ComputeWithGrads(model, cfg.lambda, &ref);
-    for (int threads : {2, 8}) {
-      SetGlobalThreads(threads);
-      loss.set_rotation(0);  // replay the same minibatch
-      FactorGrads got(model);
-      const double got_val = loss.ComputeWithGrads(model, cfg.lambda, &got);
-      EXPECT_EQ(ref_val, got_val) << "pool " << pool << " @" << threads;
-      EXPECT_TRUE(BitIdentical(ref, got)) << "pool " << pool << " @"
-                                          << threads;
+      SetGlobalThreads(1);
+      loss.set_rotation(0);
+      FactorGrads ref = Prefilled(model, 14);
+      const double ref_val = loss.ComputeWithGrads(model, cfg.lambda, &ref);
+      for (int threads : {2, 8}) {
+        SetGlobalThreads(threads);
+        loss.set_rotation(0);  // replay the same minibatch
+        FactorGrads got = Prefilled(model, 14);
+        const double got_val = loss.ComputeWithGrads(model, cfg.lambda, &got);
+        EXPECT_EQ(ref_val, got_val)
+            << "pool " << pool << " batch " << batch << " @" << threads;
+        EXPECT_TRUE(BitIdentical(ref, got))
+            << "pool " << pool << " batch " << batch << " @" << threads;
+      }
+      if (batch != 1) continue;
+      // One user is the direct path: ComputeForUser straight into the
+      // pre-filled gradients. Rotation 0 starts at the first eligible user
+      // (non-empty candidate pool and friend POIs).
+      uint32_t user = 0;
+      while (loss.candidate_pool(user).empty() ||
+             loss.friend_pois(user).empty()) {
+        ++user;
+      }
+      const double users = static_cast<double>(loss.num_eligible_users());
+      FactorGrads direct = Prefilled(model, 14);
+      const double value =
+          loss.ComputeForUser(model, user, &direct, cfg.lambda * users);
+      EXPECT_EQ(ref_val, value * users) << "pool " << pool;
+      EXPECT_TRUE(BitIdentical(ref, direct)) << "pool " << pool;
     }
   }
 }

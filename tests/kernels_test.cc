@@ -37,7 +37,6 @@
 #include "tensor/csf_tensor.h"
 #include "tensor/gram_operator.h"
 #include "tensor/mttkrp.h"
-#include "tensor/sparse_kernels.h"
 #include "tensor/sparse_tensor.h"
 
 namespace tcss {
@@ -273,9 +272,10 @@ TEST(RewrittenCsfTest, EntryLossMatchesPerEntryReference) {
   const FactorModel m = RandomModel(12, 10, 6, 4, 36);
   const double wp = 0.93, wn = 0.07;
   const CsfTensor csf(x);
-  const double got = SparseKernels::RewrittenEntryLoss(
-      csf, m.u1, m.u2, m.u3, m.h, wp, wn, nullptr, nullptr, nullptr,
-      nullptr);
+  const CsfView v = csf.view();
+  const double got = ActiveKernels().csf_rewritten_entries(
+      v, m.u1.data(), m.u2.data(), m.u3.data(), m.h.data(), m.rank(), wp,
+      wn, nullptr, nullptr, nullptr, nullptr, 0, v.num_slices);
   double want = 0.0;
   for (const TensorEntry& e : x.entries()) {
     const double y = m.Predict(e.i, e.j, e.k);
@@ -291,10 +291,12 @@ TEST(RewrittenCsfTest, GradsMatchCooEntryLoop) {
   const FactorModel m = RandomModel(14, 11, 7, 4, 38);
   const double wp = 0.9, wn = 0.1;
   const CsfTensor csf(x);
+  const CsfView v = csf.view();
   FactorGrads got(m);
-  (void)SparseKernels::RewrittenEntryLoss(csf, m.u1, m.u2, m.u3, m.h, wp,
-                                          wn, &got.u1, &got.u2, &got.u3,
-                                          &got.h);
+  (void)ActiveKernels().csf_rewritten_entries(
+      v, m.u1.data(), m.u2.data(), m.u3.data(), m.h.data(), m.rank(), wp,
+      wn, got.u1.data(), got.u2.data(), got.u3.data(), got.h.data(), 0,
+      v.num_slices);
   FactorGrads want(m);
   for (const TensorEntry& e : x.entries()) {
     const double y = m.Predict(e.i, e.j, e.k);

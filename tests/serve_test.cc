@@ -237,6 +237,78 @@ TEST_F(ServeTest, DeadlineBudgetDegradesToPopularity) {
   EXPECT_EQ(service_->Stats().deadline_degrades, 1u);
 }
 
+TEST_F(ServeTest, DeadlineDegradesDoNotLockTheTierOut) {
+  const std::string path = TempPath("lockin_model.tcss");
+  ASSERT_TRUE(SaveFactorModel(ConstantModel(4, 5, 12, 1.0), path).ok());
+  Start(path);
+  ServeRequest req;
+  req.user = 0;
+  for (int warm = 0; warm < 3; ++warm) {
+    ASSERT_EQ(service_->TopK(req).tier, ServeTier::kModel);
+  }
+  const double ewma = service_->TierLatencyEwmaMs(ServeTier::kModel);
+  ASSERT_GT(ewma, 0.0);
+  // Popularity answers never sample the model tier, so without a decay
+  // of the skipped tier every one of these would degrade.
+  req.deadline_ms = ewma / 2;
+  int model_answers = 0;
+  for (int n = 0; n < 10; ++n) {
+    model_answers += service_->TopK(req).tier == ServeTier::kModel;
+  }
+  EXPECT_GE(model_answers, 1);
+}
+
+TEST_F(ServeTest, DeadlineBatchIsBudgetedAgainstTheEwmaFromBeforeIt) {
+  const std::string path = TempPath("batch_budget_model.tcss");
+  ASSERT_TRUE(SaveFactorModel(ConstantModel(4, 5, 12, 1.0), path).ok());
+  Start(path);
+  ServeRequest req;
+  req.user = 0;
+  for (int warm = 0; warm < 3; ++warm) {
+    ASSERT_EQ(service_->TopK(req).tier, ServeTier::kModel);
+  }
+  const double ewma = service_->TierLatencyEwmaMs(ServeTier::kModel);
+  ASSERT_GT(ewma, 0.0);
+  // A full server batch, every request due before the model tier answers:
+  // all of them degrade, and the skipped tier decays once for the batch,
+  // not once per request (0.8^4 < 1/2 would send the fifth to the model).
+  req.deadline_ms = ewma / 2;
+  const std::vector<ServeRequest> batch(32, req);
+  for (const auto& resp : service_->BatchTopK(batch)) {
+    EXPECT_EQ(resp.tier, ServeTier::kPopularity);
+  }
+  EXPECT_EQ(service_->Stats().deadline_degrades, 32u);
+  const double decayed = service_->TierLatencyEwmaMs(ServeTier::kModel);
+  EXPECT_DOUBLE_EQ(decayed, (1.0 - kLatencyEwmaAlpha) * ewma);
+  // A batch in which the skipped tier also answered measured it: the
+  // no-deadline request's latency is blended in and nothing decays.
+  ServeRequest no_deadline = req;
+  no_deadline.deadline_ms = 0.0;
+  const std::vector<ServeRequest> mixed = {req, no_deadline, req};
+  const auto resps = service_->BatchTopK(mixed);
+  EXPECT_EQ(resps[0].tier, ServeTier::kPopularity);
+  EXPECT_EQ(resps[1].tier, ServeTier::kModel);
+  EXPECT_EQ(resps[2].tier, ServeTier::kPopularity);
+  EXPECT_DOUBLE_EQ(service_->TierLatencyEwmaMs(ServeTier::kModel),
+                   (1.0 - kLatencyEwmaAlpha) * decayed +
+                       kLatencyEwmaAlpha * resps[1].latency_ms);
+}
+
+TEST_F(ServeTest, PlanTierAppliesTheDeadlineBudget) {
+  const std::string path = TempPath("plan_model.tcss");
+  ASSERT_TRUE(SaveFactorModel(ConstantModel(4, 5, 12, 1.0), path).ok());
+  Start(path);
+  ServeRequest req;
+  req.user = 0;
+  ASSERT_EQ(service_->TopK(req).tier, ServeTier::kModel);
+  EXPECT_EQ(service_->PlanTier(req), ServeTier::kModel);
+  // Admission must predict with the tier the dispatcher will answer from.
+  req.deadline_ms = service_->TierLatencyEwmaMs(ServeTier::kModel) / 2;
+  ASSERT_GT(req.deadline_ms, 0.0);
+  EXPECT_EQ(service_->PlanTier(req), ServeTier::kPopularity);
+  EXPECT_EQ(service_->TopK(req).tier, ServeTier::kPopularity);
+}
+
 // --- hot reload --------------------------------------------------------
 
 TEST_F(ServeTest, HotReloadSwapsModelBetweenQueries) {

@@ -5,9 +5,10 @@
 // crashes, leaks a connection, or deadlocks. Scenarios: overload storms
 // against a tiny queue, torn/truncated/garbage frames, wire faults
 // injected through FaultInjectionEnv, hot reloads mid-storm, graceful
-// drain under load, and a deadline property at 1/2/8 workers. The soak
-// scenario scales with TCSS_SERVER_SOAK (tools/check.sh sets 10000 for
-// the TSan stage). Each world counts into its own metric registry, which
+// drain under load, a deadline property at 1/2/8 workers and deadline
+// admission below a warm model tier's latency. The soak scenario scales
+// with TCSS_SERVER_SOAK (tools/check.sh sets 10000 for the TSan stage).
+// Each world counts into its own metric registry, which
 // is the server's only ledger: after every drain each ServerStats field
 // must equal the counter it names.
 #include <gtest/gtest.h>
@@ -618,6 +619,48 @@ TEST(ServerChaosTest, DeadlinePropertyAcrossWorkerCounts) {
     EXPECT_TRUE(w->server->Stop().ok());
     ExpectServerLedgerBalanced(w.get());
   }
+}
+
+// Admission plans with the service's deadline budget. With the model tier
+// warm and popularity never sampled, a request due before the model tier
+// answers plans as popularity, which predicts 0 service time as the
+// budget reads a tier that has never answered, so the request is
+// admitted: the dispatcher sees it and the model tier decays. Predicting
+// it at the model tier's latency instead shed every such request before
+// the dispatcher, and the model tier was never measured again. A budget
+// this tight may still expire in the queue, or be shed once popularity
+// has a latency of its own that misses it.
+TEST(ServerChaosTest, DeadlineBelowTheModelEwmaIsNotShedAtItsLatency) {
+  auto w = StartWorld("lockin", ServerOptions{});
+  std::vector<Frame> warm;
+  for (int i = 0; i < 5; ++i) {
+    warm.push_back(TopkFrame(static_cast<uint64_t>(i) + 1, 0, 0, 3));
+  }
+  ExpectAllAnswered(RunClient(w->env(), w->socket_path, warm), warm);
+  const double model_ms = w->service->TierLatencyEwmaMs(ServeTier::kModel);
+  ASSERT_GT(model_ms, 0.0);
+  ASSERT_EQ(w->service->TierLatencyEwmaMs(ServeTier::kPopularity), 0.0);
+  int deadline_sheds = 0;
+  for (uint64_t id = 100; id < 110; ++id) {
+    const bool popularity_cold =
+        w->service->TierLatencyEwmaMs(ServeTier::kPopularity) == 0.0;
+    const std::vector<Frame> one = {TopkFrame(id, 0, 0, 3, model_ms / 2)};
+    const ClientOutcome out = RunClient(w->env(), w->socket_path, one);
+    ExpectAllAnswered(out, one);
+    const WireResponse& resp = out.responses.at(id);
+    if (resp.kind == WireResponse::Kind::kShed &&
+        resp.shed == ShedReason::kDeadline) {
+      ++deadline_sheds;
+      EXPECT_FALSE(popularity_cold) << "id " << id;
+    } else {
+      EXPECT_TRUE(resp.kind == WireResponse::Kind::kOk ||
+                  resp.kind == WireResponse::Kind::kShed)
+          << "id " << id;
+    }
+  }
+  EXPECT_LT(deadline_sheds, 10);
+  EXPECT_TRUE(w->server->Stop().ok());
+  ExpectServerLedgerBalanced(w.get());
 }
 
 // Wire faults through FaultInjectionEnv: reads and writes fail (or tear)

@@ -20,10 +20,11 @@
 #      under the instrumented binaries.
 #   3. ThreadSanitizer build: configure with TCSS_SANITIZE=thread and run
 #      the determinism + obs + proptest + server + dist suites: determinism
-#      drives the thread pool, the sharded losses, and multi-threaded
-#      training end to end; obs hammers the sharded metric registry from
-#      many threads; proptest re-runs the differential-oracle properties,
-#      whose kernel equalities execute at 1/2/8 threads, and the exact
+#      drives the thread pool, every ParallelReduce site (the sharded
+#      losses and MTTKRP), and multi-threaded training end to end; obs
+#      hammers the sharded metric registry from many threads; proptest
+#      re-runs the differential-oracle properties, whose kernel
+#      equalities execute at 1/2/8 threads, and the exact
 #      scan suite, which rebuilds the scan panel on the serving thread
 #      while a writer thread storms the model file; the server
 #      chaos harness replays its storms — with TCSS_SERVER_SOAK=10000 so
@@ -87,14 +88,15 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # TSan is mutually exclusive with ASan, hence the separate tree. Only the
 # determinism, obs, proptest, kernels, server, dist, and stream labels
 # run here: they are the suites that exercise concurrency
-# (ThreadPool, sharded losses, multi-threaded training, concurrent metric
-# recording, the multi-threaded kernel-equality properties, the scan
-# panel rebuilt under a reload storm, the sharded L2-head entry loop and
-# the social Hausdorff kernels (per-thread scratch) at 1/2/8 threads, the
-# server's acceptor/reader/dispatcher threads, the distributed
-# coordinator/worker fleets, and the streaming ingest path under reload
-# storms); the rest of the suite is single-threaded and already covered
-# by stage 2.
+# (ThreadPool, the ParallelReduce sites — the L2-head CSF entry loop,
+# negative sampling, the Hausdorff minibatch and MTTKRP modes 1/2 —
+# multi-threaded training, concurrent metric recording, the
+# multi-threaded kernel-equality properties, the scan panel rebuilt
+# under a reload storm, the social Hausdorff kernels (per-thread
+# scratch) at 1/2/8 threads, the server's acceptor/reader/dispatcher
+# threads, the distributed coordinator/worker fleets, and the streaming
+# ingest path under reload storms); the rest of the suite is
+# single-threaded and already covered by stage 2.
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DTCSS_SANITIZE=thread

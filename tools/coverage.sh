@@ -15,8 +15,10 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-cov}"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Debug -DTCSS_COVERAGE=ON
-cmake --build "$BUILD_DIR" -j
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j
+# Explicit job counts: a bare -j is an unbounded make -j under CMake's
+# Makefile generator, and a bare trailing ctest -j has no count.
+cmake --build "$BUILD_DIR" -j "$(nproc)"
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 python3 - "$BUILD_DIR" <<'EOF'
 import gzip, json, os, subprocess, sys
