@@ -32,7 +32,6 @@
 #include "linalg/linear_operator.h"
 #include "linalg/simd.h"
 #include "linalg/subspace_iteration.h"
-#include "tensor/csf_tensor.h"
 #include "tensor/gram_operator.h"
 #include "tensor/mttkrp.h"
 
@@ -67,26 +66,26 @@ const SparseTensor& CheckinTensor() {
   return *tensor;
 }
 
-// Args: {mode, rank}. CP-ALS's MTTKRP on a prebuilt CSF tree.
+// Args: {mode, rank}. CP-ALS's MTTKRP on the tensor's CSF tree.
 void BM_Mttkrp(benchmark::State& state) {
-  const CsfTensor csf(CheckinTensor());
+  const SparseTensor& x = CheckinTensor();
   const int mode = static_cast<int>(state.range(0));
   const size_t r = static_cast<size_t>(state.range(1));
   SetSimdMode(SimdMode::kScalar);  // the loop bypasses the kernel table;
                                    // keep the emitted simd tag honest
   Rng rng(1);
-  Matrix factors[3] = {Matrix::GaussianRandom(csf.dim_i(), r, &rng),
-                       Matrix::GaussianRandom(csf.dim_j(), r, &rng),
-                       Matrix::GaussianRandom(csf.dim_k(), r, &rng)};
+  Matrix factors[3] = {Matrix::GaussianRandom(x.dim_i(), r, &rng),
+                       Matrix::GaussianRandom(x.dim_j(), r, &rng),
+                       Matrix::GaussianRandom(x.dim_k(), r, &rng)};
   Stopwatch sw;
   size_t iters = 0;
   for (auto _ : state) {
-    Matrix out = Mttkrp(csf, factors, mode);
+    Matrix out = Mttkrp(x, factors, mode);
     benchmark::DoNotOptimize(out.data());
     ++iters;
   }
-  state.counters["fibers"] = static_cast<double>(csf.num_fibers());
-  state.counters["nnz"] = static_cast<double>(csf.nnz());
+  state.counters["fibers"] = static_cast<double>(x.num_fibers());
+  state.counters["nnz"] = static_cast<double>(x.nnz());
   if (iters > 0) {
     tcss::bench::AppendBenchJson(
         "kernel_mttkrp", "gowalla-like",

@@ -2,7 +2,6 @@
 
 #include "common/rng.h"
 #include "linalg/cholesky.h"
-#include "tensor/csf_tensor.h"
 #include "tensor/mttkrp.h"
 
 namespace tcss {
@@ -21,16 +20,13 @@ Status CpAls::Fit(const TrainContext& ctx) {
   factors_[1] = Matrix::GaussianRandom(x.dim_j(), r, &rng, 0.1);
   factors_[2] = Matrix::GaussianRandom(x.dim_k(), r, &rng, 0.1);
 
-  // One CSF build serves every MTTKRP of every sweep.
-  const CsfTensor csf(x);
-
   for (int sweep = 0; sweep < opts_.sweeps; ++sweep) {
     for (int mode = 0; mode < 3; ++mode) {
       // Normal equations gram: Hadamard of the other two factor Grams.
       const Matrix& f1 = factors_[(mode + 1) % 3];
       const Matrix& f2 = factors_[(mode + 2) % 3];
       Matrix gram = Hadamard(Gram(f1), Gram(f2));
-      Matrix rhs = Mttkrp(csf, factors_, mode);  // dim x r
+      Matrix rhs = Mttkrp(x, factors_, mode);  // dim x r
       // Solve gram * a_row = rhs_row for every row (shared factorization).
       auto solved = CholeskySolveMulti(gram, rhs.Transposed(), opts_.ridge);
       if (!solved.ok()) return solved.status();

@@ -7,6 +7,19 @@
 
 namespace tcss {
 
+/// SplitMix64's output finalizer: a bijective avalanche mix of one 64-bit
+/// word. Rng's seeding and every counter-derived stream (per-user
+/// synthetic data, per-shard negative sampling, proptest case seeds, the
+/// dist fingerprint) go through this one function.
+inline uint64_t Mix64(uint64_t z) {
+  z ^= z >> 30;
+  z *= 0xbf58476d1ce4e5b9ULL;
+  z ^= z >> 27;
+  z *= 0x94d049bb133111ebULL;
+  z ^= z >> 31;
+  return z;
+}
+
 /// Deterministic, fast PRNG (xoshiro256**), seeded via SplitMix64.
 /// All stochastic components of the library draw from this generator so
 /// experiments are exactly reproducible from a single seed.

@@ -1,5 +1,7 @@
 #include "core/tcss_config.h"
 
+#include <cmath>
+
 #include "common/strings.h"
 
 namespace tcss {
@@ -51,16 +53,34 @@ std::string TcssConfig::Summary() const {
       HausdorffModeName(hausdorff), hausdorff_pool, num_threads);
 }
 
+namespace {
+
+// Finite and in range: NaN fails both (every comparison with NaN is
+// false), and so does an infinity.
+bool Positive(double v) { return std::isfinite(v) && v > 0; }
+bool NonNegative(double v) { return std::isfinite(v) && v >= 0; }
+
+}  // namespace
+
 std::string TcssConfig::Validate() const {
   if (rank == 0) return "rank must be positive";
   if (epochs < 0) return "epochs must be non-negative";
-  if (learning_rate <= 0) return "learning_rate must be positive";
-  if (w_pos <= 0 || w_neg < 0) return "weights must be positive";
+  if (!Positive(learning_rate)) return "learning_rate must be positive";
+  if (!NonNegative(weight_decay)) return "weight_decay must be non-negative";
+  if (!Positive(lr_step_factor) || lr_step_factor > 1) {
+    return "lr_step_factor must be in (0, 1]";
+  }
+  if (!Positive(w_pos) || !NonNegative(w_neg)) {
+    return "weights must be positive";
+  }
   if (w_pos < w_neg) return "w_pos should not be below w_neg";
-  if (lambda < 0) return "lambda must be non-negative";
-  if (alpha >= 0) return "alpha must be negative (soft minimum)";
-  if (epsilon <= 0) return "epsilon must be positive";
-  if (zero_out_sigma_frac <= 0 || zero_out_sigma_frac > 1) {
+  if (!NonNegative(lambda)) return "lambda must be non-negative";
+  if (!Positive(-alpha)) return "alpha must be negative (soft minimum)";
+  if (!Positive(epsilon)) return "epsilon must be positive";
+  if (!NonNegative(temporal_smoothness)) {
+    return "temporal_smoothness must be non-negative";
+  }
+  if (!Positive(zero_out_sigma_frac) || zero_out_sigma_frac > 1) {
     return "zero_out_sigma_frac must be in (0, 1]";
   }
   if (num_threads < 0 || num_threads > 1024) {

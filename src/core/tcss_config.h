@@ -97,7 +97,8 @@ struct TcssConfig {
   /// Human-readable one-liner for experiment logs.
   std::string Summary() const;
 
-  /// Sanity-checks ranges; returns a message on the first problem.
+  /// Sanity-checks ranges (every double must be finite); returns a
+  /// message on the first problem.
   std::string Validate() const;
 };
 

@@ -165,7 +165,6 @@ TcssTrainer::TcssTrainer(const Dataset& data, const SparseTensor& train,
                          const TcssConfig& config)
     : train_(&train), config_(config) {
   l2_ = WholeDataLoss::Create(config_);
-  l2_->BindTensor(*train_);
   const bool wants_l1 = config_.lambda > 0.0 &&
                         (config_.hausdorff == HausdorffMode::kSocial ||
                          config_.hausdorff == HausdorffMode::kSelf);
@@ -384,7 +383,6 @@ Result<double> TcssTrainer::TimeOneLossEpoch(LossMode mode) {
   FactorModel model = init.MoveValue();
   FactorGrads grads(model);
   std::unique_ptr<WholeDataLoss> loss = WholeDataLoss::Create(cfg);
-  loss->BindTensor(*train_);  // precompute CSF outside the timed region
   Stopwatch sw;
   (void)loss->ComputeWithGrads(model, *train_, &grads);
   return sw.ElapsedSeconds();

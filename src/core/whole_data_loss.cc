@@ -12,21 +12,15 @@ namespace tcss {
 
 namespace {
 
-/// SplitMix64-style finalizer deriving an independent RNG stream for
-/// (seed, call, shard). Counter-based: no mutable generator state crosses
-/// calls, so the draws of call n are a pure function of these three.
+/// Derives an independent RNG stream for (seed, call, shard).
+/// Counter-based: no mutable generator state crosses calls, so the draws
+/// of call n are a pure function of these three.
 uint64_t MixStream(uint64_t seed, uint64_t call, uint64_t shard) {
-  uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (call + 1) +
-               0xbf58476d1ce4e5b9ULL * (shard + 1);
-  z ^= z >> 30;
-  z *= 0xbf58476d1ce4e5b9ULL;
-  z ^= z >> 27;
-  z *= 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  return z;
+  return Mix64(seed + 0x9e3779b97f4a7c15ULL * (call + 1) +
+               0xbf58476d1ce4e5b9ULL * (shard + 1));
 }
 
-/// Observed-entry part of Eq 15 over the CSF tree `x`:
+/// Observed-entry part of Eq 15 over the CSF tree of `x`:
 ///   sum_{(i,j,k) in nnz} (w+ - w-) y^2 - 2 w+ X y + w+ X^2
 /// with y = sum_t h_t u1[i,t] u2[j,t] u3[k,t], accumulating its gradients
 /// into `grads` when non-null. Shards hold >= ~1024 entries, at most
@@ -34,10 +28,10 @@ uint64_t MixStream(uint64_t seed, uint64_t call, uint64_t shard) {
 /// (nnz, num_slices). dL/dU1 rows are slice rows, disjoint across shards,
 /// so every shard writes grads->u1 in place; only U2, U3 and h go through
 /// shard buffers.
-double RewrittenEntryLoss(const CsfTensor& x, const FactorModel& model,
+double RewrittenEntryLoss(const SparseTensor& x, const FactorModel& model,
                           double w_pos, double w_neg, FactorGrads* grads) {
   const size_t r = model.rank();
-  const CsfView v = x.view();
+  const CsfView v = x.csf();
   const KernelTable& kern = ActiveKernels();
   const size_t target =
       std::clamp<size_t>(x.nnz() / 1024, 1, kMaxReduceShards);
@@ -107,16 +101,6 @@ std::unique_ptr<WholeDataLoss> WholeDataLoss::Create(
 // RewrittenLoss (Eq 15)
 // ---------------------------------------------------------------------------
 
-void RewrittenLoss::BindTensor(const SparseTensor& train) {
-  if (train.finalized()) {
-    csf_ = CsfTensor(train);
-    bound_ = &train;
-  } else {
-    csf_ = CsfTensor();
-    bound_ = nullptr;
-  }
-}
-
 double RewrittenLoss::ComputeWithGrads(const FactorModel& model,
                                        const SparseTensor& train,
                                        FactorGrads* grads) {
@@ -124,12 +108,7 @@ double RewrittenLoss::ComputeWithGrads(const FactorModel& model,
 
   // --- positive part: sum over observed entries -------------------------
   // (w+ - w-) yhat^2 - 2 w+ X yhat  [+ w+ X^2 constant for exactness]
-  // The bound tensor reuses the precomputed CSF tree, any other finalized
-  // tensor builds one per call (same structure, same bytes).
-  double loss = bound_ == &train
-                    ? RewrittenEntryLoss(csf_, model, w_pos_, w_neg_, grads)
-                    : RewrittenEntryLoss(CsfTensor(train), model, w_pos_,
-                                         w_neg_, grads);
+  double loss = RewrittenEntryLoss(train, model, w_pos_, w_neg_, grads);
 
   // --- whole-data part: w- * sum_{all cells} yhat^2 ---------------------
   // T = sum_{r1,r2} h_r1 h_r2 G1_{r1r2} G2_{r1r2} G3_{r1r2}

@@ -6,7 +6,6 @@
 #include "common/rng.h"
 #include "core/factor_model.h"
 #include "core/tcss_config.h"
-#include "tensor/csf_tensor.h"
 #include "tensor/sparse_tensor.h"
 
 namespace tcss {
@@ -37,13 +36,6 @@ class WholeDataLoss {
     return ComputeWithGrads(model, train, nullptr);
   }
 
-  /// Precomputes tensor-derived structures (the CSF tree for
-  /// RewrittenLoss) for the tensor the next Compute/ComputeWithGrads
-  /// calls will pass. Purely an optimization: unbound calls build the
-  /// same structure per call and return the same bytes. The binding is
-  /// keyed on the tensor's address — rebind if it moves or changes.
-  virtual void BindTensor(const SparseTensor& train) { (void)train; }
-
   /// Opaque sampler state for checkpointing. Deterministic losses return
   /// 0; NegativeSamplingLoss returns its call counter, from which every
   /// random stream is re-derivable (seed + counter), so restoring it makes
@@ -55,20 +47,17 @@ class WholeDataLoss {
   static std::unique_ptr<WholeDataLoss> Create(const TcssConfig& config);
 };
 
-/// Eq 15. Its entry loop walks the CSF tree of `train`, which must be
-/// finalized.
+/// Eq 15. Its entry loop walks the CSF tree of `train` (train.csf()),
+/// which must be finalized.
 class RewrittenLoss : public WholeDataLoss {
  public:
   RewrittenLoss(double w_pos, double w_neg) : w_pos_(w_pos), w_neg_(w_neg) {}
   const char* name() const override { return "rewritten"; }
   double ComputeWithGrads(const FactorModel& model, const SparseTensor& train,
                           FactorGrads* grads) override;
-  void BindTensor(const SparseTensor& train) override;
 
  private:
   double w_pos_, w_neg_;
-  CsfTensor csf_;                        ///< bound CSF tree (may be empty)
-  const SparseTensor* bound_ = nullptr;  ///< tensor csf_ was built from
 };
 
 /// Eq 14, literal triple loop (kept for Table IV and equivalence tests).

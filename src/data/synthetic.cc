@@ -426,18 +426,12 @@ Result<Dataset> GenerateSyntheticLbsn(const SyntheticConfig& cfg) {
 
 namespace {
 
-/// SplitMix64-style finalizer deriving one independent RNG stream per
-/// (seed, user). Counter-based: user u's draws are a pure function of
-/// these two, never of how many other users were generated before — the
-/// property that makes arbitrary user slices independently generatable.
+/// Derives one independent RNG stream per (seed, user). Counter-based:
+/// user u's draws are a pure function of these two, never of how many
+/// other users were generated before — the property that makes arbitrary
+/// user slices independently generatable.
 uint64_t UserStream(uint64_t seed, uint64_t user) {
-  uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (user + 1);
-  z ^= z >> 30;
-  z *= 0xbf58476d1ce4e5b9ULL;
-  z ^= z >> 27;
-  z *= 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  return z;
+  return Mix64(seed + 0x9e3779b97f4a7c15ULL * (user + 1));
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/rng.h"
+
 namespace tcss {
 namespace {
 
@@ -11,13 +13,7 @@ namespace {
 constexpr uint64_t kDistProtocolVersion = 1;
 
 uint64_t Mix(uint64_t acc, uint64_t v) {
-  uint64_t z = acc + 0x9e3779b97f4a7c15ULL + v;
-  z ^= z >> 30;
-  z *= 0xbf58476d1ce4e5b9ULL;
-  z ^= z >> 27;
-  z *= 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  return z;
+  return Mix64(acc + 0x9e3779b97f4a7c15ULL + v);
 }
 
 uint64_t MixDouble(uint64_t acc, double v) {

@@ -73,7 +73,6 @@ Status DistWorker::Run() {
   }
   SetGlobalThreads(config_.num_threads);
   l2_ = WholeDataLoss::Create(config_);
-  l2_->BindTensor(tensor_);
   if (!opts_.checkpoint_dir.empty()) {
     CheckpointOptions copts;
     copts.dir = opts_.checkpoint_dir;

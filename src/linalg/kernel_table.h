@@ -8,19 +8,34 @@
 
 namespace tcss {
 
-/// Raw view of a CSF tensor (tensor/csf_tensor.h) so the linalg-layer
-/// kernels can traverse it without a dependency on the tensor library.
-/// All arrays follow the CsfTensor layout: slices index into fibers via
-/// slice_start (size num_slices + 1), fibers into nonzeros via
-/// fiber_start (size num_fibers + 1).
+/// One nonzero of an order-3 tensor (tensor/sparse_tensor.h).
+struct TensorEntry {
+  uint32_t i;  ///< mode-1 index (user)
+  uint32_t j;  ///< mode-2 index (POI)
+  uint32_t k;  ///< mode-3 index (time bin)
+  double value;
+
+  bool operator==(const TensorEntry& o) const {
+    return i == o.i && j == o.j && k == o.k && value == o.value;
+  }
+};
+
+/// Compressed Sparse Fiber (CSF) tree of an order-3 tensor rooted at mode
+/// 0, as SparseTensor::csf() returns it, so the linalg-layer kernels can
+/// walk it without a dependency on the tensor library. Three levels:
+/// distinct i values (slices) index into fibers via slice_start (size
+/// num_slices + 1), distinct (i, j) pairs (fibers) index into the
+/// nonzeros via fiber_start (size num_fibers + 1), and the nonzeros are
+/// the tensor's own (i, j, k)-sorted entries. A kernel hoists per-slice
+/// and per-fiber factor rows out of the nonzero loop: on check-in data a
+/// user visits the same POI in several time bins.
 struct CsfView {
   const uint32_t* slice_id = nullptr;
   const size_t* slice_start = nullptr;
   size_t num_slices = 0;
   const uint32_t* fiber_id = nullptr;
   const size_t* fiber_start = nullptr;
-  const uint32_t* kk = nullptr;
-  const double* val = nullptr;
+  const TensorEntry* entry = nullptr;
 };
 
 /// The dispatchable micro-kernels: the dense products, the L2 head's

@@ -611,8 +611,8 @@ double CsfRewrittenEntries(const CsfView& x, const double* u1,
         ab[t] = a[t] * b[t];
       }
       for (size_t e = x.fiber_start[f]; e < x.fiber_start[f + 1]; ++e) {
-        const double* __restrict c = u3 + size_t{x.kk[e]} * r;
-        const double v = x.val[e];
+        const double* __restrict c = u3 + size_t{x.entry[e].k} * r;
+        const double v = x.entry[e].value;
         // Ascending-t scalar sum in BOTH builds: a simd reduction would
         // tree-reorder the chain and break scalar/native bit equality.
         double y = 0.0;
@@ -621,7 +621,7 @@ double CsfRewrittenEntries(const CsfView& x, const double* u1,
                 w_pos * v * v;
         if (want_grads) {
           const double g = 2.0 * (w_pos - w_neg) * y - 2.0 * w_pos * v;
-          double* __restrict gc = gu3 + size_t{x.kk[e]} * r;
+          double* __restrict gc = gu3 + size_t{x.entry[e].k} * r;
           TCSS_SIMD_LOOP
           for (size_t t = 0; t < r; ++t) {
             ga[t] += g * hb[t] * c[t];

@@ -4,22 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/rng.h"
+
 namespace tcss {
 namespace proptest {
-
-namespace {
-
-/// SplitMix64 output finalizer.
-uint64_t Mix64(uint64_t z) {
-  z ^= z >> 30;
-  z *= 0xbf58476d1ce4e5b9ULL;
-  z ^= z >> 27;
-  z *= 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  return z;
-}
-
-}  // namespace
 
 uint64_t DeriveCaseSeed(uint64_t run_seed, uint64_t case_index) {
   return Mix64(run_seed + 0x9e3779b97f4a7c15ULL * (case_index + 1));

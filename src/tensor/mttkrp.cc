@@ -30,8 +30,8 @@ void AddSlices(const CsfView& x, const Matrix factors[3], int mode,
         const double* a = factors[0].row(i);
         const double* b = factors[1].row(j);
         for (size_t e = begin; e < end; ++e) {
-          const double v = x.val[e];
-          double* dst = out->row(x.kk[e]);
+          const double v = x.entry[e].value;
+          double* dst = out->row(x.entry[e].k);
           for (size_t t = 0; t < r; ++t) dst[t] += v * (a[t] * b[t]);
         }
         continue;
@@ -39,15 +39,15 @@ void AddSlices(const CsfView& x, const Matrix factors[3], int mode,
       double* dst = out->row(mode == 0 ? i : j);
       const double* xr = mode == 0 ? factors[1].row(j) : factors[0].row(i);
       if (end - begin == 1) {
-        const double v = x.val[begin];
-        const double* c = factors[2].row(x.kk[begin]);
+        const double v = x.entry[begin].value;
+        const double* c = factors[2].row(x.entry[begin].k);
         for (size_t t = 0; t < r; ++t) dst[t] += v * xr[t] * c[t];
         continue;
       }
       std::fill(acc.begin(), acc.end(), 0.0);
       for (size_t e = begin; e < end; ++e) {
-        const double v = x.val[e];
-        const double* c = factors[2].row(x.kk[e]);
+        const double v = x.entry[e].value;
+        const double* c = factors[2].row(x.entry[e].k);
         for (size_t t = 0; t < r; ++t) acc[t] += v * c[t];
       }
       for (size_t t = 0; t < r; ++t) dst[t] += acc[t] * xr[t];
@@ -57,7 +57,7 @@ void AddSlices(const CsfView& x, const Matrix factors[3], int mode,
 
 }  // namespace
 
-Matrix Mttkrp(const CsfTensor& x, const Matrix factors[3], int mode) {
+Matrix Mttkrp(const SparseTensor& x, const Matrix factors[3], int mode) {
   TCSS_CHECK(mode >= 0 && mode <= 2);
   const size_t dims[3] = {x.dim_i(), x.dim_j(), x.dim_k()};
   const size_t r = factors[(mode + 1) % 3].cols();
@@ -66,7 +66,7 @@ Matrix Mttkrp(const CsfTensor& x, const Matrix factors[3], int mode) {
     TCSS_CHECK(factors[m].rows() == dims[m] && factors[m].cols() == r);
   }
   Matrix out(dims[mode], r);
-  const CsfView v = x.view();
+  const CsfView v = x.csf();
   if (x.nnz() * r < kParallelWorkThreshold) {
     AddSlices(v, factors, mode, 0, v.num_slices, &out);
     return out;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
 #include "common/strings.h"
 
 namespace tcss {
@@ -71,8 +72,35 @@ Status SparseTensor::Finalize(bool binary) {
                                   }),
                    entries_.end());
   }
+  // CSF levels: a slice starts where i changes, a fiber where i or j does.
+  for (size_t e = 0; e < entries_.size(); ++e) {
+    const TensorEntry& x = entries_[e];
+    const bool new_slice = slice_id_.empty() || slice_id_.back() != x.i;
+    if (new_slice) {
+      slice_id_.push_back(x.i);
+      slice_start_.push_back(fiber_id_.size());
+    }
+    if (new_slice || fiber_id_.back() != x.j) {
+      fiber_id_.push_back(x.j);
+      fiber_start_.push_back(e);
+    }
+  }
+  slice_start_.push_back(fiber_id_.size());
+  fiber_start_.push_back(entries_.size());
   finalized_ = true;
   return Status::OK();
+}
+
+CsfView SparseTensor::csf() const {
+  TCSS_CHECK(finalized_) << "SparseTensor::csf requires a finalized tensor";
+  CsfView v;
+  v.slice_id = slice_id_.data();
+  v.slice_start = slice_start_.data();
+  v.num_slices = slice_id_.size();
+  v.fiber_id = fiber_id_.data();
+  v.fiber_start = fiber_start_.data();
+  v.entry = entries_.data();
+  return v;
 }
 
 double SparseTensor::Get(uint32_t i, uint32_t j, uint32_t k) const {

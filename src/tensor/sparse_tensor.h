@@ -5,25 +5,17 @@
 #include <vector>
 
 #include "common/status.h"
+#include "linalg/kernel_table.h"
 
 namespace tcss {
 
-/// One nonzero of an order-3 tensor.
-struct TensorEntry {
-  uint32_t i;  ///< mode-1 index (user)
-  uint32_t j;  ///< mode-2 index (POI)
-  uint32_t k;  ///< mode-3 index (time bin)
-  double value;
-
-  bool operator==(const TensorEntry& o) const {
-    return i == o.i && j == o.j && k == o.k && value == o.value;
-  }
-};
-
-/// Order-3 sparse tensor in coordinate (COO) format, stored
-/// structure-of-arrays and kept sorted lexicographically by (i, j, k).
+/// Order-3 sparse tensor in coordinate (COO) format: an array of
+/// TensorEntry, sorted lexicographically by (i, j, k) once finalized.
 /// Duplicate coordinates added before Finalize() are coalesced (summed,
-/// or clamped to 1 for binary tensors).
+/// or clamped to 1 for binary tensors). The finalized tensor is also its
+/// own mode-0 CSF tree (csf()): Finalize() records where each i slice and
+/// each (i, j) fiber starts in the sorted entries, which are the tree's
+/// nonzeros.
 ///
 /// This is the check-in tensor X of the paper: X[i,j,k] = 1 iff user i
 /// checked in at POI j during time bin k.
@@ -49,9 +41,10 @@ class SparseTensor {
   /// Appends an entry; indices must be in range. Invalid after Finalize().
   Status Add(uint32_t i, uint32_t j, uint32_t k, double value = 1.0);
 
-  /// Sorts entries and coalesces duplicates. If `binary`, coalesced values
-  /// are clamped to 1 (a user visiting the same POI twice in the same bin
-  /// still yields X=1, per the paper's problem formulation).
+  /// Sorts entries, coalesces duplicates and records the CSF levels. If
+  /// `binary`, coalesced values are clamped to 1 (a user visiting the same
+  /// POI twice in the same bin still yields X=1, per the paper's problem
+  /// formulation).
   Status Finalize(bool binary = true);
 
   /// Value at (i,j,k); 0 for unobserved cells. Requires finalized().
@@ -62,6 +55,12 @@ class SparseTensor {
 
   const std::vector<TensorEntry>& entries() const { return entries_; }
 
+  /// The mode-0 CSF tree over entries(), walked by the L2 head's entry
+  /// loop (KernelTable::csf_rewritten_entries) and by Mttkrp. Requires
+  /// finalized(); valid while this tensor is alive.
+  CsfView csf() const;
+  size_t num_fibers() const { return fiber_id_.size(); }
+
   /// Sum of squared values (the constant term of the full MSE loss).
   double SquaredSum() const;
 
@@ -69,6 +68,11 @@ class SparseTensor {
   size_t dim_i_, dim_j_, dim_k_;
   std::vector<TensorEntry> entries_;
   bool finalized_ = false;
+  // CSF levels over entries_, filled by Finalize().
+  std::vector<uint32_t> slice_id_;   // distinct i
+  std::vector<size_t> slice_start_;  // into fibers, size slices + 1
+  std::vector<uint32_t> fiber_id_;   // j of each (i, j) fiber
+  std::vector<size_t> fiber_start_;  // into entries_, size fibers + 1
 };
 
 }  // namespace tcss

@@ -1,8 +1,10 @@
 // Argument checks of the tcss CLI (label "fuzz"): fork/execs the built
 // binary (TCSS_CLI_PATH) on a tiny generated preset and a one-epoch model.
-// A malformed or out-of-range `recommend` argument, and a negative or
-// non-integer value of any integer flag, must exit with status 2 and a
-// message — not read past a factor matrix or wrap through a size_t cast.
+// A malformed or out-of-range `recommend` argument, a negative or
+// non-integer value of any integer flag, a malformed or non-finite real,
+// and a flag the command does not read must exit with status 2 and a
+// message — not read past a factor matrix, wrap through a size_t cast or
+// run with a value the user did not ask for.
 // Options the server cannot run with must end `serve` at once; the ctest
 // TIMEOUT fails this suite instead of stalling it if one ever hangs again.
 #include <gtest/gtest.h>
@@ -103,6 +105,37 @@ TEST_F(CliTest, IntegerFlagsRejectNegativeAndNonIntegerValues) {
             2);
   EXPECT_EQ(RunCli(ServeArgs("--max-batch", "-1")), 2);
   EXPECT_EQ(RunCli(ServeArgs("--queue", "x")), 2);
+}
+
+TEST_F(CliTest, MalformedAndUnknownFlagsExitWithStatus2) {
+  // A real that is not a finite number in range, a misspelt or foreign
+  // flag, an unknown granularity and a negative deadline: each must exit
+  // 2 before any work (not run with a value the user did not ask for), so
+  // `train` and `generate` write nothing.
+  const std::string out = dir_ + "/bad";
+  auto train = [&](const std::string& flag, const std::string& value) {
+    return std::vector<std::string>{"train",    "--data", dir_, "--model",
+                                    out,        "--epochs", "1", flag,
+                                    value};
+  };
+  const std::vector<std::vector<std::string>> bad = {
+      train("--lambda", "abc"),
+      train("--lambda", "nan"),
+      train("--lambda", "inf"),
+      train("--lamda", "0.5"),
+      train("--granularity", "weeks"),
+      {"generate", "--scale", "abc", "--out", out},
+      {"recommend", "--data", dir_, "--model", model_, "--user", "0", "--K",
+       "5"},
+      ServeArgs("--deadline-ms", "-1"),
+  };
+  for (const auto& args : bad) {
+    std::string line;
+    for (const std::string& a : args) line += " " + a;
+    EXPECT_EQ(RunCli(args, 20.0), 2) << line;
+    EXPECT_FALSE(std::filesystem::exists(out)) << line << " wrote " << out;
+    std::filesystem::remove_all(out);
+  }
 }
 
 TEST_F(CliTest, ServeWithZeroMaxBatchExitsInsteadOfHanging) {

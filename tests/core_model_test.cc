@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <limits>
 
 #include "common/rng.h"
 #include "core/tcss_model.h"
@@ -51,6 +53,23 @@ TEST(TcssConfigTest, ValidateCatchesBadValues) {
   cfg.w_pos = 0.01;
   cfg.w_neg = 0.5;
   EXPECT_FALSE(cfg.Validate().empty());
+  // NaN passes every `<` / `<=` comparison, and an infinity is in range
+  // of a one-sided bound: every double field must reject both.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  double TcssConfig::*const fields[] = {
+      &TcssConfig::learning_rate,       &TcssConfig::weight_decay,
+      &TcssConfig::lr_step_factor,      &TcssConfig::w_pos,
+      &TcssConfig::w_neg,               &TcssConfig::lambda,
+      &TcssConfig::alpha,               &TcssConfig::epsilon,
+      &TcssConfig::temporal_smoothness, &TcssConfig::zero_out_sigma_frac};
+  for (size_t f = 0; f < std::size(fields); ++f) {
+    for (double bad : {nan, inf, -inf}) {
+      cfg = TcssConfig();
+      cfg.*fields[f] = bad;
+      EXPECT_FALSE(cfg.Validate().empty()) << "field #" << f << " = " << bad;
+    }
+  }
   cfg = TcssConfig();
   EXPECT_NE(cfg.Summary().find("TCSS"), std::string::npos);
 }

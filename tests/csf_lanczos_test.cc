@@ -1,4 +1,4 @@
-// Tests for the CSF tensor format and for the PSD-shifted Gram operator
+// Tests for the tensor's CSF tree and for the PSD-shifted Gram operator
 // that spectral initialization runs subspace iteration over, checked
 // against JacobiEigen on the materialized matrix.
 #include <gtest/gtest.h>
@@ -10,9 +10,9 @@
 #include "common/rng.h"
 #include "linalg/jacobi_eigen.h"
 #include "linalg/subspace_iteration.h"
-#include "tensor/csf_tensor.h"
 #include "tensor/gram_operator.h"
 #include "tensor/mttkrp.h"
+#include "tensor/sparse_tensor.h"
 
 namespace tcss {
 namespace {
@@ -32,29 +32,38 @@ SparseTensor RandomBinaryTensor(size_t I, size_t J, size_t K, size_t nnz,
 
 TEST(CsfTensorTest, StructureCountsAreConsistent) {
   SparseTensor coo = RandomBinaryTensor(10, 8, 6, 120, 1);
-  CsfTensor csf(coo);
-  EXPECT_EQ(csf.nnz(), coo.nnz());
-  EXPECT_LE(csf.num_slices(), coo.nnz());
-  EXPECT_LE(csf.num_fibers(), coo.nnz());
-  EXPECT_GE(csf.num_fibers(), csf.num_slices());
-  EXPECT_NEAR(csf.SquaredSum(), coo.SquaredSum(), 1e-12);
-  // Slice ids strictly increasing; fiber ids within a slice increasing
-  // (inherited from the COO sort order).
-  for (size_t s = 1; s < csf.slice_ids().size(); ++s) {
-    EXPECT_LT(csf.slice_ids()[s - 1], csf.slice_ids()[s]);
+  const CsfView csf = coo.csf();
+  const size_t fibers = coo.num_fibers();
+  EXPECT_EQ(csf.fiber_start[fibers], coo.nnz());
+  EXPECT_EQ(csf.slice_start[csf.num_slices], fibers);
+  EXPECT_LE(csf.num_slices, coo.nnz());
+  EXPECT_LE(fibers, coo.nnz());
+  EXPECT_GE(fibers, csf.num_slices);
+  EXPECT_EQ(csf.entry, coo.entries().data());  // no copy of the nonzeros
+  // Slice ids strictly increasing; fiber ids within a slice strictly
+  // increasing (inherited from the COO sort order).
+  for (size_t s = 1; s < csf.num_slices; ++s) {
+    EXPECT_LT(csf.slice_id[s - 1], csf.slice_id[s]);
+  }
+  for (size_t s = 0; s < csf.num_slices; ++s) {
+    for (size_t f = csf.slice_start[s] + 1; f < csf.slice_start[s + 1]; ++f) {
+      EXPECT_LT(csf.fiber_id[f - 1], csf.fiber_id[f]);
+    }
   }
 }
 
 TEST(CsfTensorTest, EmptyTensor) {
   SparseTensor coo(3, 3, 3);
   ASSERT_TRUE(coo.Finalize().ok());
-  CsfTensor csf(coo);
-  EXPECT_EQ(csf.nnz(), 0u);
-  EXPECT_EQ(csf.num_slices(), 0u);
+  const CsfView csf = coo.csf();
+  EXPECT_EQ(csf.num_slices, 0u);
+  EXPECT_EQ(coo.num_fibers(), 0u);
+  EXPECT_EQ(csf.slice_start[0], 0u);
+  EXPECT_EQ(csf.fiber_start[0], 0u);
   const Matrix factors[3] = {Matrix(3, 2, 1.0), Matrix(3, 2, 1.0),
                              Matrix(3, 2, 1.0)};
   for (int mode = 0; mode < 3; ++mode) {
-    const Matrix out = Mttkrp(csf, factors, mode);
+    const Matrix out = Mttkrp(coo, factors, mode);
     EXPECT_EQ(out.rows(), 3u);
     EXPECT_EQ(out.cols(), 2u);
     EXPECT_DOUBLE_EQ(out.MaxAbs(), 0.0) << "mode " << mode;

@@ -24,7 +24,6 @@
 #include "data/synthetic.h"
 #include "data/tensor_builder.h"
 #include "linalg/kernel_table.h"
-#include "tensor/csf_tensor.h"
 #include "tensor/mttkrp.h"
 
 namespace tcss {
@@ -228,13 +227,12 @@ TEST(KernelDeterminismTest, MttkrpParallelMatchesSerialExactlyAllModes) {
     Matrix factors[3] = {Matrix::GaussianRandom(x->dim_i(), r, &rng),
                          Matrix::GaussianRandom(x->dim_j(), r, &rng),
                          Matrix::GaussianRandom(x->dim_k(), r, &rng)};
-    const CsfTensor csf(*x);
     for (int mode = 0; mode < 3; ++mode) {
       SetGlobalThreads(1);
-      const Matrix serial = Mttkrp(csf, factors, mode);
+      const Matrix serial = Mttkrp(*x, factors, mode);
       for (int threads : {2, 8}) {
         SetGlobalThreads(threads);
-        EXPECT_TRUE(BitIdentical(serial, Mttkrp(csf, factors, mode)))
+        EXPECT_TRUE(BitIdentical(serial, Mttkrp(*x, factors, mode)))
             << x->dim_i() << " slices, mode " << mode << ", " << threads
             << " threads";
       }
@@ -278,8 +276,7 @@ TEST(LossDeterminismTest, RewrittenLossBitIdenticalAcrossThreadCounts) {
     // into the pre-filled gradients, then the Gram part (all that a call
     // on an empty tensor of the same shape adds).
     FactorGrads direct = Prefilled(model, 12);
-    const CsfTensor csf(*x);
-    const CsfView v = csf.view();
+    const CsfView v = x->csf();
     double direct_loss = ActiveKernels().csf_rewritten_entries(
         v, model.u1.data(), model.u2.data(), model.u3.data(),
         model.h.data(), cfg.rank, cfg.w_pos, cfg.w_neg, direct.u1.data(),

@@ -1,8 +1,8 @@
 // Kernel-dispatch suite (label "kernels"): the TCSS_SIMD dispatch seam,
 // bitwise equivalence of the scalar and native kernel builds across
 // thread counts, the CSF MTTKRP across thread counts, the mirrored Gram,
-// the CSF-backed RewrittenLoss (bound == unbound bytes), the social
-// Hausdorff kernels (each table entry scalar ==
+// the CSF entry kernel of RewrittenLoss (against a per-entry reference),
+// the social Hausdorff kernels (each table entry scalar ==
 // native, ComputeForUser == the scalar reference it replaced, both
 // bitwise), the exact top-k scan's f32 panel kernel (scalar == native,
 // bitwise), and spectral init (each column of the block Gram apply ==
@@ -34,7 +34,6 @@
 #include "linalg/matrix.h"
 #include "linalg/simd.h"
 #include "proptest/oracles.h"
-#include "tensor/csf_tensor.h"
 #include "tensor/gram_operator.h"
 #include "tensor/mttkrp.h"
 #include "tensor/sparse_tensor.h"
@@ -199,7 +198,6 @@ TEST(KernelEquivalenceTest, RewrittenLossBitIdenticalScalarVsNative) {
 TEST(CsfKernelsTest, MttkrpThreadCountInvariantPerMode) {
   KernelGuard guard;
   const SparseTensor x = RandomTensor(50, 40, 12, 4000, 5);
-  const CsfTensor csf(x);
   Rng rng(6);
   const size_t r = 8;
   Matrix factors[3] = {Matrix::GaussianRandom(50, r, &rng),
@@ -207,10 +205,10 @@ TEST(CsfKernelsTest, MttkrpThreadCountInvariantPerMode) {
                        Matrix::GaussianRandom(12, r, &rng)};
   for (int mode = 0; mode < 3; ++mode) {
     SetGlobalThreads(1);
-    const Matrix serial = Mttkrp(csf, factors, mode);
+    const Matrix serial = Mttkrp(x, factors, mode);
     for (int threads : {2, 8}) {
       SetGlobalThreads(threads);
-      EXPECT_TRUE(BitIdentical(serial, Mttkrp(csf, factors, mode)))
+      EXPECT_TRUE(BitIdentical(serial, Mttkrp(x, factors, mode)))
           << "mode " << mode << " @" << threads;
     }
   }
@@ -245,34 +243,16 @@ TEST(GramMirrorTest, EqualsFullRectangleBitwise) {
 }
 
 // --------------------------------------------------------------------------
-// CSF-backed RewrittenLoss: bound and unbound calls return the same
-// bytes, and the entry term matches a direct per-entry reference.
+// The CSF entry kernel over SparseTensor::csf() matches a direct
+// per-entry reference, value and gradients.
 // --------------------------------------------------------------------------
-
-TEST(RewrittenCsfTest, BoundAndUnboundBitIdentical) {
-  KernelGuard guard;
-  const SparseTensor x = RandomTensor(30, 22, 9, 2500, 33);
-  const FactorModel m = RandomModel(30, 22, 9, 5, 34);
-  RewrittenLoss unbound(0.9, 0.1);
-  RewrittenLoss bound(0.9, 0.1);
-  bound.BindTensor(x);
-  for (int threads : {1, 8}) {
-    SetGlobalThreads(threads);
-    FactorGrads ga(m), gb(m);
-    const double la = unbound.ComputeWithGrads(m, x, &ga);
-    const double lb = bound.ComputeWithGrads(m, x, &gb);
-    EXPECT_EQ(la, lb) << threads << " threads";
-    EXPECT_TRUE(BitIdentical(ga, gb)) << threads << " threads";
-  }
-}
 
 TEST(RewrittenCsfTest, EntryLossMatchesPerEntryReference) {
   KernelGuard guard;
   const SparseTensor x = RandomTensor(12, 10, 6, 200, 35);
   const FactorModel m = RandomModel(12, 10, 6, 4, 36);
   const double wp = 0.93, wn = 0.07;
-  const CsfTensor csf(x);
-  const CsfView v = csf.view();
+  const CsfView v = x.csf();
   const double got = ActiveKernels().csf_rewritten_entries(
       v, m.u1.data(), m.u2.data(), m.u3.data(), m.h.data(), m.rank(), wp,
       wn, nullptr, nullptr, nullptr, nullptr, 0, v.num_slices);
@@ -290,8 +270,7 @@ TEST(RewrittenCsfTest, GradsMatchCooEntryLoop) {
   const SparseTensor x = RandomTensor(14, 11, 7, 300, 37);
   const FactorModel m = RandomModel(14, 11, 7, 4, 38);
   const double wp = 0.9, wn = 0.1;
-  const CsfTensor csf(x);
-  const CsfView v = csf.view();
+  const CsfView v = x.csf();
   FactorGrads got(m);
   (void)ActiveKernels().csf_rewritten_entries(
       v, m.u1.data(), m.u2.data(), m.u3.data(), m.h.data(), m.rank(), wp,

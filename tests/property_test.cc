@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -36,7 +37,6 @@
 #include "proptest/oracles.h"
 #include "linalg/simd.h"
 #include "proptest/prop.h"
-#include "tensor/csf_tensor.h"
 #include "tensor/mttkrp.h"
 
 namespace tcss {
@@ -324,7 +324,6 @@ TEST(DifferentialKernels, GemmGramMttkrpMatchOraclesAtManyThreads) {
       want_mttkrp[mode] = OracleMttkrp(c.x, c.factors, mode);
     }
     Matrix serial_mttkrp[3];
-    const CsfTensor csf(c.x);
     for (int threads : {1, 2, 8}) {
       SetGlobalThreads(threads);
       if (MaxAbsDiff(MatMul(c.a, c.b), want_mm) != 0.0) {
@@ -340,7 +339,7 @@ TEST(DifferentialKernels, GemmGramMttkrpMatchOraclesAtManyThreads) {
         return false;
       }
       for (int mode = 0; mode < 3; ++mode) {
-        const Matrix got = Mttkrp(csf, c.factors, mode);
+        const Matrix got = Mttkrp(c.x, c.factors, mode);
         const double err = RelMaxDiff(got, want_mttkrp[mode]);
         if (err > 1e-12) {
           *msg = StrFormat("Mttkrp mode %d vs oracle err %.3e at %d "
@@ -482,9 +481,11 @@ CsfCase MakeCsfCase(uint64_t seed, uint32_t size) {
   return c;
 }
 
-// Build-from-COO invariants: delimiter arrays are well-formed and the
-// tree, walked in order, reproduces the sorted COO entry list exactly
-// (which implies nnz conservation and per-level index ordering).
+// Finalize's CSF invariants: delimiter arrays are well-formed, the
+// nonzeros are the tensor's own entries in strict (i, j, k) order, and
+// the tree, walked in order, visits every entry once under the slice and
+// fiber ids of its own i and j (which implies nnz conservation and
+// per-level index ordering).
 TEST(CsfProperties, StructureInvariantsHoldOnAdversarialTensors) {
   auto gen = [](uint64_t seed, uint32_t size) {
     Rng rng(seed);
@@ -493,53 +494,70 @@ TEST(CsfProperties, StructureInvariantsHoldOnAdversarialTensors) {
     return GenSparseTensor(&rng, size, topts);
   };
   auto pred = [](const SparseTensor& x, std::string* msg) {
-    const CsfTensor csf(x);
-    if (csf.nnz() != x.nnz()) {
-      *msg = StrFormat("nnz %zu != COO nnz %zu", csf.nnz(), x.nnz());
+    const CsfView csf = x.csf();
+    const std::vector<TensorEntry>& entries = x.entries();
+    if (csf.entry != entries.data()) {
+      *msg = "CSF nonzeros are not the tensor's own entries";
       return false;
     }
-    const auto& ss = csf.slice_starts();
-    const auto& fs = csf.fiber_starts();
-    if (ss.size() != csf.num_slices() + 1 || ss.front() != 0 ||
-        ss.back() != csf.num_fibers()) {
+    for (size_t e = 1; e < entries.size(); ++e) {
+      const TensorEntry& a = entries[e - 1];
+      const TensorEntry& b = entries[e];
+      if (std::tie(a.i, a.j, a.k) >= std::tie(b.i, b.j, b.k)) {
+        *msg = StrFormat("entries not strictly (i, j, k) sorted at %zu", e);
+        return false;
+      }
+    }
+    const size_t* ss = csf.slice_start;
+    const size_t* fs = csf.fiber_start;
+    const size_t fibers = x.num_fibers();
+    if (ss[0] != 0 || ss[csf.num_slices] != fibers) {
       *msg = "slice_start delimiters malformed";
       return false;
     }
-    if (fs.size() != csf.num_fibers() + 1 || fs.front() != 0 ||
-        fs.back() != csf.nnz()) {
+    if (fs[0] != 0 || fs[fibers] != x.nnz()) {
       *msg = "fiber_start delimiters malformed";
       return false;
     }
     // Every slice holds >= 1 fiber and every fiber >= 1 nonzero (empty
     // nodes would be dead weight the builder must not emit).
-    for (size_t s = 0; s + 1 < ss.size(); ++s) {
+    for (size_t s = 0; s < csf.num_slices; ++s) {
       if (ss[s] >= ss[s + 1]) {
         *msg = StrFormat("empty slice %zu", s);
         return false;
       }
     }
-    for (size_t f = 0; f + 1 < fs.size(); ++f) {
+    for (size_t f = 0; f < fibers; ++f) {
       if (fs[f] >= fs[f + 1]) {
         *msg = StrFormat("empty fiber %zu", f);
         return false;
       }
     }
-    // Walking the tree in order must replay the finalized COO entry list
-    // byte for byte: same (i, j, k) lexicographic order, same values.
+    // Walking the tree in order must visit entry e as the e-th nonzero,
+    // under the slice of its i and the fiber of its j; a slice id repeated
+    // by the next slice, or a fiber id by the next fiber of its slice,
+    // would split one slice or fiber in two.
     size_t e = 0;
-    for (size_t s = 0; s < csf.num_slices(); ++s) {
+    for (size_t s = 0; s < csf.num_slices; ++s) {
+      if (s > 0 && csf.slice_id[s - 1] >= csf.slice_id[s]) {
+        *msg = StrFormat("slice ids not increasing at %zu", s);
+        return false;
+      }
       for (size_t f = ss[s]; f < ss[s + 1]; ++f) {
+        if (f > ss[s] && csf.fiber_id[f - 1] >= csf.fiber_id[f]) {
+          *msg = StrFormat("fiber ids not increasing at %zu", f);
+          return false;
+        }
         for (size_t p = fs[f]; p < fs[f + 1]; ++p, ++e) {
-          const TensorEntry& want = x.entries()[e];
-          if (csf.slice_ids()[s] != want.i || csf.fiber_ids()[f] != want.j ||
-              csf.kks()[p] != want.k || csf.vals()[p] != want.value) {
+          if (p != e || csf.slice_id[s] != entries[p].i ||
+              csf.fiber_id[f] != entries[p].j) {
             *msg = StrFormat("tree walk diverges from COO at entry %zu", e);
             return false;
           }
         }
       }
     }
-    return e == csf.nnz();
+    return e == x.nnz();
   };
   PropOptions opts;
   opts.max_size = 48;
@@ -555,9 +573,8 @@ TEST(CsfProperties, MttkrpAllModesMatchDenseOracle) {
     return MakeCsfCase(seed, size);
   };
   auto pred = [](const CsfCase& c, std::string* msg) {
-    const CsfTensor csf(c.x);
     for (int mode = 0; mode < 3; ++mode) {
-      const Matrix got = Mttkrp(csf, c.factors, mode);
+      const Matrix got = Mttkrp(c.x, c.factors, mode);
       const Matrix want = OracleMttkrp(c.x, c.factors, mode);
       const double err = RelMaxDiff(got, want);
       if (err > 1e-12) {

@@ -134,7 +134,7 @@ TEST_P(MttkrpTest, MatchesDenseReference) {
   Matrix factors[3] = {Matrix::GaussianRandom(6, r, &rng),
                        Matrix::GaussianRandom(5, r, &rng),
                        Matrix::GaussianRandom(4, r, &rng)};
-  Matrix fast = Mttkrp(CsfTensor(t), factors, mode);
+  Matrix fast = Mttkrp(t, factors, mode);
 
   // Dense reference: out[row, t] = sum over all entries of
   // value * f1[idx1,t] * f2[idx2,t].

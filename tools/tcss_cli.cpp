@@ -35,12 +35,17 @@
 // All data-loading commands accept `--lenient` (quarantine malformed CSV
 // rows instead of failing the load) and `--max-bad-rows N`.
 //
+// A malformed flag value, an unknown --granularity, and a flag that the
+// command does not read in its mode (a typo, or a flag of another command
+// or mode) exit 2 with a message before the command does any work.
+//
 // `--metrics-out FILE` dumps the process metric registry (stage timings,
 // counters, latency histograms) as JSON — periodically while running
 // (atomic replace, so the file is always whole) and once on exit. Set
 // TCSS_LOG_LEVEL=debug|info|warning|error to change log verbosity.
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -49,6 +54,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -91,22 +97,63 @@ void InstallStopHandlers() {
   std::signal(SIGTERM, HandleStopSignal);
 }
 
+// A command reads its flags through Get/Has (and the typed readers built
+// on Get), each of which records the key it asked for; once a command has
+// read every flag of its mode it calls AllRead, so a flag that it never
+// asks for exits 2 without a per-command flag list to keep in sync.
 struct Args {
   std::string command;
-  std::map<std::string, std::string> flags;
-  bool new_only = false;
-  bool resume = false;
-  bool lenient = false;
-  bool ingest = false;
-  size_t max_bad_rows = CsvLoadOptions{}.max_bad_rows;
+  std::map<std::string, std::string> flags;  ///< --key value
+  std::set<std::string> switches;            ///< valueless --key
+  mutable std::set<std::string> asked;       ///< every key read so far
 
   const char* Get(const std::string& key, const char* dflt = nullptr) const {
+    asked.insert(key);
     auto it = flags.find(key);
     return it != flags.end() ? it->second.c_str() : dflt;
   }
-  double GetD(const std::string& key, double dflt) const {
+  /// True iff the valueless flag --key was given.
+  bool Has(const std::string& key) const {
+    asked.insert(key);
+    return switches.count(key) > 0;
+  }
+  /// Reads a real flag into *out (left as is when absent): a finite
+  /// number in [lo, hi] — (lo, hi] when `lo_open` — parsed with the exact
+  /// ParseDouble. Anything else prints a message and returns false; the
+  /// command then exits 2.
+  bool GetReal(const std::string& key, double* out, double lo,
+               double hi = std::numeric_limits<double>::infinity(),
+               bool lo_open = false) const {
     const char* v = Get(key);
-    return v != nullptr ? std::atof(v) : dflt;
+    if (v == nullptr) return true;
+    double parsed = 0.0;
+    if (!ParseDouble(v, &parsed) || !std::isfinite(parsed) || parsed < lo ||
+        (lo_open && parsed == lo) || parsed > hi) {
+      std::fprintf(stderr,
+                   "--%s: expected a finite number in %c%g, %g%c, got '%s'\n",
+                   key.c_str(), lo_open ? '(' : '[', lo, hi,
+                   std::isinf(hi) ? ')' : ']', v);
+      return false;
+    }
+    *out = parsed;
+    return true;
+  }
+  /// Reads --granularity month|week|hour into *out (month when absent);
+  /// any other value prints a message and returns false.
+  bool GetGranularity(TimeGranularity* out) const {
+    const char* v = Get("granularity", "month");
+    if (std::strcmp(v, "month") == 0) {
+      *out = TimeGranularity::kMonthOfYear;
+    } else if (std::strcmp(v, "week") == 0) {
+      *out = TimeGranularity::kWeekOfYear;
+    } else if (std::strcmp(v, "hour") == 0) {
+      *out = TimeGranularity::kHourOfDay;
+    } else {
+      std::fprintf(stderr,
+                   "--granularity: expected month|week|hour, got '%s'\n", v);
+      return false;
+    }
+    return true;
   }
   /// Reads every integer flag: a non-negative integer that fits in T,
   /// parsed with the exact ParseInt64, into *out (left as is when the flag
@@ -128,6 +175,37 @@ struct Args {
     *out = static_cast<T>(parsed);
     return true;
   }
+  /// True iff the command asked for every flag given. Call it once the
+  /// command has read all the flags of its mode, before any work; each
+  /// flag it never asked for prints a message, and the command exits 2.
+  bool AllRead() const {
+    bool ok = true;
+    auto check = [&](const std::string& key) {
+      if (asked.count(key) == 0) {
+        std::fprintf(stderr, "tcss %s: --%s is not a flag of this command "
+                     "(or of this mode)\n", command.c_str(), key.c_str());
+        ok = false;
+      }
+    };
+    for (const auto& [key, value] : flags) check(key);
+    for (const std::string& key : switches) check(key);
+    return ok;
+  }
+};
+
+// The data-loading flags --data, --lenient and --max-bad-rows: read with
+// the rest of a command's flags, loaded once they all check out.
+struct DataFlags {
+  const char* dir = nullptr;
+  CsvLoadOptions opts;
+
+  bool Read(const Args& args) {
+    dir = args.Get("data");
+    opts.mode =
+        args.Has("lenient") ? CsvLoadMode::kLenient : CsvLoadMode::kStrict;
+    return args.GetCount("max-bad-rows", &opts.max_bad_rows);
+  }
+  Result<Dataset> Load() const;
 };
 
 int Usage() {
@@ -176,16 +254,6 @@ void DumpMetrics(const char* path) {
   }
 }
 
-TimeGranularity ParseGranularity(const char* s) {
-  if (s == nullptr || std::strcmp(s, "month") == 0) {
-    return TimeGranularity::kMonthOfYear;
-  }
-  if (std::strcmp(s, "week") == 0) return TimeGranularity::kWeekOfYear;
-  if (std::strcmp(s, "hour") == 0) return TimeGranularity::kHourOfDay;
-  std::fprintf(stderr, "unknown granularity '%s', using month\n", s);
-  return TimeGranularity::kMonthOfYear;
-}
-
 int Generate(const Args& args) {
   const char* preset_name = args.Get("preset", "gowalla");
   const char* out = args.Get("out");
@@ -201,8 +269,10 @@ int Generate(const Args& args) {
     std::fprintf(stderr, "unknown preset '%s'\n", preset_name);
     return 2;
   }
-  SyntheticConfig cfg = PresetConfig(preset, args.GetD("scale", 1.0));
-  if (!args.GetCount("seed", &cfg.seed)) return 2;
+  double scale = 1.0;
+  if (!args.GetReal("scale", &scale, 0.0, 1.0, /*lo_open=*/true)) return 2;
+  SyntheticConfig cfg = PresetConfig(preset, scale);
+  if (!args.GetCount("seed", &cfg.seed) || !args.AllRead()) return 2;
   auto data = GenerateSyntheticLbsn(cfg);
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
@@ -218,12 +288,8 @@ int Generate(const Args& args) {
   return 0;
 }
 
-Result<Dataset> LoadData(const Args& args) {
-  const char* dir = args.Get("data");
+Result<Dataset> DataFlags::Load() const {
   if (dir == nullptr) return Status::InvalidArgument("--data is required");
-  CsvLoadOptions opts;
-  opts.mode = args.lenient ? CsvLoadMode::kLenient : CsvLoadMode::kStrict;
-  opts.max_bad_rows = args.max_bad_rows;
   LoadReport report;
   auto data = LoadDatasetCsv(dir, opts, &report);
   if (data.ok() && report.bad_rows() > 0) {
@@ -251,47 +317,80 @@ int DistTrain(const Args& args) {
   cfg.epochs = 40;
   cfg.rank = 8;
   cfg.seed = 13;
+  // The social Hausdorff head couples users across shards and spectral
+  // init needs the full tensor; the distributed defaults drop both
+  // (ValidateDistConfig rejects incompatible overrides with a diagnostic).
+  cfg.lambda = 0.0;
+  cfg.hausdorff = HausdorffMode::kNone;
+  cfg.init = InitMethod::kRandom;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   if (!args.GetCount("dist-workers", &num_workers) ||
       !args.GetCount("epochs", &cfg.epochs) ||
       !args.GetCount("rank", &cfg.rank) ||
       !args.GetCount("num-threads", &cfg.num_threads) ||
-      !args.GetCount("seed", &cfg.seed)) {
+      !args.GetCount("seed", &cfg.seed) ||
+      !args.GetReal("lr", &cfg.learning_rate, 0.0, kInf, /*lo_open=*/true) ||
+      !args.GetReal("temporal-smoothness", &cfg.temporal_smoothness, 0.0) ||
+      !args.GetReal("lambda", &cfg.lambda, 0.0)) {
     return 2;
   }
-  cfg.learning_rate = args.GetD("lr", cfg.learning_rate);
-  cfg.temporal_smoothness =
-      args.GetD("temporal-smoothness", cfg.temporal_smoothness);
-  // The social Hausdorff head couples users across shards and spectral
-  // init needs the full tensor; the distributed defaults drop both
-  // (ValidateDistConfig rejects incompatible overrides with a diagnostic).
-  cfg.lambda = args.GetD("lambda", 0.0);
-  cfg.hausdorff = HausdorffMode::kNone;
-  cfg.init = InitMethod::kRandom;
 
-  // Dims + a per-rank tensor slice factory, from either source.
+  // The data source: the streamed generator or a CSV dataset.
   const bool streamed = args.Get("streamed-users") != nullptr;
   StreamedTensorConfig scfg;
-  SparseTensor full;
-  size_t dim_i = 0, dim_j = 0, dim_k = 0;
+  DataFlags source;
+  TimeGranularity g = TimeGranularity::kMonthOfYear;
   if (streamed) {
     if (!args.GetCount("streamed-users", &scfg.num_users) ||
         !args.GetCount("streamed-pois", &scfg.num_pois) ||
         !args.GetCount("streamed-bins", &scfg.num_bins) ||
-        !args.GetCount("streamed-seed", &scfg.seed)) {
+        !args.GetCount("streamed-seed", &scfg.seed) ||
+        !args.GetReal("streamed-mean-checkins", &scfg.mean_checkins, 0.0,
+                      kInf, /*lo_open=*/true)) {
       return 2;
     }
-    scfg.mean_checkins =
-        args.GetD("streamed-mean-checkins", scfg.mean_checkins);
-    dim_i = scfg.num_users;
-    dim_j = scfg.num_pois;
-    dim_k = scfg.num_bins;
+  } else if (!source.Read(args) || !args.GetGranularity(&g)) {
+    return 2;
+  }
+
+  // The flags of this process's role.
+  DistCoordinatorOptions copts;
+  copts.checkpoint_every = 25;
+  const char* model_path = nullptr;
+  DistWorkerOptions wopts;
+  if (coord_socket != nullptr) {
+    model_path = args.Get("model");
+    if (!args.GetCount("checkpoint-every", &copts.checkpoint_every) ||
+        !args.GetCount("heartbeat-timeout-ms", &copts.heartbeat_timeout_ms) ||
+        !args.GetCount("world-timeout-ms", &copts.world_timeout_ms)) {
+      return 2;
+    }
   } else {
-    auto data = LoadData(args);
+    const char* ckpt_dir = args.Get("checkpoint-dir");
+    if (ckpt_dir != nullptr) wopts.checkpoint_dir = ckpt_dir;
+    if (!args.GetCount("dist-rank", &wopts.rank) ||
+        !args.GetCount("checkpoint-retain", &wopts.checkpoint_retain)) {
+      return 2;
+    }
+    if (wopts.rank >= num_workers) {
+      std::fprintf(stderr, "--dist-rank %d outside [0, %d)\n", wopts.rank,
+                   num_workers);
+      return 2;
+    }
+  }
+  if (!args.AllRead()) return 2;
+
+  // Dims + a per-rank tensor slice factory, from either source. Each
+  // streamed worker synthesizes only its own row block.
+  SparseTensor full;
+  size_t dim_i = scfg.num_users, dim_j = scfg.num_pois,
+         dim_k = scfg.num_bins;
+  if (!streamed) {
+    auto data = source.Load();
     if (!data.ok()) {
       std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
       return 1;
     }
-    const TimeGranularity g = ParseGranularity(args.Get("granularity"));
     TrainTestSplit split = SplitCheckins(data.value(), 0.8, 42);
     auto built = BuildCheckinTensor(data.value(), split.train, g);
     if (!built.ok()) {
@@ -312,23 +411,16 @@ int DistTrain(const Args& args) {
 
   if (coord_socket != nullptr) {
     InstallStopHandlers();
-    DistCoordinatorOptions opts;
-    opts.num_workers = num_workers;
-    opts.socket_path = coord_socket;
-    opts.checkpoint_every = 25;
-    if (!args.GetCount("checkpoint-every", &opts.checkpoint_every) ||
-        !args.GetCount("heartbeat-timeout-ms", &opts.heartbeat_timeout_ms) ||
-        !args.GetCount("world-timeout-ms", &opts.world_timeout_ms)) {
-      return 2;
-    }
-    opts.stop = &g_stop;
-    opts.epoch_callback = [&cfg](const EpochStats& s) {
+    copts.num_workers = num_workers;
+    copts.socket_path = coord_socket;
+    copts.stop = &g_stop;
+    copts.epoch_callback = [&cfg](const EpochStats& s) {
       if (s.epoch % std::max(1, cfg.epochs / 5) == 0) {
         std::printf("  epoch %4d  L2=%.2f  grad=%.3g  lr=%.4f\n", s.epoch,
                     s.loss_l2, s.grad_norm, s.lr);
       }
     };
-    DistCoordinator coordinator(cfg, dim_i, dim_j, dim_k, opts);
+    DistCoordinator coordinator(cfg, dim_i, dim_j, dim_k, copts);
     std::printf("coordinating %d workers on %s (%s, tensor %zux%zux%zu)\n",
                 num_workers, coord_socket, cfg.Summary().c_str(), dim_i,
                 dim_j, dim_k);
@@ -343,7 +435,6 @@ int DistTrain(const Args& args) {
       std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
       return 1;
     }
-    const char* model_path = args.Get("model");
     if (model_path != nullptr) {
       Status st = SaveFactorModel(model.value(), model_path);
       if (!st.ok()) {
@@ -356,14 +447,8 @@ int DistTrain(const Args& args) {
   }
 
   // Worker process.
-  int rank = 0;
-  if (!args.GetCount("dist-rank", &rank)) return 2;
+  const int rank = wopts.rank;
   const RowPartition part(dim_i, num_workers);
-  if (rank >= num_workers) {
-    std::fprintf(stderr, "--dist-rank %d outside [0, %d)\n", rank,
-                 num_workers);
-    return 2;
-  }
   Result<SparseTensor> slice =
       streamed
           ? GenerateStreamedSlice(scfg, part.Begin(rank), part.End(rank))
@@ -372,13 +457,8 @@ int DistTrain(const Args& args) {
     std::fprintf(stderr, "%s\n", slice.status().ToString().c_str());
     return 1;
   }
-  DistWorkerOptions wopts;
-  wopts.rank = rank;
   wopts.num_workers = num_workers;
   wopts.socket_path = worker_socket;
-  const char* ckpt_dir = args.Get("checkpoint-dir");
-  if (ckpt_dir != nullptr) wopts.checkpoint_dir = ckpt_dir;
-  if (!args.GetCount("checkpoint-retain", &wopts.checkpoint_retain)) return 2;
   DistWorker worker(cfg, dim_i, dim_j, dim_k, slice.MoveValue(), wopts);
   std::printf("worker %d/%d connecting to %s (%zu local users)\n", rank,
               num_workers, worker_socket, part.Count(rank));
@@ -407,21 +487,31 @@ int Train(const Args& args) {
   CheckpointOptions copts;
   copts.every = 25;
   int64_t metrics_every = 25;
+  DataFlags source;
+  TimeGranularity g = TimeGranularity::kMonthOfYear;
   if (!args.GetCount("epochs", &cfg.epochs) ||
       !args.GetCount("rank", &cfg.rank) ||
       !args.GetCount("num-threads", &cfg.num_threads) ||
       !args.GetCount("checkpoint-every", &copts.every) ||
       !args.GetCount("checkpoint-retain", &copts.retain) ||
-      !args.GetCount("metrics-every", &metrics_every)) {
+      !args.GetCount("metrics-every", &metrics_every) ||
+      !args.GetReal("lambda", &cfg.lambda, 0.0) || !source.Read(args) ||
+      !args.GetGranularity(&g)) {
     return 2;
   }
-  cfg.lambda = args.GetD("lambda", cfg.lambda);
-  auto data = LoadData(args);
+  const char* ckpt_dir = args.Get("checkpoint-dir");
+  const bool resume = args.Has("resume");
+  const char* metrics_out = args.Get("metrics-out");
+  if (!args.AllRead()) return 2;
+  if (resume && ckpt_dir == nullptr) {
+    std::fprintf(stderr, "--resume requires --checkpoint-dir\n");
+    return 2;
+  }
+  auto data = source.Load();
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
     return 1;
   }
-  const TimeGranularity g = ParseGranularity(args.Get("granularity"));
   TrainTestSplit split = SplitCheckins(data.value(), 0.8, 42);
   auto train = BuildCheckinTensor(data.value(), split.train, g);
   if (!train.ok()) {
@@ -429,11 +519,6 @@ int Train(const Args& args) {
     return 1;
   }
 
-  const char* ckpt_dir = args.Get("checkpoint-dir");
-  if (args.resume && ckpt_dir == nullptr) {
-    std::fprintf(stderr, "--resume requires --checkpoint-dir\n");
-    return 2;
-  }
   std::unique_ptr<CheckpointManager> checkpoints;
   if (ckpt_dir != nullptr) {
     copts.dir = ckpt_dir;
@@ -446,14 +531,13 @@ int Train(const Args& args) {
   }
   TrainOptions topts;
   topts.checkpoints = checkpoints.get();
-  topts.resume = args.resume;
+  topts.resume = resume;
   // An explicit --resume against a directory with nothing loadable exits
   // nonzero with a diagnostic instead of silently retraining from scratch.
-  topts.require_checkpoint = args.resume;
+  topts.require_checkpoint = resume;
   InstallStopHandlers();
   topts.stop = &g_stop;
 
-  const char* metrics_out = args.Get("metrics-out");
   metrics_every = std::max<int64_t>(1, metrics_every);
 
   TcssModel model(cfg);
@@ -508,9 +592,8 @@ class LoadedModel : public Recommender {
   FactorModel factors_;
 };
 
-Result<LoadedModel> LoadModel(const Args& args, const Dataset& data,
+Result<LoadedModel> LoadModel(const char* path, const Dataset& data,
                               TimeGranularity g) {
-  const char* path = args.Get("model");
   if (path == nullptr) return Status::InvalidArgument("--model is required");
   auto factors = LoadFactorModel(path);
   if (!factors.ok()) return factors.status();
@@ -524,7 +607,9 @@ Result<LoadedModel> LoadModel(const Args& args, const Dataset& data,
 }
 
 int Stats(const Args& args) {
-  auto data = LoadData(args);
+  DataFlags source;
+  if (!source.Read(args) || !args.AllRead()) return 2;
+  auto data = source.Load();
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
     return 1;
@@ -535,13 +620,18 @@ int Stats(const Args& args) {
 }
 
 int Evaluate(const Args& args) {
-  auto data = LoadData(args);
+  DataFlags source;
+  TimeGranularity g = TimeGranularity::kMonthOfYear;
+  const char* model_path = args.Get("model");
+  if (!source.Read(args) || !args.GetGranularity(&g) || !args.AllRead()) {
+    return 2;
+  }
+  auto data = source.Load();
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
     return 1;
   }
-  const TimeGranularity g = ParseGranularity(args.Get("granularity"));
-  auto model = LoadModel(args, data.value(), g);
+  auto model = LoadModel(model_path, data.value(), g);
   if (!model.ok()) {
     std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
     return 1;
@@ -556,12 +646,15 @@ int Evaluate(const Args& args) {
 }
 
 int Recommend(const Args& args) {
-  const TimeGranularity g = ParseGranularity(args.Get("granularity"));
   if (args.Get("user") == nullptr) return Usage();
+  DataFlags source;
+  TimeGranularity g = TimeGranularity::kMonthOfYear;
+  const char* model_path = args.Get("model");
+  const bool new_only = args.Has("new-only");
   int64_t user_arg = 0, time_arg = 0, k_arg = 10;
-  if (!args.GetCount("user", &user_arg) ||
-      !args.GetCount("time", &time_arg) ||
-      !args.GetCount("k", &k_arg)) {
+  if (!args.GetGranularity(&g) || !args.GetCount("user", &user_arg) ||
+      !args.GetCount("time", &time_arg) || !args.GetCount("k", &k_arg) ||
+      !source.Read(args) || !args.AllRead()) {
     return 2;
   }
   if (time_arg >= static_cast<int64_t>(NumBins(g))) {
@@ -570,12 +663,12 @@ int Recommend(const Args& args) {
                  NumBins(g) - 1);
     return 2;
   }
-  auto data = LoadData(args);
+  auto data = source.Load();
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
     return 1;
   }
-  auto model = LoadModel(args, data.value(), g);
+  auto model = LoadModel(model_path, data.value(), g);
   if (!model.ok()) {
     std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
     return 1;
@@ -590,7 +683,7 @@ int Recommend(const Args& args) {
 
   TopKOptions opts;
   opts.k = static_cast<size_t>(k_arg);
-  opts.exclude_visited = args.new_only;
+  opts.exclude_visited = new_only;
   TrainTestSplit split = SplitCheckins(data.value(), 0.8, 42);
   auto train = BuildCheckinTensor(data.value(), split.train, g);
   if (!train.ok()) {
@@ -602,7 +695,7 @@ int Recommend(const Args& args) {
                                   &train.value());
   std::printf("top-%zu POIs for user %u at %s bin %u%s:\n", opts.k, user,
               GranularityName(g), time_bin,
-              args.new_only ? " (new places only)" : "");
+              new_only ? " (new places only)" : "");
   std::printf("%-5s %-6s %-14s %-9s %-s\n", "rank", "poi", "category",
               "score", "location");
   for (size_t t = 0; t < recs.size(); ++t) {
@@ -670,32 +763,45 @@ int Serve(const Args& args) {
     return Usage();
   }
   int poll_every = 0;
+  DataFlags source;
+  TimeGranularity g = TimeGranularity::kMonthOfYear;
+  const char* metrics_out = args.Get("metrics-out");
+  if (!args.GetCount("poll-every", &poll_every) || !source.Read(args) ||
+      !args.GetGranularity(&g)) {
+    return 2;
+  }
+  // Socket server flags (--listen only).
   ServerOptions sopts;
+  if (listen != nullptr &&
+      (!args.GetCount("workers", &sopts.num_workers) ||
+       !args.GetCount("queue", &sopts.queue_capacity) ||
+       !args.GetCount("max-batch", &sopts.max_batch) ||
+       !args.GetCount("max-conns", &sopts.max_connections) ||
+       !args.GetCount("write-timeout-ms", &sopts.write_timeout_ms) ||
+       !args.GetReal("deadline-ms", &sopts.default_deadline_ms, 0.0))) {
+    return 2;
+  }
+  sopts.poll_every_batches = poll_every;
+  // Streaming ingestion flags (--ingest only). The refinement config
+  // mirrors the train command's flags; --refine-budget is its epoch count.
+  const bool ingest = args.Has("ingest");
   StreamingEngine::Options eopts;
   TcssConfig rcfg;
   rcfg.epochs = 3;
-  if (!args.GetCount("poll-every", &poll_every) ||
-      !args.GetCount("workers", &sopts.num_workers) ||
-      !args.GetCount("queue", &sopts.queue_capacity) ||
-      !args.GetCount("max-batch", &sopts.max_batch) ||
-      !args.GetCount("max-conns", &sopts.max_connections) ||
-      !args.GetCount("write-timeout-ms", &sopts.write_timeout_ms) ||
-      !args.GetCount("rollover-every", &eopts.rollover_every) ||
-      !args.GetCount("refine-every", &eopts.refine_every) ||
-      !args.GetCount("refine-budget", &rcfg.epochs) ||
-      !args.GetCount("rank", &rcfg.rank) ||
-      !args.GetCount("num-threads", &rcfg.num_threads)) {
+  if (ingest && (!args.GetCount("rollover-every", &eopts.rollover_every) ||
+                 !args.GetCount("refine-every", &eopts.refine_every) ||
+                 !args.GetCount("refine-budget", &rcfg.epochs) ||
+                 !args.GetCount("rank", &rcfg.rank) ||
+                 !args.GetCount("num-threads", &rcfg.num_threads) ||
+                 !args.GetReal("lambda", &rcfg.lambda, 0.0))) {
     return 2;
   }
-  sopts.default_deadline_ms = args.GetD("deadline-ms", 0.0);
-  sopts.poll_every_batches = poll_every;
-  auto data = LoadData(args);
+  if (!args.AllRead()) return 2;
+  auto data = source.Load();
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
     return 1;
   }
-  const TimeGranularity g = ParseGranularity(args.Get("granularity"));
-  const char* metrics_out = args.Get("metrics-out");
 
   ModelWatcher::Options wopts;
   wopts.num_users = data.value().num_users();
@@ -705,13 +811,11 @@ int Serve(const Args& args) {
   RecommendService::Options svc_opts;
   // Streaming ingestion (--ingest, DESIGN.md §14): the engine owns the
   // delta buffer, the incremental fold-in tier the service delegates to,
-  // and the periodic rollover/refinement publishers. The refinement config
-  // mirrors the train command's flags; --refine-budget is its epoch count.
+  // and the periodic rollover/refinement publishers.
   std::unique_ptr<StreamingEngine> engine;
-  if (args.ingest) {
+  if (ingest) {
     eopts.granularity = g;
     eopts.model_path = model_path;
-    rcfg.lambda = args.GetD("lambda", rcfg.lambda);
     eopts.refiner.config = rcfg;
     eopts.refiner.stop = &g_stop;
     engine = std::make_unique<StreamingEngine>(data.value(), &watcher,
@@ -808,21 +912,15 @@ int main(int argc, char** argv) {
     std::string flag = argv[a];
     if (flag.rfind("--", 0) != 0) return Usage();
     flag = flag.substr(2);
-    if (flag == "new-only") {
-      args.new_only = true;
-    } else if (flag == "resume") {
-      args.resume = true;
-    } else if (flag == "lenient") {
-      args.lenient = true;
-    } else if (flag == "ingest") {
-      args.ingest = true;
+    if (flag == "new-only" || flag == "resume" || flag == "lenient" ||
+        flag == "ingest") {
+      args.switches.insert(flag);
     } else if (a + 1 < argc) {
       args.flags[flag] = argv[++a];
     } else {
       return Usage();
     }
   }
-  if (!args.GetCount("max-bad-rows", &args.max_bad_rows)) return 2;
   if (args.command == "generate") return Generate(args);
   if (args.command == "train") return Train(args);
   if (args.command == "evaluate") return Evaluate(args);
