@@ -53,28 +53,24 @@ int main(int argc, char** argv) {
   }
 
   // The user's own train POIs (we only recommend *new* places here).
-  std::vector<uint8_t> visited(data.num_pois(), 0);
-  for (const auto& e : train.entries()) {
-    if (e.i == user) visited[e.j] = 1;
-  }
+  const std::span<const uint32_t> visited = train.Pois(user);
   std::vector<GeoPoint> own_places;
-  for (uint32_t j = 0; j < data.num_pois(); ++j) {
-    if (visited[j]) own_places.push_back(data.poi(j).location);
-  }
+  for (uint32_t j : visited) own_places.push_back(data.poi(j).location);
 
-  // Friends' POI sets for the social explanation.
+  // Friends' POI sets for the social explanation: each POI lists the
+  // friends who went, in ascending order.
   std::vector<std::vector<uint32_t>> friend_of_poi(data.num_pois());
   for (const uint32_t* f = data.social().NeighborsBegin(user);
        f != data.social().NeighborsEnd(user); ++f) {
-    for (const auto& e : train.entries()) {
-      if (e.i == *f) friend_of_poi[e.j].push_back(*f);
-    }
+    for (uint32_t j : train.Pois(*f)) friend_of_poi[j].push_back(*f);
   }
 
   // Rank unvisited POIs by TCSS score for (user, *, month).
   std::vector<uint32_t> candidates;
   for (uint32_t j = 0; j < data.num_pois(); ++j) {
-    if (!visited[j]) candidates.push_back(j);
+    if (!std::binary_search(visited.begin(), visited.end(), j)) {
+      candidates.push_back(j);
+    }
   }
   std::sort(candidates.begin(), candidates.end(),
             [&](uint32_t a, uint32_t b) {
@@ -97,10 +93,7 @@ int main(int argc, char** argv) {
       const double d = HaversineKm(p, data.poi(j).location);
       if (nearest_own < 0 || d < nearest_own) nearest_own = d;
     }
-    auto friends = friend_of_poi[j];
-    std::sort(friends.begin(), friends.end());
-    friends.erase(std::unique(friends.begin(), friends.end()),
-                  friends.end());
+    const std::vector<uint32_t>& friends = friend_of_poi[j];
     std::string who;
     for (size_t f = 0; f < friends.size() && f < 3; ++f) {
       who += (f ? ", " : "") + std::string("user ") +

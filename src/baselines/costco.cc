@@ -28,9 +28,7 @@ Status CoSTCo::Fit(const TrainContext& ctx) {
   out_ = nn::Dense(&store_, "out", opts_.hidden, 1, nn::Activation::kSigmoid,
                    &rng);
 
-  nn::Adam::Options adam_opts;
-  adam_opts.lr = opts_.lr;
-  nn::Adam adam(&store_, adam_opts);
+  nn::Adam adam(&store_, opts_.lr);
   TripleSampler sampler(x, opts_.seed ^ ctx.seed ^ 0xc057);
 
   const size_t batches_per_epoch =

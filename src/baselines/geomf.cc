@@ -21,16 +21,11 @@ Status GeoMf::Fit(const TrainContext& ctx) {
   num_pois_ = J;
 
   // Distinct (user, poi) pairs, grouped both ways.
-  std::vector<std::vector<uint32_t>> by_user(I), by_poi(J);
-  {
-    std::vector<std::pair<uint32_t, uint32_t>> pairs;
-    for (const auto& e : x.entries()) pairs.emplace_back(e.i, e.j);
-    std::sort(pairs.begin(), pairs.end());
-    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-    for (const auto& [i, j] : pairs) {
-      by_user[i].push_back(j);
-      by_poi[j].push_back(i);
-    }
+  std::vector<std::span<const uint32_t>> by_user(I);
+  std::vector<std::vector<uint32_t>> by_poi(J);
+  for (uint32_t i = 0; i < I; ++i) {
+    by_user[i] = x.Pois(i);
+    for (uint32_t j : by_user[i]) by_poi[j].push_back(i);
   }
 
   // --- Weighted implicit ALS on the binary user-POI matrix -------------
@@ -38,8 +33,7 @@ Status GeoMf::Fit(const TrainContext& ctx) {
   user_ = Matrix::GaussianRandom(I, r, &rng, 0.1);
   poi_ = Matrix::GaussianRandom(J, r, &rng, 0.1);
   const double dw = opts_.w_pos - opts_.w_neg;
-  auto update_side = [&](Matrix* rows, const Matrix& cols,
-                         const std::vector<std::vector<uint32_t>>& nz) {
+  auto update_side = [&](Matrix* rows, const Matrix& cols, const auto& nz) {
     // Shared part of the normal equations: w- * cols^T cols.
     Matrix base = Gram(cols);
     base.Scale(opts_.w_neg);

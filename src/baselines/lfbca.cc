@@ -30,20 +30,11 @@ Status Lfbca::Fit(const TrainContext& ctx) {
 
   // User-POI visit edges. The original bookmark-coloring algorithm walks
   // the *binary* check-in graph (an edge per distinct user-POI pair).
-  {
-    size_t t = 0;
-    const auto& entries = x.entries();
-    while (t < entries.size()) {
-      size_t end = t;
-      while (end < entries.size() && entries[end].i == entries[t].i &&
-             entries[end].j == entries[t].j) {
-        ++end;
-      }
-      const uint32_t user = entries[t].i;
-      const uint32_t poi_node = static_cast<uint32_t>(I) + entries[t].j;
+  for (uint32_t user = 0; user < I; ++user) {
+    for (uint32_t j : x.Pois(user)) {
+      const uint32_t poi_node = static_cast<uint32_t>(I) + j;
       graph.AddArc(user, poi_node, opts_.visit_edge_weight);
       graph.AddArc(poi_node, user, opts_.visit_edge_weight);
-      t = end;
     }
   }
 
@@ -78,11 +69,9 @@ Status Lfbca::Fit(const TrainContext& ctx) {
     // Faithful to Wang et al.: LFBCA targets *new* locations, so the walk
     // mass of POIs the user already checked in at is damped and those
     // POIs compete far below fresh candidates.
-    std::vector<uint8_t> damped(I * J, 0);
-    for (const auto& e : x.entries()) {
-      const size_t idx = static_cast<size_t>(e.i) * J + e.j;
-      if (!damped[idx]) {
-        damped[idx] = 1;
+    for (uint32_t user = 0; user < I; ++user) {
+      for (uint32_t j : x.Pois(user)) {
+        const size_t idx = static_cast<size_t>(user) * J + j;
         scores_[idx] =
             static_cast<float>(scores_[idx] * opts_.revisit_damping);
       }

@@ -15,19 +15,15 @@ Status Mcco::Fit(const TrainContext& ctx) {
   const size_t I = x.dim_i();
   const size_t J = x.dim_j();
 
-  // Observed (i,j) cells, collapsed over time.
-  std::vector<std::pair<uint32_t, uint32_t>> obs;
-  obs.reserve(x.nnz());
-  for (const auto& e : x.entries()) obs.emplace_back(e.i, e.j);
-  std::sort(obs.begin(), obs.end());
-  obs.erase(std::unique(obs.begin(), obs.end()), obs.end());
-
   z_ = Matrix(I, J);
   const size_t r = std::min(opts_.max_rank, std::min(I, J));
   for (int iter = 0; iter < opts_.iterations; ++iter) {
-    // Y = P_Omega(X) + P_Omega_perp(Z): overwrite observed cells with 1.
+    // Y = P_Omega(X) + P_Omega_perp(Z): overwrite observed cells, the
+    // (i, j) pairs collapsed over time, with 1.
     Matrix y = z_;
-    for (const auto& [i, j] : obs) y(i, j) = 1.0;
+    for (uint32_t i = 0; i < I; ++i) {
+      for (uint32_t j : x.Pois(i)) y(i, j) = 1.0;
+    }
     auto svd = ComputeTruncatedSvd(y, r);
     if (!svd.ok()) return svd.status();
     const TruncatedSvd& dec = svd.value();

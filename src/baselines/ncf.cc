@@ -29,9 +29,7 @@ Status Ncf::Fit(const TrainContext& ctx) {
   }
   out_ = nn::Dense(&store_, "out", d + in, 1, nn::Activation::kSigmoid, &rng);
 
-  nn::Adam::Options adam_opts;
-  adam_opts.lr = opts_.lr;
-  nn::Adam adam(&store_, adam_opts);
+  nn::Adam adam(&store_, opts_.lr);
   TripleSampler sampler(x, opts_.seed ^ ctx.seed ^ 0xbeef);
 
   const size_t batches_per_epoch =

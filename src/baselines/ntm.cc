@@ -28,9 +28,7 @@ Status Ntm::Fit(const TrainContext& ctx) {
   }
   mlp_out_ = nn::Dense(&store_, "mlp.out", in, 1, nn::Activation::kNone, &rng);
 
-  nn::Adam::Options adam_opts;
-  adam_opts.lr = opts_.lr;
-  nn::Adam adam(&store_, adam_opts);
+  nn::Adam adam(&store_, opts_.lr);
   TripleSampler sampler(x, opts_.seed ^ ctx.seed ^ 0xcafe);
 
   const size_t batches_per_epoch =

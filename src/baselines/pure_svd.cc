@@ -12,32 +12,27 @@ namespace {
 // a MatVecOperator for the implicit SVD.
 class UserPoiMatrix : public MatVecOperator {
  public:
-  UserPoiMatrix(const SparseTensor& x) : rows_(x.dim_i()), cols_(x.dim_j()) {
-    // Collapse (i,j,k) -> distinct (i,j) pairs.
-    std::vector<std::pair<uint32_t, uint32_t>> pairs;
-    pairs.reserve(x.nnz());
-    for (const auto& e : x.entries()) pairs.emplace_back(e.i, e.j);
-    std::sort(pairs.begin(), pairs.end());
-    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-    nz_ = std::move(pairs);
-  }
+  explicit UserPoiMatrix(const SparseTensor& x) : x_(&x) {}
 
-  size_t Rows() const override { return rows_; }
-  size_t Cols() const override { return cols_; }
+  size_t Rows() const override { return x_->dim_i(); }
+  size_t Cols() const override { return x_->dim_j(); }
   void Apply(const std::vector<double>& x,
              std::vector<double>* y) const override {
-    y->assign(rows_, 0.0);
-    for (const auto& [i, j] : nz_) (*y)[i] += x[j];
+    y->assign(Rows(), 0.0);
+    for (uint32_t i = 0; i < Rows(); ++i) {
+      for (uint32_t j : x_->Pois(i)) (*y)[i] += x[j];
+    }
   }
   void ApplyTranspose(const std::vector<double>& x,
                       std::vector<double>* y) const override {
-    y->assign(cols_, 0.0);
-    for (const auto& [i, j] : nz_) (*y)[j] += x[i];
+    y->assign(Cols(), 0.0);
+    for (uint32_t i = 0; i < Rows(); ++i) {
+      for (uint32_t j : x_->Pois(i)) (*y)[j] += x[i];
+    }
   }
 
  private:
-  size_t rows_, cols_;
-  std::vector<std::pair<uint32_t, uint32_t>> nz_;
+  const SparseTensor* x_;  ///< its distinct (i, j) pairs are the nonzeros
 };
 
 }  // namespace

@@ -53,9 +53,7 @@ Status Stan::Fit(const TrainContext& ctx) {
   const auto trajectories =
       BuildTrajectories(data, data.checkins(), ctx.granularity,
                         opts_.max_seq + 1, ctx.train);
-  nn::Adam::Options adam_opts;
-  adam_opts.lr = opts_.lr;
-  nn::Adam adam(&store_, adam_opts);
+  nn::Adam adam(&store_, opts_.lr);
   const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(d));
 
   for (int epoch = 0; epoch < opts_.epochs; ++epoch) {

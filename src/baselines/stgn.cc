@@ -40,9 +40,7 @@ Status Stgn::Fit(const TrainContext& ctx) {
   const auto trajectories =
       BuildTrajectories(data, data.checkins(), ctx.granularity,
                         opts_.max_seq, ctx.train);
-  nn::Adam::Options adam_opts;
-  adam_opts.lr = opts_.lr;
-  nn::Adam adam(&store_, adam_opts);
+  nn::Adam adam(&store_, opts_.lr);
 
   // One forward pass of the whole trajectory; records h at every step so
   // training and the final-state extraction share this helper.

@@ -47,9 +47,7 @@ Status Strnn::Fit(const TrainContext& ctx) {
   const auto trajectories =
       BuildTrajectories(data, data.checkins(), ctx.granularity,
                         opts_.max_seq, ctx.train);
-  nn::Adam::Options adam_opts;
-  adam_opts.lr = opts_.lr;
-  nn::Adam adam(&store_, adam_opts);
+  nn::Adam adam(&store_, opts_.lr);
 
   for (int epoch = 0; epoch < opts_.epochs; ++epoch) {
     for (uint32_t user = 0; user < trajectories.size(); ++user) {

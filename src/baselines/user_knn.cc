@@ -16,12 +16,8 @@ Status UserKnn::Fit(const TrainContext& ctx) {
   num_pois_ = J;
 
   // Distinct POI sets per user (sorted).
-  std::vector<std::vector<uint32_t>> sets(I);
-  for (const auto& e : x.entries()) sets[e.i].push_back(e.j);
-  for (auto& s : sets) {
-    std::sort(s.begin(), s.end());
-    s.erase(std::unique(s.begin(), s.end()), s.end());
-  }
+  std::vector<std::span<const uint32_t>> sets(I);
+  for (uint32_t u = 0; u < I; ++u) sets[u] = x.Pois(u);
 
   scores_.assign(I * J, 0.0f);
   std::vector<double> sim(I);

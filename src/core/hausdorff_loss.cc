@@ -111,28 +111,20 @@ SocialHausdorffLoss::SocialHausdorffLoss(const Dataset& data,
   d_max_ = MaxPairwiseDistanceKm(data.PoiLocations());
   if (d_max_ <= 0.0) d_max_ = 1.0;  // degenerate single-point geometry
 
-  // Per-user distinct POIs from the train tensor.
-  user_pois_.assign(I, {});
-  for (const auto& entry : train.entries()) {
-    user_pois_[entry.i].push_back(entry.j);
-  }
-  for (auto& v : user_pois_) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-  }
-
   Rng rng(config.seed ^ 0x4a05d0u);
-  // N(v_i): union of friends' POIs (or own POIs in the Self ablation),
-  // subsampled to max_friend_pois.
+  // N(v_i): union of friends' train POIs (or own POIs in the Self
+  // ablation), subsampled to max_friend_pois.
   friend_pois_.assign(I, {});
   for (uint32_t i = 0; i < I; ++i) {
     std::vector<uint32_t> n;
     if (config_.hausdorff == HausdorffMode::kSelf) {
-      n = user_pois_[i];
+      const std::span<const uint32_t> own = train.Pois(i);
+      n.assign(own.begin(), own.end());
     } else {
       for (const uint32_t* f = data.social().NeighborsBegin(i);
            f != data.social().NeighborsEnd(i); ++f) {
-        n.insert(n.end(), user_pois_[*f].begin(), user_pois_[*f].end());
+        const std::span<const uint32_t> theirs = train.Pois(*f);
+        n.insert(n.end(), theirs.begin(), theirs.end());
       }
       std::sort(n.begin(), n.end());
       n.erase(std::unique(n.begin(), n.end()), n.end());
@@ -152,7 +144,8 @@ SocialHausdorffLoss::SocialHausdorffLoss(const Dataset& data,
       pool_[i].resize(J);
       for (uint32_t j = 0; j < J; ++j) pool_[i][j] = j;
     } else {
-      std::vector<uint32_t> s = user_pois_[i];
+      const std::span<const uint32_t> own = train.Pois(i);
+      std::vector<uint32_t> s(own.begin(), own.end());
       s.insert(s.end(), friend_pois_[i].begin(), friend_pois_[i].end());
       std::sort(s.begin(), s.end());
       s.erase(std::unique(s.begin(), s.end()), s.end());

@@ -43,8 +43,9 @@ inline constexpr double kHausdorffSoftMinFloor = 1e-6;
 /// reproduces the paper exactly (see DESIGN.md decision #2).
 class SocialHausdorffLoss {
  public:
-  /// `data` and `train` must outlive the loss object. Precomputes entropy
-  /// weights, d_max, friend POI sets and candidate pools.
+  /// `data` and `train` must outlive the loss object; `train` must be
+  /// finalized. Precomputes entropy weights, d_max, friend POI sets and
+  /// candidate pools from the users' train POIs (SparseTensor::Pois).
   SocialHausdorffLoss(const Dataset& data, const SparseTensor& train,
                       const TcssConfig& config);
 
@@ -93,7 +94,6 @@ class SocialHausdorffLoss {
 
   std::vector<double> e_;  ///< entropy weights e_j (all 1 if disabled)
   double d_max_ = 0.0;
-  std::vector<std::vector<uint32_t>> user_pois_;    ///< train POIs per user
   std::vector<std::vector<uint32_t>> friend_pois_;  ///< N(v_i)
   std::vector<std::vector<uint32_t>> pool_;         ///< S(v_i) candidates
   std::vector<uint32_t> eligible_;                  ///< users with N,S != {}

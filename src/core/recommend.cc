@@ -7,16 +7,13 @@ namespace tcss {
 std::vector<Recommendation> TopKRecommendations(
     const Recommender& model, uint32_t user, uint32_t time_bin,
     size_t num_pois, const TopKOptions& opts, const SparseTensor* train) {
-  std::vector<uint8_t> visited;
+  std::span<const uint32_t> visited;
   if (opts.exclude_visited) {
     // The serving path reaches here with untrusted requests: a missing
     // train tensor cannot honor the exclusion, so the only safe answer is
     // an empty list (not a crash, not silently ignoring the flag).
     if (train == nullptr) return {};
-    visited.assign(num_pois, 0);
-    for (const auto& e : train->entries()) {
-      if (e.i == user && e.j < num_pois) visited[e.j] = 1;
-    }
+    visited = train->Pois(user);
   }
   const size_t k = std::min(opts.k, num_pois);
   if (k == 0) return {};
@@ -32,8 +29,14 @@ std::vector<Recommendation> TopKRecommendations(
   };
 
   std::vector<Recommendation> heap;  // heap.front() = worst kept item
+  // consider() sees ascending j, so one cursor walks the sorted visited
+  // POIs alongside.
+  auto next_visited = visited.begin();
   auto consider = [&](uint32_t j) {
-    if (!visited.empty() && visited[j]) return;
+    while (next_visited != visited.end() && *next_visited < j) {
+      ++next_visited;
+    }
+    if (next_visited != visited.end() && *next_visited == j) return;
     const Recommendation rec{j, model.Score(user, j, time_bin)};
     if (heap.size() < k) {
       heap.push_back(rec);

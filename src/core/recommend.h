@@ -17,7 +17,8 @@ struct Recommendation {
 /// Options for TopKRecommendations.
 struct TopKOptions {
   size_t k = 10;  ///< clamped to num_pois
-  /// Exclude POIs the user already visited (per the given train tensor).
+  /// Exclude POIs the user already visited: the user's POIs in the given
+  /// finalized tensor (SparseTensor::Pois).
   bool exclude_visited = false;
   /// Restrict candidates to this list (empty = all POIs). Out-of-range
   /// ids are dropped.
@@ -28,7 +29,7 @@ struct TopKOptions {
 /// Defensive against untrusted options: exclude_visited with a null
 /// `train` returns an empty list (the exclusion cannot be honored), k is
 /// clamped to the catalogue size, and out-of-range candidate ids are
-/// skipped. Tensor entries outside [0, num_pois) are ignored.
+/// skipped. Visited POIs outside [0, num_pois) are ignored.
 std::vector<Recommendation> TopKRecommendations(
     const Recommender& model, uint32_t user, uint32_t time_bin,
     size_t num_pois, const TopKOptions& opts,

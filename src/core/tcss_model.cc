@@ -56,18 +56,12 @@ void TcssModel::BuildZeroOutMask(const TrainContext& ctx) {
   const double d_max = MaxPairwiseDistanceKm(ctx.data->PoiLocations());
   const double sigma = config_.zero_out_sigma_frac * std::max(d_max, 1e-9);
 
-  std::vector<std::vector<uint32_t>> user_pois(I);
-  for (const auto& e : ctx.train->entries()) user_pois[e.i].push_back(e.j);
-  for (auto& v : user_pois) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-  }
-
   allowed_.assign(I * J, 0);
-  for (size_t i = 0; i < I; ++i) {
+  for (uint32_t i = 0; i < I; ++i) {
+    const std::span<const uint32_t> own_pois = ctx.train->Pois(i);
     for (size_t j = 0; j < J; ++j) {
       const GeoPoint& pj = ctx.data->poi(static_cast<uint32_t>(j)).location;
-      for (uint32_t own : user_pois[i]) {
+      for (uint32_t own : own_pois) {
         if (HaversineKm(pj, ctx.data->poi(own).location) <= sigma) {
           allowed_[i * J + j] = 1;
           break;

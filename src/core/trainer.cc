@@ -8,6 +8,7 @@
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/spectral_init.h"
+#include "linalg/vector_ops.h"
 #include "obs/metrics.h"
 
 namespace tcss {
@@ -50,28 +51,6 @@ struct TrainMetrics {
   }
 };
 
-/// Adam hyperparameters.
-constexpr double kAdamBeta1 = 0.9;
-constexpr double kAdamBeta2 = 0.999;
-constexpr double kAdamEps = 1e-8;
-
-/// One Adam update over a contiguous parameter block, with bias-correction
-/// factors bc1 = 1 - beta1^t and bc2 = 1 - beta2^t of the step applied.
-void AdamUpdateBlock(double* value, const double* grad, double* m, double* v,
-                     size_t n, double lr, double weight_decay, double bc1,
-                     double bc2) {
-  const double b1 = kAdamBeta1, b2 = kAdamBeta2, eps = kAdamEps;
-  for (size_t idx = 0; idx < n; ++idx) {
-    const double gi = grad[idx];
-    m[idx] = b1 * m[idx] + (1.0 - b1) * gi;
-    v[idx] = b2 * v[idx] + (1.0 - b2) * gi * gi;
-    const double mhat = m[idx] / bc1;
-    const double vhat = v[idx] / bc2;
-    value[idx] -= lr * (mhat / (std::sqrt(vhat) + eps) +
-                        weight_decay * value[idx]);
-  }
-}
-
 /// Max-abs entry over all gradient blocks; +inf if any entry is NaN/Inf,
 /// so a single comparison catches both explosion and corruption.
 double GradMaxAbs(const FactorGrads& g) {
@@ -96,20 +75,18 @@ double MaxAbsOrInf(const double* p, size_t n) {
 
 void AdamStep(const FactorGrads& grads, double lr, double weight_decay,
               TrainerCheckpoint* state) {
-  const double t = static_cast<double>(++state->adam_t);
-  const double bc1 = 1.0 - std::pow(kAdamBeta1, t);
-  const double bc2 = 1.0 - std::pow(kAdamBeta2, t);
+  const int64_t t = ++state->adam_t;
   FactorModel& x = state->model;
   FactorGrads& m = state->adam_m;
   FactorGrads& v = state->adam_v;
-  AdamUpdateBlock(x.u1.data(), grads.u1.data(), m.u1.data(), v.u1.data(),
-                  x.u1.size(), lr, weight_decay, bc1, bc2);
-  AdamUpdateBlock(x.u2.data(), grads.u2.data(), m.u2.data(), v.u2.data(),
-                  x.u2.size(), lr, weight_decay, bc1, bc2);
-  AdamUpdateBlock(x.u3.data(), grads.u3.data(), m.u3.data(), v.u3.data(),
-                  x.u3.size(), lr, weight_decay, bc1, bc2);
-  AdamUpdateBlock(x.h.data(), grads.h.data(), m.h.data(), v.h.data(),
-                  x.h.size(), lr, weight_decay, bc1, bc2);
+  AdamUpdate(x.u1.data(), grads.u1.data(), m.u1.data(), v.u1.data(),
+             x.u1.size(), t, lr, weight_decay);
+  AdamUpdate(x.u2.data(), grads.u2.data(), m.u2.data(), v.u2.data(),
+             x.u2.size(), t, lr, weight_decay);
+  AdamUpdate(x.u3.data(), grads.u3.data(), m.u3.data(), v.u3.data(),
+             x.u3.size(), t, lr, weight_decay);
+  AdamUpdate(x.h.data(), grads.h.data(), m.h.data(), v.h.data(), x.h.size(),
+             t, lr, weight_decay);
 }
 
 bool DivergenceGuard::Diverged(const EpochStats& stats) const {
@@ -168,7 +145,9 @@ TcssTrainer::TcssTrainer(const Dataset& data, const SparseTensor& train,
   const bool wants_l1 = config_.lambda > 0.0 &&
                         (config_.hausdorff == HausdorffMode::kSocial ||
                          config_.hausdorff == HausdorffMode::kSelf);
-  if (wants_l1) {
+  // The head reads the finalized tensor's per-user POIs; Train refuses an
+  // unfinalized one before it would run.
+  if (wants_l1 && train.finalized()) {
     hausdorff_ =
         std::make_unique<SocialHausdorffLoss>(data, train, config_);
   }
@@ -262,8 +241,7 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
     stats.epoch = epoch;
     stats.rollbacks = rollbacks;
     stats.loss_l2 = l2_->ComputeWithGrads(state.model, *train_, &grads);
-    stats.seconds_loss = stage.ElapsedSeconds();
-    metrics.loss_ms->Record(stats.seconds_loss * 1e3);
+    metrics.loss_ms->Record(stage.ElapsedMillis());
     if (hausdorff_ != nullptr) {
       // ComputeWithGrads bakes lambda into its gradient scale but returns
       // the raw (extrapolated) L1 value; multiply here so TotalLoss() —
@@ -273,8 +251,7 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
       stats.loss_l1 =
           config_.lambda *
           hausdorff_->ComputeWithGrads(state.model, config_.lambda, &grads);
-      stats.seconds_hausdorff = stage.ElapsedSeconds();
-      metrics.hausdorff_ms->Record(stats.seconds_hausdorff * 1e3);
+      metrics.hausdorff_ms->Record(stage.ElapsedMillis());
     }
     if (config_.temporal_smoothness > 0.0) {
       stats.loss_ts = AddTemporalSmoothnessGrad(
@@ -310,14 +287,12 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
     state.hausdorff_rotation =
         hausdorff_ != nullptr ? hausdorff_->rotation() : 0;
     state.sampler_state = l2_->sampler_state();
-    stats.seconds_apply = stage.ElapsedSeconds();
-    metrics.apply_ms->Record(stats.seconds_apply * 1e3);
+    metrics.apply_ms->Record(stage.ElapsedMillis());
 
     auto save_checkpoint = [&]() -> Status {
       Stopwatch ckpt_sw;
       Status saved = options.checkpoints->Save(state);
-      stats.seconds_checkpoint = ckpt_sw.ElapsedSeconds();
-      metrics.checkpoint_ms->Record(stats.seconds_checkpoint * 1e3);
+      metrics.checkpoint_ms->Record(ckpt_sw.ElapsedMillis());
       metrics.checkpoints->Add(1);
       return saved;
     };

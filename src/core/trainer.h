@@ -25,15 +25,7 @@ struct EpochStats {
   double grad_norm = 0.0;     ///< max-abs entry over all gradients
   double lr = 0.0;            ///< effective learning rate of this epoch
   int rollbacks = 0;          ///< divergence rollbacks so far in the run
-  double seconds = 0.0;       ///< wall time of the epoch
-
-  // Stage split of `seconds` (whatever the epoch did not spend in these
-  // stages is loop overhead). Also recorded as train.stage.* histograms in
-  // the global obs::MetricRegistry.
-  double seconds_loss = 0.0;        ///< L2 head forward+grad (rewritten loss)
-  double seconds_hausdorff = 0.0;   ///< social Hausdorff forward+grad
-  double seconds_apply = 0.0;       ///< Adam gradient-apply step
-  double seconds_checkpoint = 0.0;  ///< checkpoint write (0 when skipped)
+  double seconds = 0.0;       ///< wall time; stages: train.stage.*_ms
 
   double TotalLoss() const { return loss_l2 + loss_l1 + loss_ts; }
 };

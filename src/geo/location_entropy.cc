@@ -1,7 +1,6 @@
 #include "geo/location_entropy.h"
 
 #include <cmath>
-#include <map>
 
 namespace tcss {
 
@@ -25,17 +24,19 @@ std::vector<double> ComputeLocationEntropyFromCounts(
 }
 
 std::vector<double> ComputeLocationEntropy(const SparseTensor& checkins) {
-  // Aggregate check-ins over time bins: |Phi_ij| = number of (i,j,*) cells.
+  // |Phi_ij| = the values of fiber (i, j) summed over its time bins. The
+  // slices come in ascending i, so each POI lists its users in order.
   std::vector<std::vector<std::pair<uint32_t, double>>> counts(
       checkins.dim_j());
-  // Entries are sorted by (i, j, k) if finalized; group by (j, i) via a map
-  // per POI to stay correct for unfinalized input too.
-  std::vector<std::map<uint32_t, double>> acc(checkins.dim_j());
-  for (const auto& e : checkins.entries()) {
-    acc[e.j][e.i] += e.value;
-  }
-  for (size_t j = 0; j < acc.size(); ++j) {
-    counts[j].assign(acc[j].begin(), acc[j].end());
+  const CsfView csf = checkins.csf();
+  for (size_t s = 0; s < csf.num_slices; ++s) {
+    for (size_t f = csf.slice_start[s]; f < csf.slice_start[s + 1]; ++f) {
+      double visits = 0.0;
+      for (size_t e = csf.fiber_start[f]; e < csf.fiber_start[f + 1]; ++e) {
+        visits += csf.entry[e].value;
+      }
+      counts[csf.fiber_id[f]].emplace_back(csf.slice_id[s], visits);
+    }
   }
   return ComputeLocationEntropyFromCounts(counts);
 }

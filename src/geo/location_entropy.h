@@ -14,9 +14,10 @@ namespace tcss {
 /// low entropy = a niche spot visited repeatedly by few (e.g. a tennis
 /// court), which better reflects social strength.
 ///
-/// Computed from the (finalized or not) check-in tensor where duplicate
-/// check-ins within a bin count once; pass pre-coalesced counts for exact
-/// multi-visit weighting via the overload below.
+/// Computed from the finalized check-in tensor: |Phi_ij| sums fiber
+/// (i, j)'s values over its time bins, so on a binary tensor check-ins
+/// within one bin count once. Pass per-visit counts for exact multi-visit
+/// weighting via the overload below.
 std::vector<double> ComputeLocationEntropy(const SparseTensor& checkins);
 
 /// Same from raw per-(user, poi) visit counts. counts[j] maps user -> visits.

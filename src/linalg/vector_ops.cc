@@ -48,4 +48,20 @@ std::vector<double> HadamardVec(const std::vector<double>& a,
   return c;
 }
 
+void AdamUpdate(double* value, const double* grad, double* m, double* v,
+                size_t n, int64_t t, double lr, double weight_decay) {
+  constexpr double b1 = 0.9, b2 = 0.999, eps = 1e-8;
+  const double bc1 = 1.0 - std::pow(b1, static_cast<double>(t));
+  const double bc2 = 1.0 - std::pow(b2, static_cast<double>(t));
+  for (size_t idx = 0; idx < n; ++idx) {
+    const double gi = grad[idx];
+    m[idx] = b1 * m[idx] + (1.0 - b1) * gi;
+    v[idx] = b2 * v[idx] + (1.0 - b2) * gi * gi;
+    const double mhat = m[idx] / bc1;
+    const double vhat = v[idx] / bc2;
+    value[idx] -= lr * (mhat / (std::sqrt(vhat) + eps) +
+                        weight_decay * value[idx]);
+  }
+}
+
 }  // namespace tcss

@@ -1,11 +1,10 @@
 #include "nn/optimizer.h"
 
-#include <cmath>
+#include "linalg/vector_ops.h"
 
 namespace tcss::nn {
 
-Adam::Adam(ParameterStore* store, const Options& opts)
-    : store_(store), opts_(opts) {
+Adam::Adam(ParameterStore* store, double lr) : store_(store), lr_(lr) {
   m_.reserve(store->size());
   v_.reserve(store->size());
   for (size_t idx = 0; idx < store->size(); ++idx) {
@@ -17,46 +16,11 @@ Adam::Adam(ParameterStore* store, const Options& opts)
 
 void Adam::Step() {
   ++t_;
-  const double bc1 = 1.0 - std::pow(opts_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(opts_.beta2, static_cast<double>(t_));
   for (size_t idx = 0; idx < store_->size(); ++idx) {
     Parameter* p = store_->at(idx);
-    Matrix& m = m_[idx];
-    Matrix& v = v_[idx];
-    double* val = p->value.data();
-    double* grd = p->grad.data();
-    for (size_t t = 0; t < p->value.size(); ++t) {
-      const double g = grd[t];
-      m.data()[t] = opts_.beta1 * m.data()[t] + (1.0 - opts_.beta1) * g;
-      v.data()[t] = opts_.beta2 * v.data()[t] + (1.0 - opts_.beta2) * g * g;
-      const double mhat = m.data()[t] / bc1;
-      const double vhat = v.data()[t] / bc2;
-      val[t] -= opts_.lr * (mhat / (std::sqrt(vhat) + opts_.eps) +
-                            opts_.weight_decay * val[t]);
-    }
-    p->ZeroGrad();
-  }
-}
-
-Sgd::Sgd(ParameterStore* store, const Options& opts)
-    : store_(store), opts_(opts) {
-  velocity_.reserve(store->size());
-  for (size_t idx = 0; idx < store->size(); ++idx) {
-    const Matrix& val = store->at(idx)->value;
-    velocity_.emplace_back(val.rows(), val.cols());
-  }
-}
-
-void Sgd::Step() {
-  for (size_t idx = 0; idx < store_->size(); ++idx) {
-    Parameter* p = store_->at(idx);
-    Matrix& vel = velocity_[idx];
-    double* val = p->value.data();
-    double* grd = p->grad.data();
-    for (size_t t = 0; t < p->value.size(); ++t) {
-      vel.data()[t] = opts_.momentum * vel.data()[t] - opts_.lr * grd[t];
-      val[t] += vel.data()[t];
-    }
+    AdamUpdate(p->value.data(), p->grad.data(), m_[idx].data(),
+               v_[idx].data(), p->value.size(), t_, lr_,
+               /*weight_decay=*/0.0);
     p->ZeroGrad();
   }
 }

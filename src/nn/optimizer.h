@@ -7,21 +7,12 @@
 
 namespace tcss::nn {
 
-/// Adam optimizer over all parameters of a store (Kingma & Ba). Matches
-/// the paper's training setup: lr 0.001 with decoupled weight decay.
+/// Adam optimizer over all parameters of a store: the update of the TCSS
+/// trainer (tcss::AdamUpdate, β1 0.9, β2 0.999, ε 1e-8) without weight
+/// decay. The neural baselines train with it at their own learning rate.
 class Adam {
  public:
-  struct Options {
-    double lr = 1e-3;
-    double beta1 = 0.9;
-    double beta2 = 0.999;
-    double eps = 1e-8;
-    /// Decoupled (AdamW-style) weight decay applied to values.
-    double weight_decay = 0.0;
-  };
-
-  explicit Adam(ParameterStore* store) : Adam(store, Options()) {}
-  Adam(ParameterStore* store, const Options& opts);
+  Adam(ParameterStore* store, double lr);
 
   /// Applies one update from the accumulated grads, then zeroes grads.
   void Step();
@@ -30,28 +21,10 @@ class Adam {
 
  private:
   ParameterStore* store_;
-  Options opts_;
+  double lr_;
   int64_t t_ = 0;
   std::vector<Matrix> m_;
   std::vector<Matrix> v_;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd {
- public:
-  struct Options {
-    double lr = 1e-2;
-    double momentum = 0.0;
-  };
-
-  explicit Sgd(ParameterStore* store) : Sgd(store, Options()) {}
-  Sgd(ParameterStore* store, const Options& opts);
-  void Step();
-
- private:
-  ParameterStore* store_;
-  Options opts_;
-  std::vector<Matrix> velocity_;
 };
 
 }  // namespace tcss::nn

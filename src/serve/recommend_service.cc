@@ -57,7 +57,7 @@ std::vector<uint32_t> IntersectSorted(const std::vector<uint32_t>& a,
 
 /// The elements of `a` not in `b`, both sorted.
 std::vector<uint32_t> Difference(const std::vector<uint32_t>& a,
-                                 const std::vector<uint32_t>& b) {
+                                 std::span<const uint32_t> b) {
   std::vector<uint32_t> out;
   std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
                       std::back_inserter(out));
@@ -152,26 +152,24 @@ Status RecommendService::Init() {
   }
   num_bins_ = NumBins(granularity_);
 
-  auto train = BuildCheckinTensor(*data_, granularity_);
-  if (!train.ok()) return train.status();
+  auto checkins = BuildCheckinTensor(*data_, granularity_);
+  if (!checkins.ok()) return checkins.status();
+  checkins_ = checkins.MoveValue();
   TCSS_RETURN_IF_ERROR(
-      popularity_.Fit({data_, &train.value(), granularity_, /*seed=*/1}));
+      popularity_.Fit({data_, &checkins_, granularity_, /*seed=*/1}));
 
-  // Per-user distinct (poi, time) cells — the fold-in observations — seed
-  // the solver in tensor-entry order, the replay order of its differential
-  // contract with FoldInUser. Their POIs are the user's visited set.
-  std::vector<std::vector<TensorCell>> cells(data_->num_users());
-  for (const auto& e : train.value().entries()) {
-    if (e.i < cells.size()) cells[e.i].push_back({e.i, e.j, e.k});
-  }
-  visited_.assign(cells.size(), {});
-  for (uint32_t u = 0; u < cells.size(); ++u) {
-    if (cells[u].empty()) continue;
-    fold_in_->Seed(u, cells[u]);
-    std::vector<uint32_t>& pois = visited_[u];
-    for (const TensorCell& c : cells[u]) pois.push_back(c.j);
-    std::sort(pois.begin(), pois.end());
-    pois.erase(std::unique(pois.begin(), pois.end()), pois.end());
+  // Each user's distinct (poi, time) cells — the fold-in observations —
+  // seed the solver in tensor-entry order, the replay order of its
+  // differential contract with FoldInUser.
+  const CsfView csf = checkins_.csf();
+  std::vector<TensorCell> cells;
+  for (size_t s = 0; s < csf.num_slices; ++s) {
+    cells.clear();
+    for (size_t e = csf.fiber_start[csf.slice_start[s]];
+         e < csf.fiber_start[csf.slice_start[s + 1]]; ++e) {
+      cells.push_back({csf.entry[e].i, csf.entry[e].j, csf.entry[e].k});
+    }
+    fold_in_->Seed(csf.slice_id[s], cells);
   }
 
   // Geo fence index. The grid keeps a pointer into poi_locations_, which
@@ -194,8 +192,8 @@ ServeTier RecommendService::ChooseTier(
   if (model != nullptr && req.user < model->u1.rows()) {
     return ServeTier::kModel;
   }
-  if (model != nullptr && req.user < visited_.size() &&
-      (!visited_[req.user].empty() ||
+  if (model != nullptr && req.user < data_->num_users() &&
+      (!checkins_.Pois(req.user).empty() ||
        (streamed != nullptr && streamed->HasObservations(req.user)))) {
     // A user with no training history but streamed check-ins is servable
     // by fold-in too — that is the whole point of the streaming tier.
@@ -286,7 +284,7 @@ void RecommendService::EnsurePanel(
 
 bool RecommendService::ShortList(const KernelTable& kernels,
                                  const std::vector<double>& q, size_t k,
-                                 const std::vector<uint32_t>& visited,
+                                 std::span<const uint32_t> visited,
                                  std::vector<uint32_t>* out) const {
   if (!panel_.representable) return false;
   // E bounds |f32 panel score − f64 chain score| for every POI (DESIGN.md
@@ -467,7 +465,6 @@ std::vector<RecommendService::Response> RecommendService::BatchTopK(
   const size_t num_pois = data_->num_pois();
   const KernelTable& kernels = ActiveKernels();
   const Matrix* u2 = model != nullptr ? &model->u2 : nullptr;
-  const std::vector<uint32_t> none;
   ParallelFor(reqs.size(), 1, [&](size_t begin, size_t end, size_t) {
     for (size_t b = begin; b < end; ++b) {
       Plan& plan = plans[b];
@@ -475,10 +472,9 @@ std::vector<RecommendService::Response> RecommendService::BatchTopK(
       if (!plan.valid) continue;
       out[b].tier = plan.tier;
       if (req.k == 0) continue;
-      const std::vector<uint32_t>& visited =
-          req.exclude_visited && req.user < visited_.size()
-              ? visited_[req.user]
-              : none;
+      const std::span<const uint32_t> visited =
+          req.exclude_visited ? checkins_.Pois(req.user)
+                              : std::span<const uint32_t>();
       // The POIs this request may answer with, minus its visited ones:
       // its restriction, the scan's short list, or the whole catalogue.
       std::vector<uint32_t> pool;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "obs/metrics.h"
 #include "serve/model_watcher.h"
 #include "serve/request.h"
+#include "tensor/sparse_tensor.h"
 
 namespace tcss {
 
@@ -213,7 +215,7 @@ class RecommendService {
   /// query's error: the caller ranks in f64 alone. Needs k >= 1;
   /// read-only, so BatchTopK's parallel phase runs it from many threads.
   bool ShortList(const KernelTable& kernels, const std::vector<double>& q,
-                 size_t k, const std::vector<uint32_t>& visited,
+                 size_t k, std::span<const uint32_t> visited,
                  std::vector<uint32_t>* out) const;
   void RecordLatency(ServeTier tier, double ms);
 
@@ -225,11 +227,12 @@ class RecommendService {
   bool initialized_ = false;
   size_t num_bins_ = 0;
   Popularity popularity_;
-  /// Per dataset user: the POIs of their training check-ins, sorted and
-  /// unique. Every tier's exclude_visited filter; non-empty exactly for
-  /// the users Init seeds fold-in observations for. Immutable after Init,
-  /// so PlanTier may read it.
-  std::vector<std::vector<uint32_t>> visited_;
+  /// Every check-in of the dataset as a finalized tensor, built by Init.
+  /// Its per-user POIs (SparseTensor::Pois) are every tier's
+  /// exclude_visited filter, non-empty exactly for the users Init seeds
+  /// fold-in observations for. Immutable after Init, so PlanTier may read
+  /// it.
+  SparseTensor checkins_;
 
   /// The one fold-in solver: Options::incremental, or own_fold_in_ when
   /// that is null. Serving thread only.

@@ -103,6 +103,15 @@ CsfView SparseTensor::csf() const {
   return v;
 }
 
+std::span<const uint32_t> SparseTensor::Pois(uint32_t i) const {
+  TCSS_CHECK(finalized_) << "SparseTensor::Pois requires a finalized tensor";
+  const auto it = std::lower_bound(slice_id_.begin(), slice_id_.end(), i);
+  if (it == slice_id_.end() || *it != i) return {};
+  const size_t s = static_cast<size_t>(it - slice_id_.begin());
+  return {fiber_id_.data() + slice_start_[s],
+          slice_start_[s + 1] - slice_start_[s]};
+}
+
 double SparseTensor::Get(uint32_t i, uint32_t j, uint32_t k) const {
   TensorEntry probe{i, j, k, 0.0};
   auto it = std::lower_bound(entries_.begin(), entries_.end(), probe,

@@ -2,6 +2,7 @@
 #define TCSS_TENSOR_SPARSE_TENSOR_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -56,10 +57,19 @@ class SparseTensor {
   const std::vector<TensorEntry>& entries() const { return entries_; }
 
   /// The mode-0 CSF tree over entries(), walked by the L2 head's entry
-  /// loop (KernelTable::csf_rewritten_entries) and by Mttkrp. Requires
-  /// finalized(); valid while this tensor is alive.
+  /// loop (KernelTable::csf_rewritten_entries), by Mttkrp and by readers
+  /// that need a fiber's entries (location entropy, serving's fold-in
+  /// seeds). Requires finalized(); valid while this tensor is alive.
   CsfView csf() const;
   size_t num_fibers() const { return fiber_id_.size(); }
+
+  /// The distinct j of slice i in ascending order: on the check-in tensor,
+  /// the POIs user i visited. The tree's fiber level, found by binary
+  /// search over the slice ids; empty for an i with no entries (i >=
+  /// dim_i() included). The one per-user POI index: the Hausdorff head,
+  /// the zero-out mask, visited-POI exclusion and the baselines read it.
+  /// Requires finalized(); valid while this tensor is alive.
+  std::span<const uint32_t> Pois(uint32_t i) const;
 
   /// Sum of squared values (the constant term of the full MSE loss).
   double SquaredSum() const;

@@ -7,6 +7,7 @@
 // run with a value the user did not ask for.
 // Options the server cannot run with must end `serve` at once; the ctest
 // TIMEOUT fails this suite instead of stalling it if one ever hangs again.
+// `recommend --new-only` must exclude what `serve`'s `new` excludes.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -16,6 +17,10 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -25,15 +30,18 @@ namespace {
 
 // Exit status of the CLI run with `args`, or -signal if a signal ended it.
 // A run still alive after `timeout_s` is SIGKILLed (and reads -SIGKILL),
-// so a hanging command fails its test instead of outliving it.
-int RunCli(std::vector<std::string> args, double timeout_s = 60.0) {
+// so a hanging command fails its test instead of outliving it. Its stdout
+// goes to `stdout_path`.
+int RunCli(std::vector<std::string> args, double timeout_s = 60.0,
+           const std::string& stdout_path = "/dev/null") {
   args.insert(args.begin(), TCSS_CLI_PATH);
   std::vector<char*> argv;
   for (std::string& a : args) argv.push_back(a.data());
   argv.push_back(nullptr);
   const pid_t pid = fork();
   if (pid == 0) {
-    std::freopen("/dev/null", "w", stdout);  // keep stderr's message
+    // stdout to stdout_path; stderr keeps the CLI's message.
+    std::freopen(stdout_path.c_str(), "w", stdout);
     execv(argv[0], argv.data());
     _exit(127);
   }
@@ -95,6 +103,43 @@ TEST_F(CliTest, RecommendBadArgumentsExitWithStatus2) {
       {"--user", "-1"}, {"--user", "0.5"}, {"--k", "ten"}};
   for (const auto& [flag, value] : bad) {
     EXPECT_EQ(recommend(flag, value), 2) << flag << " " << value;
+  }
+}
+
+TEST_F(CliTest, RecommendNewOnlyExcludesEveryCheckin) {
+  // `serve` excludes every check-in in the dataset from a `new` request;
+  // `recommend --new-only` must too, not only the 80% train split's.
+  std::map<uint32_t, std::set<uint32_t>> visited;
+  std::ifstream csv(dir_ + "/checkins.csv");
+  std::string line;
+  std::getline(csv, line);  // user_id,poi_id,unix_seconds
+  while (std::getline(csv, line)) {
+    uint32_t user = 0, poi = 0;
+    char comma = 0;
+    std::istringstream(line) >> user >> comma >> poi;
+    visited[user].insert(poi);
+  }
+  ASSERT_FALSE(visited.empty());
+  const std::string out = dir_ + "/recs.txt";
+  for (const auto& [user, pois] : visited) {
+    ASSERT_EQ(RunCli({"recommend", "--data", dir_, "--model", model_,
+                      "--user", std::to_string(user), "--time", "6", "--k",
+                      "10", "--new-only"},
+                     60.0, out),
+              0);
+    std::ifstream recs(out);
+    std::getline(recs, line);  // title
+    std::getline(recs, line);  // column names
+    size_t printed = 0;
+    while (std::getline(recs, line)) {
+      size_t rank = 0;
+      uint32_t poi = 0;
+      std::istringstream(line) >> rank >> poi;
+      EXPECT_EQ(pois.count(poi), 0u)
+          << "user " << user << " checked in at recommended POI " << poi;
+      ++printed;
+    }
+    EXPECT_GT(printed, 0u) << "user " << user;
   }
 }
 

@@ -223,9 +223,7 @@ TEST(OptimizerTest, AdamMinimizesQuadratic) {
   Rng rng(10);
   ParameterStore store;
   Parameter* w = store.Create("w", 1, 5, &rng, 1.0);
-  Adam::Options opts;
-  opts.lr = 0.1;
-  Adam adam(&store, opts);
+  Adam adam(&store, 0.1);
   Matrix target(1, 5, 3.0);
   double first = 0, last = 0;
   for (int step = 0; step < 200; ++step) {
@@ -240,24 +238,6 @@ TEST(OptimizerTest, AdamMinimizesQuadratic) {
   for (size_t i = 0; i < 5; ++i) EXPECT_NEAR(w->value(0, i), 3.0, 0.05);
 }
 
-TEST(OptimizerTest, SgdMomentumMinimizesQuadratic) {
-  Rng rng(11);
-  ParameterStore store;
-  Parameter* w = store.Create("w", 1, 3, &rng, 1.0);
-  Sgd::Options opts;
-  opts.lr = 0.05;
-  opts.momentum = 0.5;
-  Sgd sgd(&store, opts);
-  Matrix target(1, 3, -1.0);
-  for (int step = 0; step < 300; ++step) {
-    Tape tape;
-    Var loss = tape.MseLoss(tape.Leaf(w), target);
-    tape.Backward(loss);
-    sgd.Step();
-  }
-  for (size_t i = 0; i < 3; ++i) EXPECT_NEAR(w->value(0, i), -1.0, 0.02);
-}
-
 TEST(MlpTest, LearnsXor) {
   Rng rng(12);
   ParameterStore store;
@@ -265,9 +245,7 @@ TEST(MlpTest, LearnsXor) {
           &rng);
   Matrix x = Matrix::FromRows({{0, 0}, {0, 1}, {1, 0}, {1, 1}});
   Matrix y = Matrix::FromRows({{0}, {1}, {1}, {0}});
-  Adam::Options opts;
-  opts.lr = 0.05;
-  Adam adam(&store, opts);
+  Adam adam(&store, 0.05);
   for (int step = 0; step < 800; ++step) {
     Tape tape;
     Var loss = tape.BceLoss(mlp.Apply(&tape, tape.Input(x)), y);

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -557,7 +558,25 @@ TEST(CsfProperties, StructureInvariantsHoldOnAdversarialTensors) {
         }
       }
     }
-    return e == x.nnz();
+    if (e != x.nnz()) return false;
+    // Pois(i) is the sorted distinct j of i's entries for every i: users
+    // with no entries, before the first slice, after the last one and past
+    // dim_i included.
+    for (uint32_t i = 0; i < x.dim_i() + 2; ++i) {
+      std::vector<uint32_t> want;
+      for (const TensorEntry& t : entries) {
+        if (t.i == i) want.push_back(t.j);
+      }
+      std::sort(want.begin(), want.end());
+      want.erase(std::unique(want.begin(), want.end()), want.end());
+      const std::span<const uint32_t> got = x.Pois(i);
+      if (!std::equal(got.begin(), got.end(), want.begin(), want.end())) {
+        *msg = StrFormat("Pois(%u) has %zu POIs, its entries %zu distinct", i,
+                         got.size(), want.size());
+        return false;
+      }
+    }
+    return true;
   };
   PropOptions opts;
   opts.max_size = 48;
@@ -1139,6 +1158,17 @@ TEST(DifferentialTopK, MatchesFullSortOracle) {
         c.opts.candidates.push_back(
             static_cast<uint32_t>(rng.UniformInt(num_pois)));
       }
+    }
+    if (rng.Bernoulli(0.3)) {
+      // A user with no entries, when the tensor has one: nothing to
+      // exclude.
+      std::vector<uint8_t> has_entries(c.train.dim_i(), 0);
+      for (const TensorEntry& e : c.train.entries()) has_entries[e.i] = 1;
+      std::vector<uint32_t> idle;
+      for (uint32_t i = 0; i < has_entries.size(); ++i) {
+        if (!has_entries[i]) idle.push_back(i);
+      }
+      if (!idle.empty()) c.user = idle[rng.UniformInt(idle.size())];
     }
     return c;
   };

@@ -684,15 +684,15 @@ int Recommend(const Args& args) {
   TopKOptions opts;
   opts.k = static_cast<size_t>(k_arg);
   opts.exclude_visited = new_only;
-  TrainTestSplit split = SplitCheckins(data.value(), 0.8, 42);
-  auto train = BuildCheckinTensor(data.value(), split.train, g);
-  if (!train.ok()) {
-    std::fprintf(stderr, "%s\n", train.status().ToString().c_str());
+  // --new-only excludes every check-in in the dataset, as `serve` does.
+  auto checkins = BuildCheckinTensor(data.value(), g);
+  if (!checkins.ok()) {
+    std::fprintf(stderr, "%s\n", checkins.status().ToString().c_str());
     return 1;
   }
   auto recs = TopKRecommendations(model.value(), user, time_bin,
                                   data.value().num_pois(), opts,
-                                  &train.value());
+                                  &checkins.value());
   std::printf("top-%zu POIs for user %u at %s bin %u%s:\n", opts.k, user,
               GranularityName(g), time_bin,
               new_only ? " (new places only)" : "");
