@@ -21,11 +21,11 @@
 //
 // Human-readable table on stdout; TCSS_BENCH_JSON appends machine rows
 // (bench "stream"). TCSS_BENCH_SCALE (default 1.0) scales event counts
-// for quick smoke runs.
+// for quick smoke runs; the ctest `bench_stream` (label `bench`) runs it
+// at 0.1. Exits non-zero when a phase fails.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,7 +68,7 @@ FactorModel RandomModel(size_t users, size_t pois, size_t bins, size_t rank,
 
 // --- Phase 1 + 2: ingest throughput and rollover latency -----------------
 
-void BenchIngestAndRollover() {
+bool BenchIngestAndRollover() {
   const double scale = bench::BenchScale();
   DriftStreamConfig cfg;
   cfg.num_users = 400;
@@ -77,7 +77,7 @@ void BenchIngestAndRollover() {
   auto gen = GenerateDriftStream(cfg);
   if (!gen.ok()) {
     std::fprintf(stderr, "drift stream: %s\n", gen.status().ToString().c_str());
-    return;
+    return false;
   }
   const Dataset& data = gen.value();
   const std::string dataset =
@@ -91,7 +91,7 @@ void BenchIngestAndRollover() {
   Status saved = SaveFactorModel(seed_model, path);
   if (!saved.ok()) {
     std::fprintf(stderr, "save: %s\n", saved.ToString().c_str());
-    return;
+    return false;
   }
 
   ModelWatcher::Options wopts;
@@ -152,7 +152,7 @@ void BenchIngestAndRollover() {
     Status st = engine.Rollover();
     if (!st.ok()) {
       std::fprintf(stderr, "rollover: %s\n", st.ToString().c_str());
-      return;
+      return false;
     }
     roll_ms.push_back(one.ElapsedMillis());
   }
@@ -199,6 +199,7 @@ void BenchIngestAndRollover() {
   bench::AppendBenchJson("stream", dataset, "rollover_ms_mean", mean_ms);
   bench::AppendBenchJson("stream", dataset, "rollover_ms_max", max_ms);
   bench::AppendBenchJson("stream", dataset, "tail_drift_score", tail_drift);
+  return true;
 }
 
 // --- Phase 3: chronological static-vs-streaming --------------------------
@@ -226,7 +227,7 @@ void RecordRank(const FactorModel& model, const std::vector<double>& emb,
   ++sums->n;
 }
 
-void BenchChronological() {
+bool BenchChronological() {
   const double scale = bench::BenchScale();
   DriftStreamConfig cfg;
   cfg.num_users = 200;
@@ -235,7 +236,7 @@ void BenchChronological() {
   auto gen = GenerateDriftStream(cfg);
   if (!gen.ok()) {
     std::fprintf(stderr, "drift stream: %s\n", gen.status().ToString().c_str());
-    return;
+    return false;
   }
   const Dataset& data = gen.value();
   const std::string dataset =
@@ -247,31 +248,32 @@ void BenchChronological() {
   // fold-in can actually track it (see tests/stream_test.cc).
   const TimeGranularity gran = TimeGranularity::kHourOfDay;
   ChronoSplit split = ChronologicalSplit(data.checkins(), 0.7);
-  auto before_tensor = BuildCheckinTensor(data, split.before, gran);
-  if (!before_tensor.ok()) return;
+  auto built = BuildCheckinTensor(data, split.before, gran);
+  if (!built.ok()) {
+    std::fprintf(stderr, "tensor: %s\n", built.status().ToString().c_str());
+    return false;
+  }
+  const auto before_tensor =
+      std::make_shared<const SparseTensor>(built.MoveValue());
   TcssConfig tcfg;
   tcfg.rank = 8;
   tcfg.epochs = 80;
   Stopwatch fit;
-  TcssTrainer trainer(data, before_tensor.value(), tcfg);
+  TcssTrainer trainer(data, *before_tensor, tcfg);
   auto trained = trainer.Train();
   if (!trained.ok()) {
     std::fprintf(stderr, "train: %s\n", trained.status().ToString().c_str());
-    return;
+    return false;
   }
   const double fit_s = fit.ElapsedSeconds();
   auto model = std::make_shared<const FactorModel>(trained.MoveValue());
 
-  std::vector<TensorCell> before_cells = EventsToCells(split.before, gran);
-  std::map<uint32_t, std::vector<TensorCell>> by_user;
-  for (const auto& c : before_cells) by_user[c.i].push_back(c);
+  // Both fold-in scorers start from the pre-cutoff training tensor.
   IncrementalFoldIn frozen, streaming;
   frozen.BindModel(model, 1);
   streaming.BindModel(model, 1);
-  for (const auto& [user, cells] : by_user) {
-    frozen.Seed(user, cells);
-    streaming.Seed(user, cells);
-  }
+  frozen.BindCheckins(before_tensor);
+  streaming.BindCheckins(before_tensor);
 
   RankSums static_model, static_fold, stream_fold;
   Stopwatch prequential;
@@ -315,13 +317,14 @@ void BenchChronological() {
                          stream_fold.HitAt10());
   bench::AppendBenchJson("stream", dataset, "stream_fold_mrr",
                          stream_fold.Mrr());
+  return true;
 }
 
 }  // namespace
 }  // namespace tcss
 
 int main() {
-  tcss::BenchIngestAndRollover();
-  tcss::BenchChronological();
-  return 0;
+  const bool ingest_ok = tcss::BenchIngestAndRollover();
+  const bool chrono_ok = tcss::BenchChronological();
+  return ingest_ok && chrono_ok ? 0 : 1;
 }

@@ -83,8 +83,8 @@ class CheckpointManager {
   Status Init();
 
   /// True when the epoch loop should take a periodic snapshot after
-  /// `epoch` completes. Never with `every` = 0; the final, stop and
-  /// plateau snapshots are the trainer's to take regardless.
+  /// `epoch` completes. Never with `every` = 0; the final and stop
+  /// snapshots are the trainer's to take regardless.
   bool ShouldSnapshot(int epoch) const {
     return options_.every > 0 && epoch % options_.every == 0;
   }

@@ -21,7 +21,6 @@ namespace {
 struct TrainMetrics {
   obs::Counter* epochs;
   obs::Counter* rollbacks;
-  obs::Counter* plateau_stops;
   obs::Counter* checkpoints;
   obs::Histogram* epoch_ms;
   obs::Histogram* loss_ms;
@@ -37,7 +36,6 @@ struct TrainMetrics {
     obs::MetricRegistry* reg = obs::MetricRegistry::Global();
     return {reg->GetCounter("train.epochs"),
             reg->GetCounter("train.rollbacks"),
-            reg->GetCounter("train.plateau_stops"),
             reg->GetCounter("train.checkpoints_written"),
             reg->GetHistogram("train.epoch_ms"),
             reg->GetHistogram("train.stage.loss_ms"),
@@ -230,8 +228,6 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
   TrainerCheckpoint last_good = state;
   const DivergenceGuard& guard = options.divergence;
   int rollbacks = 0;
-  double best_monitored = std::numeric_limits<double>::infinity();
-  int plateau_streak = 0;
 
   for (int epoch = state.epoch + 1; epoch <= config_.epochs; ++epoch) {
     Stopwatch sw;
@@ -245,8 +241,8 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
     if (hausdorff_ != nullptr) {
       // ComputeWithGrads bakes lambda into its gradient scale but returns
       // the raw (extrapolated) L1 value; multiply here so TotalLoss() —
-      // which drives divergence detection and plateau monitoring — sees
-      // lambda applied exactly once, matching the gradients.
+      // which drives divergence detection — sees lambda applied exactly
+      // once, matching the gradients.
       stage.Restart();
       stats.loss_l1 =
           config_.lambda *
@@ -315,35 +311,12 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
         options.stop->load(std::memory_order_relaxed)) {
       TCSS_LOG(Info) << "stop requested; ending training after epoch "
                      << epoch;
-      // Same reasoning as the plateau break below: the final-epoch
-      // snapshot never runs on this path, so persist the stopping point
-      // for --resume before leaving.
+      // The final-epoch snapshot never runs on this path, so persist the
+      // stopping point for --resume before leaving.
       if (options.checkpoints != nullptr && !checkpointed) {
         TCSS_RETURN_IF_ERROR(save_checkpoint());
       }
       break;
-    }
-
-    if (options.plateau_patience > 0) {
-      const double monitored = options.validation_metric
-                                   ? options.validation_metric(state.model)
-                                   : stats.TotalLoss();
-      if (monitored < best_monitored - options.plateau_min_delta) {
-        best_monitored = monitored;
-        plateau_streak = 0;
-      } else if (++plateau_streak >= options.plateau_patience) {
-        metrics.plateau_stops->Add(1);
-        TCSS_LOG(Info) << "early stop at epoch " << epoch
-                       << ": monitored value plateaued at "
-                       << best_monitored;
-        // The final-epoch snapshot below the loop never runs on this
-        // path; save here so a post-plateau --resume restarts from the
-        // stopping point instead of redoing epochs.
-        if (options.checkpoints != nullptr && !checkpointed) {
-          TCSS_RETURN_IF_ERROR(save_checkpoint());
-        }
-        break;
-      }
     }
   }
   return std::move(state.model);

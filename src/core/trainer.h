@@ -88,9 +88,9 @@ struct DivergenceGuard {
 };
 
 /// Resilience knobs of TcssTrainer::Train. Defaults preserve the classic
-/// behavior (no checkpoints, no early stop) except that non-finite
-/// losses/gradients now trigger rollback + LR backoff instead of silently
-/// training on NaN — a run that stays finite is bit-identical to before.
+/// behavior (no checkpoints) except that non-finite losses/gradients now
+/// trigger rollback + LR backoff instead of silently training on NaN — a
+/// run that stays finite is bit-identical to before.
 struct TrainOptions {
   /// Periodic crash-safe snapshots. Not owned; may be null (no
   /// checkpointing). Call CheckpointManager::Init() before training.
@@ -114,15 +114,6 @@ struct TrainOptions {
   /// Rollback + LR backoff on a diverged epoch; NotConverged once its
   /// retries are spent.
   DivergenceGuard divergence;
-
-  /// Early stopping: stop once the monitored value fails to improve by
-  /// more than `plateau_min_delta` for `plateau_patience` consecutive
-  /// epochs. 0 disables. The monitored value is `validation_metric(model)`
-  /// when set (lower is better — pass e.g. negated Hit@10), otherwise the
-  /// epoch's total training loss.
-  int plateau_patience = 0;
-  double plateau_min_delta = 1e-4;
-  std::function<double(const FactorModel&)> validation_metric;
 
   /// Warm start: when set (and no checkpoint was resumed), training starts
   /// from a copy of this model instead of InitializeFactors — the seam the
@@ -156,8 +147,8 @@ class TcssTrainer {
   Result<FactorModel> Train(const EpochCallback& callback = nullptr);
 
   /// Full-control variant: checkpoint/resume, divergence guards with
-  /// rollback + LR backoff, optional early stopping. Both variants return
-  /// InvalidArgument for an unfinalized train tensor.
+  /// rollback + LR backoff, warm start and cooperative stop. Both variants
+  /// return InvalidArgument for an unfinalized train tensor.
   Result<FactorModel> Train(const TrainOptions& options,
                             const EpochCallback& callback);
 

@@ -10,6 +10,9 @@
 namespace tcss {
 namespace {
 
+/// Budget of one message write to a worker.
+constexpr int kWriteTimeoutMs = 10'000;
+
 /// Bitwise equality of two double vectors (NaN-safe, -0.0 != +0.0): the
 /// replica-lockstep check must detect *any* byte of drift, not values that
 /// merely compare equal.
@@ -157,7 +160,7 @@ bool DistCoordinator::SendTo(uint64_t session_id, const DistMsg& msg) {
   if (session == nullptr) return false;
   // Sessions are only destroyed by the state-machine thread (this thread),
   // so the pointer stays valid across the unlocked Write.
-  return SendDistMsg(session->conn.get(), msg, opts_.write_timeout_ms).ok();
+  return SendDistMsg(session->conn.get(), msg, kWriteTimeoutMs).ok();
 }
 
 Status DistCoordinator::Recover(uint64_t session_id, const std::string& why) {

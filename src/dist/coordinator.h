@@ -57,7 +57,6 @@ struct DistCoordinatorOptions {
   int world_timeout_ms = 60'000;
   /// Worker deaths tolerated over the whole run before aborting.
   int max_recoveries = 16;
-  int write_timeout_ms = 10'000;
 
   /// Cooperative cancellation, checked once per epoch: the run ends early
   /// through the normal last-epoch path (final snapshot + model gather).

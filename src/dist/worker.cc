@@ -14,6 +14,11 @@
 namespace tcss {
 namespace {
 
+/// The budget of one message write to the coordinator, and the
+/// coordinator silence tolerated before the worker reconnects.
+constexpr int kWriteTimeoutMs = 10'000;
+constexpr int kCoordinatorTimeoutMs = 60'000;
+
 /// Deterministic reconnect jitter: a pure function of (rank, attempt), so
 /// restarted fleets spread out without sacrificing reproducibility.
 int JitterMs(int rank, int attempt, int cap) {
@@ -111,7 +116,7 @@ Status DistWorker::Run() {
         hb.type = DistMsgType::kHeartbeat;
         hb.gen = gen_.load(std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(write_mu_);
-        if (!SendDistMsg(conn.get(), hb, opts_.write_timeout_ms).ok()) {
+        if (!SendDistMsg(conn.get(), hb, kWriteTimeoutMs).ok()) {
           return;  // main loop will discover the broken conn on its own
         }
       }
@@ -169,7 +174,7 @@ Status DistWorker::SendHello(Conn* conn) {
     }
   }
   std::lock_guard<std::mutex> lock(write_mu_);
-  return SendDistMsg(conn, hello, opts_.write_timeout_ms);
+  return SendDistMsg(conn, hello, kWriteTimeoutMs);
 }
 
 Status DistWorker::StartAt(int epoch) {
@@ -234,7 +239,7 @@ Result<DistWorker::SessionOutcome> DistWorker::ComputeAndSendGrad(
   Status sent;
   {
     std::lock_guard<std::mutex> lock(write_mu_);
-    sent = SendDistMsg(conn, g, opts_.write_timeout_ms);
+    sent = SendDistMsg(conn, g, kWriteTimeoutMs);
   }
   if (!sent.ok()) return SessionOutcome::kLost;
   return SessionOutcome::kContinue;
@@ -268,7 +273,7 @@ Status DistWorker::SendFinal(Conn* conn) {
   fin.u3 = Flat(state_.model.u3);
   fin.h = state_.model.h;
   std::lock_guard<std::mutex> lock(write_mu_);
-  return SendDistMsg(conn, fin, opts_.write_timeout_ms);
+  return SendDistMsg(conn, fin, kWriteTimeoutMs);
 }
 
 Result<DistWorker::SessionOutcome> DistWorker::SessionLoop(Conn* conn) {
@@ -277,7 +282,7 @@ Result<DistWorker::SessionOutcome> DistWorker::SessionLoop(Conn* conn) {
   for (;;) {
     DistMsg msg;
     auto event = ReadDistMsg(&reader, conn, &msg,
-                             opts_.coordinator_timeout_ms, opts_.abrupt_stop);
+                             kCoordinatorTimeoutMs, opts_.abrupt_stop);
     if (!event.ok()) {
       TCSS_LOG(Warning) << "worker " << opts_.rank
                         << ": connection error: " << event.status().message();
@@ -352,7 +357,7 @@ Result<DistWorker::SessionOutcome> DistWorker::SessionLoop(Conn* conn) {
             ack.gen = gen_.load(std::memory_order_relaxed);
             ack.epoch = state_.epoch;
             std::lock_guard<std::mutex> lock(write_mu_);
-            if (!SendDistMsg(conn, ack, opts_.write_timeout_ms).ok()) {
+            if (!SendDistMsg(conn, ack, kWriteTimeoutMs).ok()) {
               return SessionOutcome::kLost;
             }
           }

@@ -49,11 +49,6 @@ struct DistWorkerOptions {
   int reconnect_base_ms = 20;
   int reconnect_max_ms = 2000;
 
-  /// Coordinator silence tolerated before this worker tears down the
-  /// connection and goes through the reconnect path.
-  int coordinator_timeout_ms = 60'000;
-  int write_timeout_ms = 10'000;
-
   // Test hooks -----------------------------------------------------------
   /// Simulated SIGKILL: when it reads true the worker stops computing,
   /// heartbeating and responding at the next check, abandoning its

@@ -120,7 +120,7 @@ RecommendService::RecommendService(const Dataset* data,
     : data_(data), granularity_(granularity), watcher_(watcher),
       opts_(opts),
       own_fold_in_(opts.incremental == nullptr
-                       ? std::make_unique<IncrementalFoldIn>(opts.fold_in)
+                       ? std::make_unique<IncrementalFoldIn>()
                        : nullptr),
       fold_in_(opts.incremental != nullptr ? opts.incremental
                                            : own_fold_in_.get()),
@@ -154,23 +154,10 @@ Status RecommendService::Init() {
 
   auto checkins = BuildCheckinTensor(*data_, granularity_);
   if (!checkins.ok()) return checkins.status();
-  checkins_ = checkins.MoveValue();
+  checkins_ = std::make_shared<const SparseTensor>(checkins.MoveValue());
   TCSS_RETURN_IF_ERROR(
-      popularity_.Fit({data_, &checkins_, granularity_, /*seed=*/1}));
-
-  // Each user's distinct (poi, time) cells — the fold-in observations —
-  // seed the solver in tensor-entry order, the replay order of its
-  // differential contract with FoldInUser.
-  const CsfView csf = checkins_.csf();
-  std::vector<TensorCell> cells;
-  for (size_t s = 0; s < csf.num_slices; ++s) {
-    cells.clear();
-    for (size_t e = csf.fiber_start[csf.slice_start[s]];
-         e < csf.fiber_start[csf.slice_start[s + 1]]; ++e) {
-      cells.push_back({csf.entry[e].i, csf.entry[e].j, csf.entry[e].k});
-    }
-    fold_in_->Seed(csf.slice_id[s], cells);
-  }
+      popularity_.Fit({data_, checkins_.get(), granularity_, /*seed=*/1}));
+  fold_in_->BindCheckins(checkins_);
 
   // Geo fence index. The grid keeps a pointer into poi_locations_, which
   // lives (and stays unmoved) as long as the service.
@@ -193,7 +180,7 @@ ServeTier RecommendService::ChooseTier(
     return ServeTier::kModel;
   }
   if (model != nullptr && req.user < data_->num_users() &&
-      (!checkins_.Pois(req.user).empty() ||
+      (!checkins_->Pois(req.user).empty() ||
        (streamed != nullptr && streamed->HasObservations(req.user)))) {
     // A user with no training history but streamed check-ins is servable
     // by fold-in too — that is the whole point of the streaming tier.
@@ -473,7 +460,7 @@ std::vector<RecommendService::Response> RecommendService::BatchTopK(
       out[b].tier = plan.tier;
       if (req.k == 0) continue;
       const std::span<const uint32_t> visited =
-          req.exclude_visited ? checkins_.Pois(req.user)
+          req.exclude_visited ? checkins_->Pois(req.user)
                               : std::span<const uint32_t>();
       // The POIs this request may answer with, minus its visited ones:
       // its restriction, the scan's short list, or the whole catalogue.

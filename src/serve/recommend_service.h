@@ -84,16 +84,14 @@ struct ServiceStats {
 class RecommendService {
  public:
   struct Options {
-    /// Weights of the service's own fold-in solver (unused when
-    /// `incremental` is set: that solver carries its own).
-    FoldInOptions fold_in;
     /// Streaming mode (DESIGN.md §14): the fold-in tier runs through this
     /// shared solver, so check-ins its owner — typically a StreamingEngine
     /// — appends are served on the user's next query. Null: the service
-    /// builds its own IncrementalFoldIn from `fold_in`. Either way Init()
-    /// seeds the solver with the train tensor's per-user cells. Not owned;
-    /// must outlive the service, and is touched only from the serving
-    /// thread (the owner appends through that same thread).
+    /// builds its own IncrementalFoldIn. Either way Init() binds the
+    /// service's check-in tensor to the solver as every user's first
+    /// observations. Not owned; must outlive the service, and is touched
+    /// only from the serving thread (the owner appends through that same
+    /// thread).
     IncrementalFoldIn* incremental = nullptr;
     /// Metric registry for latency histograms and serve counters, and the
     /// source of every Stats() count (frozen while the obs kill switch is
@@ -229,10 +227,10 @@ class RecommendService {
   Popularity popularity_;
   /// Every check-in of the dataset as a finalized tensor, built by Init.
   /// Its per-user POIs (SparseTensor::Pois) are every tier's
-  /// exclude_visited filter, non-empty exactly for the users Init seeds
-  /// fold-in observations for. Immutable after Init, so PlanTier may read
-  /// it.
-  SparseTensor checkins_;
+  /// exclude_visited filter, and its slices are the fold-in solver's
+  /// first observations: the solver shares it, without a copy.
+  /// Immutable after Init, so PlanTier may read it.
+  std::shared_ptr<const SparseTensor> checkins_;
 
   /// The one fold-in solver: Options::incremental, or own_fold_in_ when
   /// that is null. Serving thread only.

@@ -30,7 +30,6 @@ StreamingEngine::StreamingEngine(const Dataset& data, ModelWatcher* watcher,
       opts_(opts),
       env_(opts.env != nullptr ? opts.env : Env::Default()),
       delta_(data.num_users(), data.num_pois()),
-      fold_in_(opts.fold_in),
       roller_(NumBins(opts.granularity)),
       base_poi_counts_(data.num_pois(), 0),
       delta_poi_counts_(data.num_pois(), 0) {

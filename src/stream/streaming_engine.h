@@ -77,7 +77,6 @@ struct RefinerOptions {
 class StreamingEngine {
  public:
   struct Options {
-    FoldInOptions fold_in;
     TimeGranularity granularity = TimeGranularity::kMonthOfYear;
 
     /// Accepted ingests between automatic rollovers / refinements;
@@ -102,7 +101,8 @@ class StreamingEngine {
   StreamingEngine(const Dataset& data, ModelWatcher* watcher,
                   const Options& opts);
 
-  /// The fold-in tier to hand to RecommendService::Options::incremental.
+  /// The fold-in tier to hand to RecommendService::Options::incremental,
+  /// whose Init binds the service's check-in tensor to it.
   IncrementalFoldIn* fold_in() { return &fold_in_; }
   DeltaBuffer* delta() { return &delta_; }
 

@@ -87,6 +87,11 @@ Status SparseTensor::Finalize(bool binary) {
   }
   slice_start_.push_back(fiber_id_.size());
   fiber_start_.push_back(entries_.size());
+  entries_.shrink_to_fit();
+  slice_id_.shrink_to_fit();
+  slice_start_.shrink_to_fit();
+  fiber_id_.shrink_to_fit();
+  fiber_start_.shrink_to_fit();
   finalized_ = true;
   return Status::OK();
 }
@@ -103,27 +108,32 @@ CsfView SparseTensor::csf() const {
   return v;
 }
 
-std::span<const uint32_t> SparseTensor::Pois(uint32_t i) const {
-  TCSS_CHECK(finalized_) << "SparseTensor::Pois requires a finalized tensor";
+std::pair<size_t, size_t> SparseTensor::SliceFibers(uint32_t i) const {
+  TCSS_CHECK(finalized_) << "SparseTensor::Pois and ::Entries require a "
+                            "finalized tensor";
   const auto it = std::lower_bound(slice_id_.begin(), slice_id_.end(), i);
-  if (it == slice_id_.end() || *it != i) return {};
+  if (it == slice_id_.end() || *it != i) return {0, 0};
   const size_t s = static_cast<size_t>(it - slice_id_.begin());
-  return {fiber_id_.data() + slice_start_[s],
-          slice_start_[s + 1] - slice_start_[s]};
+  return {slice_start_[s], slice_start_[s + 1]};
+}
+
+std::span<const uint32_t> SparseTensor::Pois(uint32_t i) const {
+  const auto [first, last] = SliceFibers(i);
+  return {fiber_id_.data() + first, last - first};
+}
+
+std::span<const TensorEntry> SparseTensor::Entries(uint32_t i) const {
+  const auto [first, last] = SliceFibers(i);
+  return {entries_.data() + fiber_start_[first],
+          fiber_start_[last] - fiber_start_[first]};
 }
 
 double SparseTensor::Get(uint32_t i, uint32_t j, uint32_t k) const {
-  TensorEntry probe{i, j, k, 0.0};
-  auto it = std::lower_bound(entries_.begin(), entries_.end(), probe,
-                             [](const TensorEntry& a, const TensorEntry& b) {
-                               if (a.i != b.i) return a.i < b.i;
-                               if (a.j != b.j) return a.j < b.j;
-                               return a.k < b.k;
-                             });
-  if (it != entries_.end() && it->i == i && it->j == j && it->k == k) {
-    return it->value;
-  }
-  return 0.0;
+  const std::span<const TensorEntry> slice = Entries(i);
+  const auto it = std::ranges::lower_bound(
+      slice, std::pair(j, k), {},
+      [](const TensorEntry& e) { return std::pair(e.j, e.k); });
+  return it != slice.end() && it->j == j && it->k == k ? it->value : 0.0;
 }
 
 bool SparseTensor::Contains(uint32_t i, uint32_t j, uint32_t k) const {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -45,10 +46,11 @@ class SparseTensor {
   /// Sorts entries, coalesces duplicates and records the CSF levels. If
   /// `binary`, coalesced values are clamped to 1 (a user visiting the same
   /// POI twice in the same bin still yields X=1, per the paper's problem
-  /// formulation).
+  /// formulation). Then trims every vector to its size.
   Status Finalize(bool binary = true);
 
-  /// Value at (i,j,k); 0 for unobserved cells. Requires finalized().
+  /// Value at (i,j,k), searched for in Entries(i); 0 for unobserved
+  /// cells. Requires finalized().
   double Get(uint32_t i, uint32_t j, uint32_t k) const;
 
   /// True iff (i,j,k) is an observed (nonzero) entry. Requires finalized().
@@ -57,9 +59,9 @@ class SparseTensor {
   const std::vector<TensorEntry>& entries() const { return entries_; }
 
   /// The mode-0 CSF tree over entries(), walked by the L2 head's entry
-  /// loop (KernelTable::csf_rewritten_entries), by Mttkrp and by readers
-  /// that need a fiber's entries (location entropy, serving's fold-in
-  /// seeds). Requires finalized(); valid while this tensor is alive.
+  /// loop (KernelTable::csf_rewritten_entries), by Mttkrp and by location
+  /// entropy, which needs each fiber's entries. Requires finalized();
+  /// valid while this tensor is alive.
   CsfView csf() const;
   size_t num_fibers() const { return fiber_id_.size(); }
 
@@ -70,6 +72,11 @@ class SparseTensor {
   /// the zero-out mask, visited-POI exclusion and the baselines read it.
   /// Requires finalized(); valid while this tensor is alive.
   std::span<const uint32_t> Pois(uint32_t i) const;
+
+  /// Slice i's entries in (j, k) order: on the check-in tensor, user i's
+  /// distinct (POI, time bin) cells. Found by Pois(i)'s slice search;
+  /// empty for an i with no entries.
+  std::span<const TensorEntry> Entries(uint32_t i) const;
 
   /// Sum of squared values (the constant term of the full MSE loss).
   double SquaredSum() const;
@@ -83,6 +90,9 @@ class SparseTensor {
   std::vector<size_t> slice_start_;  // into fibers, size slices + 1
   std::vector<uint32_t> fiber_id_;   // j of each (i, j) fiber
   std::vector<size_t> fiber_start_;  // into entries_, size fibers + 1
+
+  /// Slice i's fibers [first, last); {0, 0} for an i with no entries.
+  std::pair<size_t, size_t> SliceFibers(uint32_t i) const;
 };
 
 }  // namespace tcss

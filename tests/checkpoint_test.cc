@@ -1,7 +1,7 @@
 // Tests of the training resilience layer: TCKPv2 checkpoint format,
 // CheckpointManager retention + crash-safe saves, kill-and-resume
-// bit-identity, fault-injection atomicity, divergence guards with LR
-// backoff, and plateau early stopping.
+// bit-identity, fault-injection atomicity, and divergence guards with LR
+// backoff.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -540,74 +540,6 @@ TEST(DivergenceGuardTest, GradNormLimitTriggersGuard) {
   auto result = trainer.Train(topts, nullptr);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotConverged);
-}
-
-TEST(EarlyStopTest, PlateauStopsTraining) {
-  World w = MakeWorld();
-  TcssConfig cfg;
-  cfg.epochs = 60;
-  cfg.hausdorff = HausdorffMode::kNone;
-  cfg.lambda = 0.0;
-  TcssTrainer trainer(w.data, w.train, cfg);
-  TrainOptions topts;
-  topts.plateau_patience = 2;
-  topts.plateau_min_delta = 1e18;  // nothing ever "improves" this much
-  int epochs_run = 0;
-  auto result = trainer.Train(
-      topts, [&epochs_run](const EpochStats&, const FactorModel&) {
-        ++epochs_run;
-      });
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(epochs_run, 3);  // 1 sets the best, 2 more plateau epochs
-}
-
-TEST(EarlyStopTest, PlateauSavesCheckpointAtTheStoppingEpoch) {
-  // Regression: the plateau `break` used to skip the end-of-training
-  // snapshot, so a post-plateau --resume silently redid the whole run.
-  // Stopping at epoch 3 with a snapshot period of 10 must still leave a
-  // checkpoint at epoch 3 on disk.
-  World w = MakeWorld();
-  TcssConfig cfg;
-  cfg.epochs = 60;
-  cfg.hausdorff = HausdorffMode::kNone;
-  cfg.lambda = 0.0;
-  CheckpointOptions copts;
-  copts.dir = ScratchDir("plateau_ckpt");
-  copts.every = 10;  // would never fire before the early stop
-  CheckpointManager mgr(copts);
-  ASSERT_TRUE(mgr.Init().ok());
-  TcssTrainer trainer(w.data, w.train, cfg);
-  TrainOptions topts;
-  topts.checkpoints = &mgr;
-  topts.plateau_patience = 2;
-  topts.plateau_min_delta = 1e18;
-  auto result = trainer.Train(topts, nullptr);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(mgr.ListEpochs(), (std::vector<int>{3}));
-  auto latest = mgr.LoadLatest();
-  ASSERT_TRUE(latest.ok());
-  EXPECT_EQ(latest.value().epoch, 3);
-  // The checkpointed model is the one Train() returned.
-  EXPECT_EQ(MaxAbsDiff(latest.value().model.u1, result.value().u1), 0.0);
-}
-
-TEST(EarlyStopTest, ValidationMetricDrivesTheStop) {
-  World w = MakeWorld();
-  TcssConfig cfg;
-  cfg.epochs = 40;
-  cfg.hausdorff = HausdorffMode::kNone;
-  cfg.lambda = 0.0;
-  TcssTrainer trainer(w.data, w.train, cfg);
-  TrainOptions topts;
-  topts.plateau_patience = 1;
-  topts.validation_metric = [](const FactorModel&) { return 42.0; };
-  int epochs_run = 0;
-  auto result = trainer.Train(
-      topts, [&epochs_run](const EpochStats&, const FactorModel&) {
-        ++epochs_run;
-      });
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(epochs_run, 2);
 }
 
 TEST(ResilienceIntegrationTest, CrashDuringCheckpointSavePropagates) {

@@ -238,7 +238,7 @@ void CheckFoldInCacheInvalidatesOnReload(bool shared_solver) {
 
   // Oracle: the batch fold-in against B over the same observation list
   // the service uses — the FULL-dataset tensor's cells for this user, in
-  // tensor-entry order (exactly what Init built/seeded).
+  // tensor-entry order (the tensor Init built and bound to the solver).
   auto full = BuildCheckinTensor(t.data, TimeGranularity::kMonthOfYear);
   ASSERT_TRUE(full.ok());
   std::vector<TensorCell> obs;

@@ -559,13 +559,18 @@ TEST(CsfProperties, StructureInvariantsHoldOnAdversarialTensors) {
       }
     }
     if (e != x.nnz()) return false;
-    // Pois(i) is the sorted distinct j of i's entries for every i: users
-    // with no entries, before the first slice, after the last one and past
-    // dim_i included.
+    // Pois(i) is the sorted distinct j of i's entries, and Entries(i) is
+    // i's run of the tensor's own entries, for every i: users with no
+    // entries, before the first slice, after the last one and past dim_i
+    // included.
     for (uint32_t i = 0; i < x.dim_i() + 2; ++i) {
       std::vector<uint32_t> want;
-      for (const TensorEntry& t : entries) {
-        if (t.i == i) want.push_back(t.j);
+      size_t first = entries.size(), count = 0;
+      for (size_t p = 0; p < entries.size(); ++p) {
+        if (entries[p].i != i) continue;
+        want.push_back(entries[p].j);
+        first = std::min(first, p);
+        ++count;
       }
       std::sort(want.begin(), want.end());
       want.erase(std::unique(want.begin(), want.end()), want.end());
@@ -575,6 +580,19 @@ TEST(CsfProperties, StructureInvariantsHoldOnAdversarialTensors) {
                          got.size(), want.size());
         return false;
       }
+      const std::span<const TensorEntry> slice = x.Entries(i);
+      if (slice.size() != count ||
+          (count > 0 && slice.data() != entries.data() + first)) {
+        *msg = StrFormat("Entries(%u) has %zu entries, the tensor %zu", i,
+                         slice.size(), count);
+        return false;
+      }
+    }
+    // Finalize trims the build slack.
+    if (entries.capacity() != entries.size()) {
+      *msg = StrFormat("entries hold capacity %zu for %zu",
+                       entries.capacity(), entries.size());
+      return false;
     }
     return true;
   };

@@ -1,11 +1,12 @@
 // Streaming-ingestion suite (ctest label `stream`, DESIGN.md §14).
 //
 // What it locks in:
-//   * the incremental fold-in differential gate: after ANY interleaving
-//     of appends, invalidations, slice retirements and generation
-//     rebinds, the incremental solver's embedding equals a full batch
-//     re-solve (FoldInUser over the same cells) to <= 1e-12 — at 1, 2
-//     and 8 global threads;
+//   * the incremental fold-in differential gate: over a shared check-in
+//     tensor, after ANY interleaving of appends (repeats of the tensor's
+//     cells among them), slice retirements and generation rebinds, the
+//     solver's observations are the tensor's live cells then the new
+//     appends, and its embedding equals a full batch re-solve (FoldInUser
+//     over the same cells) to <= 1e-12 — at 1, 2 and 8 global threads;
 //   * slice rollover is bit-identical at every thread count (serialized
 //     model bytes compared across 1/2/8 threads);
 //   * refinement kill-and-resume: a StreamingEngine::Refine stopped after
@@ -121,9 +122,39 @@ double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
 
 // --- the incremental-vs-batch differential gate --------------------------
 
+/// A random finalized check-in tensor over 8 users, of whom only users
+/// 0-5 have entries: the solver's shared slices.
+std::shared_ptr<const SparseTensor> RandomCheckins(size_t J, size_t K,
+                                                   uint64_t seed) {
+  Rng rng(seed);
+  SparseTensor x(8, J, K);
+  for (int n = 0; n < 90; ++n) {
+    EXPECT_TRUE(x.Add(static_cast<uint32_t>(rng.UniformInt(6)),
+                      static_cast<uint32_t>(rng.UniformInt(J)),
+                      static_cast<uint32_t>(rng.UniformInt(K)))
+                    .ok());
+  }
+  EXPECT_TRUE(x.Finalize().ok());
+  return std::make_shared<const SparseTensor>(std::move(x));
+}
+
+bool SameCells(const std::vector<TensorCell>& a,
+               const std::vector<TensorCell>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t n = 0; n < a.size(); ++n) {
+    if (a[n].i != b[n].i || a[n].j != b[n].j || a[n].k != b[n].k) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(StreamDifferentialTest, IncrementalMatchesBatchAfterAnyInterleaving) {
   ThreadGuard guard;
-  const size_t J = 40, K = 12, r = 6;
+  const size_t J = 40, K = 24, r = 6;
+  const std::shared_ptr<const SparseTensor> checkins =
+      RandomCheckins(J, K, 77);
+  const std::vector<TensorEntry>& entries = checkins->entries();
   for (int threads : {1, 2, 8}) {
     SetGlobalThreads(threads);
     auto model =
@@ -132,41 +163,90 @@ TEST(StreamDifferentialTest, IncrementalMatchesBatchAfterAnyInterleaving) {
         std::make_shared<const FactorModel>(RandomModel(8, J, K, r, 100));
     IncrementalFoldIn inc;
     inc.BindModel(model, 1);
+    inc.BindCheckins(checkins);
+    // The reference: each user's cells as one list, starting from their
+    // slice in entry order; an append adds a missing cell at the end and
+    // a retirement erases the bin's cells.
+    std::vector<std::vector<TensorCell>> want(8);
+    for (const TensorEntry& e : entries) want[e.i].push_back({e.i, e.j, e.k});
+    std::vector<bool> retired(K, false);
+    auto retire = [&](uint32_t bin) {
+      inc.RetireBin(bin);
+      retired[bin] = true;
+      for (auto& cells : want) {
+        std::erase_if(cells, [bin](const TensorCell& c) { return c.k == bin; });
+      }
+    };
+    // A cell is new unless the user's list holds it.
+    auto append = [&](const TensorCell& c) {
+      const bool fresh = std::none_of(
+          want[c.i].begin(), want[c.i].end(),
+          [&c](const TensorCell& w) { return w.j == c.j && w.k == c.k; });
+      EXPECT_EQ(inc.Append(c.i, c.j, c.k), fresh);
+      if (fresh) want[c.i].push_back(c);
+    };
     std::shared_ptr<const FactorModel> bound = model;
     uint64_t gen = 1;
     Rng rng(4242);
-    size_t queries = 0;
+    size_t queries = 0, repeats = 0, refills = 0;
     for (int op = 0; op < 600; ++op) {
+      SCOPED_TRACE(StrFormat("op %d", op));
       const double dice = rng.Uniform();
-      const uint32_t user = static_cast<uint32_t>(rng.UniformInt(6));
-      if (dice < 0.50) {
-        inc.Append(user, static_cast<uint32_t>(rng.UniformInt(J)),
-                   static_cast<uint32_t>(rng.UniformInt(K)));
+      const uint32_t user = static_cast<uint32_t>(rng.UniformInt(8));
+      if (dice < 0.40) {
+        append({user, static_cast<uint32_t>(rng.UniformInt(J)),
+                static_cast<uint32_t>(rng.UniformInt(K))});
+      } else if (dice < 0.50) {
+        // Repeat a check-in of the tensor. At a retired bin it refills
+        // the bin like any new cell; at a live bin it is rejected, and
+        // the user's sums and embedding stay as they are.
+        const TensorEntry& e = entries[rng.UniformInt(entries.size())];
+        if (retired[e.k]) {
+          append({e.i, e.j, e.k});
+          ++refills;
+          continue;
+        }
+        const std::vector<double>* emb = inc.Embedding(e.i);
+        ASSERT_NE(emb, nullptr) << "solve failed";
+        const std::vector<double> solved = *emb;
+        const IncrementalFoldIn::Stats stats = inc.stats();
+        EXPECT_FALSE(inc.Append(e.i, e.j, e.k));
+        emb = inc.Embedding(e.i);
+        ASSERT_NE(emb, nullptr);
+        EXPECT_EQ(*emb, solved);
+        EXPECT_EQ(inc.stats().rank_one_updates, stats.rank_one_updates);
+        EXPECT_EQ(inc.stats().solves, stats.solves);
+        ++repeats;
       } else if (dice < 0.56) {
-        inc.Invalidate(user);
-      } else if (dice < 0.62) {
         // Hot reload: a different model object at a new generation.
         bound = (bound == model) ? model2 : model;
         inc.BindModel(bound, ++gen);
-      } else if (dice < 0.68) {
+      } else if (dice < 0.58) {
         // Slice retirement of a random bin, across all users.
-        inc.RetireBin(static_cast<uint32_t>(rng.UniformInt(K)));
+        retire(static_cast<uint32_t>(rng.UniformInt(K)));
+      } else if (dice < 0.60) {
+        // Retirement of a bin the tensor holds.
+        retire(entries[rng.UniformInt(entries.size())].k);
       } else {
         const std::vector<double>* emb = inc.Embedding(user);
-        std::vector<TensorCell> obs = inc.Observations(user);
+        const std::vector<TensorCell> obs = inc.Observations(user);
+        EXPECT_TRUE(SameCells(obs, want[user]));
+        EXPECT_EQ(inc.HasObservations(user), !obs.empty());
         if (obs.empty()) {
           EXPECT_EQ(emb, nullptr);
           continue;
         }
-        ASSERT_NE(emb, nullptr) << "solve failed at op " << op;
+        ASSERT_NE(emb, nullptr) << "solve failed";
         auto oracle = FoldInUser(*bound, obs);
         ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
         EXPECT_LE(MaxAbsDiff(*emb, oracle.value()), 1e-12)
-            << "op " << op << " user " << user << " threads " << threads;
+            << "user " << user << " threads " << threads;
         ++queries;
       }
     }
     EXPECT_GT(queries, 50u);
+    EXPECT_GT(repeats, 10u);
+    EXPECT_GT(refills, 5u);
     EXPECT_GT(inc.stats().rank_one_updates, 0u);
   }
 }
@@ -256,12 +336,12 @@ TEST(StreamRolloverTest, RetireBinDropsCellsAndKeepsDifferential) {
     inc.Append(1, c % 30, c % 12);
   }
   ASSERT_NE(inc.Embedding(1), nullptr);
-  const size_t before = inc.Observations(1).size();
-  const size_t dropped = inc.RetireBin(3);
-  EXPECT_GT(dropped, 0u);
+  std::vector<TensorCell> survivors = inc.Observations(1);
+  std::erase_if(survivors, [](const TensorCell& c) { return c.k == 3; });
+  inc.RetireBin(3);
   std::vector<TensorCell> obs = inc.Observations(1);
-  EXPECT_EQ(obs.size(), before - dropped);
-  for (const auto& c : obs) EXPECT_NE(c.k, 3u);
+  EXPECT_LT(obs.size(), 24u);
+  EXPECT_TRUE(SameCells(obs, survivors));
   // The post-retirement embedding replays the survivors and still matches
   // the batch oracle.
   const std::vector<double>* emb = inc.Embedding(1);
@@ -961,32 +1041,28 @@ TEST(StreamChronoTest, StreamingBeatsFrozenStaticPostCutoff) {
   }
 
   // Train the static model on everything before the cutoff.
-  auto before_tensor =
+  auto built =
       BuildCheckinTensor(data, split.before, TimeGranularity::kHourOfDay);
-  ASSERT_TRUE(before_tensor.ok());
+  ASSERT_TRUE(built.ok());
+  const auto before_tensor =
+      std::make_shared<const SparseTensor>(built.MoveValue());
   TcssConfig tcfg;
   tcfg.rank = 8;
   tcfg.epochs = 80;
-  TcssTrainer trainer(data, before_tensor.value(), tcfg);
+  TcssTrainer trainer(data, *before_tensor, tcfg);
   auto trained = trainer.Train();
   ASSERT_TRUE(trained.ok()) << trained.status().ToString();
   auto model = std::make_shared<const FactorModel>(trained.MoveValue());
 
-  // Both fold-in scorers start from the same pre-cutoff history; only the
-  // streaming one ingests post-cutoff check-ins, prequentially — each
-  // event is predicted BEFORE it is appended, so the streaming side never
-  // sees its own answer.
-  std::vector<TensorCell> before_cells =
-      EventsToCells(split.before, TimeGranularity::kHourOfDay);
-  std::map<uint32_t, std::vector<TensorCell>> by_user;
-  for (const auto& c : before_cells) by_user[c.i].push_back(c);
+  // Both fold-in scorers start from the same pre-cutoff history, the
+  // training tensor; only the streaming one ingests post-cutoff
+  // check-ins, prequentially — each event is predicted BEFORE it is
+  // appended, so the streaming side never sees its own answer.
   IncrementalFoldIn frozen, streaming;
   frozen.BindModel(model, 1);
   streaming.BindModel(model, 1);
-  for (const auto& [user, cells] : by_user) {
-    frozen.Seed(user, cells);
-    streaming.Seed(user, cells);
-  }
+  frozen.BindCheckins(before_tensor);
+  streaming.BindCheckins(before_tensor);
 
   RankSums static_model, static_fold, stream_fold;
   for (const CheckInEvent& e : split.after) {
