@@ -16,16 +16,21 @@
 // Gram apply of the r + 4 = 14 iteration vectors, and a whole
 // SubspaceEigen of one mode as InitializeFactors runs it; BM_Gemm's 10-
 // and 14-column rows and BM_GemmT are the tall-skinny products of the L2
-// head and of subspace iteration (A q W and q^T A q).
+// head and of subspace iteration (A q W and q^T A q). BM_TrainEpochs times
+// whole warm-started training epochs at the catalog shape, at 1, 2 and 4
+// threads, with the minor page faults each epoch takes.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <string>
 
 #include "bench_common.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "core/hausdorff_loss.h"
 #include "core/spectral_init.h"
+#include "core/trainer.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "data/tensor_builder.h"
@@ -229,10 +234,16 @@ void BM_HausdorffUser(benchmark::State& state) {
   SetSimdMode(SimdMode::kScalar);
 }
 
-// The catalog workload's train tensor: the gowalla-like generator at 6000
-// users x 10000 POIs, 300k check-ins in 20 cities, month bins, 80% split.
-const SparseTensor& CatalogTensor() {
-  static const SparseTensor* tensor = [] {
+// The catalog workload's data and train tensor: the gowalla-like generator
+// at 6000 users x 10000 POIs, 300k check-ins in 20 cities, month bins, 80%
+// split.
+struct CatalogWorld {
+  Dataset data;
+  SparseTensor train;
+};
+
+const CatalogWorld& Catalog() {
+  static const CatalogWorld* world = [] {
     SyntheticConfig cfg = PresetConfig(SyntheticPreset::kGowallaLike, 1.0);
     cfg.num_users = 6000;
     cfg.num_pois = 10000;
@@ -242,10 +253,12 @@ const SparseTensor& CatalogTensor() {
     auto split = SplitCheckins(data.value(), 0.8, 1);
     auto t = BuildCheckinTensor(data.value(), split.train,
                                 TimeGranularity::kMonthOfYear);
-    return new SparseTensor(t.MoveValue());
+    return new CatalogWorld{data.MoveValue(), t.MoveValue()};
   }();
-  return *tensor;
+  return *world;
 }
+
+const SparseTensor& CatalogTensor() { return Catalog().train; }
 
 // Args: {mode, simd}. One block apply of the zero-diagonal mode Gram to
 // the n x 14 iterate of spectral init's subspace iteration (rank 10 plus
@@ -313,6 +326,55 @@ void BM_SubspaceEigen(benchmark::State& state) {
   SetSimdMode(SimdMode::kScalar);
 }
 
+// Args: {threads}. Whole training epochs on the catalog workload's shape:
+// TcssTrainer::Train of 10 epochs (default config, native kernels),
+// warm-started from the spectral init, after one untimed run of the same
+// trainer. Rows record the wall time and the minor page faults of the
+// process (getrusage) per epoch; the faults show whether an epoch's
+// gradient buffers are fresh pages or kept ones.
+void BM_TrainEpochs(benchmark::State& state) {
+  constexpr int kEpochs = 10;
+  const CatalogWorld& world = Catalog();
+  TcssConfig cfg;
+  cfg.epochs = kEpochs;
+  cfg.num_threads = static_cast<int>(state.range(0));
+  static const FactorModel* init =
+      new FactorModel(InitializeFactors(world.train, cfg).MoveValue());
+  SelectSimd(1);
+  TcssTrainer trainer(world.data, world.train, cfg);
+  TrainOptions options;
+  options.warm_start = init;
+  if (!trainer.Train(options, nullptr).ok()) {
+    state.SkipWithError("training failed");
+    return;
+  }
+  rusage before, after;
+  getrusage(RUSAGE_SELF, &before);
+  Stopwatch sw;
+  size_t epochs = 0;
+  for (auto _ : state) {
+    auto model = trainer.Train(options, nullptr);
+    benchmark::DoNotOptimize(model.value().h.data());
+    epochs += kEpochs;
+  }
+  const double seconds = sw.ElapsedSeconds();
+  getrusage(RUSAGE_SELF, &after);
+  if (epochs > 0) {
+    const double n = static_cast<double>(epochs);
+    const double ms = seconds * 1e3 / n;
+    const double faults =
+        static_cast<double>(after.ru_minflt - before.ru_minflt) / n;
+    state.counters["ms_per_epoch"] = ms;
+    state.counters["minor_faults_per_epoch"] = faults;
+    tcss::bench::AppendBenchJson("kernel_train", "catalog",
+                                 "train_ms_per_epoch", ms);
+    tcss::bench::AppendBenchJson("kernel_train", "catalog",
+                                 "train_minor_faults_per_epoch", faults);
+  }
+  SetGlobalThreads(1);
+  SetSimdMode(SimdMode::kScalar);
+}
+
 BENCHMARK(BM_Mttkrp)
     ->Args({0, 10})->Args({1, 10})->Args({2, 10})
     ->Args({0, 32})->Args({1, 32})->Args({2, 32});
@@ -351,6 +413,10 @@ BENCHMARK(BM_GramBlockApply)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SubspaceEigen)
     ->Args({0, 1})->Args({1, 1})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TrainEpochs)
+    ->Arg(1)->Arg(2)->Arg(4)
+    ->Iterations(2)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -2,6 +2,7 @@
 #define TCSS_COMMON_THREAD_POOL_H_
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -103,7 +104,7 @@ void ParallelFor(size_t n, size_t grain,
                  const std::function<void(size_t, size_t, size_t)>& fn);
 
 /// Shard cap of the ParallelReduce decompositions: enough shards to keep
-/// a few threads busy, few enough that the per-shard buffers stay cheap.
+/// a few threads busy, few enough that the per-shard merges stay cheap.
 inline constexpr size_t kMaxReduceShards = 16;
 
 /// Grain that cuts [0, n) into at most kMaxReduceShards shards of at
@@ -113,41 +114,86 @@ inline size_t ReduceGrain(size_t n, size_t min_grain) {
                   (n + kMaxReduceShards - 1) / kMaxReduceShards);
 }
 
-/// The one place that allocates and merges per-shard buffers. Splits
-/// [0, n) as ParallelFor(n, grain) does; body(begin, end, shard, buf)
-/// handles one shard, accumulating into *buf (null when `out` is: value
-/// only) and returning the shard's value.
+/// The shard buffers of one ParallelReduce site. The site's owner keeps it
+/// across calls (a loss object holds one per site), so steady-state calls
+/// allocate no buffers. Between calls every buffer is all +0.0.
+template <typename Buffer>
+class ShardScratch {
+ public:
+  /// What the buffers are sized by (the model's dimensions and rank).
+  using Shape = std::array<size_t, 4>;
+
+  /// Frees the buffers when `shape` is not the one they were made for, so
+  /// that the next call makes them afresh.
+  void Reshape(const Shape& shape) {
+    if (shape == shape_) return;
+    buffers_.clear();
+    shape_ = shape;
+  }
+
+  /// Number of buffers held.
+  size_t size() const { return buffers_.size(); }
+
+  /// Holds exactly `count` buffers, making missing ones with make_buffer()
+  /// (which returns them zeroed) and freeing the rest.
+  template <typename MakeBuffer>
+  Buffer* Fit(size_t count, const MakeBuffer& make_buffer) {
+    if (buffers_.size() > count) buffers_.resize(count);
+    while (buffers_.size() < count) buffers_.push_back(make_buffer());
+    return buffers_.data();
+  }
+
+ private:
+  std::vector<Buffer> buffers_;
+  Shape shape_{};
+};
+
+/// The one place that merges per-shard buffers. Splits [0, n) as
+/// ParallelFor(n, grain) does; body(begin, end, shard, buf) handles one
+/// shard, accumulating into *buf (null when `out` is: value only) and
+/// returning the shard's value.
 ///
 ///  * One shard runs straight into `out` and its value is returned as is,
-///    unless `buffer_one_shard` (a merge that needs the total, such as a
-///    rescale, must see it before anything reaches `out`).
-///  * Otherwise each shard accumulates into its own buffer from
-///    make_buffer(), zeroed and freed within this call. Once every shard
-///    has run, the values are summed from Value{} and merge(total, part,
-///    out) folds each buffer into `out`, both in ascending shard order.
-///    An empty range returns Value{} and leaves `out` alone.
+///    unless `buffer_one_shard` (a merge that scales what it adds must see
+///    every part the same way).
+///  * Otherwise the shards run in waves of w = min(shards, threads), each
+///    shard of a wave accumulating from +0.0 into its own buffer of
+///    `scratch`, which then holds w buffers from make_buffer(). After each
+///    wave, its values are added to the total from Value{} and
+///    merge(part, out) adds each buffer into `out` and zeroes it in the
+///    same pass, both in ascending shard order. An empty range returns
+///    Value{} and leaves `out` alone.
 ///
 /// Every rounding decision depends on (n, grain) only, so the result is
 /// bit-identical at any thread count.
 template <typename Buffer, typename MakeBuffer, typename Body, typename Merge>
 auto ParallelReduce(size_t n, size_t grain, Buffer* out,
+                    ShardScratch<Buffer>* scratch,
                     const MakeBuffer& make_buffer, const Body& body,
                     const Merge& merge, bool buffer_one_shard = false) {
   using Value = decltype(body(size_t{0}, size_t{0}, size_t{0}, out));
   const size_t shards = ParallelForShards(n, grain);
+  if (shards == 0) return Value{};
   if (shards == 1 && !buffer_one_shard) return body(0, n, 0, out);
-  std::vector<Buffer> parts;
-  if (out != nullptr) {
-    parts.reserve(shards);
-    for (size_t s = 0; s < shards; ++s) parts.push_back(make_buffer());
-  }
-  std::vector<Value> values(shards);
-  ParallelFor(n, grain, [&](size_t begin, size_t end, size_t s) {
-    values[s] = body(begin, end, s, out != nullptr ? &parts[s] : nullptr);
-  });
+  grain = std::max<size_t>(grain, 1);
+  const size_t width =
+      std::min(shards, static_cast<size_t>(GlobalThreads()));
+  Buffer* parts =
+      out != nullptr ? scratch->Fit(width, make_buffer) : nullptr;
+  std::vector<Value> values(width);
   Value total{};
-  for (const Value& v : values) total += v;
-  for (const Buffer& part : parts) merge(total, part, out);
+  for (size_t first = 0; first < shards; first += width) {
+    const size_t wave = std::min(width, shards - first);
+    ParallelFor(wave, 1, [&](size_t w, size_t, size_t) {
+      const size_t begin = (first + w) * grain;
+      values[w] = body(begin, std::min(n, begin + grain), first + w,
+                       parts != nullptr ? &parts[w] : nullptr);
+    });
+    for (size_t w = 0; w < wave; ++w) {
+      total += values[w];
+      if (parts != nullptr) merge(&parts[w], out);
+    }
+  }
   return total;
 }
 

@@ -3,7 +3,9 @@
 
 #include <vector>
 
+#include "common/logging.h"
 #include "linalg/matrix.h"
+#include "linalg/vector_ops.h"
 
 namespace tcss {
 
@@ -44,6 +46,11 @@ struct FactorGrads {
         u3(m.u3.rows(), m.u3.cols()),
         h(m.h.size(), 0.0) {}
 
+  /// Bytes of the four blocks' values.
+  size_t bytes() const {
+    return (u1.size() + u2.size() + u3.size() + h.size()) * sizeof(double);
+  }
+
   void Zero() {
     u1.Fill(0.0);
     u2.Fill(0.0);
@@ -51,17 +58,37 @@ struct FactorGrads {
     std::fill(h.begin(), h.end(), 0.0);
   }
 
-  /// this += alpha * other (shapes must match). The merge step that
-  /// ParallelReduce (common/thread_pool.h) applies to per-shard gradient
-  /// buffers in ascending shard order (DESIGN.md, "Deterministic
-  /// parallelism").
-  void Add(const FactorGrads& other, double alpha = 1.0) {
-    u1.Add(other.u1, alpha);
-    u2.Add(other.u2, alpha);
-    u3.Add(other.u3, alpha);
-    for (size_t t = 0; t < h.size(); ++t) h[t] += alpha * other.h[t];
+  /// this += alpha * *part, leaving *part all +0.0, one pass per block
+  /// (shapes must match): the merge that ParallelReduce
+  /// (common/thread_pool.h) applies to a shard's gradient buffer after
+  /// each wave, in ascending shard order, before the buffer serves the
+  /// next shard (DESIGN.md, "Deterministic parallelism").
+  void AddAndZero(FactorGrads* part, double alpha = 1.0) {
+    TCSS_CHECK(part->u1.size() == u1.size() && part->u2.size() == u2.size() &&
+               part->u3.size() == u3.size() && part->h.size() == h.size());
+    tcss::AddAndZero(u1.data(), part->u1.data(), u1.size(), alpha);
+    tcss::AddAndZero(u2.data(), part->u2.data(), u2.size(), alpha);
+    tcss::AddAndZero(u3.data(), part->u3.data(), u3.size(), alpha);
+    tcss::AddAndZero(h.data(), part->h.data(), h.size(), alpha);
   }
 };
+
+/// A zeroed gradient buffer for one shard of a ParallelReduce site
+/// (common/thread_pool.h), shaped like `m` but with an empty U1 unless
+/// `with_u1`. Every shard writes the small U3 and h blocks, so each is
+/// allocated with a spare 64-byte line after its values: no two shard
+/// buffers' U3 or h then share a cache line.
+inline FactorGrads ShardGrads(const FactorModel& m, bool with_u1) {
+  constexpr size_t kLineDoubles = 64 / sizeof(double);
+  FactorGrads g;
+  if (with_u1) g.u1 = Matrix(m.u1.rows(), m.u1.cols());
+  g.u2 = Matrix(m.u2.rows(), m.u2.cols());
+  g.u3 = Matrix(1, m.u3.size() + kLineDoubles);
+  g.u3.Resize(m.u3.rows(), m.u3.cols());  // keeps the capacity
+  g.h.reserve(m.h.size() + kLineDoubles);
+  g.h.assign(m.h.size(), 0.0);
+  return g;
+}
 
 }  // namespace tcss
 

@@ -294,9 +294,11 @@ double SocialHausdorffLoss::ComputeWithGrads(const FactorModel& model,
   // Per-user work is independent (ComputeForUser only reads caches), so
   // the batch shards through ParallelReduce; the decomposition depends
   // only on the batch size.
+  scratch_.Reshape(
+      {model.u1.rows(), model.u2.rows(), model.u3.rows(), model.rank()});
   const double sum = ParallelReduce(
-      batch, ReduceGrain(batch, 1), grads,
-      [&] { return FactorGrads(model); },
+      batch, ReduceGrain(batch, 1), grads, &scratch_,
+      [&] { return ShardGrads(model, /*with_u1=*/true); },
       [&](size_t begin, size_t end, size_t, FactorGrads* g) {
         double local = 0.0;
         for (size_t t = begin; t < end; ++t) {
@@ -305,7 +307,12 @@ double SocialHausdorffLoss::ComputeWithGrads(const FactorModel& model,
         }
         return local;
       },
-      [](double, const FactorGrads& part, FactorGrads* g) { g->Add(part); });
+      [](FactorGrads* part, FactorGrads* g) { g->AddAndZero(part); });
+  if (grads != nullptr) {
+    static obs::Gauge* const gauge = obs::MetricRegistry::Global()->GetGauge(
+        "train.hausdorff.scratch_bytes");
+    gauge->Set(static_cast<double>(scratch_.size() * grads->bytes()));
+  }
   rotation_ = (rotation_ + batch) % eligible_.size();
   return sum * extrapolate;
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/factor_model.h"
 #include "core/tcss_config.h"
 #include "data/dataset.h"
@@ -108,6 +109,11 @@ class SocialHausdorffLoss {
   bool use_cache_ = false;
   std::vector<std::vector<float>> dist_cache_;   ///< indexed by user
   std::vector<std::vector<float>> dmin_cache_;
+
+  // The minibatch's shard buffers: made on the first call with gradients
+  // and kept, at most min(shards, threads) of them; the gauge
+  // train.hausdorff.scratch_bytes reports their bytes.
+  ShardScratch<FactorGrads> scratch_;
 };
 
 /// The |S| x |N| distance block of one user: dist[a * |N| + b] =

@@ -49,6 +49,9 @@ struct TrainMetrics {
   }
 };
 
+/// Rows of a factor per parallel AdamStep shard.
+constexpr size_t kAdamRowGrain = 1024;
+
 /// Max-abs entry over all gradient blocks; +inf if any entry is NaN/Inf,
 /// so a single comparison catches both explosion and corruption.
 double GradMaxAbs(const FactorGrads& g) {
@@ -77,14 +80,21 @@ void AdamStep(const FactorGrads& grads, double lr, double weight_decay,
   FactorModel& x = state->model;
   FactorGrads& m = state->adam_m;
   FactorGrads& v = state->adam_v;
-  AdamUpdate(x.u1.data(), grads.u1.data(), m.u1.data(), v.u1.data(),
-             x.u1.size(), t, lr, weight_decay);
-  AdamUpdate(x.u2.data(), grads.u2.data(), m.u2.data(), v.u2.data(),
-             x.u2.size(), t, lr, weight_decay);
-  AdamUpdate(x.u3.data(), grads.u3.data(), m.u3.data(), v.u3.data(),
-             x.u3.size(), t, lr, weight_decay);
-  AdamUpdate(x.h.data(), grads.h.data(), m.h.data(), v.h.data(), x.h.size(),
-             t, lr, weight_decay);
+  const size_t r = x.rank();
+  // The update is elementwise, so row ranges run in parallel with the same
+  // bytes at any thread count.
+  auto update = [&](double* value, const double* grad, double* mom,
+                    double* vel, size_t rows) {
+    ParallelFor(rows, kAdamRowGrain, [&](size_t begin, size_t end, size_t) {
+      const size_t at = begin * r;
+      AdamUpdate(value + at, grad + at, mom + at, vel + at, (end - begin) * r,
+                 t, lr, weight_decay);
+    });
+  };
+  update(x.u1.data(), grads.u1.data(), m.u1.data(), v.u1.data(), x.u1.rows());
+  update(x.u2.data(), grads.u2.data(), m.u2.data(), v.u2.data(), x.u2.rows());
+  update(x.u3.data(), grads.u3.data(), m.u3.data(), v.u3.data(), x.u3.rows());
+  update(x.h.data(), grads.h.data(), m.h.data(), v.h.data(), 1);
 }
 
 bool DivergenceGuard::Diverged(const EpochStats& stats) const {

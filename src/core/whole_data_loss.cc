@@ -7,6 +7,8 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "linalg/kernel_table.h"
+#include "linalg/vector_ops.h"
+#include "obs/metrics.h"
 
 namespace tcss {
 
@@ -20,6 +22,13 @@ uint64_t MixStream(uint64_t seed, uint64_t call, uint64_t shard) {
                0xbf58476d1ce4e5b9ULL * (shard + 1));
 }
 
+/// Gauge of the L2 head's kept shard buffers (bytes).
+obs::Gauge* L2ScratchGauge() {
+  static obs::Gauge* const g =
+      obs::MetricRegistry::Global()->GetGauge("train.l2.scratch_bytes");
+  return g;
+}
+
 /// Observed-entry part of Eq 15 over the CSF tree of `x`:
 ///   sum_{(i,j,k) in nnz} (w+ - w-) y^2 - 2 w+ X y + w+ X^2
 /// with y = sum_t h_t u1[i,t] u2[j,t] u3[k,t], accumulating its gradients
@@ -27,9 +36,10 @@ uint64_t MixStream(uint64_t seed, uint64_t call, uint64_t shard) {
 /// kMaxReduceShards of them, cut on slice boundaries: a pure function of
 /// (nnz, num_slices). dL/dU1 rows are slice rows, disjoint across shards,
 /// so every shard writes grads->u1 in place; only U2, U3 and h go through
-/// shard buffers.
+/// the shard buffers of `scratch`.
 double RewrittenEntryLoss(const SparseTensor& x, const FactorModel& model,
-                          double w_pos, double w_neg, FactorGrads* grads) {
+                          double w_pos, double w_neg, FactorGrads* grads,
+                          ShardScratch<FactorGrads>* scratch) {
   const size_t r = model.rank();
   const CsfView v = x.csf();
   const KernelTable& kern = ActiveKernels();
@@ -37,15 +47,10 @@ double RewrittenEntryLoss(const SparseTensor& x, const FactorModel& model,
       std::clamp<size_t>(x.nnz() / 1024, 1, kMaxReduceShards);
   const size_t grain =
       std::max<size_t>(1, (v.num_slices + target - 1) / target);
-  return ParallelReduce(
-      v.num_slices, grain, grads,
-      [&] {
-        FactorGrads part;
-        part.u2 = Matrix(model.u2.rows(), r);
-        part.u3 = Matrix(model.u3.rows(), r);
-        part.h.assign(r, 0.0);
-        return part;
-      },
+  scratch->Reshape({model.u2.rows(), model.u3.rows(), r, 0});
+  const double loss = ParallelReduce(
+      v.num_slices, grain, grads, scratch,
+      [&] { return ShardGrads(model, /*with_u1=*/false); },
       [&](size_t begin, size_t end, size_t, FactorGrads* g) {
         return kern.csf_rewritten_entries(
             v, model.u1.data(), model.u2.data(), model.u3.data(),
@@ -55,11 +60,17 @@ double RewrittenEntryLoss(const SparseTensor& x, const FactorModel& model,
             g != nullptr ? g->u3.data() : nullptr,
             g != nullptr ? g->h.data() : nullptr, begin, end);
       },
-      [](double, const FactorGrads& part, FactorGrads* g) {
-        g->u2.Add(part.u2);
-        g->u3.Add(part.u3);
-        for (size_t t = 0; t < part.h.size(); ++t) g->h[t] += part.h[t];
+      [](FactorGrads* part, FactorGrads* g) {
+        AddAndZero(g->u2.data(), part->u2.data(), g->u2.size());
+        AddAndZero(g->u3.data(), part->u3.data(), g->u3.size());
+        AddAndZero(g->h.data(), part->h.data(), g->h.size());
       });
+  if (grads != nullptr) {
+    L2ScratchGauge()->Set(static_cast<double>(
+        scratch->size() * (model.u2.size() + model.u3.size() + r) *
+        sizeof(double)));
+  }
+  return loss;
 }
 
 }  // namespace
@@ -108,7 +119,8 @@ double RewrittenLoss::ComputeWithGrads(const FactorModel& model,
 
   // --- positive part: sum over observed entries -------------------------
   // (w+ - w-) yhat^2 - 2 w+ X yhat  [+ w+ X^2 constant for exactness]
-  double loss = RewrittenEntryLoss(train, model, w_pos_, w_neg_, grads);
+  double loss =
+      RewrittenEntryLoss(train, model, w_pos_, w_neg_, grads, &scratch_);
 
   // --- whole-data part: w- * sum_{all cells} yhat^2 ---------------------
   // T = sum_{r1,r2} h_r1 h_r2 G1_{r1r2} G2_{r1r2} G3_{r1r2}
@@ -193,9 +205,14 @@ double NegativeSamplingLoss::ComputeWithGrads(const FactorModel& model,
                                               const SparseTensor& train,
                                               FactorGrads* grads) {
   const std::vector<TensorEntry>& entries = train.entries();
+  const ShardScratch<FactorGrads>::Shape shape = {
+      model.u1.rows(), model.u2.rows(), model.u3.rows(), model.rank()};
+  positives_.Reshape(shape);
+  negatives_.Reshape(shape);
+  auto make_buffer = [&] { return ShardGrads(model, /*with_u1=*/true); };
   double loss = ParallelReduce(
-      entries.size(), ReduceGrain(entries.size(), 1024), grads,
-      [&] { return FactorGrads(model); },
+      entries.size(), ReduceGrain(entries.size(), 1024), grads, &positives_,
+      make_buffer,
       [&](size_t begin, size_t end, size_t, FactorGrads* g) {
         double local = 0.0;
         for (size_t n = begin; n < end; ++n) {
@@ -209,72 +226,77 @@ double NegativeSamplingLoss::ComputeWithGrads(const FactorModel& model,
         }
         return local;
       },
-      [](double, const FactorGrads& part, FactorGrads* g) { g->Add(part); });
+      [](FactorGrads* part, FactorGrads* g) { g->AddAndZero(part); });
   // One sampled negative per positive (He et al. ratio 1:1), uniformly
   // over the unlabeled cells via rejection. Each shard draws its quota
   // from its own counter-derived stream, so the sample set is a pure
   // function of (seed, call counter) — same at any thread count, and
-  // reproducible after a checkpoint restore of the counter.
+  // reproducible after a checkpoint restore of the counter. Shard s keeps
+  // its draws at cells_[begin, begin + drawn_[s]).
   const size_t I = train.dim_i();
   const size_t J = train.dim_j();
   const size_t K = train.dim_k();
   const size_t want = train.nnz();
+  const size_t grain = ReduceGrain(want, 256);
   const uint64_t call = calls_++;
+  cells_.resize(want);
+  drawn_.assign(ParallelForShards(want, grain), 0);
+  ParallelFor(want, grain, [&](size_t begin, size_t end, size_t s) {
+    Rng rng(MixStream(seed_, call, s));
+    const size_t quota = end - begin;
+    size_t guard = 0;
+    size_t drawn = 0;
+    while (drawn < quota && guard < quota * 50 + 100) {
+      ++guard;
+      const uint32_t i = static_cast<uint32_t>(rng.UniformInt(I));
+      const uint32_t j = static_cast<uint32_t>(rng.UniformInt(J));
+      const uint32_t k = static_cast<uint32_t>(rng.UniformInt(K));
+      if (train.Contains(i, j, k)) continue;
+      cells_[begin + drawn++] = {i, j, k};
+    }
+    drawn_[s] = drawn;
+  });
+  size_t drawn = 0;
+  for (size_t d : drawn_) drawn += d;
   // Under-draw (rejection guard exhausted on a near-dense tensor): the
   // drawn negatives are still uniform over unlabeled cells, so rescale by
   // want/drawn to keep the w- term an unbiased estimate of the intended
   // `want`-sample sum instead of silently shrinking it.
-  auto scale_for = [want](size_t drawn) {
-    return drawn < want && drawn > 0
-               ? static_cast<double>(want) / static_cast<double>(drawn)
-               : 1.0;
-  };
-  struct Draws {
-    double loss = 0.0;
-    size_t drawn = 0;
-    Draws& operator+=(const Draws& o) {
-      loss += o.loss;
-      drawn += o.drawn;
-      return *this;
-    }
-  };
-  // Negatives go through shard buffers even as one shard: the rescale
-  // needs every shard's draw count before anything reaches `grads`.
-  const Draws neg = ParallelReduce(
-      want, ReduceGrain(want, 256), grads,
-      [&] { return FactorGrads(model); },
-      [&](size_t begin, size_t end, size_t s, FactorGrads* g) {
-        Rng rng(MixStream(seed_, call, s));
-        const size_t quota = end - begin;
-        size_t guard = 0;
-        Draws local;
-        while (local.drawn < quota && guard < quota * 50 + 100) {
-          ++guard;
-          const uint32_t i = static_cast<uint32_t>(rng.UniformInt(I));
-          const uint32_t j = static_cast<uint32_t>(rng.UniformInt(J));
-          const uint32_t k = static_cast<uint32_t>(rng.UniformInt(K));
-          if (train.Contains(i, j, k)) continue;
-          ++local.drawn;
-          const double y = model.Predict(i, j, k);
-          local.loss += w_neg_ * y * y;
+  const double scale =
+      drawn < want && drawn > 0
+          ? static_cast<double>(want) / static_cast<double>(drawn)
+          : 1.0;
+  // Negatives go through shard buffers even as one shard, so that every
+  // shard's gradients reach `grads` scaled the same way.
+  const double neg = ParallelReduce(
+      want, grain, grads, &negatives_, make_buffer,
+      [&](size_t begin, size_t, size_t s, FactorGrads* g) {
+        double local = 0.0;
+        for (size_t n = begin; n < begin + drawn_[s]; ++n) {
+          const Cell& c = cells_[n];
+          const double y = model.Predict(c.i, c.j, c.k);
+          local += w_neg_ * y * y;
           if (g != nullptr) {
-            AccumulateEntryGrad(model, i, j, k, 2.0 * w_neg_ * y, g);
+            AccumulateEntryGrad(model, c.i, c.j, c.k, 2.0 * w_neg_ * y, g);
           }
         }
         return local;
       },
-      [&](const Draws& total, const FactorGrads& part, FactorGrads* g) {
-        g->Add(part, scale_for(total.drawn));
+      [scale](FactorGrads* part, FactorGrads* g) {
+        g->AddAndZero(part, scale);
       },
       /*buffer_one_shard=*/true);
-  const double scale = scale_for(neg.drawn);
-  if (neg.drawn < want) {
-    TCSS_LOG(Warning) << "negative sampling under-drew " << neg.drawn << "/"
+  if (grads != nullptr) {
+    L2ScratchGauge()->Set(static_cast<double>(
+        (positives_.size() + negatives_.size()) * grads->bytes()));
+  }
+  if (drawn < want) {
+    TCSS_LOG(Warning) << "negative sampling under-drew " << drawn << "/"
                       << want << " negatives (tensor too dense for the "
                       << "rejection guard); rescaling the w- term by "
                       << scale;
   }
-  return loss + scale * neg.loss;
+  return loss + scale * neg;
 }
 
 }  // namespace tcss

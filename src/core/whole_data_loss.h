@@ -2,8 +2,10 @@
 #define TCSS_CORE_WHOLE_DATA_LOSS_H_
 
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/factor_model.h"
 #include "core/tcss_config.h"
 #include "tensor/sparse_tensor.h"
@@ -48,7 +50,9 @@ class WholeDataLoss {
 };
 
 /// Eq 15. Its entry loop walks the CSF tree of `train` (train.csf()),
-/// which must be finalized.
+/// which must be finalized. The loop's shard buffers are made on the first
+/// call with gradients and kept, at most min(shards, threads) of them; the
+/// gauge train.l2.scratch_bytes reports their bytes.
 class RewrittenLoss : public WholeDataLoss {
  public:
   RewrittenLoss(double w_pos, double w_neg) : w_pos_(w_pos), w_neg_(w_neg) {}
@@ -58,6 +62,7 @@ class RewrittenLoss : public WholeDataLoss {
 
  private:
   double w_pos_, w_neg_;
+  ShardScratch<FactorGrads> scratch_;
 };
 
 /// Eq 14, literal triple loop (kept for Table IV and equivalence tests).
@@ -79,7 +84,9 @@ class NaiveLoss : public WholeDataLoss {
 /// from (seed, n, shard), never from mutable generator state. That makes
 /// the draws (a) identical at any thread count — each shard owns its own
 /// stream — and (b) checkpointable as a single integer (the call counter,
-/// exposed via sampler_state()).
+/// exposed via sampler_state()). The shard buffers of the positives and
+/// of the negatives are kept across calls like RewrittenLoss's and counted
+/// in the same gauge, train.l2.scratch_bytes.
 class NegativeSamplingLoss : public WholeDataLoss {
  public:
   NegativeSamplingLoss(double w_pos, double w_neg, uint64_t seed)
@@ -92,9 +99,16 @@ class NegativeSamplingLoss : public WholeDataLoss {
   void set_sampler_state(uint64_t state) override { calls_ = state; }
 
  private:
+  struct Cell {
+    uint32_t i, j, k;
+  };
+
   double w_pos_, w_neg_;
   uint64_t seed_;
   uint64_t calls_ = 0;  ///< number of completed sampling passes
+  std::vector<Cell> cells_;    ///< the call's negatives, shard by shard
+  std::vector<size_t> drawn_;  ///< negatives each shard drew
+  ShardScratch<FactorGrads> positives_, negatives_;
 };
 
 /// Accumulates g = dL/dXhat(i,j,k) into factor gradients (shared helper).

@@ -20,6 +20,13 @@ void Axpy(double alpha, const std::vector<double>& x, std::vector<double>* y) {
   for (size_t i = 0; i < x.size(); ++i) (*y)[i] += alpha * x[i];
 }
 
+void AddAndZero(double* y, double* x, size_t n, double alpha) {
+  for (size_t i = 0; i < n; ++i) {
+    y[i] += alpha * x[i];
+    x[i] = 0.0;
+  }
+}
+
 void ScaleVec(double alpha, std::vector<double>* v) {
   for (double& x : *v) x *= alpha;
 }

@@ -16,6 +16,11 @@ double Norm2(const std::vector<double>& v);
 /// y += alpha * x.
 void Axpy(double alpha, const std::vector<double>& x, std::vector<double>* y);
 
+/// y[i] += alpha * x[i], then x[i] = +0.0, for i < n in one pass: the merge
+/// of a ParallelReduce shard buffer (common/thread_pool.h) into its output,
+/// which leaves the buffer ready for the next shard.
+void AddAndZero(double* y, double* x, size_t n, double alpha = 1.0);
+
 /// v *= alpha.
 void ScaleVec(double alpha, std::vector<double>* v);
 

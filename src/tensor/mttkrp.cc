@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "linalg/vector_ops.h"
 
 namespace tcss {
 
@@ -85,14 +86,19 @@ Matrix Mttkrp(const SparseTensor& x, const Matrix factors[3], int mode) {
   // Modes 1/2 scatter into rows shared across slices, so the shards go
   // through ParallelReduce, which has no value to sum here. The
   // decomposition depends only on the tensor, so the bytes never depend
-  // on the thread count.
+  // on the thread count. A free function keeps no state: its shard
+  // buffers live for this call.
+  ShardScratch<Matrix> scratch;
   ParallelReduce(
-      v.num_slices, grain, &out, [&] { return Matrix(dims[mode], r); },
+      v.num_slices, grain, &out, &scratch,
+      [&] { return Matrix(dims[mode], r); },
       [&](size_t begin, size_t end, size_t, Matrix* dst) {
         AddSlices(v, factors, mode, begin, end, dst);
         return 0;
       },
-      [](int, const Matrix& part, Matrix* dst) { dst->Add(part); });
+      [](Matrix* part, Matrix* dst) {
+        AddAndZero(dst->data(), part->data(), dst->size());
+      });
   return out;
 }
 

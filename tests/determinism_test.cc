@@ -1,14 +1,18 @@
 // Determinism suite for the parallel training engine: the ThreadPool /
-// ParallelFor primitives, exact serial-vs-parallel equality of the
-// row-sharded kernels (MatMul, Gram, MTTKRP), bitwise equality of the
-// per-shard-reduced losses across thread counts, byte-identical trained
-// models at num_threads in {1, 2, 8}, and bit-identical kill-and-resume
-// in kNegativeSampling mode (the counter-based sampler state).
+// ParallelFor / ParallelReduce primitives (kept shard buffers, waves,
+// ascending merges), exact serial-vs-parallel equality of the row-sharded
+// kernels (MatMul, Gram, MTTKRP, AdamStep), bitwise equality of the
+// per-shard-reduced losses across thread counts and against fresh loss
+// objects, byte-identical trained models at num_threads in {1, 2, 3, 8},
+// and bit-identical kill-and-resume in kNegativeSampling mode (the
+// counter-based sampler state).
 //
 // tools/check.sh runs this suite under ThreadSanitizer as well.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -24,6 +28,7 @@
 #include "data/synthetic.h"
 #include "data/tensor_builder.h"
 #include "linalg/kernel_table.h"
+#include "linalg/vector_ops.h"
 #include "tensor/mttkrp.h"
 
 namespace tcss {
@@ -182,6 +187,130 @@ TEST(ParallelForTest, NestedCallsRunInlineWithoutDeadlock) {
 }
 
 // --------------------------------------------------------------------------
+// ParallelReduce: kept shard buffers, waves, ascending merges
+// --------------------------------------------------------------------------
+
+TEST(ParallelReduceTest, KeepsOneBufferPerThreadAndMergesInShardOrder) {
+  ThreadGuard guard;
+  // 16 shards of 10 items, the last one of 7: at 3 threads the waves are
+  // 3, 3, 3, 3, 3 and 1 shards.
+  constexpr size_t kN = 157;
+  constexpr size_t kGrain = 10;
+  constexpr size_t kShards = 16;
+  ASSERT_EQ(ParallelForShards(kN, kGrain), kShards);
+  // Value sum that only ascending shard order leaves at exactly 0.0: the
+  // 1.0s vanish into 1e16 only while it leads.
+  auto value_of = [](size_t s) {
+    return s == 0 ? 1e16 : s + 1 == kShards ? -1e16 : 1.0;
+  };
+  for (int threads : {1, 2, 3, 8}) {
+    SetGlobalThreads(threads);
+    const size_t width = std::min<size_t>(kShards, threads);
+    ShardScratch<std::vector<double>> scratch;
+    size_t made = 0;
+    for (int call = 0; call < 2; ++call) {
+      std::vector<double> out(4, 0.5);
+      std::vector<std::vector<size_t>> ranges(kShards);
+      std::vector<int> zero_on_entry(kShards, 0);
+      std::vector<size_t> merged;
+      const double total = ParallelReduce(
+          kN, kGrain, &out, &scratch,
+          [&] {
+            ++made;
+            return std::vector<double>(4, 0.0);
+          },
+          [&](size_t begin, size_t end, size_t s, std::vector<double>* buf) {
+            ranges[s] = {begin, end};
+            zero_on_entry[s] = std::all_of(buf->begin(), buf->end(),
+                                           [](double v) { return v == 0.0; });
+            (*buf)[s % 4] += static_cast<double>(s + 1);
+            return value_of(s);
+          },
+          [&](std::vector<double>* part, std::vector<double>* dst) {
+            for (size_t i = 0; i < 4; ++i) {
+              if ((*part)[i] != 0.0) {
+                merged.push_back(static_cast<size_t>((*part)[i]) - 1);
+              }
+            }
+            AddAndZero(dst->data(), part->data(), 4);
+          });
+      // Buffers are made on the first call only, one per concurrent shard.
+      EXPECT_EQ(made, width) << threads << " threads, call " << call;
+      EXPECT_EQ(scratch.size(), width);
+      EXPECT_EQ(total, 0.0) << threads << " threads, call " << call;
+      std::vector<size_t> in_order(kShards);
+      for (size_t s = 0; s < kShards; ++s) {
+        in_order[s] = s;
+        EXPECT_EQ(ranges[s],
+                  (std::vector<size_t>{s * kGrain,
+                                       std::min(kN, (s + 1) * kGrain)}))
+            << "shard " << s;
+        EXPECT_EQ(zero_on_entry[s], 1) << "shard " << s;
+      }
+      EXPECT_EQ(merged, in_order) << threads << " threads";
+      // Shard s added s + 1 into slot s % 4.
+      EXPECT_EQ(out, (std::vector<double>{0.5 + 1 + 5 + 9 + 13,
+                                          0.5 + 2 + 6 + 10 + 14,
+                                          0.5 + 3 + 7 + 11 + 15,
+                                          0.5 + 4 + 8 + 12 + 16}));
+      // Every kept buffer comes back all zero.
+      const std::vector<double>* kept = scratch.Fit(width, [] {
+        ADD_FAILURE() << "no buffer is missing";
+        return std::vector<double>();
+      });
+      for (size_t w = 0; w < width; ++w) {
+        EXPECT_EQ(kept[w], std::vector<double>(4, 0.0)) << "buffer " << w;
+      }
+    }
+  }
+}
+
+TEST(ParallelReduceTest, OneShardRunsDirectUnlessBuffered) {
+  ThreadGuard guard;
+  SetGlobalThreads(8);
+  ShardScratch<std::vector<double>> scratch;
+  size_t made = 0;
+  size_t merges = 0;
+  auto make = [&] {
+    ++made;
+    return std::vector<double>(1, 0.0);
+  };
+  std::vector<double> out(1, 2.0);
+  auto body = [&](size_t begin, size_t end, size_t s, std::vector<double>* g) {
+    EXPECT_EQ(begin, 0u);
+    EXPECT_EQ(end, 5u);
+    EXPECT_EQ(s, 0u);
+    if (g != nullptr) (*g)[0] += 1.0;
+    return 1.0;
+  };
+  auto merge = [&](std::vector<double>* part, std::vector<double>* dst) {
+    ++merges;
+    AddAndZero(dst->data(), part->data(), 1, 3.0);
+  };
+  // One shard writes straight into `out`.
+  EXPECT_EQ(ParallelReduce(5, 10, &out, &scratch, make, body, merge), 1.0);
+  EXPECT_EQ(out[0], 3.0);
+  EXPECT_EQ(made + merges, 0u);
+  // Buffered, it goes through one kept buffer and one merge.
+  EXPECT_EQ(ParallelReduce(5, 10, &out, &scratch, make, body, merge, true),
+            1.0);
+  EXPECT_EQ(out[0], 6.0);
+  EXPECT_EQ(made, 1u);
+  EXPECT_EQ(merges, 1u);
+  // Value only: no buffer, no merge, `out` untouched.
+  std::vector<double>* none = nullptr;
+  EXPECT_EQ(ParallelReduce(5, 10, none, &scratch, make, body, merge, true),
+            1.0);
+  EXPECT_EQ(made, 1u);
+  EXPECT_EQ(merges, 1u);
+  // An empty range returns Value{} and keeps the buffers.
+  EXPECT_EQ(ParallelReduce(0, 10, &out, &scratch, make, body, merge, true),
+            0.0);
+  EXPECT_EQ(out[0], 6.0);
+  EXPECT_EQ(scratch.size(), 1u);
+}
+
+// --------------------------------------------------------------------------
 // Kernels: parallel result == serial result, bit for bit
 // --------------------------------------------------------------------------
 
@@ -230,7 +359,7 @@ TEST(KernelDeterminismTest, MttkrpParallelMatchesSerialExactlyAllModes) {
     for (int mode = 0; mode < 3; ++mode) {
       SetGlobalThreads(1);
       const Matrix serial = Mttkrp(*x, factors, mode);
-      for (int threads : {2, 8}) {
+      for (int threads : {2, 3, 8}) {
         SetGlobalThreads(threads);
         EXPECT_TRUE(BitIdentical(serial, Mttkrp(*x, factors, mode)))
             << x->dim_i() << " slices, mode " << mode << ", " << threads
@@ -264,7 +393,7 @@ TEST(LossDeterminismTest, RewrittenLossBitIdenticalAcrossThreadCounts) {
     SetGlobalThreads(1);
     FactorGrads ref = Prefilled(model, 12);
     const double ref_loss = loss.ComputeWithGrads(model, *x, &ref);
-    for (int threads : {2, 8}) {
+    for (int threads : {2, 3, 8}) {
       SetGlobalThreads(threads);
       FactorGrads got = Prefilled(model, 12);
       const double got_loss = loss.ComputeWithGrads(model, *x, &got);
@@ -313,7 +442,7 @@ TEST(LossDeterminismTest, NegativeSamplingBitIdenticalAcrossThreadCounts) {
     NegativeSamplingLoss ref_loss(cfg.w_pos, cfg.w_neg, 99);
     FactorGrads ref = Prefilled(model, 13);
     const double ref_val = ref_loss.ComputeWithGrads(model, *x, &ref);
-    for (int threads : {2, 8}) {
+    for (int threads : {2, 3, 8}) {
       SetGlobalThreads(threads);
       // Fresh loss object: same seed, same call counter (0) -> the sampled
       // negatives must be the same cells regardless of the thread count.
@@ -340,7 +469,7 @@ TEST(LossDeterminismTest, NegativeSamplingBitIdenticalAcrossThreadCounts) {
     NegativeSamplingLoss twin(0.0, cfg.w_neg, 99);
     FactorGrads negatives(model);
     const double neg = twin.ComputeWithGrads(model, *x, &negatives);
-    direct.Add(negatives);
+    direct.AddAndZero(&negatives);
     EXPECT_EQ(ref_val, pos + neg) << x->nnz() << " nnz";
     EXPECT_TRUE(BitIdentical(ref, direct)) << x->nnz() << " nnz";
   }
@@ -366,7 +495,7 @@ TEST(LossDeterminismTest, HausdorffBatchGradsBitIdenticalAcrossThreadCounts) {
       loss.set_rotation(0);
       FactorGrads ref = Prefilled(model, 14);
       const double ref_val = loss.ComputeWithGrads(model, cfg.lambda, &ref);
-      for (int threads : {2, 8}) {
+      for (int threads : {2, 3, 8}) {
         SetGlobalThreads(threads);
         loss.set_rotation(0);  // replay the same minibatch
         FactorGrads got = Prefilled(model, 14);
@@ -434,6 +563,181 @@ TEST(LossDeterminismTest, UnderDrawnNegativesAreRescaled) {
   EXPECT_NEAR(value, pos_term + neg_term, 1e-9 * (pos_term + neg_term));
 }
 
+// A loss object keeps its shard buffers between calls. Calls on one object
+// whose model values, shape, rank and thread count change from call to
+// call must match calls on fresh objects bit for bit: kept buffers start
+// every shard from +0.0 and are re-made for a new shape.
+TEST(LossDeterminismTest, KeptShardBuffersMatchFreshLossObjects) {
+  ThreadGuard guard;
+  const World w = MakeWorld();
+  TcssConfig cfg;
+  const SparseTensor cap = RandomTensor(400, 300, 12, 40000, 51);
+  const SparseTensor other = RandomTensor(300, 500, 7, 30000, 52);
+  struct Step {
+    const SparseTensor* x;
+    size_t rank;
+    uint64_t seed;
+    int threads;
+  };
+  const std::vector<Step> steps = {{&cap, 10, 1, 8},   {&cap, 10, 2, 1},
+                                   {&cap, 10, 3, 8},   {&other, 10, 4, 3},
+                                   {&cap, 7, 5, 8},    {&w.train, 10, 6, 2}};
+  RewrittenLoss rewritten(cfg.w_pos, cfg.w_neg);
+  NegativeSamplingLoss sampled(cfg.w_pos, cfg.w_neg, 99);
+  for (const Step& step : steps) {
+    SetGlobalThreads(step.threads);
+    const FactorModel model = RandomModel(*step.x, step.rank, step.seed);
+    {
+      FactorGrads kept = Prefilled(model, step.seed + 10);
+      FactorGrads fresh = Prefilled(model, step.seed + 10);
+      RewrittenLoss once(cfg.w_pos, cfg.w_neg);
+      EXPECT_EQ(rewritten.ComputeWithGrads(model, *step.x, &kept),
+                once.ComputeWithGrads(model, *step.x, &fresh))
+          << "seed " << step.seed;
+      EXPECT_TRUE(BitIdentical(kept, fresh)) << "seed " << step.seed;
+    }
+    {
+      FactorGrads kept = Prefilled(model, step.seed + 20);
+      FactorGrads fresh = Prefilled(model, step.seed + 20);
+      NegativeSamplingLoss once(cfg.w_pos, cfg.w_neg, 99);
+      once.set_sampler_state(sampled.sampler_state());
+      EXPECT_EQ(sampled.ComputeWithGrads(model, *step.x, &kept),
+                once.ComputeWithGrads(model, *step.x, &fresh))
+          << "seed " << step.seed;
+      EXPECT_TRUE(BitIdentical(kept, fresh)) << "seed " << step.seed;
+    }
+  }
+
+  // The head is bound to one tensor; its model's values, rank and the
+  // thread count change between calls. 48 users make the 16-shard cap.
+  cfg.hausdorff_pool = 64;
+  cfg.max_friend_pois = 32;
+  cfg.hausdorff_users_per_epoch = 48;
+  SocialHausdorffLoss head(w.data, w.train, cfg);
+  for (const Step& step : steps) {
+    if (step.x != &cap) continue;
+    SetGlobalThreads(step.threads);
+    const FactorModel model = RandomModel(w.train, step.rank, step.seed);
+    SocialHausdorffLoss once(w.data, w.train, cfg);
+    once.set_rotation(head.rotation());
+    FactorGrads kept = Prefilled(model, step.seed + 30);
+    FactorGrads fresh = Prefilled(model, step.seed + 30);
+    EXPECT_EQ(head.ComputeWithGrads(model, cfg.lambda, &kept),
+              once.ComputeWithGrads(model, cfg.lambda, &fresh))
+        << "seed " << step.seed;
+    EXPECT_TRUE(BitIdentical(kept, fresh)) << "seed " << step.seed;
+  }
+}
+
+// train.l2.scratch_bytes and train.hausdorff.scratch_bytes report the
+// shard buffers each site keeps: min(shards, threads) of them after one
+// call with gradients.
+TEST(LossDeterminismTest, ScratchGaugesCountKeptBuffers) {
+  ThreadGuard guard;
+  World w = MakeWorld();
+  obs::MetricRegistry* reg = obs::MetricRegistry::Global();
+  obs::Gauge* l2 = reg->GetGauge("train.l2.scratch_bytes");
+  obs::Gauge* head_gauge = reg->GetGauge("train.hausdorff.scratch_bytes");
+  TcssConfig cfg;
+  cfg.hausdorff_pool = 64;
+  cfg.max_friend_pois = 32;
+  cfg.hausdorff_users_per_epoch = 48;
+  // 16 shards at every site: >= 16384 entries for the CSF loop and the
+  // positives, >= 4096 for the negatives, 48 users for the head.
+  const SparseTensor cap = RandomTensor(400, 300, 12, 40000, 61);
+  ASSERT_GE(cap.nnz(), 16384u);
+  for (int threads : {1, 8}) {
+    SetGlobalThreads(threads);
+    const double width = std::min(16, threads);
+    const FactorModel model = RandomModel(cap, cfg.rank, 62);
+    FactorGrads grads(model);
+    const double full = static_cast<double>(grads.bytes());
+    ASSERT_EQ(grads.bytes(),
+              (400 + 300 + 12 + 1) * cfg.rank * sizeof(double));
+    RewrittenLoss rewritten(cfg.w_pos, cfg.w_neg);
+    (void)rewritten.ComputeWithGrads(model, cap, &grads);
+    EXPECT_EQ(l2->Value(), width * static_cast<double>(
+                                       (300 + 12 + 1) * cfg.rank *
+                                       sizeof(double)))
+        << threads << " threads";
+    NegativeSamplingLoss sampled(cfg.w_pos, cfg.w_neg, 99);
+    (void)sampled.ComputeWithGrads(model, cap, &grads);
+    EXPECT_EQ(l2->Value(), 2 * width * full) << threads << " threads";
+
+    const FactorModel user_model = RandomModel(w.train, cfg.rank, 63);
+    FactorGrads user_grads(user_model);
+    SocialHausdorffLoss head(w.data, w.train, cfg);
+    (void)head.ComputeWithGrads(user_model, cfg.lambda, &user_grads);
+    EXPECT_EQ(head_gauge->Value(),
+              width * static_cast<double>(user_grads.bytes()))
+        << threads << " threads";
+  }
+}
+
+// Shard buffers keep their small U3 and h blocks off each other's cache
+// lines: however the allocator places them, no 64-byte line holds values
+// of two buffers' U3 or h.
+TEST(LossDeterminismTest, ShardBuffersShareNoSmallBlockCacheLine) {
+  const SparseTensor shape(25, 30, 3);
+  for (size_t r : {size_t{1}, size_t{7}, size_t{10}}) {
+    const FactorModel model = RandomModel(shape, r, 81);
+    std::vector<FactorGrads> buffers;
+    for (int b = 0; b < 16; ++b) {
+      buffers.push_back(ShardGrads(model, /*with_u1=*/b % 2 == 0));
+    }
+    std::vector<std::pair<uintptr_t, uintptr_t>> lines;  // first, last
+    for (size_t b = 0; b < buffers.size(); ++b) {
+      const FactorGrads& g = buffers[b];
+      EXPECT_EQ(g.u1.size(), b % 2 == 0 ? model.u1.size() : size_t{0});
+      EXPECT_EQ(g.u2.rows(), model.u2.rows());
+      EXPECT_EQ(g.u3.rows(), model.u3.rows());
+      EXPECT_EQ(g.u3.cols(), r);
+      EXPECT_EQ(g.h.size(), r);
+      EXPECT_TRUE(std::all_of(g.h.begin(), g.h.end(),
+                              [](double v) { return v == 0.0; }));
+      EXPECT_EQ(g.u3.MaxAbs(), 0.0);
+      for (auto [p, n] : {std::pair<const double*, size_t>{g.u3.data(),
+                                                           g.u3.size()},
+                          std::pair<const double*, size_t>{g.h.data(),
+                                                           g.h.size()}}) {
+        const auto at = reinterpret_cast<uintptr_t>(p);
+        lines.push_back({at / 64, (at + n * sizeof(double) - 1) / 64});
+      }
+    }
+    for (size_t a = 0; a < lines.size(); ++a) {
+      for (size_t b = a + 1; b < lines.size(); ++b) {
+        if (a / 2 == b / 2) continue;  // one buffer's U3 and h
+        EXPECT_TRUE(lines[a].second < lines[b].first ||
+                    lines[b].second < lines[a].first)
+            << "rank " << r << ": blocks " << a << " and " << b;
+      }
+    }
+  }
+}
+
+// AdamStep runs its row ranges in parallel: the same bytes at any thread
+// count, on factors taller than one row range.
+TEST(KernelDeterminismTest, AdamStepBitIdenticalAcrossThreadCounts) {
+  ThreadGuard guard;
+  const SparseTensor x(5000, 2100, 12);
+  const FactorModel model = RandomModel(x, 10, 71);
+  const FactorGrads grads = Prefilled(model, 72);
+  std::string ref;
+  for (int threads : {1, 2, 3, 8}) {
+    SetGlobalThreads(threads);
+    TrainerCheckpoint state(model);
+    for (int step = 0; step < 3; ++step) {
+      AdamStep(grads, 0.01, 1e-4, &state);
+    }
+    const std::string bytes = SerializeFactorModel(state.model);
+    if (threads == 1) {
+      ref = bytes;
+    } else {
+      EXPECT_EQ(ref, bytes) << threads << " threads";
+    }
+  }
+}
+
 // --------------------------------------------------------------------------
 // End-to-end: byte-identical models at any thread count
 // --------------------------------------------------------------------------
@@ -458,6 +762,7 @@ TEST(TrainingDeterminismTest, RewrittenModeByteIdenticalAcrossThreadCounts) {
   const std::string one = TrainToBytes(w, cfg, 1);
   ASSERT_FALSE(one.empty());
   EXPECT_EQ(one, TrainToBytes(w, cfg, 2));
+  EXPECT_EQ(one, TrainToBytes(w, cfg, 3));
   EXPECT_EQ(one, TrainToBytes(w, cfg, 8));
 }
 
@@ -473,6 +778,7 @@ TEST(TrainingDeterminismTest,
   const std::string one = TrainToBytes(w, cfg, 1);
   ASSERT_FALSE(one.empty());
   EXPECT_EQ(one, TrainToBytes(w, cfg, 2));
+  EXPECT_EQ(one, TrainToBytes(w, cfg, 3));
   EXPECT_EQ(one, TrainToBytes(w, cfg, 8));
 }
 

@@ -1014,7 +1014,7 @@ TEST(Metamorphic, LossValueScalingHomogeneity) {
         return false;
       }
       FactorGrads expect(b.model);
-      expect.Add(g, 1.0);
+      expect.AddAndZero(&g);
       expect.u1.Scale(c * c);
       expect.u2.Scale(c * c);
       expect.u3.Scale(c * c);
