@@ -9,8 +9,9 @@
 // variant. BM_Gemm/BM_Gram sweep the dense products (square references
 // plus the tall-skinny rows x rank shapes CP-ALS forms), each in scalar
 // and simd variants. BM_HausdorffUser times the social Hausdorff head per
-// user (SocialHausdorffLoss::ComputeForUser) on the gowalla preset,
-// forward only and forward+backward, under each kernel table.
+// user (SocialHausdorffLoss::ComputeForUser) on the gowalla preset and at
+// the catalog workload's shape (96 users, past the distance cache), forward
+// only and forward+backward, under each kernel table.
 // BM_GramBlockApply and BM_SubspaceEigen time spectral init's eigensolve
 // at the catalog workload's shape (6000 users x 10000 POIs): one block
 // Gram apply of the r + 4 = 14 iteration vectors, and a whole
@@ -189,51 +190,6 @@ void BM_Gram(benchmark::State& state) {
   SetSimdMode(SimdMode::kScalar);
 }
 
-// Args: {backward, simd}. Mean time per eligible user of the social
-// Hausdorff head on the gowalla preset (the trainer's default config: 160
-// candidates, up to 96 friend POIs, rank 10, month bins) at the spectral
-// warm start, with the distance cache on; backward = 1 also accumulates
-// the gradients.
-void BM_HausdorffUser(benchmark::State& state) {
-  const tcss::bench::World& world =
-      tcss::bench::GetWorld(SyntheticPreset::kGowallaLike);
-  const bool backward = state.range(0) != 0;
-  const int64_t simd = state.range(1);
-  static const TcssConfig* cfg = new TcssConfig();
-  static const SocialHausdorffLoss* loss =
-      new SocialHausdorffLoss(world.data, world.train, *cfg);
-  static const FactorModel* model =
-      new FactorModel(InitializeFactors(world.train, *cfg).MoveValue());
-  SelectSimd(simd);
-  std::vector<uint32_t> users;
-  for (uint32_t u = 0; u < world.train.dim_i(); ++u) {
-    if (!loss->candidate_pool(u).empty() && !loss->friend_pois(u).empty()) {
-      users.push_back(u);
-    }
-  }
-  FactorGrads grads(*model);
-  Stopwatch sw;
-  size_t calls = 0;
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (uint32_t u : users) {
-      sum += loss->ComputeForUser(*model, u, backward ? &grads : nullptr,
-                                  1.0);
-    }
-    benchmark::DoNotOptimize(sum);
-    calls += users.size();
-  }
-  state.counters["users"] = static_cast<double>(users.size());
-  if (calls > 0) {
-    tcss::bench::AppendBenchJson(
-        "kernel_hausdorff", "gowalla-like",
-        std::string(backward ? "user_fwd_bwd" : "user_fwd") + SimdTag(simd) +
-            "_s",
-        sw.ElapsedSeconds() / static_cast<double>(calls));
-  }
-  SetSimdMode(SimdMode::kScalar);
-}
-
 // The catalog workload's data and train tensor: the gowalla-like generator
 // at 6000 users x 10000 POIs, 300k check-ins in 20 cities, month bins, 80%
 // split.
@@ -259,6 +215,84 @@ const CatalogWorld& Catalog() {
 }
 
 const SparseTensor& CatalogTensor() { return Catalog().train; }
+
+// One workload of BM_HausdorffUser: the head at the default config
+// (160 candidates, up to 96 friend POIs, rank 10, month bins) built on
+// the workload's train tensor, the spectral warm start, and the users
+// timed.
+struct HausdorffBenchWorld {
+  SocialHausdorffLoss loss;
+  FactorModel model;
+  std::vector<uint32_t> users;
+};
+
+// gowalla: every eligible user of the preset, with the distance cache on.
+// catalog: 96 users spread evenly over the eligible ones, past the cache
+// budget, so each call computes its distance block.
+const HausdorffBenchWorld& HausdorffWorld(bool catalog) {
+  static const HausdorffBenchWorld* worlds[2] = {};
+  const HausdorffBenchWorld*& world = worlds[catalog ? 1 : 0];
+  if (world == nullptr) {
+    const Dataset& data =
+        catalog ? Catalog().data
+                : tcss::bench::GetWorld(SyntheticPreset::kGowallaLike).data;
+    const SparseTensor& train =
+        catalog ? Catalog().train
+                : tcss::bench::GetWorld(SyntheticPreset::kGowallaLike).train;
+    const TcssConfig cfg;
+    auto* w = new HausdorffBenchWorld{
+        SocialHausdorffLoss(data, train, cfg),
+        InitializeFactors(train, cfg).MoveValue(), {}};
+    std::vector<uint32_t> eligible;
+    for (uint32_t u = 0; u < train.dim_i(); ++u) {
+      if (!w->loss.candidate_pool(u).empty() &&
+          !w->loss.friend_pois(u).empty()) {
+        eligible.push_back(u);
+      }
+    }
+    constexpr size_t kCatalogUsers = 96;
+    if (!catalog) w->users = eligible;
+    for (size_t i = 0; catalog && i < kCatalogUsers; ++i) {
+      w->users.push_back(eligible[i * eligible.size() / kCatalogUsers]);
+    }
+    world = w;
+  }
+  return *world;
+}
+
+// Args: {backward, simd, catalog}. Mean time per user of the social
+// Hausdorff head (ComputeForUser) on the gowalla preset (catalog = 0) or
+// the catalog workload's shape (catalog = 1; HausdorffWorld); backward =
+// 1 also accumulates the gradients.
+void BM_HausdorffUser(benchmark::State& state) {
+  const bool backward = state.range(0) != 0;
+  const int64_t simd = state.range(1);
+  const bool catalog = state.range(2) != 0;
+  const HausdorffBenchWorld& world = HausdorffWorld(catalog);
+  SelectSimd(simd);
+  FactorGrads grads(world.model);
+  Stopwatch sw;
+  size_t calls = 0;
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (uint32_t u : world.users) {
+      sum += world.loss.ComputeForUser(world.model, u,
+                                       backward ? &grads : nullptr, 1.0);
+    }
+    benchmark::DoNotOptimize(sum);
+    calls += world.users.size();
+  }
+  state.counters["users"] = static_cast<double>(world.users.size());
+  if (calls > 0) {
+    tcss::bench::AppendBenchJson(
+        "kernel_hausdorff", catalog ? "catalog" : "gowalla-like",
+        std::string(backward ? "user_fwd_bwd" : "user_fwd") + SimdTag(simd) +
+            "_s",
+        sw.ElapsedSeconds() / static_cast<double>(calls));
+  }
+  SetSimdMode(SimdMode::kScalar);
+}
+
 
 // Args: {mode, simd}. One block apply of the zero-diagonal mode Gram to
 // the n x 14 iterate of spectral init's subspace iteration (rank 10 plus
@@ -406,7 +440,8 @@ BENCHMARK(BM_Gram)
     ->Args({2000, 32, 1})
     ->Args({20000, 32, 1});
 BENCHMARK(BM_HausdorffUser)
-    ->Args({0, 0})->Args({1, 0})->Args({0, 1})->Args({1, 1})
+    ->Args({0, 0, 0})->Args({1, 0, 0})->Args({0, 1, 0})->Args({1, 1, 0})
+    ->Args({0, 0, 1})->Args({1, 0, 1})->Args({0, 1, 1})->Args({1, 1, 1})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GramBlockApply)
     ->Args({0, 0})->Args({1, 0})->Args({0, 1})->Args({1, 1})

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -60,36 +61,135 @@ UserScratch& ThreadScratch() {
   return scratch;
 }
 
+// Margin of the chord form, m = kChordAbsKm + kChordRel·d: it bounds
+// |d − HaversineKm| for every pair the kernel keeps (s < 0.5, so both
+// formulas see a half-chord below 0.5 + O(u)), given coordinates in
+// csv_io's range, |lat| <= 90 and |lon| <= 180 degrees. u = 2^-53;
+// ρ = R·u = 7.07e-13 km; libm's sin, cos and asin and the kernels' asin
+// core are within one ulp (relative 2u); first-order terms only, the
+// constants leave room for the rest.
+//  1. DegToRad: x·π̂/180 with |π̂/π − 1| < u/2 is within 2.5u relative, so
+//     both formulas read a latitude within 4u rad of the true one and the
+//     chord fill a longitude within 8u rad. Moving a point by (δφ, δλ)
+//     moves it at most R(|δφ| + |δλ|) on the sphere.
+//  2. Chord form. Each fill coordinate (cos·cos, cos·sin, sin; 5u) puts
+//     the unit vector within 5u of the exact vector of the converted
+//     point P'. Differences, squares, two sums, sqrt and the halving give
+//     s = s̃(1 ± 3.5u), s̃ within 5u of the exact half-chord of the P'
+//     pair. asin's slope is at most 1.155 for s <= 0.5; the core adds 2u
+//     and the product with 2R u: |d − D'| <= 11.6ρ + 7.1u·d. The P'
+//     points are within 2·R(4u + 8u) of the true ones: |d − D| <= 35.6ρ
+//     + 7.1u·d, D the exact distance.
+//  3. HaversineKm reads the converted latitudes and dλ = DegToRad(λb −
+//     λa), within 3.5u·2π < 22u of the true difference: it evaluates the
+//     exact haversine of points within R(4u + 4u + 22u) = 30ρ of the true
+//     ones. From those inputs: dφ (u), sin² (5u), cos·cos·sin·sin (11u),
+//     the sum (12u), sqrt (7u), asin's slope times √h over asin(√h) <=
+//     1.103 (7.7u), asin (2u) and 2R· (u): |H − D| <= 30ρ + 11.7u·D.
+//  4. Together |d − H| <= 65.6ρ + 18.8u·d = 4.64e-11 km + 2.09e-15·d.
+//     The kernel rounds d ∓ m once each (u·d) and m itself (2u·m), so it
+//     needs kChordAbsKm > 4.7e-11 and kChordRel > 19.8u = 2.2e-15.
+// Then fl(d − m) <= H <= fl(d + m), and rounding to float is monotone: if
+// float(d − m) == float(d + m), float(H) is that float. It is never a
+// signed zero, since d + m >= kChordAbsKm. Pairs with s >= 0.5 (d above
+// ~6,670 km), NaN or d within m of a float boundary, d = 0 among them,
+// take HaversineKm; points outside the range get NaN vectors, so all of
+// their pairs do.
+constexpr double kChordAbsKm = 1e-10;
+constexpr double kChordRel = 1e-14;
+
+/// Unit vector of `p` into x[i], x[i + stride], x[i + 2 stride]; NaN for
+/// a point outside [-90, 90] x [-180, 180] (NaN and infinities included).
+void FillUnitVector(const GeoPoint& p, double* x, size_t i, size_t stride) {
+  if (!(p.lat >= -90.0 && p.lat <= 90.0 && p.lon >= -180.0 &&
+        p.lon <= 180.0)) {
+    x[i] = x[i + stride] = x[i + 2 * stride] = std::nan("");
+    return;
+  }
+  const double lat = DegToRad(p.lat);
+  const double lon = DegToRad(p.lon);
+  const double c = std::cos(lat);
+  x[i] = c * std::cos(lon);
+  x[i + stride] = c * std::sin(lon);
+  x[i + 2 * stride] = std::sin(lat);
+}
+
+/// `n` elements: `local` when they fit, else a block owned by `heap`.
+template <typename T, size_t N>
+T* Buffer(T (&local)[N], size_t n, std::unique_ptr<T[]>* heap) {
+  if (n <= N) return local;
+  heap->reset(new T[n]);
+  return heap->get();
+}
+
 }  // namespace
 
 void HausdorffDistanceBlock(const Dataset& data,
                             const std::vector<uint32_t>& s_set,
                             const std::vector<uint32_t>& n_set, double d_max,
                             float* dist, float* dmin) {
-  // Per friend POI: latitude in radians, its cosine, longitude in degrees.
-  thread_local std::vector<double> cols;
+  const size_t ns = s_set.size();
   const size_t nn = n_set.size();
-  if (cols.size() < 3 * nn) cols.resize(3 * nn);
-  for (size_t b = 0; b < nn; ++b) {
-    const GeoPoint& q = data.poi(n_set[b]).location;
-    const double lat = DegToRad(q.lat);
-    cols[3 * b] = lat;
-    cols[3 * b + 1] = std::cos(lat);
-    cols[3 * b + 2] = q.lon;
+  TCSS_CHECK(ns * nn <= UINT32_MAX) << "distance block too large";
+  // The call's unit vectors and pair list sit on the stack up to the
+  // default pool (160) and friend-POI cap (96), larger blocks on the heap.
+  // Heap buffers kept per thread or made per call moved catalog
+  // peak_rss_mb by up to 4 MB either way from seed to seed (DESIGN.md
+  // §12.1).
+  double xyz_stack[3 * (160 + 96)];
+  uint32_t listed_stack[160 * 96];
+  std::unique_ptr<double[]> xyz_heap;
+  std::unique_ptr<uint32_t[]> listed_heap;
+  double* const s_xyz = Buffer(xyz_stack, 3 * (ns + nn), &xyz_heap);
+  double* const n_xyz = s_xyz + 3 * ns;
+  uint32_t* const listed = Buffer(listed_stack, ns * nn, &listed_heap);
+  for (size_t a = 0; a < ns; ++a) {
+    FillUnitVector(data.poi(s_set[a]).location, s_xyz, a, ns);
   }
-  for (size_t a = 0; a < s_set.size(); ++a) {
-    const GeoPoint& pj = data.poi(s_set[a]).location;
-    const double lat = DegToRad(pj.lat);
-    const double cos_lat = std::cos(lat);
-    double best = d_max;
-    for (size_t b = 0; b < nn; ++b) {
-      const double d = HaversineKmHoisted(lat, cos_lat, pj.lon, cols[3 * b],
-                                          cols[3 * b + 1], cols[3 * b + 2]);
-      dist[a * nn + b] = static_cast<float>(d);
-      best = std::min(best, d);
+  // The pool holds the friends' POIs, so N's vectors are mostly S's:
+  // copied where a merge of the two ascending lists finds them.
+  for (size_t a = 0, b = 0; b < nn; ++b) {
+    while (a < ns && s_set[a] < n_set[b]) ++a;
+    if (a < ns && s_set[a] == n_set[b]) {
+      for (size_t c = 0; c < 3; ++c) n_xyz[c * nn + b] = s_xyz[c * ns + a];
+    } else {
+      FillUnitVector(data.poi(n_set[b]).location, n_xyz, b, nn);
     }
-    dmin[a] = static_cast<float>(best);
   }
+  const size_t exact = ActiveKernels().hausdorff_distances(
+      s_xyz, ns, n_xyz, nn, 2.0 * kEarthRadiusKm, kChordAbsKm, kChordRel,
+      dist, listed);
+  for (size_t e = 0; e < exact; ++e) {
+    const size_t a = listed[e] / nn;
+    const size_t b = listed[e] % nn;
+    dist[listed[e]] = static_cast<float>(HaversineKm(
+        data.poi(s_set[a]).location, data.poi(n_set[b]).location));
+  }
+  // float(min(d_max, min_b d)) == min(float(d_max), min_b float(d)):
+  // rounding is monotone and no distance is -0.0. std::min skips NaN
+  // distances, and the minimum of the rest does not depend on the order,
+  // so four running minima (independent chains) give the same float.
+  const float cap = static_cast<float>(d_max);
+  for (size_t a = 0; a < ns; ++a) {
+    const float* row = dist + a * nn;
+    float m0 = cap, m1 = cap, m2 = cap, m3 = cap;
+    size_t b = 0;
+    for (; b + 4 <= nn; b += 4) {
+      m0 = std::min(m0, row[b]);
+      m1 = std::min(m1, row[b + 1]);
+      m2 = std::min(m2, row[b + 2]);
+      m3 = std::min(m3, row[b + 3]);
+    }
+    for (; b < nn; ++b) m0 = std::min(m0, row[b]);
+    dmin[a] = std::min(std::min(m0, m1), std::min(m2, m3));
+  }
+  static obs::Counter* const pairs =
+      obs::MetricRegistry::Global()->GetCounter(
+          "train.hausdorff.distance_pairs");
+  static obs::Counter* const exact_pairs =
+      obs::MetricRegistry::Global()->GetCounter("train.hausdorff.exact_pairs");
+  pairs->Add(ns * nn);
+  exact_pairs->Add(exact);
 }
 
 SocialHausdorffLoss::SocialHausdorffLoss(const Dataset& data,

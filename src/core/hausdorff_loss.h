@@ -118,10 +118,14 @@ class SocialHausdorffLoss {
 
 /// The |S| x |N| distance block of one user: dist[a * |N| + b] =
 /// float(HaversineKm(S[a], N[b])) and dmin[a] = float(min(d_max,
-/// min_b HaversineKm(S[a], N[b]))), bit for bit. Each POI's latitude
-/// terms are computed once per call instead of once per pair. The one
-/// routine behind both sides of the distance-cache budget: the cache fill
-/// at construction and the on-the-fly path of ComputeForUser.
+/// min_b HaversineKm(S[a], N[b]))), bit for bit. The KernelTable's
+/// hausdorff_distances computes each pair in chord form from the POIs'
+/// unit vectors and keeps it where a proven margin shows that its float
+/// is HaversineKm's; the pairs it lists are computed by HaversineKm
+/// (DESIGN.md §12.1). The counters train.hausdorff.distance_pairs and
+/// train.hausdorff.exact_pairs count both. The one routine behind both
+/// sides of the distance-cache budget: the cache fill at construction and
+/// the on-the-fly path of ComputeForUser.
 void HausdorffDistanceBlock(const Dataset& data,
                             const std::vector<uint32_t>& s_set,
                             const std::vector<uint32_t>& n_set, double d_max,

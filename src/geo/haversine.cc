@@ -8,8 +8,13 @@ namespace tcss {
 double HaversineKm(const GeoPoint& a, const GeoPoint& b) {
   const double lat1 = DegToRad(a.lat);
   const double lat2 = DegToRad(b.lat);
-  return HaversineKmHoisted(lat1, std::cos(lat1), a.lon, lat2,
-                            std::cos(lat2), b.lon);
+  const double dlat = lat2 - lat1;
+  const double dlon = DegToRad(b.lon - a.lon);
+  const double sin_dlat = std::sin(0.5 * dlat);
+  const double sin_dlon = std::sin(0.5 * dlon);
+  const double h = sin_dlat * sin_dlat +
+                   std::cos(lat1) * std::cos(lat2) * sin_dlon * sin_dlon;
+  return 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(h)));
 }
 
 double MaxPairwiseDistanceKm(const std::vector<GeoPoint>& points,

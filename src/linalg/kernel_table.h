@@ -40,12 +40,13 @@ struct CsfView {
 
 /// The dispatchable micro-kernels: the dense products, the L2 head's
 /// entry loop, spectral init's block Gram apply, the social Hausdorff
-/// head and serving's top-k scan. Two tables exist — scalar reference
-/// and native/vectorized — built from the SAME kernel bodies
-/// (kernels_impl.h) in two translation units with different flags.
-/// Every kernel keeps each output element's floating-point accumulation
-/// chain in a fixed (ascending) order, so the tables are interchangeable
-/// bit for bit; tests/kernels_test.cc enforces it.
+/// head (and its distance block) and serving's top-k scan. Two tables
+/// exist — scalar reference and native/vectorized — built from the SAME
+/// kernel bodies (kernels_impl.h) in two translation units with
+/// different flags. Every kernel keeps each output element's
+/// floating-point accumulation chain in a fixed (ascending) order, so the
+/// tables are interchangeable bit for bit; tests/kernels_test.cc enforces
+/// it.
 ///
 /// Matrix arguments are row-major with a row stride equal to the
 /// logical column count (the only layout tcss::Matrix produces).
@@ -144,6 +145,20 @@ struct KernelTable {
                             const uint8_t* gate, double grad_scale,
                             double* gu1_row, double* gu2, double* gu3,
                             double* gh);
+
+  /// Chord-form distance block (HausdorffDistanceBlock, which derives the
+  /// margin): `s` holds the ns candidates' unit vectors as three arrays
+  /// side by side (x, then y, then z; 3 ns doubles) and `n` the nn friend
+  /// POIs' likewise. For pair (a, b), with (dx, dy, dz) = s_a − n_b,
+  ///   s = 0.5 · sqrt((dx·dx + dy·dy) + dz·dz),
+  ///   d = two_r · asin(s),  m = m_abs + m_rel · d,
+  /// asin being the kernels' own rational core (valid for s < 0.5). Writes
+  /// dist[a * nn + b] = float(d) where s < 0.5 and float(d − m) ==
+  /// float(d + m); every other pair's index a * nn + b goes into `exact`
+  /// in ascending order, and the count is returned.
+  size_t (*hausdorff_distances)(const double* s, size_t ns, const double* n,
+                                size_t nn, double two_r, double m_abs,
+                                double m_rel, float* dist, uint32_t* exact);
 
   /// Exact top-k scan (serve/recommend_service.cc): f32 scores of
   /// `groups` lane groups of a POI panel, kPanelLanes POIs side by side

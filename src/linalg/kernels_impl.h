@@ -1034,6 +1034,160 @@ void HausdorffScatter(const double* u1_row, const double* u2,
 }
 
 // ---------------------------------------------------------------------------
+// Chord-form distances of the Hausdorff head: 2R·asin(‖u − v‖ / 2) over
+// unit vectors. The arcsine is fdlibm's rational for 0 <= x < 0.5, with
+// one fixed evaluation order. The AVX2 body runs four friend POIs side by
+// side and applies the scalar sub, mul, add, sqrt and div lane-wise; its
+// float conversions and compares are the scalar casts and == lane-wise.
+// So both tables write the same floats and list the same pairs.
+// ---------------------------------------------------------------------------
+
+/*
+ * ====================================================
+ * Copyright (C) 1993 by Sun Microsystems, Inc. All rights reserved.
+ *
+ * Developed at SunPro, a Sun Microsystems, Inc. business.
+ * Permission to use, copy, modify, and distribute this
+ * software is freely granted, provided that this notice
+ * is preserved.
+ * ====================================================
+ */
+// asin(x) = x + x·(t·P(t) / Q(t)), t = x², for |x| < 0.5: the rational of
+// fdlibm's e_asin.c, which bounds its error below one ulp. fdlibm returns
+// x itself for |x| < 2^-27, where x + x·w rounds to x anyway.
+constexpr double kAsinP0 = 1.66666666666666657415e-01;
+constexpr double kAsinP1 = -3.25565818622400915405e-01;
+constexpr double kAsinP2 = 2.01212532134862925881e-01;
+constexpr double kAsinP3 = -4.00555345006794114027e-02;
+constexpr double kAsinP4 = 7.91534994289814532176e-04;
+constexpr double kAsinP5 = 3.47933107596021167570e-05;
+constexpr double kAsinQ1 = -2.40339491173441421878e+00;
+constexpr double kAsinQ2 = 2.02094576023350569471e+00;
+constexpr double kAsinQ3 = -6.88283971605453293030e-01;
+constexpr double kAsinQ4 = 7.70381505559019352791e-02;
+
+/// One pair of hausdorff_distances: stores float(d) in *df and returns
+/// whether the pair may keep it.
+inline bool ChordDistance(double ux, double uy, double uz, double vx,
+                          double vy, double vz, double two_r, double m_abs,
+                          double m_rel, float* df) {
+  const double dx = ux - vx;
+  const double dy = uy - vy;
+  const double dz = uz - vz;
+  const double s = 0.5 * std::sqrt(dx * dx + dy * dy + dz * dz);
+  const double t = s * s;
+  const double p =
+      t * (kAsinP0 +
+           t * (kAsinP1 +
+                t * (kAsinP2 + t * (kAsinP3 + t * (kAsinP4 + t * kAsinP5)))));
+  const double q =
+      1.0 + t * (kAsinQ1 + t * (kAsinQ2 + t * (kAsinQ3 + t * kAsinQ4)));
+  const double d = two_r * (s + s * (p / q));
+  const double m = m_abs + m_rel * d;
+  *df = static_cast<float>(d);
+  return s < 0.5 &&
+         static_cast<float>(d - m) == static_cast<float>(d + m);
+}
+
+#if defined(TCSS_KERNELS_USE_AVX2)
+/// ChordDistance on four lanes: returns float(d) and sets *keep to the
+/// mask of lanes that may keep it.
+inline __m128 ChordLanes(__m256d ux, __m256d uy, __m256d uz, __m256d vx,
+                         __m256d vy, __m256d vz, __m256d two_r,
+                         __m256d m_abs, __m256d m_rel, int* keep) {
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d dx = _mm256_sub_pd(ux, vx);
+  const __m256d dy = _mm256_sub_pd(uy, vy);
+  const __m256d dz = _mm256_sub_pd(uz, vz);
+  const __m256d s = _mm256_mul_pd(
+      half, _mm256_sqrt_pd(_mm256_add_pd(
+                _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+                _mm256_mul_pd(dz, dz))));
+  const __m256d t = _mm256_mul_pd(s, s);
+  auto horner = [&t](__m256d acc, double c) {
+    return _mm256_add_pd(_mm256_set1_pd(c), _mm256_mul_pd(t, acc));
+  };
+  __m256d p = horner(_mm256_set1_pd(kAsinP5), kAsinP4);
+  p = horner(p, kAsinP3);
+  p = horner(p, kAsinP2);
+  p = horner(p, kAsinP1);
+  p = _mm256_mul_pd(t, horner(p, kAsinP0));
+  __m256d q = horner(_mm256_set1_pd(kAsinQ4), kAsinQ3);
+  q = horner(q, kAsinQ2);
+  q = horner(q, kAsinQ1);
+  q = horner(q, 1.0);
+  const __m256d d = _mm256_mul_pd(
+      two_r, _mm256_add_pd(s, _mm256_mul_pd(s, _mm256_div_pd(p, q))));
+  const __m256d m = _mm256_add_pd(m_abs, _mm256_mul_pd(m_rel, d));
+  const __m128 lo = _mm256_cvtpd_ps(_mm256_sub_pd(d, m));
+  const __m128 hi = _mm256_cvtpd_ps(_mm256_add_pd(d, m));
+  *keep = _mm_movemask_ps(_mm_cmpeq_ps(lo, hi)) &
+          _mm256_movemask_pd(_mm256_cmp_pd(s, half, _CMP_LT_OQ));
+  return _mm256_cvtpd_ps(d);
+}
+#endif
+
+size_t HausdorffDistances(const double* s, size_t ns, const double* n,
+                          size_t nn, double two_r, double m_abs, double m_rel,
+                          float* dist, uint32_t* exact) {
+  const double* nx = n;
+  const double* ny = n + nn;
+  const double* nz = n + 2 * nn;
+  size_t count = 0;
+  for (size_t a = 0; a < ns; ++a) {
+    float* row = dist + a * nn;
+    const uint32_t base = static_cast<uint32_t>(a * nn);
+    size_t b = 0;
+#if defined(TCSS_KERNELS_USE_AVX2)
+    const __m256d ux = _mm256_set1_pd(s[a]);
+    const __m256d uy = _mm256_set1_pd(s[ns + a]);
+    const __m256d uz = _mm256_set1_pd(s[2 * ns + a]);
+    const __m256d tr = _mm256_set1_pd(two_r);
+    const __m256d ma = _mm256_set1_pd(m_abs);
+    const __m256d mr = _mm256_set1_pd(m_rel);
+    for (; b < nn; b += 4) {
+      const size_t lanes = std::min<size_t>(4, nn - b);
+      int keep = 0;
+      __m128 df;
+      if (lanes == 4) {
+        df = ChordLanes(ux, uy, uz, _mm256_loadu_pd(nx + b),
+                        _mm256_loadu_pd(ny + b), _mm256_loadu_pd(nz + b), tr,
+                        ma, mr, &keep);
+        if (keep == 0xF) {
+          _mm_storeu_ps(row + b, df);
+          continue;
+        }
+      } else {
+        const __m256i tail = TailMask(lanes);
+        df = ChordLanes(ux, uy, uz, _mm256_maskload_pd(nx + b, tail),
+                        _mm256_maskload_pd(ny + b, tail),
+                        _mm256_maskload_pd(nz + b, tail), tr, ma, mr, &keep);
+      }
+      float f[4];
+      _mm_storeu_ps(f, df);
+      for (size_t l = 0; l < lanes; ++l) {
+        if ((keep >> l) & 1) {
+          row[b + l] = f[l];
+        } else {
+          exact[count++] = base + static_cast<uint32_t>(b + l);
+        }
+      }
+    }
+#endif
+    for (; b < nn; ++b) {
+      float df;
+      if (ChordDistance(s[a], s[ns + a], s[2 * ns + a], nx[b], ny[b], nz[b],
+                        two_r, m_abs, m_rel, &df)) {
+        row[b] = df;
+      } else {
+        exact[count++] = base + static_cast<uint32_t>(b);
+      }
+    }
+  }
+  return count;
+}
+
+// ---------------------------------------------------------------------------
 // Exact top-k scan: one f32 chain per lane, a multiply then an add per t in
 // ascending order. The AVX2 body applies those two roundings lane-wise and
 // runs eight lane groups at once so their add latencies overlap; each
@@ -1080,7 +1234,7 @@ const KernelTable kTable = {
     CsfRewrittenEntries,   GramBlockApply,
     HausdorffPredict,      HausdorffSoftminValue,
     HausdorffSoftminGrad,  HausdorffScatter,
-    PanelScores,
+    HausdorffDistances,    PanelScores,
 };
 
 }  // namespace TCSS_KERNEL_NS

@@ -5,6 +5,9 @@
 #include <cstring>
 
 #include "core/hausdorff_loss.h"
+#include "data/split.h"
+#include "data/synthetic.h"
+#include "data/tensor_builder.h"
 #include "data/time_binning.h"
 #include "geo/haversine.h"
 #include "obs/metrics.h"
@@ -316,6 +319,32 @@ TEST(SocialHausdorffTest, DistanceBlockMatchesHaversineBitwise) {
       }
     }
   }
+}
+
+TEST(SocialHausdorffTest, ExactDistancePathIsRareOnGowalla) {
+  // The cache fill runs HausdorffDistanceBlock for every eligible user of
+  // the gowalla preset. Its chord-form kernel leaves only the pairs it
+  // cannot prove to HaversineKm (mostly POIs in both S and N, at distance
+  // 0): a margin that sent every pair to HaversineKm fails here.
+  auto data =
+      GenerateSyntheticLbsn(PresetConfig(SyntheticPreset::kGowallaLike));
+  ASSERT_TRUE(data.ok());
+  const TrainTestSplit split = SplitCheckins(data.value(), 0.8, 1);
+  auto train = BuildCheckinTensor(data.value(), split.train,
+                                  TimeGranularity::kMonthOfYear);
+  ASSERT_TRUE(train.ok());
+  obs::MetricRegistry* reg = obs::MetricRegistry::Global();
+  obs::Counter* pairs = reg->GetCounter("train.hausdorff.distance_pairs");
+  obs::Counter* exact = reg->GetCounter("train.hausdorff.exact_pairs");
+  const uint64_t pairs_before = pairs->Value();
+  const uint64_t exact_before = exact->Value();
+  SocialHausdorffLoss loss(data.value(), train.value(), TcssConfig());
+  ASSERT_EQ(reg->GetGauge("train.hausdorff.dist_cache_on")->Value(), 1.0);
+  const double swept = static_cast<double>(pairs->Value() - pairs_before);
+  const double listed = static_cast<double>(exact->Value() - exact_before);
+  EXPECT_GT(swept, 1e6);
+  EXPECT_GT(listed, 0.0);
+  EXPECT_LT(listed / swept, 0.02);
 }
 
 TEST(SocialHausdorffTest, DistanceCacheGaugesReportTheCacheOnSide) {

@@ -4,6 +4,8 @@
 // the CSF entry kernel of RewrittenLoss (against a per-entry reference),
 // the social Hausdorff kernels (each table entry scalar ==
 // native, ComputeForUser == the scalar reference it replaced, both
+// bitwise), the chord-form distance block (scalar == native, and
+// HausdorffDistanceBlock == float(HaversineKm) over 1M pairs, both
 // bitwise), the exact top-k scan's f32 panel kernel (scalar == native,
 // bitwise), and spectral init (each column of the block Gram apply ==
 // the single-vector reference, and InitializeFactors bytes invariant to
@@ -30,9 +32,11 @@
 #include "data/synthetic.h"
 #include "data/tensor_builder.h"
 #include "data/time_binning.h"
+#include "geo/haversine.h"
 #include "linalg/kernel_table.h"
 #include "linalg/matrix.h"
 #include "linalg/simd.h"
+#include "obs/metrics.h"
 #include "proptest/oracles.h"
 #include "tensor/gram_operator.h"
 #include "tensor/mttkrp.h"
@@ -595,6 +599,202 @@ TEST(HausdorffKernelTest, TableEntriesBitIdenticalScalarVsNative) {
                            << " alpha=" << c.alpha << " @" << threads;
     }
   }
+}
+
+// The chord-form distance block: the table entry scalar == native, and
+// HausdorffDistanceBlock == float(HaversineKm) under both tables.
+// --------------------------------------------------------------------------
+
+/// Unit vectors of `pts` as hausdorff_distances reads them (x, then y,
+/// then z), with a NaN vector for every `nan_every`-th point.
+std::vector<double> UnitVectors(const std::vector<GeoPoint>& pts,
+                                size_t nan_every) {
+  const size_t n = pts.size();
+  std::vector<double> v(3 * n);
+  for (size_t i = 0; i < n; ++i) {
+    const double lat = DegToRad(pts[i].lat);
+    const double lon = DegToRad(pts[i].lon);
+    v[i] = std::cos(lat) * std::cos(lon);
+    v[n + i] = std::cos(lat) * std::sin(lon);
+    v[2 * n + i] = std::sin(lat);
+    if (nan_every != 0 && i % nan_every == nan_every - 1) v[i] = std::nan("");
+  }
+  return v;
+}
+
+/// `n` points: a city cluster (±0.5°) with exact duplicates, a few
+/// sub-metre neighbours and, every ninth point, a far one (s >= 0.5).
+std::vector<GeoPoint> KernelPoints(size_t n, Rng* rng) {
+  std::vector<GeoPoint> pts;
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 9 == 8) {
+      pts.push_back({rng->Uniform(-60.0, -20.0), rng->Uniform(100.0, 160.0)});
+    } else if (i % 7 == 6 && !pts.empty()) {
+      pts.push_back(pts[rng->UniformInt(pts.size())]);
+    } else if (i % 5 == 4 && !pts.empty()) {
+      const GeoPoint& q = pts.back();
+      pts.push_back({q.lat + rng->Uniform(-4e-6, 4e-6),
+                     q.lon + rng->Uniform(-4e-6, 4e-6)});
+    } else {
+      pts.push_back({48.9 + rng->Uniform(-0.5, 0.5),
+                     2.35 + rng->Uniform(-0.5, 0.5)});
+    }
+  }
+  return pts;
+}
+
+TEST(HausdorffKernelTest, DistancesBitIdenticalScalarVsNative) {
+  const size_t sizes[] = {1, 3, 4, 5, 17};
+  std::vector<std::pair<size_t, size_t>> shapes = {{160, 96}};
+  for (size_t ns : sizes) {
+    for (size_t nn : sizes) shapes.emplace_back(ns, nn);
+  }
+  Rng rng(77);
+  size_t kept = 0, listed = 0;
+  for (const auto& [ns, nn] : shapes) {
+    const std::vector<double> s = UnitVectors(KernelPoints(ns, &rng), 13);
+    const std::vector<double> n = UnitVectors(KernelPoints(nn, &rng), 11);
+    const double two_r = 2.0 * kEarthRadiusKm;
+    std::vector<float> dist[2];
+    std::vector<uint32_t> exact[2];
+    const KernelTable* tables[2] = {&ScalarKernelTable(), &NativeKernelTable()};
+    for (int t = 0; t < 2; ++t) {
+      dist[t].assign(ns * nn, -7.0f);  // unwritten entries keep this
+      exact[t].assign(ns * nn, 0);
+      exact[t].resize(tables[t]->hausdorff_distances(
+          s.data(), ns, n.data(), nn, two_r, 1e-10, 1e-14, dist[t].data(),
+          exact[t].data()));
+    }
+    const std::string what = StrFormat("|S|=%zu |N|=%zu", ns, nn);
+    EXPECT_TRUE(SameBytes(dist[0].data(), dist[1].data(), ns * nn)) << what;
+    EXPECT_EQ(exact[0], exact[1]) << what;
+    EXPECT_TRUE(std::is_sorted(exact[0].begin(), exact[0].end())) << what;
+    for (uint32_t e : exact[0]) EXPECT_EQ(dist[0][e], -7.0f) << what;
+    listed += exact[0].size();
+    kept += ns * nn - exact[0].size();
+  }
+  // Vacuity guards: both sides of the margin test ran.
+  EXPECT_GT(kept, 10000u);
+  EXPECT_GT(listed, 1000u);
+}
+
+TEST(HausdorffKernelTest, DistanceBlockSweepMatchesHaversineBitwise) {
+  KernelGuard guard;
+  Rng rng(2024);
+  std::vector<GeoPoint> pts;
+  // Uniform on the sphere.
+  for (int i = 0; i < 300; ++i) {
+    pts.push_back({std::asin(rng.Uniform(-1.0, 1.0)) * 180.0 / M_PI,
+                   rng.Uniform(-180.0, 180.0)});
+  }
+  // Six city clusters of +-0.5 degrees, one on the antimeridian.
+  const GeoPoint cities[] = {{40.7, -74.0}, {51.5, -0.1},  {35.7, 139.7},
+                             {-33.9, 151.2}, {1.3, 103.8}, {-17.7, 179.6}};
+  for (const GeoPoint& c : cities) {
+    for (int i = 0; i < 40; ++i) {
+      double lon = c.lon + rng.Uniform(-0.5, 0.5);
+      if (lon > 180.0) lon -= 360.0;
+      pts.push_back({c.lat + rng.Uniform(-0.5, 0.5), lon});
+    }
+  }
+  // Groups of points under a metre apart (4e-6 degrees is ~0.45 m).
+  for (int g = 0; g < 20; ++g) {
+    const double lat = rng.Uniform(-80.0, 80.0);
+    const double lon = rng.Uniform(-179.0, 179.0);
+    for (int i = 0; i < 6; ++i) {
+      pts.push_back({lat + rng.Uniform(-4e-6, 4e-6),
+                     lon + rng.Uniform(-4e-6, 4e-6)});
+    }
+  }
+  // Twins across lon +-180, and points a hair either side of it.
+  for (int i = 0; i < 20; ++i) {
+    const double lat = rng.Uniform(-89.0, 89.0);
+    for (double lon : {180.0, -180.0, 179.9999999, -179.9999999}) {
+      pts.push_back({lat, lon});
+    }
+  }
+  // Both poles at several longitudes, and just off them.
+  for (double lon : {-180.0, -97.5, 0.0, 45.0, 180.0}) {
+    for (double lat : {90.0, -90.0, 89.9999999, -89.9999999}) {
+      pts.push_back({lat, lon});
+    }
+  }
+  // Near-antipodes: points, their antipodes and the antipodes nudged.
+  for (int i = 0; i < 20; ++i) {
+    const double lat = rng.Uniform(-89.0, 89.0);
+    const double lon = rng.Uniform(-180.0, 0.0);
+    pts.push_back({lat, lon});
+    pts.push_back({-lat, lon + 180.0});
+    pts.push_back({-lat + 1e-6, lon + 180.0 - 1e-6});
+  }
+  // Points outside csv_io's range and non-finite ones take HaversineKm
+  // for every pair.
+  pts.push_back({91.0, 10.0});
+  pts.push_back({10.0, 200.0});
+  pts.push_back({std::nan(""), 5.0});
+  pts.push_back({5.0, INFINITY});
+  // Exact duplicates of earlier points, until the sweep passes 1M pairs.
+  while (pts.size() < 1040) pts.push_back(pts[rng.UniformInt(pts.size())]);
+
+  std::vector<Poi> pois;
+  for (const GeoPoint& p : pts) pois.push_back({p, PoiCategory::kFood});
+  SocialGraph social(1);
+  ASSERT_TRUE(social.Finalize().ok());
+  const Dataset data(1, pois, std::move(social));
+  std::vector<uint32_t> all(pts.size());
+  for (uint32_t j = 0; j < all.size(); ++j) all[j] = j;
+  // |N| = 1039 leaves a three-lane tail in each row.
+  const std::vector<uint32_t> n_set(all.begin(), all.end() - 1);
+  std::vector<uint32_t> shuffled = all;
+  rng.Shuffle(&shuffled);
+  const std::vector<uint32_t> s_small(shuffled.begin(), shuffled.begin() + 160);
+  const std::vector<uint32_t> n_small(shuffled.begin() + 160,
+                                      shuffled.begin() + 256);
+
+  obs::MetricRegistry* reg = obs::MetricRegistry::Global();
+  obs::Counter* pairs = reg->GetCounter("train.hausdorff.distance_pairs");
+  obs::Counter* exact = reg->GetCounter("train.hausdorff.exact_pairs");
+  size_t swept = 0;
+  for (const auto& [s_set, nn_set] :
+       {std::make_pair(all, n_set), std::make_pair(s_small, n_small)}) {
+    const size_t ns = s_set.size(), nn = nn_set.size();
+    for (double d_max : {20000.0, 1.0}) {  // 1 km caps most row minima
+      std::vector<float> want(ns * nn), want_min(ns);
+      for (size_t a = 0; a < ns; ++a) {
+        double best = d_max;
+        for (size_t b = 0; b < nn; ++b) {
+          const double d = HaversineKm(pts[s_set[a]], pts[nn_set[b]]);
+          want[a * nn + b] = static_cast<float>(d);
+          best = std::min(best, d);
+        }
+        want_min[a] = static_cast<float>(best);
+      }
+      for (SimdMode mode : {SimdMode::kScalar, SimdMode::kNative}) {
+        SetSimdMode(mode);
+        std::vector<float> dist(ns * nn), dmin(ns);
+        const uint64_t pairs_before = pairs->Value();
+        const uint64_t exact_before = exact->Value();
+        HausdorffDistanceBlock(data, s_set, nn_set, d_max, dist.data(),
+                               dmin.data());
+        EXPECT_EQ(pairs->Value() - pairs_before, ns * nn);
+        // Vacuity guards: pairs were kept and pairs were listed.
+        const uint64_t listed = exact->Value() - exact_before;
+        EXPECT_GT(listed, 0u);
+        EXPECT_LT(listed, ns * nn * 9 / 10);
+        for (size_t i = 0; i < ns * nn; ++i) {
+          ASSERT_TRUE(SameBytes(&dist[i], &want[i], 1))
+              << SimdModeName(mode) << " pair " << pts[s_set[i / nn]].lat
+              << "," << pts[s_set[i / nn]].lon << " / "
+              << pts[nn_set[i % nn]].lat << "," << pts[nn_set[i % nn]].lon
+              << ": " << dist[i] << " vs " << want[i];
+        }
+        EXPECT_TRUE(SameBytes(dmin.data(), want_min.data(), ns))
+            << SimdModeName(mode) << " d_max " << d_max;
+        swept += ns * nn;
+      }
+    }
+  }
+  EXPECT_GE(swept, 4u * 1000000u);  // >= 1M pairs per table and d_max
 }
 
 // The exact top-k scan's f32 panel kernel: scalar and native scores are

@@ -10,7 +10,14 @@
 #      TCSS_SIMD=native, so both sides of the dispatch seam are the
 #      startup-selected table (the suite's own guard test fails if the
 #      dispatcher silently falls back to scalar on a machine where the
-#      vectorized build is compiled in and supported). Last, the
+#      vectorized build is compiled in and supported). Under each, the
+#      chord-form distance tests run against that table:
+#      HausdorffKernelTest.DistancesBitIdenticalScalarVsNative (same
+#      floats and pair list from both tables) and
+#      HausdorffKernelTest.DistanceBlockSweepMatchesHaversineBitwise
+#      (over 1M pairs through HausdorffDistanceBlock, bitwise
+#      float(HaversineKm), poles, antimeridian and antipodes included).
+#      Last, the
 #      repository benchmark's smoke test (perfbench/smoke_test.py) builds
 #      perfbench and runs every BENCHMARK.json workload at tiny scale, so
 #      a change that breaks the benchmark's build or its output checks
