@@ -324,8 +324,8 @@ void BM_GramBlockApply(benchmark::State& state) {
 
 // Args: {mode, simd}. One mode's eigensolve exactly as InitializeFactors
 // runs it (default config: rank 10, shift by the largest Gram diagonal,
-// the same seed); rows record the whole solve and its time per
-// iteration.
+// the same seed); rows record the whole solve and its time per operator
+// application (EigenPairs::iterations counts applications).
 void BM_SubspaceEigen(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
   const int64_t simd = state.range(1);

@@ -34,10 +34,9 @@ Result<Matrix> SpectralFactor(const SparseTensor& train, int mode, size_t r,
   const size_t r_eff = std::min(r, dim);
   ModeGramOperator gram(train, mode, /*zero_diagonal=*/true);
   // The zero-diagonal Gram G = A A^T - D is indefinite (lambda_min >=
-  // -max D_ii by Gershgorin). Power-type iteration converges to the
-  // largest-*magnitude* eigenvalues, so shift by max D_ii to make the
-  // operator PSD; the top eigenvectors are then the algebraically
-  // largest of G, which is what Eq 4 asks for.
+  // -max D_ii by Gershgorin). SubspaceEigen's filter damps [0, theta_b]
+  // and needs a PSD operator, so shift by max D_ii; the top eigenvectors
+  // are then the algebraically largest of G, which is what Eq 4 asks for.
   double sigma = 0.0;
   for (double d : gram.Diagonal()) sigma = std::max(sigma, d);
   ShiftedOperator shifted(&gram, sigma);

@@ -26,7 +26,7 @@ namespace tcss {
 /// For kSpectral, `stats` (when non-null) receives what each mode's
 /// eigensolve reported; the other strategies leave it untouched.
 struct SpectralInitStats {
-  int iterations[3] = {0, 0, 0};  ///< subspace iterations per mode
+  int iterations[3] = {0, 0, 0};  ///< operator applications per mode
   bool converged[3] = {false, false, false};
 };
 Result<FactorModel> InitializeFactors(const SparseTensor& train,

@@ -26,10 +26,9 @@ class LinearOperator {
 };
 
 /// Y = (A + sigma I) X. Shifting an indefinite symmetric operator by
-/// sigma >= -lambda_min makes it PSD, so power-type eigensolvers (which
-/// converge to the largest-magnitude eigenvalues) return the
-/// *algebraically* largest eigenpairs of A; eigenvectors are unchanged
-/// and eigenvalues are shifted by sigma.
+/// sigma >= -lambda_min makes it PSD, as SubspaceEigen requires, so the
+/// top eigenpairs it returns are the *algebraically* largest of A;
+/// eigenvectors are unchanged and eigenvalues are shifted by sigma.
 class ShiftedOperator : public LinearOperator {
  public:
   ShiftedOperator(const LinearOperator* base, double sigma)

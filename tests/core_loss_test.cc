@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
 #include "core/spectral_init.h"
 #include "core/whole_data_loss.h"
+#include "data/split.h"
+#include "data/synthetic.h"
+#include "data/tensor_builder.h"
+#include "linalg/subspace_iteration.h"
+#include "tensor/gram_operator.h"
 
 namespace tcss {
 namespace {
@@ -344,6 +350,47 @@ TEST(SpectralInitTest, DeterministicForSeed) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_LT(MaxAbsDiff(a.value().u1, b.value().u1), 1e-15);
+}
+
+// Each mode's eigensolve as InitializeFactors runs it, on the gowalla
+// preset that `tcss train` sees: it converges inside the cap, within
+// sin 1e-5 of the subspace a tol-1e-13 solve finds (the Frobenius norm
+// below bounds the sine of the largest principal angle from above).
+TEST(SpectralInitTest, EigensolvesConvergeCloseToTightSolves) {
+  auto data =
+      GenerateSyntheticLbsn(PresetConfig(SyntheticPreset::kGowallaLike, 1.0));
+  ASSERT_TRUE(data.ok());
+  const TrainTestSplit split = SplitCheckins(data.value(), 0.8, 42);
+  auto train = BuildCheckinTensor(data.value(), split.train,
+                                  TimeGranularity::kMonthOfYear);
+  ASSERT_TRUE(train.ok());
+  const TcssConfig cfg;
+  for (int mode = 0; mode < 3; ++mode) {
+    SCOPED_TRACE(testing::Message() << "mode " << mode);
+    ModeGramOperator gram(train.value(), mode, /*zero_diagonal=*/true);
+    double sigma = 0.0;
+    for (double d : gram.Diagonal()) sigma = std::max(sigma, d);
+    ShiftedOperator shifted(&gram, sigma);
+    const size_t r = std::min(cfg.rank, train.value().dim(mode));
+    SubspaceIterationOptions opts;
+    opts.seed = cfg.seed + static_cast<uint64_t>(mode) * 7920;
+    auto eig = SubspaceEigen(shifted, r, opts);
+    opts.tol = 1e-13;
+    auto tight = SubspaceEigen(shifted, r, opts);
+    ASSERT_TRUE(eig.ok());
+    ASSERT_TRUE(tight.ok());
+    EXPECT_TRUE(eig.value().converged);
+    ASSERT_TRUE(tight.value().converged);
+    for (size_t t = 0; t < r; ++t) {
+      EXPECT_NEAR(eig.value().values[t], tight.value().values[t],
+                  1e-10 * tight.value().values[t]);
+    }
+    const Matrix& v = eig.value().vectors;
+    const Matrix& ref = tight.value().vectors;
+    Matrix outside = v;
+    outside.Add(MatMul(ref, MatTMul(ref, v)), -1.0);
+    EXPECT_LT(outside.FrobeniusNorm(), 1e-5);
+  }
 }
 
 TEST(SpectralInitTest, RequiresFinalizedTensor) {

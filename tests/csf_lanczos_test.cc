@@ -97,6 +97,59 @@ TEST(GramEigenTest, SubspaceIterationAgreesWithJacobiOnShiftedGramOperator) {
   }
 }
 
+TEST(GramEigenTest, SubspaceIterationResolvesGapsTheShiftDwarfs) {
+  // The shape of a POI-mode Gram on a catalogue: 160 users in 20 cities,
+  // each checking in at its own city's 12 POIs with weight 1/(rank + 1).
+  // The shift (the busiest POI's diagonal, 86) is ~23x the gap between
+  // the 10th and 11th eigenvalues and over 4000x the smallest gap among
+  // the top 11, and the 15th eigenvalue is 0.96 of the 10th. Power steps
+  // on this operator stop at their cap about 1e-5 away from the
+  // subspace.
+  const size_t users = 160, cities = 20, per_city = 12, months = 12;
+  SparseTensor x(users, cities * per_city, months);
+  std::vector<double> cdf(per_city);
+  double total = 0.0;
+  for (size_t j = 0; j < per_city; ++j) {
+    total += 1.0 / (static_cast<double>(j) + 1.0);
+    cdf[j] = total;
+  }
+  Rng rng(5);
+  for (int n = 0; n < 10000; ++n) {
+    const size_t i = rng.UniformInt(users);
+    const double u = rng.Uniform() * total;
+    const size_t j = static_cast<size_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+    ASSERT_TRUE(
+        x.Add(i, (i % cities) * per_city + j, rng.UniformInt(months), 1.0)
+            .ok());
+  }
+  ASSERT_TRUE(x.Finalize(true).ok());
+  ModeGramOperator op(x, 1, /*zero_diagonal=*/true);
+  double sigma = 0.0;
+  for (double d : op.Diagonal()) sigma = std::max(sigma, d);
+  ShiftedOperator shifted(&op, sigma);
+  auto full = JacobiEigen(Materialize(shifted));
+  ASSERT_TRUE(full.ok());
+  const std::vector<double>& lambda = full.value().values;
+  ASSERT_GT(sigma, 20.0 * (lambda[9] - lambda[10]));
+
+  const size_t r = 10;
+  auto sub = SubspaceEigen(shifted, r);
+  ASSERT_TRUE(sub.ok());
+  EXPECT_TRUE(sub.value().converged);
+  for (size_t t = 0; t < r; ++t) {
+    EXPECT_NEAR(sub.value().values[t], lambda[t], 1e-10 * lambda[t]);
+  }
+  // The part of the computed subspace outside the top-r eigenvectors.
+  const Matrix& v = sub.value().vectors;
+  Matrix top(v.rows(), r);
+  for (size_t i = 0; i < v.rows(); ++i)
+    for (size_t t = 0; t < r; ++t) top(i, t) = full.value().vectors(i, t);
+  Matrix outside = v;
+  outside.Add(MatMul(top, MatTMul(top, v)), -1.0);
+  EXPECT_LT(outside.FrobeniusNorm(), 1e-6);
+}
+
 TEST(ShiftedOperatorTest, ShiftsSpectrumNotVectors) {
   Rng rng(21);
   Matrix b = Matrix::GaussianRandom(15, 15, &rng);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "linalg/jacobi_eigen.h"
@@ -34,6 +36,36 @@ double MaxResidual(const Matrix& a, const std::vector<double>& values,
   }
   return worst;
 }
+
+// Counts the Apply calls made on a wrapped operator.
+class CountingOperator : public LinearOperator {
+ public:
+  explicit CountingOperator(const LinearOperator* base) : base_(base) {}
+  size_t Dim() const override { return base_->Dim(); }
+  void Apply(const Matrix& x, Matrix* y) const override {
+    ++applications_;
+    base_->Apply(x, y);
+  }
+  int applications() const { return applications_; }
+
+ private:
+  const LinearOperator* base_;
+  mutable int applications_ = 0;
+};
+
+// diag(d) as an operator, without the n x n matrix.
+class DiagonalOperator : public LinearOperator {
+ public:
+  explicit DiagonalOperator(std::vector<double> d) : d_(std::move(d)) {}
+  size_t Dim() const override { return d_.size(); }
+  void Apply(const Matrix& x, Matrix* y) const override {
+    for (size_t i = 0; i < x.rows(); ++i)
+      for (size_t j = 0; j < x.cols(); ++j) (*y)(i, j) = d_[i] * x(i, j);
+  }
+
+ private:
+  std::vector<double> d_;
+};
 
 TEST(JacobiEigenTest, DiagonalMatrix) {
   Matrix a = Matrix::FromRows({{3, 0, 0}, {0, 1, 0}, {0, 0, 2}});
@@ -154,33 +186,87 @@ TEST(SubspaceIterationTest, MatchesJacobiOnPsdMatrix) {
 }
 
 TEST(SubspaceIterationTest, ReportsIterationsPerformedAndConvergence) {
-  // A converging solve stops at the iteration whose Ritz values met tol.
+  // A converging solve reports the operator applications it ran: one for
+  // the starting block, then eight per degree-8 filter step.
   Rng rng(10);
   Matrix b = Matrix::GaussianRandom(30, 30, &rng);
   Matrix a = MatMulT(b, b);
-  DenseOperator op(&a);
+  DenseOperator dense(&a);
+  CountingOperator op(&dense);
   auto fast = SubspaceEigen(op, 5);
   ASSERT_TRUE(fast.ok());
   EXPECT_TRUE(fast.value().converged);
-  EXPECT_EQ(fast.value().iterations, 82);
+  EXPECT_EQ(fast.value().iterations, 25);
+  EXPECT_EQ(fast.value().iterations, op.applications());
 
-  // Eigenvalues 1, 0.999, ...: the gap past the block is tiny, so the
-  // cap is reached. The count is the iterations run, not the cap + 1.
+  // Eigenvalues 1, 1 - 1e-7, 1 - 2e-7, ...: the filter gains a factor of
+  // about 1.005 per step across the whole spectrum, far too little to
+  // separate the block within the cap, and the Ritz residuals stay about
+  // 100x the tolerance (a 1e-9 spacing would leave them within 1.3x of
+  // it). The count is the applications run, never past the cap.
   Matrix d(40, 40);
   for (size_t i = 0; i < 40; ++i) {
-    d(i, i) = 1.0 - 0.001 * static_cast<double>(i);
+    d(i, i) = 1.0 - 1e-7 * static_cast<double>(i);
   }
   DenseOperator slow(&d);
-  SubspaceIterationOptions opts;
-  opts.max_iterations = 5;
-  auto capped = SubspaceEigen(slow, 5, opts);
-  ASSERT_TRUE(capped.ok());
-  EXPECT_EQ(capped.value().iterations, 5);
-  EXPECT_FALSE(capped.value().converged);
-  auto defaults = SubspaceEigen(slow, 5);
-  ASSERT_TRUE(defaults.ok());
-  EXPECT_EQ(defaults.value().iterations, 300);
-  EXPECT_FALSE(defaults.value().converged);
+  for (int cap : {1, 2, 5, 9, 10, 300}) {
+    SubspaceIterationOptions opts;
+    opts.max_iterations = cap;
+    CountingOperator counted(&slow);
+    auto capped = SubspaceEigen(counted, 5, opts);
+    ASSERT_TRUE(capped.ok());
+    EXPECT_EQ(capped.value().iterations, cap);
+    EXPECT_EQ(counted.applications(), cap);
+    EXPECT_FALSE(capped.value().converged);
+  }
+  // A cap below what the solve needs ends the fast solve exactly there.
+  for (int cap = 1; cap <= 25; ++cap) {
+    SubspaceIterationOptions opts;
+    opts.max_iterations = cap;
+    CountingOperator counted(&dense);
+    auto capped = SubspaceEigen(counted, 5, opts);
+    ASSERT_TRUE(capped.ok());
+    EXPECT_EQ(capped.value().iterations, counted.applications());
+    EXPECT_LE(capped.value().iterations, cap);
+    if (!capped.value().converged) {
+      EXPECT_EQ(capped.value().iterations, cap);
+    }
+  }
+  SubspaceIterationOptions none;
+  none.max_iterations = 0;
+  EXPECT_FALSE(SubspaceEigen(dense, 5, none).ok());
+}
+
+TEST(SubspaceIterationTest, WideSpectrumStaysFiniteAndAccurate) {
+  // Eigenvalues 1e12 down to 1e-3, 10, 2 or 1 per decade. At the wider
+  // spacings the block itself spans up to 1e13: a filter scaled once for
+  // the whole block (at theta_1) shrinks its guard columns below the rank
+  // tolerance, and an unscaled one grows its top column by up to ~1e110;
+  // both return wrong trailing pairs here. Each column carries its own
+  // scale instead.
+  for (double decades : {0.1, 0.5, 1.0}) {
+    const size_t n = static_cast<size_t>(std::lround(15.0 / decades)) + 1;
+    std::vector<double> diag(n);
+    for (size_t i = 0; i < n; ++i) {
+      diag[i] = std::pow(10.0, 12.0 - decades * static_cast<double>(i));
+    }
+    DiagonalOperator op(diag);
+    for (size_t r : {1, 5, 10}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " r=" << r);
+      auto sub = SubspaceEigen(op, r);
+      ASSERT_TRUE(sub.ok());
+      const EigenPairs& pairs = sub.value();
+      EXPECT_TRUE(pairs.converged);
+      for (size_t i = 0; i < pairs.vectors.size(); ++i) {
+        ASSERT_TRUE(std::isfinite(pairs.vectors.data()[i]));
+      }
+      EXPECT_LT(MaxAbsDiff(Gram(pairs.vectors), Matrix::Identity(r)), 1e-12);
+      for (size_t t = 0; t < r; ++t) {
+        EXPECT_NEAR(pairs.values[t], diag[t], 1e-12 * diag[t]) << "t=" << t;
+        EXPECT_NEAR(std::fabs(pairs.vectors(t, t)), 1.0, 1e-12) << "t=" << t;
+      }
+    }
+  }
 }
 
 TEST(SubspaceIterationTest, RejectsBadRank) {
@@ -191,16 +277,45 @@ TEST(SubspaceIterationTest, RejectsBadRank) {
 }
 
 TEST(SubspaceIterationTest, FullRankEqualsDim) {
+  // r + oversample >= n, whether r = n or not: the first Rayleigh-Ritz
+  // sees the whole space, so the solve is exact after one application.
   Rng rng(11);
   Matrix b = Matrix::GaussianRandom(8, 8, &rng);
   Matrix a = MatMulT(b, b);
-  DenseOperator op(&a);
-  auto sub = SubspaceEigen(op, 8);
-  ASSERT_TRUE(sub.ok());
+  DenseOperator dense(&a);
   auto full = JacobiEigen(a);
   ASSERT_TRUE(full.ok());
-  for (size_t t = 0; t < 8; ++t) {
-    EXPECT_NEAR(sub.value().values[t], full.value().values[t], 1e-6);
+  const double top = full.value().values[0];
+  for (size_t r : {5, 8}) {
+    CountingOperator op(&dense);
+    auto sub = SubspaceEigen(op, r);
+    ASSERT_TRUE(sub.ok());
+    EXPECT_TRUE(sub.value().converged);
+    EXPECT_EQ(sub.value().iterations, 1);
+    EXPECT_EQ(op.applications(), 1);
+    for (size_t t = 0; t < r; ++t) {
+      EXPECT_NEAR(sub.value().values[t], full.value().values[t], 1e-12 * top);
+    }
+    EXPECT_LT(MaxResidual(a, sub.value().values, sub.value().vectors),
+              1e-12 * top);
+  }
+}
+
+TEST(SubspaceIterationTest, NullSpaceInTheBlockTakesPowerSteps) {
+  // Rank 3 with r = 3: the four guard columns end in the null space, so
+  // the block's smallest Ritz value is 0 up to rounding and there is no
+  // interval [0, theta_b] for the filter to damp.
+  std::vector<double> diag(30, 0.0);
+  diag[0] = 3.0;
+  diag[1] = 2.0;
+  diag[2] = 1.0;
+  DiagonalOperator op(diag);
+  auto sub = SubspaceEigen(op, 3);
+  ASSERT_TRUE(sub.ok());
+  EXPECT_TRUE(sub.value().converged);
+  for (size_t t = 0; t < 3; ++t) {
+    EXPECT_NEAR(sub.value().values[t], diag[t], 1e-12);
+    EXPECT_NEAR(std::fabs(sub.value().vectors(t, t)), 1.0, 1e-12);
   }
 }
 

@@ -17,7 +17,20 @@
 #      HausdorffKernelTest.DistanceBlockSweepMatchesHaversineBitwise
 #      (over 1M pairs through HausdorffDistanceBlock, bitwise
 #      float(HaversineKm), poles, antimeridian and antipodes included).
-#      Last, the
+#      The full run includes the Chebyshev-filtered eigensolver's gates:
+#      SubspaceIterationTest.ReportsIterationsPerformedAndConvergence
+#      (the count is the operator applications run, exactly the cap when
+#      capped), SubspaceIterationTest.WideSpectrumStaysFiniteAndAccurate
+#      (a 1e12 ... 1e-3 diagonal operator),
+#      SubspaceIterationTest.FullRankEqualsDim (a block spanning the
+#      space is exact after one application),
+#      SubspaceIterationTest.NullSpaceInTheBlockTakesPowerSteps,
+#      GramEigenTest.SubspaceIterationResolvesGapsTheShiftDwarfs (a
+#      shifted zero-diagonal Gram against JacobiEigen on the
+#      materialized matrix) and
+#      SpectralInitTest.EigensolvesConvergeCloseToTightSolves (every mode
+#      of the gowalla preset converges within sin 1e-5 of a tol-1e-13
+#      solve). Last, the
 #      repository benchmark's smoke test (perfbench/smoke_test.py) builds
 #      perfbench and runs every BENCHMARK.json workload at tiny scale, so
 #      a change that breaks the benchmark's build or its output checks
