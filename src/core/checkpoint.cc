@@ -129,7 +129,8 @@ Status CheckpointManager::Init() {
 }
 
 std::string CheckpointManager::PathForEpoch(int epoch) const {
-  // Legacy names when unsharded so old directories and tools keep working.
+  // Untagged names when unsharded. Only the name is kept: a file written
+  // before the TCKPv2 format fails its magic check.
   const std::string tag =
       options_.num_shards > 1
           ? StrFormat("-s%dof%d", options_.shard, options_.num_shards)

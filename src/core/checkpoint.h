@@ -55,9 +55,9 @@ struct CheckpointOptions {
   /// `num_shards` writes "ckpt-<epoch>-s<s>of<N>.tckp" and only ever sees
   /// files carrying its own (s, N) tag, so every worker of a distributed
   /// run can share one directory without clobbering or loading each
-  /// other's state. The default (shard 0 of 1) keeps the legacy
-  /// "ckpt-<epoch>.tckp" names — single-process checkpoints are unchanged
-  /// and old directories stay loadable.
+  /// other's state. The default (shard 0 of 1) keeps the untagged
+  /// "ckpt-<epoch>.tckp" names. Only the names are kept: a file written
+  /// before the TCKPv2 format fails its magic check.
   int shard = 0;
   int num_shards = 1;
 };

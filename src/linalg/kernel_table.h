@@ -53,17 +53,13 @@ struct CsfView {
 struct KernelTable {
   const char* name;
 
-  /// out[i,:] += sum_k a[i,k] * b[k,:] for i in [i_begin, i_end).
-  /// a is (rows x kk), b is (kk x n), out is (rows x n).
-  void (*gemm_rows)(const double* a, const double* b, double* out,
-                    size_t i_begin, size_t i_end, size_t kk, size_t n);
-
-  /// out[i,:] += sum_k a[k,i] * b[k,:] for i in [i_begin, i_end).
-  /// a is (rows x a_cols), b is (rows x b_cols), out is
-  /// (a_cols x b_cols): the a^T b product sharded over output rows.
-  void (*gemmt_rows)(const double* a, const double* b, double* out,
-                     size_t i_begin, size_t i_end, size_t rows,
-                     size_t a_cols, size_t b_cols);
+  /// out[i,:] += sum_k a[i * a_row + k * a_k] * b[k,:] for i in
+  /// [i_begin, i_end), k ascending in [0, kk); b is (kk x n), out is
+  /// (rows x n). MatMul's a b passes (a_row, a_k) = (kk, 1) and MatTMul's
+  /// a^T b passes (1, a_cols): one panel loop serves both.
+  void (*gemm_rows)(const double* a, size_t a_row, size_t a_k,
+                    const double* b, double* out, size_t i_begin,
+                    size_t i_end, size_t kk, size_t n);
 
   /// Upper triangle of the Gram product: out[i,j] += sum_k a[k,i]*a[k,j]
   /// for i in [i_begin, i_end), j in [i, cols). The caller mirrors the

@@ -12,12 +12,15 @@
 //  * -ffp-contract=off on the native TU forbids mul+add fusion, so both
 //    builds round every product and sum identically.
 //
-// Register blocking: the dense products keep a 2-row x 16-column tile of
-// the output in local accumulators across a whole k tile, so each output
-// element is loaded/stored twice per kKc multiply-adds instead of once
-// per iteration, and the b panel streamed per pass stays cache-resident
-// across output rows. This moves data and never changes any chain's
-// order: contributions stay sequential statements in ascending k.
+// Register blocking: the dense products share one tile, 1 or 2 output
+// rows x up to 16 columns held in local accumulators across a whole k
+// tile, so each output element is loaded/stored twice per kKc
+// multiply-adds instead of once per iteration. One panel loop drives it
+// for MatMul and MatTMul (a read along its rows or down its columns), and
+// GramUpper walks its triangle on the same tile; the b panel streamed per
+// pass stays cache-resident across output rows. This moves data and
+// never changes any chain's order: contributions stay sequential
+// statements in ascending k.
 //
 // This header intentionally has no include guard semantics beyond the
 // two dedicated TUs; do not include it elsewhere.
@@ -36,9 +39,9 @@
 #define TCSS_SIMD_LOOP
 #endif
 
-// The dense tile bodies use explicit AVX2 intrinsics in the native TU:
-// GCC will not keep a local accumulator array in registers across the k
-// loop (it round-trips the tile through the stack every iteration),
+// The gemm tile uses explicit AVX2 intrinsics in the native TU: GCC
+// will not keep a local array of double accumulators in registers across
+// the k loop (it round-trips the tile through the stack every iteration),
 // which caps the pragma version well below port throughput. Explicit
 // _mm256_mul_pd/_mm256_add_pd are exactly the scalar mul and add applied
 // lane-wise — never contracted into FMA — so each output element's chain
@@ -57,8 +60,7 @@ namespace {
 /// k-tile for the dense products: 64 rows of b stay hot across the whole
 /// [i_begin, i_end) row block while the output tile sits in registers.
 constexpr size_t kKc = 64;
-/// j-tile held in local accumulators (4 AVX2 vectors of doubles). The
-/// fixed trip count lets the compiler scalarize the tile into registers.
+/// Widest gemm tile: 16 columns, four AVX2 vectors of doubles.
 constexpr size_t kJc = 16;
 
 #if defined(TCSS_KERNELS_USE_AVX2)
@@ -72,75 +74,120 @@ inline __m256i TailMask(size_t lanes) {
       _mm256_setr_epi64x(0, 1, 2, 3));
 }
 
-/// Lanes in the last vector of a `w`-wide row (w >= 1).
-inline size_t TailLanes(size_t w) { return ((w - 1) & 3) + 1; }
-
-/// GemmTile1 (R = 1) / GemmTile2 (R = 2) for a tile narrower than kJc:
-/// NV vectors per output row, the last one holding the lanes in `tail`.
-/// Each lane takes the full-width body's chain: a multiply then an add
-/// per k, in ascending k.
-template <int R, int NV>
-inline void GemmTileNarrow(const double* a0, const double* a1, size_t stride,
-                           const double* bp, size_t bstride, double* o0,
-                           double* o1, size_t kc, size_t kc_end,
-                           __m256i tail) {
+/// GemmTile on AVX2: R rows of NV vectors; with kMask the last vector
+/// holds only the lanes in `tail`, so a whole number of vectors (a full
+/// 16-wide tile among them) runs unmasked. Each lane takes the scalar
+/// chain: a multiply, then an add, per k in ascending k.
+template <int R, int NV, bool kMask>
+inline void GemmTileAvx2(const double* a0, const double* a1, size_t stride,
+                         const double* bp, size_t bstride, double* o0,
+                         double* o1, size_t kc, size_t kc_end,
+                         __m256i tail) {
   double* o[2] = {o0, o1};
   const double* pa[2] = {a0 + kc * stride, a1 + kc * stride};
+  auto load = [tail](const double* p, int v) {
+    return kMask && v == NV - 1 ? _mm256_maskload_pd(p + 4 * v, tail)
+                                : _mm256_loadu_pd(p + 4 * v);
+  };
   __m256d acc[R][NV];
   for (int r = 0; r < R; ++r) {
-    for (int v = 0; v + 1 < NV; ++v) acc[r][v] = _mm256_loadu_pd(o[r] + 4 * v);
-    acc[r][NV - 1] = _mm256_maskload_pd(o[r] + 4 * (NV - 1), tail);
+    for (int v = 0; v < NV; ++v) acc[r][v] = load(o[r], v);
   }
-  for (size_t k = kc; k < kc_end; ++k) {
-    const double* brow = bp + (k - kc) * bstride;
-    __m256d bv[NV];
-    for (int v = 0; v + 1 < NV; ++v) bv[v] = _mm256_loadu_pd(brow + 4 * v);
-    bv[NV - 1] = _mm256_maskload_pd(brow + 4 * (NV - 1), tail);
+  // One k step: row r adds pa[r][off] times the b row at brow. Each row
+  // loads its own unmasked b vectors: a single-use load folds
+  // into the multiply as a memory operand (one fused uop instead of a
+  // load plus a mul), which is what the 4-wide front end rations; the
+  // loads hit L1 and the load ports are otherwise idle. A masked load
+  // cannot fold, so both rows share it.
+  auto step = [&](const double* brow, size_t off) {
+    const __m256d last = load(brow, NV - 1);
     for (int r = 0; r < R; ++r) {
-      const __m256d av = _mm256_broadcast_sd(pa[r]);
-      pa[r] += stride;
+      const __m256d av = _mm256_broadcast_sd(pa[r] + off);
       for (int v = 0; v < NV; ++v) {
-        acc[r][v] = _mm256_add_pd(acc[r][v], _mm256_mul_pd(av, bv[v]));
+        const __m256d bv = kMask && v == NV - 1
+                               ? last
+                               : _mm256_loadu_pd(brow + 4 * v);
+        acc[r][v] = _mm256_add_pd(acc[r][v], _mm256_mul_pd(av, bv));
       }
     }
+  };
+  // Two k steps per trip amortize the loop control (the body is front-end
+  // bound, not port bound); every accumulator still takes k before k + 1.
+  size_t k = kc;
+  for (; k + 2 <= kc_end; k += 2) {
+    const double* brow = bp + (k - kc) * bstride;
+    // The first row sweep per (kc, j0) tile streams the b tile from L2
+    // faster than this vCPU's hardware prefetcher pulls it; fetch ~16
+    // rows ahead by hand. A prefetch never changes architectural state,
+    // so past-the-end addresses are harmless.
+    _mm_prefetch(reinterpret_cast<const char*>(brow) + 2048, _MM_HINT_T0);
+    step(brow, 0);
+    step(brow + bstride, stride);
+    for (int r = 0; r < R; ++r) pa[r] += 2 * stride;
   }
+  if (k < kc_end) step(bp + (k - kc) * bstride, 0);
   for (int r = 0; r < R; ++r) {
-    for (int v = 0; v + 1 < NV; ++v) _mm256_storeu_pd(o[r] + 4 * v, acc[r][v]);
-    _mm256_maskstore_pd(o[r] + 4 * (NV - 1), tail, acc[r][NV - 1]);
-  }
-}
-
-/// GemmTileNarrow for a runtime width jw in [1, kJc).
-template <int R>
-inline void GemmTileNarrowAny(const double* a0, const double* a1,
-                              size_t stride, const double* bp, size_t bstride,
-                              double* o0, double* o1, size_t kc, size_t kc_end,
-                              size_t jw) {
-  const __m256i tail = TailMask(TailLanes(jw));
-  switch ((jw + 3) / 4) {
-    case 1:
-      GemmTileNarrow<R, 1>(a0, a1, stride, bp, bstride, o0, o1, kc, kc_end,
-                           tail);
-      break;
-    case 2:
-      GemmTileNarrow<R, 2>(a0, a1, stride, bp, bstride, o0, o1, kc, kc_end,
-                           tail);
-      break;
-    case 3:
-      GemmTileNarrow<R, 3>(a0, a1, stride, bp, bstride, o0, o1, kc, kc_end,
-                           tail);
-      break;
-    default:
-      GemmTileNarrow<R, 4>(a0, a1, stride, bp, bstride, o0, o1, kc, kc_end,
-                           tail);
-      break;
+    for (int v = 0; v < NV; ++v) {
+      if (kMask && v == NV - 1) {
+        _mm256_maskstore_pd(o[r] + 4 * v, tail, acc[r][v]);
+      } else {
+        _mm256_storeu_pd(o[r] + 4 * v, acc[r][v]);
+      }
+    }
   }
 }
 #endif
 
+/// One (R x jw) output tile, R in {1, 2} and 1 <= jw <= kJc, accumulated
+/// over [kc, kc_end): row r (a_r, o_r; R = 1 ignores a1 and o1) adds
+/// a_r[k * stride] * bp[(k - kc) * bstride + t] into o_r[t]. `stride` is
+/// how far a row of a advances per k; bp row 0 is k = kc. Contributions
+/// are sequential adds in ascending k, the chain of a naive dot product.
+template <int R>
+inline void GemmTile(const double* a0, const double* a1, size_t stride,
+                     const double* bp, size_t bstride, double* o0,
+                     double* o1, size_t kc, size_t kc_end, size_t jw) {
+#if defined(TCSS_KERNELS_USE_AVX2)
+  const __m256i tail = TailMask(((jw - 1) & 3) + 1);
+  const bool mask = (jw & 3) != 0;
+  switch ((jw + 3) / 4) {
+#define TCSS_GEMM_CASE(NV)                                                 \
+  case NV:                                                                 \
+    return mask ? GemmTileAvx2<R, NV, true>(a0, a1, stride, bp, bstride,   \
+                                            o0, o1, kc, kc_end, tail)      \
+                : GemmTileAvx2<R, NV, false>(a0, a1, stride, bp, bstride,  \
+                                             o0, o1, kc, kc_end, tail);
+    TCSS_GEMM_CASE(1) TCSS_GEMM_CASE(2) TCSS_GEMM_CASE(3) TCSS_GEMM_CASE(4)
+#undef TCSS_GEMM_CASE
+  }
+#else
+  double* o[2] = {o0, o1};
+  const double* pa[2] = {a0 + kc * stride, a1 + kc * stride};
+  double acc[R][kJc];
+  for (int r = 0; r < R; ++r) {
+    for (size_t t = 0; t < jw; ++t) acc[r][t] = o[r][t];
+  }
+  for (size_t k = kc; k < kc_end; ++k) {
+    double av[R];
+    for (int r = 0; r < R; ++r) {
+      av[r] = *pa[r];
+      pa[r] += stride;
+    }
+    const double* __restrict brow = bp + (k - kc) * bstride;
+    TCSS_SIMD_LOOP
+    for (size_t t = 0; t < jw; ++t) {
+      for (int r = 0; r < R; ++r) acc[r][t] += av[r] * brow[t];
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (size_t t = 0; t < jw; ++t) o[r][t] = acc[r][t];
+  }
+#endif
+}
+
 /// Packs the (kc_end - kc) x jw sub-panel of b at column j0 into `bp`
 /// with a fixed kJc row stride. The packed copy is contiguous (<= 8 KB),
-/// so the tile bodies' k-loop loads can never alias in L1 — with a
+/// so the tile's k-loop loads can never alias in L1 — with a
 /// power-of-two n (e.g. 512) the unpacked rows sit exactly 4 KB apart
 /// and all map to one L1 set, turning every load into a miss. Packing is
 /// pure data movement: the values the chains consume are bit-identical.
@@ -153,296 +200,44 @@ inline void PackBPanel(const double* b, size_t n, size_t kc, size_t kc_end,
   }
 }
 
-/// One (2 x jw) output tile, jw <= kJc, accumulated over [kc, kc_end).
-/// `stride` is the distance a_row advances per k (1 for gemm's row-major
-/// a; a_cols for the transposed products, where consecutive k are
-/// consecutive rows of a). `bp` is the b panel (bstride row stride, row
-/// 0 = k of kc). Contributions are sequential adds in ascending k — the
-/// same chain as a naive dot product.
-inline void GemmTile2(const double* __restrict a0, const double* __restrict a1,
-                      size_t stride, const double* __restrict bp,
-                      size_t bstride, double* __restrict o0,
-                      double* __restrict o1, size_t kc, size_t kc_end,
-                      size_t jw) {
-#if defined(TCSS_KERNELS_USE_AVX2)
-  if (jw < kJc) {
-    GemmTileNarrowAny<2>(a0, a1, stride, bp, bstride, o0, o1, kc, kc_end, jw);
-    return;
-  }
-  __m256d acc00 = _mm256_loadu_pd(o0 + 0);
-  __m256d acc01 = _mm256_loadu_pd(o0 + 4);
-  __m256d acc02 = _mm256_loadu_pd(o0 + 8);
-  __m256d acc03 = _mm256_loadu_pd(o0 + 12);
-  __m256d acc10 = _mm256_loadu_pd(o1 + 0);
-  __m256d acc11 = _mm256_loadu_pd(o1 + 4);
-  __m256d acc12 = _mm256_loadu_pd(o1 + 8);
-  __m256d acc13 = _mm256_loadu_pd(o1 + 12);
-  const double* pa0 = a0 + kc * stride;
-  const double* pa1 = a1 + kc * stride;
-  // The loop body is front-end bound (~25 uops against 4/cycle decode),
-  // not port bound, so process two k steps per trip to amortize the loop
-  // control and issue one prefetch per pair. Each k step is the same
-  // sequential statement block as before — every accumulator still takes
-  // its k and k+1 contributions in ascending order, so the chains (and
-  // the bits) are unchanged.
-  size_t k = kc;
-  for (; k + 2 <= kc_end; k += 2) {
-    const double* brow = bp + (k - kc) * bstride;
-    // The first row sweep per (kc, j0) tile still streams the packed
-    // tile from L2, and this vCPU's hardware prefetcher does not keep
-    // up; pull it ~16 rows ahead by hand. Prefetch never changes
-    // architectural state — past-the-end addresses are harmless.
-    _mm_prefetch(reinterpret_cast<const char*>(brow) + 2048, _MM_HINT_T0);
-    const __m256d av0 = _mm256_broadcast_sd(pa0);
-    const __m256d av1 = _mm256_broadcast_sd(pa1);
-    // Each b row element is loaded once per use rather than once per
-    // pair of uses: a single-use load folds into the multiply as a
-    // memory operand (one fused uop instead of a load plus a mul),
-    // which is what the 4-wide front end actually rations. The loads
-    // all hit L1 and the load ports are otherwise idle. Same addresses,
-    // same values, same chains — the bits cannot change.
-    acc00 = _mm256_add_pd(acc00,
-                          _mm256_mul_pd(av0, _mm256_loadu_pd(brow + 0)));
-    acc01 = _mm256_add_pd(acc01,
-                          _mm256_mul_pd(av0, _mm256_loadu_pd(brow + 4)));
-    acc02 = _mm256_add_pd(acc02,
-                          _mm256_mul_pd(av0, _mm256_loadu_pd(brow + 8)));
-    acc03 = _mm256_add_pd(acc03,
-                          _mm256_mul_pd(av0, _mm256_loadu_pd(brow + 12)));
-    acc10 = _mm256_add_pd(acc10,
-                          _mm256_mul_pd(av1, _mm256_loadu_pd(brow + 0)));
-    acc11 = _mm256_add_pd(acc11,
-                          _mm256_mul_pd(av1, _mm256_loadu_pd(brow + 4)));
-    acc12 = _mm256_add_pd(acc12,
-                          _mm256_mul_pd(av1, _mm256_loadu_pd(brow + 8)));
-    acc13 = _mm256_add_pd(acc13,
-                          _mm256_mul_pd(av1, _mm256_loadu_pd(brow + 12)));
-    const __m256d aw0 = _mm256_broadcast_sd(pa0 + stride);
-    const __m256d aw1 = _mm256_broadcast_sd(pa1 + stride);
-    const double* crow = brow + bstride;
-    acc00 = _mm256_add_pd(acc00,
-                          _mm256_mul_pd(aw0, _mm256_loadu_pd(crow + 0)));
-    acc01 = _mm256_add_pd(acc01,
-                          _mm256_mul_pd(aw0, _mm256_loadu_pd(crow + 4)));
-    acc02 = _mm256_add_pd(acc02,
-                          _mm256_mul_pd(aw0, _mm256_loadu_pd(crow + 8)));
-    acc03 = _mm256_add_pd(acc03,
-                          _mm256_mul_pd(aw0, _mm256_loadu_pd(crow + 12)));
-    acc10 = _mm256_add_pd(acc10,
-                          _mm256_mul_pd(aw1, _mm256_loadu_pd(crow + 0)));
-    acc11 = _mm256_add_pd(acc11,
-                          _mm256_mul_pd(aw1, _mm256_loadu_pd(crow + 4)));
-    acc12 = _mm256_add_pd(acc12,
-                          _mm256_mul_pd(aw1, _mm256_loadu_pd(crow + 8)));
-    acc13 = _mm256_add_pd(acc13,
-                          _mm256_mul_pd(aw1, _mm256_loadu_pd(crow + 12)));
-    pa0 += 2 * stride;
-    pa1 += 2 * stride;
-  }
-  for (; k < kc_end; ++k) {
-    const __m256d av0 = _mm256_broadcast_sd(pa0);
-    const __m256d av1 = _mm256_broadcast_sd(pa1);
-    pa0 += stride;
-    pa1 += stride;
-    const double* brow = bp + (k - kc) * bstride;
-    acc00 = _mm256_add_pd(acc00,
-                          _mm256_mul_pd(av0, _mm256_loadu_pd(brow + 0)));
-    acc01 = _mm256_add_pd(acc01,
-                          _mm256_mul_pd(av0, _mm256_loadu_pd(brow + 4)));
-    acc02 = _mm256_add_pd(acc02,
-                          _mm256_mul_pd(av0, _mm256_loadu_pd(brow + 8)));
-    acc03 = _mm256_add_pd(acc03,
-                          _mm256_mul_pd(av0, _mm256_loadu_pd(brow + 12)));
-    acc10 = _mm256_add_pd(acc10,
-                          _mm256_mul_pd(av1, _mm256_loadu_pd(brow + 0)));
-    acc11 = _mm256_add_pd(acc11,
-                          _mm256_mul_pd(av1, _mm256_loadu_pd(brow + 4)));
-    acc12 = _mm256_add_pd(acc12,
-                          _mm256_mul_pd(av1, _mm256_loadu_pd(brow + 8)));
-    acc13 = _mm256_add_pd(acc13,
-                          _mm256_mul_pd(av1, _mm256_loadu_pd(brow + 12)));
-  }
-  _mm256_storeu_pd(o0 + 0, acc00);
-  _mm256_storeu_pd(o0 + 4, acc01);
-  _mm256_storeu_pd(o0 + 8, acc02);
-  _mm256_storeu_pd(o0 + 12, acc03);
-  _mm256_storeu_pd(o1 + 0, acc10);
-  _mm256_storeu_pd(o1 + 4, acc11);
-  _mm256_storeu_pd(o1 + 8, acc12);
-  _mm256_storeu_pd(o1 + 12, acc13);
-#else
-  double acc0[kJc], acc1[kJc];
-  for (size_t t = 0; t < jw; ++t) {
-    acc0[t] = o0[t];
-    acc1[t] = o1[t];
-  }
-  const double* pa0 = a0 + kc * stride;
-  const double* pa1 = a1 + kc * stride;
-  for (size_t k = kc; k < kc_end; ++k) {
-    const double av0 = *pa0;
-    const double av1 = *pa1;
-    pa0 += stride;
-    pa1 += stride;
-    const double* __restrict brow = bp + (k - kc) * bstride;
-    TCSS_SIMD_LOOP
-    for (size_t t = 0; t < jw; ++t) {
-      acc0[t] += av0 * brow[t];
-      acc1[t] += av1 * brow[t];
-    }
-  }
-  for (size_t t = 0; t < jw; ++t) {
-    o0[t] = acc0[t];
-    o1[t] = acc1[t];
-  }
-#endif
-}
-
-/// Single-row variant of GemmTile2, with a runtime tile width for the
-/// ragged right edge (jw <= kJc).
-inline void GemmTile1(const double* __restrict a0, size_t stride,
-                      const double* __restrict bp, size_t bstride,
-                      double* __restrict o0, size_t kc, size_t kc_end,
-                      size_t jw) {
-#if defined(TCSS_KERNELS_USE_AVX2)
-  if (jw == kJc) {
-    __m256d acc0 = _mm256_loadu_pd(o0 + 0);
-    __m256d acc1 = _mm256_loadu_pd(o0 + 4);
-    __m256d acc2 = _mm256_loadu_pd(o0 + 8);
-    __m256d acc3 = _mm256_loadu_pd(o0 + 12);
-    const double* pa0 = a0 + kc * stride;
-    // Two k steps per trip, same rationale (and same chain order) as
-    // GemmTile2.
-    size_t k = kc;
-    for (; k + 2 <= kc_end; k += 2) {
-      const double* brow = bp + (k - kc) * bstride;
-      _mm_prefetch(reinterpret_cast<const char*>(brow) + 2048, _MM_HINT_T0);
-      const __m256d av0 = _mm256_broadcast_sd(pa0);
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(av0, _mm256_loadu_pd(brow)));
-      acc1 =
-          _mm256_add_pd(acc1, _mm256_mul_pd(av0, _mm256_loadu_pd(brow + 4)));
-      acc2 =
-          _mm256_add_pd(acc2, _mm256_mul_pd(av0, _mm256_loadu_pd(brow + 8)));
-      acc3 =
-          _mm256_add_pd(acc3, _mm256_mul_pd(av0, _mm256_loadu_pd(brow + 12)));
-      const __m256d av1 = _mm256_broadcast_sd(pa0 + stride);
-      const double* crow = brow + bstride;
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(av1, _mm256_loadu_pd(crow)));
-      acc1 =
-          _mm256_add_pd(acc1, _mm256_mul_pd(av1, _mm256_loadu_pd(crow + 4)));
-      acc2 =
-          _mm256_add_pd(acc2, _mm256_mul_pd(av1, _mm256_loadu_pd(crow + 8)));
-      acc3 =
-          _mm256_add_pd(acc3, _mm256_mul_pd(av1, _mm256_loadu_pd(crow + 12)));
-      pa0 += 2 * stride;
-    }
-    for (; k < kc_end; ++k) {
-      const __m256d av0 = _mm256_broadcast_sd(pa0);
-      pa0 += stride;
-      const double* brow = bp + (k - kc) * bstride;
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(av0, _mm256_loadu_pd(brow)));
-      acc1 =
-          _mm256_add_pd(acc1, _mm256_mul_pd(av0, _mm256_loadu_pd(brow + 4)));
-      acc2 =
-          _mm256_add_pd(acc2, _mm256_mul_pd(av0, _mm256_loadu_pd(brow + 8)));
-      acc3 =
-          _mm256_add_pd(acc3, _mm256_mul_pd(av0, _mm256_loadu_pd(brow + 12)));
-    }
-    _mm256_storeu_pd(o0 + 0, acc0);
-    _mm256_storeu_pd(o0 + 4, acc1);
-    _mm256_storeu_pd(o0 + 8, acc2);
-    _mm256_storeu_pd(o0 + 12, acc3);
-    return;
-  }
-  GemmTileNarrowAny<1>(a0, a0, stride, bp, bstride, o0, o0, kc, kc_end, jw);
-  return;
-#endif
-  double acc0[kJc];
-  for (size_t t = 0; t < jw; ++t) acc0[t] = o0[t];
-  const double* pa0 = a0 + kc * stride;
-  for (size_t k = kc; k < kc_end; ++k) {
-    const double av0 = *pa0;
-    pa0 += stride;
-    const double* __restrict brow = bp + (k - kc) * bstride;
-    TCSS_SIMD_LOOP
-    for (size_t t = 0; t < jw; ++t) acc0[t] += av0 * brow[t];
-  }
-  for (size_t t = 0; t < jw; ++t) o0[t] = acc0[t];
-}
-
-void GemmRows(const double* a, const double* b, double* out, size_t i_begin,
-              size_t i_end, size_t kk, size_t n) {
-  // Loop order: kc -> j0 -> i, with the whole kKc x n b panel packed per
-  // kc tile. With j0 outer, the 8 KB packed tile for one column block
-  // stays L1-resident across the entire i sweep — the dominant stream
-  // becomes the a block (kKc columns of a, re-read once per j0 tile from
-  // L2) instead of the full packed panel being re-streamed per row pair,
+void GemmRows(const double* a, size_t a_row, size_t a_k, const double* b,
+              double* out, size_t i_begin, size_t i_end, size_t kk,
+              size_t n) {
+  // Loop order: kc -> j0 -> i. A b wider than one tile is packed per kc
+  // tile, kJc columns per block; with j0 outer, the 8 KB packed block
+  // stays L1-resident across the entire i sweep, and the dominant stream
+  // becomes the a block (kKc columns of a, re-read once per j0 tile)
+  // instead of the full packed panel being re-streamed per row pair,
   // which is n/kJc times more traffic. (Blocking i to bound the a
   // re-reads was tried and measured slower: it cuts the b tile's
-  // L1-resident reuse from the full row sweep to one block's worth,
-  // and that reuse is worth more than the sequential a stream costs.)
-  // Per-element accumulation order is untouched — i/j0 only enumerate
-  // independent outputs.
+  // L1-resident reuse from the full row sweep to one block's worth.) A b
+  // at most one tile wide is read in place: its rows sit <= 128 bytes
+  // apart, so nothing aliases in L1, and the tall-skinny products skip a
+  // copy of b per output-row shard. Per-element accumulation order is
+  // untouched — i/j0 only enumerate independent outputs.
+  const bool packed = n > kJc;
   const size_t ntiles = (n + kJc - 1) / kJc;
-  std::vector<double> bp_all(ntiles * kKc * kJc);
-  for (size_t kc = 0; kc < kk; kc += kKc) {
-    const size_t kc_end = kc + kKc < kk ? kc + kKc : kk;
-    for (size_t jt = 0; jt < ntiles; ++jt) {
-      const size_t j0 = jt * kJc;
-      const size_t jw = n - j0 < kJc ? n - j0 : kJc;
-      PackBPanel(b, n, kc, kc_end, j0, jw, &bp_all[jt * kKc * kJc]);
-    }
-    for (size_t jt = 0; jt < ntiles; ++jt) {
-      const size_t j0 = jt * kJc;
-      const size_t jw = n - j0 < kJc ? n - j0 : kJc;
-      const double* bp = &bp_all[jt * kKc * kJc];
-      size_t i = i_begin;
-      for (; i + 2 <= i_end; i += 2) {
-        GemmTile2(a + i * kk, a + (i + 1) * kk, 1, bp, kJc, out + i * n + j0,
-                  out + (i + 1) * n + j0, kc, kc_end, jw);
-      }
-      for (; i < i_end; ++i) {
-        GemmTile1(a + i * kk, 1, bp, kJc, out + i * n + j0, kc, kc_end, jw);
-      }
-    }
-  }
-}
-
-void GemmTRows(const double* a, const double* b, double* out, size_t i_begin,
-               size_t i_end, size_t rows, size_t a_cols, size_t b_cols) {
-  // Same kc -> j0 -> i order as GemmRows; here a is walked down columns
-  // (stride a_cols), so the a block re-read per j0 tile is a strided
-  // stream, but it is still kKc * b_cols doubles per tile — far less
-  // than re-streaming the whole packed panel per column pair. A b at
-  // most one tile wide is read in place, like GramUpper's operand: its
-  // rows sit <= 128 bytes apart, so nothing aliases in L1, and the
-  // tall-skinny products (subspace iteration's q^T A q) skip a copy of
-  // all of b per output-row shard.
-  const bool packed = b_cols > kJc;
-  const size_t ntiles = (b_cols + kJc - 1) / kJc;
   std::vector<double> bp_all(packed ? ntiles * kKc * kJc : 0);
-  for (size_t kc = 0; kc < rows; kc += kKc) {
-    const size_t kc_end = kc + kKc < rows ? kc + kKc : rows;
-    if (packed) {
-      for (size_t jt = 0; jt < ntiles; ++jt) {
-        const size_t j0 = jt * kJc;
-        const size_t jw = b_cols - j0 < kJc ? b_cols - j0 : kJc;
-        PackBPanel(b, b_cols, kc, kc_end, j0, jw, &bp_all[jt * kKc * kJc]);
-      }
+  for (size_t kc = 0; kc < kk; kc += kKc) {
+    const size_t kc_end = std::min(kc + kKc, kk);
+    for (size_t jt = 0; packed && jt < ntiles; ++jt) {
+      const size_t j0 = jt * kJc;
+      PackBPanel(b, n, kc, kc_end, j0, std::min(kJc, n - j0),
+                 &bp_all[jt * kKc * kJc]);
     }
     for (size_t jt = 0; jt < ntiles; ++jt) {
       const size_t j0 = jt * kJc;
-      const size_t jw = b_cols - j0 < kJc ? b_cols - j0 : kJc;
-      const double* bp = packed ? &bp_all[jt * kKc * kJc] : b + kc * b_cols;
-      const size_t bstride = packed ? kJc : b_cols;
+      const size_t jw = std::min(kJc, n - j0);
+      const double* bp = packed ? &bp_all[jt * kKc * kJc] : b + kc * n;
+      const size_t bstride = packed ? kJc : n;
       size_t i = i_begin;
       for (; i + 2 <= i_end; i += 2) {
-        GemmTile2(a + i, a + i + 1, a_cols, bp, bstride,
-                  out + i * b_cols + j0, out + (i + 1) * b_cols + j0, kc,
-                  kc_end, jw);
+        GemmTile<2>(a + i * a_row, a + (i + 1) * a_row, a_k, bp, bstride,
+                    out + i * n + j0, out + (i + 1) * n + j0, kc, kc_end, jw);
       }
-      for (; i < i_end; ++i) {
-        GemmTile1(a + i, a_cols, bp, bstride, out + i * b_cols + j0, kc,
-                  kc_end, jw);
+      if (i < i_end) {
+        GemmTile<1>(a + i * a_row, a + i * a_row, a_k, bp, bstride,
+                    out + i * n + j0, out + i * n + j0, kc, kc_end, jw);
       }
     }
   }
@@ -455,12 +250,12 @@ void GramUpper(const double* a, double* out, size_t i_begin, size_t i_end,
   // stride is a few hundred bytes, never a power-of-two page) and stays
   // L1-hot across the whole i loop — the tiles read it in place.
   for (size_t kc = 0; kc < rows; kc += kKc) {
-    const size_t kc_end = kc + kKc < rows ? kc + kKc : rows;
+    const size_t kc_end = std::min(kc + kKc, rows);
     for (size_t i = i_begin; i < i_end; ++i) {
       for (size_t j0 = i; j0 < cols; j0 += kJc) {
-        const size_t jw = cols - j0 < kJc ? cols - j0 : kJc;
-        GemmTile1(a + i, cols, a + kc * cols + j0, cols,
-                  out + i * cols + j0, kc, kc_end, jw);
+        GemmTile<1>(a + i, a + i, cols, a + kc * cols + j0, cols,
+                    out + i * cols + j0, out + i * cols + j0, kc, kc_end,
+                    std::min(kJc, cols - j0));
       }
     }
   }
@@ -1229,12 +1024,12 @@ void PanelScores(const float* panel, size_t groups, const float* q, size_t r,
 }  // namespace
 
 const KernelTable kTable = {
-    TCSS_KERNEL_NAME,      GemmRows,
-    GemmTRows,             GramUpper,
-    CsfRewrittenEntries,   GramBlockApply,
-    HausdorffPredict,      HausdorffSoftminValue,
-    HausdorffSoftminGrad,  HausdorffScatter,
-    HausdorffDistances,    PanelScores,
+    TCSS_KERNEL_NAME,     GemmRows,
+    GramUpper,            CsfRewrittenEntries,
+    GramBlockApply,       HausdorffPredict,
+    HausdorffSoftminValue, HausdorffSoftminGrad,
+    HausdorffScatter,     HausdorffDistances,
+    PanelScores,
 };
 
 }  // namespace TCSS_KERNEL_NS

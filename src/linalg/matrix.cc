@@ -92,11 +92,6 @@ std::vector<double> Matrix::Column(size_t j) const {
   return v;
 }
 
-void Matrix::SetColumn(size_t j, const std::vector<double>& v) {
-  TCSS_CHECK(v.size() == rows_);
-  for (size_t i = 0; i < rows_; ++i) (*this)(i, j) = v[i];
-}
-
 std::string Matrix::ToString(size_t max_rows, size_t max_cols) const {
   std::ostringstream os;
   os << "Matrix(" << rows_ << "x" << cols_ << ")";
@@ -118,20 +113,21 @@ std::string Matrix::ToString(size_t max_rows, size_t max_cols) const {
 Matrix MatMul(const Matrix& a, const Matrix& b) {
   TCSS_CHECK(a.cols() == b.rows()) << "MatMul shape mismatch";
   Matrix out(a.rows(), b.cols());
-  // Dispatched micro-kernel (kernels_impl.h): i-k-j order with k-tiling
-  // and 4-way register blocking. Every out(i,j) accumulates in ascending
-  // k regardless of sharding or kernel build, so all paths are
-  // bit-identical to the serial reference loop.
+  // Dispatched panel loop (kernels_impl.h), a read along its rows: k
+  // tiles of 64, with a tile of up to 2 rows x 16 columns in registers.
+  // Every out(i,j) accumulates in ascending k regardless of sharding or
+  // kernel build, so all paths are bit-identical to the serial reference
+  // loop.
   const KernelTable& kern = ActiveKernels();
   if (a.rows() * a.cols() * b.cols() >= kParallelFlopThreshold) {
     ParallelFor(a.rows(), RowGrain(a.rows()),
                 [&](size_t begin, size_t end, size_t) {
-                  kern.gemm_rows(a.data(), b.data(), out.data(), begin, end,
-                                 a.cols(), b.cols());
+                  kern.gemm_rows(a.data(), a.cols(), 1, b.data(), out.data(),
+                                 begin, end, a.cols(), b.cols());
                 });
   } else {
-    kern.gemm_rows(a.data(), b.data(), out.data(), 0, a.rows(), a.cols(),
-                   b.cols());
+    kern.gemm_rows(a.data(), a.cols(), 1, b.data(), out.data(), 0, a.rows(),
+                   a.cols(), b.cols());
   }
   return out;
 }
@@ -139,21 +135,22 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
 Matrix MatTMul(const Matrix& a, const Matrix& b) {
   TCSS_CHECK(a.rows() == b.rows()) << "MatTMul shape mismatch";
   Matrix out(a.cols(), b.cols());
-  // out(i,j) = sum_k a(k,i) b(k,j): i indexes output rows, so sharding
-  // over i is exact; k runs in ascending order for every element in all
-  // kernel builds, matching a k-outer serial loop bit for bit. Shards
-  // hold whole pairs of output rows: every shard streams all of b, and the
-  // kernel's two-row tile reads each b row once for both of its rows.
+  // out(i,j) = sum_k a(k,i) b(k,j): MatMul's panel loop with a read down
+  // its columns. i indexes output rows, so sharding over i is exact; k
+  // runs in ascending order for every element in all kernel builds,
+  // matching a k-outer serial loop bit for bit. Shards hold whole pairs of
+  // output rows: every shard streams all of b, and the kernel's two-row
+  // tile reads each b row once for both of its rows.
   const KernelTable& kern = ActiveKernels();
   if (a.rows() * a.cols() * b.cols() >= kParallelFlopThreshold) {
     ParallelFor(a.cols(), (RowGrain(a.cols()) + 1) / 2 * 2,
                 [&](size_t begin, size_t end, size_t) {
-                  kern.gemmt_rows(a.data(), b.data(), out.data(), begin, end,
-                                  a.rows(), a.cols(), b.cols());
+                  kern.gemm_rows(a.data(), 1, a.cols(), b.data(), out.data(),
+                                 begin, end, a.rows(), b.cols());
                 });
   } else {
-    kern.gemmt_rows(a.data(), b.data(), out.data(), 0, a.cols(), a.rows(),
-                    a.cols(), b.cols());
+    kern.gemm_rows(a.data(), 1, a.cols(), b.data(), out.data(), 0, a.cols(),
+                   a.rows(), b.cols());
   }
   return out;
 }

@@ -60,7 +60,6 @@ class Matrix {
 
   /// Extracts column j as a vector.
   std::vector<double> Column(size_t j) const;
-  void SetColumn(size_t j, const std::vector<double>& v);
 
   /// Debug string, truncated for large matrices.
   std::string ToString(size_t max_rows = 8, size_t max_cols = 8) const;

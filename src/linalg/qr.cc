@@ -9,22 +9,7 @@
 namespace tcss {
 namespace {
 
-// Dot product of columns p and q of a.
-double ColDot(const Matrix& a, size_t p, size_t q) {
-  double s = 0.0;
-  for (size_t i = 0; i < a.rows(); ++i) s += a(i, p) * a(i, q);
-  return s;
-}
-
-void ColAxpy(Matrix* a, size_t dst, size_t src, double alpha) {
-  for (size_t i = 0; i < a->rows(); ++i) (*a)(i, dst) += alpha * (*a)(i, src);
-}
-
-void ColScale(Matrix* a, size_t j, double alpha) {
-  for (size_t i = 0; i < a->rows(); ++i) (*a)(i, j) *= alpha;
-}
-
-// The same steps on contiguous columns (rows of a transposed copy).
+// Dot product and axpy of contiguous columns (rows of a transposed copy).
 double Dot(const double* x, const double* y, size_t m) {
   double s = 0.0;
   for (size_t i = 0; i < m; ++i) s += x[i] * y[i];
@@ -128,6 +113,14 @@ Status Orthonormalize(Matrix* a, Rng* rng) {
   // product and update is the left-looking loop's, bit for bit; so are
   // the retry's rng draws, which happen in column order.
   Matrix t = a->Transposed();
+  // A column is dead when projection leaves it zero or shorter than
+  // kRankTol * min(1, its norm before projection): absolute for columns
+  // of norm >= 1, relative below, so a small operator's block (norms
+  // near 1e-13) is not mistaken for a null space.
+  std::vector<double> tol(n);
+  for (size_t j = 0; j < n; ++j) {
+    tol[j] = kRankTol * std::min(1.0, std::sqrt(Dot(t.row(j), t.row(j), m)));
+  }
   // proj[l]: dot of column l with the last finished column (pass 0).
   std::vector<double> proj(n, 0.0);
   for (size_t j = 0; j < n; ++j) {
@@ -143,7 +136,7 @@ Status Orthonormalize(Matrix* a, Rng* rng) {
     }
     double norm = std::sqrt(AxpyDot(cj, src, alpha, cj, m));
     int retries = 0;
-    while (norm < kRankTol) {
+    while (norm < tol[j] || norm == 0.0) {
       if (rng == nullptr || ++retries > 8) {
         return Status::FailedPrecondition(
             StrFormat("Orthonormalize: column %zu is rank deficient", j));
@@ -166,39 +159,6 @@ Status Orthonormalize(Matrix* a, Rng* rng) {
   }
   for (size_t i = 0; i < m; ++i)
     for (size_t j = 0; j < n; ++j) (*a)(i, j) = t(j, i);
-  return Status::OK();
-}
-
-Status ThinQr(const Matrix& a, Matrix* q, Matrix* r) {
-  const size_t m = a.rows();
-  const size_t n = a.cols();
-  if (m < n) {
-    return Status::InvalidArgument(
-        StrFormat("ThinQr: need rows >= cols, got %zux%zu", m, n));
-  }
-  *q = a;
-  r->Resize(n, n);
-  constexpr double kRankTol = 1e-12;
-  for (size_t j = 0; j < n; ++j) {
-    for (size_t p = 0; p < j; ++p) {
-      double proj = ColDot(*q, p, j);
-      (*r)(p, j) += proj;
-      if (proj != 0.0) ColAxpy(q, j, p, -proj);
-    }
-    // Re-orthogonalization pass; accumulate corrections into R.
-    for (size_t p = 0; p < j; ++p) {
-      double proj = ColDot(*q, p, j);
-      (*r)(p, j) += proj;
-      if (proj != 0.0) ColAxpy(q, j, p, -proj);
-    }
-    double norm = std::sqrt(ColDot(*q, j, j));
-    if (norm < kRankTol) {
-      return Status::FailedPrecondition(
-          StrFormat("ThinQr: matrix is rank deficient at column %zu", j));
-    }
-    (*r)(j, j) = norm;
-    ColScale(q, j, 1.0 / norm);
-  }
   return Status::OK();
 }
 

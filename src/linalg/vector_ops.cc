@@ -15,28 +15,11 @@ double Dot(const std::vector<double>& a, const std::vector<double>& b) {
 
 double Norm2(const std::vector<double>& v) { return std::sqrt(Dot(v, v)); }
 
-void Axpy(double alpha, const std::vector<double>& x, std::vector<double>* y) {
-  TCSS_CHECK(x.size() == y->size());
-  for (size_t i = 0; i < x.size(); ++i) (*y)[i] += alpha * x[i];
-}
-
 void AddAndZero(double* y, double* x, size_t n, double alpha) {
   for (size_t i = 0; i < n; ++i) {
     y[i] += alpha * x[i];
     x[i] = 0.0;
   }
-}
-
-void ScaleVec(double alpha, std::vector<double>* v) {
-  for (double& x : *v) x *= alpha;
-}
-
-double Normalize(std::vector<double>* v) {
-  double n = Norm2(*v);
-  if (n > 0.0) {
-    ScaleVec(1.0 / n, v);
-  }
-  return n;
 }
 
 double CosineSimilarity(const std::vector<double>& a,
@@ -45,14 +28,6 @@ double CosineSimilarity(const std::vector<double>& a,
   double nb = Norm2(b);
   if (na == 0.0 || nb == 0.0) return 0.0;
   return Dot(a, b) / (na * nb);
-}
-
-std::vector<double> HadamardVec(const std::vector<double>& a,
-                                const std::vector<double>& b) {
-  TCSS_CHECK(a.size() == b.size());
-  std::vector<double> c(a.size());
-  for (size_t i = 0; i < a.size(); ++i) c[i] = a[i] * b[i];
-  return c;
 }
 
 void AdamUpdate(double* value, const double* grad, double* m, double* v,

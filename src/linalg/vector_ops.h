@@ -13,28 +13,14 @@ double Dot(const std::vector<double>& a, const std::vector<double>& b);
 /// Euclidean norm.
 double Norm2(const std::vector<double>& v);
 
-/// y += alpha * x.
-void Axpy(double alpha, const std::vector<double>& x, std::vector<double>* y);
-
 /// y[i] += alpha * x[i], then x[i] = +0.0, for i < n in one pass: the merge
 /// of a ParallelReduce shard buffer (common/thread_pool.h) into its output,
 /// which leaves the buffer ready for the next shard.
 void AddAndZero(double* y, double* x, size_t n, double alpha = 1.0);
 
-/// v *= alpha.
-void ScaleVec(double alpha, std::vector<double>* v);
-
-/// Normalizes v to unit Euclidean norm. Returns the original norm
-/// (0 if v was the zero vector, in which case v is left unchanged).
-double Normalize(std::vector<double>* v);
-
 /// Cosine similarity in [-1, 1]; returns 0 if either vector is zero.
 double CosineSimilarity(const std::vector<double>& a,
                         const std::vector<double>& b);
-
-/// Elementwise product c = a ⊙ b.
-std::vector<double> HadamardVec(const std::vector<double>& a,
-                                const std::vector<double>& b);
 
 /// One Adam step (Kingma & Ba; β1 = 0.9, β2 = 0.999, ε = 1e-8) of the n
 /// parameters `value` on gradient `grad`, with moments m and v, at step

@@ -151,11 +151,15 @@ TEST(KernelEquivalenceTest, DenseKernelsBitIdenticalScalarVsNative) {
   // The tall-skinny ones (many rows, 1-17 columns) are subspace
   // iteration's q^T A q and A q W and the L2 head's rank-r products:
   // every width below, at and just past one 16-column tile, so the
-  // masked partial-width tiles meet a tall input.
+  // masked partial-width tiles meet a tall input. n = 16, 32 and 48 end
+  // in an exactly 16-wide tile, the unmasked instance, with odd row
+  // counts so the one-row tile runs too; 300 x 130 x 14 reads its
+  // unpacked b across three k tiles.
   const size_t shapes[][3] = {
       {1, 1, 1},      {3, 5, 7},      {64, 64, 64},   {65, 67, 33},
       {200, 130, 17}, {1000, 14, 14}, {777, 10, 10},  {513, 13, 1},
-      {640, 15, 17},  {301, 17, 13},  {1200, 1, 14},  {901, 14, 15}};
+      {640, 15, 17},  {301, 17, 13},  {1200, 1, 14},  {901, 14, 15},
+      {161, 71, 16},  {99, 33, 32},   {67, 129, 48},  {300, 130, 14}};
   for (const auto& s : shapes) {
     const Matrix a = Matrix::GaussianRandom(s[0], s[1], &rng);
     const Matrix b = Matrix::GaussianRandom(s[1], s[2], &rng);

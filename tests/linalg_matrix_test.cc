@@ -95,30 +95,22 @@ TEST(MatrixTest, Norms) {
   EXPECT_DOUBLE_EQ(a.MaxAbs(), 4.0);
 }
 
-TEST(MatrixTest, ColumnRoundTrip) {
+TEST(MatrixTest, Column) {
   Rng rng(4);
   Matrix a = Matrix::GaussianRandom(6, 3, &rng);
   auto col = a.Column(1);
-  Matrix b(6, 3);
-  b.SetColumn(1, col);
-  for (size_t i = 0; i < 6; ++i) EXPECT_DOUBLE_EQ(b(i, 1), a(i, 1));
+  ASSERT_EQ(col.size(), 6u);
+  for (size_t i = 0; i < 6; ++i) EXPECT_EQ(col[i], a(i, 1));
 }
 
-TEST(VectorOpsTest, DotNormAxpy) {
+TEST(VectorOpsTest, DotAndNorm) {
   std::vector<double> a = {1, 2, 3};
   std::vector<double> b = {4, 5, 6};
   EXPECT_DOUBLE_EQ(Dot(a, b), 32);
   EXPECT_DOUBLE_EQ(Norm2({3, 4}), 5);
-  Axpy(2.0, a, &b);
-  EXPECT_DOUBLE_EQ(b[2], 12);
 }
 
-TEST(VectorOpsTest, NormalizeAndCosine) {
-  std::vector<double> v = {3, 4};
-  EXPECT_DOUBLE_EQ(Normalize(&v), 5.0);
-  EXPECT_NEAR(Norm2(v), 1.0, 1e-15);
-  std::vector<double> zero = {0, 0};
-  EXPECT_DOUBLE_EQ(Normalize(&zero), 0.0);
+TEST(VectorOpsTest, Cosine) {
   EXPECT_DOUBLE_EQ(CosineSimilarity({1, 0}, {0, 1}), 0.0);
   EXPECT_NEAR(CosineSimilarity({1, 2}, {2, 4}), 1.0, 1e-12);
   EXPECT_NEAR(CosineSimilarity({1, 2}, {-1, -2}), -1.0, 1e-12);

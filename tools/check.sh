@@ -16,7 +16,13 @@
 #      floats and pair list from both tables) and
 #      HausdorffKernelTest.DistanceBlockSweepMatchesHaversineBitwise
 #      (over 1M pairs through HausdorffDistanceBlock, bitwise
-#      float(HaversineKm), poles, antimeridian and antipodes included).
+#      float(HaversineKm), poles, antimeridian and antipodes included),
+#      and the one gemm tile and panel loop:
+#      KernelEquivalenceTest.DenseKernelsBitIdenticalScalarVsNative, whose
+#      shapes include n = 16, 32 and 48 for MatMul and MatTMul (a last
+#      tile exactly 16 wide, the unmasked instance; odd row counts, so
+#      the one-row tile runs too) and 300 x 130 x 14 (an unpacked b read
+#      across k tiles).
 #      The full run includes the Chebyshev-filtered eigensolver's gates:
 #      SubspaceIterationTest.ReportsIterationsPerformedAndConvergence
 #      (the count is the operator applications run, exactly the cap when
@@ -25,6 +31,9 @@
 #      SubspaceIterationTest.FullRankEqualsDim (a block spanning the
 #      space is exact after one application),
 #      SubspaceIterationTest.NullSpaceInTheBlockTakesPowerSteps,
+#      SubspaceIterationTest.SmallOperatorKeepsItsBlock (that null-space
+#      case scaled by 1 ... 1e-16: Orthonormalize's rank test is relative
+#      below norm 1),
 #      GramEigenTest.SubspaceIterationResolvesGapsTheShiftDwarfs (a
 #      shifted zero-diagonal Gram against JacobiEigen on the
 #      materialized matrix) and
