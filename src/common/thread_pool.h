@@ -134,6 +134,9 @@ class ShardScratch {
   /// Number of buffers held.
   size_t size() const { return buffers_.size(); }
 
+  /// The buffers held (tests check that they are clear between calls).
+  const std::vector<Buffer>& buffers() const { return buffers_; }
+
   /// Holds exactly `count` buffers, making missing ones with make_buffer()
   /// (which returns them zeroed) and freeing the rest.
   template <typename MakeBuffer>
@@ -151,7 +154,9 @@ class ShardScratch {
 /// The one place that merges per-shard buffers. Splits [0, n) as
 /// ParallelFor(n, grain) does; body(begin, end, shard, buf) handles one
 /// shard, accumulating into *buf (null when `out` is: value only) and
-/// returning the shard's value.
+/// returning the shard's value. `buf` is an Out* on the direct path and a
+/// Buffer* otherwise; the two types differ where a shard buffer carries
+/// more than the output (a record of the rows it wrote).
 ///
 ///  * One shard runs straight into `out` and its value is returned as is,
 ///    unless `buffer_one_shard` (a merge that scales what it adds must see
@@ -166,8 +171,9 @@ class ShardScratch {
 ///
 /// Every rounding decision depends on (n, grain) only, so the result is
 /// bit-identical at any thread count.
-template <typename Buffer, typename MakeBuffer, typename Body, typename Merge>
-auto ParallelReduce(size_t n, size_t grain, Buffer* out,
+template <typename Out, typename Buffer, typename MakeBuffer, typename Body,
+          typename Merge>
+auto ParallelReduce(size_t n, size_t grain, Out* out,
                     ShardScratch<Buffer>* scratch,
                     const MakeBuffer& make_buffer, const Body& body,
                     const Merge& merge, bool buffer_one_shard = false) {

@@ -1,6 +1,8 @@
 #ifndef TCSS_CORE_FACTOR_MODEL_H_
 #define TCSS_CORE_FACTOR_MODEL_H_
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "common/logging.h"
@@ -89,6 +91,62 @@ inline FactorGrads ShardGrads(const FactorModel& m, bool with_u1) {
   g.h.assign(m.h.size(), 0.0);
   return g;
 }
+
+/// The shard buffer of a ParallelReduce site whose shards each write a few
+/// rows of U1 and U2 (the L2 head's entry loop, the Hausdorff minibatch):
+/// ShardGrads' blocks plus one bit per U1 and U2 row. A shard marks every
+/// row it writes; MergeInto adds and zeroes only the marked rows, U3 and h
+/// whole, and clears the marks. It leaves `out` as a full merge would: an
+/// unmarked row holds +0.0, and out + +0.0 == out unless out is -0.0,
+/// which a gradient that starts at +0.0 and is only added into never is.
+struct ShardRowGrads : FactorGrads {
+  std::vector<uint64_t> u1_rows, u2_rows;  ///< bit i: row i was written
+
+  ShardRowGrads() = default;
+  ShardRowGrads(const FactorModel& m, bool with_u1)
+      : FactorGrads(ShardGrads(m, with_u1)),
+        u1_rows(RowBits(u1.rows())),
+        u2_rows(RowBits(u2.rows())) {}
+
+  void MarkU1(size_t i) { u1_rows[i >> 6] |= uint64_t{1} << (i & 63); }
+  void MarkU2(size_t j) { u2_rows[j >> 6] |= uint64_t{1} << (j & 63); }
+
+  /// *out += *this on the marked rows and all of U3 and h, leaving this
+  /// buffer all +0.0 and unmarked.
+  void MergeInto(FactorGrads* out) {
+    MergeRows(&u1_rows, &u1, &out->u1);
+    MergeRows(&u2_rows, &u2, &out->u2);
+    tcss::AddAndZero(out->u3.data(), u3.data(), u3.size());
+    tcss::AddAndZero(out->h.data(), h.data(), h.size());
+  }
+
+ private:
+  /// Zeroed bits for `rows` rows, with a spare 64-byte line after them
+  /// (as ShardGrads' U3 and h): shards mark their own words only.
+  static std::vector<uint64_t> RowBits(size_t rows) {
+    std::vector<uint64_t> bits;
+    bits.reserve((rows + 63) / 64 + 8);
+    bits.assign((rows + 63) / 64, 0);
+    return bits;
+  }
+
+  /// Adds and zeroes each run of marked rows with one call.
+  static void MergeRows(std::vector<uint64_t>* bits, Matrix* part,
+                        Matrix* out) {
+    for (size_t w = 0; w < bits->size(); ++w) {
+      uint64_t word = (*bits)[w];
+      while (word != 0) {
+        const int lo = std::countr_zero(word);
+        const int len = std::countr_one(word >> lo);
+        const size_t row = w * 64 + static_cast<size_t>(lo);
+        tcss::AddAndZero(out->row(row), part->row(row),
+                         static_cast<size_t>(len) * part->cols());
+        word = lo + len == 64 ? 0 : word & (~uint64_t{0} << (lo + len));
+      }
+      (*bits)[w] = 0;
+    }
+  }
+};
 
 }  // namespace tcss
 

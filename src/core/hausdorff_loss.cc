@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -28,7 +29,6 @@ struct UserScratch {
   std::vector<uint8_t> gate;    ///< lanes * K, 1 = prediction unclamped
   std::vector<double> work;     ///< hausdorff_predict scratch, 4 (r + K)
   std::vector<double> s_alpha;  ///< soft-min sums, nn
-  std::vector<double> s_pow;    ///< S^(1/alpha - 1), nn
   std::vector<double> coef;     ///< e_b / nn, nn
   std::vector<double> dl_dp;    ///< d(d_WH)/dp, lanes
   std::vector<float> dist;      ///< on-the-fly distance block, ns * nn
@@ -41,7 +41,6 @@ struct UserScratch {
     Grow(&gate, lanes * K);
     Grow(&work, 4 * (r + K));
     Grow(&s_alpha, nn);
-    Grow(&s_pow, nn);
     Grow(&coef, nn);
     Grow(&dl_dp, lanes);
     if (geometry) {
@@ -344,32 +343,36 @@ double SocialHausdorffLoss::ComputeForUser(const FactorModel& model,
   // --- term 2 -------------------------------------------------------------
   // f_{a,b} = p_a d(a,b) + (1 - p_a) d_max, clamped from below.
   // M_b = ((1/ns) sum_a f^alpha)^(1/alpha);  term2 = (1/nn) sum_b e_b M_b.
+  // With gradients the same sweep adds dM/df_a = S^(1/alpha - 1) *
+  // f^(alpha-1) / ns, weighted by e_b / nn, into dl_dp; its strip of
+  // per-candidate partials sits on the stack up to the default pool (160),
+  // as the distance block's buffers do (DESIGN.md §12.1).
   const double inv_ns = 1.0 / static_cast<double>(ns);
   const double inv_nn = 1.0 / static_cast<double>(nn);
   const bool harmonic = (alpha == -1.0);  // paper default; avoids pow()
-  kernels.hausdorff_softmin_value(p, dist, ns, nn, d_max_, kFloorF, alpha,
-                                  w.s_alpha.data());
+  for (size_t b = 0; b < nn; ++b) w.coef[b] = inv_nn * e_[n_set[b]];
+  double* dl_dp = nullptr;
+  double strip_stack[8 * 160];
+  std::unique_ptr<double[]> strip_heap;
+  double* strip = nullptr;
+  if (grads != nullptr) {
+    dl_dp = w.dl_dp.data();
+    std::fill(dl_dp, dl_dp + HausdorffLanes(ns), 0.0);
+    strip = Buffer(strip_stack, 8 * ns, &strip_heap);
+  }
+  kernels.hausdorff_softmin(p, dist, ns, nn, d_max_, kFloorF, alpha,
+                            w.coef.data(), inv_ns, w.s_alpha.data(), dl_dp,
+                            strip);
   double term2 = 0.0;
   for (size_t b = 0; b < nn; ++b) {
     const double s_alpha = w.s_alpha[b] * inv_ns;
     const double m =
         harmonic ? 1.0 / s_alpha : std::pow(s_alpha, 1.0 / alpha);
-    w.coef[b] = inv_nn * e_[n_set[b]];
     term2 += w.coef[b] * m;
-    if (grads != nullptr) {
-      // dM/df_a = S^(1/alpha - 1) * f^(alpha-1) / ns
-      w.s_pow[b] = harmonic ? 1.0 / (s_alpha * s_alpha)
-                            : std::pow(s_alpha, 1.0 / alpha - 1.0);
-    }
   }
   if (grads == nullptr) return term1 + term2;
 
   // --- d(d_WH)/dp, chained through p -> y -> factors ----------------------
-  double* dl_dp = w.dl_dp.data();
-  std::fill(dl_dp, dl_dp + HausdorffLanes(ns), 0.0);
-  kernels.hausdorff_softmin_grad(p, dist, ns, nn, d_max_, kFloorF, alpha,
-                                 w.s_pow.data(), w.coef.data(), inv_ns,
-                                 dl_dp);
   // term1 gradient: dT1/dp_a = (e_a dmin_a - T1) / denom.
   for (size_t a = 0; a < ns; ++a) {
     dl_dp[a] += (e_[s_set[a]] * dmin[a] - term1) / denom;
@@ -394,20 +397,27 @@ double SocialHausdorffLoss::ComputeWithGrads(const FactorModel& model,
   // Per-user work is independent (ComputeForUser only reads caches), so
   // the batch shards through ParallelReduce; the decomposition depends
   // only on the batch size.
+  // A shard buffer marks the rows its users write, the user's U1 row and
+  // the U2 rows of their pool, and the merge touches only those.
   scratch_.Reshape(
       {model.u1.rows(), model.u2.rows(), model.u3.rows(), model.rank()});
   const double sum = ParallelReduce(
       batch, ReduceGrain(batch, 1), grads, &scratch_,
-      [&] { return ShardGrads(model, /*with_u1=*/true); },
-      [&](size_t begin, size_t end, size_t, FactorGrads* g) {
+      [&] { return ShardRowGrads(model, /*with_u1=*/true); },
+      [&](size_t begin, size_t end, size_t, auto* g) {
         double local = 0.0;
         for (size_t t = begin; t < end; ++t) {
           const uint32_t user = eligible_[(rotation_ + t) % eligible_.size()];
           local += ComputeForUser(model, user, g, grad_scale);
+          if constexpr (std::is_same_v<decltype(g), ShardRowGrads*>) {
+            if (g == nullptr) continue;
+            g->MarkU1(user);
+            for (uint32_t j : pool_[user]) g->MarkU2(j);
+          }
         }
         return local;
       },
-      [](FactorGrads* part, FactorGrads* g) { g->AddAndZero(part); });
+      [](ShardRowGrads* part, FactorGrads* g) { part->MergeInto(g); });
   if (grads != nullptr) {
     static obs::Gauge* const gauge = obs::MetricRegistry::Global()->GetGauge(
         "train.hausdorff.scratch_bytes");

@@ -53,8 +53,10 @@ class SocialHausdorffLoss {
   /// Social Hausdorff distance of a single user (Eq 12); also accumulates
   /// grad_scale * d(d_WH)/d(params) into `grads` when non-null. Returns 0
   /// for users with empty N(v_i) or S(v_i). Runs on the KernelTable's
-  /// Hausdorff kernels (DESIGN.md §12.1); value and gradients are bitwise
-  /// those of proptest::ReferenceHausdorffUser under either table.
+  /// Hausdorff kernels (DESIGN.md §12.1): the value is bitwise that of
+  /// proptest::ReferenceHausdorffUser and the gradients are within 1e-12
+  /// relative of its (the soft-min sweep reassociates dL/dp), both the
+  /// same bytes under either table.
   double ComputeForUser(const FactorModel& model, uint32_t user,
                         FactorGrads* grads, double grad_scale) const;
 
@@ -78,6 +80,9 @@ class SocialHausdorffLoss {
   }
   const std::vector<uint32_t>& friend_pois(uint32_t user) const {
     return friend_pois_[user];
+  }
+  const ShardScratch<ShardRowGrads>& shard_scratch() const {
+    return scratch_;
   }
 
   /// Rotating-minibatch cursor over eligible users. Checkpointed and
@@ -112,8 +117,8 @@ class SocialHausdorffLoss {
 
   // The minibatch's shard buffers: made on the first call with gradients
   // and kept, at most min(shards, threads) of them; the gauge
-  // train.hausdorff.scratch_bytes reports their bytes.
-  ShardScratch<FactorGrads> scratch_;
+  // train.hausdorff.scratch_bytes reports the bytes of their gradients.
+  ShardScratch<ShardRowGrads> scratch_;
 };
 
 /// The |S| x |N| distance block of one user: dist[a * |N| + b] =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
@@ -36,10 +37,11 @@ obs::Gauge* L2ScratchGauge() {
 /// kMaxReduceShards of them, cut on slice boundaries: a pure function of
 /// (nnz, num_slices). dL/dU1 rows are slice rows, disjoint across shards,
 /// so every shard writes grads->u1 in place; only U2, U3 and h go through
-/// the shard buffers of `scratch`.
+/// the shard buffers of `scratch`, whose merge adds the U2 rows of the
+/// shard's fibers only.
 double RewrittenEntryLoss(const SparseTensor& x, const FactorModel& model,
                           double w_pos, double w_neg, FactorGrads* grads,
-                          ShardScratch<FactorGrads>* scratch) {
+                          ShardScratch<ShardRowGrads>* scratch) {
   const size_t r = model.rank();
   const CsfView v = x.csf();
   const KernelTable& kern = ActiveKernels();
@@ -50,8 +52,16 @@ double RewrittenEntryLoss(const SparseTensor& x, const FactorModel& model,
   scratch->Reshape({model.u2.rows(), model.u3.rows(), r, 0});
   const double loss = ParallelReduce(
       v.num_slices, grain, grads, scratch,
-      [&] { return ShardGrads(model, /*with_u1=*/false); },
-      [&](size_t begin, size_t end, size_t, FactorGrads* g) {
+      [&] { return ShardRowGrads(model, /*with_u1=*/false); },
+      [&](size_t begin, size_t end, size_t, auto* g) {
+        if constexpr (std::is_same_v<decltype(g), ShardRowGrads*>) {
+          if (g != nullptr) {
+            for (size_t f = v.slice_start[begin]; f < v.slice_start[end];
+                 ++f) {
+              g->MarkU2(v.fiber_id[f]);
+            }
+          }
+        }
         return kern.csf_rewritten_entries(
             v, model.u1.data(), model.u2.data(), model.u3.data(),
             model.h.data(), r, w_pos, w_neg,
@@ -60,11 +70,7 @@ double RewrittenEntryLoss(const SparseTensor& x, const FactorModel& model,
             g != nullptr ? g->u3.data() : nullptr,
             g != nullptr ? g->h.data() : nullptr, begin, end);
       },
-      [](FactorGrads* part, FactorGrads* g) {
-        AddAndZero(g->u2.data(), part->u2.data(), g->u2.size());
-        AddAndZero(g->u3.data(), part->u3.data(), g->u3.size());
-        AddAndZero(g->h.data(), part->h.data(), g->h.size());
-      });
+      [](ShardRowGrads* part, FactorGrads* g) { part->MergeInto(g); });
   if (grads != nullptr) {
     L2ScratchGauge()->Set(static_cast<double>(
         scratch->size() * (model.u2.size() + model.u3.size() + r) *

@@ -52,7 +52,7 @@ class WholeDataLoss {
 /// Eq 15. Its entry loop walks the CSF tree of `train` (train.csf()),
 /// which must be finalized. The loop's shard buffers are made on the first
 /// call with gradients and kept, at most min(shards, threads) of them; the
-/// gauge train.l2.scratch_bytes reports their bytes.
+/// gauge train.l2.scratch_bytes reports the bytes of their gradients.
 class RewrittenLoss : public WholeDataLoss {
  public:
   RewrittenLoss(double w_pos, double w_neg) : w_pos_(w_pos), w_neg_(w_neg) {}
@@ -60,9 +60,14 @@ class RewrittenLoss : public WholeDataLoss {
   double ComputeWithGrads(const FactorModel& model, const SparseTensor& train,
                           FactorGrads* grads) override;
 
+  /// The entry loop's kept shard buffers (tests).
+  const ShardScratch<ShardRowGrads>& shard_scratch() const {
+    return scratch_;
+  }
+
  private:
   double w_pos_, w_neg_;
-  ShardScratch<FactorGrads> scratch_;
+  ShardScratch<ShardRowGrads> scratch_;
 };
 
 /// Eq 14, literal triple loop (kept for Table IV and equivalence tests).

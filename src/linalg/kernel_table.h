@@ -114,21 +114,23 @@ struct KernelTable {
                             double* p, double* dp_dy, uint8_t* gate,
                             double* work);
 
-  /// Soft-min value pass: s[b] = sum_a f^alpha in ascending a, for
+  /// Soft-min sweep, one pass for the value and dL/dp: for
   ///   f = max(p[a] * dist[a * nn + b] + (1 - p[a]) * d_max, floor),
-  /// f^alpha being 1 / f when alpha == -1 and std::pow otherwise.
-  void (*hausdorff_softmin_value)(const double* p, const float* dist,
-                                  size_t ns, size_t nn, double d_max,
-                                  double floor, double alpha, double* s);
-
-  /// Soft-min gradient pass: dl_dp[a] += coef[b] * (s_pow[b] * f^(alpha-1)
-  /// * inv_ns) * (dist[a * nn + b] - d_max) in ascending b, skipping the
-  /// pairs with f <= floor; f^(alpha-1) is 1 / (f * f) when alpha == -1.
-  void (*hausdorff_softmin_grad)(const double* p, const float* dist,
-                                 size_t ns, size_t nn, double d_max,
-                                 double floor, double alpha,
-                                 const double* s_pow, const double* coef,
-                                 double inv_ns, double* dl_dp);
+  /// s[b] = sum_a f^alpha in ascending a, f^alpha being 1 / f when
+  /// alpha == -1 and std::pow otherwise. When dl_dp != nullptr it also
+  /// adds dL/dp for the soft-min means M_b = (s[b] / ns)^(1/alpha):
+  /// strips of four friend POIs b keep q = f^(alpha-1) * (dist - d_max)
+  /// in `work` (f^(alpha-1) = (1/f) * (1/f) when alpha == -1; q = 0 where
+  /// f <= floor), and once a strip's sums are complete, lane l of
+  /// candidate a gains
+  /// q * (coef[b] * (s_pow * inv_ns)), s_pow = (s[b] * inv_ns)^(1/alpha
+  /// - 1), b = 4 * strip + l, strips ascending. Finally dl_dp[a] +=
+  /// ((l0 + l1) + (l2 + l3)). `work` holds 8 * ns doubles (unread when
+  /// dl_dp is null).
+  void (*hausdorff_softmin)(const double* p, const float* dist, size_t ns,
+                            size_t nn, double d_max, double floor,
+                            double alpha, const double* coef, double inv_ns,
+                            double* s, double* dl_dp, double* work);
 
   /// Factor scatter: for candidates a with dl_dp[a] != 0 and bins k with
   /// gate 1, both ascending, g = grad_scale * dl_dp[a] * dp_dy; a nonzero

@@ -434,12 +434,15 @@ double CsfRewrittenEntries(const CsfView& x, const double* u1,
 // ---------------------------------------------------------------------------
 // Social Hausdorff head, one user per call. Each pass puts independent
 // chains side by side — four candidates per lane group in the prediction
-// block and the gradient pass, four friend POIs in the value pass, four
-// rank components in the scatter — so every chain keeps the scalar
-// reference's order (proptest::ReferenceHausdorffUser). The AVX2 bodies
-// apply the scalar mul/add/sub/div lane-wise and otherwise only convert
-// floats exactly or select whole lanes; _mm256_max_pd(floor, f) returns f
-// whenever f is NaN or not below the floor, exactly as std::max(f, floor).
+// block, four friend POIs in the soft-min sweep, four rank components in
+// the scatter. The prediction block, the soft-min sums and the scatter
+// keep the scalar reference's order (proptest::ReferenceHausdorffUser);
+// the sweep's dL/dp is reassociated (lane partials per friend POI
+// residue, one division per pair) and the same in both builds. The AVX2
+// bodies apply the scalar mul/add/sub/div lane-wise and otherwise only
+// convert floats exactly or select whole lanes; _mm256_max_pd(floor, f)
+// returns f whenever f is NaN or not below the floor, exactly as
+// std::max(f, floor).
 // ---------------------------------------------------------------------------
 
 void HausdorffPredict(const double* hu, const double* u2,
@@ -553,106 +556,144 @@ void HausdorffPredict(const double* hu, const double* u2,
   }
 }
 
-void HausdorffSoftminValue(const double* p, const float* dist, size_t ns,
-                           size_t nn, double d_max, double floor,
-                           double alpha, double* s) {
-  const bool harmonic = alpha == -1.0;
-  size_t b0 = 0;
-#if defined(TCSS_KERNELS_USE_AVX2)
-  if (harmonic) {
-    const __m256d one = _mm256_set1_pd(1.0);
-    const __m256d fl = _mm256_set1_pd(floor);
-    for (; b0 + 4 <= nn; b0 += 4) {
-      __m256d acc = _mm256_setzero_pd();
-      for (size_t a = 0; a < ns; ++a) {
-        const __m256d d = _mm256_cvtps_pd(_mm_loadu_ps(dist + a * nn + b0));
-        const __m256d q = _mm256_set1_pd((1.0 - p[a]) * d_max);
-        const __m256d f = _mm256_max_pd(
-            fl, _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(p[a]), d), q));
-        acc = _mm256_add_pd(acc, _mm256_div_pd(one, f));
-      }
-      _mm256_storeu_pd(s + b0, acc);
+/// HausdorffSoftmin's weights of one strip: w[l] = coef[b] * (s_pow *
+/// inv_ns) for lane l's friend POI b = b0 + l, from its complete sum s[b];
+/// 0 for the lanes past the last friend POI.
+inline void SoftminStripWeights(const double* s, const double* coef,
+                                size_t b0, size_t lanes, double alpha,
+                                double inv_ns, double* w) {
+  for (size_t l = 0; l < 4; ++l) {
+    if (l >= lanes) {
+      w[l] = 0.0;
+      continue;
     }
-  }
-#endif
-  for (size_t b = b0; b < nn; ++b) s[b] = 0.0;
-  for (size_t a = 0; a < ns; ++a) {
-    const float* row = dist + a * nn;
-    const double q = (1.0 - p[a]) * d_max;
-    for (size_t b = b0; b < nn; ++b) {
-      const double f = std::max(p[a] * row[b] + q, floor);
-      s[b] += harmonic ? 1.0 / f : std::pow(f, alpha);
-    }
+    const double s_alpha = s[b0 + l] * inv_ns;
+    const double s_pow = alpha == -1.0
+                             ? 1.0 / (s_alpha * s_alpha)
+                             : std::pow(s_alpha, 1.0 / alpha - 1.0);
+    w[l] = coef[b0 + l] * (s_pow * inv_ns);
   }
 }
 
-void HausdorffSoftminGrad(const double* p, const float* dist, size_t ns,
-                          size_t nn, double d_max, double floor, double alpha,
-                          const double* s_pow, const double* coef,
-                          double inv_ns, double* dl_dp) {
-  const bool harmonic = alpha == -1.0;
-  size_t a0 = 0;
 #if defined(TCSS_KERNELS_USE_AVX2)
-  if (harmonic) {
-    const __m256d one = _mm256_set1_pd(1.0);
-    const __m256d fl = _mm256_set1_pd(floor);
-    const __m256d dmax = _mm256_set1_pd(d_max);
-    const __m256d inv = _mm256_set1_pd(inv_ns);
-    for (; a0 < ns; a0 += 4) {
-      const float* rows[4];
-      for (size_t l = 0; l < 4; ++l) {
-        rows[l] = dist + std::min(a0 + l, ns - 1) * nn;  // pad: repeat last
-      }
-      const __m256d pa = _mm256_loadu_pd(p + a0);
-      const __m256d qa = _mm256_mul_pd(_mm256_sub_pd(one, pa), dmax);
-      __m256d acc = _mm256_loadu_pd(dl_dp + a0);
-      // Adds pair (a0..a0+3, b)'s term, given its four distances; lanes
-      // whose f sits at the floor keep acc as it was, as the scalar skip.
-      auto step = [&](__m128 col, size_t b) {
-        const __m256d d = _mm256_cvtps_pd(col);
-        const __m256d f =
-            _mm256_max_pd(fl, _mm256_add_pd(_mm256_mul_pd(pa, d), qa));
-        const __m256d keep = _mm256_cmp_pd(f, fl, _CMP_NLE_UQ);
-        const __m256d f_pow = _mm256_div_pd(one, _mm256_mul_pd(f, f));
-        const __m256d dm_df = _mm256_mul_pd(
-            _mm256_mul_pd(_mm256_set1_pd(s_pow[b]), f_pow), inv);
-        const __m256d term =
-            _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(coef[b]), dm_df),
-                          _mm256_sub_pd(d, dmax));
-        acc = _mm256_blendv_pd(acc, _mm256_add_pd(acc, term), keep);
-      };
-      size_t b = 0;
-      for (; b + 4 <= nn; b += 4) {
-        __m128 c0 = _mm_loadu_ps(rows[0] + b);
-        __m128 c1 = _mm_loadu_ps(rows[1] + b);
-        __m128 c2 = _mm_loadu_ps(rows[2] + b);
-        __m128 c3 = _mm_loadu_ps(rows[3] + b);
-        _MM_TRANSPOSE4_PS(c0, c1, c2, c3);
-        step(c0, b);
-        step(c1, b + 1);
-        step(c2, b + 2);
-        step(c3, b + 3);
-      }
-      for (; b < nn; ++b) {
-        step(_mm_set_ps(rows[3][b], rows[2][b], rows[1][b], rows[0][b]), b);
-      }
-      _mm256_storeu_pd(dl_dp + a0, acc);
+/// One strip of HausdorffSoftmin at alpha = -1 on AVX2: the four friend
+/// POIs b0.. as lanes, one division per pair. A masked load puts the lanes
+/// past nn at distance 0; their sums are not stored and their weights are
+/// 0. The floor lanes of q are masked to +0.0, as the scalar select.
+template <bool kGrads>
+inline void SoftminStripAvx2(const double* p, const float* dist, size_t ns,
+                             size_t nn, size_t b0, size_t lanes,
+                             double d_max, double floor, double* s,
+                             double* q) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d fl = _mm256_set1_pd(floor);
+  const __m256d dmax = _mm256_set1_pd(d_max);
+  const __m128i tail =
+      _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<int>(lanes)),
+                      _mm_setr_epi32(0, 1, 2, 3));
+  const float* col = dist + b0;
+  const bool ahead = b0 + 16 < nn;
+  __m256d acc = _mm256_setzero_pd();
+  for (size_t a = 0; a < ns; ++a, col += nn) {
+    if (ahead) __builtin_prefetch(col + 16);
+    const __m256d d = _mm256_cvtps_pd(lanes == 4 ? _mm_loadu_ps(col)
+                                                 : _mm_maskload_ps(col, tail));
+    const __m256d q0 = _mm256_set1_pd((1.0 - p[a]) * d_max);
+    const __m256d f = _mm256_max_pd(
+        fl, _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(p[a]), d), q0));
+    const __m256d v = _mm256_div_pd(one, f);
+    acc = _mm256_add_pd(acc, v);
+    if constexpr (kGrads) {
+      const __m256d keep = _mm256_cmp_pd(f, fl, _CMP_NLE_UQ);
+      _mm256_storeu_pd(
+          q + 4 * a,
+          _mm256_and_pd(keep, _mm256_mul_pd(_mm256_mul_pd(v, v),
+                                            _mm256_sub_pd(d, dmax))));
     }
   }
+  double sum[4];
+  _mm256_storeu_pd(sum, acc);
+  for (size_t l = 0; l < lanes; ++l) s[b0 + l] = sum[l];
+}
 #endif
-  for (size_t a = a0; a < ns; ++a) {
-    const float* row = dist + a * nn;
-    const double q = (1.0 - p[a]) * d_max;
-    double acc = dl_dp[a];
-    for (size_t b = 0; b < nn; ++b) {
-      const double f = std::max(p[a] * row[b] + q, floor);
-      if (f <= floor) continue;  // clamped: zero subgradient
-      const double f_pow =
-          harmonic ? 1.0 / (f * f) : std::pow(f, alpha - 1.0);
-      const double dm_df = s_pow[b] * f_pow * inv_ns;
-      acc += coef[b] * dm_df * (row[b] - d_max);
+
+void HausdorffSoftmin(const double* p, const float* dist, size_t ns,
+                      size_t nn, double d_max, double floor, double alpha,
+                      const double* coef, double inv_ns, double* s,
+                      double* dl_dp, double* work) {
+  const bool harmonic = alpha == -1.0;
+  const bool grads = dl_dp != nullptr;
+  double* __restrict q = work;              // ns x 4: the strip's q
+  double* __restrict part = work + 4 * ns;  // ns x 4: lane partials
+  if (grads) std::fill(part, part + 4 * ns, 0.0);
+  // The block comes from L3 at best (the gowalla preset's distance cache
+  // holds 13 MB), and a strip read down the rows is a stride the hardware
+  // prefetcher does not follow (DESIGN.md §12.1): ask for the lines of
+  // every row's first 16 floats now, and in each strip for the line 16
+  // floats (four strips) ahead in the row.
+  const size_t last = std::min<size_t>(15, nn - 1);
+  for (size_t a = 0; nn > 0 && a < ns; ++a) {
+    __builtin_prefetch(dist + a * nn);
+    __builtin_prefetch(dist + a * nn + last);
+  }
+  for (size_t b0 = 0; b0 < nn; b0 += 4) {
+    const size_t lanes = std::min<size_t>(4, nn - b0);
+    const bool ahead = b0 + 16 < nn;
+#if defined(TCSS_KERNELS_USE_AVX2)
+    if (harmonic) {
+      if (grads) {
+        SoftminStripAvx2<true>(p, dist, ns, nn, b0, lanes, d_max, floor, s,
+                               q);
+      } else {
+        SoftminStripAvx2<false>(p, dist, ns, nn, b0, lanes, d_max, floor, s,
+                                nullptr);
+      }
+    } else
+#endif
+    {
+      double acc[4] = {0.0, 0.0, 0.0, 0.0};
+      for (size_t a = 0; a < ns; ++a) {
+        const float* row = dist + a * nn + b0;
+        if (ahead) __builtin_prefetch(row + 16);
+        const double q0 = (1.0 - p[a]) * d_max;
+        for (size_t l = 0; l < 4; ++l) {
+          if (l >= lanes) {
+            if (grads) q[4 * a + l] = 0.0;
+            continue;
+          }
+          const double d = row[l];
+          const double f = std::max(p[a] * d + q0, floor);
+          const double v = harmonic ? 1.0 / f : std::pow(f, alpha);
+          acc[l] += v;
+          if (grads) {
+            const double f_pow = harmonic ? v * v : std::pow(f, alpha - 1.0);
+            q[4 * a + l] = f <= floor ? 0.0 : f_pow * (d - d_max);
+          }
+        }
+      }
+      for (size_t l = 0; l < lanes; ++l) s[b0 + l] = acc[l];
     }
-    dl_dp[a] = acc;
+    if (!grads) continue;
+    double w[4];
+    SoftminStripWeights(s, coef, b0, lanes, alpha, inv_ns, w);
+#if defined(TCSS_KERNELS_USE_AVX2)
+    const __m256d wv = _mm256_loadu_pd(w);
+    for (size_t a = 0; a < ns; ++a) {
+      _mm256_storeu_pd(
+          part + 4 * a,
+          _mm256_add_pd(_mm256_loadu_pd(part + 4 * a),
+                        _mm256_mul_pd(_mm256_loadu_pd(q + 4 * a), wv)));
+    }
+#else
+    for (size_t a = 0; a < ns; ++a) {
+      for (size_t l = 0; l < 4; ++l) part[4 * a + l] += q[4 * a + l] * w[l];
+    }
+#endif
+  }
+  if (!grads) return;
+  for (size_t a = 0; a < ns; ++a) {
+    const double* l = part + 4 * a;
+    dl_dp[a] += (l[0] + l[1]) + (l[2] + l[3]);
   }
 }
 
@@ -1027,9 +1068,8 @@ const KernelTable kTable = {
     TCSS_KERNEL_NAME,     GemmRows,
     GramUpper,            CsfRewrittenEntries,
     GramBlockApply,       HausdorffPredict,
-    HausdorffSoftminValue, HausdorffSoftminGrad,
-    HausdorffScatter,     HausdorffDistances,
-    PanelScores,
+    HausdorffSoftmin,     HausdorffScatter,
+    HausdorffDistances,   PanelScores,
 };
 
 }  // namespace TCSS_KERNEL_NS

@@ -23,6 +23,16 @@ constexpr size_t kParallelFlopThreshold = 1u << 15;
 /// Row grain: at most 32 shards, pure function of the row count.
 size_t RowGrain(size_t rows) { return std::max<size_t>(1, (rows + 31) / 32); }
 
+/// Output-row grain of MatTMul and Gram, whose every shard streams all of
+/// a: one shard per thread, so one thread makes one pass over a. Output
+/// rows are disjoint and each element's chain is the same under any
+/// decomposition, so the grain may follow the thread count (DESIGN.md §6,
+/// class 1).
+size_t ThreadRowGrain(size_t rows) {
+  const size_t threads = static_cast<size_t>(GlobalThreads());
+  return std::max<size_t>(1, (rows + threads - 1) / threads);
+}
+
 }  // namespace
 
 Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
@@ -139,11 +149,11 @@ Matrix MatTMul(const Matrix& a, const Matrix& b) {
   // its columns. i indexes output rows, so sharding over i is exact; k
   // runs in ascending order for every element in all kernel builds,
   // matching a k-outer serial loop bit for bit. Shards hold whole pairs of
-  // output rows: every shard streams all of b, and the kernel's two-row
-  // tile reads each b row once for both of its rows.
+  // output rows: every shard streams all of a and b, and the kernel's
+  // two-row tile reads each b row once for both of its rows.
   const KernelTable& kern = ActiveKernels();
   if (a.rows() * a.cols() * b.cols() >= kParallelFlopThreshold) {
-    ParallelFor(a.cols(), (RowGrain(a.cols()) + 1) / 2 * 2,
+    ParallelFor(a.cols(), (ThreadRowGrain(a.cols()) + 1) / 2 * 2,
                 [&](size_t begin, size_t end, size_t) {
                   kern.gemm_rows(a.data(), 1, a.cols(), b.data(), out.data(),
                                  begin, end, a.rows(), b.cols());
@@ -179,7 +189,7 @@ Matrix Gram(const Matrix& a) {
   Matrix out(a.cols(), a.cols());
   const KernelTable& kern = ActiveKernels();
   if (a.rows() * a.cols() * a.cols() >= kParallelFlopThreshold) {
-    ParallelFor(a.cols(), RowGrain(a.cols()),
+    ParallelFor(a.cols(), ThreadRowGrain(a.cols()),
                 [&](size_t begin, size_t end, size_t) {
                   kern.gram_upper(a.data(), out.data(), begin, end, a.rows(),
                                   a.cols());

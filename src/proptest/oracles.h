@@ -83,10 +83,12 @@ double OracleHausdorffUser(const SocialHausdorffLoss& loss,
 
 /// The scalar ComputeForUser that the blocked Hausdorff kernels replaced,
 /// kept verbatim (member reads turned into the loss's accessors, the
-/// distances always computed on the fly) as the bitwise reference:
-/// SocialHausdorffLoss::ComputeForUser must return the same value and
-/// accumulate the same gradient bytes into `grads` under either kernel
-/// table. One Predict call and one AccumulateEntryGrad call per cell.
+/// distances always computed on the fly) as the reference:
+/// SocialHausdorffLoss::ComputeForUser must return the same value bytes
+/// under either kernel table and accumulate gradients within 1e-12
+/// relative of these (its fused soft-min sweep sums dL/dp in another
+/// order, with one division per pair). One Predict call and one
+/// AccumulateEntryGrad call per cell.
 double ReferenceHausdorffUser(const SocialHausdorffLoss& loss,
                               const Dataset& data, const FactorModel& model,
                               uint32_t user, FactorGrads* grads,

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -23,6 +24,7 @@
 #include "core/checkpoint.h"
 #include "obs/metrics.h"
 #include "core/model_io.h"
+#include "core/spectral_init.h"
 #include "core/trainer.h"
 #include "data/split.h"
 #include "data/synthetic.h"
@@ -520,6 +522,162 @@ TEST(LossDeterminismTest, HausdorffBatchGradsBitIdenticalAcrossThreadCounts) {
           loss.ComputeForUser(model, user, &direct, cfg.lambda * users);
       EXPECT_EQ(ref_val, value * users) << "pool " << pool;
       EXPECT_TRUE(BitIdentical(ref, direct)) << "pool " << pool;
+    }
+  }
+}
+
+/// Whether a kept shard buffer is all +0.0 with no row marked.
+bool IsClear(const ShardRowGrads& g) {
+  auto zero = [](const double* v, size_t n) {
+    return std::all_of(v, v + n, [](double x) {
+      return x == 0.0 && !std::signbit(x);
+    });
+  };
+  auto unmarked = [](const std::vector<uint64_t>& bits) {
+    return std::all_of(bits.begin(), bits.end(),
+                       [](uint64_t w) { return w == 0; });
+  };
+  return zero(g.u1.data(), g.u1.size()) && zero(g.u2.data(), g.u2.size()) &&
+         zero(g.u3.data(), g.u3.size()) && zero(g.h.data(), g.h.size()) &&
+         unmarked(g.u1_rows) && unmarked(g.u2_rows);
+}
+
+template <typename Loss>
+bool ScratchClear(const Loss& loss) {
+  const auto& buffers = loss.shard_scratch().buffers();
+  return std::all_of(buffers.begin(), buffers.end(), IsClear);
+}
+
+/// The L2 entry loop as a full-buffer merge: each shard of the loop's
+/// decomposition runs into a zeroed full-size buffer (dL/dU1 in place),
+/// which is added whole into `grads` in ascending shard order; then the
+/// Gram part, which a call on an empty tensor of the shape adds.
+double FullMergeRewritten(RewrittenLoss* loss, const SparseTensor& x,
+                          const FactorModel& model, const TcssConfig& cfg,
+                          FactorGrads* grads) {
+  const CsfView v = x.csf();
+  const size_t target = std::clamp<size_t>(x.nnz() / 1024, 1, 16);
+  const size_t grain = (v.num_slices + target - 1) / target;
+  double total = 0.0;
+  for (size_t begin = 0; begin < v.num_slices; begin += grain) {
+    FactorGrads part(model);
+    total += ActiveKernels().csf_rewritten_entries(
+        v, model.u1.data(), model.u2.data(), model.u3.data(), model.h.data(),
+        model.rank(), cfg.w_pos, cfg.w_neg, grads->u1.data(),
+        part.u2.data(), part.u3.data(), part.h.data(), begin,
+        std::min(v.num_slices, begin + grain));
+    AddAndZero(grads->u2.data(), part.u2.data(), part.u2.size());
+    AddAndZero(grads->u3.data(), part.u3.data(), part.u3.size());
+    AddAndZero(grads->h.data(), part.h.data(), part.h.size());
+  }
+  SparseTensor empty(x.dim_i(), x.dim_j(), x.dim_k());
+  EXPECT_TRUE(empty.Finalize().ok());
+  return total + loss->ComputeWithGrads(model, empty, grads);
+}
+
+/// The Hausdorff minibatch at rotation `rotation` as a full-buffer merge:
+/// each shard's users run through ComputeForUser into a zeroed full-size
+/// buffer, added whole into `grads` in ascending shard order.
+double FullMergeHead(const SocialHausdorffLoss& loss,
+                     const std::vector<uint32_t>& eligible,
+                     const FactorModel& model, const TcssConfig& cfg,
+                     size_t rotation, FactorGrads* grads) {
+  const size_t batch = cfg.hausdorff_users_per_epoch;
+  const double extrapolate = static_cast<double>(eligible.size()) /
+                             static_cast<double>(batch);
+  const size_t grain = ReduceGrain(batch, 1);
+  double total = 0.0;
+  for (size_t begin = 0; begin < batch; begin += grain) {
+    FactorGrads part(model);
+    double local = 0.0;
+    for (size_t t = begin; t < std::min(batch, begin + grain); ++t) {
+      local += loss.ComputeForUser(
+          model, eligible[(rotation + t) % eligible.size()], &part,
+          cfg.lambda * extrapolate);
+    }
+    total += local;
+    grads->AddAndZero(&part);
+  }
+  return total * extrapolate;
+}
+
+// The L2 entry loop and the Hausdorff minibatch merge only the rows their
+// shards marked (ShardRowGrads). An epoch's gradients, L2 then the head
+// into buffers that start at +0.0 as the trainer's do, must equal the
+// full-buffer merges' byte for byte at any thread count: on a one-hot
+// init (whole rows of exact zeros), at one shard, two shards and the
+// 16-shard cap, over calls whose rotation revisits users. After every
+// call each kept buffer is all +0.0 and unmarked.
+TEST(LossDeterminismTest, TouchedRowMergesMatchFullBufferMerges) {
+  ThreadGuard guard;
+  const World w = MakeWorld();
+  TcssConfig cfg;
+  cfg.init = InitMethod::kOneHot;
+  cfg.hausdorff_pool = 64;
+  cfg.max_friend_pois = 32;
+  const SparseTensor two = RandomTensor(60, 50, 12, 2600, 71);
+  const SparseTensor cap = RandomTensor(400, 300, 12, 40000, 72);
+  ASSERT_GE(two.nnz(), 2048u);
+  ASSERT_LT(two.nnz(), 3072u);
+  ASSERT_GE(cap.nnz(), 16384u);
+  for (const SparseTensor* x : {&w.train, &two, &cap}) {
+    const FactorModel model = InitializeFactors(*x, cfg).MoveValue();
+    RewrittenLoss ref_loss(cfg.w_pos, cfg.w_neg);
+    FactorGrads ref(model);
+    const double ref_val = FullMergeRewritten(&ref_loss, *x, model, cfg, &ref);
+    for (int threads : {1, 2, 3, 8}) {
+      SetGlobalThreads(threads);
+      RewrittenLoss loss(cfg.w_pos, cfg.w_neg);
+      for (int call = 0; call < 2; ++call) {
+        FactorGrads got(model);
+        EXPECT_EQ(ref_val, loss.ComputeWithGrads(model, *x, &got))
+            << x->nnz() << " nnz @" << threads;
+        EXPECT_TRUE(BitIdentical(ref, got))
+            << x->nnz() << " nnz @" << threads << " call " << call;
+        EXPECT_TRUE(ScratchClear(loss)) << x->nnz() << " nnz @" << threads;
+      }
+    }
+  }
+
+  // The head's eligible users, in the order its rotation walks them.
+  const FactorModel model = InitializeFactors(w.train, cfg).MoveValue();
+  std::vector<uint32_t> eligible;
+  {
+    const SocialHausdorffLoss sets(w.data, w.train, cfg);
+    for (uint32_t u = 0; u < w.train.dim_i(); ++u) {
+      if (!sets.candidate_pool(u).empty() && !sets.friend_pois(u).empty()) {
+        eligible.push_back(u);
+      }
+    }
+    ASSERT_EQ(eligible.size(), sets.num_eligible_users());
+  }
+  ASSERT_LT(40u, eligible.size());
+  ASSERT_GT(3 * 40u, eligible.size());  // three calls of 40 revisit users
+  for (size_t batch : {2, 40}) {
+    cfg.hausdorff_users_per_epoch = batch;
+    const SocialHausdorffLoss ref_head(w.data, w.train, cfg);
+    RewrittenLoss ref_l2(cfg.w_pos, cfg.w_neg);
+    for (int threads : {1, 2, 3, 8}) {
+      SetGlobalThreads(threads);
+      RewrittenLoss l2(cfg.w_pos, cfg.w_neg);
+      SocialHausdorffLoss head(w.data, w.train, cfg);
+      for (int call = 0; call < 3; ++call) {
+        const size_t rotation = head.rotation();
+        FactorGrads want(model);
+        const double want_l2 =
+            FullMergeRewritten(&ref_l2, w.train, model, cfg, &want);
+        const double want_head =
+            FullMergeHead(ref_head, eligible, model, cfg, rotation, &want);
+        FactorGrads got(model);
+        EXPECT_EQ(want_l2, l2.ComputeWithGrads(model, w.train, &got));
+        EXPECT_EQ(want_head, head.ComputeWithGrads(model, cfg.lambda, &got))
+            << "batch " << batch << " @" << threads << " call " << call;
+        EXPECT_TRUE(BitIdentical(want, got))
+            << "batch " << batch << " @" << threads << " call " << call;
+        EXPECT_TRUE(ScratchClear(head))
+            << "batch " << batch << " @" << threads << " call " << call;
+        EXPECT_TRUE(ScratchClear(l2));
+      }
     }
   }
 }

@@ -2,9 +2,10 @@
 // bitwise equivalence of the scalar and native kernel builds across
 // thread counts, the CSF MTTKRP across thread counts, the mirrored Gram,
 // the CSF entry kernel of RewrittenLoss (against a per-entry reference),
-// the social Hausdorff kernels (each table entry scalar ==
-// native, ComputeForUser == the scalar reference it replaced, both
-// bitwise), the chord-form distance block (scalar == native, and
+// the social Hausdorff kernels (each table entry scalar == native,
+// bitwise; ComputeForUser against the scalar reference it replaced: the
+// value bitwise, gradients within 1e-12 relative), the chord-form
+// distance block (scalar == native, and
 // HausdorffDistanceBlock == float(HaversineKm) over 1M pairs, both
 // bitwise), the exact top-k scan's f32 panel kernel (scalar == native,
 // bitwise), and spectral init (each column of the block Gram apply ==
@@ -300,9 +301,11 @@ TEST(RewrittenCsfTest, GradsMatchCooEntryLoop) {
 }
 
 // --------------------------------------------------------------------------
-// Social Hausdorff kernels: every KernelTable entry scalar == native, and
-// ComputeForUser == proptest::ReferenceHausdorffUser (the scalar body the
-// kernels replaced), value and all four gradient blocks, bit for bit.
+// Social Hausdorff kernels: every KernelTable entry scalar == native, bit
+// for bit, and ComputeForUser against proptest::ReferenceHausdorffUser (the
+// scalar body the kernels replaced): the value bit for bit, the four
+// gradient blocks within 1e-12 relative (the fused soft-min sweep
+// reassociates dL/dp).
 // --------------------------------------------------------------------------
 
 /// Byte equality: unlike ==, it tells -0.0 from +0.0 and NaN from NaN.
@@ -322,18 +325,27 @@ bool SameBytes(const FactorGrads& a, const FactorGrads& b) {
          SameBytes(a.u3.data(), b.u3.data(), a.u3.size());
 }
 
-/// A small LBSN: 40 POIs around four cities, six users who are all
-/// friends, 30 check-ins each spread over the twelve month bins — enough
-/// distinct POIs that pools of 17 candidates and 17 friend (or own) POIs
-/// fill exactly.
+/// RelMaxDiff over the four blocks.
+double RelMaxDiff(const FactorGrads& a, const FactorGrads& b) {
+  const Matrix ha = Matrix::FromRows({a.h});
+  const Matrix hb = Matrix::FromRows({b.h});
+  return std::max({RelMaxDiff(a.u1, b.u1), RelMaxDiff(a.u2, b.u2),
+                   RelMaxDiff(a.u3, b.u3), RelMaxDiff(ha, hb)});
+}
+
+/// A small LBSN: `pois` POIs around four cities, six users who are all
+/// friends, 30 check-ins each spread over the twelve month bins. At 40
+/// POIs there are enough distinct POIs that pools of 17 candidates and 17
+/// friend (or own) POIs fill exactly; 200 POIs fill a pool past the
+/// default 160.
 struct HausdorffWorld {
   Dataset data;
   SparseTensor train;
 };
 
-HausdorffWorld MakeHausdorffWorld(uint64_t seed) {
+HausdorffWorld MakeHausdorffWorld(uint64_t seed, size_t pois = 40) {
   Rng rng(seed);
-  const size_t users = 6, pois = 40;
+  const size_t users = 6;
   SocialGraph social(users);
   for (uint32_t u = 0; u < users; ++u) {
     for (uint32_t v = u + 1; v < users; ++v) {
@@ -405,94 +417,107 @@ FactorGrads NoisyGrads(const FactorModel& m, uint64_t seed) {
   return g;
 }
 
-TEST(HausdorffKernelTest, ComputeForUserMatchesScalarReferenceBitwise) {
+TEST(HausdorffKernelTest, ComputeForUserMatchesScalarReference) {
   KernelGuard guard;
   const HausdorffWorld w = MakeHausdorffWorld(91);
-  const size_t sizes[] = {1, 3, 5, 17};
+  const HausdorffWorld wide = MakeHausdorffWorld(92, 200);
   // Ranks 1..16 take the register-resident scatter (one to four lanes
-  // groups of r); 17 takes the generic one.
+  // groups of r); 17 takes the generic one. |S| = 170 runs the soft-min
+  // strip from the heap, past ComputeForUser's stack buffer.
   const size_t ranks[] = {1, 3, 4, 10, 13, 16, 17};
   size_t cases = 0, users = 0, floored = 0;
   size_t low = 0, high = 0, interior = 0;
-  for (size_t ns : sizes) {
-    for (size_t nn : sizes) {
-      for (int variant = 0; variant < 8; ++variant) {
-        TcssConfig cfg;
-        cfg.seed = 1000 + cases;
-        cfg.hausdorff_pool = ns;
-        cfg.max_friend_pois = nn;
-        cfg.alpha = (variant & 1) ? -0.5 : -1.0;
-        cfg.use_location_entropy = (variant & 2) != 0;
-        cfg.hausdorff =
-            (variant & 4) ? HausdorffMode::kSelf : HausdorffMode::kSocial;
-        const size_t r = ranks[cases % 7];
-        ++cases;
-        SocialHausdorffLoss loss(w.data, w.train, cfg);
-        FactorModel model = WideModel(w.train, r, cases);
-        // Saturate one POI of user 0 that is in both S and N.
-        for (uint32_t j : loss.friend_pois(0)) {
-          const auto& pool = loss.candidate_pool(0);
-          if (std::find(pool.begin(), pool.end(), j) != pool.end()) {
-            Saturate(&model, 0, j);
-            ++floored;
-            break;
-          }
-        }
-        for (uint32_t u = 0; u < w.data.num_users(); ++u) {
-          ASSERT_EQ(loss.candidate_pool(u).size(), ns);
-          ASSERT_EQ(loss.friend_pois(u).size(), nn) << "user " << u;
-          for (uint32_t j : loss.candidate_pool(u)) {
-            for (uint32_t k = 0; k < 12; ++k) {
-              const double y = model.Predict(u, j, k);
-              low += y <= 0.0;
-              high += y >= 1.0 - kHausdorffCapMargin;
-              interior += y > 0.0 && y < 1.0 - kHausdorffCapMargin;
-            }
-          }
-          const std::string what =
-              StrFormat("|S|=%zu |N|=%zu r=%zu alpha=%g entropy=%d self=%d "
-                        "user=%u",
-                        ns, nn, r, cfg.alpha, cfg.use_location_entropy ? 1 : 0,
-                        (variant & 4) ? 1 : 0, u);
-          const double want_value = proptest::ReferenceHausdorffUser(
-              loss, w.data, model, u, nullptr, 0.0);
-          const FactorGrads start = NoisyGrads(model, cases * 31 + u);
-          FactorGrads want = start;
-          const double want_with_grads = proptest::ReferenceHausdorffUser(
-              loss, w.data, model, u, &want, 0.7);
-          for (SimdMode mode : {SimdMode::kScalar, SimdMode::kNative}) {
-            SetSimdMode(mode);
-            const double got_value =
-                loss.ComputeForUser(model, u, nullptr, 0.0);
-            FactorGrads got = start;
-            const double got_with_grads =
-                loss.ComputeForUser(model, u, &got, 0.7);
-            EXPECT_TRUE(SameBytes(&got_value, &want_value, 1))
-                << what << " " << SimdModeName(mode) << ": " << got_value
-                << " vs " << want_value;
-            EXPECT_TRUE(SameBytes(&got_with_grads, &want_with_grads, 1))
-                << what << " " << SimdModeName(mode);
-            EXPECT_TRUE(SameBytes(got, want))
-                << what << " " << SimdModeName(mode);
-          }
-          ++users;
+  double worst = 0.0;
+  auto check = [&](const HausdorffWorld& world, size_t ns, size_t nn,
+                   int variant) {
+    TcssConfig cfg;
+    cfg.seed = 1000 + cases;
+    cfg.hausdorff_pool = ns;
+    cfg.max_friend_pois = nn;
+    cfg.alpha = (variant & 1) ? -0.5 : -1.0;
+    cfg.use_location_entropy = (variant & 2) != 0;
+    cfg.hausdorff =
+        (variant & 4) ? HausdorffMode::kSelf : HausdorffMode::kSocial;
+    const size_t r = ranks[cases % 7];
+    ++cases;
+    SocialHausdorffLoss loss(world.data, world.train, cfg);
+    FactorModel model = WideModel(world.train, r, cases);
+    // Saturate one POI of user 0 that is in both S and N.
+    for (uint32_t j : loss.friend_pois(0)) {
+      const auto& pool = loss.candidate_pool(0);
+      if (std::find(pool.begin(), pool.end(), j) != pool.end()) {
+        Saturate(&model, 0, j);
+        ++floored;
+        break;
+      }
+    }
+    for (uint32_t u = 0; u < world.data.num_users(); ++u) {
+      ASSERT_EQ(loss.candidate_pool(u).size(), ns);
+      ASSERT_EQ(loss.friend_pois(u).size(), nn) << "user " << u;
+      for (uint32_t j : loss.candidate_pool(u)) {
+        for (uint32_t k = 0; k < 12; ++k) {
+          const double y = model.Predict(u, j, k);
+          low += y <= 0.0;
+          high += y >= 1.0 - kHausdorffCapMargin;
+          interior += y > 0.0 && y < 1.0 - kHausdorffCapMargin;
         }
       }
+      const std::string what = StrFormat(
+          "|S|=%zu |N|=%zu r=%zu alpha=%g entropy=%d self=%d user=%u", ns,
+          nn, r, cfg.alpha, cfg.use_location_entropy ? 1 : 0,
+          (variant & 4) ? 1 : 0, u);
+      const double want_value = proptest::ReferenceHausdorffUser(
+          loss, world.data, model, u, nullptr, 0.0);
+      const FactorGrads start = NoisyGrads(model, cases * 31 + u);
+      FactorGrads want = start;
+      const double want_with_grads = proptest::ReferenceHausdorffUser(
+          loss, world.data, model, u, &want, 0.7);
+      std::vector<FactorGrads> got;
+      for (SimdMode mode : {SimdMode::kScalar, SimdMode::kNative}) {
+        SetSimdMode(mode);
+        const double got_value = loss.ComputeForUser(model, u, nullptr, 0.0);
+        got.push_back(start);
+        const double got_with_grads =
+            loss.ComputeForUser(model, u, &got.back(), 0.7);
+        EXPECT_TRUE(SameBytes(&got_value, &want_value, 1))
+            << what << " " << SimdModeName(mode) << ": " << got_value
+            << " vs " << want_value;
+        EXPECT_TRUE(SameBytes(&got_with_grads, &want_with_grads, 1))
+            << what << " " << SimdModeName(mode);
+        const double err = RelMaxDiff(got.back(), want);
+        worst = std::max(worst, err);
+        EXPECT_LE(err, 1e-12) << what << " " << SimdModeName(mode);
+      }
+      EXPECT_TRUE(SameBytes(got[0], got[1])) << what << " scalar vs native";
+      ++users;
+    }
+  };
+  const size_t sizes[] = {1, 3, 5, 17};
+  for (size_t ns : sizes) {
+    for (size_t nn : sizes) {
+      for (int variant = 0; variant < 8; ++variant) check(w, ns, nn, variant);
+    }
+  }
+  for (size_t nn : {size_t{2}, size_t{17}}) {
+    for (int variant = 0; variant < 8; ++variant) {
+      check(wide, 170, nn, variant);
     }
   }
   EXPECT_EQ(users, cases * w.data.num_users());
-  // Vacuity guards: both clamps, the interior and the soft-min floor ran.
+  // Vacuity guards: both clamps, the interior and the soft-min floor ran,
+  // and the gradients are not all bitwise the reference's.
   EXPECT_GT(low, 0u);
   EXPECT_GT(high, 0u);
   EXPECT_GT(interior, 0u);
   EXPECT_GT(floored, cases / 2);
+  EXPECT_GT(worst, 0.0);
 }
 
 /// Random inputs for one call of each Hausdorff table entry.
 struct HausdorffKernelCase {
   size_t ns, nn, K, r;
   double alpha;
-  std::vector<double> hu, u1, u2, u3, h, s_pow, coef, dl_dp;
+  std::vector<double> hu, u1, u2, u3, h, coef, dl_dp;
   std::vector<uint32_t> pois;
   std::vector<float> dist;
 };
@@ -500,8 +525,9 @@ struct HausdorffKernelCase {
 HausdorffKernelCase MakeKernelCase(uint64_t seed) {
   Rng rng(seed);
   HausdorffKernelCase c;
-  const size_t shapes[] = {1, 2, 3, 4, 5, 7, 16, 17, 33};
-  c.ns = shapes[rng.UniformInt(9)];
+  // Every |N| mod 4; |S| = 163 is past ComputeForUser's stack strip.
+  const size_t shapes[] = {1, 2, 3, 4, 5, 7, 16, 17, 33, 163};
+  c.ns = shapes[rng.UniformInt(10)];
   c.nn = shapes[rng.UniformInt(9)];
   c.K = 1 + rng.UniformInt(13);
   c.r = 1 + rng.UniformInt(20);
@@ -516,7 +542,6 @@ HausdorffKernelCase MakeKernelCase(uint64_t seed) {
   fill(&c.u2, J * c.r, -1.0, 1.0);
   fill(&c.u3, c.K * c.r, -1.0, 1.0);
   fill(&c.h, c.r, 0.5, 1.5);
-  fill(&c.s_pow, c.nn, 0.0, 1e-3);
   fill(&c.coef, c.nn, 0.0, 0.1);
   fill(&c.dl_dp, HausdorffLanes(c.ns), -1.0, 1.0);
   for (size_t a = 0; a < c.ns; ++a) {
@@ -528,11 +553,18 @@ HausdorffKernelCase MakeKernelCase(uint64_t seed) {
   for (float& d : c.dist) d = rng.Bernoulli(0.1) ? 0.0f : rng.Uniform(0, 90);
   if (rng.Bernoulli(0.3)) {
     // Candidate 0 (p = 1 below) at distance 0 from every friend POI: all
-    // its pairs sit on the floor and its -0.0 must come back untouched.
+    // its pairs sit on the floor.
     std::fill(c.dist.begin(), c.dist.begin() + c.nn, 0.0f);
     c.dl_dp[0] = -0.0;
   }
   return c;
+}
+
+/// Whether candidate 0 (p = 1 in RunHausdorffKernels) has a pair on the
+/// soft-min floor.
+bool HasFlooredPair(const HausdorffKernelCase& c) {
+  return std::find(c.dist.begin(), c.dist.begin() + c.nn, 0.0f) !=
+         c.dist.begin() + c.nn;
 }
 
 /// Runs every Hausdorff entry of `kt` on `c` and returns the outputs
@@ -548,14 +580,18 @@ std::string RunHausdorffKernels(const KernelTable& kt,
                        p.data(), dp_dy.data(), gate.data(), work.data());
   // A saturated candidate (p = 1) puts pairs at distance 0 on the floor.
   p[0] = 1.0;
-  std::vector<double> s(c.nn);
-  kt.hausdorff_softmin_value(p.data(), c.dist.data(), c.ns, c.nn, 100.0,
-                             kHausdorffSoftMinFloor, c.alpha, s.data());
+  // The soft-min sweep value only, then with dL/dp: the sums must agree.
+  const double inv_ns = 1.0 / static_cast<double>(c.ns);
+  std::vector<double> s(c.nn), s_grads(c.nn), strip(8 * c.ns);
+  kt.hausdorff_softmin(p.data(), c.dist.data(), c.ns, c.nn, 100.0,
+                       kHausdorffSoftMinFloor, c.alpha, c.coef.data(), inv_ns,
+                       s.data(), nullptr, nullptr);
   std::vector<double> dl_dp = c.dl_dp;
-  kt.hausdorff_softmin_grad(p.data(), c.dist.data(), c.ns, c.nn, 100.0,
-                            kHausdorffSoftMinFloor, c.alpha, c.s_pow.data(),
-                            c.coef.data(), 1.0 / static_cast<double>(c.ns),
-                            dl_dp.data());
+  kt.hausdorff_softmin(p.data(), c.dist.data(), c.ns, c.nn, 100.0,
+                       kHausdorffSoftMinFloor, c.alpha, c.coef.data(), inv_ns,
+                       s_grads.data(), dl_dp.data(), strip.data());
+  EXPECT_TRUE(SameBytes(s.data(), s_grads.data(), c.nn))
+      << kt.name << ": the sums depend on dl_dp";
   std::vector<double> gu1(c.r, 0.25), gu2(c.u2.size(), -0.5),
       gu3(c.u3.size(), 0.125), gh(c.r, -0.0);
   kt.hausdorff_scatter(c.u1.data(), c.u2.data(), c.u3.data(), c.h.data(),
@@ -587,6 +623,21 @@ TEST(HausdorffKernelTest, TableEntriesBitIdenticalScalarVsNative) {
   const size_t kCases = 64;
   std::vector<HausdorffKernelCase> cases;
   for (size_t i = 0; i < kCases; ++i) cases.push_back(MakeKernelCase(500 + i));
+  // Vacuity guards for the soft-min sweep: every |N| mod 4, both alphas, a
+  // floored pair, and |S| past the stack strip.
+  std::vector<size_t> residues(4, 0);
+  size_t harmonic = 0, floored = 0, wide = 0;
+  for (const HausdorffKernelCase& c : cases) {
+    ++residues[c.nn % 4];
+    harmonic += c.alpha == -1.0;
+    floored += HasFlooredPair(c);
+    wide += c.ns > 160;
+  }
+  for (size_t n : residues) EXPECT_GT(n, 0u);
+  EXPECT_GT(harmonic, 0u);
+  EXPECT_LT(harmonic, kCases);
+  EXPECT_GT(floored, 0u);
+  EXPECT_GT(wide, 0u);
   for (int threads : {1, 2, 8}) {
     SetGlobalThreads(threads);
     std::vector<uint8_t> same(kCases, 0);

@@ -22,7 +22,13 @@
 #      shapes include n = 16, 32 and 48 for MatMul and MatTMul (a last
 #      tile exactly 16 wide, the unmasked instance; odd row counts, so
 #      the one-row tile runs too) and 300 x 130 x 14 (an unpacked b read
-#      across k tiles).
+#      across k tiles). The soft-min sweep runs here too:
+#      HausdorffKernelTest.TableEntriesBitIdenticalScalarVsNative (the
+#      fused hausdorff_softmin entry value only and with dL/dp, every
+#      |N| mod 4, alpha -1 and -0.5, a floored pair, |S| past the stack
+#      strip) and HausdorffKernelTest.ComputeForUserMatchesScalarReference
+#      (the value bitwise the oracle's, the four gradient blocks within
+#      1e-12 relative, scalar == native bitwise).
 #      The full run includes the Chebyshev-filtered eigensolver's gates:
 #      SubspaceIterationTest.ReportsIterationsPerformedAndConvergence
 #      (the count is the operator applications run, exactly the cap when
@@ -50,7 +56,10 @@
 #   3. ThreadSanitizer build: configure with TCSS_SANITIZE=thread and run
 #      the determinism + obs + proptest + server + dist suites: determinism
 #      drives the thread pool, every ParallelReduce site (the sharded
-#      losses and MTTKRP), and multi-threaded training end to end; obs
+#      losses and MTTKRP; LossDeterminismTest.TouchedRowMergesMatchFull-
+#      BufferMerges holds the touched-row merges of the L2 entry loop and
+#      the Hausdorff minibatch to full-buffer merges at 1/2/3/8 threads),
+#      and multi-threaded training end to end; obs
 #      hammers the sharded metric registry from many threads; proptest
 #      re-runs the differential-oracle properties, whose kernel
 #      equalities execute at 1/2/8 threads, and the exact
