@@ -11,7 +11,9 @@
 // and simd variants. BM_HausdorffUser times the social Hausdorff head per
 // user (SocialHausdorffLoss::ComputeForUser) on the gowalla preset and at
 // the catalog workload's shape (96 users, past the distance cache), forward
-// only and forward+backward, under each kernel table.
+// only and forward+backward, under each kernel table. BM_RewrittenLoss
+// times the L2 head (RewrittenLoss::ComputeWithGrads, Eq 15) at one thread
+// on the same two train tensors, under each kernel table.
 // BM_GramBlockApply and BM_SubspaceEigen time spectral init's eigensolve
 // at the catalog workload's shape (6000 users x 10000 POIs): one block
 // Gram apply of the r + 4 = 14 iteration vectors, and a whole
@@ -32,6 +34,7 @@
 #include "core/hausdorff_loss.h"
 #include "core/spectral_init.h"
 #include "core/trainer.h"
+#include "core/whole_data_loss.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "data/tensor_builder.h"
@@ -293,6 +296,41 @@ void BM_HausdorffUser(benchmark::State& state) {
   SetSimdMode(SimdMode::kScalar);
 }
 
+// Args: {simd, catalog}. One RewrittenLoss::ComputeWithGrads with
+// gradients (the observed-entry loop over the train tensor's CSF tree, the
+// Gram terms and their products) at rank 10 and one thread, on the gowalla
+// preset's train tensor (catalog = 0) or at the catalog workload's shape
+// (catalog = 1), with the trainer's default weights and Gaussian factors.
+void BM_RewrittenLoss(benchmark::State& state) {
+  const int64_t simd = state.range(0);
+  const bool catalog = state.range(1) != 0;
+  const SparseTensor& x = catalog ? CatalogTensor() : CheckinTensor();
+  SetGlobalThreads(1);
+  SelectSimd(simd);
+  const TcssConfig cfg;
+  Rng rng(7);
+  FactorModel model;
+  model.u1 = Matrix::GaussianRandom(x.dim_i(), cfg.rank, &rng, 0.3);
+  model.u2 = Matrix::GaussianRandom(x.dim_j(), cfg.rank, &rng, 0.3);
+  model.u3 = Matrix::GaussianRandom(x.dim_k(), cfg.rank, &rng, 0.3);
+  model.h.assign(cfg.rank, 1.0);
+  RewrittenLoss loss(cfg.w_pos, cfg.w_neg);
+  FactorGrads grads(model);
+  Stopwatch sw;
+  size_t iters = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(loss.ComputeWithGrads(model, x, &grads));
+    ++iters;
+  }
+  state.counters["nnz"] = static_cast<double>(x.nnz());
+  if (iters > 0) {
+    tcss::bench::AppendBenchJson(
+        "kernel_l2", catalog ? "catalog" : "gowalla-like",
+        std::string("rewritten_loss_grads") + SimdTag(simd) + "_s",
+        sw.ElapsedSeconds() / static_cast<double>(iters));
+  }
+  SetSimdMode(SimdMode::kScalar);
+}
 
 // Args: {mode, simd}. One block apply of the zero-diagonal mode Gram to
 // the n x 14 iterate of spectral init's subspace iteration (rank 10 plus
@@ -442,6 +480,9 @@ BENCHMARK(BM_Gram)
 BENCHMARK(BM_HausdorffUser)
     ->Args({0, 0, 0})->Args({1, 0, 0})->Args({0, 1, 0})->Args({1, 1, 0})
     ->Args({0, 0, 1})->Args({1, 0, 1})->Args({0, 1, 1})->Args({1, 1, 1})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RewrittenLoss)
+    ->Args({0, 0})->Args({1, 0})->Args({0, 1})->Args({1, 1})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GramBlockApply)
     ->Args({0, 0})->Args({1, 0})->Args({0, 1})->Args({1, 1})

@@ -130,57 +130,106 @@ void HausdorffDistanceBlock(const Dataset& data,
   const size_t ns = s_set.size();
   const size_t nn = n_set.size();
   TCSS_CHECK(ns * nn <= UINT32_MAX) << "distance block too large";
-  // The call's unit vectors and pair list sit on the stack up to the
-  // default pool (160) and friend-POI cap (96), larger blocks on the heap.
-  // Heap buffers kept per thread or made per call moved catalog
+  // The call's unit vectors, row maps and pair list sit on the stack up to
+  // the default pool (160) and friend-POI cap (96), larger blocks on the
+  // heap. Heap buffers kept per thread or made per call moved catalog
   // peak_rss_mb by up to 4 MB either way from seed to seed (DESIGN.md
   // §12.1).
   double xyz_stack[3 * (160 + 96)];
+  uint32_t map_stack[160 + 96];
   uint32_t listed_stack[160 * 96];
   std::unique_ptr<double[]> xyz_heap;
-  std::unique_ptr<uint32_t[]> listed_heap;
+  std::unique_ptr<uint32_t[]> map_heap, listed_heap;
   double* const s_xyz = Buffer(xyz_stack, 3 * (ns + nn), &xyz_heap);
   double* const n_xyz = s_xyz + 3 * ns;
+  uint32_t* const first = Buffer(map_stack, ns + nn, &map_heap);
+  uint32_t* const row_of = first + ns;  // N's column -> its row in S
   uint32_t* const listed = Buffer(listed_stack, ns * nn, &listed_heap);
+  constexpr uint32_t kNone = UINT32_MAX;
   for (size_t a = 0; a < ns; ++a) {
     FillUnitVector(data.poi(s_set[a]).location, s_xyz, a, ns);
+    first[a] = 0;
   }
   // The pool holds the friends' POIs, so N's vectors are mostly S's:
-  // copied where a merge of the two ascending lists finds them.
+  // copied where a merge of the two ascending lists finds them. Columns
+  // [0, b0) all have rows, and with them form a symmetric block (DESIGN.md
+  // §12.1): the row of column b starts at min(b + 1, b0), and the pairs
+  // it leaves out are its diagonal and mirrors of pairs the kernel covers.
+  size_t b0 = nn;
   for (size_t a = 0, b = 0; b < nn; ++b) {
     while (a < ns && s_set[a] < n_set[b]) ++a;
     if (a < ns && s_set[a] == n_set[b]) {
       for (size_t c = 0; c < 3; ++c) n_xyz[c * nn + b] = s_xyz[c * ns + a];
+      row_of[b] = static_cast<uint32_t>(a);
+      first[a] = static_cast<uint32_t>(std::min(b + 1, b0));
+      ++a;
     } else {
       FillUnitVector(data.poi(n_set[b]).location, n_xyz, b, nn);
+      row_of[b] = kNone;
+      b0 = std::min(b0, b);
     }
   }
-  const size_t exact = ActiveKernels().hausdorff_distances(
-      s_xyz, ns, n_xyz, nn, 2.0 * kEarthRadiusKm, kChordAbsKm, kChordRel,
-      dist, listed);
-  for (size_t e = 0; e < exact; ++e) {
+  const size_t covered_listed = ActiveKernels().hausdorff_distances(
+      s_xyz, ns, n_xyz, nn, first, 2.0 * kEarthRadiusKm, kChordAbsKm,
+      kChordRel, dist, listed);
+  // HaversineKm for listed[from, to), each pair in its own orientation.
+  auto exact_path = [&](size_t from, size_t to) {
+    for (size_t e = from; e < to; ++e) {
+      const size_t a = listed[e] / nn;
+      const size_t b = listed[e] % nn;
+      dist[listed[e]] = static_cast<float>(HaversineKm(
+          data.poi(s_set[a]).location, data.poi(n_set[b]).location));
+    }
+  };
+  exact_path(0, covered_listed);
+  // Every covered pair is written now: mirror the left-out pairs from it,
+  // write a POI in range against itself as +0.0, and list the rest: the
+  // diagonal of a POI without a unit vector, and the mirror of each listed
+  // pair, which HaversineKm then overwrites.
+  size_t listed_count = covered_listed;
+  for (size_t c = 0; c < nn; ++c) {
+    const uint32_t a = row_of[c];
+    if (a == kNone) continue;
+    float* row = dist + a * nn;
+    for (size_t b = 0; b < std::min(c, b0); ++b) {
+      row[b] = dist[size_t{row_of[b]} * nn + c];
+    }
+    if (c >= b0) continue;  // its own column is covered
+    if (std::isnan(s_xyz[a])) {
+      listed[listed_count++] = static_cast<uint32_t>(a * nn + c);
+    } else {
+      row[c] = 0.0f;
+    }
+  }
+  for (size_t e = 0; e < covered_listed; ++e) {
     const size_t a = listed[e] / nn;
     const size_t b = listed[e] % nn;
-    dist[listed[e]] = static_cast<float>(HaversineKm(
-        data.poi(s_set[a]).location, data.poi(n_set[b]).location));
+    // Only a row that starts one past its own column has mirrors.
+    if (first[a] == 0 || row_of[first[a] - 1] != a || row_of[b] == kNone) {
+      continue;
+    }
+    listed[listed_count++] =
+        static_cast<uint32_t>(row_of[b] * nn + first[a] - 1);
   }
+  exact_path(covered_listed, listed_count);
   // float(min(d_max, min_b d)) == min(float(d_max), min_b float(d)):
-  // rounding is monotone and no distance is -0.0. std::min skips NaN
-  // distances, and the minimum of the rest does not depend on the order,
-  // so four running minima (independent chains) give the same float.
+  // rounding is monotone and no distance is -0.0. A NaN distance never
+  // wins (x < m is false, as in std::min), and the minimum of the rest
+  // does not depend on the order, so eight running minima (independent
+  // chains, which the compiler keeps in two vectors) give the same float.
   const float cap = static_cast<float>(d_max);
   for (size_t a = 0; a < ns; ++a) {
     const float* row = dist + a * nn;
-    float m0 = cap, m1 = cap, m2 = cap, m3 = cap;
+    float m[8];
+    std::fill(m, m + 8, cap);
     size_t b = 0;
-    for (; b + 4 <= nn; b += 4) {
-      m0 = std::min(m0, row[b]);
-      m1 = std::min(m1, row[b + 1]);
-      m2 = std::min(m2, row[b + 2]);
-      m3 = std::min(m3, row[b + 3]);
+    for (; b + 8 <= nn; b += 8) {
+      for (size_t l = 0; l < 8; ++l) {
+        m[l] = row[b + l] < m[l] ? row[b + l] : m[l];
+      }
     }
-    for (; b < nn; ++b) m0 = std::min(m0, row[b]);
-    dmin[a] = std::min(std::min(m0, m1), std::min(m2, m3));
+    for (; b < nn; ++b) m[0] = std::min(m[0], row[b]);
+    dmin[a] = *std::min_element(m, m + 8);
   }
   static obs::Counter* const pairs =
       obs::MetricRegistry::Global()->GetCounter(
@@ -188,7 +237,7 @@ void HausdorffDistanceBlock(const Dataset& data,
   static obs::Counter* const exact_pairs =
       obs::MetricRegistry::Global()->GetCounter("train.hausdorff.exact_pairs");
   pairs->Add(ns * nn);
-  exact_pairs->Add(exact);
+  exact_pairs->Add(listed_count);
 }
 
 SocialHausdorffLoss::SocialHausdorffLoss(const Dataset& data,

@@ -126,11 +126,15 @@ class SocialHausdorffLoss {
 /// min_b HaversineKm(S[a], N[b]))), bit for bit. The KernelTable's
 /// hausdorff_distances computes each pair in chord form from the POIs'
 /// unit vectors and keeps it where a proven margin shows that its float
-/// is HaversineKm's; the pairs it lists are computed by HaversineKm
-/// (DESIGN.md §12.1). The counters train.hausdorff.distance_pairs and
-/// train.hausdorff.exact_pairs count both. The one routine behind both
-/// sides of the distance-cache budget: the cache fill at construction and
-/// the on-the-fly path of ComputeForUser.
+/// is HaversineKm's; the pairs it lists are computed by HaversineKm. A
+/// friend POI that is also a candidate computes only the pairs past its
+/// own column: the pairs before it are mirrors of pairs computed, and a
+/// POI against itself is +0.0 (DESIGN.md §12.1). Of the two counters,
+/// train.hausdorff.distance_pairs counts the pairs the block delivers
+/// (|S| |N| per call) and train.hausdorff.exact_pairs the HaversineKm
+/// calls. The one routine behind both sides of the distance-cache budget:
+/// the cache fill at construction and the on-the-fly path of
+/// ComputeForUser.
 void HausdorffDistanceBlock(const Dataset& data,
                             const std::vector<uint32_t>& s_set,
                             const std::vector<uint32_t>& n_set, double d_max,

@@ -72,10 +72,13 @@ struct KernelTable {
   /// Observed-entry loop of the rewritten loss (Eq 15 positive part)
   /// over slices [s_begin, s_end): returns
   ///   sum (w+ - w-) y^2 - 2 w+ x y + w+ x^2,  y = sum_t h_t a_t b_t c_t
-  /// and, when gu1 != nullptr, accumulates dL/dU1 into gu1 (global,
-  /// slice rows are disjoint across shards), dL/dU2, dL/dU3, dL/dh into
-  /// gu2/gu3/gh (shard buffers, merged by RewrittenLoss through
-  /// ParallelReduce). All g* must be null or non-null together.
+  /// (y summed in ascending t, the terms in entry order) and, when
+  /// gu1 != nullptr, accumulates dL/dU1 into gu1 (global, slice rows are
+  /// disjoint across shards), dL/dU2, dL/dU3, dL/dh into gu2/gu3/gh
+  /// (shard buffers, merged by RewrittenLoss through ParallelReduce): per
+  /// entry (g·hb)·c, (g·ha)·c, g·hab and (g·ab)·c with the fiber's
+  /// products ha = h·a, hb = h·b, hab = (h·a)·b, ab = a·b, each element's
+  /// terms in entry order. All g* must be null or non-null together.
   double (*csf_rewritten_entries)(const CsfView& x, const double* u1,
                                   const double* u2, const double* u3,
                                   const double* h, size_t r, double w_pos,
@@ -145,18 +148,21 @@ struct KernelTable {
                             double* gh);
 
   /// Chord-form distance block (HausdorffDistanceBlock, which derives the
-  /// margin): `s` holds the ns candidates' unit vectors as three arrays
-  /// side by side (x, then y, then z; 3 ns doubles) and `n` the nn friend
-  /// POIs' likewise. For pair (a, b), with (dx, dy, dz) = s_a − n_b,
+  /// margin and mirrors the pairs left out): `s` holds the ns candidates'
+  /// unit vectors as three arrays side by side (x, then y, then z; 3 ns
+  /// doubles) and `n` the nn friend POIs' likewise. Row a covers the
+  /// pairs (a, b) with first[a] <= b < nn. For pair (a, b), with
+  /// (dx, dy, dz) = s_a − n_b,
   ///   s = 0.5 · sqrt((dx·dx + dy·dy) + dz·dz),
   ///   d = two_r · asin(s),  m = m_abs + m_rel · d,
   /// asin being the kernels' own rational core (valid for s < 0.5). Writes
   /// dist[a * nn + b] = float(d) where s < 0.5 and float(d − m) ==
-  /// float(d + m); every other pair's index a * nn + b goes into `exact`
-  /// in ascending order, and the count is returned.
+  /// float(d + m); every other covered pair's index a * nn + b goes into
+  /// `exact` in ascending order, and the count is returned.
   size_t (*hausdorff_distances)(const double* s, size_t ns, const double* n,
-                                size_t nn, double two_r, double m_abs,
-                                double m_rel, float* dist, uint32_t* exact);
+                                size_t nn, const uint32_t* first,
+                                double two_r, double m_abs, double m_rel,
+                                float* dist, uint32_t* exact);
 
   /// Exact top-k scan (serve/recommend_service.cc): f32 scores of
   /// `groups` lane groups of a POI panel, kPanelLanes POIs side by side

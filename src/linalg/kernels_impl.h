@@ -26,9 +26,11 @@
 // two dedicated TUs; do not include it elsewhere.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "linalg/kernel_table.h"
@@ -372,62 +374,222 @@ void GramBlockApply(const uint32_t* row, const double* val,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Lane widths of the register-resident gradient panels (the L2 entry loop
+// and the Hausdorff scatter): four (ymm), two (xmm) and one (scalar)
+// doubles, each applying the scalar mul and add lane-wise. The scalar
+// build's four- and two-lane types are plain arrays with the same ops, so
+// one panel body serves both tables.
+// ---------------------------------------------------------------------------
+
+#if defined(TCSS_KERNELS_USE_AVX2)
+struct Ymm {
+  using V = __m256d;
+  static V Load(const double* p) { return _mm256_loadu_pd(p); }
+  static void Store(double* p, V v) { _mm256_storeu_pd(p, v); }
+  static V Set1(double x) { return _mm256_set1_pd(x); }
+  static V Mul(V x, V y) { return _mm256_mul_pd(x, y); }
+  static V Add(V x, V y) { return _mm256_add_pd(x, y); }
+};
+struct Xmm {
+  using V = __m128d;
+  static V Load(const double* p) { return _mm_loadu_pd(p); }
+  static void Store(double* p, V v) { _mm_storeu_pd(p, v); }
+  static V Set1(double x) { return _mm_set1_pd(x); }
+  static V Mul(V x, V y) { return _mm_mul_pd(x, y); }
+  static V Add(V x, V y) { return _mm_add_pd(x, y); }
+};
+#else
+template <size_t N>
+struct Lanes {
+  struct V {
+    double l[N];
+  };
+  static V Load(const double* p) {
+    V v;
+    for (size_t i = 0; i < N; ++i) v.l[i] = p[i];
+    return v;
+  }
+  static void Store(double* p, V v) {
+    for (size_t i = 0; i < N; ++i) p[i] = v.l[i];
+  }
+  static V Set1(double x) {
+    V v;
+    for (size_t i = 0; i < N; ++i) v.l[i] = x;
+    return v;
+  }
+  static V Mul(V x, V y) {
+    for (size_t i = 0; i < N; ++i) x.l[i] = x.l[i] * y.l[i];
+    return x;
+  }
+  static V Add(V x, V y) {
+    for (size_t i = 0; i < N; ++i) x.l[i] = x.l[i] + y.l[i];
+    return x;
+  }
+};
+using Ymm = Lanes<4>;
+using Xmm = Lanes<2>;
+#endif
+struct Sd {
+  using V = double;
+  static V Load(const double* p) { return *p; }
+  static void Store(double* p, V v) { *p = v; }
+  static V Set1(double x) { return x; }
+  static V Mul(V x, V y) { return x * y; }
+  static V Add(V x, V y) { return x + y; }
+};
+
+/// W lanes of one gradient row held in registers: W / 4 ymm chunks, then
+/// the W % 4 tail as an xmm pair and/or a scalar lane, so no access strays
+/// past a row. Named members, since GCC spills an array of vectors; a
+/// partial sum held in a register has the bits it would have in memory.
+template <size_t W>
+struct PanelRow {
+  static constexpr size_t kVecs = W / 4;
+  Ymm::V v0, v1, v2, v3;
+  Xmm::V x;
+  double s;
+
+  /// Calls f(lanes, t, &a's chunk, &b's chunk) for every chunk, t being
+  /// the chunk's first lane and `lanes` its width type.
+  template <typename F>
+  static void Zip(PanelRow* a, PanelRow* b, F f) {
+    if constexpr (kVecs > 0) f(Ymm{}, 0, &a->v0, &b->v0);
+    if constexpr (kVecs > 1) f(Ymm{}, 4, &a->v1, &b->v1);
+    if constexpr (kVecs > 2) f(Ymm{}, 8, &a->v2, &b->v2);
+    if constexpr (kVecs > 3) f(Ymm{}, 12, &a->v3, &b->v3);
+    if constexpr (W % 4 >= 2) f(Xmm{}, 4 * kVecs, &a->x, &b->x);
+    if constexpr (W % 2 == 1) f(Sd{}, W - 1, &a->s, &b->s);
+  }
+  static PanelRow Load(const double* p) {
+    PanelRow row;
+    Zip(&row, &row, [p](auto lanes, size_t t, auto* v, auto*) {
+      *v = decltype(lanes)::Load(p + t);
+    });
+    return row;
+  }
+  void Store(double* p) {
+    Zip(this, this, [p](auto lanes, size_t t, auto* v, auto*) {
+      decltype(lanes)::Store(p + t, *v);
+    });
+  }
+};
+
+/// The entry loop on the W-lane rank panel at t0: per fiber the panel's
+/// products ha = h*a, hb = h*b, hab = (h*a)*b and ab = a*b sit on the
+/// stack; per entry y is the ascending-t sum over the whole rank (the
+/// panel's hab, and outside it (h*a)*b recomputed: the same product), and
+/// the four updates (g*hb)*c, (g*ha)*c, g*hab and (g*ab)*c go to the
+/// panel's lanes in entry order. The slice's dL/dU1 lanes and dL/dh's stay
+/// in registers. Every panel returns the same loss.
+template <size_t W>
+double CsfEntriesPanel(const CsfView& x, const double* __restrict u1,
+                       const double* __restrict u2,
+                       const double* __restrict u3,
+                       const double* __restrict h, size_t r, size_t t0,
+                       double w_pos, double w_neg, double* __restrict gu1,
+                       double* __restrict gu2, double* __restrict gu3,
+                       double* __restrict gh, size_t s_begin, size_t s_end) {
+  // A slice's fibers reach U2 and its gradient at ascending but scattered
+  // rows, which the hardware prefetcher does not follow: fetch both rows
+  // this many fibers ahead.
+  constexpr size_t kAhead = 8;
+  const bool grads = gu1 != nullptr;
+  double ha[W + 1], hb[W + 1], hab[W + 1], ab[W + 1];  // + 1: W may be 0
+  PanelRow<W> dh{};
+  if (grads) dh = PanelRow<W>::Load(gh + t0);
+  const size_t f_end = x.slice_start[s_end];
+  const size_t last = r == 0 ? 0 : r - 1;  // a row's last element
+  double loss = 0.0;
+  for (size_t s = s_begin; s < s_end; ++s) {
+    const double* a = u1 + size_t{x.slice_id[s]} * r;
+    double* ga_row = grads ? gu1 + size_t{x.slice_id[s]} * r + t0 : nullptr;
+    PanelRow<W> ga{};
+    if (grads) ga = PanelRow<W>::Load(ga_row);
+    for (size_t f = x.slice_start[s]; f < x.slice_start[s + 1]; ++f) {
+      if (f + kAhead < f_end) {
+        const size_t ahead = size_t{x.fiber_id[f + kAhead]} * r;
+        __builtin_prefetch(u2 + ahead);
+        __builtin_prefetch(u2 + ahead + last);
+        if (grads) {
+          __builtin_prefetch(gu2 + ahead, 1);
+          __builtin_prefetch(gu2 + ahead + last, 1);
+        }
+      }
+      const double* b = u2 + size_t{x.fiber_id[f]} * r;
+      double* gb = grads ? gu2 + size_t{x.fiber_id[f]} * r + t0 : nullptr;
+      TCSS_SIMD_LOOP
+      for (size_t t = 0; t < W; ++t) {
+        const double hat = h[t0 + t] * a[t0 + t];
+        ha[t] = hat;
+        hb[t] = h[t0 + t] * b[t0 + t];
+        hab[t] = hat * b[t0 + t];
+        ab[t] = a[t0 + t] * b[t0 + t];
+      }
+      for (size_t e = x.fiber_start[f]; e < x.fiber_start[f + 1]; ++e) {
+        const double* c = u3 + size_t{x.entry[e].k} * r;
+        const double v = x.entry[e].value;
+        // Ascending-t scalar sum in BOTH builds: a simd reduction would
+        // tree-reorder the chain and break scalar/native bit equality.
+        double y = 0.0;
+        if (W == r) {
+          for (size_t t = 0; t < W; ++t) y += hab[t] * c[t];
+        } else {
+          for (size_t t = 0; t < r; ++t) {
+            y += (t - t0 < W ? hab[t - t0] : h[t] * a[t] * b[t]) * c[t];
+          }
+        }
+        loss += (w_pos - w_neg) * y * y - 2.0 * w_pos * v * y +
+                w_pos * v * v;
+        if (!grads) continue;
+        const double g = 2.0 * (w_pos - w_neg) * y - 2.0 * w_pos * v;
+        const double* cp = c + t0;
+        double* gc = gu3 + size_t{x.entry[e].k} * r + t0;
+        PanelRow<W>::Zip(&ga, &dh, [&](auto lanes, size_t t, auto* ga_v,
+                                       auto* dh_v) {
+          using L = decltype(lanes);
+          const typename L::V gv = L::Set1(g);
+          const typename L::V cv = L::Load(cp + t);
+          *ga_v = L::Add(*ga_v, L::Mul(L::Mul(gv, L::Load(hb + t)), cv));
+          L::Store(gb + t, L::Add(L::Load(gb + t),
+                                  L::Mul(L::Mul(gv, L::Load(ha + t)), cv)));
+          L::Store(gc + t,
+                   L::Add(L::Load(gc + t), L::Mul(gv, L::Load(hab + t))));
+          *dh_v = L::Add(*dh_v, L::Mul(L::Mul(gv, L::Load(ab + t)), cv));
+        });
+      }
+    }
+    if (grads) ga.Store(ga_row);
+  }
+  if (grads) dh.Store(gh + t0);
+  return loss;
+}
+
+template <size_t... W>
+constexpr auto EntryPanels(std::index_sequence<W...>) {
+  return std::array{&CsfEntriesPanel<W>...};
+}
+
 double CsfRewrittenEntries(const CsfView& x, const double* u1,
                            const double* u2, const double* u3,
                            const double* h, size_t r, double w_pos,
                            double w_neg, double* gu1, double* gu2,
                            double* gu3, double* gh, size_t s_begin,
                            size_t s_end) {
-  const bool want_grads = gu1 != nullptr;
-  // Per-fiber precomputations: ha = h*a, hb = h*b, hab = h*a*b, ab = a*b.
-  // y = sum_t hab_t c_t; dL/dU1 row = g*hb*c, dL/dU2 row = g*ha*c,
-  // dL/dU3 row = g*hab, dL/dh = g*ab*c — the same per-term products as
-  // AccumulateEntryGrad, hoisted out of the nonzero loop.
-  std::vector<double> scratch(4 * r);
-  double* __restrict ha = scratch.data();
-  double* __restrict hb = ha + r;
-  double* __restrict hab = hb + r;
-  double* __restrict ab = hab + r;
+  // Panels of at most 16 lanes of r keep the gradient lanes within the
+  // sixteen ymm registers; the paper's rank 10 is one panel. Each panel
+  // walks the shard's entries once, so every lane's chain keeps entry
+  // order; the loss is the first walk's, and a value-only call walks once.
+  static constexpr auto kPanel = EntryPanels(std::make_index_sequence<17>());
   double loss = 0.0;
-  for (size_t s = s_begin; s < s_end; ++s) {
-    const double* __restrict a = u1 + size_t{x.slice_id[s]} * r;
-    double* __restrict ga =
-        want_grads ? gu1 + size_t{x.slice_id[s]} * r : nullptr;
-    for (size_t f = x.slice_start[s]; f < x.slice_start[s + 1]; ++f) {
-      const double* __restrict b = u2 + size_t{x.fiber_id[f]} * r;
-      double* __restrict gb =
-          want_grads ? gu2 + size_t{x.fiber_id[f]} * r : nullptr;
-      TCSS_SIMD_LOOP
-      for (size_t t = 0; t < r; ++t) {
-        const double hat = h[t] * a[t];
-        ha[t] = hat;
-        hb[t] = h[t] * b[t];
-        hab[t] = hat * b[t];
-        ab[t] = a[t] * b[t];
-      }
-      for (size_t e = x.fiber_start[f]; e < x.fiber_start[f + 1]; ++e) {
-        const double* __restrict c = u3 + size_t{x.entry[e].k} * r;
-        const double v = x.entry[e].value;
-        // Ascending-t scalar sum in BOTH builds: a simd reduction would
-        // tree-reorder the chain and break scalar/native bit equality.
-        double y = 0.0;
-        for (size_t t = 0; t < r; ++t) y += hab[t] * c[t];
-        loss += (w_pos - w_neg) * y * y - 2.0 * w_pos * v * y +
-                w_pos * v * v;
-        if (want_grads) {
-          const double g = 2.0 * (w_pos - w_neg) * y - 2.0 * w_pos * v;
-          double* __restrict gc = gu3 + size_t{x.entry[e].k} * r;
-          TCSS_SIMD_LOOP
-          for (size_t t = 0; t < r; ++t) {
-            ga[t] += g * hb[t] * c[t];
-            gb[t] += g * ha[t] * c[t];
-            gc[t] += g * hab[t];
-            gh[t] += g * ab[t] * c[t];
-          }
-        }
-      }
-    }
-  }
+  size_t t0 = 0;
+  do {
+    const double l = kPanel[std::min<size_t>(16, r - t0)](
+        x, u1, u2, u3, h, r, t0, w_pos, w_neg, gu1, gu2, gu3, gh, s_begin,
+        s_end);
+    if (t0 == 0) loss = l;
+    t0 += 16;
+  } while (t0 < r && gu1 != nullptr);
   return loss;
 }
 
@@ -623,6 +785,25 @@ void HausdorffSoftmin(const double* p, const float* dist, size_t ns,
                       double* dl_dp, double* work) {
   const bool harmonic = alpha == -1.0;
   const bool grads = dl_dp != nullptr;
+#if defined(TCSS_KERNELS_USE_AVX2)
+  const bool strips = grads || harmonic;
+#else
+  const bool strips = grads;
+#endif
+  if (!strips) {
+    // The value pass without the AVX2 strips walks whole rows: each b's
+    // sum still takes its terms in ascending a, the strips' chain.
+    std::fill(s, s + nn, 0.0);
+    for (size_t a = 0; a < ns; ++a) {
+      const float* row = dist + a * nn;
+      const double q0 = (1.0 - p[a]) * d_max;
+      for (size_t b = 0; b < nn; ++b) {
+        const double f = std::max(p[a] * row[b] + q0, floor);
+        s[b] += harmonic ? 1.0 / f : std::pow(f, alpha);
+      }
+    }
+    return;
+  }
   double* __restrict q = work;              // ns x 4: the strip's q
   double* __restrict part = work + 4 * ns;  // ns x 4: lane partials
   if (grads) std::fill(part, part + 4 * ns, 0.0);
@@ -658,17 +839,15 @@ void HausdorffSoftmin(const double* p, const float* dist, size_t ns,
         const double q0 = (1.0 - p[a]) * d_max;
         for (size_t l = 0; l < 4; ++l) {
           if (l >= lanes) {
-            if (grads) q[4 * a + l] = 0.0;
+            q[4 * a + l] = 0.0;
             continue;
           }
           const double d = row[l];
           const double f = std::max(p[a] * d + q0, floor);
           const double v = harmonic ? 1.0 / f : std::pow(f, alpha);
           acc[l] += v;
-          if (grads) {
-            const double f_pow = harmonic ? v * v : std::pow(f, alpha - 1.0);
-            q[4 * a + l] = f <= floor ? 0.0 : f_pow * (d - d_max);
-          }
+          const double f_pow = harmonic ? v * v : std::pow(f, alpha - 1.0);
+          q[4 * a + l] = f <= floor ? 0.0 : f_pow * (d - d_max);
         }
       }
       for (size_t l = 0; l < lanes; ++l) s[b0 + l] = acc[l];
@@ -697,83 +876,20 @@ void HausdorffSoftmin(const double* p, const float* dist, size_t ns,
   }
 }
 
-#if defined(TCSS_KERNELS_USE_AVX2)
-/// Lane widths of the register-resident scatter: four (ymm), two (xmm)
-/// and one (scalar) doubles, each with the scalar ops applied lane-wise.
-struct Ymm {
-  using V = __m256d;
-  static V Load(const double* p) { return _mm256_loadu_pd(p); }
-  static void Store(double* p, V v) { _mm256_storeu_pd(p, v); }
-  static V Set1(double x) { return _mm256_set1_pd(x); }
-  static V Mul(V x, V y) { return _mm256_mul_pd(x, y); }
-  static V Add(V x, V y) { return _mm256_add_pd(x, y); }
-};
-struct Xmm {
-  using V = __m128d;
-  static V Load(const double* p) { return _mm_loadu_pd(p); }
-  static void Store(double* p, V v) { _mm_storeu_pd(p, v); }
-  static V Set1(double x) { return _mm_set1_pd(x); }
-  static V Mul(V x, V y) { return _mm_mul_pd(x, y); }
-  static V Add(V x, V y) { return _mm_add_pd(x, y); }
-};
-struct Sd {
-  using V = double;
-  static V Load(const double* p) { return *p; }
-  static void Store(double* p, V v) { *p = v; }
-  static V Set1(double x) { return x; }
-  static V Mul(V x, V y) { return x * y; }
-  static V Add(V x, V y) { return x + y; }
-};
-
-/// AccumulateEntryGrad's four updates with factor g on the lanes at
-/// offset t; the U1 and h gradient lanes arrive and leave in ga / gh.
-template <typename L>
-inline void ScatterLanes(double g, size_t t, const double* a, const double* h,
-                         const double* b, const double* c, double* gb,
-                         double* gc, typename L::V* ga, typename L::V* gh) {
-  const typename L::V gv = L::Set1(g);
-  const typename L::V av = L::Load(a + t);
-  const typename L::V bv = L::Load(b + t);
-  const typename L::V cv = L::Load(c + t);
-  const typename L::V gh_t = L::Mul(gv, L::Load(h + t));
-  const typename L::V gha = L::Mul(gh_t, av);
-  *ga = L::Add(*ga, L::Mul(L::Mul(gh_t, bv), cv));
-  L::Store(gb + t, L::Add(L::Load(gb + t), L::Mul(gha, cv)));
-  L::Store(gc + t, L::Add(L::Load(gc + t), L::Mul(gha, bv)));
-  *gh = L::Add(*gh, L::Mul(L::Mul(L::Mul(gv, av), bv), cv));
-}
-
-/// HausdorffScatter on one panel of `width` lanes, 4 * NF <= width <
-/// 4 * NF + 4, of rows with stride r (every pointer already offset to the
-/// panel): NF ymm chunks, then the width % 4 tail as an xmm pair and/or a
-/// scalar lane, so no access strays past a row. The user's U1 and h
-/// gradient lanes stay in named registers across all cells (GCC spills an
-/// array of them); a partial sum held in a register has the bits it
-/// would have in memory.
-template <size_t NF>
-void HausdorffScatterPanel(const double* u1_row, const double* u2,
+/// HausdorffScatter on a panel of W lanes of rows with stride r (every
+/// pointer already offset to the panel): each cell adds
+/// AccumulateEntryGrad's four updates lane-wise, term for term, and the
+/// user's U1 and h gradient lanes stay in registers across all cells.
+template <size_t W>
+void HausdorffScatterPanel(const double* a, const double* u2,
                            const double* u3, const double* h, size_t r,
-                           size_t width, const uint32_t* pois, size_t ns,
-                           size_t K, const double* dl_dp, const double* dp_dy,
+                           const uint32_t* pois, size_t ns, size_t K,
+                           const double* dl_dp, const double* dp_dy,
                            const uint8_t* gate, double grad_scale,
                            double* gu1_row, double* gu2, double* gu3,
                            double* gh) {
-  const size_t t2 = 4 * NF;     // the xmm pair, when width % 4 >= 2
-  const size_t t1 = width - 1;  // the scalar lane, when width is odd
-  const bool pair = (width - t2) >= 2;
-  const bool single = (width - t2) % 2 == 1;
-  auto ymm = [&](size_t c) {
-    return c < NF ? Ymm::Load(gu1_row + 4 * c) : _mm256_setzero_pd();
-  };
-  auto ymm_h = [&](size_t c) {
-    return c < NF ? Ymm::Load(gh + 4 * c) : _mm256_setzero_pd();
-  };
-  __m256d ga0 = ymm(0), ga1 = ymm(1), ga2 = ymm(2), ga3 = ymm(3);
-  __m256d gh0 = ymm_h(0), gh1 = ymm_h(1), gh2 = ymm_h(2), gh3 = ymm_h(3);
-  __m128d ga_x = pair ? Xmm::Load(gu1_row + t2) : _mm_setzero_pd();
-  __m128d gh_x = pair ? Xmm::Load(gh + t2) : _mm_setzero_pd();
-  double ga_s = single ? gu1_row[t1] : 0.0;
-  double gh_s = single ? gh[t1] : 0.0;
+  PanelRow<W> ga = PanelRow<W>::Load(gu1_row);
+  PanelRow<W> dh = PanelRow<W>::Load(gh);
   for (size_t s = 0; s < ns; ++s) {
     if (dl_dp[s] == 0.0) continue;
     const double scaled = grad_scale * dl_dp[s];
@@ -786,41 +902,30 @@ void HausdorffScatterPanel(const double* u1_row, const double* u2,
       if (g == 0.0) continue;
       const double* c = u3 + k * r;
       double* gc = gu3 + k * r;
-      if constexpr (NF > 0) {
-        ScatterLanes<Ymm>(g, 0, u1_row, h, b, c, gb, gc, &ga0, &gh0);
-      }
-      if constexpr (NF > 1) {
-        ScatterLanes<Ymm>(g, 4, u1_row, h, b, c, gb, gc, &ga1, &gh1);
-      }
-      if constexpr (NF > 2) {
-        ScatterLanes<Ymm>(g, 8, u1_row, h, b, c, gb, gc, &ga2, &gh2);
-      }
-      if constexpr (NF > 3) {
-        ScatterLanes<Ymm>(g, 12, u1_row, h, b, c, gb, gc, &ga3, &gh3);
-      }
-      if (pair) {
-        ScatterLanes<Xmm>(g, t2, u1_row, h, b, c, gb, gc, &ga_x, &gh_x);
-      }
-      if (single) {
-        ScatterLanes<Sd>(g, t1, u1_row, h, b, c, gb, gc, &ga_s, &gh_s);
-      }
+      PanelRow<W>::Zip(&ga, &dh, [&](auto lanes, size_t t, auto* ga_v,
+                                     auto* dh_v) {
+        using L = decltype(lanes);
+        const typename L::V gv = L::Set1(g);
+        const typename L::V av = L::Load(a + t);
+        const typename L::V bv = L::Load(b + t);
+        const typename L::V cv = L::Load(c + t);
+        const typename L::V gh_t = L::Mul(gv, L::Load(h + t));
+        const typename L::V gha = L::Mul(gh_t, av);
+        *ga_v = L::Add(*ga_v, L::Mul(L::Mul(gh_t, bv), cv));
+        L::Store(gb + t, L::Add(L::Load(gb + t), L::Mul(gha, cv)));
+        L::Store(gc + t, L::Add(L::Load(gc + t), L::Mul(gha, bv)));
+        *dh_v = L::Add(*dh_v, L::Mul(L::Mul(L::Mul(gv, av), bv), cv));
+      });
     }
   }
-  const __m256d ga[4] = {ga0, ga1, ga2, ga3}, gh_acc[4] = {gh0, gh1, gh2, gh3};
-  for (size_t c = 0; c < NF; ++c) {
-    Ymm::Store(gu1_row + 4 * c, ga[c]);
-    Ymm::Store(gh + 4 * c, gh_acc[c]);
-  }
-  if (pair) {
-    Xmm::Store(gu1_row + t2, ga_x);
-    Xmm::Store(gh + t2, gh_x);
-  }
-  if (single) {
-    gu1_row[t1] = ga_s;
-    gh[t1] = gh_s;
-  }
+  ga.Store(gu1_row);
+  dh.Store(gh);
 }
-#endif
+
+template <size_t... W>
+constexpr auto ScatterPanels(std::index_sequence<W...>) {
+  return std::array{&HausdorffScatterPanel<W>...};
+}
 
 void HausdorffScatter(const double* u1_row, const double* u2,
                       const double* u3, const double* h, size_t r,
@@ -828,45 +933,15 @@ void HausdorffScatter(const double* u1_row, const double* u2,
                       const double* dl_dp, const double* dp_dy,
                       const uint8_t* gate, double grad_scale,
                       double* gu1_row, double* gu2, double* gu3, double* gh) {
-#if defined(TCSS_KERNELS_USE_AVX2)
   // Panels of at most 16 lanes keep the accumulators within the sixteen
   // ymm registers; the paper's rank 10 is one panel. Lanes are independent
   // chains, so walking the cells once per panel keeps every chain's order.
-  static constexpr decltype(&HausdorffScatterPanel<0>) kPanel[] = {
-      HausdorffScatterPanel<0>, HausdorffScatterPanel<1>,
-      HausdorffScatterPanel<2>, HausdorffScatterPanel<3>,
-      HausdorffScatterPanel<4>};
+  static constexpr auto kPanel = ScatterPanels(std::make_index_sequence<17>());
   for (size_t t0 = 0; t0 < r; t0 += 16) {
-    const size_t width = std::min<size_t>(16, r - t0);
-    kPanel[width / 4](u1_row + t0, u2 + t0, u3 + t0, h + t0, r, width, pois,
-                      ns, K, dl_dp, dp_dy, gate, grad_scale, gu1_row + t0,
-                      gu2 + t0, gu3 + t0, gh + t0);
+    kPanel[std::min<size_t>(16, r - t0)](
+        u1_row + t0, u2 + t0, u3 + t0, h + t0, r, pois, ns, K, dl_dp, dp_dy,
+        gate, grad_scale, gu1_row + t0, gu2 + t0, gu3 + t0, gh + t0);
   }
-#else
-  const double* __restrict a = u1_row;
-  double* __restrict ga = gu1_row;
-  for (size_t s = 0; s < ns; ++s) {
-    if (dl_dp[s] == 0.0) continue;
-    const double scaled = grad_scale * dl_dp[s];
-    const double* __restrict b = u2 + size_t{pois[s]} * r;
-    double* __restrict gb = gu2 + size_t{pois[s]} * r;
-    for (size_t k = 0; k < K; ++k) {
-      const size_t cell = HausdorffCell(s, k, K);
-      if (!gate[cell]) continue;
-      const double g = scaled * dp_dy[cell];
-      if (g == 0.0) continue;
-      const double* __restrict c = u3 + k * r;
-      double* __restrict gc = gu3 + k * r;
-      // AccumulateEntryGrad's four row updates, term for term.
-      for (size_t t = 0; t < r; ++t) {
-        ga[t] += g * h[t] * b[t] * c[t];
-        gb[t] += g * h[t] * a[t] * c[t];
-        gc[t] += g * h[t] * a[t] * b[t];
-        gh[t] += g * a[t] * b[t] * c[t];
-      }
-    }
-  }
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -964,8 +1039,9 @@ inline __m128 ChordLanes(__m256d ux, __m256d uy, __m256d uz, __m256d vx,
 #endif
 
 size_t HausdorffDistances(const double* s, size_t ns, const double* n,
-                          size_t nn, double two_r, double m_abs, double m_rel,
-                          float* dist, uint32_t* exact) {
+                          size_t nn, const uint32_t* first, double two_r,
+                          double m_abs, double m_rel, float* dist,
+                          uint32_t* exact) {
   const double* nx = n;
   const double* ny = n + nn;
   const double* nz = n + 2 * nn;
@@ -973,7 +1049,7 @@ size_t HausdorffDistances(const double* s, size_t ns, const double* n,
   for (size_t a = 0; a < ns; ++a) {
     float* row = dist + a * nn;
     const uint32_t base = static_cast<uint32_t>(a * nn);
-    size_t b = 0;
+    size_t b = first[a];
 #if defined(TCSS_KERNELS_USE_AVX2)
     const __m256d ux = _mm256_set1_pd(s[a]);
     const __m256d uy = _mm256_set1_pd(s[ns + a]);

@@ -182,21 +182,27 @@ TEST(KernelEquivalenceTest, DenseKernelsBitIdenticalScalarVsNative) {
   }
 }
 
+/// The ranks of the entry loop's tests: every register panel width and
+/// tail below 16 lanes, one full panel, and two and three panels.
+constexpr size_t kEntryRanks[] = {1, 2, 3, 4, 5, 7, 10, 16, 17, 33};
+
 TEST(KernelEquivalenceTest, RewrittenLossBitIdenticalScalarVsNative) {
   KernelGuard guard;
   const SparseTensor x = RandomTensor(25, 20, 8, 1500, 21);
-  const FactorModel m = RandomModel(25, 20, 8, 6, 22);
-  RewrittenLoss loss(0.95, 0.05);
-  for (int threads : {1, 2, 8}) {
-    SetGlobalThreads(threads);
-    SetSimdMode(SimdMode::kScalar);
-    FactorGrads gs(m);
-    const double ls = loss.ComputeWithGrads(m, x, &gs);
-    SetSimdMode(SimdMode::kNative);
-    FactorGrads gn(m);
-    const double ln = loss.ComputeWithGrads(m, x, &gn);
-    EXPECT_EQ(ls, ln) << threads << " threads";
-    EXPECT_TRUE(BitIdentical(gs, gn)) << threads << " threads";
+  for (size_t r : kEntryRanks) {
+    const FactorModel m = RandomModel(25, 20, 8, r, 22 + r);
+    RewrittenLoss loss(0.95, 0.05);
+    for (int threads : {1, 2, 8}) {
+      SetGlobalThreads(threads);
+      SetSimdMode(SimdMode::kScalar);
+      FactorGrads gs(m);
+      const double ls = loss.ComputeWithGrads(m, x, &gs);
+      SetSimdMode(SimdMode::kNative);
+      FactorGrads gn(m);
+      const double ln = loss.ComputeWithGrads(m, x, &gn);
+      EXPECT_EQ(ls, ln) << "r=" << r << " @" << threads;
+      EXPECT_TRUE(BitIdentical(gs, gn)) << "r=" << r << " @" << threads;
+    }
   }
 }
 
@@ -274,39 +280,15 @@ TEST(RewrittenCsfTest, EntryLossMatchesPerEntryReference) {
   EXPECT_NEAR(got, want, 1e-10 * std::max(1.0, std::fabs(want)));
 }
 
-TEST(RewrittenCsfTest, GradsMatchCooEntryLoop) {
-  KernelGuard guard;
-  const SparseTensor x = RandomTensor(14, 11, 7, 300, 37);
-  const FactorModel m = RandomModel(14, 11, 7, 4, 38);
-  const double wp = 0.9, wn = 0.1;
-  const CsfView v = x.csf();
-  FactorGrads got(m);
-  (void)ActiveKernels().csf_rewritten_entries(
-      v, m.u1.data(), m.u2.data(), m.u3.data(), m.h.data(), m.rank(), wp,
-      wn, got.u1.data(), got.u2.data(), got.u3.data(), got.h.data(), 0,
-      v.num_slices);
-  FactorGrads want(m);
-  for (const TensorEntry& e : x.entries()) {
-    const double y = m.Predict(e.i, e.j, e.k);
-    const double g = 2.0 * (wp - wn) * y - 2.0 * wp * e.value;
-    AccumulateEntryGrad(m, e.i, e.j, e.k, g, &want);
-  }
-  EXPECT_LE(RelMaxDiff(got.u1, want.u1), 1e-12);
-  EXPECT_LE(RelMaxDiff(got.u2, want.u2), 1e-12);
-  EXPECT_LE(RelMaxDiff(got.u3, want.u3), 1e-12);
-  for (size_t t = 0; t < m.h.size(); ++t) {
-    EXPECT_NEAR(got.h[t], want.h[t],
-                1e-12 * std::max(1.0, std::fabs(want.h[t])));
-  }
+FactorGrads NoisyGrads(const FactorModel& m, uint64_t seed) {
+  Rng rng(seed);
+  FactorGrads g(m);
+  g.u1 = Matrix::GaussianRandom(m.u1.rows(), m.u1.cols(), &rng, 0.1);
+  g.u2 = Matrix::GaussianRandom(m.u2.rows(), m.u2.cols(), &rng, 0.1);
+  g.u3 = Matrix::GaussianRandom(m.u3.rows(), m.u3.cols(), &rng, 0.1);
+  for (double& v : g.h) v = rng.Uniform(-0.1, 0.1);
+  return g;
 }
-
-// --------------------------------------------------------------------------
-// Social Hausdorff kernels: every KernelTable entry scalar == native, bit
-// for bit, and ComputeForUser against proptest::ReferenceHausdorffUser (the
-// scalar body the kernels replaced): the value bit for bit, the four
-// gradient blocks within 1e-12 relative (the fused soft-min sweep
-// reassociates dL/dp).
-// --------------------------------------------------------------------------
 
 /// Byte equality: unlike ==, it tells -0.0 from +0.0 and NaN from NaN.
 template <typename T>
@@ -324,6 +306,60 @@ bool SameBytes(const FactorGrads& a, const FactorGrads& b) {
          a.u3.size() == b.u3.size() &&
          SameBytes(a.u3.data(), b.u3.data(), a.u3.size());
 }
+
+TEST(RewrittenCsfTest, GradsMatchCooEntryLoop) {
+  KernelGuard guard;
+  const SparseTensor x = RandomTensor(14, 11, 7, 300, 37);
+  const double wp = 0.9, wn = 0.1;
+  const CsfView v = x.csf();
+  const size_t mid = v.num_slices / 2;
+  for (size_t r : kEntryRanks) {
+    const FactorModel m = RandomModel(14, 11, 7, r, 38 + r);
+    // Pre-filled gradients: the kernel adds to what the rows it keeps in
+    // registers held before the call.
+    const FactorGrads start = NoisyGrads(m, 39 + r);
+    auto entries = [&](FactorGrads* g, size_t s_begin, size_t s_end) {
+      return ActiveKernels().csf_rewritten_entries(
+          v, m.u1.data(), m.u2.data(), m.u3.data(), m.h.data(), m.rank(), wp,
+          wn, g->u1.data(), g->u2.data(), g->u3.data(), g->h.data(), s_begin,
+          s_end);
+    };
+    FactorGrads got = start;
+    const double loss = entries(&got, 0, v.num_slices);
+    // Two shards in a row continue every chain: the same bytes.
+    FactorGrads split = start;
+    const double loss_split =
+        entries(&split, 0, mid) + entries(&split, mid, v.num_slices);
+    EXPECT_TRUE(SameBytes(got, split)) << "r=" << r;
+    EXPECT_NEAR(loss, loss_split, 1e-12 * std::fabs(loss)) << "r=" << r;
+    const double value = ActiveKernels().csf_rewritten_entries(
+        v, m.u1.data(), m.u2.data(), m.u3.data(), m.h.data(), m.rank(), wp,
+        wn, nullptr, nullptr, nullptr, nullptr, 0, v.num_slices);
+    EXPECT_TRUE(SameBytes(&value, &loss, 1)) << "r=" << r;
+    FactorGrads want = start;
+    for (const TensorEntry& e : x.entries()) {
+      const double y = m.Predict(e.i, e.j, e.k);
+      const double g = 2.0 * (wp - wn) * y - 2.0 * wp * e.value;
+      AccumulateEntryGrad(m, e.i, e.j, e.k, g, &want);
+    }
+    EXPECT_LE(RelMaxDiff(got.u1, want.u1), 1e-12) << "r=" << r;
+    EXPECT_LE(RelMaxDiff(got.u2, want.u2), 1e-12) << "r=" << r;
+    EXPECT_LE(RelMaxDiff(got.u3, want.u3), 1e-12) << "r=" << r;
+    for (size_t t = 0; t < m.h.size(); ++t) {
+      EXPECT_NEAR(got.h[t], want.h[t],
+                  1e-12 * std::max(1.0, std::fabs(want.h[t])))
+          << "r=" << r;
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
+// Social Hausdorff kernels: every KernelTable entry scalar == native, bit
+// for bit, and ComputeForUser against proptest::ReferenceHausdorffUser (the
+// scalar body the kernels replaced): the value bit for bit, the four
+// gradient blocks within 1e-12 relative (the fused soft-min sweep
+// reassociates dL/dp).
+// --------------------------------------------------------------------------
 
 /// RelMaxDiff over the four blocks.
 double RelMaxDiff(const FactorGrads& a, const FactorGrads& b) {
@@ -405,16 +441,6 @@ void Saturate(FactorModel* m, uint32_t user, uint32_t poi) {
   for (size_t k = 0; k < m->u3.rows(); ++k) {
     for (size_t t = 0; t < m->rank(); ++t) m->u3(k, t) = 1.0;
   }
-}
-
-FactorGrads NoisyGrads(const FactorModel& m, uint64_t seed) {
-  Rng rng(seed);
-  FactorGrads g(m);
-  g.u1 = Matrix::GaussianRandom(m.u1.rows(), m.u1.cols(), &rng, 0.1);
-  g.u2 = Matrix::GaussianRandom(m.u2.rows(), m.u2.cols(), &rng, 0.1);
-  g.u3 = Matrix::GaussianRandom(m.u3.rows(), m.u3.cols(), &rng, 0.1);
-  for (double& v : g.h) v = rng.Uniform(-0.1, 0.1);
-  return g;
 }
 
 TEST(HausdorffKernelTest, ComputeForUserMatchesScalarReference) {
@@ -661,14 +687,20 @@ TEST(HausdorffKernelTest, TableEntriesBitIdenticalScalarVsNative) {
 // --------------------------------------------------------------------------
 
 /// Unit vectors of `pts` as hausdorff_distances reads them (x, then y,
-/// then z), with a NaN vector for every `nan_every`-th point.
+/// then z): NaN for a point outside [-90, 90] x [-180, 180], as
+/// HausdorffDistanceBlock fills them, and for every `nan_every`-th point.
 std::vector<double> UnitVectors(const std::vector<GeoPoint>& pts,
                                 size_t nan_every) {
   const size_t n = pts.size();
-  std::vector<double> v(3 * n);
+  std::vector<double> v(3 * n, std::nan(""));
   for (size_t i = 0; i < n; ++i) {
-    const double lat = DegToRad(pts[i].lat);
-    const double lon = DegToRad(pts[i].lon);
+    const GeoPoint& p = pts[i];
+    if (!(p.lat >= -90.0 && p.lat <= 90.0 && p.lon >= -180.0 &&
+          p.lon <= 180.0)) {
+      continue;
+    }
+    const double lat = DegToRad(p.lat);
+    const double lon = DegToRad(p.lon);
     v[i] = std::cos(lat) * std::cos(lon);
     v[n + i] = std::cos(lat) * std::sin(lon);
     v[2 * n + i] = std::sin(lat);
@@ -706,31 +738,63 @@ TEST(HausdorffKernelTest, DistancesBitIdenticalScalarVsNative) {
   }
   Rng rng(77);
   size_t kept = 0, listed = 0;
+  // Vacuity guards for the rows' first columns: every residue mod 4, a
+  // row that starts at its last column, and an empty row.
+  std::vector<size_t> residues(4, 0);
+  size_t last_only = 0, empty = 0;
   for (const auto& [ns, nn] : shapes) {
     const std::vector<double> s = UnitVectors(KernelPoints(ns, &rng), 13);
     const std::vector<double> n = UnitVectors(KernelPoints(nn, &rng), 11);
     const double two_r = 2.0 * kEarthRadiusKm;
-    std::vector<float> dist[2];
-    std::vector<uint32_t> exact[2];
-    const KernelTable* tables[2] = {&ScalarKernelTable(), &NativeKernelTable()};
-    for (int t = 0; t < 2; ++t) {
-      dist[t].assign(ns * nn, -7.0f);  // unwritten entries keep this
-      exact[t].assign(ns * nn, 0);
-      exact[t].resize(tables[t]->hausdorff_distances(
-          s.data(), ns, n.data(), nn, two_r, 1e-10, 1e-14, dist[t].data(),
-          exact[t].data()));
+    // Every row whole, then rows from first column 5a mod (|N| + 1).
+    std::vector<uint32_t> firsts[2] = {std::vector<uint32_t>(ns, 0),
+                                       std::vector<uint32_t>(ns)};
+    for (size_t a = 0; a < ns; ++a) {
+      const uint32_t f = static_cast<uint32_t>(5 * a % (nn + 1));
+      firsts[1][a] = f;
+      if (f < nn) ++residues[f % 4];
+      last_only += f + 1 == nn;
+      empty += f == nn;
     }
-    const std::string what = StrFormat("|S|=%zu |N|=%zu", ns, nn);
-    EXPECT_TRUE(SameBytes(dist[0].data(), dist[1].data(), ns * nn)) << what;
-    EXPECT_EQ(exact[0], exact[1]) << what;
-    EXPECT_TRUE(std::is_sorted(exact[0].begin(), exact[0].end())) << what;
-    for (uint32_t e : exact[0]) EXPECT_EQ(dist[0][e], -7.0f) << what;
-    listed += exact[0].size();
-    kept += ns * nn - exact[0].size();
+    for (const std::vector<uint32_t>& first : firsts) {
+      std::vector<float> dist[2];
+      std::vector<uint32_t> exact[2];
+      const KernelTable* tables[2] = {&ScalarKernelTable(),
+                                      &NativeKernelTable()};
+      for (int t = 0; t < 2; ++t) {
+        dist[t].assign(ns * nn, -7.0f);  // unwritten entries keep this
+        exact[t].assign(ns * nn, 0);
+        exact[t].resize(tables[t]->hausdorff_distances(
+            s.data(), ns, n.data(), nn, first.data(), two_r, 1e-10, 1e-14,
+            dist[t].data(), exact[t].data()));
+      }
+      const std::string what =
+          StrFormat("|S|=%zu |N|=%zu first=%u..", ns, nn, first.back());
+      EXPECT_TRUE(SameBytes(dist[0].data(), dist[1].data(), ns * nn))
+          << what;
+      EXPECT_EQ(exact[0], exact[1]) << what;
+      EXPECT_TRUE(std::is_sorted(exact[0].begin(), exact[0].end())) << what;
+      for (uint32_t e : exact[0]) {
+        EXPECT_EQ(dist[0][e], -7.0f) << what;
+        EXPECT_GE(e % nn, first[e / nn]) << what;
+      }
+      size_t covered = 0;
+      for (size_t a = 0; a < ns; ++a) {
+        covered += nn - first[a];
+        for (size_t b = 0; b < first[a]; ++b) {
+          EXPECT_EQ(dist[0][a * nn + b], -7.0f) << what << " pair " << a;
+        }
+      }
+      listed += exact[0].size();
+      kept += covered - exact[0].size();
+    }
   }
   // Vacuity guards: both sides of the margin test ran.
   EXPECT_GT(kept, 10000u);
   EXPECT_GT(listed, 1000u);
+  for (size_t r : residues) EXPECT_GT(r, 0u);
+  EXPECT_GT(last_only, 0u);
+  EXPECT_GT(empty, 0u);
 }
 
 TEST(HausdorffKernelTest, DistanceBlockSweepMatchesHaversineBitwise) {
@@ -813,6 +877,27 @@ TEST(HausdorffKernelTest, DistanceBlockSweepMatchesHaversineBitwise) {
   for (const auto& [s_set, nn_set] :
        {std::make_pair(all, n_set), std::make_pair(s_small, n_small)}) {
     const size_t ns = s_set.size(), nn = nn_set.size();
+    // The block sends HaversineKm exactly the pairs the full kernel lists,
+    // less the diagonal of each friend POI in S with a unit vector: the
+    // mirror of a listed pair is listed too.
+    auto unit_vectors = [&pts](const std::vector<uint32_t>& set) {
+      std::vector<GeoPoint> picked;
+      for (uint32_t j : set) picked.push_back(pts[j]);
+      return UnitVectors(picked, 0);
+    };
+    const std::vector<double> su = unit_vectors(s_set);
+    const std::vector<double> nu = unit_vectors(nn_set);
+    const std::vector<uint32_t> from_zero(ns, 0);
+    std::vector<float> full(ns * nn);
+    std::vector<uint32_t> full_listed(ns * nn);
+    size_t want_listed = ActiveKernels().hausdorff_distances(
+        su.data(), ns, nu.data(), nn, from_zero.data(),
+        2.0 * kEarthRadiusKm, 1e-10, 1e-14, full.data(), full_listed.data());
+    for (size_t b = 0; b < nn; ++b) {
+      const bool in_s = std::find(s_set.begin(), s_set.end(), nn_set[b]) !=
+                        s_set.end();
+      want_listed -= in_s && !std::isnan(nu[b]);
+    }
     for (double d_max : {20000.0, 1.0}) {  // 1 km caps most row minima
       std::vector<float> want(ns * nn), want_min(ns);
       for (size_t a = 0; a < ns; ++a) {
@@ -834,6 +919,7 @@ TEST(HausdorffKernelTest, DistanceBlockSweepMatchesHaversineBitwise) {
         EXPECT_EQ(pairs->Value() - pairs_before, ns * nn);
         // Vacuity guards: pairs were kept and pairs were listed.
         const uint64_t listed = exact->Value() - exact_before;
+        EXPECT_EQ(listed, want_listed) << SimdModeName(mode);
         EXPECT_GT(listed, 0u);
         EXPECT_LT(listed, ns * nn * 9 / 10);
         for (size_t i = 0; i < ns * nn; ++i) {

@@ -13,10 +13,18 @@
 #      vectorized build is compiled in and supported). Under each, the
 #      chord-form distance tests run against that table:
 #      HausdorffKernelTest.DistancesBitIdenticalScalarVsNative (same
-#      floats and pair list from both tables) and
+#      floats and pair list from both tables, rows from every first
+#      column mod 4, a row that starts at its last column and an empty
+#      row) and
 #      HausdorffKernelTest.DistanceBlockSweepMatchesHaversineBitwise
 #      (over 1M pairs through HausdorffDistanceBlock, bitwise
-#      float(HaversineKm), poles, antimeridian and antipodes included),
+#      float(HaversineKm), poles, antimeridian and antipodes included;
+#      the mirrored friend-POI triangle with the exact path still run),
+#      and the L2 entry loop at ranks 1, 2, 3, 4, 5, 7, 10, 16, 17 and 33
+#      (every register panel width and tail, one and several panels):
+#      KernelEquivalenceTest.RewrittenLossBitIdenticalScalarVsNative and
+#      RewrittenCsfTest.GradsMatchCooEntryLoop (from pre-filled
+#      gradients; two shards in a row are the same bytes as one),
 #      and the one gemm tile and panel loop:
 #      KernelEquivalenceTest.DenseKernelsBitIdenticalScalarVsNative, whose
 #      shapes include n = 16, 32 and 48 for MatMul and MatTMul (a last
@@ -131,7 +139,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # multi-threaded training, concurrent metric recording, the
 # multi-threaded kernel-equality properties, the scan panel rebuilt
 # under a reload storm, the social Hausdorff kernels (per-thread
-# scratch) at 1/2/8 threads, the server's acceptor/reader/dispatcher
+# scratch) at 1/2/8 threads, the L2 entry loop's register panels at ten
+# ranks (KernelEquivalenceTest.RewrittenLossBitIdenticalScalarVsNative
+# at 1/2/8 threads), the server's acceptor/reader/dispatcher
 # threads, the distributed coordinator/worker fleets, and the streaming
 # ingest path under reload storms); the rest of the suite is
 # single-threaded and already covered by stage 2.
