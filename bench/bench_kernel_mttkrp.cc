@@ -21,11 +21,15 @@
 // and 14-column rows and BM_GemmT are the tall-skinny products of the L2
 // head and of subspace iteration (A q W and q^T A q). BM_TrainEpochs times
 // whole warm-started training epochs at the catalog shape, at 1, 2 and 4
-// threads, with the minor page faults each epoch takes.
+// threads, with the minor page faults each epoch takes. BM_SetUp times the
+// set-up before training and serving at both shapes: the train and full
+// check-in tensors and the Hausdorff head's construction.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_common.h"
 #include "common/rng.h"
@@ -198,6 +202,7 @@ void BM_Gram(benchmark::State& state) {
 // split.
 struct CatalogWorld {
   Dataset data;
+  TrainTestSplit split;
   SparseTensor train;
 };
 
@@ -212,7 +217,8 @@ const CatalogWorld& Catalog() {
     auto split = SplitCheckins(data.value(), 0.8, 1);
     auto t = BuildCheckinTensor(data.value(), split.train,
                                 TimeGranularity::kMonthOfYear);
-    return new CatalogWorld{data.MoveValue(), t.MoveValue()};
+    return new CatalogWorld{data.MoveValue(), std::move(split),
+                            t.MoveValue()};
   }();
   return *world;
 }
@@ -398,6 +404,53 @@ void BM_SubspaceEigen(benchmark::State& state) {
   SetSimdMode(SimdMode::kScalar);
 }
 
+// Args: {catalog}. The set-up a trainer and a serving stack pay before
+// their first epoch or answer, at one thread: BuildCheckinTensor of the
+// train split and of all check-ins (month bins), and the construction of
+// SocialHausdorffLoss at the default config on the train tensor (entropy
+// weights, d_max, friend lists, pools and, on gowalla, the distance
+// cache); on the gowalla preset (catalog = 0) or at the catalog
+// workload's shape (catalog = 1), native kernels. Rows give each part's
+// mean seconds.
+void BM_SetUp(benchmark::State& state) {
+  const bool catalog = state.range(0) != 0;
+  const auto& gowalla = tcss::bench::GetWorld(SyntheticPreset::kGowallaLike);
+  const Dataset& data = catalog ? Catalog().data : gowalla.data;
+  const std::vector<CheckInEvent>& events =
+      catalog ? Catalog().split.train : gowalla.split.train;
+  constexpr TimeGranularity kBins = TimeGranularity::kMonthOfYear;
+  SetGlobalThreads(1);
+  SelectSimd(1);
+  const TcssConfig cfg;
+  double parts[3] = {0.0, 0.0, 0.0};
+  size_t iters = 0;
+  for (auto _ : state) {
+    Stopwatch sw;
+    auto train = BuildCheckinTensor(data, events, kBins);
+    parts[0] += sw.ElapsedSeconds();
+    sw.Restart();
+    auto full = BuildCheckinTensor(data, kBins);
+    parts[1] += sw.ElapsedSeconds();
+    sw.Restart();
+    const SocialHausdorffLoss loss(data, train.value(), cfg);
+    parts[2] += sw.ElapsedSeconds();
+    benchmark::DoNotOptimize(full.value().nnz());
+    benchmark::DoNotOptimize(loss.num_eligible_users());
+    ++iters;
+  }
+  if (iters > 0) {
+    const char* metrics[3] = {"train_tensor_s", "full_tensor_s",
+                              "head_construct_s"};
+    for (int p = 0; p < 3; ++p) {
+      state.counters[metrics[p]] = parts[p] / static_cast<double>(iters);
+      tcss::bench::AppendBenchJson("kernel_setup",
+                                   catalog ? "catalog" : "gowalla-like",
+                                   metrics[p], state.counters[metrics[p]]);
+    }
+  }
+  SetSimdMode(SimdMode::kScalar);
+}
+
 // Args: {threads}. Whole training epochs on the catalog workload's shape:
 // TcssTrainer::Train of 10 epochs (default config, native kernels),
 // warm-started from the spectral init, after one untimed run of the same
@@ -490,6 +543,7 @@ BENCHMARK(BM_GramBlockApply)
 BENCHMARK(BM_SubspaceEigen)
     ->Args({0, 1})->Args({1, 1})
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SetUp)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TrainEpochs)
     ->Arg(1)->Arg(2)->Arg(4)
     ->Iterations(2)

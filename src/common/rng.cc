@@ -41,11 +41,13 @@ double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
 
 uint64_t Rng::UniformInt(uint64_t n) {
   assert(n > 0);
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t threshold = (0 - n) % n;
+  // Rejection sampling to avoid modulo bias: a draw below 2^64 mod n is
+  // rejected. That threshold, (0 - n) % n, is itself below n, so a draw
+  // r >= n is always kept and only r < n (where r % n is r) needs it.
   for (;;) {
-    uint64_t r = Next();
-    if (r >= threshold) return r % n;
+    const uint64_t r = Next();
+    if (r >= n) return r % n;
+    if (r >= (0 - n) % n) return r;
   }
 }
 

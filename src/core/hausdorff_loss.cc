@@ -1,9 +1,12 @@
 #include "core/hausdorff_loss.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <type_traits>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -120,6 +123,55 @@ T* Buffer(T (&local)[N], size_t n, std::unique_ptr<T[]>* heap) {
   heap->reset(new T[n]);
   return heap->get();
 }
+
+/// A set of POI ids in [0, J) from which the head's sorted lists are
+/// read: Insert is a bit test-and-set, and Drain lists the members in
+/// ascending order and empties the set. A second level of bits marks the
+/// words in use, so Drain reads only those words and one summary word per
+/// 4,096 POIs, never the whole J-bit set.
+class PoiSet {
+ public:
+  explicit PoiSet(size_t num_pois)
+      : words_((num_pois + 63) / 64), used_((words_.size() + 63) / 64) {}
+
+  size_t size() const { return size_; }
+
+  void Insert(uint32_t j) {
+    // Branch-free: whether j is new is as unpredictable as the POI ids.
+    const uint64_t bit = uint64_t{1} << (j & 63);
+    uint64_t& word = words_[j >> 6];
+    size_ += (word & bit) == 0;
+    word |= bit;
+    used_[j >> 12] |= uint64_t{1} << ((j >> 6) & 63);
+  }
+
+  void InsertAll(std::span<const uint32_t> pois) {
+    for (const uint32_t j : pois) Insert(j);
+  }
+
+  /// Replaces *out with the members in ascending order; the set is empty
+  /// after.
+  void Drain(std::vector<uint32_t>* out) {
+    out->clear();
+    for (size_t u = 0; u < used_.size(); ++u) {
+      for (uint64_t in_use = std::exchange(used_[u], 0); in_use != 0;
+           in_use &= in_use - 1) {
+        const size_t w = u * 64 + std::countr_zero(in_use);
+        for (uint64_t bits = std::exchange(words_[w], 0); bits != 0;
+             bits &= bits - 1) {
+          out->push_back(static_cast<uint32_t>(w * 64) +
+                         static_cast<uint32_t>(std::countr_zero(bits)));
+        }
+      }
+    }
+    size_ = 0;
+  }
+
+ private:
+  std::vector<uint64_t> words_;  ///< bit j: POI j is a member
+  std::vector<uint64_t> used_;   ///< bit w: words_[w] is nonzero
+  size_t size_ = 0;
+};
 
 }  // namespace
 
@@ -259,60 +311,56 @@ SocialHausdorffLoss::SocialHausdorffLoss(const Dataset& data,
   d_max_ = MaxPairwiseDistanceKm(data.PoiLocations());
   if (d_max_ <= 0.0) d_max_ = 1.0;  // degenerate single-point geometry
 
+  // N(v_i) and S(v_i) are read out of one POI set in ascending order and
+  // stored at their exact sizes. All users share one Rng stream, in user
+  // order: first the friend lists' subsampling shuffles, then the pools'
+  // fill draws and shuffles.
   Rng rng(config.seed ^ 0x4a05d0u);
+  PoiSet set(J);
+  std::vector<uint32_t> list;
+  // Keeps a uniform subset of `cap` of the ascending `list`: the first cap
+  // after a shuffle, put back in ascending order.
+  auto subsample = [&](size_t cap) {
+    if (cap == 0 || list.size() <= cap) return;
+    rng.Shuffle(&list);
+    set.InsertAll(std::span<const uint32_t>(list).first(cap));
+    set.Drain(&list);
+  };
   // N(v_i): union of friends' train POIs (or own POIs in the Self
   // ablation), subsampled to max_friend_pois.
-  friend_pois_.assign(I, {});
+  friend_pois_.resize(I);
   for (uint32_t i = 0; i < I; ++i) {
-    std::vector<uint32_t> n;
     if (config_.hausdorff == HausdorffMode::kSelf) {
-      const std::span<const uint32_t> own = train.Pois(i);
-      n.assign(own.begin(), own.end());
+      set.InsertAll(train.Pois(i));
     } else {
       for (const uint32_t* f = data.social().NeighborsBegin(i);
            f != data.social().NeighborsEnd(i); ++f) {
-        const std::span<const uint32_t> theirs = train.Pois(*f);
-        n.insert(n.end(), theirs.begin(), theirs.end());
+        set.InsertAll(train.Pois(*f));
       }
-      std::sort(n.begin(), n.end());
-      n.erase(std::unique(n.begin(), n.end()), n.end());
     }
-    if (config_.max_friend_pois > 0 && n.size() > config_.max_friend_pois) {
-      rng.Shuffle(&n);
-      n.resize(config_.max_friend_pois);
-      std::sort(n.begin(), n.end());
-    }
-    friend_pois_[i] = std::move(n);
+    set.Drain(&list);
+    subsample(config_.max_friend_pois);
+    friend_pois_[i].assign(list.begin(), list.end());
   }
 
   // S(v_i): the candidate pool.
-  pool_.assign(I, {});
+  pool_.resize(I);
   for (uint32_t i = 0; i < I; ++i) {
     if (config_.hausdorff_pool == 0 || config_.hausdorff_pool >= J) {
       pool_[i].resize(J);
       for (uint32_t j = 0; j < J; ++j) pool_[i][j] = j;
     } else {
-      const std::span<const uint32_t> own = train.Pois(i);
-      std::vector<uint32_t> s(own.begin(), own.end());
-      s.insert(s.end(), friend_pois_[i].begin(), friend_pois_[i].end());
-      std::sort(s.begin(), s.end());
-      s.erase(std::unique(s.begin(), s.end()), s.end());
+      set.InsertAll(train.Pois(i));
+      set.InsertAll(friend_pois_[i]);
       // Fill the remainder with a uniform sample of other POIs so the loss
       // can also *suppress* far-away false positives.
-      size_t guard = 0;
-      while (s.size() < config_.hausdorff_pool && guard < 20 * J) {
-        ++guard;
-        const uint32_t j = static_cast<uint32_t>(rng.UniformInt(J));
-        if (!std::binary_search(s.begin(), s.end(), j)) {
-          s.insert(std::lower_bound(s.begin(), s.end(), j), j);
-        }
+      for (size_t guard = 0;
+           set.size() < config_.hausdorff_pool && guard < 20 * J; ++guard) {
+        set.Insert(static_cast<uint32_t>(rng.UniformInt(J)));
       }
-      if (s.size() > config_.hausdorff_pool) {
-        rng.Shuffle(&s);
-        s.resize(config_.hausdorff_pool);
-        std::sort(s.begin(), s.end());
-      }
-      pool_[i] = std::move(s);
+      set.Drain(&list);
+      subsample(config_.hausdorff_pool);
+      pool_[i].assign(list.begin(), list.end());
     }
     if (!pool_[i].empty() && !friend_pois_[i].empty()) {
       eligible_.push_back(i);

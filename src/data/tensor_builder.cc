@@ -8,6 +8,7 @@ Result<SparseTensor> BuildCheckinTensor(const Dataset& data,
                                         const std::vector<CheckInEvent>& events,
                                         TimeGranularity granularity) {
   SparseTensor t(data.num_users(), data.num_pois(), NumBins(granularity));
+  t.Reserve(events.size());
   for (const auto& e : events) {
     TCSS_RETURN_IF_ERROR(t.Add(e.user, e.poi, TimeBin(e.timestamp, granularity)));
   }

@@ -1,6 +1,8 @@
 #include "tensor/sparse_tensor.h"
 
 #include <algorithm>
+#include <memory>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -41,57 +43,107 @@ Status SparseTensor::Add(uint32_t i, uint32_t j, uint32_t k, double value) {
   return Status::OK();
 }
 
+void SparseTensor::Reserve(size_t n) { entries_.reserve(n); }
+
 Status SparseTensor::Finalize(bool binary) {
   if (finalized_) {
     return Status::FailedPrecondition("SparseTensor: double Finalize");
   }
-  std::sort(entries_.begin(), entries_.end(),
-            [](const TensorEntry& a, const TensorEntry& b) {
-              if (a.i != b.i) return a.i < b.i;
-              if (a.j != b.j) return a.j < b.j;
-              return a.k < b.k;
-            });
-  // Coalesce duplicates in place.
-  size_t w = 0;
-  for (size_t r = 0; r < entries_.size(); ++r) {
-    if (w > 0 && entries_[w - 1].i == entries_[r].i &&
-        entries_[w - 1].j == entries_[r].j &&
-        entries_[w - 1].k == entries_[r].k) {
-      entries_[w - 1].value += entries_[r].value;
-    } else {
-      entries_[w++] = entries_[r];
+  // Three stable counting passes, by k, then j, then i, leave the entries
+  // in (i, j, k) order with duplicates in the order they were added. Each
+  // pass writes one 16-byte cell per entry: the two indices it does not
+  // bucket by, and the value. The bucket a cell sits in gives the third,
+  // so the next pass walks the cells bucket by bucket. `starts` turns a
+  // pass's counts per bucket into bucket starts, which its scatter
+  // advances to bucket ends. The entries are freed after the first pass,
+  // and at most two cell arrays are alive at a time.
+  struct Cell {
+    uint32_t a, b;
+    double value;
+  };
+  auto starts = [](std::vector<size_t>* counts) {
+    size_t next = 0;
+    for (size_t& c : *counts) next += std::exchange(c, next);
+  };
+  const size_t n = entries_.size();
+  std::vector<size_t> k_end(dim_k_, 0);
+  for (const TensorEntry& e : entries_) ++k_end[e.k];
+  starts(&k_end);
+  auto by_k = std::make_unique_for_overwrite<Cell[]>(n);  // {i, j}
+  for (const TensorEntry& e : entries_) {
+    by_k[k_end[e.k]++] = {e.i, e.j, e.value};
+  }
+  std::vector<TensorEntry>().swap(entries_);
+
+  std::vector<size_t> j_end(dim_j_, 0);
+  for (size_t c = 0; c < n; ++c) ++j_end[by_k[c].b];
+  starts(&j_end);
+  auto by_j = std::make_unique_for_overwrite<Cell[]>(n);  // {i, k}
+  for (size_t k = 0, c = 0; k < dim_k_; ++k) {
+    for (; c < k_end[k]; ++c) {
+      by_j[j_end[by_k[c].b]++] = {by_k[c].a, static_cast<uint32_t>(k),
+                                  by_k[c].value};
     }
   }
-  entries_.resize(w);
-  if (binary) {
-    for (auto& e : entries_) e.value = e.value != 0.0 ? 1.0 : 0.0;
-    // Drop explicit zeros that a binary clamp may have produced.
-    entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                  [](const TensorEntry& e) {
-                                    return e.value == 0.0;
-                                  }),
-                   entries_.end());
-  }
-  // CSF levels: a slice starts where i changes, a fiber where i or j does.
-  for (size_t e = 0; e < entries_.size(); ++e) {
-    const TensorEntry& x = entries_[e];
-    const bool new_slice = slice_id_.empty() || slice_id_.back() != x.i;
-    if (new_slice) {
-      slice_id_.push_back(x.i);
-      slice_start_.push_back(fiber_id_.size());
+  by_k.reset();
+
+  std::vector<size_t> i_end(dim_i_, 0);
+  for (size_t c = 0; c < n; ++c) ++i_end[by_j[c].a];
+  starts(&i_end);
+  auto by_i = std::make_unique_for_overwrite<Cell[]>(n);  // {j, k}
+  for (size_t j = 0, c = 0; j < dim_j_; ++j) {
+    for (; c < j_end[j]; ++c) {
+      by_i[i_end[by_j[c].a]++] = {static_cast<uint32_t>(j), by_j[c].b,
+                                  by_j[c].value};
     }
-    if (new_slice || fiber_id_.back() != x.j) {
-      fiber_id_.push_back(x.j);
-      fiber_start_.push_back(e);
+  }
+  by_j.reset();
+
+  // Coalesce each run of equal (i, j, k) in order; the kept cells move
+  // down to the front of by_i, and i_end[i] becomes the end of slice i's
+  // kept cells.
+  size_t kept = 0, fibers = 0, slices = 0;
+  for (size_t i = 0, c = 0; i < dim_i_; ++i) {
+    const size_t first = kept;
+    while (c < i_end[i]) {
+      Cell x = by_i[c];
+      while (++c < i_end[i] && by_i[c].a == x.a && by_i[c].b == x.b) {
+        x.value += by_i[c].value;
+      }
+      if (binary) {
+        // Drop explicit zeros that a binary clamp would produce.
+        if (x.value == 0.0) continue;
+        x.value = 1.0;
+      }
+      if (kept == first || by_i[kept - 1].a != x.a) ++fibers;
+      by_i[kept++] = x;
+    }
+    if (kept > first) ++slices;
+    i_end[i] = kept;
+  }
+
+  // The entries and the CSF levels, each at its exact size: a slice
+  // starts where i changes, a fiber where i or j does.
+  entries_.reserve(kept);
+  slice_id_.reserve(slices);
+  slice_start_.reserve(slices + 1);
+  fiber_id_.reserve(fibers);
+  fiber_start_.reserve(fibers + 1);
+  for (size_t i = 0, c = 0; i < dim_i_; ++i) {
+    if (c == i_end[i]) continue;
+    slice_id_.push_back(static_cast<uint32_t>(i));
+    slice_start_.push_back(fiber_id_.size());
+    for (const size_t first = c; c < i_end[i]; ++c) {
+      const Cell& x = by_i[c];
+      if (c == first || fiber_id_.back() != x.a) {
+        fiber_id_.push_back(x.a);
+        fiber_start_.push_back(entries_.size());
+      }
+      entries_.push_back({static_cast<uint32_t>(i), x.a, x.b, x.value});
     }
   }
   slice_start_.push_back(fiber_id_.size());
   fiber_start_.push_back(entries_.size());
-  entries_.shrink_to_fit();
-  slice_id_.shrink_to_fit();
-  slice_start_.shrink_to_fit();
-  fiber_id_.shrink_to_fit();
-  fiber_start_.shrink_to_fit();
   finalized_ = true;
   return Status::OK();
 }

@@ -43,10 +43,15 @@ class SparseTensor {
   /// Appends an entry; indices must be in range. Invalid after Finalize().
   Status Add(uint32_t i, uint32_t j, uint32_t k, double value = 1.0);
 
-  /// Sorts entries, coalesces duplicates and records the CSF levels. If
-  /// `binary`, coalesced values are clamped to 1 (a user visiting the same
-  /// POI twice in the same bin still yields X=1, per the paper's problem
-  /// formulation). Then trims every vector to its size.
+  /// Room for n entries, so that n Add() calls allocate once.
+  void Reserve(size_t n);
+
+  /// Sorts entries, coalesces duplicates (summed in the order they were
+  /// added) and records the CSF levels. If `binary`, coalesced values are
+  /// clamped to 1 (a user visiting the same POI twice in the same bin
+  /// still yields X=1, per the paper's problem formulation) and zero sums
+  /// are dropped. Every vector is left at its exact size. The sort is
+  /// three stable counting passes, by k, j and i (DESIGN.md §12).
   Status Finalize(bool binary = true);
 
   /// Value at (i,j,k), searched for in Entries(i); 0 for unobserved

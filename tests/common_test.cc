@@ -114,6 +114,39 @@ TEST(RngTest, UniformIntIsInRangeAndRoughlyUniform) {
   for (int c : counts) EXPECT_NEAR(c, 1000, 150);
 }
 
+// UniformInt tests r >= n before it computes the rejection threshold
+// 2^64 mod n (which is below n): its draws, its Next() calls and its
+// outputs must be those of the two-division formula for every n. At
+// n = 2^63 + 1 about half the draws are rejected, so both branches run.
+TEST(RngTest, UniformIntMatchesTheTwoDivisionFormula) {
+  const uint64_t ns[] = {1,
+                         2,
+                         3,
+                         250,
+                         10000,
+                         (uint64_t{1} << 32) + 1,
+                         uint64_t{1} << 63,
+                         (uint64_t{1} << 63) + 1,
+                         ~uint64_t{0}};
+  for (const uint64_t n : ns) {
+    for (const uint64_t seed : {5u, 6u, 7u}) {
+      Rng rng(seed);
+      Rng formula(seed);
+      size_t rejected = 0;
+      for (int draw = 0; draw < 2000; ++draw) {
+        const uint64_t threshold = (0 - n) % n;
+        uint64_t r = formula.Next();
+        for (; r < threshold; r = formula.Next()) ++rejected;
+        ASSERT_EQ(rng.UniformInt(n), r % n) << "n " << n << " draw " << draw;
+      }
+      EXPECT_EQ(rng.Next(), formula.Next()) << "n " << n;
+      if (n == (uint64_t{1} << 63) + 1) {
+        EXPECT_GT(rejected, 500u);
+      }
+    }
+  }
+}
+
 TEST(RngTest, GaussianMoments) {
   Rng rng(13);
   double mean = 0.0, var = 0.0;

@@ -4,7 +4,12 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <span>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
+#include "common/strings.h"
 #include "core/hausdorff_loss.h"
 #include "data/split.h"
 #include "data/synthetic.h"
@@ -85,6 +90,155 @@ TEST(SocialHausdorffTest, EligibleUsersAndFriendSets) {
   // Pool 0 => all POIs are candidates.
   EXPECT_EQ(loss.candidate_pool(0).size(), 4u);
   EXPECT_GT(loss.d_max(), 300.0);  // ~333 km between POI 0 and 3
+}
+
+// The head's lists as the sorted-vector construction built them, kept as
+// the reference for SocialHausdorffLoss's: N(v_i) by sort-and-unique of
+// the friends' POIs, S(v_i) by binary_search and sorted inserts of the
+// fill draws, one Rng stream in user order (friend lists first).
+struct HeadLists {
+  std::vector<std::vector<uint32_t>> friend_pois, pool;
+  size_t eligible = 0;
+};
+
+HeadLists ReferenceHeadLists(const Dataset& data, const SparseTensor& train,
+                             const TcssConfig& config) {
+  const size_t I = train.dim_i();
+  const size_t J = train.dim_j();
+  HeadLists out;
+  Rng rng(config.seed ^ 0x4a05d0u);
+  out.friend_pois.assign(I, {});
+  for (uint32_t i = 0; i < I; ++i) {
+    std::vector<uint32_t>& n = out.friend_pois[i];
+    if (config.hausdorff == HausdorffMode::kSelf) {
+      const std::span<const uint32_t> own = train.Pois(i);
+      n.assign(own.begin(), own.end());
+    } else {
+      for (const uint32_t* f = data.social().NeighborsBegin(i);
+           f != data.social().NeighborsEnd(i); ++f) {
+        const std::span<const uint32_t> theirs = train.Pois(*f);
+        n.insert(n.end(), theirs.begin(), theirs.end());
+      }
+      std::sort(n.begin(), n.end());
+      n.erase(std::unique(n.begin(), n.end()), n.end());
+    }
+    if (config.max_friend_pois > 0 && n.size() > config.max_friend_pois) {
+      rng.Shuffle(&n);
+      n.resize(config.max_friend_pois);
+      std::sort(n.begin(), n.end());
+    }
+  }
+  out.pool.assign(I, {});
+  for (uint32_t i = 0; i < I; ++i) {
+    std::vector<uint32_t>& s = out.pool[i];
+    if (config.hausdorff_pool == 0 || config.hausdorff_pool >= J) {
+      s.resize(J);
+      for (uint32_t j = 0; j < J; ++j) s[j] = j;
+    } else {
+      const std::span<const uint32_t> own = train.Pois(i);
+      s.assign(own.begin(), own.end());
+      s.insert(s.end(), out.friend_pois[i].begin(), out.friend_pois[i].end());
+      std::sort(s.begin(), s.end());
+      s.erase(std::unique(s.begin(), s.end()), s.end());
+      size_t guard = 0;
+      while (s.size() < config.hausdorff_pool && guard < 20 * J) {
+        ++guard;
+        const uint32_t j = static_cast<uint32_t>(rng.UniformInt(J));
+        if (!std::binary_search(s.begin(), s.end(), j)) {
+          s.insert(std::lower_bound(s.begin(), s.end(), j), j);
+        }
+      }
+      if (s.size() > config.hausdorff_pool) {
+        rng.Shuffle(&s);
+        s.resize(config.hausdorff_pool);
+        std::sort(s.begin(), s.end());
+      }
+    }
+    if (!s.empty() && !out.friend_pois[i].empty()) ++out.eligible;
+  }
+  return out;
+}
+
+// A random world for the list checks: POIs in a two-degree box, random
+// friendships (every seventh user has none) and up to `visits` check-ins
+// for every user but every fifth, who has none.
+Fixture MakeListWorld(uint64_t seed, size_t users, size_t pois,
+                      size_t visits) {
+  Rng rng(seed);
+  std::vector<Poi> locations(pois);
+  for (Poi& p : locations) {
+    p = {{rng.Uniform(40.0, 42.0), rng.Uniform(-74.0, -72.0)},
+         PoiCategory::kFood};
+  }
+  SocialGraph social(users);
+  for (size_t e = 0; e < 2 * users; ++e) {
+    const uint32_t u = static_cast<uint32_t>(rng.UniformInt(users));
+    const uint32_t v = static_cast<uint32_t>(rng.UniformInt(users));
+    if (u != v && u % 7 != 0 && v % 7 != 0) {
+      EXPECT_TRUE(social.AddEdge(u, v).ok());
+    }
+  }
+  EXPECT_TRUE(social.Finalize().ok());
+  SparseTensor t(users, pois, 12);
+  for (uint32_t u = 0; u < users; ++u) {
+    if (u % 5 == 3) continue;
+    for (size_t n = 1 + rng.UniformInt(visits); n > 0; --n) {
+      EXPECT_TRUE(t.Add(u, static_cast<uint32_t>(rng.UniformInt(pois)),
+                        static_cast<uint32_t>(rng.UniformInt(12)))
+                      .ok());
+    }
+  }
+  EXPECT_TRUE(t.Finalize().ok());
+  return {Dataset(users, std::move(locations), std::move(social)),
+          std::move(t)};
+}
+
+// Every user's N(v_i) and S(v_i) are the reference's, held at their exact
+// size, under both list modes, with the friend cap off and binding, and
+// with the pool at 0 (all POIs), at or above J, below J (rejection draws
+// and shuffles) and at its default. J is never a multiple of 64; 4,500
+// POIs span two summary words of the POI set.
+TEST(SocialHausdorffTest, ListsMatchTheSortedVectorReference) {
+  struct Shape {
+    size_t users, pois, visits;
+    std::vector<size_t> pools;
+  };
+  const Shape shapes[] = {{60, 37, 12, {0, 12, 37, 40, 160}},
+                          {80, 200, 30, {0, 12, 160, 200}},
+                          {30, 4500, 40, {160, 1500}}};
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    for (const Shape& shape : shapes) {
+      const Fixture w =
+          MakeListWorld(seed, shape.users, shape.pois, shape.visits);
+      for (const HausdorffMode mode :
+           {HausdorffMode::kSocial, HausdorffMode::kSelf}) {
+        for (const size_t cap : {size_t{0}, size_t{5}}) {
+          for (const size_t pool : shape.pools) {
+            TcssConfig cfg;
+            cfg.seed = seed;
+            cfg.hausdorff = mode;
+            cfg.max_friend_pois = cap;
+            cfg.hausdorff_pool = pool;
+            const SocialHausdorffLoss loss(w.data, w.train, cfg);
+            const HeadLists want = ReferenceHeadLists(w.data, w.train, cfg);
+            const std::string where =
+                StrFormat("seed %llu J %zu mode %s cap %zu pool %zu",
+                          static_cast<unsigned long long>(seed), shape.pois,
+                          HausdorffModeName(mode), cap, pool);
+            ASSERT_EQ(loss.num_eligible_users(), want.eligible) << where;
+            for (uint32_t u = 0; u < shape.users; ++u) {
+              const std::vector<uint32_t>& n = loss.friend_pois(u);
+              const std::vector<uint32_t>& s = loss.candidate_pool(u);
+              ASSERT_EQ(n, want.friend_pois[u]) << where << " user " << u;
+              ASSERT_EQ(s, want.pool[u]) << where << " user " << u;
+              ASSERT_EQ(n.capacity(), n.size()) << where << " user " << u;
+              ASSERT_EQ(s.capacity(), s.size()) << where << " user " << u;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SocialHausdorffTest, DeterministicCaseMatchesHandComputedAhd) {

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "geo/geo_point.h"
 #include "geo/haversine.h"
 #include "geo/location_entropy.h"
 #include "geo/spatial_grid.h"
+#include "tensor/sparse_tensor.h"
 
 namespace tcss {
 namespace {
@@ -119,6 +123,53 @@ TEST(LocationEntropyTest, SkewedVisitsLowerEntropy) {
   auto e = ComputeLocationEntropyFromCounts(counts);
   EXPECT_GT(e[0], e[1]);
   EXPECT_NEAR(e[0], std::log(2.0), 1e-12);
+}
+
+// ComputeLocationEntropy is, bit for bit, ComputeLocationEntropyFromCounts
+// of each POI's users in ascending order with each fiber's values summed
+// in ascending k, on non-binary tensors (zero and negative values
+// included). The last POI has no users and the one before it one user.
+TEST(LocationEntropyTest, TensorEntropyIsBitwiseThatOfItsPerPoiCounts) {
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    const uint32_t I = 1 + static_cast<uint32_t>(rng.UniformInt(40));
+    const uint32_t J = 3 + static_cast<uint32_t>(rng.UniformInt(60));
+    const uint32_t K = 1 + static_cast<uint32_t>(rng.UniformInt(6));
+    SparseTensor t(I, J, K);
+    const size_t n = rng.UniformInt(400);
+    for (size_t e = 0; e < n; ++e) {
+      const double v = rng.Bernoulli(0.1) ? 0.0 : rng.Uniform(-0.5, 3.0);
+      ASSERT_TRUE(t.Add(static_cast<uint32_t>(rng.UniformInt(I)),
+                        static_cast<uint32_t>(rng.UniformInt(J - 2)),
+                        static_cast<uint32_t>(rng.UniformInt(K)), v)
+                      .ok());
+    }
+    const uint32_t loner = static_cast<uint32_t>(rng.UniformInt(I));
+    for (uint32_t k = 0; k < K; ++k) {
+      ASSERT_TRUE(t.Add(loner, J - 2, k, rng.Uniform(0.5, 2.0)).ok());
+    }
+    ASSERT_TRUE(t.Finalize(/*binary=*/false).ok());
+
+    std::vector<std::vector<std::pair<uint32_t, double>>> counts(J);
+    for (const TensorEntry& e : t.entries()) {
+      auto& users = counts[e.j];
+      if (users.empty() || users.back().first != e.i) {
+        users.emplace_back(e.i, 0.0);
+      }
+      users.back().second += e.value;
+    }
+    const std::vector<double> got = ComputeLocationEntropy(t);
+    const std::vector<double> want = ComputeLocationEntropyFromCounts(counts);
+    ASSERT_EQ(got.size(), want.size());
+    for (uint32_t j = 0; j < J; ++j) {
+      uint64_t got_bits, want_bits;
+      std::memcpy(&got_bits, &got[j], sizeof(got_bits));
+      std::memcpy(&want_bits, &want[j], sizeof(want_bits));
+      EXPECT_EQ(got_bits, want_bits) << "seed " << seed << " POI " << j;
+    }
+    EXPECT_EQ(got[J - 1], 0.0);
+    EXPECT_EQ(got[J - 2], 0.0);
+  }
 }
 
 TEST(LocationEntropyTest, WeightsAreExpNegEntropy) {

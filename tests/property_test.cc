@@ -11,6 +11,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -600,6 +603,100 @@ TEST(CsfProperties, StructureInvariantsHoldOnAdversarialTensors) {
   opts.max_size = 48;
   PropReport report = Prop::Check<SparseTensor>(
       "csf-structure-invariants", 80, gen, pred, opts);
+  EXPECT_TRUE(report.ok) << report.message;
+}
+
+// A tensor's shape and the entries added to it, in order, before Finalize.
+struct AddedEntries {
+  size_t dims[3] = {0, 0, 0};
+  bool binary = true;
+  std::vector<TensorEntry> added;
+};
+
+AddedEntries MakeAddedEntries(uint64_t seed, uint32_t size) {
+  Rng rng(seed);
+  AddedEntries c;
+  c.binary = rng.Bernoulli(0.5);
+  for (size_t& dim : c.dims) {
+    const double roll = rng.Uniform();
+    dim = roll < 0.08 ? 0 : roll < 0.25 ? 1 : 1 + rng.UniformInt(size);
+  }
+  // Values whose sums depend on the order they are added in (1e16 + 1 -
+  // 1e16), and signed zeros.
+  constexpr double kValues[] = {1.0, -1.0, 1e16, -1e16, 0.1, 0.7, 0.0, -0.0};
+  if (c.dims[0] > 0 && c.dims[1] > 0 && c.dims[2] > 0) {
+    const size_t n = rng.UniformInt(6 * size + 1);
+    for (size_t e = 0; e < n; ++e) {
+      TensorEntry x;
+      if (!c.added.empty() && rng.Bernoulli(0.4)) {
+        x = c.added[rng.UniformInt(c.added.size())];
+      } else {
+        x.i = static_cast<uint32_t>(rng.UniformInt(c.dims[0]));
+        x.j = static_cast<uint32_t>(rng.UniformInt(c.dims[1]));
+        x.k = static_cast<uint32_t>(rng.UniformInt(c.dims[2]));
+      }
+      x.value = kValues[rng.UniformInt(std::size(kValues))];
+      c.added.push_back(x);
+    }
+  }
+  return c;
+}
+
+// Finalize against an insertion-order oracle: each distinct (i, j, k) in
+// lexicographic order, its values summed in the order they were added
+// (the first taken as is), clamped to 1 with zero sums dropped in a binary
+// tensor; the entries' bits and their exact capacity must match, on
+// binary and real tensors with empty modes, dim_k = 1 and empty slices.
+TEST(CsfProperties, FinalizeSumsDuplicatesInInsertionOrder) {
+  auto pred = [](const AddedEntries& c, std::string* msg) {
+    SparseTensor x(c.dims[0], c.dims[1], c.dims[2]);
+    for (const TensorEntry& e : c.added) {
+      if (!x.Add(e.i, e.j, e.k, e.value).ok()) {
+        *msg = "Add refused an in-range entry";
+        return false;
+      }
+    }
+    if (!x.Finalize(c.binary).ok()) {
+      *msg = "Finalize failed";
+      return false;
+    }
+    std::map<std::tuple<uint32_t, uint32_t, uint32_t>, double> sums;
+    for (const TensorEntry& e : c.added) {
+      const auto [it, fresh] = sums.try_emplace({e.i, e.j, e.k}, e.value);
+      if (!fresh) it->second += e.value;
+    }
+    std::vector<TensorEntry> want;
+    for (const auto& [ijk, sum] : sums) {
+      if (c.binary && sum == 0.0) continue;
+      const auto [i, j, k] = ijk;
+      want.push_back({i, j, k, c.binary ? 1.0 : sum});
+    }
+    const std::vector<TensorEntry>& got = x.entries();
+    if (got.size() != want.size()) {
+      *msg = StrFormat("%zu entries, the oracle %zu", got.size(), want.size());
+      return false;
+    }
+    for (size_t e = 0; e < got.size(); ++e) {
+      if (std::tie(got[e].i, got[e].j, got[e].k) !=
+              std::tie(want[e].i, want[e].j, want[e].k) ||
+          std::memcmp(&got[e].value, &want[e].value, sizeof(double)) != 0) {
+        *msg = StrFormat("entry %zu is (%u,%u,%u) %a, the oracle's (%u,%u,%u) "
+                         "%a", e, got[e].i, got[e].j, got[e].k, got[e].value,
+                         want[e].i, want[e].j, want[e].k, want[e].value);
+        return false;
+      }
+    }
+    if (got.capacity() != got.size()) {
+      *msg = StrFormat("entries hold capacity %zu for %zu", got.capacity(),
+                       got.size());
+      return false;
+    }
+    return true;
+  };
+  PropOptions opts;
+  opts.max_size = 48;
+  PropReport report = Prop::Check<AddedEntries>(
+      "finalize-insertion-order", 120, MakeAddedEntries, pred, opts);
   EXPECT_TRUE(report.ok) << report.message;
 }
 

@@ -53,7 +53,16 @@
 #      materialized matrix) and
 #      SpectralInitTest.EigensolvesConvergeCloseToTightSolves (every mode
 #      of the gowalla preset converges within sin 1e-5 of a tol-1e-13
-#      solve). Last, the
+#      solve). The set-up path's byte contracts run in it too:
+#      CsfProperties.FinalizeSumsDuplicatesInInsertionOrder (Finalize's
+#      counting passes against an insertion-order oracle: entries, value
+#      bits and exact capacity, binary and real, empty modes, dim_k = 1),
+#      SocialHausdorffTest.ListsMatchTheSortedVectorReference (every
+#      user's friend list and pool against the sorted-vector construction,
+#      Social and Self, friend cap off and binding, pools 0, >= J, < J and
+#      default, J not a multiple of 64),
+#      LocationEntropyTest.TensorEntropyIsBitwiseThatOfItsPerPoiCounts and
+#      RngTest.UniformIntMatchesTheTwoDivisionFormula. Last, the
 #      repository benchmark's smoke test (perfbench/smoke_test.py) builds
 #      perfbench and runs every BENCHMARK.json workload at tiny scale, so
 #      a change that breaks the benchmark's build or its output checks
