@@ -7,7 +7,7 @@
 // BENCH_ann.json keeps the rows that retired the LSH tier beside these.
 //
 // Human-readable table on stdout; TCSS_BENCH_JSON appends machine rows
-// (bench "exact_scan"). TCSS_BENCH_ANN_SCALE (default 1.0) scales the
+// (bench "exact_scan"). TCSS_BENCH_SCALE (default 1.0) scales the
 // catalogue sizes and query counts for quick smoke runs.
 #include <unistd.h>
 
@@ -36,15 +36,6 @@ constexpr size_t kRank = 32;
 constexpr size_t kUsers = 8;
 constexpr size_t kBins = 12;
 constexpr size_t kTopK = 10;
-
-double AnnScale() {
-  const char* env = std::getenv("TCSS_BENCH_ANN_SCALE");
-  if (env != nullptr) {
-    const double s = std::atof(env);
-    if (s > 0.0) return s;
-  }
-  return 1.0;
-}
 
 // Cluster-structured factors: users and POIs co-embed around shared
 // centers, the shape trained factorizations actually take (people and
@@ -165,7 +156,7 @@ void RunCatalog(size_t num_pois, size_t num_queries) {
 }  // namespace tcss
 
 int main() {
-  const double scale = tcss::AnnScale();
+  const double scale = tcss::bench::BenchScale();
   const size_t queries =
       std::max<size_t>(20, static_cast<size_t>(400 * scale));
   std::printf("RecommendService::BatchTopK, exact scan (rank %zu, "

@@ -9,14 +9,13 @@
 // inside the budget while the excess is refused, not silently delayed.
 //
 // Human-readable table on stdout; TCSS_BENCH_JSON appends machine rows
-// (bench "serve_loop"). TCSS_BENCH_SERVE_SCALE (default 1.0) scales the
+// (bench "serve_loop"). TCSS_BENCH_SCALE (default 1.0) scales the
 // request counts for quick smoke runs.
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -44,15 +43,6 @@ constexpr size_t kPois = 128;
 constexpr size_t kBins = 12;
 constexpr double kDeadlineMs = 10.0;
 constexpr size_t kClients = 4;
-
-double ServeScale() {
-  const char* env = std::getenv("TCSS_BENCH_SERVE_SCALE");
-  if (env != nullptr) {
-    const double s = std::atof(env);
-    if (s > 0.0) return s;
-  }
-  return 1.0;
-}
 
 Dataset BenchDataset() {
   std::vector<Poi> pois(kPois);
@@ -268,7 +258,7 @@ LoadResult RunLoad(Env* env, const std::string& path, size_t total,
 
 int main() {
   using namespace tcss;
-  const double scale = ServeScale();
+  const double scale = bench::BenchScale();
   Env* env = Env::Default();
 
   Dataset data = BenchDataset();

@@ -434,7 +434,7 @@ double SocialHausdorffLoss::ComputeForUser(const FactorModel& model,
     a_sum += p[a];
     w_sum += p[a] * e_[s_set[a]] * dmin[a];
   }
-  const double denom = a_sum + config_.epsilon;
+  const double denom = a_sum + kHausdorffEpsilon;
   const double term1 = w_sum / denom;
 
   // --- term 2 -------------------------------------------------------------

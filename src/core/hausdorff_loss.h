@@ -19,6 +19,9 @@ namespace tcss {
 /// Shared with the brute-force oracle (src/proptest/oracles.cc), which
 /// must clamp identically.
 inline constexpr double kHausdorffCapMargin = 1e-9;
+/// Division guard eps of Eq 10/12 (the paper's 1e-6), shared with the
+/// oracle likewise.
+inline constexpr double kHausdorffEpsilon = 1e-6;
 /// Lower bound on the soft-min inputs f_j (a POI exactly at a friend's
 /// POI with p = 1 would otherwise yield f = 0 and blow up f^(alpha-1)).
 inline constexpr double kHausdorffSoftMinFloor = 1e-6;

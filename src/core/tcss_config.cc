@@ -66,7 +66,6 @@ std::string TcssConfig::Validate() const {
   if (rank == 0) return "rank must be positive";
   if (epochs < 0) return "epochs must be non-negative";
   if (!Positive(learning_rate)) return "learning_rate must be positive";
-  if (!NonNegative(weight_decay)) return "weight_decay must be non-negative";
   if (!Positive(lr_step_factor) || lr_step_factor > 1) {
     return "lr_step_factor must be in (0, 1]";
   }
@@ -76,12 +75,8 @@ std::string TcssConfig::Validate() const {
   if (w_pos < w_neg) return "w_pos should not be below w_neg";
   if (!NonNegative(lambda)) return "lambda must be non-negative";
   if (!Positive(-alpha)) return "alpha must be negative (soft minimum)";
-  if (!Positive(epsilon)) return "epsilon must be positive";
   if (!NonNegative(temporal_smoothness)) {
     return "temporal_smoothness must be non-negative";
-  }
-  if (!Positive(zero_out_sigma_frac) || zero_out_sigma_frac > 1) {
-    return "zero_out_sigma_frac must be in (0, 1]";
   }
   if (num_threads < 0 || num_threads > 1024) {
     return "num_threads must be in [0, 1024] (0 = hardware concurrency)";

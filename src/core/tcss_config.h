@@ -35,7 +35,8 @@ const char* HausdorffModeName(HausdorffMode m);
 
 /// Hyperparameters of the TCSS model. Defaults follow Section V-D of the
 /// paper: w+ = 0.99, w- = 0.01, lambda = 0.1, rank 10, alpha = -1,
-/// epsilon = 1e-6, Adam lr 0.001.
+/// Adam lr 0.001 (the paper's epsilon = 1e-6 is the constant
+/// kHausdorffEpsilon).
 struct TcssConfig {
   size_t rank = 10;
   int epochs = 400;
@@ -45,7 +46,6 @@ struct TcssConfig {
   // needs a correspondingly larger step size to converge in a comparable
   // number of passes.
   double learning_rate = 0.2;
-  double weight_decay = 1e-5;
   /// Step schedule: the learning rate is multiplied by this factor after
   /// 60% and again after 85% of the epochs (sharpens full-batch Adam).
   double lr_step_factor = 0.3;
@@ -60,7 +60,6 @@ struct TcssConfig {
   // Social-spatial head.
   double lambda = 0.1;       ///< weight of L1 in L = lambda*L1 + L2
   double alpha = -1.0;       ///< generalized-mean exponent of the soft min
-  double epsilon = 1e-6;     ///< division guard in Eq 10/12
   bool use_location_entropy = true;  ///< e_j weights of Eq 12
 
   /// Size of the candidate pool S(v_i). 0 = all POIs (paper-exact; only
@@ -83,8 +82,6 @@ struct TcssConfig {
   InitMethod init = InitMethod::kSpectral;
   LossMode loss_mode = LossMode::kRewritten;
   HausdorffMode hausdorff = HausdorffMode::kSocial;
-  /// Zero-out ablation: sigma as a fraction of d_max.
-  double zero_out_sigma_frac = 0.01;
 
   uint64_t seed = 13;
 

@@ -8,6 +8,13 @@
 #include "linalg/vector_ops.h"
 
 namespace tcss {
+namespace {
+
+// Zero-out ablation: a POI within this fraction of d_max of one of the
+// user's own POIs stays scoreable.
+constexpr double kZeroOutSigmaFrac = 0.01;
+
+}  // namespace
 
 std::string TcssModel::name() const {
   std::string n = "TCSS";
@@ -54,7 +61,7 @@ void TcssModel::BuildZeroOutMask(const TrainContext& ctx) {
   const size_t I = ctx.train->dim_i();
   const size_t J = ctx.train->dim_j();
   const double d_max = MaxPairwiseDistanceKm(ctx.data->PoiLocations());
-  const double sigma = config_.zero_out_sigma_frac * std::max(d_max, 1e-9);
+  const double sigma = kZeroOutSigmaFrac * std::max(d_max, 1e-9);
 
   allowed_.assign(I * J, 0);
   for (uint32_t i = 0; i < I; ++i) {

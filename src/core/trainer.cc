@@ -52,6 +52,9 @@ struct TrainMetrics {
 /// Rows of a factor per parallel AdamStep shard.
 constexpr size_t kAdamRowGrain = 1024;
 
+/// Weight decay of every AdamStep.
+constexpr double kWeightDecay = 1e-5;
+
 /// Max-abs entry over all gradient blocks; +inf if any entry is NaN/Inf,
 /// so a single comparison catches both explosion and corruption.
 double GradMaxAbs(const FactorGrads& g) {
@@ -74,8 +77,7 @@ double MaxAbsOrInf(const double* p, size_t n) {
   return m;
 }
 
-void AdamStep(const FactorGrads& grads, double lr, double weight_decay,
-              TrainerCheckpoint* state) {
+void AdamStep(const FactorGrads& grads, double lr, TrainerCheckpoint* state) {
   const int64_t t = ++state->adam_t;
   FactorModel& x = state->model;
   FactorGrads& m = state->adam_m;
@@ -88,7 +90,7 @@ void AdamStep(const FactorGrads& grads, double lr, double weight_decay,
     ParallelFor(rows, kAdamRowGrain, [&](size_t begin, size_t end, size_t) {
       const size_t at = begin * r;
       AdamUpdate(value + at, grad + at, mom + at, vel + at, (end - begin) * r,
-                 t, lr, weight_decay);
+                 t, lr, kWeightDecay);
     });
   };
   update(x.u1.data(), grads.u1.data(), m.u1.data(), v.u1.data(), x.u1.rows());
@@ -288,7 +290,7 @@ Result<FactorModel> TcssTrainer::Train(const TrainOptions& options,
 
     stats.lr = ScheduledLearningRate(config_, epoch) * state.lr_scale;
     stage.Restart();
-    AdamStep(grads, stats.lr, config_.weight_decay, &state);
+    AdamStep(grads, stats.lr, &state);
     state.epoch = epoch;
     state.hausdorff_rotation =
         hausdorff_ != nullptr ? hausdorff_->rotation() : 0;

@@ -60,12 +60,12 @@ double AddTemporalSmoothnessGrad(const Matrix& u3, double weight,
 /// comparison catches both explosion and corruption.
 double MaxAbsOrInf(const double* p, size_t n);
 
-/// One Adam step of every factor of `state` (model, moments, step counter)
-/// on `grads`. Elementwise: stepping disjoint row blocks with their own
-/// gradient rows gives exactly the bytes of one whole-matrix step — the
-/// property that makes user-mode sharding exact.
-void AdamStep(const FactorGrads& grads, double lr, double weight_decay,
-              TrainerCheckpoint* state);
+/// One Adam step, with weight decay 1e-5, of every factor of `state`
+/// (model, moments, step counter) on `grads`. Elementwise: stepping
+/// disjoint row blocks with their own gradient rows gives exactly the
+/// bytes of one whole-matrix step — the property that makes user-mode
+/// sharding exact.
+void AdamStep(const FactorGrads& grads, double lr, TrainerCheckpoint* state);
 
 /// Divergence guard of a training run. An epoch whose forward pass has a
 /// non-finite loss or gradient (or a max-abs gradient entry above

@@ -284,8 +284,4 @@ Result<Dataset> LoadDatasetCsv(const std::string& dir,
   return out;
 }
 
-Result<Dataset> LoadDatasetCsv(const std::string& dir) {
-  return LoadDatasetCsv(dir, CsvLoadOptions(), nullptr);
-}
-
 }  // namespace tcss

@@ -72,11 +72,8 @@ inline constexpr int64_t kMaxCheckinTimestamp = 253402300799;  // 9999-12-31
 /// re-indexed densely and check-ins referencing the hole are quarantined
 /// too ("references quarantined poi").
 Result<Dataset> LoadDatasetCsv(const std::string& dir,
-                               const CsvLoadOptions& opts,
+                               const CsvLoadOptions& opts = {},
                                LoadReport* report = nullptr);
-
-/// Strict load with default options.
-Result<Dataset> LoadDatasetCsv(const std::string& dir);
 
 }  // namespace tcss
 

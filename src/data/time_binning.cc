@@ -15,21 +15,35 @@ int64_t DaysFromCivil(int y, int m, int d) {
   return era * 146097 + static_cast<int64_t>(doe) - 719468;
 }
 
-void CivilFromDays(int64_t z, int* y, unsigned* m, unsigned* d) {
+// The civil-from-days core: day z since 1970-01-01 as a year that starts
+// on March 1 and the day within it (0 = March 1; January 1 of the next
+// civil year is day 306).
+void MarchYearFromDays(int64_t z, int64_t* yr, unsigned* doy) {
   z += 719468;
   const int64_t era = (z >= 0 ? z : z - 146096) / 146097;
   const unsigned doe = static_cast<unsigned>(z - era * 146097);  // [0,146096]
   const unsigned yoe =
       (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;     // [0,399]
-  const int64_t yr = static_cast<int64_t>(yoe) + era * 400;
-  const unsigned doy = doe - (365 * yoe + yoe / 4 - yoe / 100);  // [0,365]
-  const unsigned mp = (5 * doy + 2) / 153;                       // [0,11]
+  *yr = static_cast<int64_t>(yoe) + era * 400;
+  *doy = doe - (365 * yoe + yoe / 4 - yoe / 100);                // [0,365]
+}
+
+// Month of a March-year day: 0 = March ... 11 = February.
+unsigned MarchMonth(unsigned doy) { return (5 * doy + 2) / 153; }
+
+void CivilFromDays(int64_t z, int* y, unsigned* m, unsigned* d) {
+  int64_t yr;
+  unsigned doy;
+  MarchYearFromDays(z, &yr, &doy);
+  const unsigned mp = MarchMonth(doy);
   *d = doy - (153 * mp + 2) / 5 + 1;                             // [1,31]
   *m = mp + (mp < 10 ? 3 : -9);                                  // [1,12]
   *y = static_cast<int>(yr + (*m <= 2));
 }
 
-bool IsLeap(int y) { return (y % 4 == 0 && y % 100 != 0) || y % 400 == 0; }
+bool IsLeap(int64_t y) {
+  return (y % 4 == 0 && y % 100 != 0) || y % 400 == 0;
+}
 
 int DayOfYear(int y, int m, int d) {
   static const int kCum[12] = {0,   31,  59,  90,  120, 151,
@@ -94,17 +108,26 @@ int64_t FromCivil(int year, int month, int day, int hour, int minute,
          second;
 }
 
+// Each granularity derives only its own field: the bins are those of
+// ToCivil's month - 1, day_of_year / 7 and hour.
 uint32_t TimeBin(int64_t unix_seconds, TimeGranularity g) {
-  const CivilTime c = ToCivil(unix_seconds);
-  switch (g) {
-    case TimeGranularity::kMonthOfYear:
-      return static_cast<uint32_t>(c.month - 1);
-    case TimeGranularity::kWeekOfYear:
-      return static_cast<uint32_t>(c.day_of_year / 7);  // 0..52
-    case TimeGranularity::kHourOfDay:
-      return static_cast<uint32_t>(c.hour);
+  const int64_t days = FloorDiv(unix_seconds, 86400);
+  if (g == TimeGranularity::kHourOfDay) {
+    return static_cast<uint32_t>((unix_seconds - days * 86400) / 3600);
   }
-  return 0;
+  int64_t yr;
+  unsigned doy;
+  MarchYearFromDays(days, &yr, &doy);
+  if (g == TimeGranularity::kMonthOfYear) {
+    const unsigned mp = MarchMonth(doy);
+    return mp < 10 ? mp + 2 : mp - 10;
+  }
+  // Week: the day of the civil year. March-year days from 306 on are
+  // January and February of year yr + 1; the days before are March to
+  // December of year yr, after its 59 (leap: 60) days of January and
+  // February.
+  const unsigned day_of_year = doy >= 306 ? doy - 306 : doy + 59 + IsLeap(yr);
+  return day_of_year / 7;
 }
 
 }  // namespace tcss

@@ -87,7 +87,6 @@ uint64_t DistFingerprint(const TcssConfig& config, size_t dim_i, size_t dim_j,
   acc = Mix(acc, static_cast<uint64_t>(config.init));
   acc = Mix(acc, static_cast<uint64_t>(config.loss_mode));
   acc = MixDouble(acc, config.learning_rate);
-  acc = MixDouble(acc, config.weight_decay);
   acc = MixDouble(acc, config.lr_step_factor);
   acc = MixDouble(acc, config.w_pos);
   acc = MixDouble(acc, config.w_neg);

@@ -257,7 +257,7 @@ Status DistWorker::ApplyStep(const DistMsg& msg) {
   std::copy(msg.u2.begin(), msg.u2.end(), grads_.u2.data());
   std::copy(msg.u3.begin(), msg.u3.end(), grads_.u3.data());
   grads_.h = msg.h;
-  AdamStep(grads_, msg.lr, config_.weight_decay, &state_);
+  AdamStep(grads_, msg.lr, &state_);
   state_.epoch = msg.epoch;
   ++stats_.steps_applied;
   return Status::OK();

@@ -9,8 +9,7 @@ namespace tcss {
 
 RankingMetrics EvaluateRanking(const ScoreFn& score, size_t num_pois,
                                const std::vector<TensorCell>& test_cells,
-                               const RankingProtocolOptions& opts,
-                               const SparseTensor* train) {
+                               const RankingProtocolOptions& opts) {
   RankingMetrics out;
   if (test_cells.empty() || num_pois == 0) return out;
   Rng rng(opts.seed);
@@ -30,10 +29,6 @@ RankingMetrics EvaluateRanking(const ScoreFn& score, size_t num_pois,
       ++attempts;
       const uint32_t j = static_cast<uint32_t>(rng.UniformInt(num_pois));
       if (j == cell.j) continue;
-      if (opts.exclude_observed && train != nullptr &&
-          train->Contains(cell.i, j, cell.k)) {
-        continue;
-      }
       negatives.push_back(score(cell.i, j, cell.k));
     }
     const double target = score(cell.i, cell.j, cell.k);
@@ -65,13 +60,12 @@ RankingMetrics EvaluateRanking(const ScoreFn& score, size_t num_pois,
 
 RankingMetrics EvaluateRanking(const Recommender& model, size_t num_pois,
                                const std::vector<TensorCell>& test_cells,
-                               const RankingProtocolOptions& opts,
-                               const SparseTensor* train) {
+                               const RankingProtocolOptions& opts) {
   return EvaluateRanking(
       [&model](uint32_t i, uint32_t j, uint32_t k) {
         return model.Score(i, j, k);
       },
-      num_pois, test_cells, opts, train);
+      num_pois, test_cells, opts);
 }
 
 }  // namespace tcss

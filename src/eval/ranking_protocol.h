@@ -15,10 +15,6 @@ struct RankingProtocolOptions {
   size_t num_negatives = 100;
   size_t top_k = 10;
   uint64_t seed = 777;
-  /// If true, sampled negatives exclude POIs the user visited in the train
-  /// tensor at the same time bin (slightly cleaner; the paper samples
-  /// "100 random POIs" so the default is false).
-  bool exclude_observed = false;
 };
 
 /// Evaluates a scorer over test cells. MRR follows the paper: reciprocal
@@ -28,14 +24,12 @@ struct RankingProtocolOptions {
 /// are reported as per-entry averages.
 RankingMetrics EvaluateRanking(const ScoreFn& score, size_t num_pois,
                                const std::vector<TensorCell>& test_cells,
-                               const RankingProtocolOptions& opts,
-                               const SparseTensor* train = nullptr);
+                               const RankingProtocolOptions& opts);
 
 /// Convenience overload for a fitted Recommender.
 RankingMetrics EvaluateRanking(const Recommender& model, size_t num_pois,
                                const std::vector<TensorCell>& test_cells,
-                               const RankingProtocolOptions& opts,
-                               const SparseTensor* train = nullptr);
+                               const RankingProtocolOptions& opts);
 
 }  // namespace tcss
 

@@ -21,13 +21,4 @@ void GeoBounds::Extend(const GeoPoint& p) {
   max_lon = std::max(max_lon, p.lon);
 }
 
-bool GeoBounds::Contains(const GeoPoint& p) const {
-  return p.lat >= min_lat && p.lat <= max_lat && p.lon >= min_lon &&
-         p.lon <= max_lon;
-}
-
-GeoPoint GeoBounds::Center() const {
-  return {0.5 * (min_lat + max_lat), 0.5 * (min_lon + max_lon)};
-}
-
 }  // namespace tcss

@@ -29,8 +29,6 @@ struct GeoBounds {
   double max_lon = -180.0;
 
   void Extend(const GeoPoint& p);
-  bool Contains(const GeoPoint& p) const;
-  GeoPoint Center() const;
 };
 
 }  // namespace tcss

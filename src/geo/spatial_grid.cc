@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "geo/haversine.h"
 
@@ -42,47 +41,6 @@ size_t SpatialGrid::CellOf(const GeoPoint& p) const {
   int cx, cy;
   CellCoords(p, &cx, &cy);
   return static_cast<size_t>(cy) * nx_ + cx;
-}
-
-int64_t SpatialGrid::Nearest(const GeoPoint& q, int64_t exclude) const {
-  if (points_->empty()) return -1;
-  int cx, cy;
-  CellCoords(q, &cx, &cy);
-  int64_t best = -1;
-  double best_d = std::numeric_limits<double>::infinity();
-  const int max_ring = std::max(nx_, ny_);
-  for (int ring = 0; ring <= max_ring; ++ring) {
-    bool any_cell = false;
-    for (int dy = -ring; dy <= ring; ++dy) {
-      for (int dx = -ring; dx <= ring; ++dx) {
-        if (std::max(std::abs(dx), std::abs(dy)) != ring) continue;
-        const int x = cx + dx;
-        const int y = cy + dy;
-        if (x < 0 || x >= nx_ || y < 0 || y >= ny_) continue;
-        any_cell = true;
-        for (uint32_t idx : cells_[static_cast<size_t>(y) * nx_ + x]) {
-          if (static_cast<int64_t>(idx) == exclude) continue;
-          const double d = HaversineKm(q, (*points_)[idx]);
-          if (d < best_d) {
-            best_d = d;
-            best = idx;
-          }
-        }
-      }
-    }
-    // Stop one ring after the first hit: a neighbouring ring can still hold
-    // a closer point than the first one found (cells are rectangles).
-    if (best >= 0 && ring > 0) break;
-    if (!any_cell && ring > 0 && best >= 0) break;
-  }
-  return best;
-}
-
-double SpatialGrid::NearestDistanceKm(const GeoPoint& q,
-                                      int64_t exclude) const {
-  int64_t idx = Nearest(q, exclude);
-  if (idx < 0) return std::numeric_limits<double>::infinity();
-  return HaversineKm(q, (*points_)[idx]);
 }
 
 std::vector<uint32_t> SpatialGrid::WithinRadius(const GeoPoint& q,

@@ -8,22 +8,14 @@
 
 namespace tcss {
 
-/// Uniform lat/lon grid index over a fixed point set. Supports approximate
-/// nearest-neighbour and radius queries by expanding rings of cells; exact
-/// enough for the Hausdorff candidate pruning and the zero-out ablation
-/// (distances are verified with haversine inside candidate cells).
+/// Uniform lat/lon grid index over a fixed point set for exact radius
+/// queries: a query visits the cells its radius can reach and verifies
+/// every candidate with haversine.
 class SpatialGrid {
  public:
   /// Builds the index over `points` with roughly `target_per_cell` points
   /// per cell. Points must outlive the grid (indices refer into it).
   SpatialGrid(const std::vector<GeoPoint>& points, double target_per_cell = 8.0);
-
-  /// Index of the nearest point to `q` (by haversine), or -1 if empty.
-  /// `exclude` (optional) is skipped, enabling nearest-other queries.
-  int64_t Nearest(const GeoPoint& q, int64_t exclude = -1) const;
-
-  /// Haversine distance from q to its nearest indexed point; +inf if empty.
-  double NearestDistanceKm(const GeoPoint& q, int64_t exclude = -1) const;
 
   /// All point indices within `radius_km` of q (haversine), sorted
   /// ascending and deduplicated. Exact: the cell window is conservative,

@@ -41,35 +41,8 @@ Status SocialGraph::Finalize() {
   return Status::OK();
 }
 
-std::vector<uint32_t> SocialGraph::Neighbors(uint32_t u) const {
-  return std::vector<uint32_t>(NeighborsBegin(u), NeighborsEnd(u));
-}
-
 bool SocialGraph::HasEdge(uint32_t u, uint32_t v) const {
   return std::binary_search(NeighborsBegin(u), NeighborsEnd(u), v);
-}
-
-size_t SocialGraph::CountConnectedComponents() const {
-  std::vector<uint8_t> seen(num_nodes_, 0);
-  std::vector<uint32_t> stack;
-  size_t components = 0;
-  for (uint32_t s = 0; s < num_nodes_; ++s) {
-    if (seen[s]) continue;
-    ++components;
-    seen[s] = 1;
-    stack.push_back(s);
-    while (!stack.empty()) {
-      uint32_t u = stack.back();
-      stack.pop_back();
-      for (const uint32_t* p = NeighborsBegin(u); p != NeighborsEnd(u); ++p) {
-        if (!seen[*p]) {
-          seen[*p] = 1;
-          stack.push_back(*p);
-        }
-      }
-    }
-  }
-  return components;
 }
 
 double SocialGraph::AverageDegree() const {

@@ -34,14 +34,8 @@ class SocialGraph {
   }
   size_t Degree(uint32_t u) const { return offsets_[u + 1] - offsets_[u]; }
 
-  /// Convenience copy of u's neighbor list.
-  std::vector<uint32_t> Neighbors(uint32_t u) const;
-
   /// O(log degree) membership test. Requires finalized().
   bool HasEdge(uint32_t u, uint32_t v) const;
-
-  /// Number of connected components (isolated nodes count individually).
-  size_t CountConnectedComponents() const;
 
   /// Average degree 2|E| / |V| (0 for an empty graph).
   double AverageDegree() const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <sstream>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -100,24 +99,6 @@ std::vector<double> Matrix::Column(size_t j) const {
   std::vector<double> v(rows_);
   for (size_t i = 0; i < rows_; ++i) v[i] = (*this)(i, j);
   return v;
-}
-
-std::string Matrix::ToString(size_t max_rows, size_t max_cols) const {
-  std::ostringstream os;
-  os << "Matrix(" << rows_ << "x" << cols_ << ")";
-  size_t show_r = std::min(rows_, max_rows);
-  size_t show_c = std::min(cols_, max_cols);
-  for (size_t i = 0; i < show_r; ++i) {
-    os << "\n  [";
-    for (size_t j = 0; j < show_c; ++j) {
-      if (j) os << ", ";
-      os << (*this)(i, j);
-    }
-    if (show_c < cols_) os << ", ...";
-    os << "]";
-  }
-  if (show_r < rows_) os << "\n  ...";
-  return os.str();
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {

@@ -2,7 +2,6 @@
 #define TCSS_LINALG_MATRIX_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -60,9 +59,6 @@ class Matrix {
 
   /// Extracts column j as a vector.
   std::vector<double> Column(size_t j) const;
-
-  /// Debug string, truncated for large matrices.
-  std::string ToString(size_t max_rows = 8, size_t max_cols = 8) const;
 
  private:
   size_t rows_;

@@ -14,6 +14,10 @@ namespace {
 // Degree of the Chebyshev filter applied between Rayleigh-Ritz steps.
 constexpr int kFilterDegree = 8;
 
+// Guard vectors beyond the requested r: they improve convergence of the
+// trailing eigenpairs and are discarded from the output.
+constexpr size_t kOversample = 4;
+
 // Chebyshev filter of degree m on the Ritz block v (n x b, Ritz values
 // theta, their images av = A v), damping the interval [0, top] that
 // holds the unwanted part of a PSD spectrum. With t(x) = 2x / top - 1,
@@ -82,8 +86,7 @@ Result<EigenPairs> SubspaceEigen(const LinearOperator& op, size_t r,
         StrFormat("SubspaceEigen: max_iterations=%d, need at least 1",
                   opts.max_iterations));
   }
-  const size_t block =
-      std::min(n, r + static_cast<size_t>(std::max(opts.oversample, 0)));
+  const size_t block = std::min(n, r + kOversample);
 
   Rng rng(opts.seed);
   Matrix q = Matrix::GaussianRandom(n, block, &rng);

@@ -18,9 +18,6 @@ struct SubspaceIterationOptions {
   /// is at most tol * theta_1 (the largest Ritz value).
   double tol = 1e-8;
   uint64_t seed = 42;
-  /// Extra guard vectors beyond the requested r improve convergence of the
-  /// trailing eigenpairs; they are discarded from the output.
-  int oversample = 4;
 };
 
 /// Top-r eigenpairs returned by SubspaceEigen.

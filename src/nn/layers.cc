@@ -41,22 +41,6 @@ Var Dense::Apply(Tape* tape, Var x) const {
   return Activate(tape, z, act_);
 }
 
-Mlp::Mlp(ParameterStore* store, const std::string& name,
-         const std::vector<size_t>& dims, Activation hidden,
-         Activation output, Rng* rng) {
-  TCSS_CHECK(dims.size() >= 2);
-  for (size_t l = 0; l + 1 < dims.size(); ++l) {
-    const bool last = (l + 2 == dims.size());
-    layers_.emplace_back(store, name + ".l" + std::to_string(l), dims[l],
-                         dims[l + 1], last ? output : hidden, rng);
-  }
-}
-
-Var Mlp::Apply(Tape* tape, Var x) const {
-  for (const auto& layer : layers_) x = layer.Apply(tape, x);
-  return x;
-}
-
 LstmCell::LstmCell(ParameterStore* store, const std::string& name, size_t in,
                    size_t hidden, bool spatiotemporal, Rng* rng)
     : in_(in), hidden_(hidden), st_(spatiotemporal) {

@@ -2,7 +2,6 @@
 #define TCSS_NN_LAYERS_H_
 
 #include <string>
-#include <vector>
 
 #include "nn/tape.h"
 
@@ -29,22 +28,6 @@ class Dense {
   Activation act_ = Activation::kNone;
   Parameter* w_ = nullptr;
   Parameter* b_ = nullptr;
-};
-
-/// Multi-layer perceptron: a stack of Dense layers with one activation on
-/// hidden layers and a configurable output activation.
-class Mlp {
- public:
-  Mlp() = default;
-  /// `dims` = {in, hidden..., out}.
-  Mlp(ParameterStore* store, const std::string& name,
-      const std::vector<size_t>& dims, Activation hidden, Activation output,
-      Rng* rng);
-
-  Var Apply(Tape* tape, Var x) const;
-
- private:
-  std::vector<Dense> layers_;
 };
 
 /// LSTM cell with optional extra spatiotemporal gates (used by the STGN

@@ -110,30 +110,6 @@ Var Tape::SoftmaxRows(Var a) {
   return v;
 }
 
-Var Tape::SumAll(Var a) {
-  double s = 0.0;
-  const Matrix& va = value(a);
-  for (size_t i = 0; i < va.rows(); ++i)
-    for (size_t j = 0; j < va.cols(); ++j) s += va(i, j);
-  Matrix out(1, 1);
-  out(0, 0) = s;
-  Var v = NewNode(std::move(out));
-  Node* n = &node(v);
-  Node* na = &node(a);
-  n->backward = [n, na]() {
-    const double g = n->grad(0, 0);
-    for (size_t i = 0; i < na->grad.rows(); ++i)
-      for (size_t j = 0; j < na->grad.cols(); ++j) na->grad(i, j) += g;
-  };
-  return v;
-}
-
-Var Tape::MeanAll(Var a) {
-  const double inv =
-      1.0 / static_cast<double>(std::max<size_t>(1, value(a).size()));
-  return Scale(SumAll(a), inv);
-}
-
 Var Tape::MseLoss(Var pred, const Matrix& target) {
   const Matrix& p = value(pred);
   TCSS_CHECK(p.rows() == target.rows() && p.cols() == target.cols());
@@ -184,34 +160,6 @@ Var Tape::BceLoss(Var probs, const Matrix& target) {
         const double t = tgt(i, j);
         np->grad(i, j) += g * (q - t) / (q * (1.0 - q));
       }
-  };
-  return v;
-}
-
-Var Tape::WeightedMseLoss(Var pred, const Matrix& target,
-                          const Matrix& weights) {
-  const Matrix& p = value(pred);
-  TCSS_CHECK(p.rows() == target.rows() && p.cols() == target.cols());
-  TCSS_CHECK(p.rows() == weights.rows() && p.cols() == weights.cols());
-  double s = 0.0;
-  for (size_t i = 0; i < p.rows(); ++i)
-    for (size_t j = 0; j < p.cols(); ++j) {
-      const double d = p(i, j) - target(i, j);
-      s += weights(i, j) * d * d;
-    }
-  const double inv = 1.0 / static_cast<double>(std::max<size_t>(1, p.size()));
-  Matrix out(1, 1);
-  out(0, 0) = s * inv;
-  Var v = NewNode(std::move(out));
-  Node* n = &node(v);
-  Node* np = &node(pred);
-  Matrix tgt = target;
-  Matrix w = weights;
-  n->backward = [n, np, tgt = std::move(tgt), w = std::move(w), inv]() {
-    const double g = n->grad(0, 0) * 2.0 * inv;
-    for (size_t i = 0; i < np->grad.rows(); ++i)
-      for (size_t j = 0; j < np->grad.cols(); ++j)
-        np->grad(i, j) += g * w(i, j) * (np->value(i, j) - tgt(i, j));
   };
   return v;
 }

@@ -73,14 +73,6 @@ Var Tape::MatMulT(Var a, Var b) {
   return v;
 }
 
-Var Tape::Transpose(Var a) {
-  Var v = NewNode(value(a).Transposed());
-  Node* n = &node(v);
-  Node* na = &node(a);
-  n->backward = [n, na]() { na->grad.Add(n->grad.Transposed()); };
-  return v;
-}
-
 Var Tape::Add(Var a, Var b) {
   Matrix out = value(a);
   out.Add(value(b));
@@ -151,17 +143,6 @@ Var Tape::Scale(Var a, double alpha) {
   Node* n = &node(v);
   Node* na = &node(a);
   n->backward = [n, na, alpha]() { na->grad.Add(n->grad, alpha); };
-  return v;
-}
-
-Var Tape::AddScalar(Var a, double c) {
-  Matrix out = value(a);
-  for (size_t i = 0; i < out.rows(); ++i)
-    for (size_t j = 0; j < out.cols(); ++j) out(i, j) += c;
-  Var v = NewNode(std::move(out));
-  Node* n = &node(v);
-  Node* na = &node(a);
-  n->backward = [n, na]() { na->grad.Add(n->grad); };
   return v;
 }
 

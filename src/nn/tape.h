@@ -45,13 +45,11 @@ class Tape {
 
   Var MatMul(Var a, Var b);
   Var MatMulT(Var a, Var b);            ///< a * b^T
-  Var Transpose(Var a);
   Var Add(Var a, Var b);                ///< elementwise, equal shapes
   Var Sub(Var a, Var b);
   Var Mul(Var a, Var b);                ///< Hadamard
   Var AddRowBroadcast(Var a, Var bias); ///< bias is 1 x n, added to each row
   Var Scale(Var a, double alpha);
-  Var AddScalar(Var a, double c);
 
   Var Sigmoid(Var a);
   Var Tanh(Var a);
@@ -69,20 +67,12 @@ class Tape {
   /// Row-wise softmax.
   Var SoftmaxRows(Var a);
 
-  /// Sum of all entries -> 1x1.
-  Var SumAll(Var a);
-  /// Mean of all entries -> 1x1.
-  Var MeanAll(Var a);
-
   /// Mean squared error against a fixed target (same shape) -> 1x1.
   Var MseLoss(Var pred, const Matrix& target);
 
   /// Binary cross-entropy of probabilities in (0,1) against 0/1 targets,
   /// with clamping for numerical safety -> 1x1.
   Var BceLoss(Var probs, const Matrix& target);
-
-  /// Weighted MSE: sum w ⊙ (pred - target)^2 / n -> 1x1.
-  Var WeightedMseLoss(Var pred, const Matrix& target, const Matrix& weights);
 
   // --- Execution -----------------------------------------------------------
 

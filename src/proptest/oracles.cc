@@ -118,7 +118,6 @@ double OracleHausdorffUser(const SocialHausdorffLoss& loss,
   const std::vector<double>& e = loss.entropy_weights();
   const double d_max = loss.d_max();
   const double alpha = loss.config().alpha;
-  const double epsilon = loss.config().epsilon;
   const size_t K = model.u3.rows();
 
   // Visit probabilities p_j = 1 - prod_k (1 - clamp(Xhat)).
@@ -135,7 +134,7 @@ double OracleHausdorffUser(const SocialHausdorffLoss& loss,
 
   // Term 1: sum_j p e_j dmin_j / (sum_j p + eps), dmin capped at d_max.
   double num = 0.0;
-  double den = epsilon;
+  double den = kHausdorffEpsilon;
   for (size_t a = 0; a < s_set.size(); ++a) {
     double dmin = d_max;
     for (uint32_t jp : n_set) {
@@ -311,7 +310,7 @@ double ReferenceHausdorffUser(const SocialHausdorffLoss& loss,
     a_sum += p[a];
     w_sum += p[a] * e[s_set[a]] * dmin[a];
   }
-  const double denom = a_sum + loss.config().epsilon;
+  const double denom = a_sum + kHausdorffEpsilon;
   const double term1 = w_sum / denom;
 
   // --- term 2 -------------------------------------------------------------

@@ -1,24 +1,19 @@
 #ifndef TCSS_TENSOR_DENSE_TENSOR_H_
 #define TCSS_TENSOR_DENSE_TENSOR_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
-
-#include "tensor/sparse_tensor.h"
 
 namespace tcss {
 
-/// Dense order-3 tensor. Used by reference implementations and tests;
-/// intentionally simple (contiguous, i-major layout).
+/// Dense order-3 tensor: the core of the Tucker baselines. Intentionally
+/// simple (contiguous, i-major layout).
 class DenseTensor {
  public:
   DenseTensor() : dim_i_(0), dim_j_(0), dim_k_(0) {}
   DenseTensor(size_t dim_i, size_t dim_j, size_t dim_k, double fill = 0.0)
       : dim_i_(dim_i), dim_j_(dim_j), dim_k_(dim_k),
         data_(dim_i * dim_j * dim_k, fill) {}
-
-  /// Materializes a sparse tensor (unobserved cells become 0).
-  static DenseTensor FromSparse(const SparseTensor& sp);
 
   size_t dim_i() const { return dim_i_; }
   size_t dim_j() const { return dim_j_; }
@@ -34,9 +29,6 @@ class DenseTensor {
 
   const std::vector<double>& data() const { return data_; }
   std::vector<double>& data() { return data_; }
-
-  /// Frobenius norm of the difference with another tensor of equal shape.
-  double FrobeniusDistance(const DenseTensor& other) const;
 
  private:
   size_t dim_i_, dim_j_, dim_k_;

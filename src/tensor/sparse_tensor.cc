@@ -192,10 +192,4 @@ bool SparseTensor::Contains(uint32_t i, uint32_t j, uint32_t k) const {
   return Get(i, j, k) != 0.0;
 }
 
-double SparseTensor::SquaredSum() const {
-  double s = 0.0;
-  for (const auto& e : entries_) s += e.value * e.value;
-  return s;
-}
-
 }  // namespace tcss

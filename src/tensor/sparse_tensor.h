@@ -83,9 +83,6 @@ class SparseTensor {
   /// empty for an i with no entries.
   std::span<const TensorEntry> Entries(uint32_t i) const;
 
-  /// Sum of squared values (the constant term of the full MSE loss).
-  double SquaredSum() const;
-
  private:
   size_t dim_i_, dim_j_, dim_k_;
   std::vector<TensorEntry> entries_;

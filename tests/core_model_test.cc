@@ -58,11 +58,10 @@ TEST(TcssConfigTest, ValidateCatchesBadValues) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   double TcssConfig::*const fields[] = {
-      &TcssConfig::learning_rate,       &TcssConfig::weight_decay,
-      &TcssConfig::lr_step_factor,      &TcssConfig::w_pos,
-      &TcssConfig::w_neg,               &TcssConfig::lambda,
-      &TcssConfig::alpha,               &TcssConfig::epsilon,
-      &TcssConfig::temporal_smoothness, &TcssConfig::zero_out_sigma_frac};
+      &TcssConfig::learning_rate, &TcssConfig::lr_step_factor,
+      &TcssConfig::w_pos,         &TcssConfig::w_neg,
+      &TcssConfig::lambda,        &TcssConfig::alpha,
+      &TcssConfig::temporal_smoothness};
   for (size_t f = 0; f < std::size(fields); ++f) {
     for (double bad : {nan, inf, -inf}) {
       cfg = TcssConfig();

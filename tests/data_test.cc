@@ -72,6 +72,41 @@ TEST(TimeBinningTest, BinsPerGranularity) {
   EXPECT_EQ(TimeBin(nye, TimeGranularity::kWeekOfYear), 52u);
 }
 
+// TimeBin derives only its own bin; it must give the bins of ToCivil's
+// fields over the loadable calendar range: random timestamps, and edges
+// of every year's Jan 1, Feb 28/29, Mar 1 and Dec 31 (each year to 2100,
+// every 37th after).
+TEST(TimeBinningTest, BinsMatchCivilTimeOverTheCalendarRange) {
+  std::vector<int64_t> stamps;
+  Rng rng(2033);
+  const uint64_t span = kMaxCheckinTimestamp - kMinCheckinTimestamp + 1;
+  for (int n = 0; n < 200000; ++n) {
+    stamps.push_back(kMinCheckinTimestamp +
+                     static_cast<int64_t>(rng.UniformInt(span)));
+  }
+  const int kEdges[][2] = {{1, 1}, {2, 28}, {2, 29}, {3, 1}, {12, 31}};
+  for (int year = 1; year <= 9999; year += year < 2100 ? 1 : 37) {
+    for (const auto& [month, day] : kEdges) {
+      const int64_t t = FromCivil(year, month, day);
+      for (int64_t offset : {-1, 0, 1, 3600, 86399}) {
+        stamps.push_back(t + offset);
+      }
+    }
+  }
+  for (int64_t ts : stamps) {
+    const CivilTime c = ToCivil(ts);
+    ASSERT_EQ(TimeBin(ts, TimeGranularity::kMonthOfYear),
+              static_cast<uint32_t>(c.month - 1))
+        << ts;
+    ASSERT_EQ(TimeBin(ts, TimeGranularity::kWeekOfYear),
+              static_cast<uint32_t>(c.day_of_year / 7))
+        << ts;
+    ASSERT_EQ(TimeBin(ts, TimeGranularity::kHourOfDay),
+              static_cast<uint32_t>(c.hour))
+        << ts;
+  }
+}
+
 TEST(TimeBinningTest, GranularityNames) {
   EXPECT_STREQ(GranularityName(TimeGranularity::kMonthOfYear), "month");
   EXPECT_STREQ(GranularityName(TimeGranularity::kWeekOfYear), "week");

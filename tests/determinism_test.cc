@@ -885,7 +885,7 @@ TEST(KernelDeterminismTest, AdamStepBitIdenticalAcrossThreadCounts) {
     SetGlobalThreads(threads);
     TrainerCheckpoint state(model);
     for (int step = 0; step < 3; ++step) {
-      AdamStep(grads, 0.01, 1e-4, &state);
+      AdamStep(grads, 0.01, &state);
     }
     const std::string bytes = SerializeFactorModel(state.model);
     if (threads == 1) {

@@ -204,30 +204,5 @@ TEST(RankingProtocolTest, SinglePoiCatalogRanksTargetFirst) {
   EXPECT_DOUBLE_EQ(m.hit_at_k, 1.0);
 }
 
-TEST(RankingProtocolTest, AllCandidatesExcludedByTrainObservations) {
-  // exclude_observed with a train tensor covering EVERY (user, poi, time)
-  // cell: all negative draws are rejected, the attempts guard terminates,
-  // and the target ranks 1 against an empty field (metrics still sane).
-  const size_t num_pois = 6;
-  SparseTensor train(2, num_pois, 2);
-  for (uint32_t i = 0; i < 2; ++i) {
-    for (uint32_t j = 0; j < num_pois; ++j) {
-      for (uint32_t k = 0; k < 2; ++k) ASSERT_TRUE(train.Add(i, j, k).ok());
-    }
-  }
-  ASSERT_TRUE(train.Finalize().ok());
-  std::vector<TensorCell> cells = {{0, 2, 0}, {1, 4, 1}};
-  auto score = [](uint32_t, uint32_t j, uint32_t) {
-    return static_cast<double>(j);
-  };
-  RankingProtocolOptions opts;
-  opts.exclude_observed = true;
-  RankingMetrics m = EvaluateRanking(score, num_pois, cells, opts, &train);
-  EXPECT_EQ(m.num_entries, 2u);
-  EXPECT_DOUBLE_EQ(m.mrr, 1.0);
-  EXPECT_DOUBLE_EQ(m.hit_at_k, 1.0);
-  EXPECT_DOUBLE_EQ(m.precision_at_k, 1.0 / static_cast<double>(opts.top_k));
-}
-
 }  // namespace
 }  // namespace tcss

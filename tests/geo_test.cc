@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -28,15 +27,14 @@ TEST(GeoPointTest, Validity) {
   EXPECT_FALSE(IsValid({0, -180.1}));
 }
 
-TEST(GeoPointTest, BoundsExtendAndContain) {
+TEST(GeoPointTest, BoundsExtend) {
   GeoBounds b;
   b.Extend({10, 20});
   b.Extend({-5, 40});
-  EXPECT_TRUE(b.Contains({0, 30}));
-  EXPECT_FALSE(b.Contains({11, 30}));
-  GeoPoint c = b.Center();
-  EXPECT_DOUBLE_EQ(c.lat, 2.5);
-  EXPECT_DOUBLE_EQ(c.lon, 30.0);
+  EXPECT_DOUBLE_EQ(b.min_lat, -5.0);
+  EXPECT_DOUBLE_EQ(b.max_lat, 10.0);
+  EXPECT_DOUBLE_EQ(b.min_lon, 20.0);
+  EXPECT_DOUBLE_EQ(b.max_lon, 40.0);
 }
 
 TEST(HaversineTest, KnownCityDistances) {
@@ -179,32 +177,6 @@ TEST(LocationEntropyTest, WeightsAreExpNegEntropy) {
   EXPECT_NEAR(w[2], std::exp(-2.0), 1e-12);
 }
 
-TEST(SpatialGridTest, NearestMatchesBruteForce) {
-  Rng rng(5);
-  std::vector<GeoPoint> pts;
-  for (int i = 0; i < 400; ++i) {
-    pts.push_back({rng.Uniform(35, 40), rng.Uniform(-100, -90)});
-  }
-  SpatialGrid grid(pts);
-  for (int t = 0; t < 100; ++t) {
-    GeoPoint q{rng.Uniform(35, 40), rng.Uniform(-100, -90)};
-    int64_t got = grid.Nearest(q);
-    ASSERT_GE(got, 0);
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& p : pts) best = std::min(best, HaversineKm(q, p));
-    // The ring search is approximate only in degenerate cell layouts; the
-    // returned distance must still be within a small factor of optimal.
-    EXPECT_LE(HaversineKm(q, pts[got]), best * 1.5 + 1e-9);
-  }
-}
-
-TEST(SpatialGridTest, ExcludeSkipsSelf) {
-  std::vector<GeoPoint> pts = {{10, 10}, {10.001, 10.001}, {20, 20}};
-  SpatialGrid grid(pts);
-  EXPECT_EQ(grid.Nearest(pts[0]), 0);
-  EXPECT_EQ(grid.Nearest(pts[0], /*exclude=*/0), 1);
-}
-
 TEST(SpatialGridTest, WithinRadiusMatchesBruteForce) {
   Rng rng(6);
   std::vector<GeoPoint> pts;
@@ -281,8 +253,6 @@ TEST(SpatialGridTest, WithinRadiusMatchesBruteForceAtEdgesOfTheGlobe) {
 TEST(SpatialGridTest, EmptyGrid) {
   std::vector<GeoPoint> pts;
   SpatialGrid grid(pts);
-  EXPECT_EQ(grid.Nearest({0, 0}), -1);
-  EXPECT_TRUE(std::isinf(grid.NearestDistanceKm({0, 0})));
   EXPECT_TRUE(grid.WithinRadius({0, 0}, 100).empty());
 }
 

@@ -50,10 +50,6 @@ TEST(TapeTest, ForwardValuesMatMulAdd) {
   EXPECT_DOUBLE_EQ(tape.value(c)(1, 0), 3);
   Var d = tape.Add(a, a);
   EXPECT_DOUBLE_EQ(tape.value(d)(0, 1), 4);
-  Var s = tape.SumAll(a);
-  EXPECT_DOUBLE_EQ(tape.value(s)(0, 0), 10);
-  Var m = tape.MeanAll(a);
-  EXPECT_DOUBLE_EQ(tape.value(m)(0, 0), 2.5);
 }
 
 TEST(TapeTest, ActivationValues) {
@@ -102,7 +98,7 @@ TEST(TapeGradTest, ElementwiseOpsAndBroadcast) {
     Var m = t->Mul(t->Leaf(a), t->Leaf(b));
     Var s = t->Sub(m, t->Scale(t->Leaf(a), 0.3));
     Var z = t->AddRowBroadcast(s, t->Leaf(bias));
-    return t->MseLoss(t->AddScalar(z, 0.1), target);
+    return t->MseLoss(z, target);
   });
 }
 
@@ -123,7 +119,7 @@ TEST(TapeGradTest, Activations) {
   }
 }
 
-TEST(TapeGradTest, SoftmaxTransposeConcat) {
+TEST(TapeGradTest, SoftmaxConcat) {
   Rng rng(4);
   ParameterStore store;
   Parameter* a = store.Create("a", 3, 3, &rng, 0.6);
@@ -131,8 +127,7 @@ TEST(TapeGradTest, SoftmaxTransposeConcat) {
   Matrix target(3, 5, 0.1);
   CheckGradients(&store, [&](Tape* t) {
     Var sm = t->SoftmaxRows(t->Leaf(a));
-    Var at = t->Transpose(t->Transpose(sm));  // double transpose
-    Var cc = t->ConcatCols(at, t->Leaf(b));
+    Var cc = t->ConcatCols(sm, t->Leaf(b));
     return t->MseLoss(cc, target);
   });
 }
@@ -161,22 +156,16 @@ TEST(TapeGradTest, RowsLookupScatters) {
   });
 }
 
-TEST(TapeGradTest, BceAndWeightedMse) {
+TEST(TapeGradTest, Bce) {
   Rng rng(7);
   ParameterStore store;
   Parameter* w = store.Create("w", 3, 1, &rng, 0.5);
   Matrix x = Matrix::GaussianRandom(6, 3, &rng);
   Matrix target(6, 1);
   for (size_t i = 0; i < 6; ++i) target(i, 0) = i % 2;
-  Matrix weights(6, 1);
-  for (size_t i = 0; i < 6; ++i) weights(i, 0) = 0.5 + 0.1 * i;
   CheckGradients(&store, [&](Tape* t) {
     Var p = t->Sigmoid(t->MatMul(t->Input(x), t->Leaf(w)));
     return t->BceLoss(p, target);
-  });
-  CheckGradients(&store, [&](Tape* t) {
-    Var p = t->MatMul(t->Input(x), t->Leaf(w));
-    return t->WeightedMseLoss(p, target, weights);
   });
 }
 
@@ -236,28 +225,6 @@ TEST(OptimizerTest, AdamMinimizesQuadratic) {
   }
   EXPECT_LT(last, 1e-3 * first);
   for (size_t i = 0; i < 5; ++i) EXPECT_NEAR(w->value(0, i), 3.0, 0.05);
-}
-
-TEST(MlpTest, LearnsXor) {
-  Rng rng(12);
-  ParameterStore store;
-  Mlp mlp(&store, "xor", {2, 8, 1}, Activation::kTanh, Activation::kSigmoid,
-          &rng);
-  Matrix x = Matrix::FromRows({{0, 0}, {0, 1}, {1, 0}, {1, 1}});
-  Matrix y = Matrix::FromRows({{0}, {1}, {1}, {0}});
-  Adam adam(&store, 0.05);
-  for (int step = 0; step < 800; ++step) {
-    Tape tape;
-    Var loss = tape.BceLoss(mlp.Apply(&tape, tape.Input(x)), y);
-    tape.Backward(loss);
-    adam.Step();
-  }
-  Tape tape;
-  const Matrix& pred = tape.value(mlp.Apply(&tape, tape.Input(x)));
-  EXPECT_LT(pred(0, 0), 0.2);
-  EXPECT_GT(pred(1, 0), 0.8);
-  EXPECT_GT(pred(2, 0), 0.8);
-  EXPECT_LT(pred(3, 0), 0.2);
 }
 
 TEST(ParameterStoreTest, CountsWeights) {
